@@ -22,6 +22,7 @@ import numpy as np
 
 from .dynamics import (
     BathSpec,
+    PropagationError,
     StateVector,
     equilibrium_state,
     isochore_affine,
@@ -50,6 +51,12 @@ class BranchError(RuntimeError):
         self.cause = cause
 
 
+# Failures that make a candidate cycle a failed point of a search.  ValueError
+# covers ScheduleError and numpy's LinAlgError; any other exception is a bug
+# and propagates.
+DOMAIN_ERRORS = (NoContractionError, BranchError, PropagationError, ValueError)
+
+
 @dataclass(frozen=True)
 class CycleSpec:
     """Complete definition of one refrigeration cycle."""
@@ -62,6 +69,8 @@ class CycleSpec:
     compression: Schedule
     tau_c: float
     tau_h: float
+    # Validated in 1e-13 .. 1e-2 so existing configs still parse; every
+    # propagator is a closed form and none reads it.
     ode_tol: float = 1e-9
 
     def __post_init__(self):
@@ -127,12 +136,12 @@ class CycleRecord:
 def branch_affine_maps(spec: CycleSpec):
     """The four branch maps as (name, duration, omega_after, A, b)."""
     try:
-        a_exp = schedule_propagator(spec.expansion, spec.ode_tol)
-    except Exception as exc:
+        a_exp = schedule_propagator(spec.expansion)
+    except (PropagationError, ValueError) as exc:
         raise BranchError("expansion", exc) from exc
     try:
-        a_comp = schedule_propagator(spec.compression, spec.ode_tol)
-    except Exception as exc:
+        a_comp = schedule_propagator(spec.compression)
+    except (PropagationError, ValueError) as exc:
         raise BranchError("compression", exc) from exc
     zero = np.zeros(3)
     a_cold, b_cold = isochore_affine(spec.omega_c, spec.cold_bath, spec.tau_c)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import j0, j1, y0, y1
+from scipy.special import j0, j1, jv, y0, y1, yv
 
 from .schedules import PIECEWISE_KINDS, Schedule, ScheduleError
 
@@ -402,7 +402,7 @@ def piecewise_matrix(schedule: Schedule) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exponential schedules: exact propagator via order-0 Bessel solutions
+# Exponential and linear ramps: exact propagators via Bessel solutions
 # ---------------------------------------------------------------------------
 
 def _moment_lift(phi: np.ndarray) -> np.ndarray:
@@ -435,6 +435,20 @@ def _moments_to_hlc(omega: float) -> np.ndarray:
     ])
 
 
+def _bessel_propagator(S0: np.ndarray, S1: np.ndarray, wronskian: float,
+                       omega0: float, omega1: float) -> np.ndarray:
+    """3x3 propagator from a classical fundamental pair at the two endpoints.
+
+    S0 and S1 hold the same two (Q, P) solutions as columns, evaluated at the
+    start and the end of the sweep; their determinant is the constant
+    ``wronskian``, so S0 is inverted exactly and phi = S1 S0^-1 is lifted to
+    the (e_h, e_l, e_c) representation.
+    """
+    S0_inv = np.array([[S0[1, 1], -S0[0, 1]], [-S0[1, 0], S0[0, 0]]]) / wronskian
+    phi = S1 @ S0_inv
+    return _moments_to_hlc(omega1) @ _moment_lift(phi) @ _hlc_to_moments(omega0)
+
+
 def exponential_matrix(schedule: Schedule) -> np.ndarray:
     """Exact propagator of an exponential sweep omega(t) = omega0 exp(alpha t).
 
@@ -461,73 +475,39 @@ def exponential_matrix(schedule: Schedule) -> np.ndarray:
             [-sgn * w * j1(z), -sgn * w * y1(z)],
         ])
 
-    S0 = fundamental(z0, w0)
-    S1 = fundamental(z1, w1)
-    det = 2.0 * sgn * aa / math.pi    # exact Wronskian of the columns
-    S0_inv = np.array([[S0[1, 1], -S0[0, 1]], [-S0[1, 0], S0[0, 0]]]) / det
-    phi = S1 @ S0_inv
-    return _moments_to_hlc(w1) @ _moment_lift(phi) @ _hlc_to_moments(w0)
+    return _bessel_propagator(fundamental(z0, w0), fundamental(z1, w1),
+                              2.0 * sgn * aa / math.pi, w0, w1)
 
 
-# ---------------------------------------------------------------------------
-# Linear schedules: phase-exact product integrator
-# ---------------------------------------------------------------------------
+def linear_ramp_matrix(schedule: Schedule) -> np.ndarray:
+    """Exact propagator of a linear sweep omega(t) = omega0 - beta t.
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[-1] @ ... @ mats[0] by pairwise reduction (order preserved)."""
-    while mats.shape[0] > 1:
-        n = mats.shape[0]
-        half = n // 2
-        paired = np.matmul(mats[1: 2 * half: 2], mats[0: 2 * half: 2])
-        if n % 2:
-            mats = np.concatenate([paired, mats[-1:]], axis=0)
-        else:
-            mats = paired
-    return mats[0]
-
-
-def linear_matrix(schedule: Schedule, tol: float = 1e-8) -> np.ndarray:
-    """Propagator of a linear sweep by a product of constant-mu steps.
-
-    Each step spans [omega_k, omega_k+1] of the ramp and applies the exact
-    constant-mu propagator whose mu equals the step's time average of mu(t),
-    wrapped in half-angle rotations that make the accumulated oscillation
-    phase integral exact.  The local defect scales with the variation of mu
-    across the step, not with the oscillation frequency, so steps stretch
-    enormously in the slow (hot) part of the ramp; the grid is uniform in
-    omega^(2/3), which equidistributes the defect.  ``tol`` is a heuristic
-    global accuracy target.
-
-    Unlike direct time stepping this stays affordable for near-quasistatic
-    ramps whose total oscillation phase is astronomically large.
+    In the variable omega the oscillator equation becomes
+    x_ww + (omega/beta)^2 x = 0, solved by x = sqrt(omega) C_{1/4}(zeta) with
+    zeta = omega^2 / (2|beta|); the momenta p = dx/dt are
+    -sign(beta) omega^(3/2) C_{-3/4}(zeta) (DLMF 10.6.2).  With C = J, Y the
+    columns have the exact constant Wronskian -4 beta / pi.  The phase error
+    is the floating-point limit ~1e-16 zeta, for ramps of any duration.
     """
     if schedule.kind != "linear":
-        raise ScheduleError("linear_matrix needs a linear schedule")
+        raise ScheduleError("linear_ramp_matrix needs a linear schedule")
     w0, w1, tau = schedule.omega_start, schedule.omega_end, schedule.duration
     if w0 == w1 or tau == 0.0:
         return free_segment_matrix(w0, tau)
     beta = (w0 - w1) / tau           # signed; > 0 for expansion
-    i23 = 1.5 * abs(w0 ** (2.0 / 3.0) - w1 ** (2.0 / 3.0)) / abs(beta) ** (1.0 / 3.0)
-    n_steps = int(min(max(i23 ** 1.5 / math.sqrt(tol), 32), 5e7))
+    sgn = 1.0 if beta > 0 else -1.0
+    two_b = 2.0 * abs(beta)
 
-    total = np.eye(3)
-    chunk = 131072
-    u0 = w0 ** (2.0 / 3.0)
-    u1 = w1 ** (2.0 / 3.0)
-    grid = np.linspace(u0, u1, n_steps + 1) ** 1.5
-    for lo in range(0, n_steps, chunk):
-        hi = min(lo + chunk, n_steps)
-        wa = grid[lo:hi]
-        wb = grid[lo + 1: hi + 1]
-        mu_hat = -beta / (wa * wb)                       # exact step-average of mu(t)
-        theta_hat = np.log(wb / wa) / mu_hat
-        dtheta = (wa * wa - wb * wb) / (2.0 * beta)      # exact phase integral of omega dt
-        half = 0.5 * (dtheta - theta_hat)
-        U = const_mu_matrix(wa, wb, mu_hat)
-        R = free_segment_matrix(1.0, half)               # rotation over theta-span `half`
-        U = np.matmul(R, np.matmul(U, R))
-        total = _ordered_product(U) @ total
-    return total
+    def fundamental(w):
+        z = w * w / two_b
+        q, p = math.sqrt(w), -sgn * w * math.sqrt(w)
+        return np.array([
+            [q * jv(0.25, z), q * yv(0.25, z)],
+            [p * jv(-0.75, z), p * yv(-0.75, z)],
+        ])
+
+    return _bessel_propagator(fundamental(w0), fundamental(w1),
+                              -4.0 * beta / math.pi, w0, w1)
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +565,13 @@ def propagate_adiabat_numeric(state: StateVector, schedule: Schedule,
     return StateVector.from_array(v, schedule.omega_end)
 
 
-def schedule_propagator(schedule: Schedule, tol: float = 1e-10) -> np.ndarray:
-    """Best-available 3x3 propagator matrix for a schedule.
+def schedule_propagator(schedule: Schedule) -> np.ndarray:
+    """Exact 3x3 propagator matrix for a schedule.
 
-    Exact closed forms for const-mu, piecewise-constant (incl. three-jump)
-    and exponential kinds; the phase-exact product integrator for linear
-    ramps.  ``tol`` only affects the linear path.
+    Closed forms for every kind: const-mu, piecewise-constant (incl.
+    three-jump), and the Bessel-function propagators of exponential and
+    linear ramps (an exponential ramp whose Bessel argument omega/|alpha|
+    falls below 1e-6 is integrated with DOP853 instead).
     """
     if schedule.kind == "const_mu":
         return const_mu_matrix(schedule.omega_start, schedule.omega_end, schedule.mu)
@@ -599,5 +580,5 @@ def schedule_propagator(schedule: Schedule, tol: float = 1e-10) -> np.ndarray:
     if schedule.kind == "exponential":
         return exponential_matrix(schedule)
     if schedule.kind == "linear":
-        return linear_matrix(schedule, tol=max(tol, 1e-12))
+        return linear_ramp_matrix(schedule)
     raise ScheduleError(f"no propagator for schedule kind {schedule.kind!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .cycle import CycleRecord, CycleSpec, limit_cycle
+from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, limit_cycle
 from .schedules import Schedule, build_three_jump
 
 _FREE_VARS = ("tau_c", "tau_h", "tau_hc", "tau_ch", "omega_c")
@@ -250,7 +250,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         try:
             _, record = limit_cycle(apply_free_values(base, values))
             return -record.r_c
-        except Exception as exc:
+        except DOMAIN_ERRORS as exc:
             failures += 1
             warnings.warn(f"objective evaluation failed at {values}: {exc}")
             return math.inf
@@ -360,7 +360,7 @@ def ga_schedule_search(spec: OptimizationSpec) -> GAResult:
         try:
             _, record = limit_cycle(_ga_candidate_spec(base, genes))
             return record.r_c
-        except Exception:
+        except DOMAIN_ERRORS:
             return -math.inf
 
     if spec.initial_population is not None:

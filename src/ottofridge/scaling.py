@@ -5,7 +5,7 @@ kappa * T_c by default), builds the branch schedules for the requested kind,
 allocates the isochore times, solves the limit cycle and records the row.
 Schedules without a frictionless closed form (linear, exponential) get their
 adiabat duration from a per-point golden-section search that maximizes the
-limit-cycle cooling rate.
+limit-cycle cooling rate; their propagators are exact Bessel-function forms.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cycle import CycleSpec, limit_cycle
+from .cycle import DOMAIN_ERRORS, CycleSpec, limit_cycle
 from .dynamics import BathSpec
 from .optimize import optimal_cold_frequency, solve_isochore_z
 from .schedules import Schedule, build_three_jump, critical_mu
@@ -27,10 +27,6 @@ SWEEP_KINDS = ("three_jump", "const_mu", "linear", "exponential")
 # exponent nu of the rate bound omega^nu * n_eq for the frictionless kinds;
 # the searched kinds default to the const-mu value.
 _KIND_NU = {"three_jump": 1.5, "const_mu": 2.0, "linear": 2.0, "exponential": 2.0}
-
-# default heuristic accuracy of the linear-ramp product integrator in sweeps;
-# its true error is orders of magnitude below the target (see tests).
-_LINEAR_SWEEP_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class SweepSpec:
     kappa: float | None = None          # None: kind default via optimal_cold_frequency
     optimize_omega_c: bool = False
     allocation: str = "z"               # "z" or "searched"
-    ode_tol: float | None = None
+    ode_tol: float | None = None        # accepted for old configs; affects no propagator
     tail_decades: float = 1.0
     seed: int = 0
     duration_bracket: tuple[float, float] = (0.02, 10.0)
@@ -64,6 +60,8 @@ class SweepSpec:
             raise ValueError("allocation must be 'z' or 'searched'")
         if self.omega_h <= 0 or self.t_hot <= 0 or self.gamma <= 0:
             raise ValueError("omega_h, t_hot and gamma must be positive")
+        if self.ode_tol is not None and not 1e-13 <= self.ode_tol <= 1e-2:
+            raise ValueError("ode_tol out of range (1e-13 .. 1e-2)")
         if self.omega_h / self.t_hot < 30:
             warnings.warn("omega_h / T_h < 30: hot-bath occupation is not negligible")
 
@@ -79,11 +77,6 @@ class SweepSpec:
             return self.kappa
         _, kappa = optimal_cold_frequency(_KIND_NU[self.kind], 1.0)
         return kappa
-
-    def effective_ode_tol(self) -> float:
-        if self.ode_tol is not None:
-            return self.ode_tol
-        return _LINEAR_SWEEP_TOL if self.kind == "linear" else 1e-9
 
 
 @dataclass(frozen=True)
@@ -199,11 +192,10 @@ def build_point(spec: SweepSpec, t_c: float, omega_c: float | None = None) -> Cy
     w_h, w_c = spec.omega_h, omega_c
     if w_c >= w_h:
         raise ValueError("sweep produced omega_c >= omega_h; shrink the grid")
-    tol = spec.effective_ode_tol()
 
     def assemble(expansion, compression):
         return _allocate(spec, CycleSpec(hot, cold, w_h, w_c, expansion, compression,
-                                         tau_c=1e-12, tau_h=1e-12, ode_tol=tol))
+                                         tau_c=1e-12, tau_h=1e-12))
 
     if spec.kind == "three_jump":
         return assemble(build_three_jump(w_h, w_c), build_three_jump(w_c, w_h))
@@ -226,7 +218,7 @@ def build_point(spec: SweepSpec, t_c: float, omega_c: float | None = None) -> Cy
         try:
             _, record = limit_cycle(cycle_for(math.exp(log_param)))
             return record.r_c
-        except Exception:
+        except DOMAIN_ERRORS:
             return -math.inf
 
     lo, hi = spec.duration_bracket
@@ -242,14 +234,14 @@ def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
                 try:
                     _, rec = limit_cycle(build_point(spec, t_c, math.exp(log_y) * t_c))
                     return rec.r_c
-                except Exception:
+                except DOMAIN_ERRORS:
                     return -math.inf
             best_log, _ = _golden_max(score, math.log(0.05), math.log(3.0), spec.search_iters)
             cycle = build_point(spec, t_c, math.exp(best_log) * t_c)
         else:
             cycle = build_point(spec, t_c)
         _, record = limit_cycle(cycle)
-    except Exception as exc:
+    except DOMAIN_ERRORS as exc:
         return SweepRow(t_c, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
                         flag=0, error=f"{type(exc).__name__}: {exc}")
     flag = 1 if record.q_c > 0 else 2

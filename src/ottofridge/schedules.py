@@ -164,10 +164,6 @@ class Schedule:
             out.append((t, prev, self.omega_end))
         return out
 
-    @property
-    def is_expansion(self) -> bool:
-        return self.omega_end < self.omega_start
-
 
 # ---------------------------------------------------------------------------
 # Frictionless critical parameters

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -16,13 +17,14 @@ from ottofridge.dynamics import (
     equilibrium_state,
     exponential_matrix,
     isochore_affine,
-    linear_matrix,
+    jump_matrix,
     observables,
     propagate_adiabat_const_mu,
     propagate_adiabat_numeric,
     propagate_free_segment,
     propagate_isochore,
     rk_matrix,
+    schedule_propagator,
 )
 from ottofridge.schedules import Schedule, build_three_jump, critical_mu
 
@@ -348,16 +350,52 @@ def test_exponential_fast_path_matches_rk():
 def test_linear_fast_path_matches_rk():
     for w0, w1, tau in ((10.0, 2.0, 3.0), (2.0, 10.0, 5.0), (20.0, 2.0, 50.0)):
         sched = Schedule.linear(w0, w1, tau)
-        np.testing.assert_allclose(linear_matrix(sched, tol=1e-8), rk_matrix(sched, 1e-12),
-                                   rtol=1e-7, atol=1e-12)
+        np.testing.assert_allclose(schedule_propagator(sched), rk_matrix(sched, 1e-12),
+                                   rtol=1e-8, atol=1e-12)
 
 
-def test_linear_fast_path_long_ramp_consistency():
-    # far beyond direct integration reach: compare two resolutions
-    sched = Schedule.linear(50.0, 0.05, (50.0 - 0.05) / (0.5 * 0.05**2))
-    u_coarse = linear_matrix(sched, tol=1e-2)
-    u_fine = linear_matrix(sched, tol=1e-4)
-    assert np.max(np.abs(u_coarse - u_fine)) / np.max(np.abs(u_fine)) < 1e-5
+def linear_ramp_oracle(w0, w1, tau):
+    """The Bessel-pair propagator of a linear ramp in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        w0, w1, tau = mpmath.mpf(w0), mpmath.mpf(w1), mpmath.mpf(tau)
+        beta = (w0 - w1) / tau
+        nu = mpmath.mpf(1) / 4
+
+        def fundamental(w):
+            z = w * w / (2 * abs(beta))
+            q, p = mpmath.sqrt(w), -mpmath.sign(beta) * w * mpmath.sqrt(w)
+            return mpmath.matrix([
+                [q * mpmath.besselj(nu, z), q * mpmath.bessely(nu, z)],
+                [p * mpmath.besselj(nu - 1, z), p * mpmath.bessely(nu - 1, z)],
+            ])
+
+        phi = fundamental(w1) * mpmath.inverse(fundamental(w0))
+        a, b, c, d = phi[0, 0], phi[0, 1], phi[1, 0], phi[1, 1]
+        lift = mpmath.matrix([[a * a, b * b, 2 * a * b], [c * c, d * d, 2 * c * d],
+                              [a * c, b * d, a * d + b * c]])
+        to_moments = mpmath.matrix([[1 / w0**2, -1 / w0**2, 0], [1, 1, 0], [0, 0, 1 / w0]])
+        to_hlc = mpmath.matrix([[w1**2 / 2, 0.5, 0], [-w1**2 / 2, 0.5, 0], [0, 0, w1]])
+        u = to_hlc * lift * to_moments
+        zeta = max(w0, w1) ** 2 / (2 * abs(beta))
+        return np.array(u.tolist(), dtype=float), float(zeta)
+
+
+def test_linear_ramp_matches_mpmath_oracle():
+    # zeta = omega^2 / 2|beta| from ~1e2 to ~1e9, both sweep directions; the
+    # float phase error grows as ~1e-16 zeta
+    for tau in (4.0, 4e2, 4e4, 4e6, 4e7):
+        for w0, w1 in ((50.0, 0.05), (0.05, 50.0)):
+            expected, zeta = linear_ramp_oracle(w0, w1, tau)
+            got = schedule_propagator(Schedule.linear(w0, w1, tau))
+            err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+            assert err <= 1e-15 * zeta + 1e-11, (tau, w0, zeta, err)
+
+
+def test_linear_ramp_sudden_limit_is_jump():
+    for w0, w1 in ((10.0, 2.0), (2.0, 10.0), (100.0, 0.5), (0.5, 100.0)):
+        got = schedule_propagator(Schedule.linear(w0, w1, 1e-12))
+        expected = jump_matrix(w0, w1)
+        assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +418,9 @@ def test_casimir_conserved_on_all_adiabat_paths():
 
     numeric = propagate_adiabat_numeric(st, Schedule.linear(6.0, 2.0, 4.0), tol=1e-11)
     assert casimir(numeric.as_array(), 2.0) == pytest.approx(x0, rel=1e-9)
+
+    ramp = schedule_propagator(Schedule.linear(6.0, 2.0, 4.0)) @ st.as_array()
+    assert casimir(ramp, 2.0) == pytest.approx(x0, rel=1e-12)
 
     bessel = exponential_matrix(Schedule.exponential(6.0, 2.0, 4.0)) @ st.as_array()
     assert casimir(bessel, 2.0) == pytest.approx(x0, rel=1e-12)

@@ -111,6 +111,18 @@ def test_sweep_records_failures_and_continues():
     assert all(math.isnan(r.r_c) for r in failed)
 
 
+@pytest.mark.parametrize("kind", ["three_jump", "linear"])
+def test_sweep_propagates_non_domain_errors(kind, monkeypatch):
+    # only domain failures become flag-0 rows or -inf search scores; a bug
+    # in a propagator must surface
+    def broken(schedule):
+        raise TypeError("injected")
+
+    monkeypatch.setattr("ottofridge.cycle.schedule_propagator", broken)
+    with pytest.raises(TypeError, match="injected"):
+        temperature_sweep(small_sweep(kind, t_max=1e-1, t_min=5e-2, points_per_decade=1))
+
+
 def test_sweep_fit_needs_enough_points():
     spec = small_sweep("three_jump", t_max=1e-1, t_min=3e-2, points_per_decade=8)
     res = temperature_sweep(spec)
@@ -149,6 +161,8 @@ def test_sweep_spec_validation():
         SweepSpec(kind="linear", t_max=0.1, t_min=0.2)
     with pytest.raises(ValueError):
         SweepSpec(kind="linear", gamma=-1.0)
+    with pytest.raises(ValueError, match="ode_tol"):
+        SweepSpec(kind="linear", ode_tol=0.1)
     grid = SweepSpec(kind="three_jump", t_max=1.0, t_min=1e-2,
                      points_per_decade=5, omega_h=100.0).grid
     assert len(grid) == 11
