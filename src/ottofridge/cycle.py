@@ -8,15 +8,19 @@ Branch order, starting from point A (end of the hot isochore, omega = omega_h):
     B -> A   hot isochore       (contact with the hot bath at omega_h)
 
 Each branch is an affine map v -> A v + b of the (e_h, e_l, e_c) vector, so
-the one-cycle map is affine as well and its unique fixed point (the limit
-cycle) can be found by a direct linear solve, cross-checked by fixed-point
-iteration.
+the one-cycle map v -> M v + k is the product of the four branch maps.  Its
+unique fixed point (the limit cycle) is found by a direct linear solve and
+cross-checked by repeated squaring of the augmented map [[M, k], [0, 1]],
+which reaches 2^j cycles from the hot thermal state in j matrix products.
+Each adiabat propagator is built once per Schedule instance and kept on it,
+so a search that varies only the isochore times reuses it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,9 +117,12 @@ class CycleRecord:
     heat rejected into the hot bath, w > 0 is net external work input.  At the
     limit cycle q_c + w - q_h = 0 and the entropy production rate
     sigma = (-q_c/T_c + q_h/T_h) / tau_total is nonnegative.
+
+    ``iterations`` is the number of cycles the cross-check covered: a power
+    of two, 1 when one cycle from the hot thermal state already reaches the
+    limit cycle (0 for a record of :func:`run_one_cycle`).
     """
 
-    branches: tuple[BranchRecord, ...]
     q_c: float
     q_h: float
     w: float
@@ -123,24 +130,53 @@ class CycleRecord:
     r_c: float
     sigma: float
     cop: float
+    # (branch maps, the chain vectors at A, D, C, B, A'); read by ``branches``
+    chain: tuple = field(repr=False, compare=False)
     iterations: int = 0
     residual: float = float("nan")
     solver_agreement: float = float("nan")
     spectral_radius: float = float("nan")
+
+    @cached_property
+    def branches(self) -> tuple[BranchRecord, ...]:
+        """Start and end state of each branch, built on first read."""
+        maps, vs = self.chain
+        omegas = [maps[-1][2]] + [m[2] for m in maps]
+        states = [StateVector.from_array(v, w, check=False) for v, w in zip(vs, omegas)]
+        return tuple(
+            BranchRecord(name=m[0], duration=m[1], start=states[i], end=states[i + 1],
+                         delta_e=states[i + 1].e_h - states[i].e_h)
+            for i, m in enumerate(maps)
+        )
 
     def laws(self) -> tuple[float, float]:
         """(first-law closure q_c + w - q_h, entropy production sigma)."""
         return self.q_c + self.w - self.q_h, self.sigma
 
 
+def adiabat_propagator(schedule: Schedule) -> np.ndarray:
+    """The schedule's propagator, built once per Schedule instance.
+
+    The matrix is stored read-only on the instance, so a search that varies
+    only the isochore times reuses it; an equal but distinct Schedule builds
+    its own.
+    """
+    a = schedule._propagator
+    if a is None:
+        a = schedule_propagator(schedule)
+        a.setflags(write=False)
+        object.__setattr__(schedule, "_propagator", a)
+    return a
+
+
 def branch_affine_maps(spec: CycleSpec):
     """The four branch maps as (name, duration, omega_after, A, b)."""
     try:
-        a_exp = schedule_propagator(spec.expansion)
+        a_exp = adiabat_propagator(spec.expansion)
     except (PropagationError, ValueError) as exc:
         raise BranchError("expansion", exc) from exc
     try:
-        a_comp = schedule_propagator(spec.compression)
+        a_comp = adiabat_propagator(spec.compression)
     except (PropagationError, ValueError) as exc:
         raise BranchError("compression", exc) from exc
     zero = np.zeros(3)
@@ -154,31 +190,13 @@ def branch_affine_maps(spec: CycleSpec):
     ]
 
 
-def _propagate_chain(maps, v: np.ndarray) -> list[np.ndarray]:
-    """Apply the branch maps in order; returns [v_A, v_D, v_C, v_B, v_A']."""
-    out = [v]
+def _ledger(spec: CycleSpec, maps, v: np.ndarray, **diag) -> CycleRecord:
+    """Heat/work ledger of one cycle started from v at point A."""
+    vs = [v]
     for _, _, _, A, b in maps:
         v = A @ v + b
-        out.append(v)
-    return out
-
-
-def run_one_cycle(spec: CycleSpec, state: StateVector,
-                  _maps=None, _diag: dict | None = None) -> tuple[StateVector, CycleRecord]:
-    """Run a single cycle from state A; returns the new A state and the ledger."""
-    if not math.isclose(state.omega, spec.omega_h, rel_tol=1e-9):
-        raise ValueError("input state must sit at omega_h (cycle point A)")
-    maps = branch_affine_maps(spec) if _maps is None else _maps
-    vs = _propagate_chain(maps, state.as_array())
-    omegas = [spec.omega_h] + [m[2] for m in maps]
-    states = [StateVector.from_array(v, w, check=False) for v, w in zip(vs, omegas)]
-
-    branches = tuple(
-        BranchRecord(name=m[0], duration=m[1], start=states[i], end=states[i + 1],
-                     delta_e=states[i + 1].e_h - states[i].e_h)
-        for i, m in enumerate(maps)
-    )
-    e_a, e_d, e_c_pt, e_b, e_a2 = (s.e_h for s in states)
+        vs.append(v)
+    e_a, e_d, e_c_pt, e_b, e_a2 = (float(u[0]) for u in vs)
     q_c = e_c_pt - e_d                      # heat absorbed on the cold isochore
     q_h = e_b - e_a2                        # heat rejected on the hot isochore
     w = (e_d - e_a) + (e_b - e_c_pt)        # work input on the two adiabats
@@ -187,37 +205,68 @@ def run_one_cycle(spec: CycleSpec, state: StateVector,
     sigma = ((-q_c / spec.cold_bath.temperature + q_h / spec.hot_bath.temperature) / tau
              if tau > 0 else 0.0)
     cop = q_c / w if abs(w) > 1e-300 else float("nan")
-    diag = _diag or {}
-    record = CycleRecord(
-        branches=branches, q_c=q_c, q_h=q_h, w=w, tau_total=tau, r_c=r_c,
-        sigma=sigma, cop=cop, **diag,
-    )
-    return states[-1], record
+    return CycleRecord(q_c=q_c, q_h=q_h, w=w, tau_total=tau, r_c=r_c, sigma=sigma,
+                       cop=cop, chain=(maps, tuple(vs)), **diag)
+
+
+def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, CycleRecord]:
+    """Run a single cycle from state A; returns the new A state and the ledger."""
+    if not math.isclose(state.omega, spec.omega_h, rel_tol=1e-9):
+        raise ValueError("input state must sit at omega_h (cycle point A)")
+    record = _ledger(spec, branch_affine_maps(spec), state.as_array())
+    _, vs = record.chain
+    return StateVector.from_array(vs[-1], spec.omega_h, check=False), record
 
 
 def cycle_affine_map(spec: CycleSpec, _maps=None) -> tuple[np.ndarray, np.ndarray]:
-    """Extract the one-cycle affine map (M, k) with v_A' = M v_A + k.
+    """The one-cycle affine map (M, k) with v_A' = M v_A + k.
 
-    k is obtained by propagating the zero vector and the columns of M by
-    propagating the three unit basis vectors; the composed map is affine, so
-    these four propagations determine it exactly.
+    The adiabats are linear (b = 0), so the composition of the four branch
+    maps is M = A_hot A_comp A_cold A_exp and k = A_hot (A_comp b_cold) + b_hot.
     """
     maps = branch_affine_maps(spec) if _maps is None else _maps
-    k = _propagate_chain(maps, np.zeros(3))[-1]
-    M = np.empty((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = 1.0
-        M[:, j] = _propagate_chain(maps, e)[-1] - k
-    return M, k
+    a_exp, (a_cold, b_cold), a_comp, (a_hot, b_hot) = (
+        maps[0][3], maps[1][3:], maps[2][3], maps[3][3:])
+    return a_hot @ a_comp @ a_cold @ a_exp, a_hot @ (a_comp @ b_cold) + b_hot
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(x @ x)
+
+
+def _squaring_fixed_point(M: np.ndarray, k: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Fixed point of v -> M v + k reached from x = (v0, 1) by repeated squaring.
+
+    After j squarings of the augmented map T = [[M, k], [0, 1]], T x is
+    (v, 1) with v the state 2^j cycles on from v0.  Returns that state and
+    2^j once two successive squarings agree to _ITER_RTOL; raises
+    NoContractionError when one more squaring would pass _MAX_CYCLES cycles.
+    """
+    T = np.zeros((4, 4))
+    T[:3, :3] = M
+    T[:3, 3] = k
+    T[3, 3] = 1.0
+    prev, cycles = x[:3], 1
+    while True:
+        v = T[:3] @ x
+        if _norm(v - prev) <= _ITER_RTOL * max(_norm(prev), 1e-300):
+            return v, cycles
+        if 2 * cycles > _MAX_CYCLES:
+            raise NoContractionError(
+                f"repeated squaring did not converge within {_MAX_CYCLES} cycles")
+        T = T @ T
+        prev, cycles = v, 2 * cycles
 
 
 def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     """Find the periodic steady state of the cycle map.
 
-    The fixed point of v -> M v + k is computed two ways that must agree:
-    a direct solve of (I - M) v = k, and fixed-point iteration from the hot
-    equilibrium state.  The spectral radius of M is reported and must be < 1.
+    The fixed point of v -> M v + k is computed two ways that must agree: a
+    direct solve of (I - M) v = k, and repeated squaring of the augmented
+    map from the hot equilibrium state (``iterations`` is the number of
+    cycles that covered, a power of two).  The spectral radius of M is
+    reported and must be < 1.  The ledger is one cycle from the direct
+    solution.
     """
     g_c = spec.cold_bath.conductance * spec.tau_c
     g_h = spec.hot_bath.conductance * spec.tau_h
@@ -231,27 +280,15 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
         raise NoContractionError(f"cycle map spectral radius {rho:.12f} >= 1; no limit cycle")
 
     v_direct = np.linalg.solve(np.eye(3) - M, k)
+    _, e_hot = equilibrium_state(spec.omega_h, spec.hot_bath)
+    v, cycles = _squaring_fixed_point(M, k, np.array([e_hot, 0.0, 0.0, 1.0]))
 
-    v = StateVector.thermal(spec.omega_h, spec.hot_bath).as_array()
-    iterations = 0
-    for iterations in range(1, _MAX_CYCLES + 1):
-        v_next = M @ v + k
-        if np.linalg.norm(v_next - v) <= _ITER_RTOL * max(np.linalg.norm(v), 1e-300):
-            v = v_next
-            break
-        v = v_next
-    else:
-        raise NoContractionError(f"fixed-point iteration did not converge in {_MAX_CYCLES} cycles")
-
-    scale = max(np.linalg.norm(v_direct), 1e-300)
-    agreement = float(np.linalg.norm(v_direct - v) / scale)
-    residual = float(np.linalg.norm(M @ v_direct + k - v_direct) / scale)
-
-    state = StateVector.from_array(v_direct, spec.omega_h, check=False)
-    diag = {"iterations": iterations, "residual": residual,
-            "solver_agreement": agreement, "spectral_radius": rho}
-    _, record = run_one_cycle(spec, state, _maps=maps, _diag=diag)
-    return state, record
+    scale = max(_norm(v_direct), 1e-300)
+    record = _ledger(spec, maps, v_direct, iterations=cycles,
+                     residual=_norm(M @ v_direct + k - v_direct) / scale,
+                     solver_agreement=_norm(v_direct - v) / scale,
+                     spectral_radius=rho)
+    return StateVector.from_array(v_direct, spec.omega_h, check=False), record
 
 
 def equilibration_bound(spec: CycleSpec) -> float:

@@ -229,7 +229,8 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     """Multi-start Nelder-Mead maximization of the limit-cycle cooling rate.
 
     The free variables are searched in log space (they span decades near
-    T_c -> 0).  Failed objective evaluations count as -inf fitness.  When
+    T_c -> 0).  Failed objective evaluations count as -inf fitness; their
+    number is ``failures`` and one warning per call reports it.  When
     only the isochore times are free and the conductances are equal, the
     result is compared against the analytic z-equation allocation and the
     comparison is attached to the result.
@@ -243,16 +244,18 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     lo = np.log([spec.bounds[n][0] for n in names])
     hi = np.log([spec.bounds[n][1] for n in names])
     failures = 0
+    first_failure = ""
 
     def objective(x):
-        nonlocal failures
+        nonlocal failures, first_failure
         values = {n: math.exp(v) for n, v in zip(names, np.clip(x, lo, hi))}
         try:
             _, record = limit_cycle(apply_free_values(base, values))
             return -record.r_c
         except DOMAIN_ERRORS as exc:
             failures += 1
-            warnings.warn(f"objective evaluation failed at {values}: {exc}")
+            if failures == 1:
+                first_failure = f"{values}: {type(exc).__name__}: {exc}"
             return math.inf
 
     rng = np.random.default_rng(spec.seed)
@@ -274,6 +277,9 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         x = np.clip(res.x, lo, hi)
         values = {n: math.exp(v) for n, v in zip(names, x)}
         results.append((values, -res.fun))
+    if failures:
+        warnings.warn(f"optimize_time_allocation: {failures} objective evaluations "
+                      f"failed; the first at {first_failure}")
 
     best_values, best_rc = max(enumerate(results), key=lambda kv: (kv[1][1], -kv[0]))[1]
     best_spec = apply_free_values(base, best_values)

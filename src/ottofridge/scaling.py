@@ -214,16 +214,23 @@ def build_point(spec: SweepSpec, t_c: float, omega_c: float | None = None) -> Cy
         return assemble(Schedule.exponential(w_h, w_c, tau),
                         Schedule.exponential(w_c, w_h, tau))
 
+    # every cycle the search assembled, so the winner is not assembled (and,
+    # with allocation "searched", searched) a second time
+    built: dict[float, CycleSpec] = {}
+
     def score(log_param: float) -> float:
         try:
-            _, record = limit_cycle(cycle_for(math.exp(log_param)))
+            cycle = built[log_param] = cycle_for(math.exp(log_param))
+            _, record = limit_cycle(cycle)
             return record.r_c
         except DOMAIN_ERRORS:
             return -math.inf
 
     lo, hi = spec.duration_bracket
     best_log, _ = _golden_max(score, math.log(lo), math.log(hi), spec.search_iters)
-    return cycle_for(math.exp(best_log))
+    if best_log in built:
+        return built[best_log]
+    return cycle_for(math.exp(best_log))     # raises the error that failed it
 
 
 def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:

@@ -1,21 +1,24 @@
 """Cycle assembly, limit-cycle solver and thermodynamic bookkeeping."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import ottofridge.cycle
 from ottofridge.cycle import (
     CycleSpec,
     NoContractionError,
+    adiabat_propagator,
     branch_affine_maps,
     cycle_affine_map,
     equilibration_bound,
     limit_cycle,
     run_one_cycle,
 )
-from ottofridge.dynamics import BathSpec, StateVector, equilibrium_state
+from ottofridge.dynamics import BathSpec, StateVector, equilibrium_state, observables
 from ottofridge.optimize import solve_isochore_z
 from ottofridge.schedules import Schedule, build_three_jump, critical_mu
 
@@ -37,34 +40,6 @@ def frictionless_spec(omega_h=10.0, omega_c=1.0, t_h=2.0, t_c=0.5, gamma=1.0,
         tau_c, tau_h = alloc.tau_c, alloc.tau_h
     return CycleSpec(hot, cold, omega_h, omega_c, expansion, compression,
                      tau_c=tau_c, tau_h=tau_h, ode_tol=ode_tol)
-
-
-def random_spec(rng):
-    omega_h = math.exp(rng.uniform(math.log(2.0), math.log(60.0)))
-    ratio = math.exp(rng.uniform(math.log(1.5), math.log(30.0)))
-    omega_c = omega_h / ratio
-    t_h = rng.uniform(0.5, 2.0)
-    t_c = rng.uniform(0.05, 0.8) * t_h
-    gamma = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-    kind = rng.choice(["three_jump", "const_mu", "sudden", "linear"])
-    if kind == "three_jump":
-        expansion = build_three_jump(omega_h, omega_c)
-        compression = build_three_jump(omega_c, omega_h)
-    elif kind == "const_mu":
-        mu = -math.exp(rng.uniform(math.log(0.2), math.log(3.0)))
-        expansion = Schedule.const_mu(omega_h, omega_c, mu)
-        compression = Schedule.const_mu(omega_c, omega_h, -mu)
-    elif kind == "sudden":
-        expansion = Schedule.piecewise(omega_h, omega_c, [])
-        compression = Schedule.piecewise(omega_c, omega_h, [])
-    else:
-        tau = rng.uniform(0.2, 3.0)
-        expansion = Schedule.linear(omega_h, omega_c, tau)
-        compression = Schedule.linear(omega_c, omega_h, tau)
-    tau_c = rng.uniform(0.5, 4.0) / gamma
-    tau_h = rng.uniform(0.5, 4.0) / gamma
-    return CycleSpec(BathSpec(t_h, gamma), BathSpec(t_c, gamma), omega_h, omega_c,
-                     expansion, compression, tau_c=tau_c, tau_h=tau_h, ode_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +112,6 @@ def test_limit_cycle_full_equilibration_is_hot_thermal():
     assert record.iterations == 1
 
 
-def test_limit_cycle_direct_vs_iteration_on_random_specs():
-    rng = np.random.default_rng(2024)
-    checked = 0
-    while checked < 50:
-        try:
-            _, record = limit_cycle(random_spec(rng))
-        except NoContractionError:
-            continue
-        assert record.solver_agreement <= 1e-10
-        assert record.spectral_radius < 1.0
-        checked += 1
-
-
 def test_limit_cycle_fixed_point_is_stationary():
     spec = frictionless_spec(tau_c=1.1, tau_h=0.9)
     state, _ = limit_cycle(spec)
@@ -158,20 +120,112 @@ def test_limit_cycle_fixed_point_is_stationary():
     assert gap <= 1e-10 * np.linalg.norm(state.as_array())
 
 
-def test_thermodynamic_laws_on_random_specs():
-    rng = np.random.default_rng(99)
-    checked = 0
-    while checked < 60:
-        try:
-            spec = random_spec(rng)
-            _, record = limit_cycle(spec)
-        except NoContractionError:
-            continue
-        closure, sigma = record.laws()
-        assert abs(closure) <= 1e-8 * max(abs(record.q_h), 1.0)
-        assert sigma >= -1e-12
-        assert record.q_c <= spec.cold_bath.temperature * (1 + 1e-12)
-        checked += 1
+def test_limit_cycle_iterations_are_powers_of_two():
+    # the cross-check covers 2^j cycles; a slower contraction needs more
+    counts = []
+    for tau in (80.0, 3.0, 1.0, 0.3, 0.03, 1e-3):
+        _, record = limit_cycle(frictionless_spec(tau_c=tau, tau_h=tau))
+        assert record.iterations & (record.iterations - 1) == 0
+        assert record.solver_agreement <= 1e-10
+        counts.append(record.iterations)
+    assert counts[0] == 1                       # full equilibration
+    assert counts == sorted(counts) and counts[-1] > counts[1]
+
+
+def test_near_unit_spectral_radius_hits_the_cycle_cap():
+    # 1 - 1e-5 < rho < _RHO_LIMIT: the map contracts too slowly for the
+    # cross-check to converge within _MAX_CYCLES cycles
+    spec = frictionless_spec(tau_c=3e-6, tau_h=3e-6)
+    m, _ = cycle_affine_map(spec)
+    rho = float(np.max(np.abs(np.linalg.eigvals(m))))
+    assert 1.0 - 1e-5 < rho < ottofridge.cycle._RHO_LIMIT
+    with pytest.raises(NoContractionError, match="did not converge"):
+        limit_cycle(spec)
+
+
+def _count_propagator_builds(monkeypatch):
+    built = []
+    build = ottofridge.cycle.schedule_propagator
+
+    def counting(schedule):
+        built.append(schedule)
+        return build(schedule)
+
+    monkeypatch.setattr("ottofridge.cycle.schedule_propagator", counting)
+    return built
+
+
+def test_adiabat_propagator_built_once_per_schedule(monkeypatch):
+    built = _count_propagator_builds(monkeypatch)
+    spec = frictionless_spec(tau_c=1.0, tau_h=1.0)
+    spec = replace(spec, expansion=Schedule.exponential(10.0, 1.0, 0.7),
+                   compression=Schedule.exponential(1.0, 10.0, 0.9))
+    for tau in np.linspace(0.5, 3.0, 12):
+        limit_cycle(replace(spec, tau_c=float(tau), tau_h=1.1 * float(tau)))
+    assert [id(s) for s in built] == [id(spec.expansion), id(spec.compression)]
+
+
+def test_adiabat_propagator_is_read_only_and_per_instance(monkeypatch):
+    built = _count_propagator_builds(monkeypatch)
+    first = Schedule.linear(10.0, 1.0, 2.0)
+    twin = Schedule.linear(10.0, 1.0, 2.0)
+    assert first == twin and hash(first) == hash(twin)
+    a = adiabat_propagator(first)
+    assert adiabat_propagator(first) is a
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
+    b = adiabat_propagator(twin)
+    assert b is not a and len(built) == 2
+    np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def any_kind_spec(draw):
+    omega_h = draw(st.floats(2.0, 60.0))
+    omega_c = omega_h / draw(st.floats(1.5, 30.0))
+    t_h = draw(st.floats(0.5, 2.0))
+    t_c = draw(st.floats(0.05, 0.8)) * t_h
+    gamma = draw(st.floats(0.3, 3.0))
+    kind = draw(st.sampled_from(["three_jump", "const_mu", "sudden", "linear", "exponential"]))
+    if kind == "sudden":
+        expansion = Schedule.piecewise(omega_h, omega_c, [])
+        compression = Schedule.piecewise(omega_c, omega_h, [])
+    elif kind == "three_jump":
+        expansion = build_three_jump(omega_h, omega_c)
+        compression = build_three_jump(omega_c, omega_h)
+    elif kind == "const_mu":
+        mu = -draw(st.floats(0.2, 3.0))
+        expansion = Schedule.const_mu(omega_h, omega_c, mu)
+        compression = Schedule.const_mu(omega_c, omega_h, -mu)
+    else:
+        build = getattr(Schedule, kind)
+        expansion = build(omega_h, omega_c, draw(st.floats(0.05, 3.0)))
+        compression = build(omega_c, omega_h, draw(st.floats(0.05, 3.0)))
+    return CycleSpec(BathSpec(t_h, gamma), BathSpec(t_c, gamma), omega_h, omega_c,
+                     expansion, compression, tau_c=draw(st.floats(0.2, 4.0)) / gamma,
+                     tau_h=draw(st.floats(0.2, 4.0)) / gamma)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(any_kind_spec())
+def test_limit_cycle_properties_on_all_adiabat_kinds(spec):
+    try:
+        _, record = limit_cycle(spec)
+    except NoContractionError:
+        assume(False)
+    closure, sigma = record.laws()
+    assert abs(closure) <= 1e-9 * max(abs(record.q_h), abs(record.w), 1.0)
+    assert sigma >= -1e-12
+    assert record.q_c <= spec.cold_bath.temperature * (1 + 1e-12)
+    assert record.spectral_radius < 1.0
+    assert record.solver_agreement <= 1e-10
+    assert record.iterations & (record.iterations - 1) == 0
+    # uncertainty bound X = (e_h^2 - e_l^2 - e_c^2) / omega^2 >= 1/4
+    for branch in record.branches:
+        for state in (branch.start, branch.end):
+            assert observables(state).casimir >= 0.25 * (1.0 - 1e-9)
 
 
 def test_no_contraction_without_bath_coupling():

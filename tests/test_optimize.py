@@ -1,12 +1,13 @@
 """z-equation, product-log, cold-frequency optimum and the searches."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ottofridge.cycle import CycleSpec, limit_cycle
+from ottofridge.cycle import CycleSpec, NoContractionError, limit_cycle
 from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.optimize import (
     OptimizationSpec,
@@ -252,3 +253,27 @@ def test_ga_deterministic_and_monotone():
 def test_ga_rejects_tiny_population():
     with pytest.raises(ValueError):
         ga_schedule_search(OptimizationSpec(base=make_base(), population=3))
+
+
+def test_optimize_reports_failures_in_one_warning(monkeypatch):
+    # a search meets many failed evaluations; they are counted and reported
+    # once per search, not once per evaluation
+    def fails_above(spec):
+        if spec.tau_c > 1.3:
+            raise NoContractionError("injected")
+        return limit_cycle(spec)
+
+    monkeypatch.setattr("ottofridge.optimize.limit_cycle", fails_above)
+    spec = OptimizationSpec(
+        base=make_base(), free=("tau_c", "tau_h"),
+        bounds={"tau_c": (1e-2, 50.0), "tau_h": (1e-2, 50.0)},
+        seed=11, restarts=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = optimize_time_allocation(spec)
+    assert result.failures >= 2
+    assert result.best_spec.tau_c <= 1.3
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1
+    assert f"{result.failures} objective evaluations failed" in messages[0]
+    assert "NoContractionError: injected" in messages[0]

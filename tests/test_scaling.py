@@ -7,6 +7,7 @@ import pytest
 
 from ottofridge.scaling import (
     SweepSpec,
+    build_point,
     fit_power_law,
     temperature_sweep,
 )
@@ -121,6 +122,26 @@ def test_sweep_propagates_non_domain_errors(kind, monkeypatch):
     monkeypatch.setattr("ottofridge.cycle.schedule_propagator", broken)
     with pytest.raises(TypeError, match="injected"):
         temperature_sweep(small_sweep(kind, t_max=1e-1, t_min=5e-2, points_per_decade=1))
+
+
+def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
+    # the winner's cycle comes from the search itself: one Nelder-Mead
+    # allocation search per golden-section evaluation, none after it
+    import ottofridge.optimize
+    searches = []
+    search = ottofridge.optimize.optimize_time_allocation
+
+    def counting(spec):
+        result = search(spec)
+        searches.append(result.best_spec)
+        return result
+
+    monkeypatch.setattr(ottofridge.optimize, "optimize_time_allocation", counting)
+    spec = small_sweep("exponential", t_max=1e-1, t_min=5e-2, search_iters=6,
+                       allocation="searched")
+    cycle = build_point(spec, 0.05)
+    assert len(searches) == spec.search_iters + 2
+    assert any(cycle is found for found in searches)
 
 
 def test_sweep_fit_needs_enough_points():
