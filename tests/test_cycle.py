@@ -1,5 +1,6 @@
 """Cycle assembly, limit-cycle solver and thermodynamic bookkeeping."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,34 @@ def frictionless_spec(omega_h=10.0, omega_c=1.0, t_h=2.0, t_c=0.5, gamma=1.0,
         tau_c, tau_h = alloc.tau_c, alloc.tau_h
     return CycleSpec(hot, cold, omega_h, omega_c, expansion, compression,
                      tau_c=tau_c, tau_h=tau_h, ode_tol=ode_tol)
+
+
+def random_spec(rng):
+    omega_h = math.exp(rng.uniform(math.log(2.0), math.log(60.0)))
+    ratio = math.exp(rng.uniform(math.log(1.5), math.log(30.0)))
+    omega_c = omega_h / ratio
+    t_h = rng.uniform(0.5, 2.0)
+    t_c = rng.uniform(0.05, 0.8) * t_h
+    gamma = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
+    kind = rng.choice(["three_jump", "const_mu", "sudden", "linear"])
+    if kind == "three_jump":
+        expansion = build_three_jump(omega_h, omega_c)
+        compression = build_three_jump(omega_c, omega_h)
+    elif kind == "const_mu":
+        mu = -math.exp(rng.uniform(math.log(0.2), math.log(3.0)))
+        expansion = Schedule.const_mu(omega_h, omega_c, mu)
+        compression = Schedule.const_mu(omega_c, omega_h, -mu)
+    elif kind == "sudden":
+        expansion = Schedule.piecewise(omega_h, omega_c, [])
+        compression = Schedule.piecewise(omega_c, omega_h, [])
+    else:
+        tau = rng.uniform(0.2, 3.0)
+        expansion = Schedule.linear(omega_h, omega_c, tau)
+        compression = Schedule.linear(omega_c, omega_h, tau)
+    tau_c = rng.uniform(0.5, 4.0) / gamma
+    tau_h = rng.uniform(0.5, 4.0) / gamma
+    return CycleSpec(BathSpec(t_h, gamma), BathSpec(t_c, gamma), omega_h, omega_c,
+                     expansion, compression, tau_c=tau_c, tau_h=tau_h, ode_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +141,41 @@ def test_limit_cycle_full_equilibration_is_hot_thermal():
     assert record.iterations == 1
 
 
+def test_limit_cycle_direct_vs_iteration_on_random_specs():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 50:
+        try:
+            _, record = limit_cycle(random_spec(rng))
+        except NoContractionError:
+            continue
+        assert record.solver_agreement <= 1e-10
+        assert record.spectral_radius < 1.0
+        checked += 1
+
+
 def test_limit_cycle_fixed_point_is_stationary():
     spec = frictionless_spec(tau_c=1.1, tau_h=0.9)
     state, _ = limit_cycle(spec)
     again, _ = run_one_cycle(spec, state)
     gap = np.linalg.norm(again.as_array() - state.as_array())
     assert gap <= 1e-10 * np.linalg.norm(state.as_array())
+
+
+def test_thermodynamic_laws_on_random_specs():
+    rng = np.random.default_rng(99)
+    checked = 0
+    while checked < 60:
+        try:
+            spec = random_spec(rng)
+            _, record = limit_cycle(spec)
+        except NoContractionError:
+            continue
+        closure, sigma = record.laws()
+        assert abs(closure) <= 1e-8 * max(abs(record.q_h), 1.0)
+        assert sigma >= -1e-12
+        assert record.q_c <= spec.cold_bath.temperature * (1 + 1e-12)
+        checked += 1
 
 
 def test_limit_cycle_iterations_are_powers_of_two():
