@@ -14,6 +14,13 @@ cross-checked by repeated squaring of the augmented map [[M, k], [0, 1]],
 which reaches 2^j cycles from the hot thermal state in j matrix products.
 Each adiabat propagator is built once per Schedule instance and kept on it,
 so a search that varies only the isochore times reuses it.
+
+On maps this small numpy's per-call overhead outweighs the arithmetic, so
+the core of limit_cycle (composing M and k, the squaring and the ledger) runs
+on plain Python floats: a 3x3 map is a row-major 9-tuple, a vector a 3-tuple
+and an isochore its four scalars.  The eigenvalues and the direct solve call
+the LAPACK routines dgeev and dgesv that numpy's eigvals and solve wrap.
+branch_affine_maps and cycle_affine_map return the same maps as numpy arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgeev, dgesv
 
 from .dynamics import (
     BathSpec,
@@ -30,11 +38,10 @@ from .dynamics import (
     StateVector,
     equilibrium_state,
     isochore_affine,
+    isochore_scalars,
     schedule_propagator,
 )
 from .schedules import Schedule
-
-_BRANCH_NAMES = ("expansion", "cold_isochore", "compression", "hot_isochore")
 
 # Iteration limits / tolerances of the limit-cycle solver.
 _MAX_CYCLES = 100_000
@@ -130,7 +137,7 @@ class CycleRecord:
     r_c: float
     sigma: float
     cop: float
-    # (branch maps, the chain vectors at A, D, C, B, A'); read by ``branches``
+    # (the CycleSpec, the chain vectors at A, D, C, B, A'); read by ``branches``
     chain: tuple = field(repr=False, compare=False)
     iterations: int = 0
     residual: float = float("nan")
@@ -140,13 +147,14 @@ class CycleRecord:
     @cached_property
     def branches(self) -> tuple[BranchRecord, ...]:
         """Start and end state of each branch, built on first read."""
-        maps, vs = self.chain
-        omegas = [maps[-1][2]] + [m[2] for m in maps]
-        states = [StateVector.from_array(v, w, check=False) for v, w in zip(vs, omegas)]
+        spec, vs = self.chain
+        legs = _legs(spec)
+        omegas = [spec.omega_h] + [omega for _, _, omega in legs]
+        states = [StateVector(*v, w, check=False) for v, w in zip(vs, omegas)]
         return tuple(
-            BranchRecord(name=m[0], duration=m[1], start=states[i], end=states[i + 1],
+            BranchRecord(name=name, duration=duration, start=states[i], end=states[i + 1],
                          delta_e=states[i + 1].e_h - states[i].e_h)
-            for i, m in enumerate(maps)
+            for i, (name, duration, _) in enumerate(legs)
         )
 
     def laws(self) -> tuple[float, float]:
@@ -157,46 +165,125 @@ class CycleRecord:
 def adiabat_propagator(schedule: Schedule) -> np.ndarray:
     """The schedule's propagator, built once per Schedule instance.
 
-    The matrix is stored read-only on the instance, so a search that varies
-    only the isochore times reuses it; an equal but distinct Schedule builds
-    its own.
+    The matrix is stored read-only on the instance, with its row-major float
+    9-tuple for :func:`limit_cycle`, so a search that varies only the
+    isochore times reuses it; an equal but distinct Schedule builds its own.
     """
     a = schedule._propagator
     if a is None:
         a = schedule_propagator(schedule)
         a.setflags(write=False)
+        object.__setattr__(schedule, "_propagator_flat", tuple(a.ravel().tolist()))
         object.__setattr__(schedule, "_propagator", a)
     return a
 
 
+# Float maps of the limit-cycle core: a 3x3 map is a row-major 9-tuple, a
+# vector a 3-tuple, and an isochore its scalars (d, dc, ds, b0) from
+# isochore_scalars.
+
+def _mul(a, b):
+    """The product a b of two 3x3 maps."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8)
+
+
+def _affine(a, v, b=(0.0, 0.0, 0.0)):
+    """a v + b for a 3x3 map a."""
+    x, y, z = v
+    return (a[0] * x + a[1] * y + a[2] * z + b[0],
+            a[3] * x + a[4] * y + a[5] * z + b[1],
+            a[6] * x + a[7] * y + a[8] * z + b[2])
+
+
+def _iso_mul(iso, a):
+    """The isochore's linear part times a 3x3 map a."""
+    d, dc, ds, _ = iso
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    return (d * a0, d * a1, d * a2,
+            dc * a3 - ds * a6, dc * a4 - ds * a7, dc * a5 - ds * a8,
+            ds * a3 + dc * a6, ds * a4 + dc * a7, ds * a5 + dc * a8)
+
+
+def _iso_affine(iso, v):
+    """The isochore's map applied to v."""
+    d, dc, ds, b0 = iso
+    x, y, z = v
+    return (d * x + b0, dc * y - ds * z, ds * y + dc * z)
+
+
+def _legs(spec: CycleSpec):
+    """(name, duration, omega_after) of the four branches, in cycle order."""
+    return (("expansion", spec.expansion.duration, spec.omega_c),
+            ("cold_isochore", spec.tau_c, spec.omega_c),
+            ("compression", spec.compression.duration, spec.omega_h),
+            ("hot_isochore", spec.tau_h, spec.omega_h))
+
+
+def _adiabat_flat(schedule: Schedule, branch: str) -> tuple:
+    """The adiabat's propagator as a float 9-tuple; a failed build is a BranchError."""
+    if schedule._propagator_flat is None:
+        try:
+            adiabat_propagator(schedule)
+        except (PropagationError, ValueError) as exc:
+            raise BranchError(branch, exc) from exc
+    return schedule._propagator_flat
+
+
+def _branch_maps(spec: CycleSpec) -> tuple:
+    """The float branch maps (A_exp, cold isochore, A_comp, hot isochore)."""
+    return (_adiabat_flat(spec.expansion, "expansion"),
+            isochore_scalars(spec.omega_c, spec.cold_bath, spec.tau_c),
+            _adiabat_flat(spec.compression, "compression"),
+            isochore_scalars(spec.omega_h, spec.hot_bath, spec.tau_h))
+
+
+def _compose(maps) -> tuple[tuple, tuple]:
+    """The one-cycle map (M, k) of the float branch maps.
+
+    The adiabats are linear (b = 0), so the composition of the four branch
+    maps is M = A_hot A_comp A_cold A_exp and k = A_hot (A_comp b_cold) + b_hot.
+    """
+    a_exp, cold, a_comp, hot = maps
+    m = _iso_mul(hot, _mul(a_comp, _iso_mul(cold, a_exp)))
+    return m, _iso_affine(hot, _affine(a_comp, (cold[3], 0.0, 0.0)))
+
+
 def branch_affine_maps(spec: CycleSpec):
-    """The four branch maps as (name, duration, omega_after, A, b)."""
-    try:
-        a_exp = adiabat_propagator(spec.expansion)
-    except (PropagationError, ValueError) as exc:
-        raise BranchError("expansion", exc) from exc
-    try:
-        a_comp = adiabat_propagator(spec.compression)
-    except (PropagationError, ValueError) as exc:
-        raise BranchError("compression", exc) from exc
+    """The four branch maps as numpy (name, duration, omega_after, A, b).
+
+    An adiabat's A is the read-only propagator its float map was flattened
+    from; an isochore's (A, b) are the arrays of its isochore_scalars.
+    """
+    _adiabat_flat(spec.expansion, "expansion")
+    _adiabat_flat(spec.compression, "compression")
     zero = np.zeros(3)
-    a_cold, b_cold = isochore_affine(spec.omega_c, spec.cold_bath, spec.tau_c)
-    a_hot, b_hot = isochore_affine(spec.omega_h, spec.hot_bath, spec.tau_h)
+    exp, cold, comp, hot = _legs(spec)
     return [
-        ("expansion", spec.expansion.duration, spec.omega_c, a_exp, zero),
-        ("cold_isochore", spec.tau_c, spec.omega_c, a_cold, b_cold),
-        ("compression", spec.compression.duration, spec.omega_h, a_comp, zero),
-        ("hot_isochore", spec.tau_h, spec.omega_h, a_hot, b_hot),
+        (*exp, adiabat_propagator(spec.expansion), zero),
+        (*cold, *isochore_affine(spec.omega_c, spec.cold_bath, spec.tau_c)),
+        (*comp, adiabat_propagator(spec.compression), zero),
+        (*hot, *isochore_affine(spec.omega_h, spec.hot_bath, spec.tau_h)),
     ]
 
 
-def _ledger(spec: CycleSpec, maps, v: np.ndarray, **diag) -> CycleRecord:
+def cycle_affine_map(spec: CycleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The one-cycle affine map (M, k) with v_A' = M v_A + k, as numpy arrays."""
+    m, k = _compose(_branch_maps(spec))
+    return np.array(m).reshape(3, 3), np.array(k)
+
+
+def _ledger(spec: CycleSpec, maps, v: tuple, **diag) -> CycleRecord:
     """Heat/work ledger of one cycle started from v at point A."""
-    vs = [v]
-    for _, _, _, A, b in maps:
-        v = A @ v + b
-        vs.append(v)
-    e_a, e_d, e_c_pt, e_b, e_a2 = (float(u[0]) for u in vs)
+    a_exp, cold, a_comp, hot = maps
+    v_d = _affine(a_exp, v)
+    v_c = _iso_affine(cold, v_d)
+    v_b = _affine(a_comp, v_c)
+    v_a2 = _iso_affine(hot, v_b)
+    e_a, e_d, e_c_pt, e_b, e_a2 = v[0], v_d[0], v_c[0], v_b[0], v_a2[0]
     q_c = e_c_pt - e_d                      # heat absorbed on the cold isochore
     q_h = e_b - e_a2                        # heat rejected on the hot isochore
     w = (e_d - e_a) + (e_b - e_c_pt)        # work input on the two adiabats
@@ -206,55 +293,37 @@ def _ledger(spec: CycleSpec, maps, v: np.ndarray, **diag) -> CycleRecord:
              if tau > 0 else 0.0)
     cop = q_c / w if abs(w) > 1e-300 else float("nan")
     return CycleRecord(q_c=q_c, q_h=q_h, w=w, tau_total=tau, r_c=r_c, sigma=sigma,
-                       cop=cop, chain=(maps, tuple(vs)), **diag)
+                       cop=cop, chain=(spec, (v, v_d, v_c, v_b, v_a2)), **diag)
 
 
 def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, CycleRecord]:
     """Run a single cycle from state A; returns the new A state and the ledger."""
     if not math.isclose(state.omega, spec.omega_h, rel_tol=1e-9):
         raise ValueError("input state must sit at omega_h (cycle point A)")
-    record = _ledger(spec, branch_affine_maps(spec), state.as_array())
+    record = _ledger(spec, _branch_maps(spec), (state.e_h, state.e_l, state.e_c))
     _, vs = record.chain
-    return StateVector.from_array(vs[-1], spec.omega_h, check=False), record
+    return StateVector(*vs[-1], spec.omega_h, check=False), record
 
 
-def cycle_affine_map(spec: CycleSpec, _maps=None) -> tuple[np.ndarray, np.ndarray]:
-    """The one-cycle affine map (M, k) with v_A' = M v_A + k.
+def _squaring_fixed_point(m: tuple, k: tuple, v0: tuple) -> tuple[tuple, int]:
+    """Fixed point of v -> m v + k reached from v0 by repeated squaring.
 
-    The adiabats are linear (b = 0), so the composition of the four branch
-    maps is M = A_hot A_comp A_cold A_exp and k = A_hot (A_comp b_cold) + b_hot.
+    After j squarings of the augmented map T = [[m, k], [0, 1]], that is of
+    the pair (P, s) -> (P P, P s + s), P v0 + s is the state 2^j cycles on
+    from v0.  Returns that state and 2^j once two successive squarings agree
+    to _ITER_RTOL; raises NoContractionError when one more squaring would
+    pass _MAX_CYCLES cycles.
     """
-    maps = branch_affine_maps(spec) if _maps is None else _maps
-    a_exp, (a_cold, b_cold), a_comp, (a_hot, b_hot) = (
-        maps[0][3], maps[1][3:], maps[2][3], maps[3][3:])
-    return a_hot @ a_comp @ a_cold @ a_exp, a_hot @ (a_comp @ b_cold) + b_hot
-
-
-def _norm(x: np.ndarray) -> float:
-    return math.sqrt(x @ x)
-
-
-def _squaring_fixed_point(M: np.ndarray, k: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Fixed point of v -> M v + k reached from x = (v0, 1) by repeated squaring.
-
-    After j squarings of the augmented map T = [[M, k], [0, 1]], T x is
-    (v, 1) with v the state 2^j cycles on from v0.  Returns that state and
-    2^j once two successive squarings agree to _ITER_RTOL; raises
-    NoContractionError when one more squaring would pass _MAX_CYCLES cycles.
-    """
-    T = np.zeros((4, 4))
-    T[:3, :3] = M
-    T[:3, 3] = k
-    T[3, 3] = 1.0
-    prev, cycles = x[:3], 1
+    p, s = m, k
+    prev, cycles = v0, 1
     while True:
-        v = T[:3] @ x
-        if _norm(v - prev) <= _ITER_RTOL * max(_norm(prev), 1e-300):
+        v = _affine(p, v0, s)
+        if math.dist(v, prev) <= _ITER_RTOL * max(math.hypot(*prev), 1e-300):
             return v, cycles
         if 2 * cycles > _MAX_CYCLES:
             raise NoContractionError(
                 f"repeated squaring did not converge within {_MAX_CYCLES} cycles")
-        T = T @ T
+        p, s = _mul(p, p), _affine(p, s, s)
         prev, cycles = v, 2 * cycles
 
 
@@ -262,33 +331,44 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     """Find the periodic steady state of the cycle map.
 
     The fixed point of v -> M v + k is computed two ways that must agree: a
-    direct solve of (I - M) v = k, and repeated squaring of the augmented
-    map from the hot equilibrium state (``iterations`` is the number of
-    cycles that covered, a power of two).  The spectral radius of M is
-    reported and must be < 1.  The ledger is one cycle from the direct
-    solution.
+    direct solve of (I - M) v = k (LAPACK dgesv), and repeated squaring of
+    the augmented map from the hot equilibrium state (``iterations`` is the
+    number of cycles that covered, a power of two).  The spectral radius of
+    M (from the LAPACK dgeev eigenvalues) is reported and must be < 1; a
+    non-finite M raises LinAlgError.  The ledger is one cycle from the direct
+    solution.  M, k and the ledger are computed on plain floats.
     """
     g_c = spec.cold_bath.conductance * spec.tau_c
     g_h = spec.hot_bath.conductance * spec.tau_h
     if g_c == 0.0 and g_h == 0.0:
         raise NoContractionError("both isochores have Gamma*tau = 0; no contraction")
 
-    maps = branch_affine_maps(spec)
-    M, k = cycle_affine_map(spec, _maps=maps)
-    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+    maps = _branch_maps(spec)
+    m, k = _compose(maps)
+    if not all(map(math.isfinite, m + k)):
+        raise np.linalg.LinAlgError("cycle map must not contain infs or NaNs")
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    wr, wi, _, _, info = dgeev(((m0, m1, m2), (m3, m4, m5), (m6, m7, m8)),
+                               compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigenvalue computation failed (dgeev info {info})")
+    rho = max(map(math.hypot, wr.tolist(), wi.tolist()))
     if rho >= _RHO_LIMIT:
         raise NoContractionError(f"cycle map spectral radius {rho:.12f} >= 1; no limit cycle")
 
-    v_direct = np.linalg.solve(np.eye(3) - M, k)
+    _, _, x, info = dgesv(((1.0 - m0, -m1, -m2), (-m3, 1.0 - m4, -m5), (-m6, -m7, 1.0 - m8)), k)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular matrix I - M (dgesv info {info})")
+    v_direct = tuple(x.tolist())
     _, e_hot = equilibrium_state(spec.omega_h, spec.hot_bath)
-    v, cycles = _squaring_fixed_point(M, k, np.array([e_hot, 0.0, 0.0, 1.0]))
+    v, cycles = _squaring_fixed_point(m, k, (e_hot, 0.0, 0.0))
 
-    scale = max(_norm(v_direct), 1e-300)
+    scale = max(math.hypot(*v_direct), 1e-300)
     record = _ledger(spec, maps, v_direct, iterations=cycles,
-                     residual=_norm(M @ v_direct + k - v_direct) / scale,
-                     solver_agreement=_norm(v_direct - v) / scale,
+                     residual=math.dist(_affine(m, v_direct, k), v_direct) / scale,
+                     solver_agreement=math.dist(v_direct, v) / scale,
                      spectral_radius=rho)
-    return StateVector.from_array(v_direct, spec.omega_h, check=False), record
+    return StateVector(*v_direct, spec.omega_h, check=False), record
 
 
 def equilibration_bound(spec: CycleSpec) -> float:

@@ -199,26 +199,36 @@ def adiabat_power(state: StateVector, mu: float) -> float:
 # Isochore (bath contact at fixed omega)
 # ---------------------------------------------------------------------------
 
-def isochore_affine(omega: float, bath: BathSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The exact isochore map as (linear part A, offset b): v -> A v + b.
+def isochore_scalars(omega: float, bath: BathSpec, t: float) -> tuple[float, float, float, float]:
+    """The exact isochore map's distinct entries (d, dc, ds, b0): v -> A v + b with
+
+        A = [[d, 0, 0], [0, dc, -ds], [0, ds, dc]],   b = (b0, 0, 0).
 
     e_h relaxes exponentially toward equilibrium at rate Gamma while
-    (e_l, e_c) spiral to zero: decay e^(-Gamma t) combined with a rotation by
-    angle 2*omega*t (d e_l/dt = -2 omega e_c, d e_c/dt = +2 omega e_l).
+    (e_l, e_c) spiral to zero: decay d = e^(-Gamma t) combined with a rotation
+    by angle 2*omega*t (d e_l/dt = -2 omega e_c, d e_c/dt = +2 omega e_l), so
+    dc = d cos(2 omega t), ds = d sin(2 omega t) and b0 = (1 - d) e_eq.
     """
     if t < 0:
         raise ValueError("isochore duration must be >= 0")
     _, e_eq = equilibrium_state(omega, bath)
     decay = math.exp(-bath.conductance * t)
     ang = 2.0 * omega * t
-    c, s = math.cos(ang), math.sin(ang)
+    return decay, decay * math.cos(ang), decay * math.sin(ang), (1.0 - decay) * e_eq
+
+
+def isochore_affine(omega: float, bath: BathSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The exact isochore map as (linear part A, offset b): v -> A v + b.
+
+    The arrays of :func:`isochore_scalars`.
+    """
+    d, dc, ds, b0 = isochore_scalars(omega, bath, t)
     A = np.array([
-        [decay, 0.0, 0.0],
-        [0.0, decay * c, -decay * s],
-        [0.0, decay * s, decay * c],
+        [d, 0.0, 0.0],
+        [0.0, dc, -ds],
+        [0.0, ds, dc],
     ])
-    b = np.array([(1.0 - decay) * e_eq, 0.0, 0.0])
-    return A, b
+    return A, np.array([b0, 0.0, 0.0])
 
 
 def propagate_isochore(state: StateVector, bath: BathSpec, t: float) -> StateVector:

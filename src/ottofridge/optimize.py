@@ -221,8 +221,8 @@ def apply_free_values(base: CycleSpec, values: dict) -> CycleSpec:
     if "tau_ch" in values:
         compression = _rebuild_schedule(compression, compression.omega_start,
                                         compression.omega_end, duration=values["tau_ch"])
-    return replace(base, tau_c=tau_c, tau_h=tau_h, omega_c=omega_c,
-                   expansion=expansion, compression=compression)
+    return CycleSpec(base.hot_bath, base.cold_bath, base.omega_h, omega_c, expansion,
+                     compression, tau_c=tau_c, tau_h=tau_h, ode_tol=base.ode_tol)
 
 
 def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
@@ -243,12 +243,13 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     names = list(spec.free)
     lo = np.log([spec.bounds[n][0] for n in names])
     hi = np.log([spec.bounds[n][1] for n in names])
+    box = list(zip(names, lo.tolist(), hi.tolist()))
     failures = 0
     first_failure = ""
 
     def objective(x):
         nonlocal failures, first_failure
-        values = {n: math.exp(v) for n, v in zip(names, np.clip(x, lo, hi))}
+        values = {n: math.exp(min(max(v, a), b)) for (n, a, b), v in zip(box, x.tolist())}
         try:
             _, record = limit_cycle(apply_free_values(base, values))
             return -record.r_c

@@ -237,17 +237,27 @@ def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
     nan = float("nan")
     try:
         if spec.optimize_omega_c:
+            # every (cycle, record) the search built, so the winner is not
+            # built (and searched) a second time
+            built = {}
+
             def score(log_y):
                 try:
-                    _, rec = limit_cycle(build_point(spec, t_c, math.exp(log_y) * t_c))
-                    return rec.r_c
+                    cycle = build_point(spec, t_c, math.exp(log_y) * t_c)
+                    _, record = limit_cycle(cycle)
                 except DOMAIN_ERRORS:
                     return -math.inf
+                built[log_y] = cycle, record
+                return record.r_c
             best_log, _ = _golden_max(score, math.log(0.05), math.log(3.0), spec.search_iters)
-            cycle = build_point(spec, t_c, math.exp(best_log) * t_c)
+            if best_log in built:
+                cycle, record = built[best_log]
+            else:                   # raises the error that failed it
+                cycle = build_point(spec, t_c, math.exp(best_log) * t_c)
+                _, record = limit_cycle(cycle)
         else:
             cycle = build_point(spec, t_c)
-        _, record = limit_cycle(cycle)
+            _, record = limit_cycle(cycle)
     except DOMAIN_ERRORS as exc:
         return SweepRow(t_c, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
                         flag=0, error=f"{type(exc).__name__}: {exc}")

@@ -48,9 +48,11 @@ class Schedule:
     mu: float | None = None          # const_mu only
     alpha: float | None = None       # exponential only
     segments: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-    # The read-only adiabat propagator, built on first use by
-    # cycle.adiabat_propagator; kept per instance, outside the value.
+    # The read-only adiabat propagator and its row-major float 9-tuple, built
+    # on first use by cycle.adiabat_propagator; kept per instance, outside
+    # the value.
     _propagator: object = field(default=None, init=False, repr=False, compare=False)
+    _propagator_flat: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:

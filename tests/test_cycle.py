@@ -270,9 +270,15 @@ def any_kind_spec(draw):
 @given(any_kind_spec())
 def test_limit_cycle_properties_on_all_adiabat_kinds(spec):
     try:
-        _, record = limit_cycle(spec)
+        state, record = limit_cycle(spec)
     except NoContractionError:
         assume(False)
+    # numpy oracles for the LAPACK-direct spectral radius and solve
+    m, k = cycle_affine_map(spec)
+    rho = float(np.max(np.abs(np.linalg.eigvals(m))))
+    assert abs(record.spectral_radius - rho) <= 1e-12 * rho
+    v = np.linalg.solve(np.eye(3) - m, k)
+    assert np.linalg.norm(state.as_array() - v) <= 1e-12 * np.linalg.norm(v)
     closure, sigma = record.laws()
     assert abs(closure) <= 1e-9 * max(abs(record.q_h), abs(record.w), 1.0)
     assert sigma >= -1e-12

@@ -124,6 +124,44 @@ def test_sweep_propagates_non_domain_errors(kind, monkeypatch):
         temperature_sweep(small_sweep(kind, t_max=1e-1, t_min=5e-2, points_per_decade=1))
 
 
+def test_non_finite_cycle_map_is_a_domain_failure(monkeypatch):
+    # a NaN propagator makes a NaN cycle map: limit_cycle refuses it before
+    # LAPACK sees it with a LinAlgError (a ValueError), and a sweep records a
+    # failed point
+    from ottofridge.cycle import DOMAIN_ERRORS, limit_cycle
+
+    def nan_propagator(schedule):
+        return np.full((3, 3), np.nan)
+
+    monkeypatch.setattr("ottofridge.cycle.schedule_propagator", nan_propagator)
+    spec = small_sweep("three_jump", t_max=1e-1, t_min=1e-1 * 10**-0.05, points_per_decade=5)
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs") as err:
+        limit_cycle(build_point(spec, spec.t_max))
+    assert isinstance(err.value, DOMAIN_ERRORS)
+    (row,) = temperature_sweep(spec).rows
+    assert row.flag == 0 and row.error.startswith("LinAlgError")
+    assert math.isnan(row.r_c)
+
+
+def test_omega_c_search_reuses_its_winner(monkeypatch):
+    # one build_point per golden-section evaluation of omega_c, none after it
+    import ottofridge.scaling
+    calls = []
+    build = ottofridge.scaling.build_point
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(ottofridge.scaling, "build_point", counting)
+    spec = small_sweep("three_jump", t_max=1e-1, t_min=1e-1 * 10**-0.05, points_per_decade=5,
+                       optimize_omega_c=True, search_iters=8)
+    (row,) = temperature_sweep(spec).rows
+    assert row.flag == 1
+    assert len(calls) == spec.search_iters + 2
+    assert row.omega_c == build(spec, spec.t_max, row.omega_c).omega_c
+
+
 def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
     # the winner's cycle comes from the search itself: one Nelder-Mead
     # allocation search per golden-section evaluation, none after it
