@@ -22,13 +22,10 @@ from .dynamics import (
     Observables,
     StateVector,
     adiabat_power,
-    apply_frequency_jump,
     equilibrium_state,
     isochore_affine,
     observables,
-    propagate_adiabat_const_mu,
-    propagate_adiabat_numeric,
-    propagate_free_segment,
+    propagate,
     propagate_isochore,
 )
 from .optimize import (
@@ -61,9 +58,7 @@ __all__ = [
     "__version__",
     "BathSpec", "StateVector", "Observables",
     "equilibrium_state", "observables", "adiabat_power",
-    "propagate_isochore", "isochore_affine",
-    "propagate_adiabat_const_mu", "apply_frequency_jump",
-    "propagate_free_segment", "propagate_adiabat_numeric",
+    "propagate_isochore", "isochore_affine", "propagate",
     "Schedule", "ScheduleError", "critical_mu", "three_jump_times", "build_three_jump",
     "CycleSpec", "CycleRecord", "BranchRecord", "NoContractionError",
     "run_one_cycle", "limit_cycle",

@@ -72,7 +72,6 @@ DEFAULTS = {
         "compression": {"kind": "three_jump"},
         "tau_c": None,          # null: z-equation allocation
         "tau_h": None,
-        "ode_tol": 1e-9,
     },
     "optimize": {
         "free": ["tau_c", "tau_h"],
@@ -101,7 +100,6 @@ DEFAULTS = {
         "kappa": None,
         "optimize_omega_c": False,
         "allocation": "z",
-        "ode_tol": None,
         "tail_decades": 1.0,
     },
     "command-defaults": {
@@ -114,9 +112,9 @@ DEFAULTS = {
 
 _POSITIVE = {
     "cycle.omega_h", "cycle.omega_c", "cycle.T_h", "cycle.T_c", "cycle.Gamma",
-    "cycle.Gamma_h", "cycle.Gamma_c", "cycle.ode_tol",
+    "cycle.Gamma_h", "cycle.Gamma_c",
     "sweep.omega_h", "sweep.T_h", "sweep.Gamma", "sweep.t_max", "sweep.t_min",
-    "sweep.kappa", "sweep.ode_tol", "sweep.tail_decades",
+    "sweep.kappa", "sweep.tail_decades",
     "ga.tau_max", "optimize.restarts",
 }
 _NONNEGATIVE = {"cycle.tau_c", "cycle.tau_h"}
@@ -273,7 +271,7 @@ def cycle_spec_from_config(config: Config) -> CycleSpec:
         tau_c = alloc.tau_c if tau_c is None else tau_c
         tau_h = alloc.tau_h if tau_h is None else tau_h
     return CycleSpec(hot, cold, c["omega_h"], c["omega_c"], expansion, compression,
-                     tau_c=tau_c, tau_h=tau_h, ode_tol=c["ode_tol"])
+                     tau_c=tau_c, tau_h=tau_h)
 
 
 def sweep_spec_from_config(config: Config, seed: int, tail_fit: float | None) -> SweepSpec:
@@ -282,7 +280,7 @@ def sweep_spec_from_config(config: Config, seed: int, tail_fit: float | None) ->
         kind=s["schedule"], omega_h=s["omega_h"], t_hot=s["T_h"], gamma=s["Gamma"],
         t_max=s["t_max"], t_min=s["t_min"], points_per_decade=int(s["points_per_decade"]),
         kappa=s["kappa"], optimize_omega_c=s["optimize_omega_c"],
-        allocation=s["allocation"], ode_tol=s["ode_tol"],
+        allocation=s["allocation"],
         tail_decades=tail_fit if tail_fit is not None else s["tail_decades"],
         seed=seed,
     )

@@ -34,7 +34,6 @@ from scipy.linalg.lapack import dgeev, dgesv
 
 from .dynamics import (
     BathSpec,
-    PropagationError,
     StateVector,
     equilibrium_state,
     isochore_affine,
@@ -65,7 +64,7 @@ class BranchError(RuntimeError):
 # Failures that make a candidate cycle a failed point of a search.  ValueError
 # covers ScheduleError and numpy's LinAlgError; any other exception is a bug
 # and propagates.
-DOMAIN_ERRORS = (NoContractionError, BranchError, PropagationError, ValueError)
+DOMAIN_ERRORS = (NoContractionError, BranchError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,6 @@ class CycleSpec:
     compression: Schedule
     tau_c: float
     tau_h: float
-    # Validated in 1e-13 .. 1e-2 so existing configs still parse; every
-    # propagator is a closed form and none reads it.
-    ode_tol: float = 1e-9
 
     def __post_init__(self):
         if not (self.omega_h > 0 and self.omega_c > 0):
@@ -92,8 +88,6 @@ class CycleSpec:
             raise ValueError("omega_h must be >= omega_c")
         if self.tau_c < 0 or self.tau_h < 0:
             raise ValueError("isochore durations must be >= 0")
-        if not 1e-13 <= self.ode_tol <= 1e-2:
-            raise ValueError("ode_tol out of range (1e-13 .. 1e-2)")
         for name, sched, w_from, w_to in (
             ("expansion", self.expansion, self.omega_h, self.omega_c),
             ("compression", self.compression, self.omega_c, self.omega_h),
@@ -228,7 +222,7 @@ def _adiabat_flat(schedule: Schedule, branch: str) -> tuple:
     if schedule._propagator_flat is None:
         try:
             adiabat_propagator(schedule)
-        except (PropagationError, ValueError) as exc:
+        except ValueError as exc:
             raise BranchError(branch, exc) from exc
     return schedule._propagator_flat
 

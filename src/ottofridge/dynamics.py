@@ -27,22 +27,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import j0, j1, jv, y0, y1, yv
 
 from .schedules import PIECEWISE_KINDS, Schedule, ScheduleError
 
-# Relative slack accepted when validating state invariants; absorbs honest
-# floating-point and integrator error without letting garbage through.
+# Relative slack accepted when validating state invariants; absorbs the
+# floating-point rounding of the closed-form propagators without letting
+# garbage through.
 _STATE_RTOL = 1e-6
 _STATE_ATOL = 1e-9
 
 # For omega/T beyond this the Bose-Einstein occupation underflows to 0 exactly.
 _EXP_OVERFLOW = 700.0
-
-
-class PropagationError(RuntimeError):
-    """Numerical propagation failed (stiffness, step underflow, bad domain)."""
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +70,8 @@ class StateVector:
 
     Construction validates the physicality invariants up to a small relative
     slack: e_h > 0, e_h^2 >= e_l^2 + e_c^2 (nonnegative Casimir) and
-    e_h >= omega/2 (ground-state energy floor).  Internal propagation code
-    bypasses validation with ``check=False`` where coarse integrator
-    tolerances would trip the slack.
+    e_h >= omega/2 (ground-state energy floor).  States returned or
+    recorded by the cycle solver bypass validation with ``check=False``.
     """
 
     e_h: float
@@ -242,31 +237,22 @@ def propagate_isochore(state: StateVector, bath: BathSpec, t: float) -> StateVec
 # Adiabat building blocks (exact maps)
 # ---------------------------------------------------------------------------
 
-def _phi_funcs(w):
+def _phi_funcs(w: float) -> tuple[float, float]:
     """Stable evaluation of f1 = sinh(x)/x and f2 = (cosh(x)-1)/x^2 at x^2 = w.
 
     w may be negative (trigonometric branch).  Near w = 0 a series expansion
     avoids the 0/0 of the degenerate |mu| = 2 case.
     """
-    w = np.asarray(w, dtype=float)
-    f1 = np.empty_like(w)
-    f2 = np.empty_like(w)
-    small = np.abs(w) < 1e-8
-    ws = w[small]
-    f1[small] = 1.0 + ws / 6.0 + ws * ws / 120.0
-    f2[small] = 0.5 + ws / 24.0 + ws * ws / 720.0
-    pos = ~small & (w > 0)
-    x = np.sqrt(w[pos])
-    f1[pos] = np.sinh(x) / x
-    f2[pos] = (np.cosh(x) - 1.0) / w[pos]
-    neg = ~small & (w < 0)
-    x = np.sqrt(-w[neg])
-    f1[neg] = np.sin(x) / x
-    f2[neg] = (1.0 - np.cos(x)) / (-w[neg])
-    return f1, f2
+    if abs(w) < 1e-8:
+        return 1.0 + w / 6.0 + w * w / 120.0, 0.5 + w / 24.0 + w * w / 720.0
+    if w > 0:
+        x = np.sqrt(w)
+        return np.sinh(x) / x, (np.cosh(x) - 1.0) / w
+    x = np.sqrt(-w)
+    return np.sin(x) / x, (1.0 - np.cos(x)) / -w
 
 
-def const_mu_matrix(omega0, omega1, mu):
+def const_mu_matrix(omega0: float, omega1: float, mu: float) -> np.ndarray:
     """Exact propagator matrix for a constant-mu sweep omega0 -> omega1.
 
     With theta = ln(omega1/omega0)/mu the matrix is
@@ -274,115 +260,29 @@ def const_mu_matrix(omega0, omega1, mu):
     evaluated in closed form through the scalar functions of
     w = (mu^2 - 4) theta^2 (hyperbolic for |mu| > 2, trigonometric for
     |mu| < 2, series at the degenerate |mu| = 2).
-
-    Accepts scalars or equal-length arrays; returns shape (3,3) or (N,3,3).
     """
-    omega0 = np.asarray(omega0, dtype=float)
-    omega1 = np.asarray(omega1, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    theta = np.where(omega0 == omega1, 0.0, np.log(omega1 / omega0) / np.where(mu == 0, 1.0, mu))
-    if np.any(mu == 0):
+    if mu == 0:
         raise ValueError("const-mu propagator requires mu != 0")
-    if np.any(theta < 0):
+    theta = 0.0 if omega0 == omega1 else np.log(omega1 / omega0) / mu
+    if theta < 0:
         raise ValueError("mu sign inconsistent with sweep direction")
     w = (mu * mu - 4.0) * theta * theta
     f1, f2 = _phi_funcs(w)
     g1 = theta * f1            # sinh(Omega theta)/Omega
     g2 = theta * theta * f2    # (cosh(Omega theta)-1)/Omega^2
-    ratio = omega1 / omega0
-    shape = np.broadcast_shapes(mu.shape, theta.shape, ratio.shape)
-    U = np.empty(shape + (3, 3))
-    U[..., 0, 0] = 1.0 + g2 * mu * mu
-    U[..., 0, 1] = -g1 * mu
-    U[..., 0, 2] = 2.0 * mu * g2
-    U[..., 1, 0] = -g1 * mu
-    U[..., 1, 1] = 1.0 + g2 * (mu * mu - 4.0)
-    U[..., 1, 2] = -2.0 * g1
-    U[..., 2, 0] = -2.0 * mu * g2
-    U[..., 2, 1] = 2.0 * g1
-    U[..., 2, 2] = 1.0 - 4.0 * g2
-    return U * ratio[..., None, None] if U.ndim > 2 else U * float(ratio)
+    U = np.array([
+        [1.0 + g2 * mu * mu, -g1 * mu, 2.0 * mu * g2],
+        [-g1 * mu, 1.0 + g2 * (mu * mu - 4.0), -2.0 * g1],
+        [-2.0 * mu * g2, 2.0 * g1, 1.0 - 4.0 * g2],
+    ])
+    return U * (omega1 / omega0)
 
 
-def propagate_adiabat_const_mu(state: StateVector, omega_target: float,
-                               mu: float) -> tuple[StateVector, float]:
-    """Closed-form constant-mu adiabat from state.omega to omega_target.
-
-    Returns the final state and the elapsed time
-    (1/mu) * (1/omega_start - 1/omega_target).  mu must be nonzero with sign
-    matching the sweep direction (mu < 0 for expansion).
-    """
-    w0, w1 = state.omega, omega_target
-    if w1 <= 0:
-        raise ValueError("omega_target must be positive")
-    if mu == 0:
-        raise ValueError("mu must be nonzero; use the numeric propagator for mu = 0")
-    if w0 != w1 and (w1 > w0) != (mu > 0):
-        raise ValueError("sign of mu inconsistent with direction of frequency change")
-    U = const_mu_matrix(w0, w1, mu)
-    elapsed = (1.0 / mu) * (1.0 / w0 - 1.0 / w1)
-    return StateVector.from_array(U @ state.as_array(), w1), elapsed
-
-
-def jump_matrix(omega_old, omega_new):
-    """Linear map of an instantaneous frequency jump (continuity of Q, P moments)."""
-    r = np.asarray(omega_new, dtype=float) / np.asarray(omega_old, dtype=float)
-    s = r * r
-    shape = s.shape
-    J = np.empty(shape + (3, 3))
-    J[..., 0, 0] = 0.5 * (1.0 + s)
-    J[..., 0, 1] = 0.5 * (1.0 - s)
-    J[..., 0, 2] = 0.0
-    J[..., 1, 0] = 0.5 * (1.0 - s)
-    J[..., 1, 1] = 0.5 * (1.0 + s)
-    J[..., 1, 2] = 0.0
-    J[..., 2, 0] = 0.0
-    J[..., 2, 1] = 0.0
-    J[..., 2, 2] = r
-    return J
-
-
-def apply_frequency_jump(state: StateVector, omega_new: float) -> StateVector:
-    """Instantaneous change of the confining potential's frequency.
-
-    The position and momentum moments are continuous across the jump, so with
-    s = (omega_new/omega_old)^2:
-
-        e_h' = (e_h + e_l)/2 + s (e_h - e_l)/2
-        e_l' = (e_h + e_l)/2 - s (e_h - e_l)/2
-        e_c' = (omega_new/omega_old) e_c
-
-    The Casimir invariant is preserved exactly.
-    """
-    if omega_new <= 0:
-        raise ValueError("omega_new must be positive")
-    J = jump_matrix(state.omega, omega_new)
-    return StateVector.from_array(J @ state.as_array(), omega_new)
-
-
-def free_segment_matrix(omega, t):
+def free_segment_matrix(omega: float, t: float) -> np.ndarray:
     """Rotation of (e_l, e_c) by angle 2*omega*t at constant frequency."""
-    ang = 2.0 * np.asarray(omega, dtype=float) * np.asarray(t, dtype=float)
+    ang = 2.0 * omega * t
     c, s = np.cos(ang), np.sin(ang)
-    F = np.zeros(ang.shape + (3, 3))
-    F[..., 0, 0] = 1.0
-    F[..., 1, 1] = c
-    F[..., 1, 2] = -s
-    F[..., 2, 1] = s
-    F[..., 2, 2] = c
-    return F
-
-
-def propagate_free_segment(state: StateVector, t: float) -> StateVector:
-    """Free evolution at constant omega, decoupled from the baths.
-
-    e_h is constant; (e_l, e_c) rotate at angular rate 2*omega
-    (d e_l/dt = -2 omega e_c, d e_c/dt = +2 omega e_l).
-    """
-    if t < 0:
-        raise ValueError("duration must be >= 0")
-    F = free_segment_matrix(state.omega, t)
-    return StateVector.from_array(F @ state.as_array(), state.omega)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +375,6 @@ def exponential_matrix(schedule: Schedule) -> np.ndarray:
     aa = abs(alpha)
     w0, w1 = schedule.omega_start, schedule.omega_end
     z0, z1 = w0 / aa, w1 / aa
-    if min(z0, z1) < 1e-6:
-        # Bessel evaluation degrades; integrate instead.
-        return rk_matrix(schedule, 1e-12)
 
     def fundamental(z, w):
         return np.array([
@@ -520,68 +417,12 @@ def linear_ramp_matrix(schedule: Schedule) -> np.ndarray:
                               -4.0 * beta / math.pi, w0, w1)
 
 
-# ---------------------------------------------------------------------------
-# General numeric propagation (adaptive embedded Runge-Kutta)
-# ---------------------------------------------------------------------------
-
-def _adiabat_rhs(t, y, schedule):
-    w, mu = schedule.evaluate(t)
-    h, l, c = y[0::3], y[1::3], y[2::3]
-    out = np.empty_like(y)
-    out[0::3] = w * (mu * h - mu * l)
-    out[1::3] = w * (-mu * h + mu * l - 2.0 * c)
-    out[2::3] = w * (2.0 * l + mu * c)
-    return out
-
-
-def _rk_solve(schedule: Schedule, y0: np.ndarray, tol: float) -> np.ndarray:
-    scale = max(float(np.max(np.abs(y0))), 1e-30)
-    sol = solve_ivp(
-        _adiabat_rhs, (0.0, schedule.duration), y0, args=(schedule,),
-        method="DOP853", rtol=tol, atol=tol * scale * 1e-2, dense_output=False,
-    )
-    if not sol.success:
-        raise PropagationError(f"adaptive integration failed: {sol.message}")
-    return sol.y[:, -1]
-
-
-def rk_matrix(schedule: Schedule, tol: float) -> np.ndarray:
-    """Fundamental 3x3 matrix of a smooth schedule by adaptive integration."""
-    if schedule.duration == 0.0:
-        return np.eye(3)
-    y = _rk_solve(schedule, np.eye(3).flatten(order="F"), tol)
-    return y.reshape(3, 3, order="F")
-
-
-def propagate_adiabat_numeric(state: StateVector, schedule: Schedule,
-                              tol: float = 1e-10) -> StateVector:
-    """Propagate through an arbitrary schedule by time-ordered integration.
-
-    Smooth kinds use an adaptive embedded Runge-Kutta stepper (Dormand-Prince
-    8(5,3)) with local error control at ``tol``.  Schedules with
-    discontinuities are split at the jump points: the holds evolve exactly and
-    the jump map is applied between them.
-    """
-    if not 1e-13 <= tol <= 1e-6:
-        raise ValueError("tol must lie in [1e-13, 1e-6]")
-    if not math.isclose(state.omega, schedule.omega_start, rel_tol=1e-9):
-        raise ValueError("state.omega does not match schedule.omega_start")
-    if schedule.kind in PIECEWISE_KINDS:
-        v = piecewise_matrix(schedule) @ state.as_array()
-        return StateVector.from_array(v, schedule.omega_end)
-    if schedule.duration == 0.0:
-        return state
-    v = _rk_solve(schedule, state.as_array(), tol)
-    return StateVector.from_array(v, schedule.omega_end)
-
-
 def schedule_propagator(schedule: Schedule) -> np.ndarray:
     """Exact 3x3 propagator matrix for a schedule.
 
     Closed forms for every kind: const-mu, piecewise-constant (incl.
     three-jump), and the Bessel-function propagators of exponential and
-    linear ramps (an exponential ramp whose Bessel argument omega/|alpha|
-    falls below 1e-6 is integrated with DOP853 instead).
+    linear ramps.
     """
     if schedule.kind == "const_mu":
         return const_mu_matrix(schedule.omega_start, schedule.omega_end, schedule.mu)
@@ -592,3 +433,17 @@ def schedule_propagator(schedule: Schedule) -> np.ndarray:
     if schedule.kind == "linear":
         return linear_ramp_matrix(schedule)
     raise ScheduleError(f"no propagator for schedule kind {schedule.kind!r}")
+
+
+def propagate(state: StateVector, schedule: Schedule) -> StateVector:
+    """Evolve a state through an adiabat with the schedule's exact propagator.
+
+    The state must sit at ``schedule.omega_start``; the result sits at
+    ``schedule.omega_end``.  An instantaneous jump is
+    ``Schedule.piecewise(w0, w1, [])`` and a hold at constant frequency is
+    ``Schedule.linear(w, w, t)``; the elapsed time is ``schedule.duration``.
+    """
+    if not math.isclose(state.omega, schedule.omega_start, rel_tol=1e-9):
+        raise ValueError("state.omega does not match schedule.omega_start")
+    v = schedule_propagator(schedule) @ state.as_array()
+    return StateVector.from_array(v, schedule.omega_end)

@@ -222,7 +222,7 @@ def apply_free_values(base: CycleSpec, values: dict) -> CycleSpec:
         compression = _rebuild_schedule(compression, compression.omega_start,
                                         compression.omega_end, duration=values["tau_ch"])
     return CycleSpec(base.hot_bath, base.cold_bath, base.omega_h, omega_c, expansion,
-                     compression, tau_c=tau_c, tau_h=tau_h, ode_tol=base.ode_tol)
+                     compression, tau_c=tau_c, tau_h=tau_h)
 
 
 def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:

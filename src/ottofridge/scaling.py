@@ -43,7 +43,6 @@ class SweepSpec:
     kappa: float | None = None          # None: kind default via optimal_cold_frequency
     optimize_omega_c: bool = False
     allocation: str = "z"               # "z" or "searched"
-    ode_tol: float | None = None        # accepted for old configs; affects no propagator
     tail_decades: float = 1.0
     seed: int = 0
     duration_bracket: tuple[float, float] = (0.02, 10.0)
@@ -60,8 +59,6 @@ class SweepSpec:
             raise ValueError("allocation must be 'z' or 'searched'")
         if self.omega_h <= 0 or self.t_hot <= 0 or self.gamma <= 0:
             raise ValueError("omega_h, t_hot and gamma must be positive")
-        if self.ode_tol is not None and not 1e-13 <= self.ode_tol <= 1e-2:
-            raise ValueError("ode_tol out of range (1e-13 .. 1e-2)")
         if self.omega_h / self.t_hot < 30:
             warnings.warn("omega_h / T_h < 30: hot-bath occupation is not negligible")
 

@@ -11,16 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import propagate_adiabat_numeric
 
 from ottofridge.cycle import CycleSpec, NoContractionError, limit_cycle
-from ottofridge.dynamics import (
-    BathSpec,
-    StateVector,
-    apply_frequency_jump,
-    equilibrium_state,
-    propagate_adiabat_const_mu,
-    propagate_adiabat_numeric,
-)
+from ottofridge.dynamics import BathSpec, StateVector, equilibrium_state, propagate
 from ottofridge.optimize import (
     OptimizationSpec,
     ga_schedule_search,
@@ -106,11 +100,10 @@ def test_criterion_02_frictionless_identities():
         start = StateVector.from_occupation(omega_h, n)
 
         mu_star, _ = critical_mu(ratio, omega_h=omega_h)
-        out, _ = propagate_adiabat_const_mu(start, omega_c, mu_star)
+        out = propagate(start, Schedule.const_mu(omega_h, omega_c, mu_star))
         worst_mu = max(worst_mu, abs(out.e_h / omega_c - 0.5 - n))
 
-        out = propagate_adiabat_numeric(start, build_three_jump(omega_h, omega_c),
-                                        tol=1e-10)
+        out = propagate(start, build_three_jump(omega_h, omega_c))
         worst_jump = max(worst_jump, abs(out.e_h / omega_c - 0.5 - n))
     checks = [
         ("const_mu_star_n_drift", worst_mu <= 1e-9, f"{worst_mu:.2e}"),
@@ -138,9 +131,9 @@ def test_criterion_03_closed_form_vs_ode():
         r = rng.uniform(0.0, 0.8) * w0 * n
         ang = rng.uniform(0.0, 2.0 * math.pi)
         start = StateVector(w0 * (n + 0.5), r * math.cos(ang), r * math.sin(ang), w0)
-        numeric = propagate_adiabat_numeric(start, Schedule.const_mu(w0, w1, mu),
-                                            tol=1e-12)
-        closed, _ = propagate_adiabat_const_mu(start, w1, mu)
+        sched = Schedule.const_mu(w0, w1, mu)
+        numeric = propagate_adiabat_numeric(start, sched, tol=1e-12)
+        closed = propagate(start, sched)
         err = (np.linalg.norm(numeric.as_array() - closed.as_array())
                / np.linalg.norm(closed.as_array()))
         worst = max(worst, err)
@@ -157,9 +150,9 @@ def test_criterion_04_sudden_limit():
     omega_h, ratio = 9.0, 7.5
     omega_c = omega_h / ratio
     expected = 0.25 * omega_c * (ratio + 1.0 / ratio)
-    jumped = apply_frequency_jump(StateVector.ground(omega_h), omega_c)
+    jumped = propagate(StateVector.ground(omega_h), Schedule.piecewise(omega_h, omega_c, []))
     jump_err = abs(jumped.e_h - expected) / expected
-    fast, _ = propagate_adiabat_const_mu(StateVector.ground(omega_h), omega_c, -1e6)
+    fast = propagate(StateVector.ground(omega_h), Schedule.const_mu(omega_h, omega_c, -1e6))
     mu_err = abs(fast.e_h - expected) / expected
     report(4, "sudden limit", [
         ("jump_map_exact", jump_err <= 5e-16, f"{jump_err:.2e}"),
@@ -261,7 +254,7 @@ def _random_spec(rng):
     return CycleSpec(BathSpec(t_h, gamma), BathSpec(t_c, gamma), omega_h, omega_c,
                      expansion, compression,
                      tau_c=rng.uniform(0.5, 4.0) / gamma,
-                     tau_h=rng.uniform(0.5, 4.0) / gamma, ode_tol=1e-9)
+                     tau_h=rng.uniform(0.5, 4.0) / gamma)
 
 
 def test_criterion_07_thermodynamic_laws():

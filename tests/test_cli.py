@@ -40,6 +40,15 @@ def test_unknown_key_rejected_with_path():
         parse_config('{"warp": {}}')
 
 
+def test_ode_tol_key_is_rejected_with_path():
+    # every propagator is a closed form; the old tolerance key is unknown
+    for text, path in (('{"cycle": {"ode_tol": 1e-9}}', "cycle.ode_tol"),
+                       ('{"sweep": {"ode_tol": null}}', "sweep.ode_tol")):
+        with pytest.raises(ConfigError, match="unknown key") as exc:
+            parse_config(text)
+        assert exc.value.path == path
+
+
 def test_schedule_kind_key_policing():
     with pytest.raises(ConfigError, match="cycle.expansion.mu"):
         parse_config('{"cycle": {"expansion": {"kind": "three_jump", "mu": -1.0}}}')

@@ -27,7 +27,7 @@ KAPPA_32 = 0.87421746579871708
 
 
 def frictionless_spec(omega_h=10.0, omega_c=1.0, t_h=2.0, t_c=0.5, gamma=1.0,
-                      tau_c=None, tau_h=None, kind="three_jump", ode_tol=1e-9):
+                      tau_c=None, tau_h=None, kind="three_jump"):
     hot, cold = BathSpec(t_h, gamma), BathSpec(t_c, gamma)
     if kind == "three_jump":
         expansion = build_three_jump(omega_h, omega_c)
@@ -40,7 +40,7 @@ def frictionless_spec(omega_h=10.0, omega_c=1.0, t_h=2.0, t_c=0.5, gamma=1.0,
         alloc = solve_isochore_z(gamma, gamma, expansion.duration + compression.duration)
         tau_c, tau_h = alloc.tau_c, alloc.tau_h
     return CycleSpec(hot, cold, omega_h, omega_c, expansion, compression,
-                     tau_c=tau_c, tau_h=tau_h, ode_tol=ode_tol)
+                     tau_c=tau_c, tau_h=tau_h)
 
 
 def random_spec(rng):
@@ -68,7 +68,7 @@ def random_spec(rng):
     tau_c = rng.uniform(0.5, 4.0) / gamma
     tau_h = rng.uniform(0.5, 4.0) / gamma
     return CycleSpec(BathSpec(t_h, gamma), BathSpec(t_c, gamma), omega_h, omega_c,
-                     expansion, compression, tau_c=tau_c, tau_h=tau_h, ode_tol=1e-9)
+                     expansion, compression, tau_c=tau_c, tau_h=tau_h)
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from oracles import jump_matrix, propagate_adiabat_numeric, rk_matrix
 from ottofridge.dynamics import (
     BathSpec,
     StateVector,
     adiabat_power,
-    apply_frequency_jump,
     const_mu_matrix,
     equilibrium_state,
     exponential_matrix,
     isochore_affine,
-    jump_matrix,
     observables,
-    propagate_adiabat_const_mu,
-    propagate_adiabat_numeric,
-    propagate_free_segment,
+    propagate,
     propagate_isochore,
-    rk_matrix,
     schedule_propagator,
 )
 from ottofridge.schedules import Schedule, build_three_jump, critical_mu
@@ -179,8 +175,8 @@ def test_isochore_contraction_norms():
 
 def test_const_mu_identity_at_zero_span():
     st = StateVector(3.0, 1.0, -0.5, 2.0)
-    out, elapsed = propagate_adiabat_const_mu(st, 2.0, -0.4)
-    assert out == st and elapsed == 0.0
+    sched = Schedule.const_mu(2.0, 2.0, -0.4)
+    assert propagate(st, sched) == st and sched.duration == 0.0
 
 
 def test_const_mu_sudden_limit_energy():
@@ -188,7 +184,7 @@ def test_const_mu_sudden_limit_energy():
     w_h, ratio = 7.0, 12.0
     w_c = w_h / ratio
     st = StateVector.ground(w_h)
-    out, _ = propagate_adiabat_const_mu(st, w_c, -1e6)
+    out = propagate(st, Schedule.const_mu(w_h, w_c, -1e6))
     expected = 0.25 * w_c * (ratio + 1.0 / ratio)
     assert out.e_h == pytest.approx(expected, rel=1e-5)
 
@@ -201,10 +197,11 @@ def test_const_mu_critical_is_frictionless():
         n = rng.uniform(0, 5)
         mu_star, tau_star = critical_mu(ratio, omega_h=w_h)
         st = StateVector.from_occupation(w_h, n)
-        out, elapsed = propagate_adiabat_const_mu(st, w_h / ratio, mu_star)
+        sched = Schedule.const_mu(w_h, w_h / ratio, mu_star)
+        out = propagate(st, sched)
         n_f = out.e_h / (w_h / ratio) - 0.5
         assert abs(n_f - n) <= 1e-9
-        assert elapsed == pytest.approx(tau_star, rel=1e-12)
+        assert sched.duration == pytest.approx(tau_star, rel=1e-12)
 
 
 def test_const_mu_energy_closed_form_from_ground():
@@ -217,18 +214,26 @@ def test_const_mu_energy_closed_form_from_ground():
         omega2 = complex(mu * mu - 4.0)
         om = cmath.sqrt(omega2)
         e_ref = 0.5 * w_c * (mu * mu * cmath.cosh(om * theta) - 4.0) / omega2
-        out, _ = propagate_adiabat_const_mu(StateVector.ground(w_h), w_c, mu)
+        out = propagate(StateVector.ground(w_h), Schedule.const_mu(w_h, w_c, mu))
         assert out.e_h == pytest.approx(e_ref.real, rel=1e-12)
 
 
 def test_const_mu_direction_and_zero_mu_errors():
     st = StateVector.ground(5.0)
     with pytest.raises(ValueError):
-        propagate_adiabat_const_mu(st, 1.0, 0.5)     # expansion needs mu < 0
+        propagate(st, Schedule.const_mu(5.0, 1.0, 0.5))     # expansion needs mu < 0
     with pytest.raises(ValueError):
-        propagate_adiabat_const_mu(st, 9.0, -0.5)
+        propagate(st, Schedule.const_mu(5.0, 9.0, -0.5))
     with pytest.raises(ValueError):
-        propagate_adiabat_const_mu(st, 1.0, 0.0)
+        propagate(st, Schedule.const_mu(5.0, 1.0, 0.0))
+
+
+def test_propagate_rejects_state_off_the_schedule_start():
+    st = StateVector.ground(5.0)
+    with pytest.raises(ValueError, match="omega_start"):
+        propagate(st, Schedule.const_mu(5.0 * (1.0 + 1e-8), 1.0, -0.5))
+    # within 1e-9 relative the state is taken to sit at the start
+    assert propagate(st, Schedule.const_mu(5.0 * (1.0 + 1e-10), 1.0, -0.5)).omega == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +242,13 @@ def test_const_mu_direction_and_zero_mu_errors():
 
 def test_jump_identity():
     st = StateVector(3.0, 1.0, -0.5, 2.0)
-    assert apply_frequency_jump(st, 2.0) == st
+    assert propagate(st, Schedule.piecewise(2.0, 2.0, [])) == st
 
 
 def test_jump_sudden_energy_from_ground():
     w_h, ratio = 9.0, 6.0
     w_c = w_h / ratio
-    out = apply_frequency_jump(StateVector.ground(w_h), w_c)
+    out = propagate(StateVector.ground(w_h), Schedule.piecewise(w_h, w_c, []))
     # same algebra up to rounding: exact to a few ulp
     assert out.e_h == pytest.approx(0.25 * w_c * (ratio + 1.0 / ratio), rel=5e-16)
 
@@ -252,11 +257,14 @@ def test_jump_preserves_casimir():
     rng = np.random.default_rng(3)
     st = random_state(rng, omega=2.0)
     for w_new in (6.0, 0.5, 2.0 * 3.0):    # includes s = 9
-        out = apply_frequency_jump(st, w_new)
+        out = propagate(st, Schedule.piecewise(2.0, w_new, []))
         assert casimir(out.as_array(), w_new) == \
             pytest.approx(casimir(st.as_array(), st.omega), rel=1e-13)
+        # the (Q, P) lift agrees with the direct jump algebra
+        direct = jump_matrix(2.0, w_new) @ st.as_array()
+        np.testing.assert_allclose(out.as_array(), direct, rtol=0, atol=1e-15 * abs(direct).max())
     with pytest.raises(ValueError):
-        apply_frequency_jump(st, -1.0)
+        propagate(st, Schedule.piecewise(2.0, -1.0, []))
 
 
 def test_jump_matches_infinite_mu_limit_both_directions():
@@ -265,8 +273,8 @@ def test_jump_matches_infinite_mu_limit_both_directions():
     for w0, w1, mu in ((10.0, 2.0, -4e6), (2.0, 10.0, 4e6)):
         rng = np.random.default_rng(11)
         st = random_state(rng, omega=w0)
-        fast, _ = propagate_adiabat_const_mu(st, w1, mu)
-        jumped = apply_frequency_jump(st, w1)
+        fast = propagate(st, Schedule.const_mu(w0, w1, mu))
+        jumped = propagate(st, Schedule.piecewise(w0, w1, []))
         gap = np.linalg.norm(fast.as_array() - jumped.as_array())
         assert gap <= 1e-6 * np.linalg.norm(jumped.as_array())
 
@@ -277,14 +285,14 @@ def test_jump_matches_infinite_mu_limit_both_directions():
 
 def test_free_segment_identity_and_full_turn():
     st = StateVector(3.0, 1.0, -0.5, 2.0)
-    assert propagate_free_segment(st, 0.0) == st
-    full = propagate_free_segment(st, math.pi / st.omega)   # 2*omega*t = 2*pi
+    assert propagate(st, Schedule.linear(2.0, 2.0, 0.0)) == st
+    full = propagate(st, Schedule.linear(2.0, 2.0, math.pi / st.omega))   # 2*omega*t = 2*pi
     np.testing.assert_allclose(full.as_array(), st.as_array(), rtol=1e-12, atol=1e-14)
 
 
 def test_free_segment_quarter_turn():
     st = StateVector(2.0, 0.7, 0.0, 1.0)
-    out = propagate_free_segment(st, math.pi / 4.0)          # 2*omega*t = pi/2
+    out = propagate(st, Schedule.linear(1.0, 1.0, math.pi / 4.0))   # 2*omega*t = pi/2
     assert out.e_l == pytest.approx(0.0, abs=1e-12)
     assert out.e_c == pytest.approx(0.7, rel=1e-12)
     assert out.e_h == st.e_h
@@ -307,7 +315,7 @@ def test_numeric_matches_const_mu_closed_form():
         st = random_state(np.random.default_rng(1), omega=w0)
         sched = Schedule.const_mu(w0, w1, mu)
         numeric = propagate_adiabat_numeric(st, sched, tol=1e-12)
-        closed, _ = propagate_adiabat_const_mu(st, w1, mu)
+        closed = propagate(st, sched)
         err = np.linalg.norm(numeric.as_array() - closed.as_array()) / \
             np.linalg.norm(closed.as_array())
         assert err <= 1e-8, (mu, ratio, err)
@@ -354,6 +362,21 @@ def test_linear_fast_path_matches_rk():
                                    rtol=1e-8, atol=1e-12)
 
 
+def mp_propagator(fundamental, w0, w1):
+    """The 3x3 propagator of a fundamental (Q, P) pair in mpmath arithmetic.
+
+    phi = F(w1) F(w0)^-1 with an mpmath matrix inverse, lifted to second
+    moments and mapped to (e_h, e_l, e_c) at each endpoint's frequency.
+    """
+    phi = fundamental(w1) * mpmath.inverse(fundamental(w0))
+    a, b, c, d = phi[0, 0], phi[0, 1], phi[1, 0], phi[1, 1]
+    lift = mpmath.matrix([[a * a, b * b, 2 * a * b], [c * c, d * d, 2 * c * d],
+                          [a * c, b * d, a * d + b * c]])
+    to_moments = mpmath.matrix([[1 / w0**2, -1 / w0**2, 0], [1, 1, 0], [0, 0, 1 / w0]])
+    to_hlc = mpmath.matrix([[w1**2 / 2, 0.5, 0], [-w1**2 / 2, 0.5, 0], [0, 0, w1]])
+    return np.array((to_hlc * lift * to_moments).tolist(), dtype=float)
+
+
 def linear_ramp_oracle(w0, w1, tau):
     """The Bessel-pair propagator of a linear ramp in 60-digit arithmetic."""
     with mpmath.workdps(60):
@@ -369,15 +392,8 @@ def linear_ramp_oracle(w0, w1, tau):
                 [p * mpmath.besselj(nu - 1, z), p * mpmath.bessely(nu - 1, z)],
             ])
 
-        phi = fundamental(w1) * mpmath.inverse(fundamental(w0))
-        a, b, c, d = phi[0, 0], phi[0, 1], phi[1, 0], phi[1, 1]
-        lift = mpmath.matrix([[a * a, b * b, 2 * a * b], [c * c, d * d, 2 * c * d],
-                              [a * c, b * d, a * d + b * c]])
-        to_moments = mpmath.matrix([[1 / w0**2, -1 / w0**2, 0], [1, 1, 0], [0, 0, 1 / w0]])
-        to_hlc = mpmath.matrix([[w1**2 / 2, 0.5, 0], [-w1**2 / 2, 0.5, 0], [0, 0, w1]])
-        u = to_hlc * lift * to_moments
         zeta = max(w0, w1) ** 2 / (2 * abs(beta))
-        return np.array(u.tolist(), dtype=float), float(zeta)
+        return mp_propagator(fundamental, w0, w1), float(zeta)
 
 
 def test_linear_ramp_matches_mpmath_oracle():
@@ -389,6 +405,35 @@ def test_linear_ramp_matches_mpmath_oracle():
             got = schedule_propagator(Schedule.linear(w0, w1, tau))
             err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
             assert err <= 1e-15 * zeta + 1e-11, (tau, w0, zeta, err)
+
+
+def exponential_oracle(w0, w1, tau):
+    """The J0/Y0 propagator of an exponential sweep in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        w0, w1, tau = mpmath.mpf(w0), mpmath.mpf(w1), mpmath.mpf(tau)
+        alpha = mpmath.log(w1 / w0) / tau
+
+        def fundamental(w):
+            z = w / abs(alpha)
+            p = -mpmath.sign(alpha) * w
+            return mpmath.matrix([
+                [mpmath.besselj(0, z), mpmath.bessely(0, z)],
+                [p * mpmath.besselj(1, z), p * mpmath.bessely(1, z)],
+            ])
+
+        return mp_propagator(fundamental, w0, w1)
+
+
+def test_exponential_small_bessel_argument_matches_mpmath_oracle():
+    # z = omega/|alpha| at the low endpoint from 4e-3 down to 4e-11: sweeps
+    # far faster than the oscillation, both directions, on the Bessel form
+    for z in (4e-3, 4e-5, 4e-7, 4e-9, 4e-11):
+        tau = z * math.log(10.0)
+        for w0, w1 in ((10.0, 1.0), (1.0, 10.0)):
+            expected = exponential_oracle(w0, w1, tau)
+            got = exponential_matrix(Schedule.exponential(w0, w1, tau))
+            err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+            assert err <= 1e-15, (z, w0, err)
 
 
 def test_linear_ramp_sudden_limit_is_jump():
@@ -407,13 +452,13 @@ def test_casimir_conserved_on_all_adiabat_paths():
     st = random_state(rng, omega=6.0)
     x0 = casimir(st.as_array(), st.omega)
 
-    closed, _ = propagate_adiabat_const_mu(st, 2.0, -0.8)
+    closed = propagate(st, Schedule.const_mu(6.0, 2.0, -0.8))
     assert casimir(closed.as_array(), 2.0) == pytest.approx(x0, rel=1e-12)
 
-    jumped = apply_frequency_jump(st, 2.0)
+    jumped = propagate(st, Schedule.piecewise(6.0, 2.0, []))
     assert casimir(jumped.as_array(), 2.0) == pytest.approx(x0, rel=1e-14)
 
-    rotated = propagate_free_segment(st, 0.37)
+    rotated = propagate(st, Schedule.linear(6.0, 6.0, 0.37))
     assert casimir(rotated.as_array(), st.omega) == pytest.approx(x0, rel=1e-13)
 
     numeric = propagate_adiabat_numeric(st, Schedule.linear(6.0, 2.0, 4.0), tol=1e-11)
@@ -437,7 +482,8 @@ def test_power_integral_equals_energy_change():
     # first law on the adiabat: integral of P dt = Delta E (const-mu sweep)
     w0, w1, mu = 8.0, 2.0, -0.9
     st = StateVector(5.0, 1.0, 0.7, w0)
-    final, tau = propagate_adiabat_const_mu(st, w1, mu)
+    sched = Schedule.const_mu(w0, w1, mu)
+    final, tau = propagate(st, sched), sched.duration
 
     def power(t):
         w_t = w0 / (1.0 - mu * w0 * t)

@@ -220,8 +220,6 @@ def test_sweep_spec_validation():
         SweepSpec(kind="linear", t_max=0.1, t_min=0.2)
     with pytest.raises(ValueError):
         SweepSpec(kind="linear", gamma=-1.0)
-    with pytest.raises(ValueError, match="ode_tol"):
-        SweepSpec(kind="linear", ode_tol=0.1)
     grid = SweepSpec(kind="three_jump", t_max=1.0, t_min=1e-2,
                      points_per_decade=5, omega_h=100.0).grid
     assert len(grid) == 11
