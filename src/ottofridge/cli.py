@@ -4,7 +4,8 @@ Commands:
     critical  -- print the frictionless schedule constants for the configured
                  frequency pair (critical mu, bang-bang hold times, kappa)
     simulate  -- solve the limit cycle of the configured CycleSpec
-    optimize  -- derivative-free search over the configured free variables
+    optimize  -- multi-start search over the configured free variables
+                 (Newton on the exact gradient for tau_c, tau_h; else Nelder-Mead)
     sweep     -- temperature sweep with power-law exponent fit
     ga        -- genetic search over piecewise schedules
 

@@ -21,6 +21,8 @@ on plain Python floats: a 3x3 map is a row-major 9-tuple, a vector a 3-tuple
 and an isochore its four scalars.  The eigenvalues and the direct solve call
 the LAPACK routines dgeev and dgesv that numpy's eigvals and solve wrap.
 branch_affine_maps and cycle_affine_map return the same maps as numpy arrays.
+isochore_time_gradient differentiates the fixed point, and with it ln R_c,
+with respect to the two isochore times.
 """
 
 from __future__ import annotations
@@ -299,6 +301,15 @@ def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, Cyc
     return StateVector(*vs[-1], spec.omega_h, check=False), record
 
 
+def _solve_i_minus(m: tuple, b) -> list:
+    """x with (I - m) x = b by LAPACK dgesv; b is a 3-vector or 3 rows of right-hand sides."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    _, _, x, info = dgesv(((1.0 - m0, -m1, -m2), (-m3, 1.0 - m4, -m5), (-m6, -m7, 1.0 - m8)), b)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular matrix I - M (dgesv info {info})")
+    return x.tolist()
+
+
 def _squaring_fixed_point(m: tuple, k: tuple, v0: tuple) -> tuple[tuple, int]:
     """Fixed point of v -> m v + k reached from v0 by repeated squaring.
 
@@ -350,10 +361,7 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     if rho >= _RHO_LIMIT:
         raise NoContractionError(f"cycle map spectral radius {rho:.12f} >= 1; no limit cycle")
 
-    _, _, x, info = dgesv(((1.0 - m0, -m1, -m2), (-m3, 1.0 - m4, -m5), (-m6, -m7, 1.0 - m8)), k)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular matrix I - M (dgesv info {info})")
-    v_direct = tuple(x.tolist())
+    v_direct = tuple(_solve_i_minus(m, k))
     _, e_hot = equilibrium_state(spec.omega_h, spec.hot_bath)
     v, cycles = _squaring_fixed_point(m, k, (e_hot, 0.0, 0.0))
 
@@ -363,6 +371,44 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
                      solver_agreement=math.dist(v_direct, v) / scale,
                      spectral_radius=rho)
     return StateVector(*v_direct, spec.omega_h, check=False), record
+
+
+def _isochore_field(omega: float, bath: BathSpec, v: tuple) -> tuple:
+    """The isochore's vector field dv/dt at v (the generator of isochore_scalars)."""
+    g = bath.conductance
+    _, e_eq = equilibrium_state(omega, bath)
+    e_h, e_l, e_c = v
+    return (-g * (e_h - e_eq), -g * e_l - 2.0 * omega * e_c, -g * e_c + 2.0 * omega * e_l)
+
+
+def isochore_time_gradient(record: CycleRecord) -> tuple[float, float]:
+    """Exact gradient (d ln R_c / d ln tau_c, d ln R_c / d ln tau_h) at a limit cycle.
+
+    ``record`` is a :func:`limit_cycle` record; its chain holds the spec and
+    the fixed point v_A with the states v_D, v_C after it.  With f_c, f_h the
+    isochore vector fields, the cycle map F(v) = M v + k moves with the
+    isochore times as dF/dtau_c = A_hot A_comp f_c(v_C) and dF/dtau_h =
+    f_h(v_A), so the fixed point moves as dv_A = (I - M)^-1 dF (one dgesv,
+    two right-hand sides).  Q_c = [C(A_exp v_A)]_0 - [A_exp v_A]_0 then gives
+    dQ_c = (d_c - 1) [A_exp dv_A]_0 + [f_c(v_C)]_0 delta_c and
+    dR_c/dtau = (dQ_c/dtau - R_c) / tau_total.  The result is tau (dR_c/dtau)
+    / R_c, which for a cycle that heats the cold bath (q_c < 0) is the
+    gradient of ln |R_c|; q_c = 0 raises ValueError.
+    """
+    spec, (v_a, _, v_c, _, _) = record.chain
+    if record.q_c == 0.0:
+        raise ValueError("ln |R_c| has no gradient at q_c = 0")
+    maps = _branch_maps(spec)
+    a_exp, cold, a_comp, hot = maps
+    f_c = _isochore_field(spec.omega_c, spec.cold_bath, v_c)
+    b_c = _iso_affine(hot[:3] + (0.0,), _affine(a_comp, f_c))
+    b_h = _isochore_field(spec.omega_h, spec.hot_bath, v_a)
+    (x0, y0), (x1, y1), (x2, y2) = _solve_i_minus(_compose(maps)[0], tuple(zip(b_c, b_h)))
+    d_c_minus_1 = cold[0] - 1.0
+    dq_c = d_c_minus_1 * (a_exp[0] * x0 + a_exp[1] * x1 + a_exp[2] * x2) + f_c[0]
+    dq_h = d_c_minus_1 * (a_exp[0] * y0 + a_exp[1] * y1 + a_exp[2] * y2)
+    r_c = record.r_c
+    return spec.tau_c * (dq_c - r_c) / record.q_c, spec.tau_h * (dq_h - r_c) / record.q_c
 
 
 def equilibration_bound(spec: CycleSpec) -> float:

@@ -1,6 +1,7 @@
 """Optimization of the cooling rate: isochore time allocation, cold-frequency
-choice, derivative-free search over branch times, and a genetic search over
-piecewise frequency protocols.
+choice, multi-start searches over branch times (a damped Newton step on the
+exact gradient for the two isochore times, Nelder-Mead otherwise), and a
+genetic search over piecewise frequency protocols.
 
 All stochastic searches draw from a seeded PCG64 generator and reduce results
 in candidate order, so a fixed seed gives bit-identical output.
@@ -15,10 +16,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, limit_cycle
+from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, isochore_time_gradient, limit_cycle
 from .schedules import Schedule, build_three_jump
 
 _FREE_VARS = ("tau_c", "tau_h", "tau_hc", "tau_ch", "omega_c")
+
+# Newton search over the isochore times (ln tau_c, ln tau_h)
+_NEWTON_GTOL = 1e-10       # stop at a projected max |d ln R_c / d ln tau| below this
+_NEWTON_RTOL = 1e-12       # fall in R_c a smaller gradient may excuse: rounding level
+_NEWTON_FD_STEP = 1e-6     # forward-difference step of the Hessian, in ln tau
+_NEWTON_MAX_ITER = 50      # iterations per start; reaching it is warned about
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +135,7 @@ def optimal_cold_frequency(nu: float, t_c: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Derivative-free search over branch times / cold frequency
+# Multi-start search over branch times / cold frequency
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -137,8 +144,9 @@ class OptimizationSpec:
 
     ``free`` names the variables being optimized (subset of tau_c, tau_h,
     tau_hc, tau_ch, omega_c); ``bounds`` maps each to a positive (lo, hi)
-    interval.  The genetic-search fields are used by
-    :func:`ga_schedule_search` only.
+    interval.  ``max_iter``, ``xtol`` and ``ftol`` set Nelder-Mead, which
+    free sets other than {tau_c, tau_h} use.  The genetic-search fields are
+    used by :func:`ga_schedule_search` only.
     """
 
     base: CycleSpec
@@ -187,6 +195,7 @@ class OptimizationResult:
     seed: int
     z_comparison: dict | None = None
     failures: int = 0
+    evaluations: int = 0            # limit_cycle calls of the search itself
 
 
 def _rebuild_schedule(sched: Schedule, omega_start: float, omega_end: float,
@@ -225,14 +234,86 @@ def apply_free_values(base: CycleSpec, values: dict) -> CycleSpec:
                      compression, tau_c=tau_c, tau_h=tau_h)
 
 
+def _projected(g: list, x: list, lo: list, hi: list) -> list:
+    """g with the components that point out of the box at its faces set to 0."""
+    return [0.0 if (xi <= a and gi < 0.0) or (xi >= b and gi > 0.0) else gi
+            for gi, xi, a, b in zip(g, x, lo, hi)]
+
+
+def _newton_isochore_times(point, x: list, lo: list, hi: list):
+    """Damped Newton ascent of ln R_c over the box lo <= x <= hi of (ln tau, ln tau).
+
+    ``point(x)`` returns (values, record, g) with g = grad R_c / |R_c|, which
+    is grad ln R_c where the cycle cools and leads a search that starts
+    without cooling uphill; the record is None for a failed evaluation and g
+    None where there is no gradient.  Each iteration forms the Hessian by
+    forward differences of g, one evaluation per coordinate that is not held
+    at a face of the box by a gradient pointing out.  R_c ripples in tau_h
+    with period pi/omega_h, so the curvature can be positive; a Hessian that
+    is not negative definite is replaced by -|diag|.  The step is halved
+    until R_c does not fall or, with the Hessian unmodified, the projected
+    gradient falls while R_c falls by at most _NEWTON_RTOL: near the optimum
+    R_c changes only by rounding.  Returns (values, record, converged) of the
+    last accepted iterate, which converged when its projected max-norm
+    gradient is at most _NEWTON_GTOL.
+    """
+    values, record, g = point(x)
+    if g is None:
+        return values, record, False
+    for _ in range(_NEWTON_MAX_ITER):
+        pg = _projected(g, x, lo, hi)
+        gnorm = max(map(abs, pg))
+        if gnorm <= _NEWTON_GTOL:
+            return values, record, True
+        cols = [None, None]         # None: held at a face
+        for i in (0, 1):
+            if pg[i] != g[i]:
+                continue
+            xh = list(x)
+            xh[i] += _NEWTON_FD_STEP if x[i] + _NEWTON_FD_STEP <= hi[i] else -_NEWTON_FD_STEP
+            _, _, g_h = point(xh)
+            if g_h is None:
+                return values, record, False
+            cols[i] = [(gj - gi) / (xh[i] - x[i]) for gj, gi in zip(g_h, g)]
+        c0, c1 = cols
+        h00 = c0[0] if c0 else -1.0
+        h11 = c1[1] if c1 else -1.0
+        h01 = 0.5 * (c0[1] + c1[0]) if c0 and c1 else 0.0
+        modified = not (h00 < 0.0 and h00 * h11 > h01 * h01)
+        if modified:
+            h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
+        det = h00 * h11 - h01 * h01
+        p = ((h01 * pg[1] - h11 * pg[0]) / det, (h01 * pg[0] - h00 * pg[1]) / det)
+        floor = record.r_c - _NEWTON_RTOL * abs(record.r_c)
+        alpha = 1.0
+        while True:
+            xt = [min(max(xi + alpha * pi, a), b) for xi, pi, a, b in zip(x, p, lo, hi)]
+            if xt == x:                 # no representable step is accepted
+                return values, record, False
+            values_t, rec_t, g_t = point(xt)
+            if g_t is not None and (rec_t.r_c >= record.r_c or (
+                    not modified and rec_t.r_c >= floor
+                    and max(map(abs, _projected(g_t, xt, lo, hi))) < gnorm)):
+                break
+            alpha *= 0.5
+        x, values, record, g = xt, values_t, rec_t, g_t
+    return values, record, False
+
+
 def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
-    """Multi-start Nelder-Mead maximization of the limit-cycle cooling rate.
+    """Multi-start maximization of the limit-cycle cooling rate.
 
     The free variables are searched in log space (they span decades near
-    T_c -> 0).  Failed objective evaluations count as -inf fitness; their
-    number is ``failures`` and one warning per call reports it.  When
-    only the isochore times are free and the conductances are equal, the
-    result is compared against the analytic z-equation allocation and the
+    T_c -> 0), from the base spec's values when they lie in the box, the
+    box midpoint and seeded random points.  When the free set is exactly
+    {tau_c, tau_h}, each start runs a damped Newton ascent on the exact
+    gradient of :func:`~ottofridge.cycle.isochore_time_gradient` (see
+    :func:`_newton_isochore_times`); other free sets run Nelder-Mead.
+    Failed objective evaluations count as -inf fitness; their number is
+    ``failures``, and one warning per call reports it together with any
+    Newton search that stopped short of its gradient tolerance.  When only
+    the isochore times are free and the conductances are equal, the result
+    is compared against the analytic z-equation allocation and the
     comparison is attached to the result.
     """
     base = spec.base
@@ -244,20 +325,21 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     lo = np.log([spec.bounds[n][0] for n in names])
     hi = np.log([spec.bounds[n][1] for n in names])
     box = list(zip(names, lo.tolist(), hi.tolist()))
-    failures = 0
+    evaluations = failures = 0
     first_failure = ""
 
-    def objective(x):
-        nonlocal failures, first_failure
-        values = {n: math.exp(min(max(v, a), b)) for (n, a, b), v in zip(box, x.tolist())}
+    def evaluate(x):
+        nonlocal evaluations, failures, first_failure
+        evaluations += 1
+        values = {n: math.exp(min(max(v, a), b)) for (n, a, b), v in zip(box, x)}
         try:
             _, record = limit_cycle(apply_free_values(base, values))
-            return -record.r_c
         except DOMAIN_ERRORS as exc:
             failures += 1
             if failures == 1:
                 first_failure = f"{values}: {type(exc).__name__}: {exc}"
-            return math.inf
+            return values, None
+        return values, record
 
     rng = np.random.default_rng(spec.seed)
     starts = [0.5 * (lo + hi)]
@@ -270,29 +352,60 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     while len(starts) < spec.restarts:
         starts.append(rng.uniform(lo, hi))
 
-    results = []
-    for x0 in starts[: spec.restarts]:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": spec.max_iter, "xatol": spec.xtol,
-                                "fatol": spec.ftol, "adaptive": True})
-        x = np.clip(res.x, lo, hi)
-        values = {n: math.exp(v) for n, v in zip(names, x)}
-        results.append((values, -res.fun))
-    if failures:
-        warnings.warn(f"optimize_time_allocation: {failures} objective evaluations "
-                      f"failed; the first at {first_failure}")
+    newton = set(names) == {"tau_c", "tau_h"}
 
-    best_values, best_rc = max(enumerate(results), key=lambda kv: (kv[1][1], -kv[0]))[1]
-    best_spec = apply_free_values(base, best_values)
-    _, best_record = limit_cycle(best_spec)
+    def point(x):
+        values, record = evaluate(x)
+        if record is None or record.q_c == 0.0:
+            return values, record, None
+        g = isochore_time_gradient(record)
+        if record.q_c < 0.0:        # there grad R_c / |R_c| = -grad ln |R_c|
+            g = (-g[0], -g[1])
+        return values, record, list(g) if names[0] == "tau_c" else [g[1], g[0]]
+
+    unconverged = 0
+    found = []              # (values, record) of each restart's best point
+    for x0 in starts[: spec.restarts]:
+        if newton:
+            values, record, converged = _newton_isochore_times(
+                point, x0.tolist(), lo.tolist(), hi.tolist())
+            unconverged += record is not None and not converged
+        else:
+            seen = {}
+
+            def objective(x):
+                values, record = seen[tuple(x.tolist())] = evaluate(x.tolist())
+                return -record.r_c if record is not None else math.inf
+            res = minimize(objective, x0, method="Nelder-Mead",
+                           options={"maxiter": spec.max_iter, "xatol": spec.xtol,
+                                    "fatol": spec.ftol, "adaptive": True})
+            values, record = seen[tuple(res.x.tolist())]
+        found.append((values, record))
+    if failures or unconverged:
+        notes = []
+        if failures:
+            notes.append(f"{failures} objective evaluations failed; the first at {first_failure}")
+        if unconverged:
+            notes.append(f"{unconverged} Newton searches stopped with a projected "
+                         f"|grad ln R_c| above {_NEWTON_GTOL:g}")
+        warnings.warn("optimize_time_allocation: " + "; ".join(notes))
+
+    results = tuple((values, record.r_c if record is not None else -math.inf)
+                    for values, record in found)
+    best = max(range(len(results)), key=lambda i: (results[i][1], -i))
+    best_values, best_record = found[best]
+    if best_record is None:         # every restart failed: raises that failure
+        limit_cycle(apply_free_values(base, best_values))
+    best_spec = best_record.chain[0]
 
     z_comparison = None
-    if set(names) == {"tau_c", "tau_h"} and math.isclose(
+    if newton and math.isclose(
             base.hot_bath.conductance, base.cold_bath.conductance, rel_tol=1e-12):
         alloc = solve_isochore_z(base.hot_bath.conductance, base.cold_bath.conductance,
                                  base.expansion.duration + base.compression.duration)
-        _, z_record = limit_cycle(apply_free_values(
-            base, {"tau_c": alloc.tau_c, "tau_h": alloc.tau_h}))
+        z_values = {"tau_c": alloc.tau_c, "tau_h": alloc.tau_h}
+        z_spec = apply_free_values(base, z_values)
+        _, z_record = limit_cycle(z_spec)
         gap = abs(z_record.r_c - best_record.r_c) / max(abs(z_record.r_c), 1e-300)
         z_comparison = {
             "z": alloc.z, "tau_c": alloc.tau_c, "tau_h": alloc.tau_h,
@@ -301,12 +414,10 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         }
         if z_record.r_c > best_record.r_c:
             # analytic allocation beat the search; keep the better point
-            best_values = {"tau_c": alloc.tau_c, "tau_h": alloc.tau_h}
-            best_spec = apply_free_values(base, best_values)
-            best_record = z_record
+            best_values, best_spec, best_record = z_values, z_spec, z_record
 
-    return OptimizationResult(best_spec, best_record, best_values,
-                              tuple(results), spec.seed, z_comparison, failures)
+    return OptimizationResult(best_spec, best_record, best_values, results, spec.seed,
+                              z_comparison, failures, evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -123,9 +123,9 @@ class Schedule:
     def evaluate(self, t: float) -> tuple[float, float]:
         """Return (omega(t), mu(t)) with mu = d(omega)/dt / omega^2.
 
-        For the piecewise kinds mu is 0 inside the holds; the jump points are
-        reported separately by :meth:`jumps`.  The endpoint values are the
-        one-sided limits omega(0) = omega_start and omega(duration) = omega_end.
+        For the piecewise kinds mu is 0 inside the holds.  The endpoint values
+        are the one-sided limits omega(0) = omega_start and omega(duration) =
+        omega_end.
         """
         if t < 0 or t > self.duration * (1 + 1e-12) + 1e-300:
             raise ScheduleError(f"t = {t} outside schedule domain [0, {self.duration}]")
@@ -152,22 +152,6 @@ class Schedule:
             if t <= acc:
                 return w, 0.0
         return self.omega_end, 0.0
-
-    def jumps(self) -> list[tuple[float, float, float]]:
-        """Jump points as (time, omega_before, omega_after); empty for smooth kinds."""
-        if self.kind not in PIECEWISE_KINDS:
-            return []
-        out = []
-        t = 0.0
-        prev = self.omega_start
-        for w, dt in self.segments:
-            if w != prev:
-                out.append((t, prev, w))
-            prev = w
-            t += dt
-        if prev != self.omega_end:
-            out.append((t, prev, self.omega_end))
-        return out
 
 
 # ---------------------------------------------------------------------------

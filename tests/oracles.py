@@ -1,8 +1,9 @@
 """Reference implementations the closed-form propagators are checked against.
 
 The adiabat equations of motion d/dt (e_h, e_l, e_c) = omega(t) M(mu(t)) v
-integrated by an adaptive embedded Runge-Kutta stepper (DOP853), and the
-direct 3x3 map of an instantaneous frequency jump.  Neither goes through the
+integrated by an adaptive embedded Runge-Kutta stepper (DOP853), the
+direct 3x3 map of an instantaneous frequency jump, and the jump points of a
+piecewise-constant schedule.  The propagators here do not go through the
 closed-form smooth propagators or the (Q, P) lift of ``ottofridge.dynamics``;
 only the piecewise-constant kinds of ``propagate_adiabat_numeric`` reuse
 ``piecewise_matrix``.
@@ -84,3 +85,20 @@ def jump_matrix(omega_old: float, omega_new: float) -> np.ndarray:
         [0.5 * (1.0 - s), 0.5 * (1.0 + s), 0.0],
         [0.0, 0.0, r],
     ])
+
+
+def jumps(schedule: Schedule) -> list[tuple[float, float, float]]:
+    """Jump points as (time, omega_before, omega_after); empty for smooth kinds."""
+    if schedule.kind not in PIECEWISE_KINDS:
+        return []
+    out = []
+    t = 0.0
+    prev = schedule.omega_start
+    for w, dt in schedule.segments:
+        if w != prev:
+            out.append((t, prev, w))
+        prev = w
+        t += dt
+    if prev != schedule.omega_end:
+        out.append((t, prev, schedule.omega_end))
+    return out

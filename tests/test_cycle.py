@@ -16,6 +16,7 @@ from ottofridge.cycle import (
     branch_affine_maps,
     cycle_affine_map,
     equilibration_bound,
+    isochore_time_gradient,
     limit_cycle,
     run_one_cycle,
 )
@@ -291,6 +292,86 @@ def test_limit_cycle_properties_on_all_adiabat_kinds(spec):
         for state in (branch.start, branch.end):
             assert observables(state).casimir >= 0.25 * (1.0 - 1e-9)
 
+
+
+@st.composite
+def cooling_spec(draw):
+    # a refrigerator of every adiabat kind in the sweeps' regime: omega_h / T_h
+    # >= 5, omega_c = kappa T_c and ramps slow at the cold end (|mu| <= 0.5)
+    t_h = draw(st.floats(0.5, 1.0))
+    omega_h = draw(st.floats(5.0, 100.0)) * t_h
+    t_c = t_h * 10.0 ** draw(st.floats(-2.5, -0.5))
+    omega_c = draw(st.floats(0.5, 3.0)) * t_c
+    gamma = draw(st.floats(0.3, 3.0))
+    rate = draw(st.floats(0.02, 0.5))
+    kind = draw(st.sampled_from(["three_jump", "piecewise_const", "const_mu", "linear",
+                                 "exponential"]))
+    if kind in ("three_jump", "piecewise_const"):
+        # piecewise_const: a bang-bang protocol with mistimed holds
+        stretch = 1.0 if kind == "three_jump" else draw(st.floats(0.8, 1.2))
+        (w1, t1), (w2, t2) = build_three_jump(omega_h, omega_c).segments
+        expansion = Schedule.piecewise(omega_h, omega_c, [(w1, stretch * t1), (w2, stretch * t2)])
+        compression = Schedule.piecewise(omega_c, omega_h,
+                                         [(w2, stretch * t2), (w1, stretch * t1)])
+    elif kind == "const_mu":
+        expansion = Schedule.const_mu(omega_h, omega_c, -rate)
+        compression = Schedule.const_mu(omega_c, omega_h, rate)
+    else:
+        if kind == "linear":
+            duration = (omega_h - omega_c) / (rate * omega_c * omega_c)
+        else:
+            duration = math.log(omega_h / omega_c) / (rate * omega_c)
+        build = getattr(Schedule, kind)
+        expansion = build(omega_h, omega_c, duration)
+        compression = build(omega_c, omega_h, duration)
+    return CycleSpec(BathSpec(t_h, gamma), BathSpec(t_c, gamma), omega_h, omega_c,
+                     expansion, compression, tau_c=draw(st.floats(0.2, 4.0)) / gamma,
+                     tau_h=draw(st.floats(0.2, 4.0)) / gamma)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cooling_spec())
+def test_isochore_time_gradient_matches_central_differences(spec):
+    # d ln R_c / d ln tau from the fixed point's derivative against central
+    # differences of ln R_c at eps = 1e-6 in ln tau
+    try:
+        _, record = limit_cycle(spec)
+    except NoContractionError:
+        assume(False)
+    assume(record.q_c > 0.0)
+    grad = isochore_time_gradient(record)
+    eps = 1e-6
+
+    def ln_r_c(name, shift):
+        return math.log(limit_cycle(replace(
+            spec, **{name: getattr(spec, name) * math.exp(shift)}))[1].r_c)
+
+    central = [(ln_r_c(name, eps) - ln_r_c(name, -eps)) / (2.0 * eps)
+               for name in ("tau_c", "tau_h")]
+    scale = max(map(abs, grad))
+    for exact, fd in zip(grad, central):
+        assert abs(exact - fd) <= 1e-6 * scale
+
+
+def test_isochore_time_gradient_without_cooling():
+    # q_c < 0: the same formula is the gradient of ln |R_c|; q_c = 0 has none
+    # n_eq(omega_c, T_c) < n_eq(omega_h, T_h), isochore times off the optimum
+    spec = frictionless_spec(t_c=0.1, tau_c=0.5, tau_h=2.0)
+    _, record = limit_cycle(spec)
+    assert record.q_c < 0.0
+    eps = 1e-6
+
+    def ln_abs_r_c(name, shift):
+        return math.log(-limit_cycle(replace(
+            spec, **{name: getattr(spec, name) * math.exp(shift)}))[1].r_c)
+
+    grad = isochore_time_gradient(record)
+    for exact, name in zip(grad, ("tau_c", "tau_h")):
+        central = (ln_abs_r_c(name, eps) - ln_abs_r_c(name, -eps)) / (2.0 * eps)
+        assert abs(exact - central) <= 1e-6 * max(map(abs, grad))
+    with pytest.raises(ValueError, match="q_c = 0"):
+        isochore_time_gradient(replace(record, q_c=0.0))
 
 def test_no_contraction_without_bath_coupling():
     spec = frictionless_spec(tau_c=0.0, tau_h=0.0)

@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_cycle import frictionless_spec
 
-from ottofridge.cycle import CycleSpec, NoContractionError, limit_cycle
+import ottofridge.optimize
+from ottofridge.cycle import CycleSpec, NoContractionError, isochore_time_gradient, limit_cycle
 from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.optimize import (
     OptimizationSpec,
@@ -277,3 +279,129 @@ def test_optimize_reports_failures_in_one_warning(monkeypatch):
     assert len(messages) == 1
     assert f"{result.failures} objective evaluations failed" in messages[0]
     assert "NoContractionError: injected" in messages[0]
+
+    # a Newton start inside the failing region is a failed restart row, not
+    # an exception; the midpoint and random starts still search
+    spec = replace(spec, base=make_base(tau_c=2.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = optimize_time_allocation(spec)
+    (start_values, start_r_c), *others = result.restarts
+    assert start_values == pytest.approx({"tau_c": 2.0, "tau_h": 1.0}, rel=1e-15)
+    assert start_r_c == -math.inf
+    assert all(r_c > 0.0 for _, r_c in others)
+    assert result.best_spec.tau_c <= 1.3
+    assert len(caught) == 1 and "NoContractionError: injected" in str(caught[0].message)
+
+
+def test_optimize_reuses_each_restarts_best_record(monkeypatch):
+    # no limit_cycle call beyond the search's own evaluations and the
+    # z-equation comparison: each restart keeps its best record
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return limit_cycle(spec)
+
+    monkeypatch.setattr(ottofridge.optimize, "limit_cycle", counting)
+    bounds = {"tau_c": (1e-2, 50.0), "tau_h": (1e-2, 50.0), "omega_c": (0.3, 3.0)}
+    newton = optimize_time_allocation(OptimizationSpec(
+        base=make_base(), free=("tau_c", "tau_h"), bounds=bounds, seed=11, restarts=3))
+    assert newton.z_comparison is not None
+    assert len(calls) == newton.evaluations + 1
+    assert newton.best_record.r_c == max(r_c for _, r_c in newton.restarts)
+    assert newton.best_spec is newton.best_record.chain[0]
+
+    # Nelder-Mead: its evaluations are the ones scipy counts
+    nfev = []
+    minimize = ottofridge.optimize.minimize
+
+    def counting_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(ottofridge.optimize, "minimize", counting_minimize)
+    calls.clear()
+    nelder_mead = optimize_time_allocation(OptimizationSpec(
+        base=make_base(), free=("omega_c",), bounds=bounds, seed=11, restarts=2))
+    assert nelder_mead.z_comparison is None
+    assert len(calls) == nelder_mead.evaluations == sum(nfev)
+    assert nelder_mead.best_record.r_c == limit_cycle(nelder_mead.best_spec)[1].r_c
+
+
+@pytest.mark.parametrize("kind", ["three_jump", "const_mu"])
+@pytest.mark.parametrize("omega_h, omega_c, t_h, t_c, tau", [
+    (10.0, 1.0, 2.0, 0.5, None),
+    (100.0, 0.16, 1.0, 0.1, None),
+    (30.0, 2.0, 1.0, 0.3, None),
+    (30.0, 2.0, 1.0, 0.3, (0.1, 30.0)),     # optimum far from the start
+])
+def test_newton_optimum_is_the_z_equation_on_frictionless_kinds(kind, omega_h, omega_c,
+                                                                t_h, t_c, tau):
+    # with equal conductances the z-equation is the exact optimum of a
+    # frictionless cycle; every Newton start (given or z, box midpoint,
+    # seeded random) must reach it, with no warning
+    z_spec = frictionless_spec(omega_h, omega_c, t_h, t_c, kind=kind)
+    base = z_spec if tau is None else replace(z_spec, tau_c=tau[0], tau_h=tau[1])
+    spec = OptimizationSpec(base=base, free=("tau_c", "tau_h"),
+                            bounds={"tau_c": (1e-2, 50.0), "tau_h": (1e-2, 50.0)},
+                            seed=5, restarts=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = optimize_time_allocation(spec)
+    assert len(result.restarts) == 3
+    for values, _ in result.restarts:
+        assert values["tau_c"] == pytest.approx(z_spec.tau_c, rel=1e-9)
+        assert values["tau_h"] == pytest.approx(z_spec.tau_h, rel=1e-9)
+    assert max(map(abs, isochore_time_gradient(result.best_record))) <= 1e-10
+
+
+def test_newton_iteration_cap_is_warned_about(monkeypatch):
+    monkeypatch.setattr(ottofridge.optimize, "_NEWTON_MAX_ITER", 1)
+    base = frictionless_spec(30.0, 2.0, 1.0, 0.3, tau_c=0.1, tau_h=30.0)
+    spec = OptimizationSpec(base=base, free=("tau_c", "tau_h"),
+                            bounds={"tau_c": (1e-2, 50.0), "tau_h": (1e-2, 50.0)},
+                            seed=5, restarts=2)
+    with pytest.warns(UserWarning, match=r"2 Newton searches stopped with a projected "
+                                         r"\|grad ln R_c\| above 1e-10"):
+        result = optimize_time_allocation(spec)
+    assert result.failures == 0
+
+
+def test_newton_stops_on_a_face_of_the_box():
+    # the z-optimal tau_h lies above the box: the search ends on the face
+    # tau_h = hi with the gradient pointing out, and stationary in tau_c
+    base = frictionless_spec(30.0, 2.0, 1.0, 0.3)
+    hi = 0.5 * base.tau_h
+    spec = OptimizationSpec(base=base, free=("tau_c", "tau_h"),
+                            bounds={"tau_c": (1e-2, 50.0), "tau_h": (1e-2, hi)},
+                            seed=5, restarts=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = optimize_time_allocation(spec)
+    for values, _ in result.restarts:
+        assert values["tau_h"] == pytest.approx(hi, rel=1e-15)
+        _, record = limit_cycle(replace(base, **values))
+        d_tau_c, d_tau_h = isochore_time_gradient(record)
+        assert abs(d_tau_c) <= 1e-10 and d_tau_h > 0.1
+
+
+def test_newton_climbs_out_of_a_start_that_does_not_cool():
+    # exponential ramps 10 -> 1 of duration 2: at (tau_c, tau_h) = (0.41,
+    # 0.71) the cycle heats the cold bath; the search climbs R_c until it
+    # cools and ends at a stationary point of ln R_c
+    base = replace(make_base(tau_c=0.41, tau_h=0.71),
+                   expansion=Schedule.exponential(10.0, 1.0, 2.0),
+                   compression=Schedule.exponential(1.0, 10.0, 2.0))
+    assert limit_cycle(base)[1].q_c < 0.0
+    spec = OptimizationSpec(base=base, free=("tau_c", "tau_h"),
+                            bounds={"tau_c": (1e-2, 50.0), "tau_h": (1e-2, 50.0)},
+                            seed=5, restarts=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = optimize_time_allocation(spec)
+    ((values, r_c),) = result.restarts
+    assert r_c > 0.0
+    _, record = limit_cycle(replace(base, **values))
+    assert max(map(abs, isochore_time_gradient(record))) <= 1e-10

@@ -1,10 +1,12 @@
 """Temperature sweeps and power-law fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ottofridge.cycle import isochore_time_gradient, limit_cycle
 from ottofridge.scaling import (
     SweepSpec,
     build_point,
@@ -163,8 +165,8 @@ def test_omega_c_search_reuses_its_winner(monkeypatch):
 
 
 def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
-    # the winner's cycle comes from the search itself: one Nelder-Mead
-    # allocation search per golden-section evaluation, none after it
+    # the winner's cycle comes from the search itself: one allocation
+    # search per golden-section evaluation, none after it
     import ottofridge.optimize
     searches = []
     search = ottofridge.optimize.optimize_time_allocation
@@ -180,6 +182,36 @@ def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
     cycle = build_point(spec, 0.05)
     assert len(searches) == spec.search_iters + 2
     assert any(cycle is found for found in searches)
+
+
+def test_searched_allocations_are_verified_local_optima(monkeypatch):
+    # every isochore-time search of the exponential acceptance window ends
+    # at a stationary point of ln R_c in the box, no worse than its z-start,
+    # with no iteration cap reached (that would warn, here an error)
+    import ottofridge.optimize
+    searches = []
+    search = ottofridge.optimize.optimize_time_allocation
+
+    def recording(spec):
+        result = search(spec)
+        searches.append((spec, result))
+        return result
+
+    monkeypatch.setattr(ottofridge.optimize, "optimize_time_allocation", recording)
+    spec = SweepSpec(kind="exponential", omega_h=100.0, t_hot=1.0, gamma=1.0, t_max=1e-1,
+                     t_min=1e-3, points_per_decade=5, allocation="searched")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = temperature_sweep(spec).rows
+    assert all(r.flag == 1 for r in rows)
+    assert len(searches) == len(rows) * (spec.search_iters + 2)
+    for opt, result in searches:
+        for name, g in zip(("tau_c", "tau_h"), isochore_time_gradient(result.best_record)):
+            lo, hi = opt.bounds[name]
+            tau = getattr(result.best_spec, name)
+            held = (tau <= lo * (1 + 1e-15) and g < 0) or (tau >= hi * (1 - 1e-15) and g > 0)
+            assert held or abs(g) <= 1e-10
+        assert result.best_record.r_c >= limit_cycle(opt.base)[1].r_c
 
 
 def test_sweep_fit_needs_enough_points():

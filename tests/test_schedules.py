@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import propagate_adiabat_numeric
+from oracles import jumps, propagate_adiabat_numeric
 from ottofridge.dynamics import StateVector, propagate
 from ottofridge.schedules import (
     Schedule,
@@ -182,10 +182,10 @@ def test_durations_and_jump_listing():
     sched = build_three_jump(10.0, 1.0)
     t1, t2 = three_jump_times(10.0, 1.0)
     assert sched.duration == pytest.approx(t1 + t2, rel=1e-14)
-    jumps = sched.jumps()
-    assert [(j[1], j[2]) for j in jumps] == [(10.0, 1.0), (1.0, 10.0), (10.0, 1.0)]
-    assert jumps[0][0] == 0.0
-    assert jumps[-1][0] == pytest.approx(sched.duration, rel=1e-14)
+    found = jumps(sched)
+    assert [(j[1], j[2]) for j in found] == [(10.0, 1.0), (1.0, 10.0), (10.0, 1.0)]
+    assert found[0][0] == 0.0
+    assert found[-1][0] == pytest.approx(sched.duration, rel=1e-14)
     # endpoint evaluations are the one-sided limits
     assert sched.evaluate(0.0)[0] == 10.0
     assert sched.evaluate(sched.duration)[0] == 1.0
