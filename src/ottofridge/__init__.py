@@ -14,7 +14,7 @@ from .cycle import (
     CycleRecord,
     CycleSpec,
     NoContractionError,
-    isochore_time_gradient,
+    isochore_time_derivatives,
     limit_cycle,
     run_one_cycle,
 )
@@ -62,7 +62,7 @@ __all__ = [
     "propagate_isochore", "isochore_affine", "propagate",
     "Schedule", "ScheduleError", "critical_mu", "three_jump_times", "build_three_jump",
     "CycleSpec", "CycleRecord", "BranchRecord", "NoContractionError",
-    "run_one_cycle", "limit_cycle", "isochore_time_gradient",
+    "run_one_cycle", "limit_cycle", "isochore_time_derivatives",
     "OptimizationSpec", "OptimizationResult", "GAResult",
     "solve_isochore_z", "lambert_w0", "optimal_cold_frequency",
     "optimize_time_allocation", "ga_schedule_search",

@@ -5,7 +5,8 @@ Commands:
                  frequency pair (critical mu, bang-bang hold times, kappa)
     simulate  -- solve the limit cycle of the configured CycleSpec
     optimize  -- multi-start search over the configured free variables
-                 (Newton on the exact gradient for tau_c, tau_h; else Nelder-Mead)
+                 (Newton on the exact gradient and Hessian for tau_c, tau_h;
+                 else Nelder-Mead)
     sweep     -- temperature sweep with power-law exponent fit
     ga        -- genetic search over piecewise schedules
 

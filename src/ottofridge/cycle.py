@@ -21,8 +21,9 @@ on plain Python floats: a 3x3 map is a row-major 9-tuple, a vector a 3-tuple
 and an isochore its four scalars.  The eigenvalues and the direct solve call
 the LAPACK routines dgeev and dgesv that numpy's eigvals and solve wrap.
 branch_affine_maps and cycle_affine_map return the same maps as numpy arrays.
-isochore_time_gradient differentiates the fixed point, and with it ln R_c,
-with respect to the two isochore times.
+isochore_time_derivatives differentiates the fixed point twice, and with it
+ln R_c, with respect to the two isochore times: the exact gradient and
+Hessian, from the branch maps and M that the record's limit_cycle call built.
 """
 
 from __future__ import annotations
@@ -133,7 +134,9 @@ class CycleRecord:
     r_c: float
     sigma: float
     cop: float
-    # (the CycleSpec, the chain vectors at A, D, C, B, A'); read by ``branches``
+    # (the CycleSpec, its float branch maps, the cycle matrix M, the chain
+    # vectors at A, D, C, B, A'); read by ``branches`` and
+    # :func:`isochore_time_derivatives`
     chain: tuple = field(repr=False, compare=False)
     iterations: int = 0
     residual: float = float("nan")
@@ -143,7 +146,7 @@ class CycleRecord:
     @cached_property
     def branches(self) -> tuple[BranchRecord, ...]:
         """Start and end state of each branch, built on first read."""
-        spec, vs = self.chain
+        spec, _, _, vs = self.chain
         legs = _legs(spec)
         omegas = [spec.omega_h] + [omega for _, _, omega in legs]
         states = [StateVector(*v, w, check=False) for v, w in zip(vs, omegas)]
@@ -272,8 +275,8 @@ def cycle_affine_map(spec: CycleSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.array(m).reshape(3, 3), np.array(k)
 
 
-def _ledger(spec: CycleSpec, maps, v: tuple, **diag) -> CycleRecord:
-    """Heat/work ledger of one cycle started from v at point A."""
+def _ledger(spec: CycleSpec, maps, m: tuple, v: tuple, **diag) -> CycleRecord:
+    """Heat/work ledger of one cycle started from v at point A; m is the maps' M."""
     a_exp, cold, a_comp, hot = maps
     v_d = _affine(a_exp, v)
     v_c = _iso_affine(cold, v_d)
@@ -289,15 +292,16 @@ def _ledger(spec: CycleSpec, maps, v: tuple, **diag) -> CycleRecord:
              if tau > 0 else 0.0)
     cop = q_c / w if abs(w) > 1e-300 else float("nan")
     return CycleRecord(q_c=q_c, q_h=q_h, w=w, tau_total=tau, r_c=r_c, sigma=sigma,
-                       cop=cop, chain=(spec, (v, v_d, v_c, v_b, v_a2)), **diag)
+                       cop=cop, chain=(spec, maps, m, (v, v_d, v_c, v_b, v_a2)), **diag)
 
 
 def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, CycleRecord]:
     """Run a single cycle from state A; returns the new A state and the ledger."""
     if not math.isclose(state.omega, spec.omega_h, rel_tol=1e-9):
         raise ValueError("input state must sit at omega_h (cycle point A)")
-    record = _ledger(spec, _branch_maps(spec), (state.e_h, state.e_l, state.e_c))
-    _, vs = record.chain
+    maps = _branch_maps(spec)
+    record = _ledger(spec, maps, _compose(maps)[0], (state.e_h, state.e_l, state.e_c))
+    *_, vs = record.chain
     return StateVector(*vs[-1], spec.omega_h, check=False), record
 
 
@@ -366,49 +370,104 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     v, cycles = _squaring_fixed_point(m, k, (e_hot, 0.0, 0.0))
 
     scale = max(math.hypot(*v_direct), 1e-300)
-    record = _ledger(spec, maps, v_direct, iterations=cycles,
+    record = _ledger(spec, maps, m, v_direct, iterations=cycles,
                      residual=math.dist(_affine(m, v_direct, k), v_direct) / scale,
                      solver_agreement=math.dist(v_direct, v) / scale,
                      spectral_radius=rho)
     return StateVector(*v_direct, spec.omega_h, check=False), record
 
 
+def _generator(omega: float, gamma: float, u: tuple) -> tuple:
+    """J u for the linear part J of the isochore generator: decay gamma, rotation 2 omega."""
+    x, y, z = u
+    return (-gamma * x, -gamma * y - 2.0 * omega * z, -gamma * z + 2.0 * omega * y)
+
+
 def _isochore_field(omega: float, bath: BathSpec, v: tuple) -> tuple:
-    """The isochore's vector field dv/dt at v (the generator of isochore_scalars)."""
-    g = bath.conductance
+    """The isochore vector field dv/dt = J (v - v_eq) behind isochore_scalars."""
     _, e_eq = equilibrium_state(omega, bath)
-    e_h, e_l, e_c = v
-    return (-g * (e_h - e_eq), -g * e_l - 2.0 * omega * e_c, -g * e_c + 2.0 * omega * e_l)
+    return _generator(omega, bath.conductance, (v[0] - e_eq, v[1], v[2]))
 
 
-def isochore_time_gradient(record: CycleRecord) -> tuple[float, float]:
-    """Exact gradient (d ln R_c / d ln tau_c, d ln R_c / d ln tau_h) at a limit cycle.
+def _dot0(a: tuple, v) -> float:
+    """[a v]_0 for a 3x3 map a."""
+    return a[0] * v[0] + a[1] * v[1] + a[2] * v[2]
 
-    ``record`` is a :func:`limit_cycle` record; its chain holds the spec and
-    the fixed point v_A with the states v_D, v_C after it.  With f_c, f_h the
-    isochore vector fields, the cycle map F(v) = M v + k moves with the
-    isochore times as dF/dtau_c = A_hot A_comp f_c(v_C) and dF/dtau_h =
-    f_h(v_A), so the fixed point moves as dv_A = (I - M)^-1 dF (one dgesv,
-    two right-hand sides).  Q_c = [C(A_exp v_A)]_0 - [A_exp v_A]_0 then gives
-    dQ_c = (d_c - 1) [A_exp dv_A]_0 + [f_c(v_C)]_0 delta_c and
-    dR_c/dtau = (dQ_c/dtau - R_c) / tau_total.  The result is tau (dR_c/dtau)
-    / R_c, which for a cycle that heats the cold bath (q_c < 0) is the
-    gradient of ln |R_c|; q_c = 0 raises ValueError.
+
+def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
+    """Exact gradient and Hessian of ln |R_c| in (ln tau_c, ln tau_h) at a limit cycle.
+
+    ``record`` is a :func:`limit_cycle` record; its chain holds the spec, the
+    branch maps, M and the fixed point v_A with the states v_D, v_C after it.
+    Returns ((g_c, g_h), ((h_cc, h_ch), (h_ch, h_hh))).
+
+    The isochore flow has the field f(v) = J (v - v_eq), with J its linear
+    part and L = e^(J tau) the decayed rotation of isochore_scalars.  The
+    cycle map F(v) = M v + k moves with the isochore times as dF/dtau_c =
+    L_h A_comp f_c(v_C) and dF/dtau_h = f_h(v_A), so the fixed point moves as
+    v_i = (I - M)^-1 dF/dtau_i (one dgesv, two right-hand sides).  Its second
+    derivatives solve (I - M) v_ij = d_ij F + (d_v d_i F) v_j + (d_v d_j F) v_i
+    (one dgesv, three right-hand sides) with
+
+        d_v d_tau_c F = L_h A_comp J_c L_c A_exp,   d_v d_tau_h F = J_h M,
+        d_cc F = L_h A_comp J_c f_c(v_C),   d_ch F = J_h dF/dtau_c,
+        d_hh F = J_h f_h(v_A).
+
+    Q_c = (d_c - 1) ([A_exp v_A]_0 - e_eq,c) with d_c = e^(-Gamma_c tau_c)
+    gives dQ_c/dtau_c = (d_c - 1) [A_exp v_c]_0 + [f_c(v_C)]_0,
+    dQ_c/dtau_h = (d_c - 1) [A_exp v_h]_0 and, with d_c' = -Gamma_c d_c,
+    Q_ij = (d_c - 1) [A_exp v_ij]_0 plus 2 d_c' [A_exp v_c]_0 - Gamma_c
+    [f_c(v_C)]_0 in Q_cc and d_c' [A_exp v_h]_0 in Q_ch.  With tau = tau_total,
+    R_i = (Q_i - R_c) / tau and R_ij = (Q_ij - R_i - R_j) / tau; then g_i =
+    tau_i R_i / R_c and h_ij = tau_i tau_j R_ij / R_c - g_i g_j + [i = j] g_i.
+    For a cycle that heats the cold bath (q_c < 0) these are the derivatives
+    of ln |R_c|; q_c = 0 raises ValueError.
     """
-    spec, (v_a, _, v_c, _, _) = record.chain
+    spec, maps, m, (v_a, _, v_c, _, _) = record.chain
     if record.q_c == 0.0:
-        raise ValueError("ln |R_c| has no gradient at q_c = 0")
-    maps = _branch_maps(spec)
+        raise ValueError("ln |R_c| has no derivatives at q_c = 0")
     a_exp, cold, a_comp, hot = maps
-    f_c = _isochore_field(spec.omega_c, spec.cold_bath, v_c)
-    b_c = _iso_affine(hot[:3] + (0.0,), _affine(a_comp, f_c))
-    b_h = _isochore_field(spec.omega_h, spec.hot_bath, v_a)
-    (x0, y0), (x1, y1), (x2, y2) = _solve_i_minus(_compose(maps)[0], tuple(zip(b_c, b_h)))
-    d_c_minus_1 = cold[0] - 1.0
-    dq_c = d_c_minus_1 * (a_exp[0] * x0 + a_exp[1] * x1 + a_exp[2] * x2) + f_c[0]
-    dq_h = d_c_minus_1 * (a_exp[0] * y0 + a_exp[1] * y1 + a_exp[2] * y2)
-    r_c = record.r_c
-    return spec.tau_c * (dq_c - r_c) / record.q_c, spec.tau_h * (dq_h - r_c) / record.q_c
+    omega_c, gamma_c = spec.omega_c, spec.cold_bath.conductance
+    omega_h, gamma_h = spec.omega_h, spec.hot_bath.conductance
+    cold_lin, hot_lin = cold[:3] + (0.0,), hot[:3] + (0.0,)
+
+    def after_cold(v):          # L_c A_exp v: from A to after the cold isochore
+        return _iso_affine(cold_lin, _affine(a_exp, v))
+
+    def to_a(u):                # L_h A_comp u: from after the cold isochore to A
+        return _iso_affine(hot_lin, _affine(a_comp, u))
+
+    f_c = _isochore_field(omega_c, spec.cold_bath, v_c)
+    f_h = _isochore_field(omega_h, spec.hot_bath, v_a)
+    b_c = to_a(f_c)
+    (x0, y0), (x1, y1), (x2, y2) = _solve_i_minus(m, tuple(zip(b_c, f_h)))
+    v_tc, v_th = (x0, x1, x2), (y0, y1, y2)
+
+    r_cc = to_a(_generator(omega_c, gamma_c,
+                           [f + 2.0 * w for f, w in zip(f_c, after_cold(v_tc))]))
+    r_ch = [a + b for a, b in zip(
+        _generator(omega_h, gamma_h, [b + w for b, w in zip(b_c, _affine(m, v_tc))]),
+        to_a(_generator(omega_c, gamma_c, after_cold(v_th))))]
+    r_hh = _generator(omega_h, gamma_h, [f + 2.0 * w for f, w in zip(f_h, _affine(m, v_th))])
+    (z0, z1, z2), (z3, z4, z5), (z6, z7, z8) = _solve_i_minus(m, tuple(zip(r_cc, r_ch, r_hh)))
+
+    d_c = cold[0]
+    d_c_minus_1 = d_c - 1.0
+    a_c, a_h = _dot0(a_exp, v_tc), _dot0(a_exp, v_th)
+    dq_c = d_c_minus_1 * a_c + f_c[0]
+    dq_h = d_c_minus_1 * a_h
+    q_cc = d_c_minus_1 * _dot0(a_exp, (z0, z3, z6)) - 2.0 * gamma_c * d_c * a_c - gamma_c * f_c[0]
+    q_ch = d_c_minus_1 * _dot0(a_exp, (z1, z4, z7)) - gamma_c * d_c * a_h
+    q_hh = d_c_minus_1 * _dot0(a_exp, (z2, z5, z8))
+
+    q, r_c, tau = record.q_c, record.r_c, record.tau_total
+    tau_c, tau_h = spec.tau_c, spec.tau_h
+    r_tc, r_th = (dq_c - r_c) / tau, (dq_h - r_c) / tau
+    g_c, g_h = tau_c * (dq_c - r_c) / q, tau_h * (dq_h - r_c) / q
+    h_ch = tau_c * tau_h * (q_ch - r_tc - r_th) / q - g_c * g_h
+    return (g_c, g_h), (
+        (tau_c * tau_c * (q_cc - 2.0 * r_tc) / q - g_c * g_c + g_c, h_ch),
+        (h_ch, tau_h * tau_h * (q_hh - 2.0 * r_th) / q - g_h * g_h + g_h))
 
 
 def equilibration_bound(spec: CycleSpec) -> float:

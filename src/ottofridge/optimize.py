@@ -1,7 +1,7 @@
 """Optimization of the cooling rate: isochore time allocation, cold-frequency
 choice, multi-start searches over branch times (a damped Newton step on the
-exact gradient for the two isochore times, Nelder-Mead otherwise), and a
-genetic search over piecewise frequency protocols.
+exact gradient and Hessian for the two isochore times, Nelder-Mead
+otherwise), and a genetic search over piecewise frequency protocols.
 
 All stochastic searches draw from a seeded PCG64 generator and reduce results
 in candidate order, so a fixed seed gives bit-identical output.
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, isochore_time_gradient, limit_cycle
+from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, isochore_time_derivatives, limit_cycle
 from .schedules import Schedule, build_three_jump
 
 _FREE_VARS = ("tau_c", "tau_h", "tau_hc", "tau_ch", "omega_c")
@@ -24,7 +24,6 @@ _FREE_VARS = ("tau_c", "tau_h", "tau_hc", "tau_ch", "omega_c")
 # Newton search over the isochore times (ln tau_c, ln tau_h)
 _NEWTON_GTOL = 1e-10       # stop at a projected max |d ln R_c / d ln tau| below this
 _NEWTON_RTOL = 1e-12       # fall in R_c a smaller gradient may excuse: rounding level
-_NEWTON_FD_STEP = 1e-6     # forward-difference step of the Hessian, in ln tau
 _NEWTON_MAX_ITER = 50      # iterations per start; reaching it is warned about
 
 
@@ -243,21 +242,21 @@ def _projected(g: list, x: list, lo: list, hi: list) -> list:
 def _newton_isochore_times(point, x: list, lo: list, hi: list):
     """Damped Newton ascent of ln R_c over the box lo <= x <= hi of (ln tau, ln tau).
 
-    ``point(x)`` returns (values, record, g) with g = grad R_c / |R_c|, which
-    is grad ln R_c where the cycle cools and leads a search that starts
-    without cooling uphill; the record is None for a failed evaluation and g
-    None where there is no gradient.  Each iteration forms the Hessian by
-    forward differences of g, one evaluation per coordinate that is not held
-    at a face of the box by a gradient pointing out.  R_c ripples in tau_h
-    with period pi/omega_h, so the curvature can be positive; a Hessian that
-    is not negative definite is replaced by -|diag|.  The step is halved
-    until R_c does not fall or, with the Hessian unmodified, the projected
-    gradient falls while R_c falls by at most _NEWTON_RTOL: near the optimum
-    R_c changes only by rounding.  Returns (values, record, converged) of the
-    last accepted iterate, which converged when its projected max-norm
-    gradient is at most _NEWTON_GTOL.
+    ``point(x)`` returns (values, record, g, h) with g = grad R_c / |R_c|,
+    which is grad ln R_c where the cycle cools and leads a search that
+    starts without cooling uphill, and h its exact Jacobian (the Hessian of
+    ln |R_c| with the sign of R_c); the record is None for a failed
+    evaluation and g, h None where there are no derivatives.  Rows and
+    columns of a coordinate held at a face of the box by a gradient pointing
+    out are dropped.  R_c ripples in tau_h with period pi/omega_h, so the
+    curvature can be positive; a Hessian that is not negative definite is
+    replaced by -|diag|.  The step is halved until R_c does not fall or,
+    with the Hessian unmodified, the projected gradient falls while R_c falls
+    by at most _NEWTON_RTOL: near the optimum R_c changes only by rounding.
+    Returns (values, record, converged) of the last accepted iterate, which
+    converged when its projected max-norm gradient is at most _NEWTON_GTOL.
     """
-    values, record, g = point(x)
+    values, record, g, h = point(x)
     if g is None:
         return values, record, False
     for _ in range(_NEWTON_MAX_ITER):
@@ -265,20 +264,10 @@ def _newton_isochore_times(point, x: list, lo: list, hi: list):
         gnorm = max(map(abs, pg))
         if gnorm <= _NEWTON_GTOL:
             return values, record, True
-        cols = [None, None]         # None: held at a face
-        for i in (0, 1):
-            if pg[i] != g[i]:
-                continue
-            xh = list(x)
-            xh[i] += _NEWTON_FD_STEP if x[i] + _NEWTON_FD_STEP <= hi[i] else -_NEWTON_FD_STEP
-            _, _, g_h = point(xh)
-            if g_h is None:
-                return values, record, False
-            cols[i] = [(gj - gi) / (xh[i] - x[i]) for gj, gi in zip(g_h, g)]
-        c0, c1 = cols
-        h00 = c0[0] if c0 else -1.0
-        h11 = c1[1] if c1 else -1.0
-        h01 = 0.5 * (c0[1] + c1[0]) if c0 and c1 else 0.0
+        free0, free1 = pg[0] == g[0], pg[1] == g[1]     # not held at a face
+        h00 = h[0][0] if free0 else -1.0
+        h11 = h[1][1] if free1 else -1.0
+        h01 = h[0][1] if free0 and free1 else 0.0
         modified = not (h00 < 0.0 and h00 * h11 > h01 * h01)
         if modified:
             h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
@@ -290,13 +279,13 @@ def _newton_isochore_times(point, x: list, lo: list, hi: list):
             xt = [min(max(xi + alpha * pi, a), b) for xi, pi, a, b in zip(x, p, lo, hi)]
             if xt == x:                 # no representable step is accepted
                 return values, record, False
-            values_t, rec_t, g_t = point(xt)
+            values_t, rec_t, g_t, h_t = point(xt)
             if g_t is not None and (rec_t.r_c >= record.r_c or (
                     not modified and rec_t.r_c >= floor
                     and max(map(abs, _projected(g_t, xt, lo, hi))) < gnorm)):
                 break
             alpha *= 0.5
-        x, values, record, g = xt, values_t, rec_t, g_t
+        x, values, record, g, h = xt, values_t, rec_t, g_t, h_t
     return values, record, False
 
 
@@ -307,14 +296,15 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     T_c -> 0), from the base spec's values when they lie in the box, the
     box midpoint and seeded random points.  When the free set is exactly
     {tau_c, tau_h}, each start runs a damped Newton ascent on the exact
-    gradient of :func:`~ottofridge.cycle.isochore_time_gradient` (see
-    :func:`_newton_isochore_times`); other free sets run Nelder-Mead.
+    gradient and Hessian of :func:`~ottofridge.cycle.isochore_time_derivatives`
+    (see :func:`_newton_isochore_times`); other free sets run Nelder-Mead.
     Failed objective evaluations count as -inf fitness; their number is
     ``failures``, and one warning per call reports it together with any
     Newton search that stopped short of its gradient tolerance.  When only
     the isochore times are free and the conductances are equal, the result
     is compared against the analytic z-equation allocation and the
-    comparison is attached to the result.
+    comparison is attached to the result; the analytic allocation replaces
+    the searched one when it lies inside the box and has the higher R_c.
     """
     base = spec.base
     if not spec.free:
@@ -357,11 +347,13 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     def point(x):
         values, record = evaluate(x)
         if record is None or record.q_c == 0.0:
-            return values, record, None
-        g = isochore_time_gradient(record)
+            return values, record, None, None
+        (g0, g1), ((h00, h01), (_, h11)) = isochore_time_derivatives(record)
         if record.q_c < 0.0:        # there grad R_c / |R_c| = -grad ln |R_c|
-            g = (-g[0], -g[1])
-        return values, record, list(g) if names[0] == "tau_c" else [g[1], g[0]]
+            g0, g1, h00, h01, h11 = -g0, -g1, -h00, -h01, -h11
+        if names[0] == "tau_c":
+            return values, record, [g0, g1], ((h00, h01), (h01, h11))
+        return values, record, [g1, g0], ((h11, h01), (h01, h00))
 
     unconverged = 0
     found = []              # (values, record) of each restart's best point
@@ -412,8 +404,9 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
             "r_c_z": z_record.r_c, "r_c_searched": best_record.r_c,
             "relative_gap": gap, "agree_1pct": gap <= 0.01,
         }
-        if z_record.r_c > best_record.r_c:
-            # analytic allocation beat the search; keep the better point
+        if z_record.r_c > best_record.r_c and all(
+                spec.bounds[n][0] <= z_values[n] <= spec.bounds[n][1] for n in names):
+            # analytic allocation inside the box beat the search; keep it
             best_values, best_spec, best_record = z_values, z_spec, z_record
 
     return OptimizationResult(best_spec, best_record, best_values, results, spec.seed,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cycle import DOMAIN_ERRORS, CycleSpec, limit_cycle
+from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, limit_cycle
 from .dynamics import BathSpec
 from .optimize import optimal_cold_frequency, solve_isochore_z
 from .schedules import Schedule, build_three_jump, critical_mu
@@ -165,7 +165,8 @@ def _golden_max(f, lo: float, hi: float, iters: int):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _allocate(spec: SweepSpec, cycle: CycleSpec) -> CycleSpec:
+def _allocate(spec: SweepSpec, cycle: CycleSpec) -> tuple[CycleSpec, CycleRecord]:
+    """The cycle with its isochore times allocated, and its limit-cycle record."""
     alloc = solve_isochore_z(spec.gamma, spec.gamma,
                              cycle.expansion.duration + cycle.compression.duration)
     tau = max(alloc.tau_c, 1e-12)
@@ -176,12 +177,13 @@ def _allocate(spec: SweepSpec, cycle: CycleSpec) -> CycleSpec:
         result = optimize_time_allocation(OptimizationSpec(
             base=cycle, free=("tau_c", "tau_h"), bounds=bounds,
             seed=spec.seed, restarts=1))
-        cycle = result.best_spec
-    return cycle
+        return result.best_spec, result.best_record
+    return cycle, limit_cycle(cycle)[1]
 
 
-def build_point(spec: SweepSpec, t_c: float, omega_c: float | None = None) -> CycleSpec:
-    """Assemble the cycle for one sweep temperature (duration search included)."""
+def build_point(spec: SweepSpec, t_c: float,
+                omega_c: float | None = None) -> tuple[CycleSpec, CycleRecord]:
+    """The cycle for one sweep temperature (duration search included) and its record."""
     hot = BathSpec(spec.t_hot, spec.gamma)
     cold = BathSpec(t_c, spec.gamma)
     if omega_c is None:
@@ -203,7 +205,7 @@ def build_point(spec: SweepSpec, t_c: float, omega_c: float | None = None) -> Cy
 
     # searched adiabat duration for the generic kinds; the parameter is the
     # peak adiabatic rate |mu| at the cold end of the ramp.
-    def cycle_for(param: float) -> CycleSpec:
+    def cycle_for(param: float) -> tuple[CycleSpec, CycleRecord]:
         if spec.kind == "linear":
             tau = (w_h - w_c) / (param * w_c * w_c)
             return assemble(Schedule.linear(w_h, w_c, tau), Schedule.linear(w_c, w_h, tau))
@@ -211,17 +213,16 @@ def build_point(spec: SweepSpec, t_c: float, omega_c: float | None = None) -> Cy
         return assemble(Schedule.exponential(w_h, w_c, tau),
                         Schedule.exponential(w_c, w_h, tau))
 
-    # every cycle the search assembled, so the winner is not assembled (and,
-    # with allocation "searched", searched) a second time
-    built: dict[float, CycleSpec] = {}
+    # every (cycle, record) the search built, so the winner is not assembled
+    # (and, with allocation "searched", searched) or solved a second time
+    built: dict[float, tuple[CycleSpec, CycleRecord]] = {}
 
     def score(log_param: float) -> float:
         try:
-            cycle = built[log_param] = cycle_for(math.exp(log_param))
-            _, record = limit_cycle(cycle)
-            return record.r_c
+            built[log_param] = cycle, record = cycle_for(math.exp(log_param))
         except DOMAIN_ERRORS:
             return -math.inf
+        return record.r_c
 
     lo, hi = spec.duration_bracket
     best_log, _ = _golden_max(score, math.log(lo), math.log(hi), spec.search_iters)
@@ -240,21 +241,17 @@ def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
 
             def score(log_y):
                 try:
-                    cycle = build_point(spec, t_c, math.exp(log_y) * t_c)
-                    _, record = limit_cycle(cycle)
+                    built[log_y] = cycle, record = build_point(spec, t_c, math.exp(log_y) * t_c)
                 except DOMAIN_ERRORS:
                     return -math.inf
-                built[log_y] = cycle, record
                 return record.r_c
             best_log, _ = _golden_max(score, math.log(0.05), math.log(3.0), spec.search_iters)
             if best_log in built:
                 cycle, record = built[best_log]
             else:                   # raises the error that failed it
-                cycle = build_point(spec, t_c, math.exp(best_log) * t_c)
-                _, record = limit_cycle(cycle)
+                cycle, record = build_point(spec, t_c, math.exp(best_log) * t_c)
         else:
-            cycle = build_point(spec, t_c)
-            _, record = limit_cycle(cycle)
+            cycle, record = build_point(spec, t_c)
     except DOMAIN_ERRORS as exc:
         return SweepRow(t_c, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
                         flag=0, error=f"{type(exc).__name__}: {exc}")

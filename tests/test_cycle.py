@@ -16,7 +16,7 @@ from ottofridge.cycle import (
     branch_affine_maps,
     cycle_affine_map,
     equilibration_bound,
-    isochore_time_gradient,
+    isochore_time_derivatives,
     limit_cycle,
     run_one_cycle,
 )
@@ -329,25 +329,46 @@ def cooling_spec(draw):
                      tau_h=draw(st.floats(0.2, 4.0)) / gamma)
 
 
+def central_difference(f, eps=1e-6):
+    """f'(0) for a tuple-valued f: central differences at eps and eps/2,
+    Richardson-extrapolated so that the truncation error is O(eps^4)."""
+    wide = [(a - b) / (2.0 * eps) for a, b in zip(f(eps), f(-eps))]
+    half = [(a - b) / eps for a, b in zip(f(0.5 * eps), f(-0.5 * eps))]
+    return [(4.0 * h - w) / 3.0 for h, w in zip(half, wide)]
+
+
+def assert_hessian_matches_gradient_differences(spec, hessian, eps=1e-6):
+    # each column against central differences of the exact gradient in
+    # ln tau, to 1e-6 of the Hessian's max-norm
+    def grad(name, shift):
+        return isochore_time_derivatives(limit_cycle(replace(
+            spec, **{name: getattr(spec, name) * math.exp(shift)}))[1])[0]
+
+    scale = max(abs(h) for row in hessian for h in row)
+    for j, name in enumerate(("tau_c", "tau_h")):
+        for i, fd in enumerate(central_difference(lambda s: grad(name, s), eps)):
+            assert abs(hessian[i][j] - fd) <= 1e-6 * scale
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cooling_spec())
 def test_isochore_time_gradient_matches_central_differences(spec):
-    # d ln R_c / d ln tau from the fixed point's derivative against central
-    # differences of ln R_c at eps = 1e-6 in ln tau
+    # d ln R_c / d ln tau from the fixed point's derivative against
+    # extrapolated central differences of ln R_c at eps = 1e-6 in ln tau
     try:
         _, record = limit_cycle(spec)
     except NoContractionError:
         assume(False)
     assume(record.q_c > 0.0)
-    grad = isochore_time_gradient(record)
+    grad = isochore_time_derivatives(record)[0]
     eps = 1e-6
 
     def ln_r_c(name, shift):
         return math.log(limit_cycle(replace(
             spec, **{name: getattr(spec, name) * math.exp(shift)}))[1].r_c)
 
-    central = [(ln_r_c(name, eps) - ln_r_c(name, -eps)) / (2.0 * eps)
+    central = [central_difference(lambda s: (ln_r_c(name, s),), eps)[0]
                for name in ("tau_c", "tau_h")]
     scale = max(map(abs, grad))
     for exact, fd in zip(grad, central):
@@ -355,7 +376,8 @@ def test_isochore_time_gradient_matches_central_differences(spec):
 
 
 def test_isochore_time_gradient_without_cooling():
-    # q_c < 0: the same formula is the gradient of ln |R_c|; q_c = 0 has none
+    # q_c < 0: the same formulas are the gradient and Hessian of ln |R_c|;
+    # q_c = 0 has none
     # n_eq(omega_c, T_c) < n_eq(omega_h, T_h), isochore times off the optimum
     spec = frictionless_spec(t_c=0.1, tau_c=0.5, tau_h=2.0)
     _, record = limit_cycle(spec)
@@ -366,12 +388,30 @@ def test_isochore_time_gradient_without_cooling():
         return math.log(-limit_cycle(replace(
             spec, **{name: getattr(spec, name) * math.exp(shift)}))[1].r_c)
 
-    grad = isochore_time_gradient(record)
+    grad, hessian = isochore_time_derivatives(record)
     for exact, name in zip(grad, ("tau_c", "tau_h")):
         central = (ln_abs_r_c(name, eps) - ln_abs_r_c(name, -eps)) / (2.0 * eps)
         assert abs(exact - central) <= 1e-6 * max(map(abs, grad))
+    assert_hessian_matches_gradient_differences(spec, hessian)
     with pytest.raises(ValueError, match="q_c = 0"):
-        isochore_time_gradient(replace(record, q_c=0.0))
+        isochore_time_derivatives(replace(record, q_c=0.0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cooling_spec())
+def test_isochore_time_hessian_matches_central_differences_of_the_gradient(spec):
+    # the exact Hessian of ln R_c in ln tau, symmetric, against extrapolated
+    # central differences of the exact gradient at eps = 1e-6 in ln tau
+    try:
+        _, record = limit_cycle(spec)
+    except NoContractionError:
+        assume(False)
+    assume(record.q_c > 0.0)
+    _, hessian = isochore_time_derivatives(record)
+    assert hessian[0][1] == hessian[1][0]
+    assert_hessian_matches_gradient_differences(spec, hessian)
+
 
 def test_no_contraction_without_bath_coupling():
     spec = frictionless_spec(tau_c=0.0, tau_h=0.0)

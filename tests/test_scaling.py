@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ottofridge.cycle import isochore_time_gradient, limit_cycle
+from ottofridge.cycle import isochore_time_derivatives, limit_cycle
 from ottofridge.scaling import (
     SweepSpec,
     build_point,
@@ -127,10 +127,10 @@ def test_sweep_propagates_non_domain_errors(kind, monkeypatch):
 
 
 def test_non_finite_cycle_map_is_a_domain_failure(monkeypatch):
-    # a NaN propagator makes a NaN cycle map: limit_cycle refuses it before
-    # LAPACK sees it with a LinAlgError (a ValueError), and a sweep records a
-    # failed point
-    from ottofridge.cycle import DOMAIN_ERRORS, limit_cycle
+    # a NaN propagator makes a NaN cycle map: limit_cycle (here inside
+    # build_point) refuses it before LAPACK sees it with a LinAlgError (a
+    # ValueError), and a sweep records a failed point
+    from ottofridge.cycle import DOMAIN_ERRORS
 
     def nan_propagator(schedule):
         return np.full((3, 3), np.nan)
@@ -138,7 +138,7 @@ def test_non_finite_cycle_map_is_a_domain_failure(monkeypatch):
     monkeypatch.setattr("ottofridge.cycle.schedule_propagator", nan_propagator)
     spec = small_sweep("three_jump", t_max=1e-1, t_min=1e-1 * 10**-0.05, points_per_decade=5)
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs") as err:
-        limit_cycle(build_point(spec, spec.t_max))
+        build_point(spec, spec.t_max)
     assert isinstance(err.value, DOMAIN_ERRORS)
     (row,) = temperature_sweep(spec).rows
     assert row.flag == 0 and row.error.startswith("LinAlgError")
@@ -161,7 +161,7 @@ def test_omega_c_search_reuses_its_winner(monkeypatch):
     (row,) = temperature_sweep(spec).rows
     assert row.flag == 1
     assert len(calls) == spec.search_iters + 2
-    assert row.omega_c == build(spec, spec.t_max, row.omega_c).omega_c
+    assert row.omega_c == build(spec, spec.t_max, row.omega_c)[0].omega_c
 
 
 def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
@@ -179,15 +179,47 @@ def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
     monkeypatch.setattr(ottofridge.optimize, "optimize_time_allocation", counting)
     spec = small_sweep("exponential", t_max=1e-1, t_min=5e-2, search_iters=6,
                        allocation="searched")
-    cycle = build_point(spec, 0.05)
+    cycle, record = build_point(spec, 0.05)
     assert len(searches) == spec.search_iters + 2
     assert any(cycle is found for found in searches)
+    assert record.chain[0] is cycle
+
+
+def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
+    # a searched sweep point reuses the record of each allocation search: its
+    # limit_cycle calls are the searches' own evaluations plus one z-equation
+    # comparison per search, none in the golden section or for the row
+    import ottofridge.optimize
+    import ottofridge.scaling
+    calls, results = [], []
+    search = ottofridge.optimize.optimize_time_allocation
+
+    def counting(spec):
+        calls.append(spec)
+        return limit_cycle(spec)
+
+    def recording(spec):
+        results.append(search(spec))
+        return results[-1]
+
+    monkeypatch.setattr(ottofridge.optimize, "limit_cycle", counting)
+    monkeypatch.setattr(ottofridge.scaling, "limit_cycle", counting)
+    monkeypatch.setattr(ottofridge.optimize, "optimize_time_allocation", recording)
+    spec = small_sweep("exponential", t_max=1e-1, t_min=1e-1 * 10**-0.05, search_iters=6,
+                       allocation="searched")
+    (row,) = temperature_sweep(spec).rows
+    assert row.flag == 1
+    assert len(results) == spec.search_iters + 2
+    assert all(result.z_comparison is not None for result in results)
+    assert len(calls) == sum(result.evaluations for result in results) + len(results)
 
 
 def test_searched_allocations_are_verified_local_optima(monkeypatch):
     # every isochore-time search of the exponential acceptance window ends
     # at a stationary point of ln R_c in the box, no worse than its z-start,
-    # with no iteration cap reached (that would warn, here an error)
+    # with no iteration cap reached (that would warn, here an error), in at
+    # most 8 evaluations a search on average (6.1 measured with the exact
+    # Hessian, 16 with forward-difference probes)
     import ottofridge.optimize
     searches = []
     search = ottofridge.optimize.optimize_time_allocation
@@ -206,12 +238,13 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
     assert all(r.flag == 1 for r in rows)
     assert len(searches) == len(rows) * (spec.search_iters + 2)
     for opt, result in searches:
-        for name, g in zip(("tau_c", "tau_h"), isochore_time_gradient(result.best_record)):
+        for name, g in zip(("tau_c", "tau_h"), isochore_time_derivatives(result.best_record)[0]):
             lo, hi = opt.bounds[name]
             tau = getattr(result.best_spec, name)
             held = (tau <= lo * (1 + 1e-15) and g < 0) or (tau >= hi * (1 - 1e-15) and g > 0)
             assert held or abs(g) <= 1e-10
         assert result.best_record.r_c >= limit_cycle(opt.base)[1].r_c
+    assert sum(result.evaluations for _, result in searches) <= 8 * len(searches)
 
 
 def test_sweep_fit_needs_enough_points():
