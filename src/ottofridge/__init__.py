@@ -24,7 +24,6 @@ from .dynamics import (
     StateVector,
     adiabat_power,
     equilibrium_state,
-    isochore_affine,
     observables,
     propagate,
     propagate_isochore,
@@ -59,7 +58,7 @@ __all__ = [
     "__version__",
     "BathSpec", "StateVector", "Observables",
     "equilibrium_state", "observables", "adiabat_power",
-    "propagate_isochore", "isochore_affine", "propagate",
+    "propagate_isochore", "propagate",
     "Schedule", "ScheduleError", "critical_mu", "three_jump_times", "build_three_jump",
     "CycleSpec", "CycleRecord", "BranchRecord", "NoContractionError",
     "run_one_cycle", "limit_cycle", "isochore_time_derivatives",

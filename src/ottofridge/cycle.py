@@ -20,7 +20,6 @@ the core of limit_cycle (composing M and k, the squaring and the ledger) runs
 on plain Python floats: a 3x3 map is a row-major 9-tuple, a vector a 3-tuple
 and an isochore its four scalars.  The eigenvalues and the direct solve call
 the LAPACK routines dgeev and dgesv that numpy's eigvals and solve wrap.
-branch_affine_maps and cycle_affine_map return the same maps as numpy arrays.
 isochore_time_derivatives differentiates the fixed point twice, and with it
 ln R_c, with respect to the two isochore times: the exact gradient and
 Hessian, from the branch maps and M that the record's limit_cycle call built.
@@ -39,7 +38,6 @@ from .dynamics import (
     BathSpec,
     StateVector,
     equilibrium_state,
-    isochore_affine,
     isochore_scalars,
     schedule_propagator,
 )
@@ -147,7 +145,10 @@ class CycleRecord:
     def branches(self) -> tuple[BranchRecord, ...]:
         """Start and end state of each branch, built on first read."""
         spec, _, _, vs = self.chain
-        legs = _legs(spec)
+        legs = (("expansion", spec.expansion.duration, spec.omega_c),
+                ("cold_isochore", spec.tau_c, spec.omega_c),
+                ("compression", spec.compression.duration, spec.omega_h),
+                ("hot_isochore", spec.tau_h, spec.omega_h))
         omegas = [spec.omega_h] + [omega for _, _, omega in legs]
         states = [StateVector(*v, w, check=False) for v, w in zip(vs, omegas)]
         return tuple(
@@ -159,22 +160,6 @@ class CycleRecord:
     def laws(self) -> tuple[float, float]:
         """(first-law closure q_c + w - q_h, entropy production sigma)."""
         return self.q_c + self.w - self.q_h, self.sigma
-
-
-def adiabat_propagator(schedule: Schedule) -> np.ndarray:
-    """The schedule's propagator, built once per Schedule instance.
-
-    The matrix is stored read-only on the instance, with its row-major float
-    9-tuple for :func:`limit_cycle`, so a search that varies only the
-    isochore times reuses it; an equal but distinct Schedule builds its own.
-    """
-    a = schedule._propagator
-    if a is None:
-        a = schedule_propagator(schedule)
-        a.setflags(write=False)
-        object.__setattr__(schedule, "_propagator_flat", tuple(a.ravel().tolist()))
-        object.__setattr__(schedule, "_propagator", a)
-    return a
 
 
 # Float maps of the limit-cycle core: a 3x3 map is a row-major 9-tuple, a
@@ -214,22 +199,20 @@ def _iso_affine(iso, v):
     return (d * x + b0, dc * y - ds * z, ds * y + dc * z)
 
 
-def _legs(spec: CycleSpec):
-    """(name, duration, omega_after) of the four branches, in cycle order."""
-    return (("expansion", spec.expansion.duration, spec.omega_c),
-            ("cold_isochore", spec.tau_c, spec.omega_c),
-            ("compression", spec.compression.duration, spec.omega_h),
-            ("hot_isochore", spec.tau_h, spec.omega_h))
-
-
 def _adiabat_flat(schedule: Schedule, branch: str) -> tuple:
-    """The adiabat's propagator as a float 9-tuple; a failed build is a BranchError."""
-    if schedule._propagator_flat is None:
+    """The adiabat's propagator as a float 9-tuple; a failed build is a BranchError.
+
+    Built once per Schedule instance and kept on it; an equal but distinct
+    Schedule builds its own.
+    """
+    flat = schedule._propagator
+    if flat is None:
         try:
-            adiabat_propagator(schedule)
+            flat = tuple(schedule_propagator(schedule).ravel().tolist())
         except ValueError as exc:
             raise BranchError(branch, exc) from exc
-    return schedule._propagator_flat
+        object.__setattr__(schedule, "_propagator", flat)
+    return flat
 
 
 def _branch_maps(spec: CycleSpec) -> tuple:
@@ -249,30 +232,6 @@ def _compose(maps) -> tuple[tuple, tuple]:
     a_exp, cold, a_comp, hot = maps
     m = _iso_mul(hot, _mul(a_comp, _iso_mul(cold, a_exp)))
     return m, _iso_affine(hot, _affine(a_comp, (cold[3], 0.0, 0.0)))
-
-
-def branch_affine_maps(spec: CycleSpec):
-    """The four branch maps as numpy (name, duration, omega_after, A, b).
-
-    An adiabat's A is the read-only propagator its float map was flattened
-    from; an isochore's (A, b) are the arrays of its isochore_scalars.
-    """
-    _adiabat_flat(spec.expansion, "expansion")
-    _adiabat_flat(spec.compression, "compression")
-    zero = np.zeros(3)
-    exp, cold, comp, hot = _legs(spec)
-    return [
-        (*exp, adiabat_propagator(spec.expansion), zero),
-        (*cold, *isochore_affine(spec.omega_c, spec.cold_bath, spec.tau_c)),
-        (*comp, adiabat_propagator(spec.compression), zero),
-        (*hot, *isochore_affine(spec.omega_h, spec.hot_bath, spec.tau_h)),
-    ]
-
-
-def cycle_affine_map(spec: CycleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The one-cycle affine map (M, k) with v_A' = M v_A + k, as numpy arrays."""
-    m, k = _compose(_branch_maps(spec))
-    return np.array(m).reshape(3, 3), np.array(k)
 
 
 def _ledger(spec: CycleSpec, maps, m: tuple, v: tuple, **diag) -> CycleRecord:

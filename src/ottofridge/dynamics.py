@@ -212,25 +212,11 @@ def isochore_scalars(omega: float, bath: BathSpec, t: float) -> tuple[float, flo
     return decay, decay * math.cos(ang), decay * math.sin(ang), (1.0 - decay) * e_eq
 
 
-def isochore_affine(omega: float, bath: BathSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The exact isochore map as (linear part A, offset b): v -> A v + b.
-
-    The arrays of :func:`isochore_scalars`.
-    """
-    d, dc, ds, b0 = isochore_scalars(omega, bath, t)
-    A = np.array([
-        [d, 0.0, 0.0],
-        [0.0, dc, -ds],
-        [0.0, ds, dc],
-    ])
-    return A, np.array([b0, 0.0, 0.0])
-
-
 def propagate_isochore(state: StateVector, bath: BathSpec, t: float) -> StateVector:
     """Evolve a state in contact with one bath at fixed frequency for time t."""
-    A, b = isochore_affine(state.omega, bath, t)
-    v = A @ state.as_array() + b
-    return StateVector.from_array(v, state.omega)
+    d, dc, ds, b0 = isochore_scalars(state.omega, bath, t)
+    x, y, z = state.e_h, state.e_l, state.e_c
+    return StateVector(d * x + b0, dc * y - ds * z, ds * y + dc * z, state.omega)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ _NEWTON_GTOL = 1e-10       # stop at a projected max |d ln R_c / d ln tau| below
 _NEWTON_RTOL = 1e-12       # fall in R_c a smaller gradient may excuse: rounding level
 _NEWTON_MAX_ITER = 50      # iterations per start; reaching it is warned about
 
+# Nelder-Mead stopping tolerances on x and on -R_c, for the other free sets
+_NM_XTOL = 1e-7
+_NM_FTOL = 1e-11
+
 
 # ---------------------------------------------------------------------------
 # Closed-form pieces
@@ -143,9 +147,9 @@ class OptimizationSpec:
 
     ``free`` names the variables being optimized (subset of tau_c, tau_h,
     tau_hc, tau_ch, omega_c); ``bounds`` maps each to a positive (lo, hi)
-    interval.  ``max_iter``, ``xtol`` and ``ftol`` set Nelder-Mead, which
-    free sets other than {tau_c, tau_h} use.  The genetic-search fields are
-    used by :func:`ga_schedule_search` only.
+    interval.  ``max_iter`` caps Nelder-Mead, which free sets other than
+    {tau_c, tau_h} use.  The genetic-search fields are used by
+    :func:`ga_schedule_search` only.
     """
 
     base: CycleSpec
@@ -154,8 +158,6 @@ class OptimizationSpec:
     seed: int = 0
     restarts: int = 3
     max_iter: int = 400
-    xtol: float = 1e-7
-    ftol: float = 1e-11
     # genetic algorithm
     segments: int = 2
     population: int = 32
@@ -369,8 +371,8 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
                 values, record = seen[tuple(x.tolist())] = evaluate(x.tolist())
                 return -record.r_c if record is not None else math.inf
             res = minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxiter": spec.max_iter, "xatol": spec.xtol,
-                                    "fatol": spec.ftol, "adaptive": True})
+                           options={"maxiter": spec.max_iter, "xatol": _NM_XTOL,
+                                    "fatol": _NM_FTOL, "adaptive": True})
             values, record = seen[tuple(res.x.tolist())]
         found.append((values, record))
     if failures or unconverged:

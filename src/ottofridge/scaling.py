@@ -28,6 +28,10 @@ SWEEP_KINDS = ("three_jump", "const_mu", "linear", "exponential")
 # the searched kinds default to the const-mu value.
 _KIND_NU = {"three_jump": 1.5, "const_mu": 2.0, "linear": 2.0, "exponential": 2.0}
 
+# golden-section bracket of the linear and exponential kinds' duration
+# parameter (see build_point)
+_DURATION_BRACKET = (0.02, 10.0)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -45,7 +49,6 @@ class SweepSpec:
     allocation: str = "z"               # "z" or "searched"
     tail_decades: float = 1.0
     seed: int = 0
-    duration_bracket: tuple[float, float] = (0.02, 10.0)
     search_iters: int = 20
 
     def __post_init__(self):
@@ -146,23 +149,42 @@ def fit_power_law(points, tail_decades: float | None = None) -> PowerLawFit:
 # Per-point cycle assembly
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, iters: int):
-    """Deterministic golden-section maximization on [lo, hi]; returns (x, f(x))."""
+def _golden_max(build, lo: float, hi: float, iters: int) -> tuple[CycleSpec, CycleRecord]:
+    """Deterministic golden-section search on [lo, hi] for the highest R_c.
+
+    ``build(x)`` returns a (cycle, record) pair and a domain failure scores
+    -inf.  Every pair is kept, so the winner is returned as built, not built
+    (or searched) a second time; when the winner's build failed, its error is
+    raised.
+    """
+    built = {}
+
+    def score(x: float) -> float:
+        try:
+            built[x] = cycle, record = build(x)
+        except DOMAIN_ERRORS as exc:
+            built[x] = exc
+            return -math.inf
+        return record.r_c
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = score(c), score(d)
     for _ in range(iters):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            fc = score(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+            fd = score(d)
+    best = built[c if fc >= fd else d]
+    if isinstance(best, Exception):
+        raise best
+    return best
 
 
 def _allocate(spec: SweepSpec, cycle: CycleSpec) -> tuple[CycleSpec, CycleRecord]:
@@ -204,8 +226,9 @@ def build_point(spec: SweepSpec, t_c: float,
                         Schedule.const_mu(w_c, w_h, -mu_star))
 
     # searched adiabat duration for the generic kinds; the parameter is the
-    # peak adiabatic rate |mu| at the cold end of the ramp.
-    def cycle_for(param: float) -> tuple[CycleSpec, CycleRecord]:
+    # log of the peak adiabatic rate |mu| at the cold end of the ramp.
+    def cycle_for(log_param: float) -> tuple[CycleSpec, CycleRecord]:
+        param = math.exp(log_param)
         if spec.kind == "linear":
             tau = (w_h - w_c) / (param * w_c * w_c)
             return assemble(Schedule.linear(w_h, w_c, tau), Schedule.linear(w_c, w_h, tau))
@@ -213,43 +236,16 @@ def build_point(spec: SweepSpec, t_c: float,
         return assemble(Schedule.exponential(w_h, w_c, tau),
                         Schedule.exponential(w_c, w_h, tau))
 
-    # every (cycle, record) the search built, so the winner is not assembled
-    # (and, with allocation "searched", searched) or solved a second time
-    built: dict[float, tuple[CycleSpec, CycleRecord]] = {}
-
-    def score(log_param: float) -> float:
-        try:
-            built[log_param] = cycle, record = cycle_for(math.exp(log_param))
-        except DOMAIN_ERRORS:
-            return -math.inf
-        return record.r_c
-
-    lo, hi = spec.duration_bracket
-    best_log, _ = _golden_max(score, math.log(lo), math.log(hi), spec.search_iters)
-    if best_log in built:
-        return built[best_log]
-    return cycle_for(math.exp(best_log))     # raises the error that failed it
+    lo, hi = _DURATION_BRACKET
+    return _golden_max(cycle_for, math.log(lo), math.log(hi), spec.search_iters)
 
 
 def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
     nan = float("nan")
     try:
         if spec.optimize_omega_c:
-            # every (cycle, record) the search built, so the winner is not
-            # built (and searched) a second time
-            built = {}
-
-            def score(log_y):
-                try:
-                    built[log_y] = cycle, record = build_point(spec, t_c, math.exp(log_y) * t_c)
-                except DOMAIN_ERRORS:
-                    return -math.inf
-                return record.r_c
-            best_log, _ = _golden_max(score, math.log(0.05), math.log(3.0), spec.search_iters)
-            if best_log in built:
-                cycle, record = built[best_log]
-            else:                   # raises the error that failed it
-                cycle, record = build_point(spec, t_c, math.exp(best_log) * t_c)
+            cycle, record = _golden_max(lambda log_y: build_point(spec, t_c, math.exp(log_y) * t_c),
+                                        math.log(0.05), math.log(3.0), spec.search_iters)
         else:
             cycle, record = build_point(spec, t_c)
     except DOMAIN_ERRORS as exc:

@@ -48,11 +48,9 @@ class Schedule:
     mu: float | None = None          # const_mu only
     alpha: float | None = None       # exponential only
     segments: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-    # The read-only adiabat propagator and its row-major float 9-tuple, built
-    # on first use by cycle.adiabat_propagator; kept per instance, outside
-    # the value.
+    # The adiabat propagator as a row-major float 9-tuple, built on first use
+    # by the cycle solver; kept per instance, outside the value.
     _propagator: object = field(default=None, init=False, repr=False, compare=False)
-    _propagator_flat: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -100,10 +98,6 @@ class Schedule:
             raise ScheduleError("exponential schedule needs distinct endpoints")
         alpha = math.log(omega_end / omega_start) / duration
         return cls("exponential", omega_start, omega_end, duration, alpha=alpha)
-
-    @classmethod
-    def three_jump(cls, omega_start: float, omega_end: float) -> "Schedule":
-        return build_three_jump(omega_start, omega_end)
 
     @classmethod
     def piecewise(cls, omega_start: float, omega_end: float,

@@ -7,7 +7,6 @@ time-scaling criterion (9) through module-scoped fixtures.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from ottofridge.dynamics import BathSpec, StateVector, equilibrium_state, propag
 from ottofridge.optimize import (
     OptimizationSpec,
     ga_schedule_search,
-    lambert_w0,
     optimal_cold_frequency,
     optimize_time_allocation,
     solve_isochore_z,

@@ -1,12 +1,10 @@
 """Configuration parsing, command dispatch and file emission."""
 
 import json
-import math
 
 import pytest
 
 from ottofridge.cli import (
-    Config,
     ConfigError,
     cycle_spec_from_config,
     main,

@@ -12,15 +12,22 @@ import ottofridge.cycle
 from ottofridge.cycle import (
     CycleSpec,
     NoContractionError,
-    adiabat_propagator,
-    branch_affine_maps,
-    cycle_affine_map,
+    _adiabat_flat,
+    _branch_maps,
+    _compose,
     equilibration_bound,
     isochore_time_derivatives,
     limit_cycle,
     run_one_cycle,
 )
-from ottofridge.dynamics import BathSpec, StateVector, equilibrium_state, observables
+from ottofridge.dynamics import (
+    BathSpec,
+    StateVector,
+    isochore_scalars,
+    observables,
+    propagate_isochore,
+    schedule_propagator,
+)
 from ottofridge.optimize import solve_isochore_z
 from ottofridge.schedules import Schedule, build_three_jump, critical_mu
 
@@ -42,6 +49,12 @@ def frictionless_spec(omega_h=10.0, omega_c=1.0, t_h=2.0, t_c=0.5, gamma=1.0,
         tau_c, tau_h = alloc.tau_c, alloc.tau_h
     return CycleSpec(hot, cold, omega_h, omega_c, expansion, compression,
                      tau_c=tau_c, tau_h=tau_h)
+
+
+def cycle_map(spec):
+    """The one-cycle map (M, k) of limit_cycle's float core, as numpy arrays."""
+    m, k = _compose(_branch_maps(spec))
+    return np.array(m).reshape(3, 3), np.array(k)
 
 
 def random_spec(rng):
@@ -95,12 +108,20 @@ def test_full_equilibration_heat_matches_bound():
 
 def test_one_cycle_matches_affine_composition():
     spec = frictionless_spec(tau_c=1.3, tau_h=0.7)
-    maps = branch_affine_maps(spec)
+
+    def isochore(omega, bath, t):
+        d, dc, ds, b0 = isochore_scalars(omega, bath, t)
+        return np.array([[d, 0.0, 0.0], [0.0, dc, -ds], [0.0, ds, dc]]), np.array([b0, 0.0, 0.0])
+
+    maps = [(schedule_propagator(spec.expansion), np.zeros(3)),
+            isochore(spec.omega_c, spec.cold_bath, spec.tau_c),
+            (schedule_propagator(spec.compression), np.zeros(3)),
+            isochore(spec.omega_h, spec.hot_bath, spec.tau_h)]
     m_tot, k_tot = np.eye(3), np.zeros(3)
-    for _, _, _, a, b in maps:
+    for a, b in maps:
         m_tot = a @ m_tot
         k_tot = a @ k_tot + b
-    m_ext, k_ext = cycle_affine_map(spec)
+    m_ext, k_ext = cycle_map(spec)
     np.testing.assert_allclose(m_ext, m_tot, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(k_ext, k_tot, rtol=1e-12, atol=1e-14)
 
@@ -110,6 +131,26 @@ def test_one_cycle_matches_affine_composition():
         out, _ = run_one_cycle(spec, st)
         np.testing.assert_allclose(out.as_array(), m_ext @ st.as_array() + k_ext,
                                    rtol=1e-12, atol=1e-13)
+
+
+def test_propagate_isochore_is_the_cycle_isochore():
+    # the state-level isochore applies the cycle's float map term for term
+    hot, cold = BathSpec(2.0, 1.0), BathSpec(0.5, 1.0)
+    specs = [frictionless_spec(tau_c=tau_c, tau_h=tau_h)
+             for tau_c, tau_h in ((1.3, 0.7), (0.4, 2.2), (3.1, 0.25))]
+    for build, durations in ((Schedule.exponential, (0.7, 2.5)), (Schedule.linear, (1.1, 4.0))):
+        for tau_c, tau_h in ((1.3, 0.7), (0.6, 1.9), (2.4, 0.35)):
+            specs.append(CycleSpec(hot, cold, 10.0, 1.0, build(10.0, 1.0, durations[0]),
+                                   build(1.0, 10.0, durations[1]), tau_c=tau_c, tau_h=tau_h))
+    legs = 0
+    for spec in specs:
+        _, record = limit_cycle(spec)
+        for leg, bath in zip(record.branches[1::2], (spec.cold_bath, spec.hot_bath)):
+            out = propagate_isochore(leg.start, bath, leg.duration)
+            assert (out.e_h, out.e_l, out.e_c, out.omega) == \
+                (leg.end.e_h, leg.end.e_l, leg.end.e_c, leg.end.omega)
+            legs += 1
+    assert legs == 18
 
 
 def test_run_one_cycle_requires_hot_frequency():
@@ -195,7 +236,7 @@ def test_near_unit_spectral_radius_hits_the_cycle_cap():
     # 1 - 1e-5 < rho < _RHO_LIMIT: the map contracts too slowly for the
     # cross-check to converge within _MAX_CYCLES cycles
     spec = frictionless_spec(tau_c=3e-6, tau_h=3e-6)
-    m, _ = cycle_affine_map(spec)
+    m, _ = cycle_map(spec)
     rho = float(np.max(np.abs(np.linalg.eigvals(m))))
     assert 1.0 - 1e-5 < rho < ottofridge.cycle._RHO_LIMIT
     with pytest.raises(NoContractionError, match="did not converge"):
@@ -229,14 +270,13 @@ def test_adiabat_propagator_is_read_only_and_per_instance(monkeypatch):
     first = Schedule.linear(10.0, 1.0, 2.0)
     twin = Schedule.linear(10.0, 1.0, 2.0)
     assert first == twin and hash(first) == hash(twin)
-    a = adiabat_propagator(first)
-    assert adiabat_propagator(first) is a
-    assert not a.flags.writeable
-    with pytest.raises(ValueError):
-        a[0, 0] = 0.0
-    b = adiabat_propagator(twin)
+    a = _adiabat_flat(first, "expansion")
+    assert _adiabat_flat(first, "expansion") is a and first._propagator is a
+    assert isinstance(a, tuple)             # read-only: a tuple cannot be written
+    b = _adiabat_flat(twin, "expansion")
     assert b is not a and len(built) == 2
-    np.testing.assert_array_equal(a, b)
+    assert a == b and first == twin
+    np.testing.assert_array_equal(np.reshape(a, (3, 3)), schedule_propagator(first))
 
 
 @st.composite
@@ -275,7 +315,7 @@ def test_limit_cycle_properties_on_all_adiabat_kinds(spec):
     except NoContractionError:
         assume(False)
     # numpy oracles for the LAPACK-direct spectral radius and solve
-    m, k = cycle_affine_map(spec)
+    m, k = cycle_map(spec)
     rho = float(np.max(np.abs(np.linalg.eigvals(m))))
     assert abs(record.spectral_radius - rho) <= 1e-12 * rho
     v = np.linalg.solve(np.eye(3) - m, k)

@@ -16,7 +16,6 @@ from ottofridge.dynamics import (
     const_mu_matrix,
     equilibrium_state,
     exponential_matrix,
-    isochore_affine,
     observables,
     propagate,
     propagate_isochore,

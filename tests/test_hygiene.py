@@ -1,0 +1,44 @@
+"""Source hygiene checks on the stdlib ast: unused imports and the public API."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ottofridge
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads; names in its __all__ count as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
+    assert unused_imports(tree) == ["math (line 1)", "path (line 2)"]
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in ottofridge.__all__ if not hasattr(ottofridge, name)]
+    assert missing == []

@@ -145,6 +145,22 @@ def test_non_finite_cycle_map_is_a_domain_failure(monkeypatch):
     assert math.isnan(row.r_c)
 
 
+def test_failed_golden_section_raises_its_winners_error(monkeypatch):
+    # every duration fails: the winner's error surfaces, with no build after
+    # the search's own evaluations
+    built = []
+
+    def nan_propagator(schedule):
+        built.append(schedule)
+        return np.full((3, 3), np.nan)
+
+    monkeypatch.setattr("ottofridge.cycle.schedule_propagator", nan_propagator)
+    spec = small_sweep("linear", t_max=1e-1, t_min=5e-2, search_iters=6)
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        build_point(spec, 0.05)
+    assert len(built) == 2 * (spec.search_iters + 2)
+
+
 def test_omega_c_search_reuses_its_winner(monkeypatch):
     # one build_point per golden-section evaluation of omega_c, none after it
     import ottofridge.scaling
