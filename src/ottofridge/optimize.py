@@ -241,24 +241,27 @@ def _projected(g: list, x: list, lo: list, hi: list) -> list:
             for gi, xi, a, b in zip(g, x, lo, hi)]
 
 
-def _newton_isochore_times(point, x: list, lo: list, hi: list):
+def _newton_isochore_times(evaluate, derivatives, x: list, lo: list, hi: list):
     """Damped Newton ascent of ln R_c over the box lo <= x <= hi of (ln tau, ln tau).
 
-    ``point(x)`` returns (values, record, g, h) with g = grad R_c / |R_c|,
-    which is grad ln R_c where the cycle cools and leads a search that
+    ``evaluate(x)`` returns (values, record), the record None for a failed
+    evaluation; ``derivatives(record)`` returns (g, h) with g = grad R_c /
+    |R_c|, which is grad ln R_c where the cycle cools and leads a search that
     starts without cooling uphill, and h its exact Jacobian (the Hessian of
-    ln |R_c| with the sign of R_c); the record is None for a failed
-    evaluation and g, h None where there are no derivatives.  Rows and
-    columns of a coordinate held at a face of the box by a gradient pointing
-    out are dropped.  R_c ripples in tau_h with period pi/omega_h, so the
-    curvature can be positive; a Hessian that is not negative definite is
-    replaced by -|diag|.  The step is halved until R_c does not fall or,
-    with the Hessian unmodified, the projected gradient falls while R_c falls
-    by at most _NEWTON_RTOL: near the optimum R_c changes only by rounding.
-    Returns (values, record, converged) of the last accepted iterate, which
-    converged when its projected max-norm gradient is at most _NEWTON_GTOL.
+    ln |R_c| with the sign of R_c), or (None, None) where there are none.
+    They are taken only where the step logic reads them: at the start and at
+    trials that fall by at most _NEWTON_RTOL.  Rows and columns of a
+    coordinate held at a face of the box by a gradient pointing out are
+    dropped.  R_c ripples in tau_h with period pi/omega_h, so the curvature
+    can be positive; a Hessian that is not negative definite is replaced by
+    -|diag|.  The step is halved until R_c does not fall or, with the Hessian
+    unmodified, the projected gradient falls while R_c falls by at most
+    _NEWTON_RTOL: near the optimum R_c changes only by rounding.  Returns
+    (values, record, converged) of the last accepted iterate, which converged
+    when its projected max-norm gradient is at most _NEWTON_GTOL.
     """
-    values, record, g, h = point(x)
+    values, record = evaluate(x)
+    g, h = derivatives(record)
     if g is None:
         return values, record, False
     for _ in range(_NEWTON_MAX_ITER):
@@ -275,17 +278,19 @@ def _newton_isochore_times(point, x: list, lo: list, hi: list):
             h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
         det = h00 * h11 - h01 * h01
         p = ((h01 * pg[1] - h11 * pg[0]) / det, (h01 * pg[0] - h00 * pg[1]) / det)
-        floor = record.r_c - _NEWTON_RTOL * abs(record.r_c)
+        # the lowest R_c a trial may have and still be accepted
+        floor = record.r_c if modified else record.r_c - _NEWTON_RTOL * abs(record.r_c)
         alpha = 1.0
         while True:
             xt = [min(max(xi + alpha * pi, a), b) for xi, pi, a, b in zip(x, p, lo, hi)]
             if xt == x:                 # no representable step is accepted
                 return values, record, False
-            values_t, rec_t, g_t, h_t = point(xt)
-            if g_t is not None and (rec_t.r_c >= record.r_c or (
-                    not modified and rec_t.r_c >= floor
-                    and max(map(abs, _projected(g_t, xt, lo, hi))) < gnorm)):
-                break
+            values_t, rec_t = evaluate(xt)
+            if rec_t is not None and rec_t.r_c >= floor:
+                g_t, h_t = derivatives(rec_t)
+                if g_t is not None and (rec_t.r_c >= record.r_c or max(
+                        map(abs, _projected(g_t, xt, lo, hi))) < gnorm):
+                    break
             alpha *= 0.5
         x, values, record, g, h = xt, values_t, rec_t, g_t, h_t
     return values, record, False
@@ -304,9 +309,10 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     ``failures``, and one warning per call reports it together with any
     Newton search that stopped short of its gradient tolerance.  When only
     the isochore times are free and the conductances are equal, the result
-    is compared against the analytic z-equation allocation and the
-    comparison is attached to the result; the analytic allocation replaces
-    the searched one when it lies inside the box and has the higher R_c.
+    is compared against the analytic z-equation allocation (solved again
+    only when the search did not evaluate it) and the comparison is attached
+    to the result; the analytic allocation replaces the searched one when it
+    lies inside the box and has the higher R_c.
     """
     base = spec.base
     if not spec.free:
@@ -314,11 +320,12 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         return OptimizationResult(base, record, {}, (), spec.seed)
 
     names = list(spec.free)
-    lo = np.log([spec.bounds[n][0] for n in names])
-    hi = np.log([spec.bounds[n][1] for n in names])
-    box = list(zip(names, lo.tolist(), hi.tolist()))
+    lo = [math.log(spec.bounds[n][0]) for n in names]
+    hi = [math.log(spec.bounds[n][1]) for n in names]
+    box = list(zip(names, lo, hi))
     evaluations = failures = 0
     first_failure = ""
+    solved = {}             # sorted (name, value) items -> record of each evaluation
 
     def evaluate(x):
         nonlocal evaluations, failures, first_failure
@@ -331,38 +338,36 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
             if failures == 1:
                 first_failure = f"{values}: {type(exc).__name__}: {exc}"
             return values, None
+        solved[tuple(sorted(values.items()))] = record
         return values, record
 
-    rng = np.random.default_rng(spec.seed)
-    starts = [0.5 * (lo + hi)]
-    current = np.array([math.log(getattr(base, n)) if n != "tau_hc" and n != "tau_ch"
-                        else math.log(base.expansion.duration if n == "tau_hc"
-                                      else base.compression.duration)
-                        for n in names])
-    if np.all(current >= lo) and np.all(current <= hi):
+    starts = [[0.5 * (a + b) for a, b in zip(lo, hi)]]
+    current = [math.log(base.expansion.duration if n == "tau_hc" else
+                        base.compression.duration if n == "tau_ch" else getattr(base, n))
+               for n in names]
+    if all(a <= c <= b for a, c, b in zip(lo, current, hi)):
         starts.insert(0, current)
-    while len(starts) < spec.restarts:
-        starts.append(rng.uniform(lo, hi))
+    if len(starts) < spec.restarts:
+        rng = np.random.default_rng(spec.seed)
+        starts += [rng.uniform(lo, hi).tolist() for _ in range(spec.restarts - len(starts))]
 
     newton = set(names) == {"tau_c", "tau_h"}
 
-    def point(x):
-        values, record = evaluate(x)
+    def derivatives(record):
         if record is None or record.q_c == 0.0:
-            return values, record, None, None
+            return None, None
         (g0, g1), ((h00, h01), (_, h11)) = isochore_time_derivatives(record)
         if record.q_c < 0.0:        # there grad R_c / |R_c| = -grad ln |R_c|
             g0, g1, h00, h01, h11 = -g0, -g1, -h00, -h01, -h11
         if names[0] == "tau_c":
-            return values, record, [g0, g1], ((h00, h01), (h01, h11))
-        return values, record, [g1, g0], ((h11, h01), (h01, h00))
+            return [g0, g1], ((h00, h01), (h01, h11))
+        return [g1, g0], ((h11, h01), (h01, h00))
 
     unconverged = 0
     found = []              # (values, record) of each restart's best point
     for x0 in starts[: spec.restarts]:
         if newton:
-            values, record, converged = _newton_isochore_times(
-                point, x0.tolist(), lo.tolist(), hi.tolist())
+            values, record, converged = _newton_isochore_times(evaluate, derivatives, x0, lo, hi)
             unconverged += record is not None and not converged
         else:
             seen = {}
@@ -398,8 +403,9 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         alloc = solve_isochore_z(base.hot_bath.conductance, base.cold_bath.conductance,
                                  base.expansion.duration + base.compression.duration)
         z_values = {"tau_c": alloc.tau_c, "tau_h": alloc.tau_h}
-        z_spec = apply_free_values(base, z_values)
-        _, z_record = limit_cycle(z_spec)
+        z_record = solved.get(tuple(sorted(z_values.items())))
+        if z_record is None:        # not a point the search evaluated
+            _, z_record = limit_cycle(apply_free_values(base, z_values))
         gap = abs(z_record.r_c - best_record.r_c) / max(abs(z_record.r_c), 1e-300)
         z_comparison = {
             "z": alloc.z, "tau_c": alloc.tau_c, "tau_h": alloc.tau_h,
@@ -409,7 +415,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         if z_record.r_c > best_record.r_c and all(
                 spec.bounds[n][0] <= z_values[n] <= spec.bounds[n][1] for n in names):
             # analytic allocation inside the box beat the search; keep it
-            best_values, best_spec, best_record = z_values, z_spec, z_record
+            best_values, best_spec, best_record = z_values, z_record.chain[0], z_record
 
     return OptimizationResult(best_spec, best_record, best_values, results, spec.seed,
                               z_comparison, failures, evaluations)

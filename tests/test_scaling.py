@@ -204,10 +204,11 @@ def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
 def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
     # a searched sweep point reuses the record of each allocation search: its
     # limit_cycle calls are the searches' own evaluations plus one z-equation
-    # comparison per search, none in the golden section or for the row
+    # comparison for each search that did not evaluate the z-allocation
+    # itself, none in the golden section or for the row
     import ottofridge.optimize
     import ottofridge.scaling
-    calls, results = [], []
+    calls, searches = [], []
     search = ottofridge.optimize.optimize_time_allocation
 
     def counting(spec):
@@ -215,8 +216,10 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
         return limit_cycle(spec)
 
     def recording(spec):
-        results.append(search(spec))
-        return results[-1]
+        first = len(calls)
+        result = search(spec)
+        searches.append((result, calls[first:]))
+        return result
 
     monkeypatch.setattr(ottofridge.optimize, "limit_cycle", counting)
     monkeypatch.setattr(ottofridge.scaling, "limit_cycle", counting)
@@ -225,9 +228,15 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
                        allocation="searched")
     (row,) = temperature_sweep(spec).rows
     assert row.flag == 1
-    assert len(results) == spec.search_iters + 2
-    assert all(result.z_comparison is not None for result in results)
-    assert len(calls) == sum(result.evaluations for result in results) + len(results)
+    assert len(searches) == spec.search_iters + 2
+    assert len(calls) == sum(len(made) for _, made in searches)
+    solved_z = 0
+    for result, made in searches:
+        z = result.z_comparison
+        evaluated = {(s.tau_c, s.tau_h) for s in made[:result.evaluations]}
+        solved_z += (z["tau_c"], z["tau_h"]) not in evaluated
+        assert len(made) == result.evaluations + ((z["tau_c"], z["tau_h"]) not in evaluated)
+    assert solved_z < len(searches)     # the searches' starts are z-allocations
 
 
 def test_searched_allocations_are_verified_local_optima(monkeypatch):
