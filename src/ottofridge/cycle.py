@@ -17,8 +17,9 @@ so a search that varies only the isochore times reuses it.
 
 On maps this small numpy's per-call overhead outweighs the arithmetic, so
 the core of limit_cycle (composing M and k, the squaring and the ledger) runs
-on plain Python floats: a 3x3 map is a row-major 9-tuple, a vector a 3-tuple
-and an isochore its four scalars.  The eigenvalues and the direct solve call
+on plain Python floats: a 3x3 map is a row-major 9-tuple, as
+dynamics.schedule_propagator builds it, a vector a 3-tuple and an isochore
+its four scalars.  The eigenvalues and the direct solve call
 the LAPACK routines dgeev and dgesv that numpy's eigvals and solve wrap.
 isochore_time_derivatives differentiates the fixed point twice, and with it
 ln R_c, with respect to the two isochore times: the exact gradient and
@@ -199,28 +200,29 @@ def _iso_affine(iso, v):
     return (d * x + b0, dc * y - ds * z, ds * y + dc * z)
 
 
-def _adiabat_flat(schedule: Schedule, branch: str) -> tuple:
-    """The adiabat's propagator as a float 9-tuple; a failed build is a BranchError.
+def _adiabat_flat(schedule: Schedule) -> tuple:
+    """The adiabat's propagator, built once per Schedule instance and kept on it.
 
-    Built once per Schedule instance and kept on it; an equal but distinct
-    Schedule builds its own.
+    An equal but distinct Schedule builds its own.
     """
-    flat = schedule._propagator
-    if flat is None:
-        try:
-            flat = tuple(schedule_propagator(schedule).ravel().tolist())
-        except ValueError as exc:
-            raise BranchError(branch, exc) from exc
-        object.__setattr__(schedule, "_propagator", flat)
-    return flat
+    if schedule._propagator is None:
+        object.__setattr__(schedule, "_propagator", schedule_propagator(schedule))
+    return schedule._propagator
 
 
 def _branch_maps(spec: CycleSpec) -> tuple:
-    """The float branch maps (A_exp, cold isochore, A_comp, hot isochore)."""
-    return (_adiabat_flat(spec.expansion, "expansion"),
-            isochore_scalars(spec.omega_c, spec.cold_bath, spec.tau_c),
-            _adiabat_flat(spec.compression, "compression"),
-            isochore_scalars(spec.omega_h, spec.hot_bath, spec.tau_h))
+    """The float branch maps (A_exp, cold isochore, A_comp, hot isochore).
+
+    A failed adiabat build is a BranchError naming its branch.
+    """
+    adiabats = []
+    for branch in ("expansion", "compression"):
+        try:
+            adiabats.append(_adiabat_flat(getattr(spec, branch)))
+        except ValueError as exc:
+            raise BranchError(branch, exc) from exc
+    return (adiabats[0], isochore_scalars(spec.omega_c, spec.cold_bath, spec.tau_c),
+            adiabats[1], isochore_scalars(spec.omega_h, spec.hot_bath, spec.tau_h))
 
 
 def _compose(maps) -> tuple[tuple, tuple]:

@@ -220,7 +220,7 @@ def propagate_isochore(state: StateVector, bath: BathSpec, t: float) -> StateVec
 
 
 # ---------------------------------------------------------------------------
-# Adiabat building blocks (exact maps)
+# Adiabats: exact propagators as row-major float 9-tuples
 # ---------------------------------------------------------------------------
 
 def _phi_funcs(w: float) -> tuple[float, float]:
@@ -232,16 +232,16 @@ def _phi_funcs(w: float) -> tuple[float, float]:
     if abs(w) < 1e-8:
         return 1.0 + w / 6.0 + w * w / 120.0, 0.5 + w / 24.0 + w * w / 720.0
     if w > 0:
-        x = np.sqrt(w)
-        return np.sinh(x) / x, (np.cosh(x) - 1.0) / w
-    x = np.sqrt(-w)
-    return np.sin(x) / x, (1.0 - np.cos(x)) / -w
+        x = math.sqrt(w)
+        return math.sinh(x) / x, (math.cosh(x) - 1.0) / w
+    x = math.sqrt(-w)
+    return math.sin(x) / x, (1.0 - math.cos(x)) / -w
 
 
-def const_mu_matrix(omega0: float, omega1: float, mu: float) -> np.ndarray:
-    """Exact propagator matrix for a constant-mu sweep omega0 -> omega1.
+def _const_mu_propagator(omega0: float, omega1: float, mu: float) -> tuple:
+    """Exact propagator of a constant-mu sweep omega0 -> omega1.
 
-    With theta = ln(omega1/omega0)/mu the matrix is
+    With theta = ln(omega1/omega0)/mu the map is
     (omega1/omega0) * exp(theta * B(mu)), B = [[0,-mu,0],[-mu,0,-2],[0,2,0]],
     evaluated in closed form through the scalar functions of
     w = (mu^2 - 4) theta^2 (hyperbolic for |mu| > 2, trigonometric for
@@ -249,33 +249,35 @@ def const_mu_matrix(omega0: float, omega1: float, mu: float) -> np.ndarray:
     """
     if mu == 0:
         raise ValueError("const-mu propagator requires mu != 0")
-    theta = 0.0 if omega0 == omega1 else np.log(omega1 / omega0) / mu
+    theta = 0.0 if omega0 == omega1 else math.log(omega1 / omega0) / mu
     if theta < 0:
         raise ValueError("mu sign inconsistent with sweep direction")
-    w = (mu * mu - 4.0) * theta * theta
-    f1, f2 = _phi_funcs(w)
+    f1, f2 = _phi_funcs((mu * mu - 4.0) * theta * theta)
     g1 = theta * f1            # sinh(Omega theta)/Omega
     g2 = theta * theta * f2    # (cosh(Omega theta)-1)/Omega^2
-    U = np.array([
-        [1.0 + g2 * mu * mu, -g1 * mu, 2.0 * mu * g2],
-        [-g1 * mu, 1.0 + g2 * (mu * mu - 4.0), -2.0 * g1],
-        [-2.0 * mu * g2, 2.0 * g1, 1.0 - 4.0 * g2],
-    ])
-    return U * (omega1 / omega0)
+    r = omega1 / omega0
+    return (r * (1.0 + g2 * mu * mu), r * (-g1 * mu), r * (2.0 * mu * g2),
+            r * (-g1 * mu), r * (1.0 + g2 * (mu * mu - 4.0)), r * (-2.0 * g1),
+            r * (-2.0 * mu * g2), r * (2.0 * g1), r * (1.0 - 4.0 * g2))
 
 
-def free_segment_matrix(omega: float, t: float) -> np.ndarray:
-    """Rotation of (e_l, e_c) by angle 2*omega*t at constant frequency."""
-    ang = 2.0 * omega * t
-    c, s = np.cos(ang), np.sin(ang)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def _lift(a: float, b: float, c: float, d: float, omega0: float, omega1: float) -> tuple:
+    """Propagator of the classical fundamental matrix [[a, b], [c, d]] on (Q, P).
+
+    In the scaled coordinates (omega Q, P) of each end the state is
+    e_h - e_l = <(omega Q)^2>, e_h + e_l = <P^2> and e_c = omega <QP + PQ>/2,
+    and the fundamental matrix reads [[A, B], [C, D]] =
+    [[omega1 a / omega0, omega1 b], [c / omega0, d]].  Its action on these
+    second moments, written in (e_h, e_l, e_c), is the map returned.
+    """
+    A, B, C, D = omega1 * a / omega0, omega1 * b, c / omega0, d
+    aa, bb, cc, dd = A * A, B * B, C * C, D * D
+    return (0.5 * (aa + bb + cc + dd), 0.5 * (bb + dd - aa - cc), A * B + C * D,
+            0.5 * (cc + dd - aa - bb), 0.5 * (aa + dd - bb - cc), C * D - A * B,
+            A * C + B * D, B * D - A * C, A * D + B * C)
 
 
-# ---------------------------------------------------------------------------
-# Piecewise-constant schedules: exact composition of jumps and holds
-# ---------------------------------------------------------------------------
-
-def piecewise_matrix(schedule: Schedule) -> np.ndarray:
+def _piecewise_propagator(schedule: Schedule) -> tuple:
     """Exact propagator of a piecewise-constant schedule (jumps + holds).
 
     Composed through the classical (Q, P) fundamental matrix: the position
@@ -285,67 +287,32 @@ def piecewise_matrix(schedule: Schedule) -> np.ndarray:
     avoids the catastrophic cancellation that a direct product of 3x3 jump
     maps suffers at extreme compression ratios.
     """
-    if schedule.kind not in PIECEWISE_KINDS:
-        raise ScheduleError("piecewise_matrix needs a piecewise-constant schedule")
-    phi = np.eye(2)
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for w, dt in schedule.segments:
         if dt > 0:
-            ang = w * dt
-            c, s = math.cos(ang), math.sin(ang)
-            phi = np.array([[c, s / w], [-w * s, c]]) @ phi
-    return (_moments_to_hlc(schedule.omega_end) @ _moment_lift(phi)
-            @ _hlc_to_moments(schedule.omega_start))
+            cs, sn = math.cos(w * dt), math.sin(w * dt)
+            a, b, c, d = (cs * a + sn / w * c, cs * b + sn / w * d,
+                          cs * c - w * sn * a, cs * d - w * sn * b)
+    return _lift(a, b, c, d, schedule.omega_start, schedule.omega_end)
 
 
-# ---------------------------------------------------------------------------
-# Exponential and linear ramps: exact propagators via Bessel solutions
-# ---------------------------------------------------------------------------
+def _bessel_propagator(s0: tuple, s1: tuple, wronskian: float,
+                       omega0: float, omega1: float) -> tuple:
+    """Propagator from a classical fundamental pair at the two endpoints.
 
-def _moment_lift(phi: np.ndarray) -> np.ndarray:
-    """Second-moment map (<Q^2>, <P^2>, <QP+PQ>/2) induced by a classical
-    fundamental matrix phi = [[a, b], [c, d]] acting on (Q, P)."""
-    a, b = phi[0, 0], phi[0, 1]
-    c, d = phi[1, 0], phi[1, 1]
-    return np.array([
-        [a * a, b * b, 2 * a * b],
-        [c * c, d * d, 2 * c * d],
-        [a * c, b * d, a * d + b * c],
-    ])
-
-
-def _hlc_to_moments(omega: float) -> np.ndarray:
-    w2 = omega * omega
-    return np.array([
-        [1.0 / w2, -1.0 / w2, 0.0],
-        [1.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0 / omega],
-    ])
-
-
-def _moments_to_hlc(omega: float) -> np.ndarray:
-    w2 = omega * omega
-    return np.array([
-        [0.5 * w2, 0.5, 0.0],
-        [-0.5 * w2, 0.5, 0.0],
-        [0.0, 0.0, omega],
-    ])
-
-
-def _bessel_propagator(S0: np.ndarray, S1: np.ndarray, wronskian: float,
-                       omega0: float, omega1: float) -> np.ndarray:
-    """3x3 propagator from a classical fundamental pair at the two endpoints.
-
-    S0 and S1 hold the same two (Q, P) solutions as columns, evaluated at the
-    start and the end of the sweep; their determinant is the constant
-    ``wronskian``, so S0 is inverted exactly and phi = S1 S0^-1 is lifted to
-    the (e_h, e_l, e_c) representation.
+    s0 and s1 hold the same two (Q, P) solutions as the columns of a
+    row-major 2x2 (Q_1, Q_2, P_1, P_2), at the start and the end of the
+    sweep; their determinant is the constant ``wronskian``, so S0 is inverted
+    exactly and phi = S1 S0^-1 is lifted.
     """
-    S0_inv = np.array([[S0[1, 1], -S0[0, 1]], [-S0[1, 0], S0[0, 0]]]) / wronskian
-    phi = S1 @ S0_inv
-    return _moments_to_hlc(omega1) @ _moment_lift(phi) @ _hlc_to_moments(omega0)
+    a0, b0, c0, d0 = s0
+    a1, b1, c1, d1 = s1
+    return _lift((a1 * d0 - b1 * c0) / wronskian, (b1 * a0 - a1 * b0) / wronskian,
+                 (c1 * d0 - d1 * c0) / wronskian, (d1 * a0 - c1 * b0) / wronskian,
+                 omega0, omega1)
 
 
-def exponential_matrix(schedule: Schedule) -> np.ndarray:
+def _exponential_propagator(schedule: Schedule) -> tuple:
     """Exact propagator of an exponential sweep omega(t) = omega0 exp(alpha t).
 
     The classical oscillator equation x'' + omega(t)^2 x = 0 reduces to the
@@ -354,25 +321,23 @@ def exponential_matrix(schedule: Schedule) -> np.ndarray:
     constant Wronskian 2 sign(alpha) |alpha| / pi.  Machine-precision accurate
     for sweeps of any duration.
     """
-    if schedule.kind != "exponential":
-        raise ScheduleError("exponential_matrix needs an exponential schedule")
     alpha = schedule.alpha
     sgn = 1.0 if alpha > 0 else -1.0
     aa = abs(alpha)
     w0, w1 = schedule.omega_start, schedule.omega_end
-    z0, z1 = w0 / aa, w1 / aa
 
-    def fundamental(z, w):
-        return np.array([
-            [j0(z), y0(z)],
-            [-sgn * w * j1(z), -sgn * w * y1(z)],
-        ])
+    def fundamental(w):
+        z, p = w / aa, -sgn * w
+        return float(j0(z)), float(y0(z)), p * float(j1(z)), p * float(y1(z))
 
-    return _bessel_propagator(fundamental(z0, w0), fundamental(z1, w1),
-                              2.0 * sgn * aa / math.pi, w0, w1)
+    return _bessel_propagator(fundamental(w0), fundamental(w1), 2.0 * sgn * aa / math.pi, w0, w1)
 
 
-def linear_ramp_matrix(schedule: Schedule) -> np.ndarray:
+# Bessel orders of the linear ramp's (Q, Q, P, P) entries, at (start, end, start, end)
+_LINEAR_ORDERS = (0.25, 0.25, -0.75, -0.75)
+
+
+def _linear_ramp_propagator(schedule: Schedule) -> tuple:
     """Exact propagator of a linear sweep omega(t) = omega0 - beta t.
 
     In the variable omega the oscillator equation becomes
@@ -380,44 +345,47 @@ def linear_ramp_matrix(schedule: Schedule) -> np.ndarray:
     zeta = omega^2 / (2|beta|); the momenta p = dx/dt are
     -sign(beta) omega^(3/2) C_{-3/4}(zeta) (DLMF 10.6.2).  With C = J, Y the
     columns have the exact constant Wronskian -4 beta / pi.  The phase error
-    is the floating-point limit ~1e-16 zeta, for ramps of any duration.
+    is the floating-point limit ~1e-16 zeta, for ramps of any duration.  A
+    ramp of zero duration or between equal frequencies is a hold: it turns
+    (e_l, e_c) by the angle 2 omega t.
     """
-    if schedule.kind != "linear":
-        raise ScheduleError("linear_ramp_matrix needs a linear schedule")
     w0, w1, tau = schedule.omega_start, schedule.omega_end, schedule.duration
     if w0 == w1 or tau == 0.0:
-        return free_segment_matrix(w0, tau)
+        c, s = math.cos(2.0 * w0 * tau), math.sin(2.0 * w0 * tau)
+        return (1.0, 0.0, 0.0, 0.0, c, -s, 0.0, s, c)
     beta = (w0 - w1) / tau           # signed; > 0 for expansion
     sgn = 1.0 if beta > 0 else -1.0
     two_b = 2.0 * abs(beta)
+    zeta = (w0 * w0 / two_b, w1 * w1 / two_b)
+    # both orders at both ends in one call per Bessel kind
+    jq0, jq1, jp0, jp1 = jv(_LINEAR_ORDERS, zeta + zeta).tolist()
+    yq0, yq1, yp0, yp1 = yv(_LINEAR_ORDERS, zeta + zeta).tolist()
 
-    def fundamental(w):
-        z = w * w / two_b
-        q, p = math.sqrt(w), -sgn * w * math.sqrt(w)
-        return np.array([
-            [q * jv(0.25, z), q * yv(0.25, z)],
-            [p * jv(-0.75, z), p * yv(-0.75, z)],
-        ])
+    def fundamental(w, jq, yq, jp, yp):
+        q = math.sqrt(w)
+        p = -sgn * w * q
+        return q * jq, q * yq, p * jp, p * yp
 
-    return _bessel_propagator(fundamental(w0), fundamental(w1),
-                              -4.0 * beta / math.pi, w0, w1)
+    return _bessel_propagator(fundamental(w0, jq0, yq0, jp0, yp0),
+                              fundamental(w1, jq1, yq1, jp1, yp1), -4.0 * beta / math.pi, w0, w1)
 
 
-def schedule_propagator(schedule: Schedule) -> np.ndarray:
-    """Exact 3x3 propagator matrix for a schedule.
+def schedule_propagator(schedule: Schedule) -> tuple:
+    """Exact propagator of a schedule as a row-major float 9-tuple.
 
-    Closed forms for every kind: const-mu, piecewise-constant (incl.
-    three-jump), and the Bessel-function propagators of exponential and
-    linear ramps.
+    Closed forms for every kind: const-mu, and the (Q, P) fundamental
+    matrices of the piecewise-constant kinds (incl. three-jump) and of the
+    Bessel-function solutions of exponential and linear ramps, each lifted
+    to (e_h, e_l, e_c) by :func:`_lift`.
     """
     if schedule.kind == "const_mu":
-        return const_mu_matrix(schedule.omega_start, schedule.omega_end, schedule.mu)
+        return _const_mu_propagator(schedule.omega_start, schedule.omega_end, schedule.mu)
     if schedule.kind in PIECEWISE_KINDS:
-        return piecewise_matrix(schedule)
+        return _piecewise_propagator(schedule)
     if schedule.kind == "exponential":
-        return exponential_matrix(schedule)
+        return _exponential_propagator(schedule)
     if schedule.kind == "linear":
-        return linear_ramp_matrix(schedule)
+        return _linear_ramp_propagator(schedule)
     raise ScheduleError(f"no propagator for schedule kind {schedule.kind!r}")
 
 
@@ -428,8 +396,12 @@ def propagate(state: StateVector, schedule: Schedule) -> StateVector:
     ``schedule.omega_end``.  An instantaneous jump is
     ``Schedule.piecewise(w0, w1, [])`` and a hold at constant frequency is
     ``Schedule.linear(w, w, t)``; the elapsed time is ``schedule.duration``.
+    The map is the limit cycle's own, kept on the schedule and applied on
+    floats as there, so an adiabat leg of a cycle record is reproduced bit
+    for bit.
     """
+    from .cycle import _adiabat_flat, _affine     # deferred: cycle imports this module
     if not math.isclose(state.omega, schedule.omega_start, rel_tol=1e-9):
         raise ValueError("state.omega does not match schedule.omega_start")
-    v = schedule_propagator(schedule) @ state.as_array()
-    return StateVector.from_array(v, schedule.omega_end)
+    v = _affine(_adiabat_flat(schedule), (state.e_h, state.e_l, state.e_c))
+    return StateVector(*v, schedule.omega_end)

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, isochore_time_derivatives, limit_cycle
 from .schedules import Schedule, build_three_jump
@@ -43,6 +42,21 @@ class IsochoreAllocation:
     degenerate: bool = False
 
 
+# Taylor coefficients 2 / (2n + 1)! of 2 (sinh z - z) / z^3 in z^2, highest first
+_SINH_EXCESS_SERIES = tuple(2.0 / math.factorial(2 * n + 1) for n in range(9, 0, -1))
+
+
+def _sinh_excess(z: float) -> float:
+    """2 (sinh z - z) for z >= 0, as its Taylor series below z = 1, where the
+    difference cancels (nine terms leave a relative truncation below 5e-17)."""
+    if z >= 1.0:
+        return 2.0 * (math.sinh(z) - z)
+    w, total = z * z, 0.0
+    for c in _SINH_EXCESS_SERIES:
+        total = total * w + c
+    return total * w * z
+
+
 def solve_isochore_z(gamma_h: float, gamma_c: float,
                      tau_adiabats: float) -> IsochoreAllocation:
     """Optimal isochore times for given total adiabat time.
@@ -53,6 +67,13 @@ def solve_isochore_z(gamma_h: float, gamma_c: float,
     two conductances are equal (z = Gamma_h tau_h = Gamma_c tau_c with a
     single Gamma); for gamma_h != gamma_c it is a heuristic (gamma_h is used)
     and a searched optimization is authoritative.
+
+    With a = gamma_h tau_adiabats, Newton's method runs on the residual
+    2 (sinh z - z) - a (see _sinh_excess) with the slope 4 sinh^2(z/2).  The
+    residual is convex, so from a start right of the root the iterates fall
+    monotonically onto it; they stop when a step no longer lowers z.  The
+    start is the lower of two bounds: z^3/3 <= 2 (sinh z - z), and the root
+    solves z = asinh(a/2 + z) with z < asinh(a/2) + 1.
     """
     if gamma_h <= 0 or gamma_c <= 0:
         raise ValueError("conductances must be positive")
@@ -61,24 +82,14 @@ def solve_isochore_z(gamma_h: float, gamma_c: float,
     if tau_adiabats == 0.0:
         return IsochoreAllocation(0.0, 0.0, 0.0, degenerate=True)
     a = gamma_h * tau_adiabats
-
-    def f(z):
-        return 2.0 * math.sinh(z) - 2.0 * z - a
-
-    hi = max(1.0, math.asinh(0.5 * a) + 1.0)
-    while f(hi) < 0:
-        hi *= 1.5
-    z = brentq(f, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-    for _ in range(3):   # Newton polish to the floating-point fixed point
-        fz = f(z)
-        dz = 2.0 * math.cosh(z) - 2.0
-        if dz == 0.0:
-            break
-        z_new = z - fz / dz
-        if z_new == z:
-            break
+    if not math.isfinite(a):
+        raise ValueError("gamma_h * tau_adiabats must be finite")
+    z = min((3.0 * a) ** (1.0 / 3.0), math.asinh(0.5 * a + math.asinh(0.5 * a) + 1.0))
+    while True:
+        z_new = z - (_sinh_excess(z) - a) / (4.0 * math.sinh(0.5 * z) ** 2)
+        if not z_new < z:
+            return IsochoreAllocation(z, z / gamma_h, z / gamma_c)
         z = z_new
-    return IsochoreAllocation(z, z / gamma_h, z / gamma_c)
 
 
 _NEG_INV_E = -math.exp(-1.0)
@@ -375,6 +386,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
             def objective(x):
                 values, record = seen[tuple(x.tolist())] = evaluate(x.tolist())
                 return -record.r_c if record is not None else math.inf
+            from scipy.optimize import minimize     # the one user of scipy.optimize
             res = minimize(objective, x0, method="Nelder-Mead",
                            options={"maxiter": spec.max_iter, "xatol": _NM_XTOL,
                                     "fatol": _NM_FTOL, "adaptive": True})

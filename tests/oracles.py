@@ -6,7 +6,7 @@ direct 3x3 map of an instantaneous frequency jump, and the jump points of a
 piecewise-constant schedule.  The propagators here do not go through the
 closed-form smooth propagators or the (Q, P) lift of ``ottofridge.dynamics``;
 only the piecewise-constant kinds of ``propagate_adiabat_numeric`` reuse
-``piecewise_matrix``.
+``schedule_propagator``.
 """
 
 import math
@@ -14,8 +14,13 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ottofridge.dynamics import StateVector, piecewise_matrix
+from ottofridge.dynamics import StateVector, schedule_propagator
 from ottofridge.schedules import PIECEWISE_KINDS, Schedule
+
+
+def propagator_matrix(schedule: Schedule) -> np.ndarray:
+    """The row-major 9-tuple of ``schedule_propagator`` as a numpy 3x3."""
+    return np.reshape(schedule_propagator(schedule), (3, 3))
 
 
 def _adiabat_rhs(t, y, schedule):
@@ -61,7 +66,7 @@ def propagate_adiabat_numeric(state: StateVector, schedule: Schedule,
     if not math.isclose(state.omega, schedule.omega_start, rel_tol=1e-9):
         raise ValueError("state.omega does not match schedule.omega_start")
     if schedule.kind in PIECEWISE_KINDS:
-        v = piecewise_matrix(schedule) @ state.as_array()
+        v = propagator_matrix(schedule) @ state.as_array()
         return StateVector.from_array(v, schedule.omega_end)
     if schedule.duration == 0.0:
         return state

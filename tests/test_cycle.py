@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from oracles import propagator_matrix
 
 import ottofridge.cycle
 from ottofridge.cycle import (
@@ -25,6 +26,7 @@ from ottofridge.dynamics import (
     StateVector,
     isochore_scalars,
     observables,
+    propagate,
     propagate_isochore,
     schedule_propagator,
 )
@@ -113,9 +115,9 @@ def test_one_cycle_matches_affine_composition():
         d, dc, ds, b0 = isochore_scalars(omega, bath, t)
         return np.array([[d, 0.0, 0.0], [0.0, dc, -ds], [0.0, ds, dc]]), np.array([b0, 0.0, 0.0])
 
-    maps = [(schedule_propagator(spec.expansion), np.zeros(3)),
+    maps = [(propagator_matrix(spec.expansion), np.zeros(3)),
             isochore(spec.omega_c, spec.cold_bath, spec.tau_c),
-            (schedule_propagator(spec.compression), np.zeros(3)),
+            (propagator_matrix(spec.compression), np.zeros(3)),
             isochore(spec.omega_h, spec.hot_bath, spec.tau_h)]
     m_tot, k_tot = np.eye(3), np.zeros(3)
     for a, b in maps:
@@ -133,8 +135,8 @@ def test_one_cycle_matches_affine_composition():
                                    rtol=1e-12, atol=1e-13)
 
 
-def test_propagate_isochore_is_the_cycle_isochore():
-    # the state-level isochore applies the cycle's float map term for term
+def leg_specs():
+    """Three-jump, exponential and linear refrigerators, three isochore-time pairs each."""
     hot, cold = BathSpec(2.0, 1.0), BathSpec(0.5, 1.0)
     specs = [frictionless_spec(tau_c=tau_c, tau_h=tau_h)
              for tau_c, tau_h in ((1.3, 0.7), (0.4, 2.2), (3.1, 0.25))]
@@ -142,8 +144,13 @@ def test_propagate_isochore_is_the_cycle_isochore():
         for tau_c, tau_h in ((1.3, 0.7), (0.6, 1.9), (2.4, 0.35)):
             specs.append(CycleSpec(hot, cold, 10.0, 1.0, build(10.0, 1.0, durations[0]),
                                    build(1.0, 10.0, durations[1]), tau_c=tau_c, tau_h=tau_h))
+    return specs
+
+
+def test_propagate_isochore_is_the_cycle_isochore():
+    # the state-level isochore applies the cycle's float map term for term
     legs = 0
-    for spec in specs:
+    for spec in leg_specs():
         _, record = limit_cycle(spec)
         for leg, bath in zip(record.branches[1::2], (spec.cold_bath, spec.hot_bath)):
             out = propagate_isochore(leg.start, bath, leg.duration)
@@ -151,6 +158,23 @@ def test_propagate_isochore_is_the_cycle_isochore():
                 (leg.end.e_h, leg.end.e_l, leg.end.e_c, leg.end.omega)
             legs += 1
     assert legs == 18
+
+
+def test_propagate_is_the_cycle_adiabat():
+    # the state-level adiabat applies the cycle's cached float map term for
+    # term, on a schedule the cycle built and on an equal fresh one
+    specs = leg_specs() + [frictionless_spec(kind="const_mu", tau_c=tau_c, tau_h=tau_h)
+                           for tau_c, tau_h in ((1.3, 0.7), (0.4, 2.2), (3.1, 0.25))]
+    legs = 0
+    for spec in specs:
+        _, record = limit_cycle(spec)
+        for leg, schedule in zip(record.branches[0::2], (spec.expansion, spec.compression)):
+            for sched in (schedule, replace(schedule)):
+                out = propagate(leg.start, sched)
+                assert (out.e_h, out.e_l, out.e_c, out.omega) == \
+                    (leg.end.e_h, leg.end.e_l, leg.end.e_c, leg.end.omega)
+            legs += 1
+    assert legs == 24
 
 
 def test_run_one_cycle_requires_hot_frequency():
@@ -270,13 +294,13 @@ def test_adiabat_propagator_is_read_only_and_per_instance(monkeypatch):
     first = Schedule.linear(10.0, 1.0, 2.0)
     twin = Schedule.linear(10.0, 1.0, 2.0)
     assert first == twin and hash(first) == hash(twin)
-    a = _adiabat_flat(first, "expansion")
-    assert _adiabat_flat(first, "expansion") is a and first._propagator is a
+    a = _adiabat_flat(first)
+    assert _adiabat_flat(first) is a and first._propagator is a
     assert isinstance(a, tuple)             # read-only: a tuple cannot be written
-    b = _adiabat_flat(twin, "expansion")
+    b = _adiabat_flat(twin)
     assert b is not a and len(built) == 2
     assert a == b and first == twin
-    np.testing.assert_array_equal(np.reshape(a, (3, 3)), schedule_propagator(first))
+    assert a == schedule_propagator(first)
 
 
 @st.composite

@@ -8,18 +8,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from oracles import jump_matrix, propagate_adiabat_numeric, rk_matrix
+from oracles import jump_matrix, propagate_adiabat_numeric, propagator_matrix, rk_matrix
 from ottofridge.dynamics import (
     BathSpec,
     StateVector,
     adiabat_power,
-    const_mu_matrix,
     equilibrium_state,
-    exponential_matrix,
     observables,
     propagate,
     propagate_isochore,
-    schedule_propagator,
 )
 from ottofridge.schedules import Schedule, build_three_jump, critical_mu
 
@@ -350,14 +347,14 @@ def test_numeric_tolerance_domain():
 def test_exponential_fast_path_matches_rk():
     for w0, w1, tau in ((10.0, 2.0, 3.0), (2.0, 10.0, 5.0), (100.0, 1.0, 8.0)):
         sched = Schedule.exponential(w0, w1, tau)
-        np.testing.assert_allclose(exponential_matrix(sched), rk_matrix(sched, 1e-12),
+        np.testing.assert_allclose(propagator_matrix(sched), rk_matrix(sched, 1e-12),
                                    rtol=1e-8, atol=1e-12)
 
 
 def test_linear_fast_path_matches_rk():
     for w0, w1, tau in ((10.0, 2.0, 3.0), (2.0, 10.0, 5.0), (20.0, 2.0, 50.0)):
         sched = Schedule.linear(w0, w1, tau)
-        np.testing.assert_allclose(schedule_propagator(sched), rk_matrix(sched, 1e-12),
+        np.testing.assert_allclose(propagator_matrix(sched), rk_matrix(sched, 1e-12),
                                    rtol=1e-8, atol=1e-12)
 
 
@@ -401,7 +398,7 @@ def test_linear_ramp_matches_mpmath_oracle():
     for tau in (4.0, 4e2, 4e4, 4e6, 4e7):
         for w0, w1 in ((50.0, 0.05), (0.05, 50.0)):
             expected, zeta = linear_ramp_oracle(w0, w1, tau)
-            got = schedule_propagator(Schedule.linear(w0, w1, tau))
+            got = propagator_matrix(Schedule.linear(w0, w1, tau))
             err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
             assert err <= 1e-15 * zeta + 1e-11, (tau, w0, zeta, err)
 
@@ -430,14 +427,14 @@ def test_exponential_small_bessel_argument_matches_mpmath_oracle():
         tau = z * math.log(10.0)
         for w0, w1 in ((10.0, 1.0), (1.0, 10.0)):
             expected = exponential_oracle(w0, w1, tau)
-            got = exponential_matrix(Schedule.exponential(w0, w1, tau))
+            got = propagator_matrix(Schedule.exponential(w0, w1, tau))
             err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
             assert err <= 1e-15, (z, w0, err)
 
 
 def test_linear_ramp_sudden_limit_is_jump():
     for w0, w1 in ((10.0, 2.0), (2.0, 10.0), (100.0, 0.5), (0.5, 100.0)):
-        got = schedule_propagator(Schedule.linear(w0, w1, 1e-12))
+        got = propagator_matrix(Schedule.linear(w0, w1, 1e-12))
         expected = jump_matrix(w0, w1)
         assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) <= 1e-10
 
@@ -463,10 +460,10 @@ def test_casimir_conserved_on_all_adiabat_paths():
     numeric = propagate_adiabat_numeric(st, Schedule.linear(6.0, 2.0, 4.0), tol=1e-11)
     assert casimir(numeric.as_array(), 2.0) == pytest.approx(x0, rel=1e-9)
 
-    ramp = schedule_propagator(Schedule.linear(6.0, 2.0, 4.0)) @ st.as_array()
+    ramp = propagator_matrix(Schedule.linear(6.0, 2.0, 4.0)) @ st.as_array()
     assert casimir(ramp, 2.0) == pytest.approx(x0, rel=1e-12)
 
-    bessel = exponential_matrix(Schedule.exponential(6.0, 2.0, 4.0)) @ st.as_array()
+    bessel = propagator_matrix(Schedule.exponential(6.0, 2.0, 4.0)) @ st.as_array()
     assert casimir(bessel, 2.0) == pytest.approx(x0, rel=1e-12)
 
 
@@ -486,7 +483,7 @@ def test_power_integral_equals_energy_change():
 
     def power(t):
         w_t = w0 / (1.0 - mu * w0 * t)
-        v = const_mu_matrix(w0, w_t, mu) @ st.as_array()
+        v = propagator_matrix(Schedule.const_mu(w0, w_t, mu)) @ st.as_array()
         return mu * w_t * (v[0] - v[1])
 
     integral, _ = quad(power, 0.0, tau, limit=400, epsabs=1e-12, epsrel=1e-11)

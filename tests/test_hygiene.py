@@ -1,6 +1,8 @@
 """Source hygiene checks on the stdlib ast: unused imports and the public API."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,15 @@ def test_no_unused_imports(path):
 def test_unused_imports_are_found():
     tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
     assert unused_imports(tree) == ["math (line 1)", "path (line 2)"]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only the Nelder-Mead branch, which imports it
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import ottofridge.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_every_public_name_resolves():

@@ -4,8 +4,10 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 from test_cycle import frictionless_spec
 
 import ottofridge.optimize
@@ -51,6 +53,20 @@ def test_z_equation_residual_grid():
     # large-argument sanity: residual stays at the contract level
     alloc = solve_isochore_z(1.0, 1.0, 100.0)
     assert abs(z_residual(alloc.z, 100.0)) <= 1e-12
+
+
+def test_z_equation_matches_mpmath_root():
+    # below a ~ 0.1 the difference 2 sinh z - 2 z cancels unless it is summed
+    # as a series; 161 log-spaced a from 1e-8 to 1e8 against 50-digit roots
+    worst = 0.0
+    with mpmath.workdps(50):
+        for i in range(161):
+            a = 10.0 ** (-8 + i / 10)
+            root = mpmath.findroot(lambda z: 2 * (mpmath.sinh(z) - z) - mpmath.mpf(a),
+                                   mpmath.asinh(a / 2) + 1 if a > 1 else (3 * a) ** (1 / 3))
+            z = solve_isochore_z(1.0, 1.0, a).z
+            worst = max(worst, float(abs(z - root) / root))
+    assert worst <= 2e-15
 
 
 def test_z_equation_conductance_scaling_and_degenerate():
@@ -314,14 +330,14 @@ def test_optimize_reuses_each_restarts_best_record(monkeypatch):
 
     # Nelder-Mead: its evaluations are the ones scipy counts
     nfev = []
-    minimize = ottofridge.optimize.minimize
+    minimize = scipy.optimize.minimize
 
     def counting_minimize(*args, **kwargs):
         res = minimize(*args, **kwargs)
         nfev.append(res.nfev)
         return res
 
-    monkeypatch.setattr(ottofridge.optimize, "minimize", counting_minimize)
+    monkeypatch.setattr(scipy.optimize, "minimize", counting_minimize)
     calls.clear()
     nelder_mead = optimize_time_allocation(OptimizationSpec(
         base=make_base(), free=("omega_c",), bounds=bounds, seed=11, restarts=2))

@@ -133,7 +133,7 @@ def test_non_finite_cycle_map_is_a_domain_failure(monkeypatch):
     from ottofridge.cycle import DOMAIN_ERRORS
 
     def nan_propagator(schedule):
-        return np.full((3, 3), np.nan)
+        return (math.nan,) * 9
 
     monkeypatch.setattr("ottofridge.cycle.schedule_propagator", nan_propagator)
     spec = small_sweep("three_jump", t_max=1e-1, t_min=1e-1 * 10**-0.05, points_per_decade=5)
@@ -152,7 +152,7 @@ def test_failed_golden_section_raises_its_winners_error(monkeypatch):
 
     def nan_propagator(schedule):
         built.append(schedule)
-        return np.full((3, 3), np.nan)
+        return (math.nan,) * 9
 
     monkeypatch.setattr("ottofridge.cycle.schedule_propagator", nan_propagator)
     spec = small_sweep("linear", t_max=1e-1, t_min=5e-2, search_iters=6)
