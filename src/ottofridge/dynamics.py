@@ -17,8 +17,12 @@ a thermal bath at fixed frequency (isochores):
   isochore:  d e_h/dt = -Gamma (e_h - e_eq),
              d/dt (e_l, e_c) = [[-Gamma, -2 omega], [2 omega, -Gamma]] (e_l, e_c)
 
-Every branch map here is affine in (e_h, e_l, e_c), which the limit-cycle
-solver exploits.  Natural units hbar = k_B = m = 1 throughout.
+Every branch map here is affine in (e_h, e_l, e_c) and is built on plain
+floats, in the form the limit-cycle solver composes: an adiabat as a
+row-major 9-tuple, from the classical (Q, P) fundamental matrix of its
+schedule lifted once to second moments (const-mu has its own closed form),
+and an isochore as its four scalars.  Natural units hbar = k_B = m = 1
+throughout.
 """
 
 from __future__ import annotations

@@ -184,14 +184,15 @@ def three_jump_times(omega_h: float, omega_c: float) -> tuple[float, float]:
         tau_2 = phi / (2 omega_h)   (hold at omega_h)
 
     The total time tau_1 + tau_2 approaches 1/sqrt(omega_h*omega_c) for
-    omega_c << omega_h.
+    omega_c << omega_h.  The arccos argument is 1 - 2 omega_h omega_c /
+    (omega_h + omega_c)^2, which loses half the digits of phi as
+    omega_c/omega_h -> 0, so phi is evaluated as the same angle
+    2 arcsin(sqrt(omega_h omega_c) / (omega_h + omega_c)), from
+    1 - cos(phi) = 2 sin^2(phi/2).
     """
     if omega_h <= 0 or omega_c <= 0:
         raise ValueError("frequencies must be positive")
-    arg = (omega_h**2 + omega_c**2) / (omega_h + omega_c) ** 2
-    # analytically <= 1; clamp against an ulp of rounding
-    arg = min(1.0, max(-1.0, arg))
-    phi = math.acos(arg)
+    phi = 2.0 * math.asin(math.sqrt(omega_h * omega_c) / (omega_h + omega_c))
     return phi / (2.0 * omega_c), phi / (2.0 * omega_h)
 
 

@@ -2,8 +2,9 @@
 
 The adiabat equations of motion d/dt (e_h, e_l, e_c) = omega(t) M(mu(t)) v
 integrated by an adaptive embedded Runge-Kutta stepper (DOP853), the
-direct 3x3 map of an instantaneous frequency jump, and the jump points of a
-piecewise-constant schedule.  The propagators here do not go through the
+direct 3x3 map of an instantaneous frequency jump, the jump points of a
+piecewise-constant schedule, and the closed-form heat ledger of a
+frictionless cycle.  The propagators here do not go through the
 closed-form smooth propagators or the (Q, P) lift of ``ottofridge.dynamics``;
 only the piecewise-constant kinds of ``propagate_adiabat_numeric`` reuse
 ``schedule_propagator``.
@@ -90,6 +91,28 @@ def jump_matrix(omega_old: float, omega_new: float) -> np.ndarray:
         [0.5 * (1.0 - s), 0.5 * (1.0 + s), 0.0],
         [0.0, 0.0, r],
     ])
+
+
+def frictionless_ledger(spec) -> tuple[float, float, float, float]:
+    """(Q_c, Q_h, W, R_c) of a frictionless cycle's limit cycle in closed form.
+
+    Frictionless adiabats (three-jump, critical const-mu) keep the occupation
+    n, so the limit cycle stays on thermal-shaped states (e_l = e_c = 0).
+    With d_c = e^(-Gamma_c tau_c), d_h = e^(-Gamma_h tau_h) and
+    Dn = n_eq(omega_c, T_c) - n_eq(omega_h, T_h),
+    Q_c = omega_c Dn (1 - d_c)(1 - d_h) / (1 - d_c d_h); each quantum taken
+    from the cold bath carries omega_h into the hot one, so
+    Q_h = (omega_h / omega_c) Q_c and W = Q_h - Q_c.
+    """
+    def n_eq(omega, bath):
+        return 1.0 / math.expm1(omega / bath.temperature)
+
+    g_c = spec.cold_bath.conductance * spec.tau_c
+    g_h = spec.hot_bath.conductance * spec.tau_h
+    dn = n_eq(spec.omega_c, spec.cold_bath) - n_eq(spec.omega_h, spec.hot_bath)
+    q_c = spec.omega_c * dn * math.expm1(-g_c) * math.expm1(-g_h) / -math.expm1(-g_c - g_h)
+    q_h = spec.omega_h / spec.omega_c * q_c
+    return q_c, q_h, q_h - q_c, q_c / spec.tau_total
 
 
 def jumps(schedule: Schedule) -> list[tuple[float, float, float]]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import propagator_matrix
+from oracles import frictionless_ledger, propagator_matrix
 
 import ottofridge.cycle
 from ottofridge.cycle import (
@@ -301,6 +301,38 @@ def test_adiabat_propagator_is_read_only_and_per_instance(monkeypatch):
     assert b is not a and len(built) == 2
     assert a == b and first == twin
     assert a == schedule_propagator(first)
+
+
+@st.composite
+def frictionless_ledger_spec(draw):
+    """Three-jump or critical const-mu refrigerators with T_c from 1e-1 down to
+    1e-12, independent isochore times and unequal conductances."""
+    omega_h = draw(st.floats(10.0, 200.0))
+    t_c = 10.0 ** draw(st.floats(-12.0, -1.0))
+    omega_c = draw(st.floats(0.2, 3.0)) * t_c
+    hot = BathSpec(draw(st.floats(0.5, 2.0)), draw(st.floats(0.3, 3.0)))
+    cold = BathSpec(t_c, draw(st.floats(0.3, 3.0)))
+    assume(hot.conductance != cold.conductance)
+    if draw(st.booleans()):
+        expansion = build_three_jump(omega_h, omega_c)
+        compression = build_three_jump(omega_c, omega_h)
+    else:
+        mu_star, _ = critical_mu(omega_h / omega_c, omega_h=omega_h)
+        expansion = Schedule.const_mu(omega_h, omega_c, mu_star)
+        compression = Schedule.const_mu(omega_c, omega_h, -mu_star)
+    return CycleSpec(hot, cold, omega_h, omega_c, expansion, compression,
+                     tau_c=draw(st.floats(0.05, 5.0)) / cold.conductance,
+                     tau_h=draw(st.floats(0.05, 5.0)) / hot.conductance)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(frictionless_ledger_spec())
+def test_frictionless_limit_cycle_is_the_closed_form_ledger(spec):
+    _, record = limit_cycle(spec)
+    for got, expected in zip((record.q_c, record.q_h, record.w, record.r_c),
+                             frictionless_ledger(spec)):
+        assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
 @st.composite
