@@ -38,6 +38,7 @@ from scipy.linalg.lapack import dgeev, dgesv
 from .dynamics import (
     BathSpec,
     StateVector,
+    _frozen,
     equilibrium_state,
     isochore_scalars,
     schedule_propagator,
@@ -164,7 +165,7 @@ class CycleRecord:
 
 
 # Float maps of the limit-cycle core: a 3x3 map is a row-major 9-tuple, a
-# vector a 3-tuple, and an isochore its scalars (d, dc, ds, b0) from
+# vector a 3-tuple, and an isochore its scalars (d, dc, ds, b0, e_eq) from
 # isochore_scalars.
 
 def _mul(a, b):
@@ -176,17 +177,17 @@ def _mul(a, b):
             a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8)
 
 
-def _affine(a, v, b=(0.0, 0.0, 0.0)):
-    """a v + b for a 3x3 map a."""
+def _affine(a, v):
+    """a v for a 3x3 map a."""
     x, y, z = v
-    return (a[0] * x + a[1] * y + a[2] * z + b[0],
-            a[3] * x + a[4] * y + a[5] * z + b[1],
-            a[6] * x + a[7] * y + a[8] * z + b[2])
+    return (a[0] * x + a[1] * y + a[2] * z,
+            a[3] * x + a[4] * y + a[5] * z,
+            a[6] * x + a[7] * y + a[8] * z)
 
 
 def _iso_mul(iso, a):
     """The isochore's linear part times a 3x3 map a."""
-    d, dc, ds, _ = iso
+    d, dc, ds, _, _ = iso
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
     return (d * a0, d * a1, d * a2,
             dc * a3 - ds * a6, dc * a4 - ds * a7, dc * a5 - ds * a8,
@@ -195,9 +196,16 @@ def _iso_mul(iso, a):
 
 def _iso_affine(iso, v):
     """The isochore's map applied to v."""
-    d, dc, ds, b0 = iso
+    d, dc, ds, b0, _ = iso
     x, y, z = v
     return (d * x + b0, dc * y - ds * z, ds * y + dc * z)
+
+
+def _iso_linear(iso, v):
+    """The isochore's linear part applied to v."""
+    d, dc, ds, _, _ = iso
+    x, y, z = v
+    return (d * x, dc * y - ds * z, ds * y + dc * z)
 
 
 def _adiabat_flat(schedule: Schedule) -> tuple:
@@ -252,8 +260,11 @@ def _ledger(spec: CycleSpec, maps, m: tuple, v: tuple, **diag) -> CycleRecord:
     sigma = ((-q_c / spec.cold_bath.temperature + q_h / spec.hot_bath.temperature) / tau
              if tau > 0 else 0.0)
     cop = q_c / w if abs(w) > 1e-300 else float("nan")
-    return CycleRecord(q_c=q_c, q_h=q_h, w=w, tau_total=tau, r_c=r_c, sigma=sigma,
-                       cop=cop, chain=(spec, maps, m, (v, v_d, v_c, v_b, v_a2)), **diag)
+    return _frozen(CycleRecord, {
+        "q_c": q_c, "q_h": q_h, "w": w, "tau_total": tau, "r_c": r_c, "sigma": sigma,
+        "cop": cop, "chain": (spec, maps, m, (v, v_d, v_c, v_b, v_a2)), "iterations": 0,
+        "residual": math.nan, "solver_agreement": math.nan, "spectral_radius": math.nan,
+        **diag})
 
 
 def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, CycleRecord]:
@@ -263,7 +274,13 @@ def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, Cyc
     maps = _branch_maps(spec)
     record = _ledger(spec, maps, _compose(maps)[0], (state.e_h, state.e_l, state.e_c))
     *_, vs = record.chain
-    return StateVector(*vs[-1], spec.omega_h, check=False), record
+    return _state(vs[-1], spec.omega_h), record
+
+
+def _state(v: tuple, omega: float) -> StateVector:
+    """The unchecked StateVector of a chain vector at frequency omega."""
+    return _frozen(StateVector, {"e_h": v[0], "e_l": v[1], "e_c": v[2], "omega": omega,
+                                 "check": False})
 
 
 def _solve_i_minus(m: tuple, b) -> list:
@@ -287,13 +304,16 @@ def _squaring_fixed_point(m: tuple, k: tuple, v0: tuple) -> tuple[tuple, int]:
     p, s = m, k
     prev, cycles = v0, 1
     while True:
-        v = _affine(p, v0, s)
+        x, y, z = _affine(p, v0)
+        s0, s1, s2 = s
+        v = (x + s0, y + s1, z + s2)
         if math.dist(v, prev) <= _ITER_RTOL * max(math.hypot(*prev), 1e-300):
             return v, cycles
         if 2 * cycles > _MAX_CYCLES:
             raise NoContractionError(
                 f"repeated squaring did not converge within {_MAX_CYCLES} cycles")
-        p, s = _mul(p, p), _affine(p, s, s)
+        x, y, z = _affine(p, s)
+        p, s = _mul(p, p), (x + s0, y + s1, z + s2)
         prev, cycles = v, 2 * cycles
 
 
@@ -327,27 +347,22 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
         raise NoContractionError(f"cycle map spectral radius {rho:.12f} >= 1; no limit cycle")
 
     v_direct = tuple(_solve_i_minus(m, k))
-    _, e_hot = equilibrium_state(spec.omega_h, spec.hot_bath)
-    v, cycles = _squaring_fixed_point(m, k, (e_hot, 0.0, 0.0))
+    v, cycles = _squaring_fixed_point(m, k, (maps[3][4], 0.0, 0.0))
 
     scale = max(math.hypot(*v_direct), 1e-300)
+    x, y, z = _affine(m, v_direct)
+    k0, k1, k2 = k
     record = _ledger(spec, maps, m, v_direct, iterations=cycles,
-                     residual=math.dist(_affine(m, v_direct, k), v_direct) / scale,
+                     residual=math.dist((x + k0, y + k1, z + k2), v_direct) / scale,
                      solver_agreement=math.dist(v_direct, v) / scale,
                      spectral_radius=rho)
-    return StateVector(*v_direct, spec.omega_h, check=False), record
+    return _state(v_direct, spec.omega_h), record
 
 
 def _generator(omega: float, gamma: float, u: tuple) -> tuple:
     """J u for the linear part J of the isochore generator: decay gamma, rotation 2 omega."""
     x, y, z = u
     return (-gamma * x, -gamma * y - 2.0 * omega * z, -gamma * z + 2.0 * omega * y)
-
-
-def _isochore_field(omega: float, bath: BathSpec, v: tuple) -> tuple:
-    """The isochore vector field dv/dt = J (v - v_eq) behind isochore_scalars."""
-    _, e_eq = equilibrium_state(omega, bath)
-    return _generator(omega, bath.conductance, (v[0] - e_eq, v[1], v[2]))
 
 
 def _dot0(a: tuple, v) -> float:
@@ -390,26 +405,25 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     a_exp, cold, a_comp, hot = maps
     omega_c, gamma_c = spec.omega_c, spec.cold_bath.conductance
     omega_h, gamma_h = spec.omega_h, spec.hot_bath.conductance
-    cold_lin, hot_lin = cold[:3] + (0.0,), hot[:3] + (0.0,)
 
-    def after_cold(v):          # L_c A_exp v: from A to after the cold isochore
-        return _iso_affine(cold_lin, _affine(a_exp, v))
-
-    def to_a(u):                # L_h A_comp u: from after the cold isochore to A
-        return _iso_affine(hot_lin, _affine(a_comp, u))
-
-    f_c = _isochore_field(omega_c, spec.cold_bath, v_c)
-    f_h = _isochore_field(omega_h, spec.hot_bath, v_a)
-    b_c = to_a(f_c)
+    # L_c A_exp maps A to after the cold isochore, L_h A_comp from there to A
+    f_c = _generator(omega_c, gamma_c, (v_c[0] - cold[4], v_c[1], v_c[2]))
+    f_h = _generator(omega_h, gamma_h, (v_a[0] - hot[4], v_a[1], v_a[2]))
+    b_c = _iso_linear(hot, _affine(a_comp, f_c))
     (x0, y0), (x1, y1), (x2, y2) = _solve_i_minus(m, tuple(zip(b_c, f_h)))
     v_tc, v_th = (x0, x1, x2), (y0, y1, y2)
 
-    r_cc = to_a(_generator(omega_c, gamma_c,
-                           [f + 2.0 * w for f, w in zip(f_c, after_cold(v_tc))]))
-    r_ch = [a + b for a, b in zip(
-        _generator(omega_h, gamma_h, [b + w for b, w in zip(b_c, _affine(m, v_tc))]),
-        to_a(_generator(omega_c, gamma_c, after_cold(v_th))))]
-    r_hh = _generator(omega_h, gamma_h, [f + 2.0 * w for f, w in zip(f_h, _affine(m, v_th))])
+    w0, w1, w2 = _iso_linear(cold, _affine(a_exp, v_tc))
+    r_cc = _iso_linear(hot, _affine(a_comp, _generator(
+        omega_c, gamma_c, (f_c[0] + 2.0 * w0, f_c[1] + 2.0 * w1, f_c[2] + 2.0 * w2))))
+    w0, w1, w2 = _affine(m, v_tc)
+    u0, u1, u2 = _generator(omega_h, gamma_h, (b_c[0] + w0, b_c[1] + w1, b_c[2] + w2))
+    w0, w1, w2 = _iso_linear(hot, _affine(a_comp, _generator(
+        omega_c, gamma_c, _iso_linear(cold, _affine(a_exp, v_th)))))
+    r_ch = (u0 + w0, u1 + w1, u2 + w2)
+    w0, w1, w2 = _affine(m, v_th)
+    r_hh = _generator(omega_h, gamma_h, (f_h[0] + 2.0 * w0, f_h[1] + 2.0 * w1,
+                                         f_h[2] + 2.0 * w2))
     (z0, z1, z2), (z3, z4, z5), (z6, z7, z8) = _solve_i_minus(m, tuple(zip(r_cc, r_ch, r_hh)))
 
     d_c = cold[0]

@@ -49,6 +49,15 @@ _EXP_OVERFLOW = 700.0
 # Domain types
 # ---------------------------------------------------------------------------
 
+def _frozen(cls, fields: dict):
+    """An instance of the frozen dataclass ``cls`` with the given fields, set
+    directly: without __init__'s per-field object.__setattr__ and without
+    __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class BathSpec:
     """One thermal reservoir: temperature T and heat conductance Gamma.
@@ -198,8 +207,10 @@ def adiabat_power(state: StateVector, mu: float) -> float:
 # Isochore (bath contact at fixed omega)
 # ---------------------------------------------------------------------------
 
-def isochore_scalars(omega: float, bath: BathSpec, t: float) -> tuple[float, float, float, float]:
-    """The exact isochore map's distinct entries (d, dc, ds, b0): v -> A v + b with
+def isochore_scalars(omega: float, bath: BathSpec,
+                     t: float) -> tuple[float, float, float, float, float]:
+    """The exact isochore map's distinct entries (d, dc, ds, b0) and the bath's
+    equilibrium energy e_eq: the map is v -> A v + b with
 
         A = [[d, 0, 0], [0, dc, -ds], [0, ds, dc]],   b = (b0, 0, 0).
 
@@ -213,12 +224,12 @@ def isochore_scalars(omega: float, bath: BathSpec, t: float) -> tuple[float, flo
     _, e_eq = equilibrium_state(omega, bath)
     decay = math.exp(-bath.conductance * t)
     ang = 2.0 * omega * t
-    return decay, decay * math.cos(ang), decay * math.sin(ang), (1.0 - decay) * e_eq
+    return decay, decay * math.cos(ang), decay * math.sin(ang), (1.0 - decay) * e_eq, e_eq
 
 
 def propagate_isochore(state: StateVector, bath: BathSpec, t: float) -> StateVector:
     """Evolve a state in contact with one bath at fixed frequency for time t."""
-    d, dc, ds, b0 = isochore_scalars(state.omega, bath, t)
+    d, dc, ds, b0, _ = isochore_scalars(state.omega, bath, t)
     x, y, z = state.e_h, state.e_l, state.e_c
     return StateVector(d * x + b0, dc * y - ds * z, ds * y + dc * z, state.omega)
 

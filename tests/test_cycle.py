@@ -112,7 +112,7 @@ def test_one_cycle_matches_affine_composition():
     spec = frictionless_spec(tau_c=1.3, tau_h=0.7)
 
     def isochore(omega, bath, t):
-        d, dc, ds, b0 = isochore_scalars(omega, bath, t)
+        d, dc, ds, b0, _ = isochore_scalars(omega, bath, t)
         return np.array([[d, 0.0, 0.0], [0.0, dc, -ds], [0.0, ds, dc]]), np.array([b0, 0.0, 0.0])
 
     maps = [(propagator_matrix(spec.expansion), np.zeros(3)),
