@@ -16,14 +16,16 @@ Each adiabat propagator is built once per Schedule instance and kept on it,
 so a search that varies only the isochore times reuses it.
 
 On maps this small numpy's per-call overhead outweighs the arithmetic, so
-the core of limit_cycle (composing M and k, the squaring and the ledger) runs
-on plain Python floats: a 3x3 map is a row-major 9-tuple, as
-dynamics.schedule_propagator builds it, a vector a 3-tuple and an isochore
-its four scalars.  The eigenvalues and the direct solve call
-the LAPACK routines dgeev and dgesv that numpy's eigvals and solve wrap.
-isochore_time_derivatives differentiates the fixed point twice, and with it
-ln R_c, with respect to the two isochore times: the exact gradient and
-Hessian, from the branch maps and M that the record's limit_cycle call built.
+the core of limit_cycle (composing M and k, the direct solve, the squaring
+and the ledger) runs on plain Python floats: a 3x3 map is a row-major
+9-tuple, as dynamics.schedule_propagator builds it, a vector a 3-tuple and
+an isochore its four scalars plus the bath's equilibrium energy.  The
+eigenvalues call the LAPACK routine dgeev that numpy's eigvals wraps; the
+direct solve is an unrolled partial-pivot LU of I - M, factored once per
+cycle.  isochore_time_derivatives differentiates the fixed point twice, and
+with it ln R_c, with respect to the two isochore times: the exact gradient
+and Hessian, from the branch maps, M and the LU factors that the record's
+limit_cycle call built.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgeev, dgesv
+from scipy.linalg.lapack import dgeev
 
 from .dynamics import (
     BathSpec,
@@ -134,9 +136,9 @@ class CycleRecord:
     r_c: float
     sigma: float
     cop: float
-    # (the CycleSpec, its float branch maps, the cycle matrix M, the chain
-    # vectors at A, D, C, B, A'); read by ``branches`` and
-    # :func:`isochore_time_derivatives`
+    # (the CycleSpec, its float branch maps, the cycle matrix M, the LU
+    # factors of I - M (None from run_one_cycle), the chain vectors at A, D,
+    # C, B, A'); read by ``branches`` and :func:`isochore_time_derivatives`
     chain: tuple = field(repr=False, compare=False)
     iterations: int = 0
     residual: float = float("nan")
@@ -146,7 +148,7 @@ class CycleRecord:
     @cached_property
     def branches(self) -> tuple[BranchRecord, ...]:
         """Start and end state of each branch, built on first read."""
-        spec, _, _, vs = self.chain
+        spec, *_, vs = self.chain
         legs = (("expansion", spec.expansion.duration, spec.omega_c),
                 ("cold_isochore", spec.tau_c, spec.omega_c),
                 ("compression", spec.compression.duration, spec.omega_h),
@@ -244,8 +246,9 @@ def _compose(maps) -> tuple[tuple, tuple]:
     return m, _iso_affine(hot, _affine(a_comp, (cold[3], 0.0, 0.0)))
 
 
-def _ledger(spec: CycleSpec, maps, m: tuple, v: tuple, **diag) -> CycleRecord:
-    """Heat/work ledger of one cycle started from v at point A; m is the maps' M."""
+def _ledger(spec: CycleSpec, maps, m: tuple, lu, v: tuple, **diag) -> CycleRecord:
+    """Heat/work ledger of one cycle started from v at point A; m is the maps' M
+    and lu the LU factors of I - M."""
     a_exp, cold, a_comp, hot = maps
     v_d = _affine(a_exp, v)
     v_c = _iso_affine(cold, v_d)
@@ -262,7 +265,7 @@ def _ledger(spec: CycleSpec, maps, m: tuple, v: tuple, **diag) -> CycleRecord:
     cop = q_c / w if abs(w) > 1e-300 else float("nan")
     return _frozen(CycleRecord, {
         "q_c": q_c, "q_h": q_h, "w": w, "tau_total": tau, "r_c": r_c, "sigma": sigma,
-        "cop": cop, "chain": (spec, maps, m, (v, v_d, v_c, v_b, v_a2)), "iterations": 0,
+        "cop": cop, "chain": (spec, maps, m, lu, (v, v_d, v_c, v_b, v_a2)), "iterations": 0,
         "residual": math.nan, "solver_agreement": math.nan, "spectral_radius": math.nan,
         **diag})
 
@@ -272,7 +275,7 @@ def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, Cyc
     if not math.isclose(state.omega, spec.omega_h, rel_tol=1e-9):
         raise ValueError("input state must sit at omega_h (cycle point A)")
     maps = _branch_maps(spec)
-    record = _ledger(spec, maps, _compose(maps)[0], (state.e_h, state.e_l, state.e_c))
+    record = _ledger(spec, maps, _compose(maps)[0], None, (state.e_h, state.e_l, state.e_c))
     *_, vs = record.chain
     return _state(vs[-1], spec.omega_h), record
 
@@ -283,13 +286,52 @@ def _state(v: tuple, omega: float) -> StateVector:
                                  "check": False})
 
 
-def _solve_i_minus(m: tuple, b) -> list:
-    """x with (I - m) x = b by LAPACK dgesv; b is a 3-vector or 3 rows of right-hand sides."""
+def _lu(m: tuple) -> tuple:
+    """LU factors of I - m with partial pivoting, as LAPACK's dgetf2 forms them.
+
+    Returns (p, l10, l20, l21, u00, u01, u02, u11, u12, u22): row p[i] of
+    I - m is row i of L U, with L unit lower and U upper triangular.  The
+    pivot of each column is its first entry of largest magnitude, and the
+    multipliers below it are scaled by its reciprocal; a zero pivot raises
+    LinAlgError.
+    """
     m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-    _, _, x, info = dgesv(((1.0 - m0, -m1, -m2), (-m3, 1.0 - m4, -m5), (-m6, -m7, 1.0 - m8)), b)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular matrix I - M (dgesv info {info})")
-    return x.tolist()
+    r0, r1, r2 = (1.0 - m0, -m1, -m2), (-m3, 1.0 - m4, -m5), (-m6, -m7, 1.0 - m8)
+    a0, a1, a2 = abs(r0[0]), abs(r1[0]), abs(r2[0])
+    if a1 > a0 and a1 >= a2:
+        p, r0, r1 = (1, 0, 2), r1, r0
+    elif a2 > a0 and a2 > a1:
+        p, r0, r2 = (2, 1, 0), r2, r0
+    else:
+        p = (0, 1, 2)
+    u00, u01, u02 = r0
+    if u00 == 0.0:
+        raise np.linalg.LinAlgError("singular matrix I - M (zero pivot in column 0)")
+    inv = 1.0 / u00
+    l10, l20 = r1[0] * inv, r2[0] * inv
+    u11, u12 = r1[1] - l10 * u01, r1[2] - l10 * u02
+    a21, a22 = r2[1] - l20 * u01, r2[2] - l20 * u02
+    if abs(a21) > abs(u11):
+        p, l10, l20 = (p[0], p[2], p[1]), l20, l10
+        u11, u12, a21, a22 = a21, a22, u11, u12
+    if u11 == 0.0:
+        raise np.linalg.LinAlgError("singular matrix I - M (zero pivot in column 1)")
+    l21 = a21 * (1.0 / u11)
+    u22 = a22 - l21 * u12
+    if u22 == 0.0:
+        raise np.linalg.LinAlgError("singular matrix I - M (zero pivot in column 2)")
+    return p, l10, l20, l21, u00, u01, u02, u11, u12, u22
+
+
+def _lu_solve(lu: tuple, b: tuple) -> tuple:
+    """x with (I - m) x = b, from the factors _lu(m): L y = P b, then U x = y."""
+    (i, j, k), l10, l20, l21, u00, u01, u02, u11, u12, u22 = lu
+    y0 = b[i]
+    y1 = b[j] - l10 * y0
+    y2 = b[k] - l20 * y0 - l21 * y1
+    x2 = y2 / u22
+    x1 = (y1 - u12 * x2) / u11
+    return (y0 - u02 * x2 - u01 * x1) / u00, x1, x2
 
 
 def _squaring_fixed_point(m: tuple, k: tuple, v0: tuple) -> tuple[tuple, int]:
@@ -321,7 +363,8 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     """Find the periodic steady state of the cycle map.
 
     The fixed point of v -> M v + k is computed two ways that must agree: a
-    direct solve of (I - M) v = k (LAPACK dgesv), and repeated squaring of
+    direct solve of (I - M) v = k (the LU factors of _lu, kept in the
+    record's chain), and repeated squaring of
     the augmented map from the hot equilibrium state (``iterations`` is the
     number of cycles that covered, a power of two).  The spectral radius of
     M (from the LAPACK dgeev eigenvalues) is reported and must be < 1; a
@@ -346,13 +389,14 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     if rho >= _RHO_LIMIT:
         raise NoContractionError(f"cycle map spectral radius {rho:.12f} >= 1; no limit cycle")
 
-    v_direct = tuple(_solve_i_minus(m, k))
+    lu = _lu(m)
+    v_direct = _lu_solve(lu, k)
     v, cycles = _squaring_fixed_point(m, k, (maps[3][4], 0.0, 0.0))
 
     scale = max(math.hypot(*v_direct), 1e-300)
     x, y, z = _affine(m, v_direct)
     k0, k1, k2 = k
-    record = _ledger(spec, maps, m, v_direct, iterations=cycles,
+    record = _ledger(spec, maps, m, lu, v_direct, iterations=cycles,
                      residual=math.dist((x + k0, y + k1, z + k2), v_direct) / scale,
                      solver_agreement=math.dist(v_direct, v) / scale,
                      spectral_radius=rho)
@@ -374,16 +418,17 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     """Exact gradient and Hessian of ln |R_c| in (ln tau_c, ln tau_h) at a limit cycle.
 
     ``record`` is a :func:`limit_cycle` record; its chain holds the spec, the
-    branch maps, M and the fixed point v_A with the states v_D, v_C after it.
+    branch maps, M, the LU factors of I - M and the fixed point v_A with the
+    states v_D, v_C after it.
     Returns ((g_c, g_h), ((h_cc, h_ch), (h_ch, h_hh))).
 
     The isochore flow has the field f(v) = J (v - v_eq), with J its linear
     part and L = e^(J tau) the decayed rotation of isochore_scalars.  The
     cycle map F(v) = M v + k moves with the isochore times as dF/dtau_c =
     L_h A_comp f_c(v_C) and dF/dtau_h = f_h(v_A), so the fixed point moves as
-    v_i = (I - M)^-1 dF/dtau_i (one dgesv, two right-hand sides).  Its second
-    derivatives solve (I - M) v_ij = d_ij F + (d_v d_i F) v_j + (d_v d_j F) v_i
-    (one dgesv, three right-hand sides) with
+    v_i = (I - M)^-1 dF/dtau_i.  Its second derivatives solve
+    (I - M) v_ij = d_ij F + (d_v d_i F) v_j + (d_v d_j F) v_i (the record's LU
+    factors serve all five right-hand sides) with
 
         d_v d_tau_c F = L_h A_comp J_c L_c A_exp,   d_v d_tau_h F = J_h M,
         d_cc F = L_h A_comp J_c f_c(v_C),   d_ch F = J_h dF/dtau_c,
@@ -399,7 +444,7 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     For a cycle that heats the cold bath (q_c < 0) these are the derivatives
     of ln |R_c|; q_c = 0 raises ValueError.
     """
-    spec, maps, m, (v_a, _, v_c, _, _) = record.chain
+    spec, maps, m, lu, (v_a, _, v_c, _, _) = record.chain
     if record.q_c == 0.0:
         raise ValueError("ln |R_c| has no derivatives at q_c = 0")
     a_exp, cold, a_comp, hot = maps
@@ -410,8 +455,7 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     f_c = _generator(omega_c, gamma_c, (v_c[0] - cold[4], v_c[1], v_c[2]))
     f_h = _generator(omega_h, gamma_h, (v_a[0] - hot[4], v_a[1], v_a[2]))
     b_c = _iso_linear(hot, _affine(a_comp, f_c))
-    (x0, y0), (x1, y1), (x2, y2) = _solve_i_minus(m, tuple(zip(b_c, f_h)))
-    v_tc, v_th = (x0, x1, x2), (y0, y1, y2)
+    v_tc, v_th = _lu_solve(lu, b_c), _lu_solve(lu, f_h)
 
     w0, w1, w2 = _iso_linear(cold, _affine(a_exp, v_tc))
     r_cc = _iso_linear(hot, _affine(a_comp, _generator(
@@ -424,16 +468,16 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     w0, w1, w2 = _affine(m, v_th)
     r_hh = _generator(omega_h, gamma_h, (f_h[0] + 2.0 * w0, f_h[1] + 2.0 * w1,
                                          f_h[2] + 2.0 * w2))
-    (z0, z1, z2), (z3, z4, z5), (z6, z7, z8) = _solve_i_minus(m, tuple(zip(r_cc, r_ch, r_hh)))
 
     d_c = cold[0]
     d_c_minus_1 = d_c - 1.0
     a_c, a_h = _dot0(a_exp, v_tc), _dot0(a_exp, v_th)
     dq_c = d_c_minus_1 * a_c + f_c[0]
     dq_h = d_c_minus_1 * a_h
-    q_cc = d_c_minus_1 * _dot0(a_exp, (z0, z3, z6)) - 2.0 * gamma_c * d_c * a_c - gamma_c * f_c[0]
-    q_ch = d_c_minus_1 * _dot0(a_exp, (z1, z4, z7)) - gamma_c * d_c * a_h
-    q_hh = d_c_minus_1 * _dot0(a_exp, (z2, z5, z8))
+    q_cc = (d_c_minus_1 * _dot0(a_exp, _lu_solve(lu, r_cc)) - 2.0 * gamma_c * d_c * a_c
+            - gamma_c * f_c[0])
+    q_ch = d_c_minus_1 * _dot0(a_exp, _lu_solve(lu, r_ch)) - gamma_c * d_c * a_h
+    q_hh = d_c_minus_1 * _dot0(a_exp, _lu_solve(lu, r_hh))
 
     q, r_c, tau = record.q_c, record.r_c, record.tau_total
     tau_c, tau_h = spec.tau_c, spec.tau_h
