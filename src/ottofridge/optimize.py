@@ -311,8 +311,9 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     """Multi-start maximization of the limit-cycle cooling rate.
 
     The free variables are searched in log space (they span decades near
-    T_c -> 0), from the base spec's values when they lie in the box, the
-    box midpoint and seeded random points.  When the free set is exactly
+    T_c -> 0), from the base spec's values when they lie in the box (and
+    evaluated there at exactly those values), the box midpoint and seeded
+    random points.  When the free set is exactly
     {tau_c, tau_h}, each start runs a damped Newton ascent on the exact
     gradient and Hessian of :func:`~ottofridge.cycle.isochore_time_derivatives`
     (see :func:`_newton_isochore_times`); other free sets run Nelder-Mead.
@@ -337,11 +338,20 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     evaluations = failures = 0
     first_failure = ""
     solved = {}             # sorted (name, value) items -> record of each evaluation
+    base_values = {n: base.expansion.duration if n == "tau_hc" else
+                   base.compression.duration if n == "tau_ch" else getattr(base, n)
+                   for n in names}
+    current = [math.log(base_values[n]) for n in names]
+    if not all(a <= c <= b for a, c, b in zip(lo, current, hi)):
+        current = None          # not a start
 
     def evaluate(x):
         nonlocal evaluations, failures, first_failure
         evaluations += 1
-        values = {n: math.exp(min(max(v, a), b)) for (n, a, b), v in zip(box, x)}
+        if x == current:        # the base's own values, not exp(log) of them
+            values = dict(base_values)
+        else:
+            values = {n: math.exp(min(max(v, a), b)) for (n, a, b), v in zip(box, x)}
         try:
             _, record = limit_cycle(apply_free_values(base, values))
         except DOMAIN_ERRORS as exc:
@@ -353,10 +363,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         return values, record
 
     starts = [[0.5 * (a + b) for a, b in zip(lo, hi)]]
-    current = [math.log(base.expansion.duration if n == "tau_hc" else
-                        base.compression.duration if n == "tau_ch" else getattr(base, n))
-               for n in names]
-    if all(a <= c <= b for a, c, b in zip(lo, current, hi)):
+    if current is not None:
         starts.insert(0, current)
     if len(starts) < spec.restarts:
         rng = np.random.default_rng(spec.seed)

@@ -203,9 +203,9 @@ def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
 
 def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
     # a searched sweep point reuses the record of each allocation search: its
-    # limit_cycle calls are the searches' own evaluations plus one z-equation
-    # comparison for each search that did not evaluate the z-allocation
-    # itself, none in the golden section or for the row
+    # limit_cycle calls are the searches' own evaluations, none in the golden
+    # section or for the row; each search starts at exactly its z-allocation,
+    # which lies in its box, so the z-equation comparison reuses that record
     import ottofridge.optimize
     import ottofridge.scaling
     calls, searches = [], []
@@ -230,13 +230,10 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
     assert row.flag == 1
     assert len(searches) == spec.search_iters + 2
     assert len(calls) == sum(len(made) for _, made in searches)
-    solved_z = 0
     for result, made in searches:
         z = result.z_comparison
-        evaluated = {(s.tau_c, s.tau_h) for s in made[:result.evaluations]}
-        solved_z += (z["tau_c"], z["tau_h"]) not in evaluated
-        assert len(made) == result.evaluations + ((z["tau_c"], z["tau_h"]) not in evaluated)
-    assert solved_z < len(searches)     # the searches' starts are z-allocations
+        assert (made[0].tau_c, made[0].tau_h) == (z["tau_c"], z["tau_h"])
+        assert len(made) == result.evaluations
 
 
 def test_searched_allocations_are_verified_local_optima(monkeypatch):
