@@ -351,6 +351,11 @@ def _exponential_propagator(schedule: Schedule) -> tuple:
 # Bessel orders of the linear ramp's (Q, Q, P, P) entries, at (start, end, start, end)
 _LINEAR_ORDERS = (0.25, 0.25, -0.75, -0.75)
 
+# Largest argument at which scipy's jv and yv keep their accuracy: 0.5/eps =
+# 2^51.  Against 50-digit mpmath their error is <= 4e-16 of the envelope
+# sqrt(2/(pi zeta)) up to 2^51 and 2e-2 to 1e-1 of it one ulp above.
+_ZETA_MAX = 2.0 ** 51
+
 
 def _linear_ramp_propagator(schedule: Schedule) -> tuple:
     """Exact propagator of a linear sweep omega(t) = omega0 - beta t.
@@ -359,10 +364,12 @@ def _linear_ramp_propagator(schedule: Schedule) -> tuple:
     x_ww + (omega/beta)^2 x = 0, solved by x = sqrt(omega) C_{1/4}(zeta) with
     zeta = omega^2 / (2|beta|); the momenta p = dx/dt are
     -sign(beta) omega^(3/2) C_{-3/4}(zeta) (DLMF 10.6.2).  With C = J, Y the
-    columns have the exact constant Wronskian -4 beta / pi.  The phase error
-    is the floating-point limit ~1e-16 zeta, for ramps of any duration.  A
-    ramp of zero duration or between equal frequencies is a hold: it turns
-    (e_l, e_c) by the angle 2 omega t.
+    columns have the exact constant Wronskian -4 beta / pi.  The phase
+    carries the rounding of zeta, about 1e-16 zeta radians; it turns
+    (e_l, e_c) and leaves the energy entry at machine precision.  Past
+    zeta = _ZETA_MAX the Bessel functions lose every digit, so such a ramp
+    raises ScheduleError.  A ramp of zero duration or between equal
+    frequencies is a hold: it turns (e_l, e_c) by the angle 2 omega t.
     """
     w0, w1, tau = schedule.omega_start, schedule.omega_end, schedule.duration
     if w0 == w1 or tau == 0.0:
@@ -372,6 +379,9 @@ def _linear_ramp_propagator(schedule: Schedule) -> tuple:
     sgn = 1.0 if beta > 0 else -1.0
     two_b = 2.0 * abs(beta)
     zeta = (w0 * w0 / two_b, w1 * w1 / two_b)
+    if max(zeta) > _ZETA_MAX:
+        raise ScheduleError(f"linear ramp Bessel argument {max(zeta):.6g} exceeds "
+                            f"{_ZETA_MAX:.6g}, where jv and yv lose their accuracy")
     # both orders at both ends in one call per Bessel kind
     jq0, jq1, jp0, jp1 = jv(_LINEAR_ORDERS, zeta + zeta).tolist()
     yq0, yq1, yp0, yp1 = yv(_LINEAR_ORDERS, zeta + zeta).tolist()

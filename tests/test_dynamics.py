@@ -17,8 +17,9 @@ from ottofridge.dynamics import (
     observables,
     propagate,
     propagate_isochore,
+    schedule_propagator,
 )
-from ottofridge.schedules import Schedule, build_three_jump, critical_mu
+from ottofridge.schedules import Schedule, ScheduleError, build_three_jump, critical_mu
 
 
 def casimir(v, omega):
@@ -401,6 +402,31 @@ def test_linear_ramp_matches_mpmath_oracle():
             got = propagator_matrix(Schedule.linear(w0, w1, tau))
             err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
             assert err <= 1e-15 * zeta + 1e-11, (tau, w0, zeta, err)
+
+
+def linear_ramp_at(zeta_h, w0, w1):
+    """The linear ramp w0 -> w1 whose Bessel argument at omega_h = max(w0, w1) is zeta_h."""
+    return Schedule.linear(w0, w1, 2.0 * zeta_h * abs(w0 - w1) / max(w0, w1) ** 2)
+
+
+def test_linear_ramp_energy_entry_matches_mpmath_up_to_the_bessel_limit():
+    # the end phases carry the ~1e-16 zeta rounding of zeta, but the energy
+    # entry does not depend on them: it stays at machine precision up to
+    # zeta = 2^51, where scipy's jv and yv stop being accurate
+    for zeta_h in (1e10, 3e12, 1e15, 0.99 * 2.0**51):
+        for w0, w1 in ((100.0, 0.1), (0.1, 100.0)):
+            sched = linear_ramp_at(zeta_h, w0, w1)
+            expected, zeta = linear_ramp_oracle(w0, w1, sched.duration)
+            assert zeta <= 2.0**51
+            got = propagator_matrix(sched)
+            assert abs(got[0, 0] - expected[0, 0]) <= 1e-13 * expected[0, 0], (zeta, w0)
+
+
+def test_linear_ramp_past_the_bessel_limit_raises():
+    for w0, w1 in ((100.0, 0.1), (0.1, 100.0)):
+        schedule_propagator(linear_ramp_at(2.0**51 * (1.0 - 1e-12), w0, w1))
+        with pytest.raises(ScheduleError, match="Bessel argument"):
+            schedule_propagator(linear_ramp_at(2.0**51 * (1.0 + 1e-12), w0, w1))
 
 
 def exponential_oracle(w0, w1, tau):

@@ -300,6 +300,18 @@ def test_three_jump_exponent_reaches_asymptote_at_deep_temperatures():
     assert local[2] == pytest.approx(1.5, abs=0.1)
 
 
+def test_linear_sweep_past_the_bessel_limit_is_a_failed_point():
+    # omega_h = 100, z allocation: the winning ramp's zeta_h is 6.8e14 at
+    # T_c = 1e-6, where R_c still follows T_c^3, and past 2^51 at 1e-7, where
+    # the point used to come out as noise
+    spec = SweepSpec(kind="linear", omega_h=100.0, t_max=1e-5, t_min=1e-7,
+                     points_per_decade=1)
+    first, second, third = temperature_sweep(spec).rows
+    assert first.flag == second.flag == 1
+    assert math.log10(first.r_c / second.r_c) == pytest.approx(3.0, abs=1e-4)
+    assert third.flag == 0 and "Bessel argument" in third.error
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(kind="warp")
