@@ -149,6 +149,9 @@ def _validate_schedule_block(path: str, block):
         raise ConfigError(f"{path}.mu", "const_mu requires 'mu' or 'critical': true")
 
 
+_TYPE_NAMES = {bool: "boolean", str: "string", list: "list"}
+
+
 def _merge(path: str, defaults, user):
     """Defaults overlaid with user values; unknown keys rejected with their path."""
     if not isinstance(user, dict):
@@ -169,26 +172,14 @@ def _merge(path: str, defaults, user):
             out[key] = uval
         elif isinstance(dval, dict):
             out[key] = _merge(here, dval, uval)
-        elif uval is None and dval is None:
-            out[key] = None
-        elif isinstance(dval, bool):
-            if not isinstance(uval, bool):
-                raise ConfigError(here, f"expected a boolean, got {uval!r}")
-            out[key] = uval
-        elif isinstance(dval, str):
-            if not isinstance(uval, str):
-                raise ConfigError(here, f"expected a string, got {uval!r}")
-            out[key] = uval
-        elif isinstance(dval, list):
-            if not isinstance(uval, list):
-                raise ConfigError(here, f"expected a list, got {uval!r}")
+        elif type(dval) in _TYPE_NAMES:
+            if not isinstance(uval, type(dval)):
+                raise ConfigError(here, f"expected a {_TYPE_NAMES[type(dval)]}, got {uval!r}")
             out[key] = uval
         else:
-            if uval is None:
-                out[key] = None
-            else:
+            if uval is not None:
                 _check_number(here, uval)
-                out[key] = uval
+            out[key] = uval
     for key in user:
         if key not in defaults:
             here = f"{path}.{key}" if path else key
@@ -298,12 +289,10 @@ def optimization_spec_from_config(config: Config, seed: int) -> OptimizationSpec
             continue
         if name == "omega_c":
             bounds[name] = (base.omega_c / 10.0, min(base.omega_c * 10.0, base.omega_h * 0.99))
-        elif name in ("tau_c", "tau_h"):
-            ref = getattr(base, name)
-            bounds[name] = (max(ref, 1e-9) / 20.0, max(ref, 1e-9) * 20.0)
         else:
-            ref = base.expansion.duration if name == "tau_hc" else base.compression.duration
-            bounds[name] = (max(ref, 1e-9) / 20.0, max(ref, 1e-9) * 20.0)
+            ref = max(base.expansion.duration if name == "tau_hc" else
+                      base.compression.duration if name == "tau_ch" else getattr(base, name), 1e-9)
+            bounds[name] = (ref / 20.0, ref * 20.0)
     g = config.resolved["ga"]
     return OptimizationSpec(
         base=base, free=free, bounds=bounds, seed=seed,
@@ -382,17 +371,8 @@ def _cmd_simulate(config: Config, out: str, seed: int, threads: int,
     state, record = limit_cycle(spec)
     rows = [(b.name, b.duration, b.start.e_h, b.start.e_l, b.start.e_c,
              b.end.e_h, b.end.e_l, b.end.e_c, b.delta_e) for b in record.branches]
-    footer = [
-        f"# q_c {_fmt(record.q_c)}",
-        f"# q_h {_fmt(record.q_h)}",
-        f"# w {_fmt(record.w)}",
-        f"# tau_total {_fmt(record.tau_total)}",
-        f"# r_c {_fmt(record.r_c)}",
-        f"# sigma {_fmt(record.sigma)}",
-        f"# cop {_fmt(record.cop)}",
-        f"# spectral_radius {_fmt(record.spectral_radius)}",
-        f"# iterations {record.iterations}",
-    ]
+    footer = [f"# {name} {_fmt(getattr(record, name))}" for name in (
+        "q_c", "q_h", "w", "tau_total", "r_c", "sigma", "cop", "spectral_radius", "iterations")]
     _write_table(os.path.join(out, "cycle.csv"), config, seed,
                  ["branch", "tau", "e_h_start", "e_l_start", "e_c_start",
                   "e_h_end", "e_l_end", "e_c_end", "delta_e"], rows, footer)
@@ -468,13 +448,8 @@ def _cmd_ga(config: Config, out: str, seed: int, threads: int,
     return 0
 
 
-_HANDLERS = {
-    "critical": _cmd_critical,
-    "simulate": _cmd_simulate,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "ga": _cmd_ga,
-}
+_HANDLERS = {"critical": _cmd_critical, "simulate": _cmd_simulate, "optimize": _cmd_optimize,
+             "sweep": _cmd_sweep, "ga": _cmd_ga}
 
 
 def run_command(name: str, config: Config, out: str = ".", seed: int | None = None,

@@ -287,14 +287,10 @@ def _state(v: tuple, omega: float) -> StateVector:
 
 
 def _lu(m: tuple) -> tuple:
-    """LU factors of I - m with partial pivoting, as LAPACK's dgetf2 forms them.
-
-    Returns (p, l10, l20, l21, u00, u01, u02, u11, u12, u22): row p[i] of
-    I - m is row i of L U, with L unit lower and U upper triangular.  The
-    pivot of each column is its first entry of largest magnitude, and the
-    multipliers below it are scaled by its reciprocal; a zero pivot raises
-    LinAlgError.
-    """
+    """Partial-pivot LU factors (p, l10, l20, l21, u00, u01, u02, u11, u12, u22)
+    of I - m as LAPACK's dgetf2 forms them: row p[i] of I - m is row i of L U,
+    each pivot the first entry of largest magnitude.  A zero pivot raises
+    LinAlgError."""
     m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
     r0, r1, r2 = (1.0 - m0, -m1, -m2), (-m3, 1.0 - m4, -m5), (-m6, -m7, 1.0 - m8)
     a0, a1, a2 = abs(r0[0]), abs(r1[0]), abs(r2[0])

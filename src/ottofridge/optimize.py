@@ -189,13 +189,9 @@ class OptimizationSpec:
         for name, (lo, hi) in self.bounds.items():
             if not (0 < lo < hi < math.inf):
                 raise ValueError(f"bounds for {name!r} must satisfy 0 < lo < hi < inf")
-        if self.free and ("tau_hc" in self.free or "tau_ch" in self.free):
-            for which in ("tau_hc", "tau_ch"):
-                if which not in self.free:
-                    continue
-                sched = self.base.expansion if which == "tau_hc" else self.base.compression
-                if sched.kind in ("three_jump", "piecewise_const"):
-                    raise ValueError(f"{which} is derived for {sched.kind} schedules and cannot be freed")
+        for which, sched in (("tau_hc", self.base.expansion), ("tau_ch", self.base.compression)):
+            if which in self.free and sched.kind in ("three_jump", "piecewise_const"):
+                raise ValueError(f"{which} is derived for {sched.kind} schedules and cannot be freed")
 
 
 @dataclass(frozen=True)
