@@ -1,5 +1,6 @@
 """Cycle assembly, limit-cycle solver and thermodynamic bookkeeping."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -10,12 +11,16 @@ from hypothesis import strategies as st
 from oracles import frictionless_ledger, propagator_matrix
 
 import ottofridge.cycle
+import ottofridge.dynamics
 from ottofridge.cycle import (
+    CycleRecord,
     CycleSpec,
     NoContractionError,
     _adiabat_flat,
     _branch_maps,
     _compose,
+    _lu,
+    _lu_solve,
     equilibration_bound,
     isochore_time_derivatives,
     limit_cycle,
@@ -265,6 +270,92 @@ def test_near_unit_spectral_radius_hits_the_cycle_cap():
     assert 1.0 - 1e-5 < rho < ottofridge.cycle._RHO_LIMIT
     with pytest.raises(NoContractionError, match="did not converge"):
         limit_cycle(spec)
+
+
+@st.composite
+def pivoted_i_minus_m(draw):
+    """(p, M, b) with I - M = P^T L U well conditioned: row p[i] of I - M is
+    row i of L U, |l_ij| < 1 so that partial pivoting picks exactly p, and U
+    diagonally dominant."""
+    p = tuple(draw(st.permutations((0, 1, 2))))
+    unit = st.floats(-0.9, 0.9)
+    l10, l20, l21 = draw(unit), draw(unit), draw(unit)
+    u00, u11, u22 = (draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1.0, 2.0))
+                     for _ in range(3))
+    u01, u02, u12 = (0.4 * draw(unit) for _ in range(3))
+    lu = np.array([[1.0, 0.0, 0.0], [l10, 1.0, 0.0], [l20, l21, 1.0]]) @ np.array(
+        [[u00, u01, u02], [0.0, u11, u12], [0.0, 0.0, u22]])
+    a = np.empty((3, 3))
+    a[list(p)] = lu
+    b = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    return p, tuple((np.eye(3) - a).ravel().tolist()), b
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(pivoted_i_minus_m())
+def test_lu_solve_matches_numpy_for_every_pivot_order(case):
+    p, m, b = case
+    lu = _lu(m)
+    assert lu[0] == p
+    expected = np.linalg.solve(np.eye(3) - np.reshape(m, (3, 3)), b)
+    got = np.array(_lu_solve(lu, b))
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("i_minus_m, column", [
+    (((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), 0),      # M = I
+    (((2.0, 1.0, 1.0), (4.0, 2.0, 3.0), (8.0, 4.0, 5.0)), 1),      # column 1 = column 0 / 2
+    (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)), 2),
+])
+def test_lu_of_singular_i_minus_m_raises(i_minus_m, column):
+    m = tuple((np.eye(3) - np.array(i_minus_m)).ravel().tolist())
+    with pytest.raises(np.linalg.LinAlgError, match=f"zero pivot in column {column}"):
+        _lu(m)
+
+
+def test_records_are_frozen_comparable_and_printable():
+    # records and states are built without their dataclass __init__, yet
+    # behave as if built through it
+    spec = frictionless_spec(tau_c=1.3, tau_h=0.7)
+    state, record = limit_cycle(spec)
+    twin_state, twin = limit_cycle(spec)
+    rebuilt = replace(record)                     # through CycleRecord.__init__
+    assert twin == record == rebuilt and twin is not record
+    assert repr(rebuilt) == repr(record) and repr(record).startswith("CycleRecord(q_c=")
+    assert "chain" not in repr(record)
+    assert replace(record, q_c=0.0) != record
+    assert state == twin_state == StateVector(state.e_h, state.e_l, state.e_c, spec.omega_h,
+                                              check=False)
+    assert repr(state) == repr(replace(state))
+    for frozen, name in ((record, "q_c"), (state, "e_h")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frozen, name, 1.0)
+    assert isinstance(record, CycleRecord) and hash(state) == hash(twin_state)
+    # branches: built on first read, kept, and equal to the rebuilt record's
+    assert record.branches is record.branches
+    assert record.branches == rebuilt.branches
+    assert record.branches[0].start == state
+
+
+def test_equilibrium_energies_come_from_the_branch_maps(monkeypatch):
+    # at most one equilibrium_state call per bath in limit_cycle, none in the
+    # derivatives: the isochore maps carry e_eq
+    calls = []
+    real = ottofridge.dynamics.equilibrium_state
+
+    def counting(omega, bath):
+        calls.append(omega)
+        return real(omega, bath)
+
+    monkeypatch.setattr(ottofridge.dynamics, "equilibrium_state", counting)
+    monkeypatch.setattr(ottofridge.cycle, "equilibrium_state", counting)
+    for spec in leg_specs():
+        calls.clear()
+        _, record = limit_cycle(spec)
+        assert len(calls) <= 2
+        calls.clear()
+        isochore_time_derivatives(record)
+        assert calls == []
 
 
 def _count_propagator_builds(monkeypatch):

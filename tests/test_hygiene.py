@@ -1,6 +1,7 @@
 """Source hygiene checks on the stdlib ast: unused imports and the public API."""
 
 import ast
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,13 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_every_source_module_is_loaded_before_the_tests():
+    # conftest.py imports them all, so Hypothesis mines its constants from
+    # the same modules whichever test files are selected
+    names = {f"ottofridge.{module.name}" for module in pkgutil.iter_modules(ottofridge.__path__)}
+    assert names <= set(sys.modules)
 
 
 def test_every_public_name_resolves():

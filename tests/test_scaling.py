@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import frictionless_ledger
 
 from ottofridge.cycle import isochore_time_derivatives, limit_cycle
+from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.scaling import (
     SweepSpec,
     build_point,
@@ -298,6 +300,48 @@ def test_three_jump_exponent_reaches_asymptote_at_deep_temperatures():
         local.append(temperature_sweep(spec).tail_fit.delta)
     assert local[0] < local[1] < local[2] < 1.5
     assert local[2] == pytest.approx(1.5, abs=0.1)
+
+
+@pytest.fixture(scope="module")
+def deep_tail_sweeps():
+    # z-allocated frictionless sweeps at omega_h = 100, one point a decade
+    # from T_c = 1e-1 down to 1e-12 (a few ms each)
+    return {kind: temperature_sweep(SweepSpec(kind=kind, omega_h=100.0, t_max=1e-1,
+                                              t_min=1e-12, points_per_decade=1,
+                                              tail_decades=3.0)).rows
+            for kind in ("three_jump", "const_mu")}
+
+
+@pytest.mark.parametrize("kind, delta, tol", [("three_jump", 1.5, 1e-3), ("const_mu", 2.0, 2e-3)])
+def test_deep_tail_slope_reaches_the_asymptote(deep_tail_sweeps, kind, delta, tol):
+    # the per-decade slope of R_c rises through every decade and ends within
+    # tol of the asymptotic exponent between 1e-11 and 1e-12
+    rows = deep_tail_sweeps[kind]
+    assert all(r.flag == 1 for r in rows)
+    slopes = [math.log(a.r_c / b.r_c) / math.log(a.t_c / b.t_c) for a, b in zip(rows, rows[1:])]
+    assert slopes == sorted(slopes)
+    assert abs(slopes[-1] - delta) <= tol
+
+
+@pytest.mark.parametrize("kind", ["three_jump", "const_mu"])
+def test_deep_tail_heat_approaches_the_cold_thermal_quantum(deep_tail_sweeps, kind):
+    # Q_c / (omega_c n_eq(omega_c, T_c)) rises monotonically to within 1e-4
+    # of 1: deep in the tail a cycle takes the cold mode's whole occupation
+    ratios = [r.q_c / (r.omega_c * equilibrium_state(r.omega_c, BathSpec(r.t_c, 1.0))[0])
+              for r in deep_tail_sweeps[kind]]
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
+    assert 1.0 - 1e-4 <= ratios[-1] <= 1.0
+
+
+def test_ledger_tail_fit_is_criterion_01_three_jump_delta():
+    # the closed-form ledger's R_c of each row's cycle, fitted as criterion 01
+    # fits the acceptance sweep, gives the sweep's own three-jump delta
+    spec = SweepSpec(kind="three_jump", omega_h=100.0, t_hot=1.0, gamma=1.0, t_max=1e-1,
+                     t_min=1e-3, points_per_decade=5, tail_decades=1.0, seed=12345)
+    ledger = [(t, frictionless_ledger(build_point(spec, t)[0])[3]) for t in spec.grid]
+    delta = temperature_sweep(spec).tail_fit.delta
+    assert abs(fit_power_law(ledger, tail_decades=1.0).delta - delta) <= 1e-12
+    assert delta == pytest.approx(1.2382, abs=5e-5)
 
 
 def test_linear_sweep_past_the_bessel_limit_is_a_failed_point():
