@@ -448,8 +448,13 @@ def _cmd_ga(config: Config, out: str, seed: int, threads: int,
     return 0
 
 
-_HANDLERS = {"critical": _cmd_critical, "simulate": _cmd_simulate, "optimize": _cmd_optimize,
-             "sweep": _cmd_sweep, "ga": _cmd_ga}
+_HANDLERS = {
+    "critical": _cmd_critical,
+    "simulate": _cmd_simulate,
+    "optimize": _cmd_optimize,
+    "sweep": _cmd_sweep,
+    "ga": _cmd_ga,
+}
 
 
 def run_command(name: str, config: Config, out: str = ".", seed: int | None = None,

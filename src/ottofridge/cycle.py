@@ -203,13 +203,6 @@ def _iso_affine(iso, v):
     return (d * x + b0, dc * y - ds * z, ds * y + dc * z)
 
 
-def _iso_linear(iso, v):
-    """The isochore's linear part applied to v."""
-    d, dc, ds, _, _ = iso
-    x, y, z = v
-    return (d * x, dc * y - ds * z, ds * y + dc * z)
-
-
 def _adiabat_flat(schedule: Schedule) -> tuple:
     """The adiabat's propagator, built once per Schedule instance and kept on it.
 
@@ -265,9 +258,7 @@ def _ledger(spec: CycleSpec, maps, m: tuple, lu, v: tuple, **diag) -> CycleRecor
     cop = q_c / w if abs(w) > 1e-300 else float("nan")
     return _frozen(CycleRecord, {
         "q_c": q_c, "q_h": q_h, "w": w, "tau_total": tau, "r_c": r_c, "sigma": sigma,
-        "cop": cop, "chain": (spec, maps, m, lu, (v, v_d, v_c, v_b, v_a2)), "iterations": 0,
-        "residual": math.nan, "solver_agreement": math.nan, "spectral_radius": math.nan,
-        **diag})
+        "cop": cop, "chain": (spec, maps, m, lu, (v, v_d, v_c, v_b, v_a2)), **diag})
 
 
 def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, CycleRecord]:
@@ -405,11 +396,6 @@ def _generator(omega: float, gamma: float, u: tuple) -> tuple:
     return (-gamma * x, -gamma * y - 2.0 * omega * z, -gamma * z + 2.0 * omega * y)
 
 
-def _dot0(a: tuple, v) -> float:
-    """[a v]_0 for a 3x3 map a."""
-    return a[0] * v[0] + a[1] * v[1] + a[2] * v[2]
-
-
 def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     """Exact gradient and Hessian of ln |R_c| in (ln tau_c, ln tau_h) at a limit cycle.
 
@@ -446,20 +432,21 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     a_exp, cold, a_comp, hot = maps
     omega_c, gamma_c = spec.omega_c, spec.cold_bath.conductance
     omega_h, gamma_h = spec.omega_h, spec.hot_bath.conductance
-
-    # L_c A_exp maps A to after the cold isochore, L_h A_comp from there to A
+    # the isochores' linear parts L_c, L_h
+    cold_lin, hot_lin = cold[:3] + (0.0, 0.0), hot[:3] + (0.0, 0.0)
     f_c = _generator(omega_c, gamma_c, (v_c[0] - cold[4], v_c[1], v_c[2]))
     f_h = _generator(omega_h, gamma_h, (v_a[0] - hot[4], v_a[1], v_a[2]))
-    b_c = _iso_linear(hot, _affine(a_comp, f_c))
+    b_c = _iso_affine(hot_lin, _affine(a_comp, f_c))
     v_tc, v_th = _lu_solve(lu, b_c), _lu_solve(lu, f_h)
+    x_tc, x_th = _affine(a_exp, v_tc), _affine(a_exp, v_th)
 
-    w0, w1, w2 = _iso_linear(cold, _affine(a_exp, v_tc))
-    r_cc = _iso_linear(hot, _affine(a_comp, _generator(
+    w0, w1, w2 = _iso_affine(cold_lin, x_tc)
+    r_cc = _iso_affine(hot_lin, _affine(a_comp, _generator(
         omega_c, gamma_c, (f_c[0] + 2.0 * w0, f_c[1] + 2.0 * w1, f_c[2] + 2.0 * w2))))
     w0, w1, w2 = _affine(m, v_tc)
     u0, u1, u2 = _generator(omega_h, gamma_h, (b_c[0] + w0, b_c[1] + w1, b_c[2] + w2))
-    w0, w1, w2 = _iso_linear(hot, _affine(a_comp, _generator(
-        omega_c, gamma_c, _iso_linear(cold, _affine(a_exp, v_th)))))
+    w0, w1, w2 = _iso_affine(hot_lin, _affine(a_comp, _generator(
+        omega_c, gamma_c, _iso_affine(cold_lin, x_th))))
     r_ch = (u0 + w0, u1 + w1, u2 + w2)
     w0, w1, w2 = _affine(m, v_th)
     r_hh = _generator(omega_h, gamma_h, (f_h[0] + 2.0 * w0, f_h[1] + 2.0 * w1,
@@ -467,13 +454,13 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
 
     d_c = cold[0]
     d_c_minus_1 = d_c - 1.0
-    a_c, a_h = _dot0(a_exp, v_tc), _dot0(a_exp, v_th)
+    a_c, a_h = x_tc[0], x_th[0]
     dq_c = d_c_minus_1 * a_c + f_c[0]
     dq_h = d_c_minus_1 * a_h
-    q_cc = (d_c_minus_1 * _dot0(a_exp, _lu_solve(lu, r_cc)) - 2.0 * gamma_c * d_c * a_c
+    q_cc = (d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_cc))[0] - 2.0 * gamma_c * d_c * a_c
             - gamma_c * f_c[0])
-    q_ch = d_c_minus_1 * _dot0(a_exp, _lu_solve(lu, r_ch)) - gamma_c * d_c * a_h
-    q_hh = d_c_minus_1 * _dot0(a_exp, _lu_solve(lu, r_hh))
+    q_ch = d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_ch))[0] - gamma_c * d_c * a_h
+    q_hh = d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_hh))[0]
 
     q, r_c, tau = record.q_c, record.r_c, record.tau_total
     tau_c, tau_h = spec.tau_c, spec.tau_h

@@ -51,7 +51,8 @@ _EXP_OVERFLOW = 700.0
 
 def _frozen(cls, fields: dict):
     """An instance of the frozen dataclass ``cls`` with its fields set directly,
-    without __init__'s per-field object.__setattr__ and __post_init__."""
+    without __init__'s per-field object.__setattr__ and __post_init__; a field
+    left out reads its class default."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -184,10 +185,17 @@ def observables(state: StateVector) -> Observables:
     e, w = state.e_h, state.omega
     n = e / w - 0.5
     x = (e * e - state.e_l**2 - state.e_c**2) / (w * w)
-    n_inv = max(math.sqrt(max(x, 0.0)) - 0.5, 0.0)
+    n_inv = math.sqrt(max(x, 0.0)) - 0.5
+    n_inv = max(n_inv, 0.0)
     n = max(n, 0.0)
-    return Observables(energy=e, occupation=n, casimir=x, invariant_occupation=n_inv,
-                       energy_entropy=oscillator_entropy(n), vn_entropy=oscillator_entropy(n_inv))
+    return Observables(
+        energy=e,
+        occupation=n,
+        casimir=x,
+        invariant_occupation=n_inv,
+        energy_entropy=oscillator_entropy(n),
+        vn_entropy=oscillator_entropy(n_inv),
+    )
 
 
 def adiabat_power(state: StateVector, mu: float) -> float:
@@ -199,8 +207,7 @@ def adiabat_power(state: StateVector, mu: float) -> float:
 # Isochore (bath contact at fixed omega)
 # ---------------------------------------------------------------------------
 
-def isochore_scalars(omega: float, bath: BathSpec,
-                     t: float) -> tuple[float, float, float, float, float]:
+def isochore_scalars(omega: float, bath: BathSpec, t: float) -> tuple:
     """The exact isochore map's distinct entries (d, dc, ds, b0) and the bath's
     equilibrium energy e_eq: the map is v -> A v + b with
 

@@ -344,10 +344,9 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     def evaluate(x):
         nonlocal evaluations, failures, first_failure
         evaluations += 1
-        if x == current:        # the base's own values, not exp(log) of them
-            values = dict(base_values)
-        else:
-            values = {n: math.exp(min(max(v, a), b)) for (n, a, b), v in zip(box, x)}
+        # at the base's start its own values, not exp(log) of them
+        values = dict(base_values) if x == current else {
+            n: math.exp(min(max(v, a), b)) for (n, a, b), v in zip(box, x)}
         try:
             _, record = limit_cycle(apply_free_values(base, values))
         except DOMAIN_ERRORS as exc:
