@@ -382,9 +382,8 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
 
     scale = max(math.hypot(*v_direct), 1e-300)
     x, y, z = _affine(m, v_direct)
-    k0, k1, k2 = k
     record = _ledger(spec, maps, m, lu, v_direct, iterations=cycles,
-                     residual=math.dist((x + k0, y + k1, z + k2), v_direct) / scale,
+                     residual=math.dist((x + k[0], y + k[1], z + k[2]), v_direct) / scale,
                      solver_agreement=math.dist(v_direct, v) / scale,
                      spectral_radius=rho)
     return _state(v_direct, spec.omega_h), record

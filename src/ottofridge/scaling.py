@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,7 +100,9 @@ class SweepRow:
     error: str = ""
 
     def csv_fields(self) -> tuple:
-        return astuple(self)[:-1]
+        return (self.t_c, self.omega_c, self.tau_hc, self.tau_c, self.tau_ch,
+                self.tau_h, self.tau_total, self.q_c, self.q_h, self.w,
+                self.r_c, self.sigma, self.flag)
 
 
 @dataclass(frozen=True)
