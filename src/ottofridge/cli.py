@@ -177,7 +177,8 @@ def _merge(path: str, defaults, user):
                 raise ConfigError(here, f"expected a {_TYPE_NAMES[type(dval)]}, got {uval!r}")
             out[key] = uval
         else:
-            if uval is not None:
+            # null is accepted only where the default is null (e.g. sweep.kappa)
+            if uval is not None or dval is not None:
                 _check_number(here, uval)
             out[key] = uval
     for key in user:

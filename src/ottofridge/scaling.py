@@ -66,11 +66,17 @@ class SweepSpec:
             warnings.warn("omega_h / T_h < 30: hot-bath occupation is not negligible")
 
     @property
-    def grid(self) -> np.ndarray:
-        """Strictly decreasing log-spaced T_c grid."""
+    def grid(self) -> tuple[float, ...]:
+        """Strictly decreasing log-spaced T_c grid, as Python floats.
+
+        The limit-cycle core runs on plain floats; a numpy scalar T_c would
+        reach every branch map through the cold bath and omega_c, and each
+        operation on a numpy scalar costs several times a float operation.
+        ``tolist()`` keeps np.logspace's values bit for bit.
+        """
         decades = math.log10(self.t_max / self.t_min)
         n = int(round(decades * self.points_per_decade)) + 1
-        return np.logspace(math.log10(self.t_max), math.log10(self.t_min), n)
+        return tuple(np.logspace(math.log10(self.t_max), math.log10(self.t_min), n).tolist())
 
     def kind_kappa(self) -> float:
         if self.kappa is not None:
@@ -121,6 +127,12 @@ class SweepResult:
     tail_fit: PowerLawFit | None
 
 
+def _tail_window(points, tail_decades: float) -> list:
+    """The (T, R) points within ``tail_decades`` decades of the smallest T."""
+    t_min = min(t for t, _ in points) if points else 0.0
+    return [(t, r) for t, r in points if t <= t_min * 10.0 ** tail_decades * (1 + 1e-12)]
+
+
 def fit_power_law(points, tail_decades: float | None = None) -> PowerLawFit:
     """Least-squares slope of ln R against ln T.
 
@@ -134,8 +146,7 @@ def fit_power_law(points, tail_decades: float | None = None) -> PowerLawFit:
     if len(kept) < len(pts):
         warnings.warn(f"fit_power_law: excluded {len(pts) - len(kept)} non-positive points")
     if tail_decades is not None:
-        t_min = min(t for t, _ in kept) if kept else 0.0
-        kept = [(t, r) for t, r in kept if t <= t_min * 10.0 ** tail_decades * (1 + 1e-12)]
+        kept = _tail_window(kept, tail_decades)
     if len(kept) < 4:
         raise ValueError(f"fit_power_law needs >= 4 positive points, got {len(kept)}")
     lt = np.log([t for t, _ in kept])
@@ -205,7 +216,14 @@ def _allocate(spec: SweepSpec, cycle: CycleSpec) -> tuple[CycleSpec, CycleRecord
 
 def build_point(spec: SweepSpec, t_c: float,
                 omega_c: float | None = None) -> tuple[CycleSpec, CycleRecord]:
-    """The cycle for one sweep temperature (duration search included) and its record."""
+    """The cycle for one sweep temperature (duration search included) and its record.
+
+    ``t_c`` and ``omega_c`` are taken as Python floats, so a numpy scalar
+    from a caller's grid does not spread into the limit-cycle core.
+    """
+    t_c = float(t_c)
+    if omega_c is not None:
+        omega_c = float(omega_c)
     hot = BathSpec(spec.t_hot, spec.gamma)
     cold = BathSpec(t_c, spec.gamma)
     if omega_c is None:
@@ -263,6 +281,10 @@ def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
 def temperature_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Run the sweep over the full grid; failed points are recorded, not dropped.
 
+    With at least 8 cooling points over at least two decades the rows are
+    fitted in full and over the last ``tail_decades``; a tail window with
+    fewer than 4 cooling points is skipped with a warning (``tail_fit`` None).
+
     Points are independent; with ``threads`` > 1 they are evaluated in a
     thread pool and reassembled in grid order, so parallel and serial runs
     produce identical output.
@@ -279,7 +301,12 @@ def temperature_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     decades = math.log10(spec.t_max / spec.t_min)
     if len(cooling) >= 8 and decades >= 2 - 1e-9:
         fit = fit_power_law(cooling)
-        tail = fit_power_law(cooling, tail_decades=spec.tail_decades)
+        n_tail = len(_tail_window(cooling, spec.tail_decades))
+        if n_tail >= 4:
+            tail = fit_power_law(cooling, tail_decades=spec.tail_decades)
+        else:
+            warnings.warn(f"temperature_sweep: the last {spec.tail_decades:g} decades hold "
+                          f"{n_tail} cooling points, fewer than 4; no tail fit")
     elif len(cooling) >= 4:
         fit = fit_power_law(cooling)
     return SweepResult(spec, tuple(rows), fit, tail)

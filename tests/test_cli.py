@@ -47,6 +47,27 @@ def test_ode_tol_key_is_rejected_with_path():
         assert exc.value.path == path
 
 
+@pytest.mark.parametrize("path", ["optimize.restarts", "sweep.points_per_decade",
+                                  "ga.population"])
+def test_null_is_rejected_where_the_default_is_a_number(path, tmp_path, capsys):
+    section, key = path.split(".")
+    text = json.dumps({section: {key: None}})
+    with pytest.raises(ConfigError, match="expected a number") as exc:
+        parse_config(text)
+    assert exc.value.path == path
+    command = {"optimize": "optimize", "sweep": "sweep", "ga": "ga"}[section]
+    assert main([command, "--config", text, "--out", str(tmp_path)]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_null_is_accepted_where_the_default_is_null():
+    cfg = parse_config('{"sweep": {"kappa": null}, "ga": {"tau_max": null}, '
+                       '"cycle": {"tau_c": null}}')
+    assert cfg.resolved["sweep"]["kappa"] is None
+    assert cfg.resolved["ga"]["tau_max"] is None
+    assert cfg.sha256 == parse_config(None).sha256
+
+
 def test_schedule_kind_key_policing():
     with pytest.raises(ConfigError, match="cycle.expansion.mu"):
         parse_config('{"cycle": {"expansion": {"kind": "three_jump", "mu": -1.0}}}')
@@ -122,6 +143,19 @@ def test_sweep_outputs_are_byte_identical(tmp_path):
     assert lines[4].split(",")[-1] == "converged_flag"
     assert any(line.startswith("# tail_fit delta") or line.startswith("# fit delta")
                for line in lines)
+
+
+def test_coarse_sweep_writes_its_csv_without_a_tail_fit(tmp_path, capsys):
+    # one point a decade over eight decades: two points in the tail window
+    cfg = json.dumps({"sweep": {"schedule": "three_jump", "t_max": 1e-1, "t_min": 1e-9,
+                                "points_per_decade": 1}})
+    with pytest.warns(UserWarning, match="hold 2 cooling points"):
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len([line for line in lines if not line.startswith("#")]) == 1 + 9
+    assert any(line.startswith("# fit delta") and line.endswith(" n 9") for line in lines)
+    assert not any(line.startswith("# tail_fit") for line in lines)
+    assert "tail fit" not in capsys.readouterr().out
 
 
 def test_seed_flag_overrides_header(tmp_path):

@@ -64,6 +64,30 @@ def cycle_map(spec):
     return np.array(m).reshape(3, 3), np.array(k)
 
 
+def record_ledgers(monkeypatch):
+    """A list that collects every CycleRecord the limit-cycle core builds."""
+    records = []
+    ledger = ottofridge.cycle._ledger
+
+    def recording(*args, **kwargs):
+        records.append(ledger(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(ottofridge.cycle, "_ledger", recording)
+    return records
+
+
+def non_float_entries(record):
+    """The parts of a record's kernel numbers that hold anything but a Python
+    float: its branch maps, M, the LU factors (the pivot order aside), the
+    chain vectors, q_c and r_c."""
+    _, maps, m, lu, vs = record.chain
+    parts = {"maps": [x for branch in maps for x in branch], "m": m,
+             "lu": lu[1:] if lu is not None else (), "chain": [x for v in vs for x in v],
+             "q_c": (record.q_c,), "r_c": (record.r_c,)}
+    return sorted(name for name, xs in parts.items() if any(type(x) is not float for x in xs))
+
+
 def random_spec(rng):
     omega_h = math.exp(rng.uniform(math.log(2.0), math.log(60.0)))
     ratio = math.exp(rng.uniform(math.log(1.5), math.log(30.0)))
@@ -356,6 +380,17 @@ def test_equilibrium_energies_come_from_the_branch_maps(monkeypatch):
         calls.clear()
         isochore_time_derivatives(record)
         assert calls == []
+
+
+def test_numpy_scalar_inputs_show_in_the_kernel_records(monkeypatch):
+    # the float-purity tests' detector: a numpy omega_c reaches the branch
+    # maps and from there every number of the cycle
+    records = record_ledgers(monkeypatch)
+    _, record = limit_cycle(frictionless_spec(omega_c=np.float64(1.0), t_c=np.float64(0.5)))
+    assert records == [record]
+    assert non_float_entries(record) == ["chain", "lu", "m", "maps", "q_c", "r_c"]
+    _, record = limit_cycle(frictionless_spec(t_c=0.5))
+    assert non_float_entries(record) == []
 
 
 def _count_propagator_builds(monkeypatch):

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
-from test_cycle import frictionless_spec
+from test_cycle import frictionless_spec, non_float_entries, record_ledgers
 
 import ottofridge.optimize
 from ottofridge.cycle import CycleSpec, NoContractionError, isochore_time_derivatives, limit_cycle
@@ -266,6 +266,21 @@ def test_ga_deterministic_and_monotone():
     assert r1.fitness == r2.fitness
     diffs = np.diff(r1.history)
     assert np.all(diffs >= -1e-300)
+
+
+def test_searches_run_the_kernel_on_python_floats(monkeypatch):
+    # Nelder-Mead's numpy vectors and the GA's genes reach the limit-cycle
+    # core as Python floats
+    records = record_ledgers(monkeypatch)
+    base = make_base()
+    optimize_time_allocation(OptimizationSpec(
+        base=base, free=("tau_c", "omega_c"),
+        bounds={"tau_c": (0.1, 10.0), "omega_c": (0.5, 2.0)}, seed=2, restarts=1, max_iter=40))
+    n_nelder_mead = len(records)
+    ga_schedule_search(OptimizationSpec(base=base, population=8, generations=3, seed=2))
+    assert 0 < n_nelder_mead < len(records)
+    for record in records:
+        assert non_float_entries(record) == []
 
 
 def test_ga_rejects_tiny_population():

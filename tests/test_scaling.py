@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 from oracles import frictionless_ledger
+from test_cycle import non_float_entries, record_ledgers
 
 from ottofridge.cycle import isochore_time_derivatives, limit_cycle
 from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.scaling import (
+    SWEEP_KINDS,
     SweepSpec,
     build_point,
     fit_power_law,
@@ -271,6 +273,21 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
     assert sum(result.evaluations for _, result in searches) <= 8 * len(searches)
 
 
+@pytest.mark.parametrize("points_per_decade, n_tail", [(1, 2), (2, 3)])
+def test_coarse_sweep_keeps_its_rows_without_a_tail_fit(points_per_decade, n_tail):
+    # eight decades at one or two points a decade leave fewer than 4 points
+    # in the last decade: every row and the full fit survive, the tail fit
+    # is skipped with a warning
+    spec = SweepSpec(kind="three_jump", omega_h=100.0, t_max=1e-1, t_min=1e-9,
+                     points_per_decade=points_per_decade)
+    with pytest.warns(UserWarning, match=f"hold {n_tail} cooling points"):
+        res = temperature_sweep(spec)
+    assert len(res.rows) == 8 * points_per_decade + 1
+    assert all(r.flag == 1 for r in res.rows)
+    assert res.fit.n_used == len(res.rows)
+    assert res.tail_fit is None
+
+
 def test_sweep_fit_needs_enough_points():
     spec = small_sweep("three_jump", t_max=1e-1, t_min=3e-2, points_per_decade=8)
     res = temperature_sweep(spec)
@@ -354,6 +371,38 @@ def test_linear_sweep_past_the_bessel_limit_is_a_failed_point():
     assert first.flag == second.flag == 1
     assert math.log10(first.r_c / second.r_c) == pytest.approx(3.0, abs=1e-4)
     assert third.flag == 0 and "Bessel argument" in third.error
+
+
+@pytest.mark.parametrize("options", [
+    *(dict(kind=kind, allocation=allocation)
+      for kind in SWEEP_KINDS for allocation in ("z", "searched")),
+    dict(kind="three_jump", optimize_omega_c=True),
+], ids=lambda options: "-".join(v if isinstance(v, str) else k for k, v in options.items()))
+def test_sweep_kernel_runs_on_python_floats(monkeypatch, options):
+    # the grid's T_c, and with it omega_c, every branch map, M, the LU
+    # factors and the ledger, are Python floats, never numpy scalars
+    records = record_ledgers(monkeypatch)
+    spec = small_sweep(t_max=1e-1, t_min=1e-2, points_per_decade=1, search_iters=6, **options)
+    assert all(type(t) is float for t in spec.grid)
+    rows = temperature_sweep(spec).rows
+    assert len(rows) == 2 and all(r.flag == 1 for r in rows)
+    assert records
+    for record in records:
+        assert non_float_entries(record) == []
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_build_point_takes_numpy_scalars_as_floats(monkeypatch, kind):
+    records = record_ledgers(monkeypatch)
+    spec = small_sweep(kind, search_iters=6)
+    cycle, record = build_point(spec, np.float64(0.05))
+    assert type(cycle.cold_bath.temperature) is float and type(cycle.omega_c) is float
+    cycle, record = build_point(spec, np.float64(0.05), omega_c=np.float64(0.06))
+    assert type(cycle.cold_bath.temperature) is float and cycle.omega_c == 0.06
+    assert records
+    for each in records:
+        assert non_float_entries(each) == []
+    assert record.r_c == build_point(spec, 0.05, omega_c=0.06)[1].r_c
 
 
 def test_sweep_spec_validation():
