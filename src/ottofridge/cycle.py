@@ -19,7 +19,12 @@ On maps this small numpy's per-call overhead outweighs the arithmetic, so
 the core of limit_cycle (composing M and k, the direct solve, the squaring
 and the ledger) runs on plain Python floats: a 3x3 map is a row-major
 9-tuple, as dynamics.schedule_propagator builds it, a vector a 3-tuple and
-an isochore its four scalars plus the bath's equilibrium energy.  The
+an isochore its four scalars plus the bath's equilibrium energy.  Its
+inputs must be Python floats too: a numpy scalar frequency or temperature
+in a CycleSpec turns every map entry, and so M, the LU factors and the
+ledger, into numpy scalars, each operation on which costs several times a
+float operation.  The core converts nothing; its callers do, once
+(SweepSpec.grid, scaling.build_point, Schedule.piecewise).  The
 eigenvalues call the LAPACK routine dgeev that numpy's eigvals wraps; the
 direct solve is an unrolled partial-pivot LU of I - M, factored once per
 cycle.  isochore_time_derivatives differentiates the fixed point twice, and

@@ -301,12 +301,12 @@ def temperature_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     decades = math.log10(spec.t_max / spec.t_min)
     if len(cooling) >= 8 and decades >= 2 - 1e-9:
         fit = fit_power_law(cooling)
-        n_tail = len(_tail_window(cooling, spec.tail_decades))
-        if n_tail >= 4:
-            tail = fit_power_law(cooling, tail_decades=spec.tail_decades)
+        window = _tail_window(cooling, spec.tail_decades)
+        if len(window) >= 4:
+            tail = fit_power_law(window)
         else:
             warnings.warn(f"temperature_sweep: the last {spec.tail_decades:g} decades hold "
-                          f"{n_tail} cooling points, fewer than 4; no tail fit")
+                          f"{len(window)} cooling points, fewer than 4; no tail fit")
     elif len(cooling) >= 4:
         fit = fit_power_law(cooling)
     return SweepResult(spec, tuple(rows), fit, tail)
