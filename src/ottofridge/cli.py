@@ -117,7 +117,7 @@ _POSITIVE = {
     "cycle.Gamma_h", "cycle.Gamma_c",
     "sweep.omega_h", "sweep.T_h", "sweep.Gamma", "sweep.t_max", "sweep.t_min",
     "sweep.kappa", "sweep.tail_decades",
-    "ga.tau_max", "optimize.restarts",
+    "ga.tau_max", "optimize.restarts", "command-defaults.tail_fit",
 }
 _NONNEGATIVE = {"cycle.tau_c", "cycle.tau_h"}
 
@@ -222,6 +222,11 @@ def parse_config(source: str | None) -> Config:
     if resolved["sweep"]["schedule"] not in SWEEP_KINDS:
         raise ConfigError("sweep.schedule",
                           f"unknown schedule kind {resolved['sweep']['schedule']!r}")
+    return _hashed(resolved)
+
+
+def _hashed(resolved: dict) -> Config:
+    """The Config of a resolved config dict, with the hash of its canonical JSON."""
     canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return Config(resolved, hashlib.sha256(canon.encode()).hexdigest())
 
@@ -460,7 +465,11 @@ _HANDLERS = {
 
 def run_command(name: str, config: Config, out: str = ".", seed: int | None = None,
                 threads: int | None = None, tail_fit: float | None = None) -> int:
-    """Run one command against a parsed config; returns the exit status."""
+    """Run one command against a parsed config; returns the exit status.
+
+    A ``tail_fit`` given here replaces ``command-defaults.tail_fit`` in the
+    resolved config, so the output header and its hash record it.
+    """
     if name not in _HANDLERS:
         raise ConfigError("<command>", f"unknown command {name!r}")
     cd = config.defaults
@@ -468,6 +477,10 @@ def run_command(name: str, config: Config, out: str = ".", seed: int | None = No
     threads = int(cd["threads"]) if threads is None else int(threads)
     if tail_fit is None:
         tail_fit = cd["tail_fit"]
+    else:
+        if not (math.isfinite(tail_fit) and tail_fit > 0):
+            raise ConfigError("--tail-fit", f"must be finite and > 0, got {tail_fit}")
+        config = _hashed({**config.resolved, "command-defaults": {**cd, "tail_fit": tail_fit}})
     os.makedirs(out, exist_ok=True)
     return _HANDLERS[name](config, out, seed, threads, tail_fit)
 

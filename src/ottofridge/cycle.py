@@ -24,13 +24,17 @@ inputs must be Python floats too: a numpy scalar frequency or temperature
 in a CycleSpec turns every map entry, and so M, the LU factors and the
 ledger, into numpy scalars, each operation on which costs several times a
 float operation.  The core converts nothing; its callers do, once
-(SweepSpec.grid, scaling.build_point, Schedule.piecewise).  The
-eigenvalues call the LAPACK routine dgeev that numpy's eigvals wraps; the
-direct solve is an unrolled partial-pivot LU of I - M, factored once per
-cycle.  isochore_time_derivatives differentiates the fixed point twice, and
-with it ln R_c, with respect to the two isochore times: the exact gradient
-and Hessian, from the branch maps, M and the LU factors that the record's
-limit_cycle call built.
+(SweepSpec.grid, scaling.build_point, Schedule.piecewise).
+
+Contraction is certified by the bound rho(M) <= ||M||_inf, the largest
+absolute row sum of M.  Only a map that the bound does not certify, or a
+record whose spectral radius is read, pays for the eigenvalues of the
+LAPACK routine dgeev that numpy's eigvals wraps; scipy.linalg is imported
+on that first call.  The direct solve is an unrolled partial-pivot LU of
+I - M, factored once per cycle.  isochore_time_derivatives differentiates
+the fixed point twice, and with it ln R_c, with respect to the two isochore
+times: the exact gradient and Hessian, from the branch maps, M and the LU
+factors that the record's limit_cycle call built.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgeev
 
 from .dynamics import (
     BathSpec,
@@ -56,6 +59,11 @@ from .schedules import Schedule
 _MAX_CYCLES = 100_000
 _ITER_RTOL = 1e-12
 _RHO_LIMIT = 1.0 - 1e-9
+# Contraction certificate: rho(M) <= ||M||_inf for every matrix, so a map
+# whose largest absolute row sum is at most this bound has rho <= 0.99, and
+# dgeev, whose eigenvalues of a 3x3 are off by about 1e-15 ||M||, cannot
+# reach _RHO_LIMIT on it.  The margin to 1 is that error many times over.
+_NORM_CERTIFICATE = 0.99
 
 
 class NoContractionError(RuntimeError):
@@ -98,13 +106,12 @@ class CycleSpec:
             raise ValueError("omega_h must be >= omega_c")
         if self.tau_c < 0 or self.tau_h < 0:
             raise ValueError("isochore durations must be >= 0")
-        for name, sched, w_from, w_to in (
-            ("expansion", self.expansion, self.omega_h, self.omega_c),
-            ("compression", self.compression, self.omega_c, self.omega_h),
-        ):
-            if not (math.isclose(sched.omega_start, w_from, rel_tol=1e-9)
-                    and math.isclose(sched.omega_end, w_to, rel_tol=1e-9)):
-                raise ValueError(f"{name} schedule endpoints do not match cycle frequencies")
+        if not (math.isclose(self.expansion.omega_start, self.omega_h, rel_tol=1e-9)
+                and math.isclose(self.expansion.omega_end, self.omega_c, rel_tol=1e-9)):
+            raise ValueError("expansion schedule endpoints do not match cycle frequencies")
+        if not (math.isclose(self.compression.omega_start, self.omega_c, rel_tol=1e-9)
+                and math.isclose(self.compression.omega_end, self.omega_h, rel_tol=1e-9)):
+            raise ValueError("compression schedule endpoints do not match cycle frequencies")
 
     @property
     def tau_total(self) -> float:
@@ -132,6 +139,8 @@ class CycleRecord:
     ``iterations`` is the number of cycles the cross-check covered: a power
     of two, 1 when one cycle from the hot thermal state already reaches the
     limit cycle (0 for a record of :func:`run_one_cycle`).
+    ``spectral_radius`` is the spectral radius of M, from dgeev on first read
+    (nan for a record of :func:`run_one_cycle`).
     """
 
     q_c: float
@@ -148,7 +157,13 @@ class CycleRecord:
     iterations: int = 0
     residual: float = float("nan")
     solver_agreement: float = float("nan")
-    spectral_radius: float = float("nan")
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        """Spectral radius of the cycle map M, computed on first read (a
+        limit_cycle that ran dgeev itself stores its value in the record)."""
+        _, _, m, lu, _ = self.chain
+        return float("nan") if lu is None else _spectral_radius(m)
 
     @cached_property
     def branches(self) -> tuple[BranchRecord, ...]:
@@ -351,6 +366,18 @@ def _squaring_fixed_point(m: tuple, k: tuple, v0: tuple) -> tuple[tuple, int]:
         prev, cycles = v, 2 * cycles
 
 
+def _spectral_radius(m: tuple) -> float:
+    """Spectral radius of the 3x3 map m from its LAPACK dgeev eigenvalues; a
+    dgeev failure raises LinAlgError."""
+    from scipy.linalg.lapack import dgeev   # scipy.linalg loads on the first call
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    wr, wi, _, _, info = dgeev(((m0, m1, m2), (m3, m4, m5), (m6, m7, m8)),
+                               compute_vl=0, compute_vr=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigenvalue computation failed (dgeev info {info})")
+    return max(map(math.hypot, wr.tolist(), wi.tolist()))
+
+
 def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     """Find the periodic steady state of the cycle map.
 
@@ -359,9 +386,11 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     record's chain), and repeated squaring of
     the augmented map from the hot equilibrium state (``iterations`` is the
     number of cycles that covered, a power of two).  The spectral radius of
-    M (from the LAPACK dgeev eigenvalues) is reported and must be < 1; a
-    non-finite M raises LinAlgError.  The ledger is one cycle from the direct
-    solution.  M, k and the ledger are computed on plain floats.
+    M must be < 1: ||M||_inf <= _NORM_CERTIFICATE certifies that, and only
+    when it does not are the LAPACK dgeev eigenvalues computed here; the
+    record's ``spectral_radius`` runs dgeev when it is read.  A non-finite M
+    raises LinAlgError.  The ledger is one cycle from the direct solution.
+    M, k and the ledger are computed on plain floats.
     """
     g_c = spec.cold_bath.conductance * spec.tau_c
     g_h = spec.hot_bath.conductance * spec.tau_h
@@ -373,13 +402,12 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     if not all(map(math.isfinite, m + k)):
         raise np.linalg.LinAlgError("cycle map must not contain infs or NaNs")
     m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-    wr, wi, _, _, info = dgeev(((m0, m1, m2), (m3, m4, m5), (m6, m7, m8)),
-                               compute_vl=0, compute_vr=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"eigenvalue computation failed (dgeev info {info})")
-    rho = max(map(math.hypot, wr.tolist(), wi.tolist()))
-    if rho >= _RHO_LIMIT:
-        raise NoContractionError(f"cycle map spectral radius {rho:.12f} >= 1; no limit cycle")
+    diag = {}
+    if max(abs(m0) + abs(m1) + abs(m2), abs(m3) + abs(m4) + abs(m5),
+           abs(m6) + abs(m7) + abs(m8)) > _NORM_CERTIFICATE:
+        diag["spectral_radius"] = rho = _spectral_radius(m)
+        if rho >= _RHO_LIMIT:
+            raise NoContractionError(f"cycle map spectral radius {rho:.12f} >= 1; no limit cycle")
 
     lu = _lu(m)
     v_direct = _lu_solve(lu, k)
@@ -389,8 +417,7 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     x, y, z = _affine(m, v_direct)
     record = _ledger(spec, maps, m, lu, v_direct, iterations=cycles,
                      residual=math.dist((x + k[0], y + k[1], z + k[2]), v_direct) / scale,
-                     solver_agreement=math.dist(v_direct, v) / scale,
-                     spectral_radius=rho)
+                     solver_agreement=math.dist(v_direct, v) / scale, **diag)
     return _state(v_direct, spec.omega_h), record
 
 

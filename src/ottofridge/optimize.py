@@ -243,9 +243,15 @@ def apply_free_values(base: CycleSpec, values: dict) -> CycleSpec:
 
 
 def _projected(g: list, x: list, lo: list, hi: list) -> list:
-    """g with the components that point out of the box at its faces set to 0."""
-    return [0.0 if (xi <= a and gi < 0.0) or (xi >= b and gi > 0.0) else gi
-            for gi, xi, a, b in zip(g, x, lo, hi)]
+    """The two-coordinate g with the components that point out of the box at
+    its faces set to 0."""
+    g0, g1 = g
+    x0, x1 = x
+    if (x0 <= lo[0] and g0 < 0.0) or (x0 >= hi[0] and g0 > 0.0):
+        g0 = 0.0
+    if (x1 <= lo[1] and g1 < 0.0) or (x1 >= hi[1] and g1 > 0.0):
+        g1 = 0.0
+    return [g0, g1]
 
 
 def _newton_isochore_times(evaluate, derivatives, x: list, lo: list, hi: list):
@@ -271,9 +277,10 @@ def _newton_isochore_times(evaluate, derivatives, x: list, lo: list, hi: list):
     g, h = derivatives(record)
     if g is None:
         return values, record, False
+    (lo0, lo1), (hi0, hi1) = lo, hi
     for _ in range(_NEWTON_MAX_ITER):
         pg = _projected(g, x, lo, hi)
-        gnorm = max(map(abs, pg))
+        gnorm = max(abs(pg[0]), abs(pg[1]))
         if gnorm <= _NEWTON_GTOL:
             return values, record, True
         free0, free1 = pg[0] == g[0], pg[1] == g[1]     # not held at a face
@@ -284,12 +291,12 @@ def _newton_isochore_times(evaluate, derivatives, x: list, lo: list, hi: list):
         if modified:
             h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
         det = h00 * h11 - h01 * h01
-        p = ((h01 * pg[1] - h11 * pg[0]) / det, (h01 * pg[0] - h00 * pg[1]) / det)
+        p0, p1 = (h01 * pg[1] - h11 * pg[0]) / det, (h01 * pg[0] - h00 * pg[1]) / det
         # the lowest R_c a trial may have and still be accepted
         floor = record.r_c if modified else record.r_c - _NEWTON_RTOL * abs(record.r_c)
         alpha = 1.0
         while True:
-            xt = [min(max(xi + alpha * pi, a), b) for xi, pi, a, b in zip(x, p, lo, hi)]
+            xt = [min(max(x[0] + alpha * p0, lo0), hi0), min(max(x[1] + alpha * p1, lo1), hi1)]
             if xt == x:                 # no representable step is accepted
                 return values, record, False
             values_t, rec_t = evaluate(xt)
@@ -333,7 +340,8 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     box = list(zip(names, lo, hi))
     evaluations = failures = 0
     first_failure = ""
-    solved = {}             # sorted (name, value) items -> record of each evaluation
+    newton = set(names) == {"tau_c", "tau_h"}
+    solved = {}             # (tau_c, tau_h) -> record of each Newton evaluation
     base_values = {n: base.expansion.duration if n == "tau_hc" else
                    base.compression.duration if n == "tau_ch" else getattr(base, n)
                    for n in names}
@@ -348,13 +356,19 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         values = dict(base_values) if x == current else {
             n: math.exp(min(max(v, a), b)) for (n, a, b), v in zip(box, x)}
         try:
-            _, record = limit_cycle(apply_free_values(base, values))
+            if newton:
+                key = values["tau_c"], values["tau_h"]
+                _, record = limit_cycle(CycleSpec(
+                    base.hot_bath, base.cold_bath, base.omega_h, base.omega_c,
+                    base.expansion, base.compression, *key))
+                solved[key] = record
+            else:
+                _, record = limit_cycle(apply_free_values(base, values))
         except DOMAIN_ERRORS as exc:
             failures += 1
             if failures == 1:
                 first_failure = f"{values}: {type(exc).__name__}: {exc}"
             return values, None
-        solved[tuple(sorted(values.items()))] = record
         return values, record
 
     starts = [[0.5 * (a + b) for a, b in zip(lo, hi)]]
@@ -363,8 +377,6 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     if len(starts) < spec.restarts:
         rng = np.random.default_rng(spec.seed)
         starts += [rng.uniform(lo, hi).tolist() for _ in range(spec.restarts - len(starts))]
-
-    newton = set(names) == {"tau_c", "tau_h"}
 
     def derivatives(record):
         if record is None or record.q_c == 0.0:
@@ -417,7 +429,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         alloc = solve_isochore_z(base.hot_bath.conductance, base.cold_bath.conductance,
                                  base.expansion.duration + base.compression.duration)
         z_values = {"tau_c": alloc.tau_c, "tau_h": alloc.tau_h}
-        z_record = solved.get(tuple(sorted(z_values.items())))
+        z_record = solved.get((alloc.tau_c, alloc.tau_h))
         if z_record is None:        # not a point the search evaluated
             _, z_record = limit_cycle(apply_free_values(base, z_values))
         gap = abs(z_record.r_c - best_record.r_c) / max(abs(z_record.r_c), 1e-300)

@@ -19,7 +19,12 @@ import numpy as np
 
 from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, limit_cycle
 from .dynamics import BathSpec
-from .optimize import optimal_cold_frequency, solve_isochore_z
+from .optimize import (
+    OptimizationSpec,
+    optimal_cold_frequency,
+    optimize_time_allocation,
+    solve_isochore_z,
+)
 from .schedules import Schedule, build_three_jump, critical_mu
 
 SWEEP_KINDS = ("three_jump", "const_mu", "linear", "exponential")
@@ -205,7 +210,6 @@ def _allocate(spec: SweepSpec, cycle: CycleSpec) -> tuple[CycleSpec, CycleRecord
     tau = max(alloc.tau_c, 1e-12)
     cycle = replace(cycle, tau_c=tau, tau_h=tau)
     if spec.allocation == "searched":
-        from .optimize import OptimizationSpec, optimize_time_allocation
         bounds = {"tau_c": (tau / 10.0, tau * 10.0), "tau_h": (tau / 10.0, tau * 10.0)}
         result = optimize_time_allocation(OptimizationSpec(
             base=cycle, free=("tau_c", "tau_h"), bounds=bounds,

@@ -3,12 +3,14 @@
 import json
 
 import pytest
+from test_cycle import count_dgeev
 
 from ottofridge.cli import (
     ConfigError,
     cycle_spec_from_config,
     main,
     parse_config,
+    run_command,
 )
 from ottofridge.cycle import equilibration_bound
 
@@ -163,6 +165,64 @@ def test_seed_flag_overrides_header(tmp_path):
                                 "points_per_decade": 3}})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--seed", "777"]) == 0
     assert "# seed 777" in (tmp_path / "sweep.csv").read_text()
+
+
+@pytest.mark.parametrize("flag, config, path", [
+    ("-1", {}, "--tail-fit"),
+    ("nan", {}, "--tail-fit"),
+    (None, {"command-defaults": {"tail_fit": -1}}, "command-defaults.tail_fit"),
+])
+def test_non_positive_tail_fit_is_a_config_error(flag, config, path, tmp_path, capsys):
+    text = json.dumps({"sweep": {"schedule": "three_jump", "t_max": 0.1, "t_min": 0.01},
+                       **config})
+    argv = ["sweep", "--config", text, "--out", str(tmp_path)]
+    assert main(argv + (["--tail-fit", flag] if flag else [])) == 2
+    payload = json.loads(capsys.readouterr().err[len("ERROR "):])
+    assert payload["type"] == "ConfigError" and path in payload["message"]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_tail_fit_flag_is_in_the_header(tmp_path):
+    # the flag moves the tail_fit footer, so it moves the config echo and hash
+    # too, to what the same value in command-defaults gives; without it the
+    # header is the config's own
+    text = json.dumps({"sweep": {"schedule": "three_jump", "t_max": 0.1, "t_min": 1e-4}})
+
+    def header(name, *flag, config=text):
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / name), *flag]) == 0
+        return (tmp_path / name / "sweep.csv").read_text().splitlines()[1:4]
+
+    plain, two, three = header("plain"), header("two", "--tail-fit", "2"), header(
+        "three", "--tail-fit", "3")
+    assert plain[0] == f"# config_sha256 {parse_config(text).sha256}"
+    assert len({plain[0], two[0], three[0]}) == 3
+    assert '"tail_fit":2.0' in two[2] and '"tail_fit":null' in plain[2]
+    in_config = json.dumps({**json.loads(text), "command-defaults": {"tail_fit": 2.0}})
+    assert header("config", config=in_config) == two
+
+
+@pytest.mark.parametrize("schedule, allocation", [("exponential", "searched"),
+                                                  ("linear", "z")])
+def test_sweep_points_make_no_eigenvalue_calls(schedule, allocation, monkeypatch, tmp_path):
+    # every cycle map of a sweep point is certified contracting by its
+    # max-norm, so the searches (22 golden-section durations, each with its
+    # isochore search) never call dgeev
+    calls = count_dgeev(monkeypatch)
+    config = parse_config(json.dumps({"sweep": {
+        "schedule": schedule, "allocation": allocation, "t_max": 0.1, "t_min": 0.1 * 10 ** -0.05,
+        "points_per_decade": 4}}))
+    assert run_command("sweep", config, out=str(tmp_path)) == 0
+    (row,) = [line for line in (tmp_path / "sweep.csv").read_text().splitlines()
+              if line[0].isdigit()]
+    assert row.endswith(",1")           # one cooling point
+    assert calls == []
+
+
+def test_simulate_reads_the_spectral_radius_once(monkeypatch, tmp_path, capsys):
+    calls = count_dgeev(monkeypatch)
+    assert run_command("simulate", parse_config(None), out=str(tmp_path)) == 0
+    assert len(calls) == 1
+    assert "# spectral_radius 0." in (tmp_path / "cycle.csv").read_text()
 
 
 def test_config_error_exit_code_and_message(tmp_path, capsys):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from oracles import frictionless_ledger, propagator_matrix
@@ -35,7 +36,7 @@ from ottofridge.dynamics import (
     propagate_isochore,
     schedule_propagator,
 )
-from ottofridge.optimize import solve_isochore_z
+from ottofridge.optimize import _ga_candidate_spec, solve_isochore_z
 from ottofridge.schedules import Schedule, build_three_jump, critical_mu
 
 KAPPA_32 = 0.87421746579871708
@@ -62,6 +63,19 @@ def cycle_map(spec):
     """The one-cycle map (M, k) of limit_cycle's float core, as numpy arrays."""
     m, k = _compose(_branch_maps(spec))
     return np.array(m).reshape(3, 3), np.array(k)
+
+
+def count_dgeev(monkeypatch):
+    """A list that collects the matrix of every LAPACK dgeev call."""
+    calls = []
+    dgeev = scipy.linalg.lapack.dgeev
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return dgeev(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeev", counting)
+    return calls
 
 
 def record_ledgers(monkeypatch):
@@ -283,6 +297,23 @@ def test_limit_cycle_iterations_are_powers_of_two():
         counts.append(record.iterations)
     assert counts[0] == 1                       # full equilibration
     assert counts == sorted(counts) and counts[-1] > counts[1]
+
+
+def test_spectral_radius_costs_at_most_one_dgeev_call(monkeypatch):
+    calls = count_dgeev(monkeypatch)
+    # ||M||_inf = 0.158 certifies contraction: dgeev runs when the radius is read
+    spec = frictionless_spec(tau_c=1.1, tau_h=0.9)
+    state, record = limit_cycle(spec)
+    assert calls == []
+    assert 0.0 < record.spectral_radius < 0.158 and len(calls) == 1
+    assert replace(record).spectral_radius == record.spectral_radius and len(calls) == 2
+    # ||M||_inf = 1.32 does not: limit_cycle runs dgeev and the record keeps its radius
+    _, slow = limit_cycle(frictionless_spec(tau_c=1e-3, tau_h=1e-3))
+    assert len(calls) == 3
+    assert 0.99 < slow.spectral_radius < 1.0 and len(calls) == 3
+    # a run_one_cycle record has no LU factors and no radius
+    _, one = run_one_cycle(spec, state)
+    assert math.isnan(one.spectral_radius) and len(calls) == 3
 
 
 def test_near_unit_spectral_radius_hits_the_cycle_cap():
@@ -514,6 +545,45 @@ def test_limit_cycle_properties_on_all_adiabat_kinds(spec):
         for state in (branch.start, branch.end):
             assert observables(state).casimir >= 0.25 * (1.0 - 1e-9)
 
+
+@st.composite
+def ga_candidate_spec(draw):
+    """A genetic-search candidate: a piecewise expansion of 2 or 3 segments
+    drawn from the GA's gene box, its time reverse as the compression and
+    z-allocated isochores."""
+    omega_h = draw(st.floats(2.0, 60.0))
+    omega_c = omega_h / draw(st.floats(1.5, 30.0))
+    t_h, gamma = draw(st.floats(0.5, 2.0)), draw(st.floats(0.3, 3.0))
+    base = CycleSpec(BathSpec(t_h, gamma), BathSpec(draw(st.floats(0.05, 0.8)) * t_h, gamma),
+                     omega_h, omega_c, build_three_jump(omega_h, omega_c),
+                     build_three_jump(omega_c, omega_h), tau_c=1.0, tau_h=1.0)
+    genes = [draw(gene) for _ in range(draw(st.integers(2, 3)))
+             for gene in (st.floats(omega_c, omega_h), st.floats(0.0, math.pi / omega_c))]
+    return _ga_candidate_spec(base, np.array(genes))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(any_kind_spec(), ga_candidate_spec()))
+def test_max_norm_certifies_what_dgeev_would(spec):
+    # rho(M) <= ||M||_inf, so a map within the certificate is one on which
+    # dgeev's radius stays below _RHO_LIMIT; the record's lazy radius is
+    # dgeev's on its M, bit for bit
+    m, _ = _compose(_branch_maps(spec))
+    norm = max(abs(m[i]) + abs(m[i + 1]) + abs(m[i + 2]) for i in (0, 3, 6))
+    wr, wi, _, _, info = scipy.linalg.lapack.dgeev(np.reshape(m, (3, 3)))
+    assert info == 0
+    rho = max(map(math.hypot, wr.tolist(), wi.tolist()))
+    assert rho <= norm * (1.0 + 1e-12)
+    if norm <= ottofridge.cycle._NORM_CERTIFICATE:
+        assert rho < ottofridge.cycle._RHO_LIMIT
+    try:
+        _, record = limit_cycle(spec)
+    except NoContractionError:
+        assert norm > ottofridge.cycle._NORM_CERTIFICATE
+        return
+    assert record.chain[2] == m
+    assert record.spectral_radius == rho
 
 
 @st.composite

@@ -42,13 +42,24 @@ def test_unused_imports_are_found():
     assert unused_imports(tree) == ["math (line 1)", "path (line 2)"]
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only the Nelder-Mead branch, which imports it
+def loaded_after_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter holds ``module`` after importing ottofridge.cli."""
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import ottofridge.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only the Nelder-Mead branch, which imports it
+    assert not loaded_after_cli_import("scipy.optimize")
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg serves only dgeev, for a map the max-norm does not certify
+    # or a spectral radius that is read; the one helper that calls it imports it
+    assert not loaded_after_cli_import("scipy.linalg")
 
 
 def test_every_source_module_is_loaded_before_the_tests():

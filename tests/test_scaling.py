@@ -196,7 +196,7 @@ def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
         searches.append(result.best_spec)
         return result
 
-    monkeypatch.setattr(ottofridge.optimize, "optimize_time_allocation", counting)
+    monkeypatch.setattr(ottofridge.scaling, "optimize_time_allocation", counting)
     spec = small_sweep("exponential", t_max=1e-1, t_min=5e-2, search_iters=6,
                        allocation="searched")
     cycle, record = build_point(spec, 0.05)
@@ -227,7 +227,7 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
 
     monkeypatch.setattr(ottofridge.optimize, "limit_cycle", counting)
     monkeypatch.setattr(ottofridge.scaling, "limit_cycle", counting)
-    monkeypatch.setattr(ottofridge.optimize, "optimize_time_allocation", recording)
+    monkeypatch.setattr(ottofridge.scaling, "optimize_time_allocation", recording)
     spec = small_sweep("exponential", t_max=1e-1, t_min=1e-1 * 10**-0.05, search_iters=6,
                        allocation="searched")
     (row,) = temperature_sweep(spec).rows
@@ -255,7 +255,7 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
         searches.append((spec, result))
         return result
 
-    monkeypatch.setattr(ottofridge.optimize, "optimize_time_allocation", recording)
+    monkeypatch.setattr(ottofridge.scaling, "optimize_time_allocation", recording)
     spec = SweepSpec(kind="exponential", omega_h=100.0, t_hot=1.0, gamma=1.0, t_max=1e-1,
                      t_min=1e-3, points_per_decade=5, allocation="searched")
     with warnings.catch_warnings():
