@@ -108,7 +108,6 @@ DEFAULTS = {
         "seed": 12345,
         "out": ".",
         "threads": 1,
-        "tail_fit": None,
     },
 }
 
@@ -117,16 +116,18 @@ _POSITIVE = {
     "cycle.Gamma_h", "cycle.Gamma_c",
     "sweep.omega_h", "sweep.T_h", "sweep.Gamma", "sweep.t_max", "sweep.t_min",
     "sweep.kappa", "sweep.tail_decades",
-    "ga.tau_max", "optimize.restarts", "command-defaults.tail_fit",
+    "ga.tau_max", "optimize.restarts", "command-defaults.threads", "--threads", "--tail-fit",
 }
-_NONNEGATIVE = {"cycle.tau_c", "cycle.tau_h"}
+_NONNEGATIVE = {"cycle.tau_c", "cycle.tau_h", "command-defaults.seed", "--seed"}
 
 
-def _check_number(path: str, value):
+def _check_number(path: str, value, whole: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(path, "must be finite")
+    if whole and value != int(value):
+        raise ConfigError(path, f"must be a whole number, got {value}")
     if path in _POSITIVE and value <= 0:
         raise ConfigError(path, f"must be > 0, got {value}")
     if path in _NONNEGATIVE and value < 0:
@@ -179,7 +180,7 @@ def _merge(path: str, defaults, user):
         else:
             # null is accepted only where the default is null (e.g. sweep.kappa)
             if uval is not None or dval is not None:
-                _check_number(here, uval)
+                _check_number(here, uval, whole=type(dval) is int)
             out[key] = uval
     for key in user:
         if key not in defaults:
@@ -273,15 +274,13 @@ def cycle_spec_from_config(config: Config) -> CycleSpec:
                      tau_c=tau_c, tau_h=tau_h)
 
 
-def sweep_spec_from_config(config: Config, seed: int, tail_fit: float | None) -> SweepSpec:
+def sweep_spec_from_config(config: Config) -> SweepSpec:
     s = config.resolved["sweep"]
     return SweepSpec(
         kind=s["schedule"], omega_h=s["omega_h"], t_hot=s["T_h"], gamma=s["Gamma"],
         t_max=s["t_max"], t_min=s["t_min"], points_per_decade=int(s["points_per_decade"]),
         kappa=s["kappa"], optimize_omega_c=s["optimize_omega_c"],
-        allocation=s["allocation"],
-        tail_decades=tail_fit if tail_fit is not None else s["tail_decades"],
-        seed=seed,
+        allocation=s["allocation"], tail_decades=s["tail_decades"],
     )
 
 
@@ -347,8 +346,7 @@ def _write_table(path: str, config: Config, seed: int, columns: list[str],
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_critical(config: Config, out: str, seed: int, threads: int,
-                  tail_fit: float | None) -> int:
+def _cmd_critical(config: Config, out: str, seed: int, threads: int) -> int:
     c = config.resolved["cycle"]
     w_h, w_c = c["omega_h"], c["omega_c"]
     ratio = w_h / w_c
@@ -371,8 +369,7 @@ def _cmd_critical(config: Config, out: str, seed: int, threads: int,
     return 0
 
 
-def _cmd_simulate(config: Config, out: str, seed: int, threads: int,
-                  tail_fit: float | None) -> int:
+def _cmd_simulate(config: Config, out: str, seed: int, threads: int) -> int:
     spec = cycle_spec_from_config(config)
     state, record = limit_cycle(spec)
     rows = [(b.name, b.duration, b.start.e_h, b.start.e_l, b.start.e_c,
@@ -390,8 +387,7 @@ def _cmd_simulate(config: Config, out: str, seed: int, threads: int,
     return 0
 
 
-def _cmd_optimize(config: Config, out: str, seed: int, threads: int,
-                  tail_fit: float | None) -> int:
+def _cmd_optimize(config: Config, out: str, seed: int, threads: int) -> int:
     spec = optimization_spec_from_config(config, seed)
     result = optimize_time_allocation(spec)
     names = list(spec.free)
@@ -412,9 +408,8 @@ def _cmd_optimize(config: Config, out: str, seed: int, threads: int,
     return 0
 
 
-def _cmd_sweep(config: Config, out: str, seed: int, threads: int,
-               tail_fit: float | None) -> int:
-    spec = sweep_spec_from_config(config, seed, tail_fit)
+def _cmd_sweep(config: Config, out: str, seed: int, threads: int) -> int:
+    spec = sweep_spec_from_config(config)
     result = temperature_sweep(spec, threads=threads)
     columns = ["T_c", "omega_c", "tau_hc", "tau_c", "tau_ch", "tau_h",
                "tau_total", "Q_c", "Q_h", "W", "R_c", "sigma", "converged_flag"]
@@ -440,8 +435,7 @@ def _cmd_sweep(config: Config, out: str, seed: int, threads: int,
     return 0
 
 
-def _cmd_ga(config: Config, out: str, seed: int, threads: int,
-            tail_fit: float | None) -> int:
+def _cmd_ga(config: Config, out: str, seed: int, threads: int) -> int:
     spec = optimization_spec_from_config(config, seed)
     result = ga_schedule_search(spec)
     rows = list(enumerate(result.history))
@@ -467,22 +461,23 @@ def run_command(name: str, config: Config, out: str = ".", seed: int | None = No
                 threads: int | None = None, tail_fit: float | None = None) -> int:
     """Run one command against a parsed config; returns the exit status.
 
-    A ``tail_fit`` given here replaces ``command-defaults.tail_fit`` in the
-    resolved config, so the output header and its hash record it.
+    ``seed`` and ``threads`` given here override ``command-defaults``; a
+    ``tail_fit`` replaces ``sweep.tail_decades`` in the resolved config, so
+    the output header and its hash record it.
     """
     if name not in _HANDLERS:
         raise ConfigError("<command>", f"unknown command {name!r}")
+    for flag, value in (("--seed", seed), ("--threads", threads), ("--tail-fit", tail_fit)):
+        if value is not None:
+            _check_number(flag, value, whole=flag != "--tail-fit")
     cd = config.defaults
-    seed = int(cd["seed"]) if seed is None else int(seed)
-    threads = int(cd["threads"]) if threads is None else int(threads)
-    if tail_fit is None:
-        tail_fit = cd["tail_fit"]
-    else:
-        if not (math.isfinite(tail_fit) and tail_fit > 0):
-            raise ConfigError("--tail-fit", f"must be finite and > 0, got {tail_fit}")
-        config = _hashed({**config.resolved, "command-defaults": {**cd, "tail_fit": tail_fit}})
+    seed = int(cd["seed"] if seed is None else seed)
+    threads = int(cd["threads"] if threads is None else threads)
+    if tail_fit is not None:
+        config = _hashed({**config.resolved,
+                          "sweep": {**config.resolved["sweep"], "tail_decades": tail_fit}})
     os.makedirs(out, exist_ok=True)
-    return _HANDLERS[name](config, out, seed, threads, tail_fit)
+    return _HANDLERS[name](config, out, seed, threads)
 
 
 def main(argv=None) -> int:

@@ -48,10 +48,12 @@ import numpy as np
 from .dynamics import (
     BathSpec,
     StateVector,
+    _adiabat_flat,
+    _affine,
     _frozen,
+    _iso_affine,
     equilibrium_state,
     isochore_scalars,
-    schedule_propagator,
 )
 from .schedules import Schedule
 
@@ -174,7 +176,7 @@ class CycleRecord:
                 ("compression", spec.compression.duration, spec.omega_h),
                 ("hot_isochore", spec.tau_h, spec.omega_h))
         omegas = [spec.omega_h] + [omega for _, _, omega in legs]
-        states = [StateVector(*v, w, check=False) for v, w in zip(vs, omegas)]
+        states = [_state(v, w) for v, w in zip(vs, omegas)]
         return tuple(
             BranchRecord(name=name, duration=duration, start=states[i], end=states[i + 1],
                          delta_e=states[i + 1].e_h - states[i].e_h)
@@ -188,7 +190,9 @@ class CycleRecord:
 
 # Float maps of the limit-cycle core: a 3x3 map is a row-major 9-tuple, a
 # vector a 3-tuple, and an isochore its scalars (d, dc, ds, b0, e_eq) from
-# isochore_scalars.
+# isochore_scalars.  A map applied to a vector (_affine, _iso_affine) and the
+# adiabat's cached propagator (_adiabat_flat) come from dynamics, whose
+# propagate and propagate_isochore apply the same maps.
 
 def _mul(a, b):
     """The product a b of two 3x3 maps."""
@@ -199,14 +203,6 @@ def _mul(a, b):
             a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8)
 
 
-def _affine(a, v):
-    """a v for a 3x3 map a."""
-    x, y, z = v
-    return (a[0] * x + a[1] * y + a[2] * z,
-            a[3] * x + a[4] * y + a[5] * z,
-            a[6] * x + a[7] * y + a[8] * z)
-
-
 def _iso_mul(iso, a):
     """The isochore's linear part times a 3x3 map a."""
     d, dc, ds, _, _ = iso
@@ -214,23 +210,6 @@ def _iso_mul(iso, a):
     return (d * a0, d * a1, d * a2,
             dc * a3 - ds * a6, dc * a4 - ds * a7, dc * a5 - ds * a8,
             ds * a3 + dc * a6, ds * a4 + dc * a7, ds * a5 + dc * a8)
-
-
-def _iso_affine(iso, v):
-    """The isochore's map applied to v."""
-    d, dc, ds, b0, _ = iso
-    x, y, z = v
-    return (d * x + b0, dc * y - ds * z, ds * y + dc * z)
-
-
-def _adiabat_flat(schedule: Schedule) -> tuple:
-    """The adiabat's propagator, built once per Schedule instance and kept on it.
-
-    An equal but distinct Schedule builds its own.
-    """
-    if schedule._propagator is None:
-        object.__setattr__(schedule, "_propagator", schedule_propagator(schedule))
-    return schedule._propagator
 
 
 def _branch_maps(spec: CycleSpec) -> tuple:
@@ -293,8 +272,7 @@ def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, Cyc
 
 def _state(v: tuple, omega: float) -> StateVector:
     """The unchecked StateVector of a chain vector at frequency omega."""
-    return _frozen(StateVector, {"e_h": v[0], "e_l": v[1], "e_c": v[2], "omega": omega,
-                                 "check": False})
+    return _frozen(StateVector, {"e_h": v[0], "e_l": v[1], "e_c": v[2], "omega": omega})
 
 
 def _lu(m: tuple) -> tuple:

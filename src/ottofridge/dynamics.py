@@ -83,19 +83,17 @@ class StateVector:
 
     Construction validates the physicality invariants up to a small relative
     slack: e_h > 0, e_h^2 >= e_l^2 + e_c^2 (nonnegative Casimir) and
-    e_h >= omega/2 (ground-state energy floor).  States returned or
-    recorded by the cycle solver bypass validation with ``check=False``.
+    e_h >= omega/2 (ground-state energy floor).  The states that the cycle
+    solver returns and records are built without that check (``_frozen``)
+    and compare and hash like a validated state with the same numbers.
     """
 
     e_h: float
     e_l: float
     e_c: float
     omega: float
-    check: bool = True
 
     def __post_init__(self):
-        if not self.check:
-            return
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be finite and > 0, got {self.omega}")
         if not all(math.isfinite(v) for v in (self.e_h, self.e_l, self.e_c)):
@@ -129,8 +127,8 @@ class StateVector:
         return cls(omega * (n + 0.5), 0.0, 0.0, omega)
 
     @classmethod
-    def from_array(cls, vec, omega: float, check: bool = True) -> "StateVector":
-        return cls(float(vec[0]), float(vec[1]), float(vec[2]), omega, check=check)
+    def from_array(cls, vec, omega: float) -> "StateVector":
+        return cls(float(vec[0]), float(vec[1]), float(vec[2]), omega)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.e_h, self.e_l, self.e_c])
@@ -226,11 +224,17 @@ def isochore_scalars(omega: float, bath: BathSpec, t: float) -> tuple:
     return decay, decay * math.cos(ang), decay * math.sin(ang), (1.0 - decay) * e_eq, e_eq
 
 
+def _iso_affine(iso, v):
+    """The isochore map of the scalars ``iso`` (from isochore_scalars) applied to v."""
+    d, dc, ds, b0, _ = iso
+    x, y, z = v
+    return (d * x + b0, dc * y - ds * z, ds * y + dc * z)
+
+
 def propagate_isochore(state: StateVector, bath: BathSpec, t: float) -> StateVector:
     """Evolve a state in contact with one bath at fixed frequency for time t."""
-    d, dc, ds, b0, _ = isochore_scalars(state.omega, bath, t)
-    x, y, z = state.e_h, state.e_l, state.e_c
-    return StateVector(d * x + b0, dc * y - ds * z, ds * y + dc * z, state.omega)
+    v = _iso_affine(isochore_scalars(state.omega, bath, t), (state.e_h, state.e_l, state.e_c))
+    return StateVector(*v, state.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +417,24 @@ def schedule_propagator(schedule: Schedule) -> tuple:
     raise ScheduleError(f"no propagator for schedule kind {schedule.kind!r}")
 
 
+def _adiabat_flat(schedule: Schedule) -> tuple:
+    """The adiabat's propagator, built once per Schedule instance and kept on it.
+
+    An equal but distinct Schedule builds its own.
+    """
+    if schedule._propagator is None:
+        object.__setattr__(schedule, "_propagator", schedule_propagator(schedule))
+    return schedule._propagator
+
+
+def _affine(a, v):
+    """a v for a 3x3 map a (a row-major 9-tuple) and a 3-tuple v."""
+    x, y, z = v
+    return (a[0] * x + a[1] * y + a[2] * z,
+            a[3] * x + a[4] * y + a[5] * z,
+            a[6] * x + a[7] * y + a[8] * z)
+
+
 def propagate(state: StateVector, schedule: Schedule) -> StateVector:
     """Evolve a state through an adiabat with the schedule's exact propagator.
 
@@ -424,7 +446,6 @@ def propagate(state: StateVector, schedule: Schedule) -> StateVector:
     floats as there, so an adiabat leg of a cycle record is reproduced bit
     for bit.
     """
-    from .cycle import _adiabat_flat, _affine     # deferred: cycle imports this module
     if not math.isclose(state.omega, schedule.omega_start, rel_tol=1e-9):
         raise ValueError("state.omega does not match schedule.omega_start")
     v = _affine(_adiabat_flat(schedule), (state.e_h, state.e_l, state.e_c))

@@ -34,8 +34,9 @@ SWEEP_KINDS = ("three_jump", "const_mu", "linear", "exponential")
 _KIND_NU = {"three_jump": 1.5, "const_mu": 2.0, "linear": 2.0, "exponential": 2.0}
 
 # golden-section bracket of the linear and exponential kinds' duration
-# parameter (see build_point)
+# parameter (see build_point), and the steps of every golden-section search
 _DURATION_BRACKET = (0.02, 10.0)
+_GOLDEN_ITERS = 20
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,6 @@ class SweepSpec:
     optimize_omega_c: bool = False
     allocation: str = "z"               # "z" or "searched"
     tail_decades: float = 1.0
-    seed: int = 0
-    search_iters: int = 20
 
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
@@ -165,8 +164,9 @@ def fit_power_law(points, tail_decades: float | None = None) -> PowerLawFit:
 # Per-point cycle assembly
 # ---------------------------------------------------------------------------
 
-def _golden_max(build, lo: float, hi: float, iters: int) -> tuple[CycleSpec, CycleRecord]:
-    """Deterministic golden-section search on [lo, hi] for the highest R_c.
+def _golden_max(build, lo: float, hi: float) -> tuple[CycleSpec, CycleRecord]:
+    """Deterministic golden-section search on [lo, hi] for the highest R_c,
+    in _GOLDEN_ITERS steps after its first two evaluations.
 
     ``build(x)`` returns a (cycle, record) pair and a domain failure scores
     -inf.  Every pair is kept, so the winner is returned as built, not built
@@ -188,7 +188,7 @@ def _golden_max(build, lo: float, hi: float, iters: int) -> tuple[CycleSpec, Cyc
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = score(c), score(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -212,8 +212,7 @@ def _allocate(spec: SweepSpec, cycle: CycleSpec) -> tuple[CycleSpec, CycleRecord
     if spec.allocation == "searched":
         bounds = {"tau_c": (tau / 10.0, tau * 10.0), "tau_h": (tau / 10.0, tau * 10.0)}
         result = optimize_time_allocation(OptimizationSpec(
-            base=cycle, free=("tau_c", "tau_h"), bounds=bounds,
-            seed=spec.seed, restarts=1))
+            base=cycle, free=("tau_c", "tau_h"), bounds=bounds, restarts=1))
         return result.best_spec, result.best_record
     return cycle, limit_cycle(cycle)[1]
 
@@ -259,7 +258,7 @@ def build_point(spec: SweepSpec, t_c: float,
                         Schedule.exponential(w_c, w_h, tau))
 
     lo, hi = _DURATION_BRACKET
-    return _golden_max(cycle_for, math.log(lo), math.log(hi), spec.search_iters)
+    return _golden_max(cycle_for, math.log(lo), math.log(hi))
 
 
 def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
@@ -267,7 +266,7 @@ def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
     try:
         if spec.optimize_omega_c:
             cycle, record = _golden_max(lambda log_y: build_point(spec, t_c, math.exp(log_y) * t_c),
-                                        math.log(0.05), math.log(3.0), spec.search_iters)
+                                        math.log(0.05), math.log(3.0))
         else:
             cycle, record = build_point(spec, t_c)
     except DOMAIN_ERRORS as exc:

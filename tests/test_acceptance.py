@@ -44,7 +44,7 @@ def report(number: int, name: str, checks):
 def acceptance_sweeps():
     kwargs = dict(omega_h=100.0, t_hot=1.0, gamma=1.0,
                   t_max=1e-1, t_min=1e-3, points_per_decade=5,
-                  tail_decades=1.0, seed=SEED)
+                  tail_decades=1.0)
     t0 = time.time()
     results = {kind: temperature_sweep(SweepSpec(kind=kind, **kwargs))
                for kind in ("three_jump", "const_mu", "exponential", "linear")}

@@ -12,7 +12,10 @@ from ottofridge.cli import (
     parse_config,
     run_command,
 )
-from ottofridge.cycle import equilibration_bound
+from ottofridge.cycle import CycleSpec, equilibration_bound, limit_cycle
+from ottofridge.dynamics import BathSpec
+from ottofridge.optimize import optimal_cold_frequency
+from ottofridge.schedules import Schedule
 
 
 def test_minimal_config_gets_defaults():
@@ -130,6 +133,55 @@ def test_simulate_full_equilibration_matches_bound(tmp_path, capsys):
     assert footer["sigma"] >= 0.0
 
 
+@pytest.mark.parametrize("blocks, schedules", [
+    ([{"kind": "linear", "duration": 2.0}, {"kind": "linear", "duration": 3.0}],
+     [Schedule.linear(10.0, 1.0, 2.0), Schedule.linear(1.0, 10.0, 3.0)]),
+    ([{"kind": "exponential", "duration": 2.0}, {"kind": "exponential", "duration": 3.0}],
+     [Schedule.exponential(10.0, 1.0, 2.0), Schedule.exponential(1.0, 10.0, 3.0)]),
+    ([{"kind": "piecewise_const", "segments": [[5.0, 0.3], [2.0, 0.2]]},
+      {"kind": "piecewise_const", "segments": [[3.0, 0.25]]}],
+     [Schedule.piecewise(10.0, 1.0, [(5.0, 0.3), (2.0, 0.2)]),
+      Schedule.piecewise(1.0, 10.0, [(3.0, 0.25)])]),
+    ([{"kind": "const_mu", "mu": -0.7}, {"kind": "const_mu", "mu": 0.7}],
+     [Schedule.const_mu(10.0, 1.0, -0.7), Schedule.const_mu(1.0, 10.0, 0.7)]),
+], ids=["linear", "exponential", "piecewise_const", "const_mu"])
+def test_simulate_builds_each_schedule_block(blocks, schedules, tmp_path):
+    # the CSV of simulate holds, digit for digit, the record of the same
+    # cycle built with the library
+    config = parse_config(json.dumps({"cycle": {
+        "omega_h": 10.0, "omega_c": 1.0, "T_h": 2.0, "T_c": 0.5, "Gamma_h": 1.3,
+        "expansion": blocks[0], "compression": blocks[1], "tau_c": 0.8, "tau_h": 1.1}}))
+    spec = CycleSpec(BathSpec(2.0, 1.3), BathSpec(0.5, 1.0), 10.0, 1.0, *schedules,
+                     tau_c=0.8, tau_h=1.1)
+    assert cycle_spec_from_config(config) == spec
+    _, record = limit_cycle(spec)
+    assert run_command("simulate", config, out=str(tmp_path)) == 0
+    lines = (tmp_path / "cycle.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[5:9]]
+    assert [row[0] for row in rows] == [b.name for b in record.branches]
+    assert [[float(x) for x in row[1:]] for row in rows] == [
+        [b.duration, b.start.e_h, b.start.e_l, b.start.e_c, b.end.e_h, b.end.e_l, b.end.e_c,
+         b.delta_e] for b in record.branches]
+    footer = dict(line[2:].split(" ") for line in lines[9:])
+    for name in ("q_c", "q_h", "w", "tau_total", "r_c", "sigma", "cop", "spectral_radius"):
+        assert float(footer[name]) == getattr(record, name)
+    assert int(footer["iterations"]) == record.iterations
+
+
+def test_sweep_kappa_sets_the_cold_frequency(tmp_path):
+    # one point; sweep.kappa replaces the kind's default kappa in omega_c = kappa T_c
+    kappa = 0.6
+    assert kappa != pytest.approx(optimal_cold_frequency(1.5, 1.0)[1], rel=0.1)
+    config = parse_config(json.dumps({"sweep": {
+        "schedule": "three_jump", "kappa": kappa, "t_max": 0.1, "t_min": 0.1 * 10 ** -0.05,
+        "points_per_decade": 4}}))
+    assert run_command("sweep", config, out=str(tmp_path)) == 0
+    (row,) = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()
+              if line[0].isdigit()]
+    assert row[-1] == "1"
+    assert float(row[1]) == kappa * float(row[0])
+
+
 def test_sweep_outputs_are_byte_identical(tmp_path):
     cfg = json.dumps({"sweep": {"schedule": "three_jump", "omega_h": 50.0,
                                 "t_max": 0.3, "t_min": 0.003,
@@ -184,7 +236,7 @@ def test_non_positive_tail_fit_is_a_config_error(flag, config, path, tmp_path, c
 
 def test_tail_fit_flag_is_in_the_header(tmp_path):
     # the flag moves the tail_fit footer, so it moves the config echo and hash
-    # too, to what the same value in command-defaults gives; without it the
+    # too, to what the same value in sweep.tail_decades gives; without it the
     # header is the config's own
     text = json.dumps({"sweep": {"schedule": "three_jump", "t_max": 0.1, "t_min": 1e-4}})
 
@@ -196,9 +248,54 @@ def test_tail_fit_flag_is_in_the_header(tmp_path):
         "three", "--tail-fit", "3")
     assert plain[0] == f"# config_sha256 {parse_config(text).sha256}"
     assert len({plain[0], two[0], three[0]}) == 3
-    assert '"tail_fit":2.0' in two[2] and '"tail_fit":null' in plain[2]
-    in_config = json.dumps({**json.loads(text), "command-defaults": {"tail_fit": 2.0}})
+    assert '"tail_decades":2.0' in two[2] and '"tail_decades":1.0' in plain[2]
+    in_config = json.dumps({"sweep": {**json.loads(text)["sweep"], "tail_decades": 2.0}})
     assert header("config", config=in_config) == two
+
+
+def test_command_defaults_tail_fit_is_an_unknown_key(tmp_path, capsys):
+    # sweep.tail_decades is the one key of the tail window
+    text = json.dumps({"command-defaults": {"tail_fit": 2.0}})
+    assert main(["sweep", "--config", text, "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err[len("ERROR "):])
+    assert payload["message"] == "config error at command-defaults.tail_fit: unknown key"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("config, path", [
+    ({"command-defaults": {"seed": 2.7}}, "command-defaults.seed"),
+    ({"command-defaults": {"seed": -1}}, "command-defaults.seed"),
+    ({"command-defaults": {"threads": 2.5}}, "command-defaults.threads"),
+    ({"command-defaults": {"threads": 0}}, "command-defaults.threads"),
+    ({"sweep": {"points_per_decade": 2.5}}, "sweep.points_per_decade"),
+    ({"optimize": {"restarts": 1.5}}, "optimize.restarts"),
+    ({"ga": {"generations": 3.5}}, "ga.generations"),
+])
+def test_integer_keys_must_be_whole_and_in_range(config, path):
+    with pytest.raises(ConfigError, match=path) as err:
+        parse_config(json.dumps(config))
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--threads", "0")])
+def test_integer_flags_are_checked(flag, value, tmp_path, capsys):
+    assert main(["sweep", "--out", str(tmp_path), flag, value]) == 2
+    payload = json.loads(capsys.readouterr().err[len("ERROR "):])
+    assert payload["type"] == "ConfigError" and flag in payload["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_whole_number_floats_run_as_their_integers(tmp_path):
+    # 3.0 is a whole number: accepted, and run as 3
+    text = json.dumps({"command-defaults": {"seed": 3.0}, "ga": {"population": 8.0,
+                                                                 "generations": 4.0}})
+    ints = json.dumps({"ga": {"population": 8, "generations": 4}})
+    assert run_command("ga", parse_config(text), out=str(tmp_path / "a")) == 0
+    assert run_command("ga", parse_config(ints), out=str(tmp_path / "b"), seed=3.0) == 0
+    a, b = ((tmp_path / d / "ga.csv").read_text().splitlines() for d in "ab")
+    assert a[2] == b[2] == "# seed 3" and a[4:] == b[4:] and len(a) == 4 + 1 + 5 + 2
+    with pytest.raises(ConfigError, match="--seed"):
+        run_command("ga", parse_config(text), out=str(tmp_path / "c"), seed=3.5)
 
 
 @pytest.mark.parametrize("schedule, allocation", [("exponential", "searched"),

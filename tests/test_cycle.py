@@ -379,8 +379,7 @@ def test_records_are_frozen_comparable_and_printable():
     assert repr(rebuilt) == repr(record) and repr(record).startswith("CycleRecord(q_c=")
     assert "chain" not in repr(record)
     assert replace(record, q_c=0.0) != record
-    assert state == twin_state == StateVector(state.e_h, state.e_l, state.e_c, spec.omega_h,
-                                              check=False)
+    assert state == twin_state == StateVector(state.e_h, state.e_l, state.e_c, spec.omega_h)
     assert repr(state) == repr(replace(state))
     for frozen, name in ((record, "q_c"), (state, "e_h")):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -390,6 +389,19 @@ def test_records_are_frozen_comparable_and_printable():
     assert record.branches is record.branches
     assert record.branches == rebuilt.branches
     assert record.branches[0].start == state
+
+
+def test_solver_states_equal_the_validated_states_of_their_numbers():
+    # the solver builds its states without validation, yet each one compares
+    # and hashes like the StateVector built from its numbers
+    spec = frictionless_spec(tau_c=1.3, tau_h=0.7)
+    state, record = limit_cycle(spec)
+    one_cycle, _ = run_one_cycle(spec, state)
+    states = [state, one_cycle] + [s for b in record.branches for s in (b.start, b.end)]
+    for solved in states:
+        checked = StateVector(solved.e_h, solved.e_l, solved.e_c, solved.omega)
+        assert solved == checked and hash(solved) == hash(checked)
+    assert len(set(states)) == len({(s.e_h, s.e_l, s.e_c, s.omega) for s in states})
 
 
 def test_equilibrium_energies_come_from_the_branch_maps(monkeypatch):
@@ -426,13 +438,13 @@ def test_numpy_scalar_inputs_show_in_the_kernel_records(monkeypatch):
 
 def _count_propagator_builds(monkeypatch):
     built = []
-    build = ottofridge.cycle.schedule_propagator
+    build = ottofridge.dynamics.schedule_propagator
 
     def counting(schedule):
         built.append(schedule)
         return build(schedule)
 
-    monkeypatch.setattr("ottofridge.cycle.schedule_propagator", counting)
+    monkeypatch.setattr("ottofridge.dynamics.schedule_propagator", counting)
     return built
 
 

@@ -496,7 +496,7 @@ def test_casimir_conserved_on_all_adiabat_paths():
 def test_adiabat_power_zero_cases():
     st = StateVector(3.0, 1.0, -0.5, 2.0)
     assert adiabat_power(st, 0.0) == 0.0
-    kinetic = StateVector(3.0, 3.0 - 1e-12, 0.0, 1.0, check=False)
+    kinetic = StateVector(3.0, 3.0 - 1e-12, 0.0, 1.0)
     assert adiabat_power(kinetic, 0.7) == pytest.approx(0.0, abs=1e-11)
 
 

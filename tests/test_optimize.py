@@ -15,6 +15,7 @@ from ottofridge.cycle import CycleSpec, NoContractionError, isochore_time_deriva
 from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.optimize import (
     OptimizationSpec,
+    apply_free_values,
     ga_schedule_search,
     lambert_w0,
     optimal_cold_frequency,
@@ -218,6 +219,38 @@ def test_optimize_deterministic_under_seed():
     r2 = optimize_time_allocation(spec)
     assert r1.best_values == r2.best_values
     assert r1.best_record.r_c == r2.best_record.r_c
+
+
+def ramp_adiabats(kind, omega_h, omega_c):
+    """Expansion and compression schedules of a kind with a free duration."""
+    if kind == "const_mu":
+        return Schedule.const_mu(omega_h, omega_c, -0.7), Schedule.const_mu(omega_c, omega_h, 0.7)
+    build = Schedule.linear if kind == "linear" else Schedule.exponential
+    return build(omega_h, omega_c, 2.0), build(omega_c, omega_h, 3.0)
+
+
+@pytest.mark.parametrize("kind", ["linear", "exponential", "const_mu"])
+def test_freed_adiabat_durations_rebuild_their_schedules(kind):
+    # tau_hc and tau_ch rebuild each adiabat with its kind and endpoints and
+    # the requested duration (a const-mu schedule through its mu)
+    expansion, compression = ramp_adiabats(kind, 10.0, 1.0)
+    base = replace(make_base(), expansion=expansion, compression=compression)
+    spec = apply_free_values(base, {"tau_hc": 1.7, "tau_ch": 2.9})
+    for new, old, duration in ((spec.expansion, expansion, 1.7),
+                               (spec.compression, compression, 2.9)):
+        assert new.kind == kind
+        assert (new.omega_start, new.omega_end) == (old.omega_start, old.omega_end)
+        assert new.duration == pytest.approx(duration, rel=1e-15)
+    assert (spec.omega_c, spec.tau_c, spec.tau_h) == (base.omega_c, base.tau_c, base.tau_h)
+
+    result = optimize_time_allocation(OptimizationSpec(
+        base=base, free=("tau_hc", "tau_c"),
+        bounds={"tau_hc": (0.5, 5.0), "tau_c": (0.2, 5.0)}, restarts=1, max_iter=40))
+    best = result.best_spec
+    assert best.expansion.duration == pytest.approx(result.best_values["tau_hc"], rel=1e-15)
+    assert best.tau_c == result.best_values["tau_c"]
+    assert best.compression is base.compression
+    assert result.best_record.r_c >= limit_cycle(base)[1].r_c
 
 
 def test_optimization_spec_validation():

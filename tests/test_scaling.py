@@ -11,6 +11,7 @@ from test_cycle import non_float_entries, record_ledgers
 from ottofridge.cycle import isochore_time_derivatives, limit_cycle
 from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.scaling import (
+    _GOLDEN_ITERS,
     SWEEP_KINDS,
     SweepSpec,
     build_point,
@@ -125,7 +126,7 @@ def test_sweep_propagates_non_domain_errors(kind, monkeypatch):
     def broken(schedule):
         raise TypeError("injected")
 
-    monkeypatch.setattr("ottofridge.cycle.schedule_propagator", broken)
+    monkeypatch.setattr("ottofridge.dynamics.schedule_propagator", broken)
     with pytest.raises(TypeError, match="injected"):
         temperature_sweep(small_sweep(kind, t_max=1e-1, t_min=5e-2, points_per_decade=1))
 
@@ -139,7 +140,7 @@ def test_non_finite_cycle_map_is_a_domain_failure(monkeypatch):
     def nan_propagator(schedule):
         return (math.nan,) * 9
 
-    monkeypatch.setattr("ottofridge.cycle.schedule_propagator", nan_propagator)
+    monkeypatch.setattr("ottofridge.dynamics.schedule_propagator", nan_propagator)
     spec = small_sweep("three_jump", t_max=1e-1, t_min=1e-1 * 10**-0.05, points_per_decade=5)
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs") as err:
         build_point(spec, spec.t_max)
@@ -158,11 +159,11 @@ def test_failed_golden_section_raises_its_winners_error(monkeypatch):
         built.append(schedule)
         return (math.nan,) * 9
 
-    monkeypatch.setattr("ottofridge.cycle.schedule_propagator", nan_propagator)
-    spec = small_sweep("linear", t_max=1e-1, t_min=5e-2, search_iters=6)
+    monkeypatch.setattr("ottofridge.dynamics.schedule_propagator", nan_propagator)
+    spec = small_sweep("linear", t_max=1e-1, t_min=5e-2)
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
         build_point(spec, 0.05)
-    assert len(built) == 2 * (spec.search_iters + 2)
+    assert len(built) == 2 * (_GOLDEN_ITERS + 2)
 
 
 def test_omega_c_search_reuses_its_winner(monkeypatch):
@@ -177,10 +178,10 @@ def test_omega_c_search_reuses_its_winner(monkeypatch):
 
     monkeypatch.setattr(ottofridge.scaling, "build_point", counting)
     spec = small_sweep("three_jump", t_max=1e-1, t_min=1e-1 * 10**-0.05, points_per_decade=5,
-                       optimize_omega_c=True, search_iters=8)
+                       optimize_omega_c=True)
     (row,) = temperature_sweep(spec).rows
     assert row.flag == 1
-    assert len(calls) == spec.search_iters + 2
+    assert len(calls) == _GOLDEN_ITERS + 2
     assert row.omega_c == build(spec, spec.t_max, row.omega_c)[0].omega_c
 
 
@@ -197,10 +198,10 @@ def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
         return result
 
     monkeypatch.setattr(ottofridge.scaling, "optimize_time_allocation", counting)
-    spec = small_sweep("exponential", t_max=1e-1, t_min=5e-2, search_iters=6,
+    spec = small_sweep("exponential", t_max=1e-1, t_min=5e-2,
                        allocation="searched")
     cycle, record = build_point(spec, 0.05)
-    assert len(searches) == spec.search_iters + 2
+    assert len(searches) == _GOLDEN_ITERS + 2
     assert any(cycle is found for found in searches)
     assert record.chain[0] is cycle
 
@@ -228,11 +229,11 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
     monkeypatch.setattr(ottofridge.optimize, "limit_cycle", counting)
     monkeypatch.setattr(ottofridge.scaling, "limit_cycle", counting)
     monkeypatch.setattr(ottofridge.scaling, "optimize_time_allocation", recording)
-    spec = small_sweep("exponential", t_max=1e-1, t_min=1e-1 * 10**-0.05, search_iters=6,
+    spec = small_sweep("exponential", t_max=1e-1, t_min=1e-1 * 10**-0.05,
                        allocation="searched")
     (row,) = temperature_sweep(spec).rows
     assert row.flag == 1
-    assert len(searches) == spec.search_iters + 2
+    assert len(searches) == _GOLDEN_ITERS + 2
     assert len(calls) == sum(len(made) for _, made in searches)
     for result, made in searches:
         z = result.z_comparison
@@ -262,7 +263,7 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
         warnings.simplefilter("error")
         rows = temperature_sweep(spec).rows
     assert all(r.flag == 1 for r in rows)
-    assert len(searches) == len(rows) * (spec.search_iters + 2)
+    assert len(searches) == len(rows) * (_GOLDEN_ITERS + 2)
     for opt, result in searches:
         for name, g in zip(("tau_c", "tau_h"), isochore_time_derivatives(result.best_record)[0]):
             lo, hi = opt.bounds[name]
@@ -297,7 +298,7 @@ def test_sweep_fit_needs_enough_points():
 
 def test_searched_kind_small_sweep():
     # exponential ramps on a cheap grid: cooling rows with a sane exponent
-    spec = small_sweep("exponential", t_max=2e-1, t_min=2e-2, search_iters=14)
+    spec = small_sweep("exponential", t_max=2e-1, t_min=2e-2)
     res = temperature_sweep(spec)
     assert all(r.flag == 1 for r in res.rows)
     assert res.fit is not None and 1.8 < res.fit.delta < 2.6
@@ -354,7 +355,7 @@ def test_ledger_tail_fit_is_criterion_01_three_jump_delta():
     # the closed-form ledger's R_c of each row's cycle, fitted as criterion 01
     # fits the acceptance sweep, gives the sweep's own three-jump delta
     spec = SweepSpec(kind="three_jump", omega_h=100.0, t_hot=1.0, gamma=1.0, t_max=1e-1,
-                     t_min=1e-3, points_per_decade=5, tail_decades=1.0, seed=12345)
+                     t_min=1e-3, points_per_decade=5, tail_decades=1.0)
     ledger = [(t, frictionless_ledger(build_point(spec, t)[0])[3]) for t in spec.grid]
     delta = temperature_sweep(spec).tail_fit.delta
     assert abs(fit_power_law(ledger, tail_decades=1.0).delta - delta) <= 1e-12
@@ -382,7 +383,7 @@ def test_sweep_kernel_runs_on_python_floats(monkeypatch, options):
     # the grid's T_c, and with it omega_c, every branch map, M, the LU
     # factors and the ledger, are Python floats, never numpy scalars
     records = record_ledgers(monkeypatch)
-    spec = small_sweep(t_max=1e-1, t_min=1e-2, points_per_decade=1, search_iters=6, **options)
+    spec = small_sweep(t_max=1e-1, t_min=1e-2, points_per_decade=1, **options)
     assert all(type(t) is float for t in spec.grid)
     rows = temperature_sweep(spec).rows
     assert len(rows) == 2 and all(r.flag == 1 for r in rows)
@@ -394,7 +395,7 @@ def test_sweep_kernel_runs_on_python_floats(monkeypatch, options):
 @pytest.mark.parametrize("kind", SWEEP_KINDS)
 def test_build_point_takes_numpy_scalars_as_floats(monkeypatch, kind):
     records = record_ledgers(monkeypatch)
-    spec = small_sweep(kind, search_iters=6)
+    spec = small_sweep(kind)
     cycle, record = build_point(spec, np.float64(0.05))
     assert type(cycle.cold_bath.temperature) is float and type(cycle.omega_c) is float
     cycle, record = build_point(spec, np.float64(0.05), omega_c=np.float64(0.06))

@@ -1,0 +1,135 @@
+"""Byte-identity snapshot of the command-line tool's outputs.
+
+Usage (from any directory):
+
+    python3 tools/cli_snapshot.py OUTDIR
+
+runs a fixed list of ``ottofridge`` commands against the sources of the
+checkout this script sits in (its ``src/``), each in its own subdirectory of
+OUTDIR, and writes ``OUTDIR/manifest.txt``.  For every run the manifest holds
+its exit code and the sha256 of its console output (stdout, stderr and the
+warnings it raised, by category and message); for every file it wrote, the
+sha256 of the 4-line header (version, config hash, seed, config echo) and of
+the body below it.  The files, and each run's console output as
+``OUTDIR/<run>.console``, stay there for a closer look.
+
+A refactor that keeps the outputs is checked by running the script in two
+checkouts and comparing the manifests:
+
+    diff old/manifest.txt new/manifest.txt
+
+The runs cover every command: critical; simulate with each schedule block
+kind; optimize by Newton and by Nelder-Mead; ga; sweeps of all four kinds
+with z and searched allocation, plus a deep three-jump sweep, both kinds of
+cold-frequency search, a threaded sweep and three ways of setting the tail
+window.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+_RAMPS = {"omega_h": 10.0, "omega_c": 1.0, "T_h": 2.0, "T_c": 0.5}
+_WINDOW = {"t_max": 1e-1, "t_min": 1e-3}
+
+# (name, command, config, extra flags); every run gets its own --out
+RUNS = [
+    ("critical", "critical", {}, []),
+    ("simulate-three-jump", "simulate", {}, []),
+    ("simulate-exponential", "simulate", {"cycle": {
+        **_RAMPS, "expansion": {"kind": "exponential", "duration": 2.0},
+        "compression": {"kind": "exponential", "duration": 3.0}}}, []),
+    ("simulate-linear", "simulate", {"cycle": {
+        **_RAMPS, "expansion": {"kind": "linear", "duration": 2.0},
+        "compression": {"kind": "linear", "duration": 3.0}}}, []),
+    ("simulate-const-mu-critical", "simulate", {"cycle": {
+        **_RAMPS, "expansion": {"kind": "const_mu", "critical": True},
+        "compression": {"kind": "const_mu", "critical": True}}}, []),
+    ("simulate-const-mu-explicit", "simulate", {"cycle": {
+        **_RAMPS, "expansion": {"kind": "const_mu", "mu": -0.7},
+        "compression": {"kind": "const_mu", "mu": 0.7}}}, []),
+    ("optimize-newton", "optimize", {}, []),
+    ("optimize-nelder-mead", "optimize", {
+        "cycle": {**_RAMPS, "expansion": {"kind": "exponential", "duration": 2.0},
+                  "compression": {"kind": "exponential", "duration": 3.0}},
+        "optimize": {"free": ["tau_h", "tau_c", "omega_c"], "restarts": 2}}, []),
+    ("ga", "ga", {"ga": {"generations": 40}}, ["--seed", "3"]),
+    *((f"sweep-{kind}-{allocation}", "sweep",
+       {"sweep": {"schedule": kind, "allocation": allocation, **_WINDOW}}, [])
+      for kind in ("three_jump", "const_mu", "linear", "exponential")
+      for allocation in ("z", "searched")),
+    ("sweep-three_jump-deep", "sweep",
+     {"sweep": {"schedule": "three_jump", "t_max": 1e-1, "t_min": 1e-6}}, []),
+    ("sweep-exponential-omega-c", "sweep", {"sweep": {
+        "schedule": "exponential", "optimize_omega_c": True, "t_max": 1e-1, "t_min": 1e-2}}, []),
+    ("sweep-const_mu-searched-omega-c", "sweep", {"sweep": {
+        "schedule": "const_mu", "allocation": "searched", "optimize_omega_c": True,
+        **_WINDOW}}, []),
+    ("sweep-linear-threads", "sweep", {"sweep": {"schedule": "linear", **_WINDOW}},
+     ["--threads", "2"]),
+    ("sweep-tail-decades-2", "sweep", {"sweep": {
+        "schedule": "three_jump", "t_max": 1e-1, "t_min": 1e-4, "tail_decades": 2.0}}, []),
+    ("sweep-tail-fit-flag-2", "sweep", {"sweep": {
+        "schedule": "three_jump", "t_max": 1e-1, "t_min": 1e-4}}, ["--tail-fit", "2"]),
+    ("sweep-tail-fit-key-2", "sweep", {"sweep": {
+        "schedule": "three_jump", "t_max": 1e-1, "t_min": 1e-4},
+        "command-defaults": {"tail_fit": 2.0}}, []),
+]
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(cli_main, command: str, config: dict, flags: list[str], out: Path) -> tuple[int, bytes]:
+    """Exit code and console output of one in-process CLI run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    argv = [command, "--config", json.dumps(config), "--out", str(out), *flags]
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = cli_main(argv)
+    raised = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    console = f"stdout\n{stdout.getvalue()}stderr\n{stderr.getvalue()}warnings\n{raised}"
+    return code, console.encode()
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    outdir = Path(args[0]).resolve()
+    sys.path.insert(0, str(SRC))
+    from ottofridge.cli import main as cli_main
+    if not Path(sys.modules["ottofridge"].__file__).resolve().is_relative_to(SRC):
+        print(f"error: ottofridge imported from outside {SRC}", file=sys.stderr)
+        return 2
+    outdir.mkdir(parents=True, exist_ok=True)
+    lines = []
+    for name, command, config, flags in RUNS:
+        out = outdir / name
+        code, console = run(cli_main, command, config, flags, out)
+        (outdir / f"{name}.console").write_bytes(console)
+        lines.append(f"run {name} exit {code} console {sha(console)}")
+        for path in sorted(out.glob("*")) if out.is_dir() else []:
+            text = path.read_bytes()
+            head = b"".join(text.splitlines(keepends=True)[:4])
+            body = text[len(head):]
+            lines.append(f"file {name}/{path.name} header {sha(head)} body {sha(body)}")
+    (outdir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"{len(RUNS)} runs, manifest in {outdir / 'manifest.txt'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
