@@ -118,7 +118,9 @@ _POSITIVE = {
     "sweep.kappa", "sweep.tail_decades",
     "ga.tau_max", "optimize.restarts", "command-defaults.threads", "--threads", "--tail-fit",
 }
-_NONNEGATIVE = {"cycle.tau_c", "cycle.tau_h", "command-defaults.seed", "--seed"}
+# Lower bounds, the last three those that SweepSpec and ga_schedule_search enforce.
+_MINIMUM = {"cycle.tau_c": 0, "cycle.tau_h": 0, "command-defaults.seed": 0, "--seed": 0,
+            "sweep.points_per_decade": 1, "ga.segments": 2, "ga.population": 4}
 
 
 def _check_number(path: str, value, whole: bool = False):
@@ -130,8 +132,8 @@ def _check_number(path: str, value, whole: bool = False):
         raise ConfigError(path, f"must be a whole number, got {value}")
     if path in _POSITIVE and value <= 0:
         raise ConfigError(path, f"must be > 0, got {value}")
-    if path in _NONNEGATIVE and value < 0:
-        raise ConfigError(path, f"must be >= 0, got {value}")
+    if path in _MINIMUM and value < _MINIMUM[path]:
+        raise ConfigError(path, f"must be >= {_MINIMUM[path]}, got {value}")
 
 
 def _validate_schedule_block(path: str, block):

@@ -9,9 +9,11 @@ Branch order, starting from point A (end of the hot isochore, omega = omega_h):
 
 Each branch is an affine map v -> A v + b of the (e_h, e_l, e_c) vector, so
 the one-cycle map v -> M v + k is the product of the four branch maps.  Its
-unique fixed point (the limit cycle) is found by a direct linear solve and
-cross-checked by repeated squaring of the augmented map [[M, k], [0, 1]],
-which reaches 2^j cycles from the hot thermal state in j matrix products.
+unique fixed point (the limit cycle) is found by a direct linear solve.  The
+cross-check, repeated squaring of the augmented map [[M, k], [0, 1]], which
+reaches 2^j cycles from the hot thermal state in j matrix products, runs
+when a record's iterations or solver agreement is first read, and within
+limit_cycle only for a map whose contraction is not certified.
 Each adiabat propagator is built once per Schedule instance and kept on it,
 so a search that varies only the isochore times reuses it.
 
@@ -30,11 +32,14 @@ Contraction is certified by the bound rho(M) <= ||M||_inf, the largest
 absolute row sum of M.  Only a map that the bound does not certify, or a
 record whose spectral radius is read, pays for the eigenvalues of the
 LAPACK routine dgeev that numpy's eigvals wraps; scipy.linalg is imported
-on that first call.  The direct solve is an unrolled partial-pivot LU of
-I - M, factored once per cycle.  isochore_time_derivatives differentiates
-the fixed point twice, and with it ln R_c, with respect to the two isochore
-times: the exact gradient and Hessian, from the branch maps, M and the LU
-factors that the record's limit_cycle call built.
+on that first call.  On a certified map ||M^n||_inf <= 0.99^n, so the
+squaring converges far below its cycle cap and can wait until it is read;
+a search, which reads only r_c, runs none.  The direct solve is an unrolled
+partial-pivot LU of I - M, factored once per cycle.
+isochore_time_derivatives differentiates the fixed point twice, and with it
+ln R_c, with respect to the two isochore times: the exact gradient and
+Hessian, from the branch maps, M and the LU factors that the record's
+limit_cycle call built.
 """
 
 from __future__ import annotations
@@ -138,11 +143,15 @@ class CycleRecord:
     limit cycle q_c + w - q_h = 0 and the entropy production rate
     sigma = (-q_c/T_c + q_h/T_h) / tau_total is nonnegative.
 
-    ``iterations`` is the number of cycles the cross-check covered: a power
-    of two, 1 when one cycle from the hot thermal state already reaches the
-    limit cycle (0 for a record of :func:`run_one_cycle`).
-    ``spectral_radius`` is the spectral radius of M, from dgeev on first read
-    (nan for a record of :func:`run_one_cycle`).
+    The diagnostics are computed from the chain when first read, and are
+    not part of the record's repr or equality.  ``iterations`` is the number
+    of cycles the repeated-squaring cross-check covered: a power of two, 1
+    when one cycle from the hot thermal state already reaches the limit
+    cycle.  ``solver_agreement`` is the relative distance between the
+    direct and the squaring fixed point, and ``residual`` the relative
+    residual |M v + k - v| / |v| of the direct one.  ``spectral_radius`` is
+    the spectral radius of M, from dgeev.  A record of :func:`run_one_cycle`
+    has 0 iterations and nan for the other three.
     """
 
     q_c: float
@@ -152,20 +161,46 @@ class CycleRecord:
     r_c: float
     sigma: float
     cop: float
-    # (the CycleSpec, its float branch maps, the cycle matrix M, the LU
-    # factors of I - M (None from run_one_cycle), the chain vectors at A, D,
-    # C, B, A'); read by ``branches`` and :func:`isochore_time_derivatives`
+    # (the CycleSpec, its float branch maps, the one-cycle map M and k, the
+    # LU factors of I - M (None from run_one_cycle), the chain vectors at A,
+    # D, C, B, A'); read by the diagnostics, ``branches`` and
+    # :func:`isochore_time_derivatives`
     chain: tuple = field(repr=False, compare=False)
-    iterations: int = 0
-    residual: float = float("nan")
-    solver_agreement: float = float("nan")
 
     @cached_property
     def spectral_radius(self) -> float:
         """Spectral radius of the cycle map M, computed on first read (a
         limit_cycle that ran dgeev itself stores its value in the record)."""
-        _, _, m, lu, _ = self.chain
+        _, _, m, _, lu, _ = self.chain
         return float("nan") if lu is None else _spectral_radius(m)
+
+    @cached_property
+    def _cross_check(self) -> tuple[int, float]:
+        """(iterations, solver_agreement): the fixed point by repeated squaring
+        from the hot equilibrium state, against the direct solution v_A; run
+        on first read (by limit_cycle itself on a map it does not certify)."""
+        _, maps, m, k, lu, (v, *_) = self.chain
+        if lu is None:
+            return 0, float("nan")
+        v_squared, cycles = _squaring_fixed_point(m, k, (maps[3][4], 0.0, 0.0))
+        return cycles, math.dist(v, v_squared) / max(math.hypot(*v), 1e-300)
+
+    @property
+    def iterations(self) -> int:
+        return self._cross_check[0]
+
+    @property
+    def solver_agreement(self) -> float:
+        return self._cross_check[1]
+
+    @cached_property
+    def residual(self) -> float:
+        """|M v_A + k - v_A| / |v_A| of the direct solution, computed on first read."""
+        _, _, m, (k0, k1, k2), lu, (v, *_) = self.chain
+        if lu is None:
+            return float("nan")
+        x, y, z = _affine(m, v)
+        return math.dist((x + k0, y + k1, z + k2), v) / max(math.hypot(*v), 1e-300)
 
     @cached_property
     def branches(self) -> tuple[BranchRecord, ...]:
@@ -238,9 +273,9 @@ def _compose(maps) -> tuple[tuple, tuple]:
     return m, _iso_affine(hot, _affine(a_comp, (cold[3], 0.0, 0.0)))
 
 
-def _ledger(spec: CycleSpec, maps, m: tuple, lu, v: tuple, **diag) -> CycleRecord:
-    """Heat/work ledger of one cycle started from v at point A; m is the maps' M
-    and lu the LU factors of I - M."""
+def _ledger(spec: CycleSpec, maps, m: tuple, k: tuple, lu, v: tuple, **diag) -> CycleRecord:
+    """Heat/work ledger of one cycle started from v at point A; (m, k) is the
+    maps' one-cycle map and lu the LU factors of I - M."""
     a_exp, cold, a_comp, hot = maps
     v_d = _affine(a_exp, v)
     v_c = _iso_affine(cold, v_d)
@@ -257,7 +292,7 @@ def _ledger(spec: CycleSpec, maps, m: tuple, lu, v: tuple, **diag) -> CycleRecor
     cop = q_c / w if abs(w) > 1e-300 else float("nan")
     return _frozen(CycleRecord, {
         "q_c": q_c, "q_h": q_h, "w": w, "tau_total": tau, "r_c": r_c, "sigma": sigma,
-        "cop": cop, "chain": (spec, maps, m, lu, (v, v_d, v_c, v_b, v_a2)), **diag})
+        "cop": cop, "chain": (spec, maps, m, k, lu, (v, v_d, v_c, v_b, v_a2)), **diag})
 
 
 def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, CycleRecord]:
@@ -265,7 +300,7 @@ def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, Cyc
     if not math.isclose(state.omega, spec.omega_h, rel_tol=1e-9):
         raise ValueError("input state must sit at omega_h (cycle point A)")
     maps = _branch_maps(spec)
-    record = _ledger(spec, maps, _compose(maps)[0], None, (state.e_h, state.e_l, state.e_c))
+    record = _ledger(spec, maps, *_compose(maps), None, (state.e_h, state.e_l, state.e_c))
     *_, vs = record.chain
     return _state(vs[-1], spec.omega_h), record
 
@@ -359,16 +394,17 @@ def _spectral_radius(m: tuple) -> float:
 def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     """Find the periodic steady state of the cycle map.
 
-    The fixed point of v -> M v + k is computed two ways that must agree: a
-    direct solve of (I - M) v = k (the LU factors of _lu, kept in the
-    record's chain), and repeated squaring of
-    the augmented map from the hot equilibrium state (``iterations`` is the
-    number of cycles that covered, a power of two).  The spectral radius of
-    M must be < 1: ||M||_inf <= _NORM_CERTIFICATE certifies that, and only
-    when it does not are the LAPACK dgeev eigenvalues computed here; the
-    record's ``spectral_radius`` runs dgeev when it is read.  A non-finite M
-    raises LinAlgError.  The ledger is one cycle from the direct solution.
-    M, k and the ledger are computed on plain floats.
+    The fixed point of v -> M v + k is the direct solve of (I - M) v = k
+    (the LU factors of _lu, kept in the record's chain).  The spectral
+    radius of M must be < 1: ||M||_inf <= _NORM_CERTIFICATE certifies that.
+    Only when it does not are the LAPACK dgeev eigenvalues computed here,
+    and the repeated-squaring cross-check run here too, so that a map that
+    contracts too slowly for it raises NoContractionError from this call.
+    On a certified map the record runs dgeev when its ``spectral_radius`` is
+    read, and the cross-check when its ``iterations`` or
+    ``solver_agreement`` is.  A non-finite M raises LinAlgError.  The ledger
+    is one cycle from the direct solution.  M, k and the ledger are
+    computed on plain floats.
     """
     g_c = spec.cold_bath.conductance * spec.tau_c
     g_h = spec.hot_bath.conductance * spec.tau_h
@@ -380,22 +416,19 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     if not all(map(math.isfinite, m + k)):
         raise np.linalg.LinAlgError("cycle map must not contain infs or NaNs")
     m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    certified = max(abs(m0) + abs(m1) + abs(m2), abs(m3) + abs(m4) + abs(m5),
+                    abs(m6) + abs(m7) + abs(m8)) <= _NORM_CERTIFICATE
     diag = {}
-    if max(abs(m0) + abs(m1) + abs(m2), abs(m3) + abs(m4) + abs(m5),
-           abs(m6) + abs(m7) + abs(m8)) > _NORM_CERTIFICATE:
+    if not certified:
         diag["spectral_radius"] = rho = _spectral_radius(m)
         if rho >= _RHO_LIMIT:
             raise NoContractionError(f"cycle map spectral radius {rho:.12f} >= 1; no limit cycle")
 
     lu = _lu(m)
     v_direct = _lu_solve(lu, k)
-    v, cycles = _squaring_fixed_point(m, k, (maps[3][4], 0.0, 0.0))
-
-    scale = max(math.hypot(*v_direct), 1e-300)
-    x, y, z = _affine(m, v_direct)
-    record = _ledger(spec, maps, m, lu, v_direct, iterations=cycles,
-                     residual=math.dist((x + k[0], y + k[1], z + k[2]), v_direct) / scale,
-                     solver_agreement=math.dist(v_direct, v) / scale, **diag)
+    record = _ledger(spec, maps, m, k, lu, v_direct, **diag)
+    if not certified:
+        record._cross_check   # read now, so that the squaring's cycle cap raises here
     return _state(v_direct, spec.omega_h), record
 
 
@@ -409,8 +442,8 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     """Exact gradient and Hessian of ln |R_c| in (ln tau_c, ln tau_h) at a limit cycle.
 
     ``record`` is a :func:`limit_cycle` record; its chain holds the spec, the
-    branch maps, M, the LU factors of I - M and the fixed point v_A with the
-    states v_D, v_C after it.
+    branch maps, M, k, the LU factors of I - M and the fixed point v_A with
+    the states v_D, v_C after it.
     Returns ((g_c, g_h), ((h_cc, h_ch), (h_ch, h_hh))).
 
     The isochore flow has the field f(v) = J (v - v_eq), with J its linear
@@ -435,7 +468,7 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     For a cycle that heats the cold bath (q_c < 0) these are the derivatives
     of ln |R_c|; q_c = 0 raises ValueError.
     """
-    spec, maps, m, lu, (v_a, _, v_c, _, _) = record.chain
+    spec, maps, m, _, lu, (v_a, _, v_c, _, _) = record.chain
     if record.q_c == 0.0:
         raise ValueError("ln |R_c| has no derivatives at q_c = 0")
     a_exp, cold, a_comp, hot = maps

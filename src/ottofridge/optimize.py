@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -474,8 +474,8 @@ def _ga_candidate_spec(base: CycleSpec, genes: np.ndarray) -> CycleSpec:
     compression = Schedule.piecewise(base.omega_c, base.omega_h, segs[::-1])
     alloc = solve_isochore_z(base.hot_bath.conductance, base.cold_bath.conductance,
                              expansion.duration + compression.duration)
-    return replace(base, expansion=expansion, compression=compression,
-                   tau_c=max(alloc.tau_c, 1e-12), tau_h=max(alloc.tau_h, 1e-12))
+    return CycleSpec(base.hot_bath, base.cold_bath, base.omega_h, base.omega_c, expansion,
+                     compression, tau_c=max(alloc.tau_c, 1e-12), tau_h=max(alloc.tau_h, 1e-12))
 
 
 def ga_schedule_search(spec: OptimizationSpec) -> GAResult:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,7 +208,8 @@ def _allocate(spec: SweepSpec, cycle: CycleSpec) -> tuple[CycleSpec, CycleRecord
     alloc = solve_isochore_z(spec.gamma, spec.gamma,
                              cycle.expansion.duration + cycle.compression.duration)
     tau = max(alloc.tau_c, 1e-12)
-    cycle = replace(cycle, tau_c=tau, tau_h=tau)
+    cycle = CycleSpec(cycle.hot_bath, cycle.cold_bath, cycle.omega_h, cycle.omega_c,
+                      cycle.expansion, cycle.compression, tau_c=tau, tau_h=tau)
     if spec.allocation == "searched":
         bounds = {"tau_c": (tau / 10.0, tau * 10.0), "tau_h": (tau / 10.0, tau * 10.0)}
         result = optimize_time_allocation(OptimizationSpec(

@@ -277,6 +277,22 @@ def test_integer_keys_must_be_whole_and_in_range(config, path):
     assert err.value.path == path
 
 
+@pytest.mark.parametrize("command, config, path, message", [
+    ("sweep", {"sweep": {"points_per_decade": 0}}, "sweep.points_per_decade",
+     "must be >= 1, got 0"),
+    ("ga", {"ga": {"segments": 1}}, "ga.segments", "must be >= 2, got 1"),
+    ("ga", {"ga": {"population": 3}}, "ga.population", "must be >= 4, got 3"),
+])
+def test_integer_keys_below_their_minimum_are_config_errors(command, config, path, message,
+                                                            tmp_path, capsys):
+    # caught while the config is read (exit 2), not by the sweep or the GA
+    assert main([command, "--config", json.dumps(config), "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err[len("ERROR "):])
+    assert payload["type"] == "ConfigError"
+    assert payload["message"] == f"config error at {path}: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--threads", "0")])
 def test_integer_flags_are_checked(flag, value, tmp_path, capsys):
     assert main(["sweep", "--out", str(tmp_path), flag, value]) == 2

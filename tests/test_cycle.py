@@ -78,6 +78,19 @@ def count_dgeev(monkeypatch):
     return calls
 
 
+def count_squarings(monkeypatch):
+    """A list that collects the map M of every repeated-squaring cross-check."""
+    calls = []
+    squaring = ottofridge.cycle._squaring_fixed_point
+
+    def counting(*args):
+        calls.append(args[0])
+        return squaring(*args)
+
+    monkeypatch.setattr(ottofridge.cycle, "_squaring_fixed_point", counting)
+    return calls
+
+
 def record_ledgers(monkeypatch):
     """A list that collects every CycleRecord the limit-cycle core builds."""
     records = []
@@ -93,10 +106,10 @@ def record_ledgers(monkeypatch):
 
 def non_float_entries(record):
     """The parts of a record's kernel numbers that hold anything but a Python
-    float: its branch maps, M, the LU factors (the pivot order aside), the
+    float: its branch maps, M, k, the LU factors (the pivot order aside), the
     chain vectors, q_c and r_c."""
-    _, maps, m, lu, vs = record.chain
-    parts = {"maps": [x for branch in maps for x in branch], "m": m,
+    _, maps, m, k, lu, vs = record.chain
+    parts = {"maps": [x for branch in maps for x in branch], "m": m, "k": k,
              "lu": lu[1:] if lu is not None else (), "chain": [x for v in vs for x in v],
              "q_c": (record.q_c,), "r_c": (record.r_c,)}
     return sorted(name for name, xs in parts.items() if any(type(x) is not float for x in xs))
@@ -327,6 +340,31 @@ def test_near_unit_spectral_radius_hits_the_cycle_cap():
         limit_cycle(spec)
 
 
+def test_cross_check_runs_when_read_or_when_uncertified(monkeypatch):
+    squarings = count_squarings(monkeypatch)
+    # ||M||_inf = 0.158 certifies contraction: the squaring waits for a read
+    spec = frictionless_spec(tau_c=1.1, tau_h=0.9)
+    _, record = limit_cycle(spec)
+    assert squarings == []
+    assert record.iterations == 32 and squarings == [record.chain[2]]
+    assert record.solver_agreement <= 1e-10 and record.residual <= 1e-14
+    assert len(squarings) == 1
+    # ||M||_inf = 1.32 does not: limit_cycle runs the squaring itself
+    _, slow = limit_cycle(frictionless_spec(tau_c=1e-3, tau_h=1e-3))
+    assert len(squarings) == 2
+    assert slow.iterations == 32768 and slow.solver_agreement <= 1e-10
+    assert len(squarings) == 2
+    # and a map too slow for the cycle cap raises from limit_cycle
+    with pytest.raises(NoContractionError, match="did not converge"):
+        limit_cycle(frictionless_spec(tau_c=3e-6, tau_h=3e-6))
+    assert len(squarings) == 3
+    # a run_one_cycle record has no cross-check
+    state, _ = limit_cycle(spec)
+    _, one = run_one_cycle(spec, state)
+    assert one.iterations == 0 and math.isnan(one.solver_agreement)
+    assert math.isnan(one.residual) and len(squarings) == 3
+
+
 @st.composite
 def pivoted_i_minus_m(draw):
     """(p, M, b) with I - M = P^T L U well conditioned: row p[i] of I - M is
@@ -431,7 +469,7 @@ def test_numpy_scalar_inputs_show_in_the_kernel_records(monkeypatch):
     records = record_ledgers(monkeypatch)
     _, record = limit_cycle(frictionless_spec(omega_c=np.float64(1.0), t_c=np.float64(0.5)))
     assert records == [record]
-    assert non_float_entries(record) == ["chain", "lu", "m", "maps", "q_c", "r_c"]
+    assert non_float_entries(record) == ["chain", "k", "lu", "m", "maps", "q_c", "r_c"]
     _, record = limit_cycle(frictionless_spec(t_c=0.5))
     assert non_float_entries(record) == []
 
@@ -631,6 +669,26 @@ def cooling_spec(draw):
     return CycleSpec(BathSpec(t_h, gamma), BathSpec(t_c, gamma), omega_h, omega_c,
                      expansion, compression, tau_c=draw(st.floats(0.2, 4.0)) / gamma,
                      tau_h=draw(st.floats(0.2, 4.0)) / gamma)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.one_of(any_kind_spec(), cooling_spec()))
+def test_deferred_cross_check_is_sound_on_certified_maps(spec):
+    # ||M^n||_inf <= 0.99^n on a certified map, so the squaring that runs
+    # on first read converges far below _MAX_CYCLES, and a rebuilt record
+    # recomputes the same diagnostics from its chain
+    m, _ = _compose(_branch_maps(spec))
+    assume(max(abs(m[i]) + abs(m[i + 1]) + abs(m[i + 2]) for i in (0, 3, 6))
+           <= ottofridge.cycle._NORM_CERTIFICATE)
+    _, record = limit_cycle(spec)
+    assert record.iterations & (record.iterations - 1) == 0
+    assert 1 <= record.iterations <= 2**13
+    assert record.solver_agreement <= 1e-10
+    assert record.residual <= 1e-12
+    rebuilt = replace(record)
+    assert (rebuilt.iterations, rebuilt.solver_agreement, rebuilt.residual) == (
+        record.iterations, record.solver_agreement, record.residual)
 
 
 def central_difference(f, eps=1e-6):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from oracles import frictionless_ledger
-from test_cycle import non_float_entries, record_ledgers
+from test_cycle import count_squarings, non_float_entries, record_ledgers
 
 from ottofridge.cycle import isochore_time_derivatives, limit_cycle
 from ottofridge.dynamics import BathSpec, equilibrium_state
@@ -239,6 +239,19 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
         z = result.z_comparison
         assert (made[0].tau_c, made[0].tau_h) == (z["tau_c"], z["tau_h"])
         assert len(made) == result.evaluations
+
+
+def test_searched_point_runs_no_squaring_until_its_record_is_read(monkeypatch):
+    # every limit_cycle map of an exponential searched point is certified by
+    # its max-norm, so the searches, which read only r_c, run no
+    # cross-check; reading the winner's diagnostics runs it once
+    squarings = count_squarings(monkeypatch)
+    spec = SweepSpec("exponential", omega_h=100.0, t_hot=1.0, gamma=1.0,
+                     t_max=1e-1, t_min=1e-3, allocation="searched")
+    _, record = build_point(spec, 0.01)
+    assert squarings == []
+    assert record.iterations & (record.iterations - 1) == 0 and len(squarings) == 1
+    assert record.solver_agreement <= 1e-10 and len(squarings) == 1
 
 
 def test_searched_allocations_are_verified_local_optima(monkeypatch):
