@@ -31,6 +31,7 @@ from . import __version__
 from .cycle import CycleSpec, limit_cycle
 from .dynamics import BathSpec
 from .optimize import (
+    FREE_VARS,
     OptimizationSpec,
     ga_schedule_search,
     optimal_cold_frequency,
@@ -79,17 +80,11 @@ DEFAULTS = {
         "free": ["tau_c", "tau_h"],
         "bounds": {},
         "restarts": 3,
-        "max_iter": 400,
     },
     "ga": {
         "segments": 2,
         "population": 32,
         "generations": 200,
-        "crossover_rate": 0.9,
-        "mutation_rate": 0.35,
-        "mutation_scale": 0.25,
-        "mutation_decay": 0.99,
-        "tau_max": None,
     },
     "sweep": {
         "schedule": "three_jump",
@@ -116,11 +111,12 @@ _POSITIVE = {
     "cycle.Gamma_h", "cycle.Gamma_c",
     "sweep.omega_h", "sweep.T_h", "sweep.Gamma", "sweep.t_max", "sweep.t_min",
     "sweep.kappa", "sweep.tail_decades",
-    "ga.tau_max", "optimize.restarts", "command-defaults.threads", "--threads", "--tail-fit",
+    "optimize.restarts", "command-defaults.threads", "--threads", "--tail-fit",
 }
-# Lower bounds, the last three those that SweepSpec and ga_schedule_search enforce.
+# Lower bounds; SweepSpec and the GA also enforce points_per_decade, segments and population.
 _MINIMUM = {"cycle.tau_c": 0, "cycle.tau_h": 0, "command-defaults.seed": 0, "--seed": 0,
-            "sweep.points_per_decade": 1, "ga.segments": 2, "ga.population": 4}
+            "sweep.points_per_decade": 1, "ga.segments": 2, "ga.population": 4,
+            "ga.generations": 1}
 
 
 def _check_number(path: str, value, whole: bool = False):
@@ -152,6 +148,21 @@ def _validate_schedule_block(path: str, block):
         raise ConfigError(f"{path}.mu", "const_mu requires 'mu' or 'critical': true")
 
 
+def _validate_bounds(path: str, bounds):
+    if not isinstance(bounds, dict):
+        raise ConfigError(path, "expected an object of [lo, hi] pairs")
+    for name, pair in bounds.items():
+        here = f"{path}.{name}"
+        if name not in FREE_VARS:
+            raise ConfigError(here, "unknown free variable")
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(here, f"expected a [lo, hi] pair, got {pair!r}")
+        for value in pair:
+            _check_number(here, value)
+        if not 0 < pair[0] < pair[1]:
+            raise ConfigError(here, f"must satisfy 0 < lo < hi, got {pair}")
+
+
 _TYPE_NAMES = {bool: "boolean", str: "string", list: "list"}
 
 
@@ -169,9 +180,8 @@ def _merge(path: str, defaults, user):
         if key in ("expansion", "compression"):
             _validate_schedule_block(here, uval)
             out[key] = uval
-        elif key in ("bounds",):
-            if not isinstance(uval, dict):
-                raise ConfigError(here, "expected an object of [lo, hi] pairs")
+        elif key == "bounds":
+            _validate_bounds(here, uval)
             out[key] = uval
         elif isinstance(dval, dict):
             out[key] = _merge(here, dval, uval)
@@ -217,6 +227,10 @@ def parse_config(source: str | None) -> Config:
         except json.JSONDecodeError as exc:
             raise ConfigError("<json>", f"malformed JSON: {exc}") from exc
     resolved = _merge("", DEFAULTS, raw)
+    for name in resolved["optimize"]["free"]:
+        if name not in FREE_VARS:
+            raise ConfigError("optimize.free", f"unknown free variable {name!r}; "
+                                               f"expected one of {', '.join(FREE_VARS)}")
     cyc = resolved["cycle"]
     if cyc["omega_c"] >= cyc["omega_h"]:
         raise ConfigError("cycle.omega_c", "must be smaller than cycle.omega_h")
@@ -300,15 +314,8 @@ def optimization_spec_from_config(config: Config, seed: int) -> OptimizationSpec
             ref = max(base.expansion.duration if name == "tau_hc" else
                       base.compression.duration if name == "tau_ch" else getattr(base, name), 1e-9)
             bounds[name] = (ref / 20.0, ref * 20.0)
-    g = config.resolved["ga"]
-    return OptimizationSpec(
-        base=base, free=free, bounds=bounds, seed=seed,
-        restarts=int(o["restarts"]), max_iter=int(o["max_iter"]),
-        segments=int(g["segments"]), population=int(g["population"]),
-        generations=int(g["generations"]), crossover_rate=g["crossover_rate"],
-        mutation_rate=g["mutation_rate"], mutation_scale=g["mutation_scale"],
-        mutation_decay=g["mutation_decay"], tau_max=g["tau_max"],
-    )
+    return OptimizationSpec(base=base, free=free, bounds=bounds, seed=seed,
+                            restarts=int(o["restarts"]))
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +445,8 @@ def _cmd_sweep(config: Config, out: str, seed: int, threads: int) -> int:
 
 
 def _cmd_ga(config: Config, out: str, seed: int, threads: int) -> int:
-    spec = optimization_spec_from_config(config, seed)
-    result = ga_schedule_search(spec)
+    settings = {key: int(value) for key, value in config.resolved["ga"].items()}
+    result = ga_schedule_search(cycle_spec_from_config(config), **settings, seed=seed)
     rows = list(enumerate(result.history))
     _write_table(os.path.join(out, "ga.csv"), config, seed,
                  ["generation", "best_r_c"], rows,

@@ -18,7 +18,7 @@ import numpy as np
 from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, isochore_time_derivatives, limit_cycle
 from .schedules import Schedule, build_three_jump
 
-_FREE_VARS = ("tau_c", "tau_h", "tau_hc", "tau_ch", "omega_c")
+FREE_VARS = ("tau_c", "tau_h", "tau_hc", "tau_ch", "omega_c")
 
 # Newton search over the isochore times (ln tau_c, ln tau_h)
 _NEWTON_GTOL = 1e-10       # stop at a projected max |d ln R_c / d ln tau| below this
@@ -28,6 +28,13 @@ _NEWTON_MAX_ITER = 50      # iterations per start; reaching it is warned about
 # Nelder-Mead stopping tolerances on x and on -R_c, for the other free sets
 _NM_XTOL = 1e-7
 _NM_FTOL = 1e-11
+_NM_MAX_ITER = 400         # iterations per start; reaching it is warned about
+
+# Genetic search
+_GA_CROSSOVER = 0.9        # probability of a BLX-0.5 blend of the two parents
+_GA_MUTATION_RATE = 0.35   # probability that a gene mutates
+_GA_MUTATION_STEP = 0.25   # first mutation step, a fraction of each gene's range
+_GA_MUTATION_DECAY = 0.99  # factor on the step per generation
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +161,11 @@ def optimal_cold_frequency(nu: float, t_c: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class OptimizationSpec:
-    """Search setup over a CycleSpec template.
+    """Setup of :func:`optimize_time_allocation` over a CycleSpec template.
 
-    ``free`` names the variables being optimized (subset of tau_c, tau_h,
-    tau_hc, tau_ch, omega_c); ``bounds`` maps each to a positive (lo, hi)
-    interval.  ``max_iter`` caps Nelder-Mead, which free sets other than
-    {tau_c, tau_h} use.  The genetic-search fields are used by
-    :func:`ga_schedule_search` only.
+    ``free`` names the variables searched (a subset of FREE_VARS) and
+    ``bounds`` maps each to a positive (lo, hi) interval; ``seed`` draws the
+    random starts among the ``restarts`` starts.
     """
 
     base: CycleSpec
@@ -168,21 +173,10 @@ class OptimizationSpec:
     bounds: dict = field(default_factory=dict)
     seed: int = 0
     restarts: int = 3
-    max_iter: int = 400
-    # genetic algorithm
-    segments: int = 2
-    population: int = 32
-    generations: int = 200
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.35
-    mutation_scale: float = 0.25
-    mutation_decay: float = 0.99
-    tau_max: float | None = None
-    initial_population: np.ndarray | None = None
 
     def __post_init__(self):
         for name in self.free:
-            if name not in _FREE_VARS:
+            if name not in FREE_VARS:
                 raise ValueError(f"unknown free variable {name!r}")
             if name not in self.bounds:
                 raise ValueError(f"missing bounds for free variable {name!r}")
@@ -322,7 +316,8 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     (see :func:`_newton_isochore_times`); other free sets run Nelder-Mead.
     Failed objective evaluations count as -inf fitness; their number is
     ``failures``, and one warning per call reports it together with any
-    Newton search that stopped short of its gradient tolerance.  When only
+    Newton search that stopped short of its gradient tolerance and any
+    Nelder-Mead search that stopped at its iteration cap.  When only
     the isochore times are free and the conductances are equal, the result
     is compared against the analytic z-equation allocation (solved again
     only when the search did not evaluate it) and the comparison is attached
@@ -388,7 +383,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
             return [g0, g1], ((h00, h01), (h01, h11))
         return [g1, g0], ((h11, h01), (h01, h00))
 
-    unconverged = 0
+    unconverged = capped = 0
     found = []              # (values, record) of each restart's best point
     for x0 in starts[: spec.restarts]:
         if newton:
@@ -402,17 +397,21 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
                 return -record.r_c if record is not None else math.inf
             from scipy.optimize import minimize     # the one user of scipy.optimize
             res = minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxiter": spec.max_iter, "xatol": _NM_XTOL,
+                           options={"maxiter": _NM_MAX_ITER, "xatol": _NM_XTOL,
                                     "fatol": _NM_FTOL, "adaptive": True})
+            capped += not res.success       # no evaluation cap: the iteration cap
             values, record = seen[tuple(res.x.tolist())]
         found.append((values, record))
-    if failures or unconverged:
+    if failures or unconverged or capped:
         notes = []
         if failures:
             notes.append(f"{failures} objective evaluations failed; the first at {first_failure}")
         if unconverged:
             notes.append(f"{unconverged} Newton searches stopped with a projected "
                          f"|grad ln R_c| above {_NEWTON_GTOL:g}")
+        if capped:
+            notes.append(f"{capped} Nelder-Mead searches stopped at the "
+                         f"{_NM_MAX_ITER}-iteration cap")
         warnings.warn("optimize_time_allocation: " + "; ".join(notes))
 
     results = tuple((values, record.r_c if record is not None else -math.inf)
@@ -478,25 +477,25 @@ def _ga_candidate_spec(base: CycleSpec, genes: np.ndarray) -> CycleSpec:
                      compression, tau_c=max(alloc.tau_c, 1e-12), tau_h=max(alloc.tau_h, 1e-12))
 
 
-def ga_schedule_search(spec: OptimizationSpec) -> GAResult:
-    """Genetic search over N-segment piecewise frequency protocols.
+def ga_schedule_search(base: CycleSpec, *, segments: int = 2, population: int = 32,
+                       generations: int = 200, seed: int = 0) -> GAResult:
+    """Genetic search over ``segments``-segment piecewise frequency protocols.
 
-    Tournament selection (size 3), blend crossover on the (omega_i, tau_i)
-    genes, Gaussian mutation with a geometrically decaying step, elitism of
-    one.  Fitness is the limit-cycle cooling rate; candidates are always
-    evaluated in index order so runs are reproducible bit for bit.
+    Genes (omega_i, tau_i) lie in [omega_c, omega_h] x [0, pi / omega_c].
+    Tournament selection (size 3), blend crossover, Gaussian mutation with a
+    geometrically decaying step (the _GA_* constants), elitism of one.
+    Fitness is the limit-cycle cooling rate; candidates are always evaluated
+    in index order so a ``seed`` reproduces a run bit for bit.
     """
-    if spec.population < 4:
+    if population < 4:
         raise ValueError("population must be at least 4")
-    if spec.segments < 2:
+    if segments < 2:
         raise ValueError("at least 2 segments are required")
-    base = spec.base
-    n_genes = 2 * spec.segments
-    tau_max = spec.tau_max if spec.tau_max is not None else math.pi / base.omega_c
-    glo = np.tile([base.omega_c, 0.0], spec.segments)
-    ghi = np.tile([base.omega_h, tau_max], spec.segments)
+    n_genes = 2 * segments
+    glo = np.tile([base.omega_c, 0.0], segments)
+    ghi = np.tile([base.omega_h, math.pi / base.omega_c], segments)
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     evaluations = 0
 
     def fitness(genes: np.ndarray) -> float:
@@ -508,43 +507,36 @@ def ga_schedule_search(spec: OptimizationSpec) -> GAResult:
         except DOMAIN_ERRORS:
             return -math.inf
 
-    if spec.initial_population is not None:
-        pop = np.clip(np.asarray(spec.initial_population, dtype=float), glo, ghi)
-        if pop.shape != (spec.population, n_genes):
-            raise ValueError("initial_population has wrong shape")
-    else:
-        pop = rng.uniform(glo, ghi, size=(spec.population, n_genes))
-
+    pop = rng.uniform(glo, ghi, size=(population, n_genes))
     fits = np.array([fitness(g) for g in pop])
     history = []
-    sigma = spec.mutation_scale
+    sigma = _GA_MUTATION_STEP
     span = ghi - glo
 
-    for _ in range(spec.generations):
+    for _ in range(generations):
         best_idx = int(np.argmax(fits))
         history.append(fits[best_idx])
         new_pop = [pop[best_idx].copy()]                 # elitism of 1
-        while len(new_pop) < spec.population:
+        while len(new_pop) < population:
             # tournament selection, size 3
             parents = []
             for _ in range(2):
-                idx = rng.integers(0, spec.population, size=3)
+                idx = rng.integers(0, population, size=3)
                 parents.append(pop[idx[np.argmax(fits[idx])]])
             p1, p2 = parents
-            if rng.random() < spec.crossover_rate:       # BLX-0.5 blend
-                lo_g = np.minimum(p1, p2)
-                hi_g = np.maximum(p1, p2)
+            if rng.random() < _GA_CROSSOVER:             # BLX-0.5 blend
+                lo_g, hi_g = np.minimum(p1, p2), np.maximum(p1, p2)
                 d = hi_g - lo_g
                 child = rng.uniform(lo_g - 0.5 * d, hi_g + 0.5 * d + 1e-300)
             else:
                 child = p1.copy()
-            mask = rng.random(n_genes) < spec.mutation_rate
+            mask = rng.random(n_genes) < _GA_MUTATION_RATE
             noise = rng.standard_normal(n_genes)
             child = child + mask * sigma * span * noise
             new_pop.append(np.clip(child, glo, ghi))
         pop = np.array(new_pop)
         fits = np.array([fitness(g) for g in pop])
-        sigma *= spec.mutation_decay
+        sigma *= _GA_MUTATION_DECAY
 
     best_idx = int(np.argmax(fits))
     history.append(fits[best_idx])
@@ -552,4 +544,4 @@ def ga_schedule_search(spec: OptimizationSpec) -> GAResult:
     champ_spec = _ga_candidate_spec(base, champion)
     _, record = limit_cycle(champ_spec)
     return GAResult(champ_spec.expansion, record, fits[best_idx],
-                    tuple(history), spec.seed, evaluations)
+                    tuple(history), seed, evaluations)

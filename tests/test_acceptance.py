@@ -323,10 +323,8 @@ def test_criterion_10_ga_convergence():
                      tau_c=alloc.tau_c, tau_h=alloc.tau_h)
     reference = limit_cycle(base)[1].r_c
 
-    spec = OptimizationSpec(base=base, segments=2, population=32,
-                            generations=200, seed=SEED)
-    first = ga_schedule_search(spec)
-    second = ga_schedule_search(spec)
+    first = ga_schedule_search(base, segments=2, population=32, generations=200, seed=SEED)
+    second = ga_schedule_search(base, segments=2, population=32, generations=200, seed=SEED)
     ratio = first.fitness / reference
     report(10, "genetic search", [
         ("champion_ratio", ratio >= 0.9, f"{ratio:.4f} of three-jump R_c"),

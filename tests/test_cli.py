@@ -65,10 +65,8 @@ def test_null_is_rejected_where_the_default_is_a_number(path, tmp_path, capsys):
 
 
 def test_null_is_accepted_where_the_default_is_null():
-    cfg = parse_config('{"sweep": {"kappa": null}, "ga": {"tau_max": null}, '
-                       '"cycle": {"tau_c": null}}')
+    cfg = parse_config('{"sweep": {"kappa": null}, "cycle": {"tau_c": null}}')
     assert cfg.resolved["sweep"]["kappa"] is None
-    assert cfg.resolved["ga"]["tau_max"] is None
     assert cfg.sha256 == parse_config(None).sha256
 
 
@@ -282,11 +280,49 @@ def test_integer_keys_must_be_whole_and_in_range(config, path):
      "must be >= 1, got 0"),
     ("ga", {"ga": {"segments": 1}}, "ga.segments", "must be >= 2, got 1"),
     ("ga", {"ga": {"population": 3}}, "ga.population", "must be >= 4, got 3"),
+    ("ga", {"ga": {"generations": -1}}, "ga.generations", "must be >= 1, got -1"),
 ])
 def test_integer_keys_below_their_minimum_are_config_errors(command, config, path, message,
                                                             tmp_path, capsys):
     # caught while the config is read (exit 2), not by the sweep or the GA
     assert main([command, "--config", json.dumps(config), "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err[len("ERROR "):])
+    assert payload["type"] == "ConfigError"
+    assert payload["message"] == f"config error at {path}: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("path", ["ga.crossover_rate", "ga.mutation_rate", "ga.mutation_scale",
+                                  "ga.mutation_decay", "ga.tau_max", "optimize.max_iter"])
+def test_retired_search_settings_are_unknown_keys(path, tmp_path, capsys):
+    # the GA's rates, step and tau_max and the Nelder-Mead cap are constants
+    section, key = path.split(".")
+    command = "optimize" if section == "optimize" else "ga"
+    text = json.dumps({section: {key: 1.0}})
+    assert main([command, "--config", text, "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err[len("ERROR "):])
+    assert payload["message"] == f"config error at {path}: unknown key"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("optimize, path, message", [
+    ({"free": ["voltage"]}, "optimize.free",
+     "unknown free variable 'voltage'; expected one of tau_c, tau_h, tau_hc, tau_ch, omega_c"),
+    ({"bounds": {"tau_c": "x"}}, "optimize.bounds.tau_c", "expected a [lo, hi] pair, got 'x'"),
+    ({"bounds": {"tau_c": [1]}}, "optimize.bounds.tau_c", "expected a [lo, hi] pair, got [1]"),
+    ({"bounds": {"tau_c": [2, 1]}}, "optimize.bounds.tau_c",
+     "must satisfy 0 < lo < hi, got [2, 1]"),
+    ({"bounds": {"tau_c": [0, 1]}}, "optimize.bounds.tau_c",
+     "must satisfy 0 < lo < hi, got [0, 1]"),
+    ({"bounds": {"tau_c": [1, "2"]}}, "optimize.bounds.tau_c", "expected a number, got '2'"),
+    ({"bounds": {"voltage": [1, 2]}}, "optimize.bounds.voltage", "unknown free variable"),
+])
+@pytest.mark.parametrize("command", ["optimize", "ga"])
+def test_free_variables_and_bounds_are_checked_with_the_config(command, optimize, path, message,
+                                                               tmp_path, capsys):
+    # refused while the config is read, for every command, not later by the search
+    text = json.dumps({"optimize": optimize})
+    assert main([command, "--config", text, "--out", str(tmp_path)]) == 2
     payload = json.loads(capsys.readouterr().err[len("ERROR "):])
     assert payload["type"] == "ConfigError"
     assert payload["message"] == f"config error at {path}: {message}"

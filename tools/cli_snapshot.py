@@ -19,10 +19,11 @@ checkouts and comparing the manifests:
     diff old/manifest.txt new/manifest.txt
 
 The runs cover every command: critical; simulate with each schedule block
-kind; optimize by Newton and by Nelder-Mead; ga; sweeps of all four kinds
-with z and searched allocation, plus a deep three-jump sweep, both kinds of
-cold-frequency search, a threaded sweep and three ways of setting the tail
-window.
+kind; optimize by Newton and by Nelder-Mead, once converging and once
+stopping at the iteration cap (which pins that warning); ga; sweeps of all
+four kinds with z and searched allocation, plus a deep three-jump sweep,
+both kinds of cold-frequency search, a threaded sweep and three ways of
+setting the tail window.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ RUNS = [
         "cycle": {**_RAMPS, "expansion": {"kind": "exponential", "duration": 2.0},
                   "compression": {"kind": "exponential", "duration": 3.0}},
         "optimize": {"free": ["tau_h", "tau_c", "omega_c"], "restarts": 2}}, []),
+    ("optimize-nelder-mead-capped", "optimize", {
+        "cycle": {**_RAMPS, "expansion": {"kind": "const_mu", "mu": -0.7},
+                  "compression": {"kind": "const_mu", "mu": 0.7}, "tau_c": 1.0, "tau_h": 1.0},
+        "optimize": {"free": ["tau_hc", "tau_c"], "restarts": 1,
+                     "bounds": {"tau_hc": [0.5, 5.0], "tau_c": [0.2, 5.0]}}}, []),
     ("ga", "ga", {"ga": {"generations": 40}}, ["--seed", "3"]),
     *((f"sweep-{kind}-{allocation}", "sweep",
        {"sweep": {"schedule": kind, "allocation": allocation, **_WINDOW}}, [])
