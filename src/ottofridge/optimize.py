@@ -399,7 +399,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
             res = minimize(objective, x0, method="Nelder-Mead",
                            options={"maxiter": _NM_MAX_ITER, "xatol": _NM_XTOL,
                                     "fatol": _NM_FTOL, "adaptive": True})
-            capped += not res.success       # no evaluation cap: the iteration cap
+            capped += not res.success       # with maxiter alone, its one way to fail
             values, record = seen[tuple(res.x.tolist())]
         found.append((values, record))
     if failures or unconverged or capped:
