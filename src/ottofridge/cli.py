@@ -39,7 +39,7 @@ from .optimize import (
     solve_isochore_z,
 )
 from .scaling import SWEEP_KINDS, SweepSpec, temperature_sweep
-from .schedules import Schedule, build_three_jump, critical_mu, three_jump_times
+from .schedules import PIECEWISE_KINDS, Schedule, build_three_jump, critical_mu, three_jump_times
 
 COMMANDS = ("critical", "simulate", "optimize", "sweep", "ga")
 
@@ -144,6 +144,19 @@ def _validate_schedule_block(path: str, block):
             raise ConfigError(f"{path}.{key}", f"unknown key for kind {kind!r}")
     if kind in ("linear", "exponential") and "duration" not in block:
         raise ConfigError(f"{path}.duration", f"kind {kind!r} requires a duration")
+    for key in ("duration", "mu"):
+        if key in block:
+            _check_number(f"{path}.{key}", block[key])
+    if not isinstance(block.get("critical", False), bool):
+        raise ConfigError(f"{path}.critical", f"expected a boolean, got {block['critical']!r}")
+    segments = block.get("segments", [])
+    if not isinstance(segments, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in segments):
+        raise ConfigError(f"{path}.segments",
+                          f"expected a list of [omega, tau] pairs, got {segments!r}")
+    for pair in segments:
+        for value in pair:
+            _check_number(f"{path}.segments", value)
     if kind == "const_mu" and "mu" not in block and not block.get("critical"):
         raise ConfigError(f"{path}.mu", "const_mu requires 'mu' or 'critical': true")
 
@@ -232,6 +245,11 @@ def parse_config(source: str | None) -> Config:
             raise ConfigError("optimize.free", f"unknown free variable {name!r}; "
                                                f"expected one of {', '.join(FREE_VARS)}")
     cyc = resolved["cycle"]
+    for name, branch in (("tau_hc", "expansion"), ("tau_ch", "compression")):
+        kind = cyc[branch]["kind"]
+        if name in resolved["optimize"]["free"] and kind in PIECEWISE_KINDS:
+            raise ConfigError("optimize.free", f"{name} is derived for {kind} schedules "
+                                               f"(cycle.{branch}) and cannot be freed")
     if cyc["omega_c"] >= cyc["omega_h"]:
         raise ConfigError("cycle.omega_c", "must be smaller than cycle.omega_h")
     if resolved["sweep"]["t_min"] >= resolved["sweep"]["t_max"]:
@@ -384,12 +402,12 @@ def _cmd_simulate(config: Config, out: str, seed: int, threads: int) -> int:
     rows = [(b.name, b.duration, b.start.e_h, b.start.e_l, b.start.e_c,
              b.end.e_h, b.end.e_l, b.end.e_c, b.delta_e) for b in record.branches]
     footer = [f"# {name} {_fmt(getattr(record, name))}" for name in (
-        "q_c", "q_h", "w", "tau_total", "r_c", "sigma", "cop", "spectral_radius", "iterations")]
+        "q_c", "q_h", "w", "tau_total", "r_c", "sigma", "cop", "spectral_radius")]
     _write_table(os.path.join(out, "cycle.csv"), config, seed,
                  ["branch", "tau", "e_h_start", "e_l_start", "e_c_start",
                   "e_h_end", "e_l_end", "e_c_end", "delta_e"], rows, footer)
     print(f"limit cycle found: spectral radius {record.spectral_radius:.6g}, "
-          f"{record.iterations} iterations, residual {record.residual:.3g}")
+          f"residual {record.residual:.3g}")
     print(f"Q_c = {record.q_c:.9g}   Q_h = {record.q_h:.9g}   W = {record.w:.9g}")
     print(f"tau = {record.tau_total:.9g}   R_c = {record.r_c:.9g}   "
           f"sigma = {record.sigma:.9g}   COP = {record.cop:.9g}")

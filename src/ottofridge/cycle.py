@@ -9,33 +9,27 @@ Branch order, starting from point A (end of the hot isochore, omega = omega_h):
 
 Each branch is an affine map v -> A v + b of the (e_h, e_l, e_c) vector, so
 the one-cycle map v -> M v + k is the product of the four branch maps.  Its
-unique fixed point (the limit cycle) is found by a direct linear solve.  The
-cross-check, repeated squaring of the augmented map [[M, k], [0, 1]], which
-reaches 2^j cycles from the hot thermal state in j matrix products, runs
-when a record's iterations or solver agreement is first read, and within
-limit_cycle only for a map whose contraction is not certified.
+unique fixed point (the limit cycle) is found by one direct linear solve.
 Each adiabat propagator is built once per Schedule instance and kept on it,
 so a search that varies only the isochore times reuses it.
 
 On maps this small numpy's per-call overhead outweighs the arithmetic, so
-the core of limit_cycle (composing M and k, the direct solve, the squaring
-and the ledger) runs on plain Python floats: a 3x3 map is a row-major
-9-tuple, as dynamics.schedule_propagator builds it, a vector a 3-tuple and
-an isochore its four scalars plus the bath's equilibrium energy.  Its
+the core of limit_cycle (composing M and k, the direct solve and the
+ledger) runs on plain Python floats: a 3x3 map is a row-major 9-tuple, as
+dynamics.schedule_propagator builds it, a vector a 3-tuple and an isochore
+its four scalars plus the bath's equilibrium energy.  Its
 inputs must be Python floats too: a numpy scalar frequency or temperature
 in a CycleSpec turns every map entry, and so M, the LU factors and the
 ledger, into numpy scalars, each operation on which costs several times a
 float operation.  The core converts nothing; its callers do, once
 (SweepSpec.grid, scaling.build_point, Schedule.piecewise).
 
-Contraction is certified by the bound rho(M) <= ||M||_inf, the largest
-absolute row sum of M.  Only a map that the bound does not certify, or a
-record whose spectral radius is read, pays for the eigenvalues of the
-LAPACK routine dgeev that numpy's eigvals wraps; scipy.linalg is imported
-on that first call.  On a certified map ||M^n||_inf <= 0.99^n, so the
-squaring converges far below its cycle cap and can wait until it is read;
-a search, which reads only r_c, runs none.  The direct solve is an unrolled
-partial-pivot LU of I - M, factored once per cycle.
+The one contraction rule is rho(M) < _RHO_LIMIT.  The bound
+rho(M) <= ||M||_inf, the largest absolute row sum of M, certifies it; only
+a map that the bound does not certify, or a record whose spectral radius
+is read, pays for the eigenvalues of the LAPACK routine dgeev that numpy's
+eigvals wraps; scipy.linalg is imported on that first call.  The direct
+solve is an unrolled partial-pivot LU of I - M, factored once per cycle.
 isochore_time_derivatives differentiates the fixed point twice, and with it
 ln R_c, with respect to the two isochore times: the exact gradient and
 Hessian, from the branch maps, M and the LU factors that the record's
@@ -62,9 +56,7 @@ from .dynamics import (
 )
 from .schedules import Schedule
 
-# Iteration limits / tolerances of the limit-cycle solver.
-_MAX_CYCLES = 100_000
-_ITER_RTOL = 1e-12
+# Contraction rule of the limit-cycle solver: rho(M) < _RHO_LIMIT.
 _RHO_LIMIT = 1.0 - 1e-9
 # Contraction certificate: rho(M) <= ||M||_inf for every matrix, so a map
 # whose largest absolute row sum is at most this bound has rho <= 0.99, and
@@ -144,14 +136,10 @@ class CycleRecord:
     sigma = (-q_c/T_c + q_h/T_h) / tau_total is nonnegative.
 
     The diagnostics are computed from the chain when first read, and are
-    not part of the record's repr or equality.  ``iterations`` is the number
-    of cycles the repeated-squaring cross-check covered: a power of two, 1
-    when one cycle from the hot thermal state already reaches the limit
-    cycle.  ``solver_agreement`` is the relative distance between the
-    direct and the squaring fixed point, and ``residual`` the relative
-    residual |M v + k - v| / |v| of the direct one.  ``spectral_radius`` is
-    the spectral radius of M, from dgeev.  A record of :func:`run_one_cycle`
-    has 0 iterations and nan for the other three.
+    not part of the record's repr or equality: ``residual`` is the relative
+    residual |M v + k - v| / |v| of the direct solution and
+    ``spectral_radius`` the spectral radius of M, from dgeev.  A record of
+    :func:`run_one_cycle` has nan for both.
     """
 
     q_c: float
@@ -173,25 +161,6 @@ class CycleRecord:
         limit_cycle that ran dgeev itself stores its value in the record)."""
         _, _, m, _, lu, _ = self.chain
         return float("nan") if lu is None else _spectral_radius(m)
-
-    @cached_property
-    def _cross_check(self) -> tuple[int, float]:
-        """(iterations, solver_agreement): the fixed point by repeated squaring
-        from the hot equilibrium state, against the direct solution v_A; run
-        on first read (by limit_cycle itself on a map it does not certify)."""
-        _, maps, m, k, lu, (v, *_) = self.chain
-        if lu is None:
-            return 0, float("nan")
-        v_squared, cycles = _squaring_fixed_point(m, k, (maps[3][4], 0.0, 0.0))
-        return cycles, math.dist(v, v_squared) / max(math.hypot(*v), 1e-300)
-
-    @property
-    def iterations(self) -> int:
-        return self._cross_check[0]
-
-    @property
-    def solver_agreement(self) -> float:
-        return self._cross_check[1]
 
     @cached_property
     def residual(self) -> float:
@@ -354,31 +323,6 @@ def _lu_solve(lu: tuple, b: tuple) -> tuple:
     return (y0 - u02 * x2 - u01 * x1) / u00, x1, x2
 
 
-def _squaring_fixed_point(m: tuple, k: tuple, v0: tuple) -> tuple[tuple, int]:
-    """Fixed point of v -> m v + k reached from v0 by repeated squaring.
-
-    After j squarings of the augmented map T = [[m, k], [0, 1]], that is of
-    the pair (P, s) -> (P P, P s + s), P v0 + s is the state 2^j cycles on
-    from v0.  Returns that state and 2^j once two successive squarings agree
-    to _ITER_RTOL; raises NoContractionError when one more squaring would
-    pass _MAX_CYCLES cycles.
-    """
-    p, s = m, k
-    prev, cycles = v0, 1
-    while True:
-        x, y, z = _affine(p, v0)
-        s0, s1, s2 = s
-        v = (x + s0, y + s1, z + s2)
-        if math.dist(v, prev) <= _ITER_RTOL * max(math.hypot(*prev), 1e-300):
-            return v, cycles
-        if 2 * cycles > _MAX_CYCLES:
-            raise NoContractionError(
-                f"repeated squaring did not converge within {_MAX_CYCLES} cycles")
-        x, y, z = _affine(p, s)
-        p, s = _mul(p, p), (x + s0, y + s1, z + s2)
-        prev, cycles = v, 2 * cycles
-
-
 def _spectral_radius(m: tuple) -> float:
     """Spectral radius of the 3x3 map m from its LAPACK dgeev eigenvalues; a
     dgeev failure raises LinAlgError."""
@@ -396,15 +340,13 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
 
     The fixed point of v -> M v + k is the direct solve of (I - M) v = k
     (the LU factors of _lu, kept in the record's chain).  The spectral
-    radius of M must be < 1: ||M||_inf <= _NORM_CERTIFICATE certifies that.
-    Only when it does not are the LAPACK dgeev eigenvalues computed here,
-    and the repeated-squaring cross-check run here too, so that a map that
-    contracts too slowly for it raises NoContractionError from this call.
-    On a certified map the record runs dgeev when its ``spectral_radius`` is
-    read, and the cross-check when its ``iterations`` or
-    ``solver_agreement`` is.  A non-finite M raises LinAlgError.  The ledger
-    is one cycle from the direct solution.  M, k and the ledger are
-    computed on plain floats.
+    radius of M must be < _RHO_LIMIT: ||M||_inf <= _NORM_CERTIFICATE
+    certifies that, and only when it does not are the LAPACK dgeev
+    eigenvalues computed here; a radius at or above the limit, or
+    Gamma tau = 0 on both isochores, raises NoContractionError.  On a
+    certified map the record runs dgeev when its ``spectral_radius`` is
+    read.  A non-finite M raises LinAlgError.  The ledger is one cycle from
+    the direct solution.  M, k and the ledger are computed on plain floats.
     """
     g_c = spec.cold_bath.conductance * spec.tau_c
     g_h = spec.hot_bath.conductance * spec.tau_h
@@ -416,20 +358,17 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     if not all(map(math.isfinite, m + k)):
         raise np.linalg.LinAlgError("cycle map must not contain infs or NaNs")
     m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-    certified = max(abs(m0) + abs(m1) + abs(m2), abs(m3) + abs(m4) + abs(m5),
-                    abs(m6) + abs(m7) + abs(m8)) <= _NORM_CERTIFICATE
     diag = {}
-    if not certified:
+    if max(abs(m0) + abs(m1) + abs(m2), abs(m3) + abs(m4) + abs(m5),
+           abs(m6) + abs(m7) + abs(m8)) > _NORM_CERTIFICATE:   # not certified
         diag["spectral_radius"] = rho = _spectral_radius(m)
         if rho >= _RHO_LIMIT:
-            raise NoContractionError(f"cycle map spectral radius {rho:.12f} >= 1; no limit cycle")
+            raise NoContractionError(
+                f"cycle map spectral radius {rho:.12f} >= {_RHO_LIMIT!r}; no limit cycle")
 
     lu = _lu(m)
     v_direct = _lu_solve(lu, k)
-    record = _ledger(spec, maps, m, k, lu, v_direct, **diag)
-    if not certified:
-        record._cross_check   # read now, so that the squaring's cycle cap raises here
-    return _state(v_direct, spec.omega_h), record
+    return _state(v_direct, spec.omega_h), _ledger(spec, maps, m, k, lu, v_direct, **diag)
 
 
 def _generator(omega: float, gamma: float, u: tuple) -> tuple:

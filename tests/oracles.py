@@ -3,11 +3,12 @@
 The adiabat equations of motion d/dt (e_h, e_l, e_c) = omega(t) M(mu(t)) v
 integrated by an adaptive embedded Runge-Kutta stepper (DOP853), the
 direct 3x3 map of an instantaneous frequency jump, the jump points of a
-piecewise-constant schedule, and the closed-form heat ledger of a
-frictionless cycle.  The propagators here do not go through the
-closed-form smooth propagators or the (Q, P) lift of ``ottofridge.dynamics``;
-only the piecewise-constant kinds of ``propagate_adiabat_numeric`` reuse
-``schedule_propagator``.
+piecewise-constant schedule, the closed-form heat ledger of a frictionless
+cycle, and the limit cycle by repeated squaring of the cycle map, the
+cross-check of ``limit_cycle``'s direct solve.  The propagators here do not
+go through the closed-form smooth propagators or the (Q, P) lift of
+``ottofridge.dynamics``; only the piecewise-constant kinds of
+``propagate_adiabat_numeric`` reuse ``schedule_propagator``.
 """
 
 import math
@@ -17,6 +18,10 @@ from scipy.integrate import solve_ivp
 
 from ottofridge.dynamics import StateVector, schedule_propagator
 from ottofridge.schedules import PIECEWISE_KINDS, Schedule
+
+# Convergence tolerance and cycle cap of the repeated-squaring fixed point.
+SQUARING_RTOL = 1e-12
+SQUARING_MAX_CYCLES = 100_000
 
 
 def propagator_matrix(schedule: Schedule) -> np.ndarray:
@@ -113,6 +118,42 @@ def frictionless_ledger(spec) -> tuple[float, float, float, float]:
     q_c = spec.omega_c * dn * math.expm1(-g_c) * math.expm1(-g_h) / -math.expm1(-g_c - g_h)
     q_h = spec.omega_h / spec.omega_c * q_c
     return q_c, q_h, q_h - q_c, q_c / spec.tau_total
+
+
+def squaring_fixed_point(m, k, v0) -> tuple[np.ndarray, int]:
+    """Fixed point of v -> m v + k reached from v0 by repeated squaring.
+
+    m is a 3x3 map (or its row-major 9-tuple), k and v0 3-vectors.  After j
+    squarings of the augmented map T = [[m, k], [0, 1]], that is of the pair
+    (P, s) -> (P P, P s + s), P v0 + s is the state 2^j cycles on from v0.
+    Returns that state and 2^j once two successive squarings agree to
+    SQUARING_RTOL; raises RuntimeError when one more squaring would pass
+    SQUARING_MAX_CYCLES cycles.
+    """
+    p, s = np.reshape(np.asarray(m, dtype=float), (3, 3)), np.asarray(k, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    prev, cycles = v0, 1
+    while True:
+        v = p @ v0 + s
+        if np.linalg.norm(v - prev) <= SQUARING_RTOL * max(np.linalg.norm(prev), 1e-300):
+            return v, cycles
+        if 2 * cycles > SQUARING_MAX_CYCLES:
+            raise RuntimeError(
+                f"repeated squaring did not converge within {SQUARING_MAX_CYCLES} cycles")
+        p, s = p @ p, p @ s + s
+        prev, cycles = v, 2 * cycles
+
+
+def cross_check(record) -> tuple[int, float]:
+    """(cycles, agreement) of a ``limit_cycle`` record: the cycles the
+    repeated squaring of its map (M, k) covers from the hot thermal state,
+    and the relative distance of that fixed point from the record's direct
+    solution v_A."""
+    spec, _, m, k, _, (v, *_) = record.chain
+    start = StateVector.thermal(spec.omega_h, spec.hot_bath).as_array()
+    v_squared, cycles = squaring_fixed_point(m, k, start)
+    v = np.asarray(v)
+    return cycles, float(np.linalg.norm(v_squared - v) / max(np.linalg.norm(v), 1e-300))
 
 
 def jumps(schedule: Schedule) -> list[tuple[float, float, float]]:

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from oracles import cross_check
 from test_cycle import count_dgeev
 
 from ottofridge.cli import (
@@ -83,6 +84,36 @@ def test_schedule_kind_key_policing():
         parse_config('{"sweep": {"t_max": "big"}}')
 
 
+@pytest.mark.parametrize("branch, block, key, message", [
+    ("expansion", {"kind": "linear", "duration": "2"}, "duration", "expected a number, got '2'"),
+    ("expansion", {"kind": "const_mu", "mu": "x"}, "mu", "expected a number, got 'x'"),
+    ("compression", {"kind": "const_mu", "critical": "yes"}, "critical",
+     "expected a boolean, got 'yes'"),
+    ("expansion", {"kind": "piecewise_const", "segments": 5}, "segments",
+     "expected a list of [omega, tau] pairs, got 5"),
+    ("compression", {"kind": "piecewise_const", "segments": [[1, 2, 3]]}, "segments",
+     "expected a list of [omega, tau] pairs, got [[1, 2, 3]]"),
+    ("expansion", {"kind": "piecewise_const", "segments": [[5.0, "0.3"]]}, "segments",
+     "expected a number, got '0.3'"),
+])
+def test_schedule_block_values_are_type_checked(branch, block, key, message, tmp_path, capsys):
+    # refused while the config is read (exit 2), not by the schedule builder
+    text = json.dumps({"cycle": {branch: block}})
+    assert main(["simulate", "--config", text, "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err[len("ERROR "):])
+    assert payload["type"] == "ConfigError"
+    assert payload["message"] == f"config error at cycle.{branch}.{key}: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_schedule_block_range_errors_stay_schedule_errors(tmp_path, capsys):
+    # a well-typed value out of range is the schedule builder's to refuse
+    block = {"kind": "linear", "duration": -2}
+    text = json.dumps({"cycle": {"expansion": block, "compression": block}})
+    assert main(["simulate", "--config", text, "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err[len("ERROR "):])["type"] == "ScheduleError"
+
+
 def test_cycle_spec_construction_with_z_defaults():
     cfg = parse_config('{"cycle": {"omega_h": 10.0, "omega_c": 1.0, '
                        '"T_h": 2.0, "T_c": 0.5, "Gamma": 1.0}}')
@@ -161,9 +192,11 @@ def test_simulate_builds_each_schedule_block(blocks, schedules, tmp_path):
         [b.duration, b.start.e_h, b.start.e_l, b.start.e_c, b.end.e_h, b.end.e_l, b.end.e_c,
          b.delta_e] for b in record.branches]
     footer = dict(line[2:].split(" ") for line in lines[9:])
-    for name in ("q_c", "q_h", "w", "tau_total", "r_c", "sigma", "cop", "spectral_radius"):
+    names = ("q_c", "q_h", "w", "tau_total", "r_c", "sigma", "cop", "spectral_radius")
+    assert tuple(footer) == names
+    for name in names:
         assert float(footer[name]) == getattr(record, name)
-    assert int(footer["iterations"]) == record.iterations
+    assert cross_check(record)[1] <= 1e-10
 
 
 def test_sweep_kappa_sets_the_cold_frequency(tmp_path):
@@ -316,6 +349,8 @@ def test_retired_search_settings_are_unknown_keys(path, tmp_path, capsys):
      "must satisfy 0 < lo < hi, got [0, 1]"),
     ({"bounds": {"tau_c": [1, "2"]}}, "optimize.bounds.tau_c", "expected a number, got '2'"),
     ({"bounds": {"voltage": [1, 2]}}, "optimize.bounds.voltage", "unknown free variable"),
+    ({"free": ["tau_c", "tau_hc"]}, "optimize.free",
+     "tau_hc is derived for three_jump schedules (cycle.expansion) and cannot be freed"),
 ])
 @pytest.mark.parametrize("command", ["optimize", "ga"])
 def test_free_variables_and_bounds_are_checked_with_the_config(command, optimize, path, message,
@@ -327,6 +362,16 @@ def test_free_variables_and_bounds_are_checked_with_the_config(command, optimize
     assert payload["type"] == "ConfigError"
     assert payload["message"] == f"config error at {path}: {message}"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_derived_compression_time_is_refused_with_the_config():
+    # a linear expansion has a free duration, a piecewise compression does not
+    config = {"cycle": {"expansion": {"kind": "linear", "duration": 2.0},
+                        "compression": {"kind": "piecewise_const", "segments": [[3.0, 0.25]]}},
+              "optimize": {"free": ["tau_hc", "tau_ch"]}}
+    with pytest.raises(ConfigError, match="tau_ch is derived for piecewise_const") as err:
+        parse_config(json.dumps(config))
+    assert err.value.path == "optimize.free"
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--threads", "0")])

@@ -4,12 +4,13 @@ import dataclasses
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg.lapack
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from oracles import frictionless_ledger, propagator_matrix
+from oracles import cross_check, frictionless_ledger, propagator_matrix
 
 import ottofridge.cycle
 import ottofridge.dynamics
@@ -75,19 +76,6 @@ def count_dgeev(monkeypatch):
         return dgeev(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgeev", counting)
-    return calls
-
-
-def count_squarings(monkeypatch):
-    """A list that collects the map M of every repeated-squaring cross-check."""
-    calls = []
-    squaring = ottofridge.cycle._squaring_fixed_point
-
-    def counting(*args):
-        calls.append(args[0])
-        return squaring(*args)
-
-    monkeypatch.setattr(ottofridge.cycle, "_squaring_fixed_point", counting)
     return calls
 
 
@@ -260,7 +248,8 @@ def test_limit_cycle_full_equilibration_is_hot_thermal():
     hot_thermal = StateVector.thermal(spec.omega_h, spec.hot_bath)
     np.testing.assert_allclose(state.as_array(), hot_thermal.as_array(),
                                rtol=1e-12, atol=1e-12)
-    assert record.iterations == 1
+    cycles, agreement = cross_check(record)
+    assert cycles == 1 and agreement <= 1e-10
 
 
 def test_limit_cycle_direct_vs_iteration_on_random_specs():
@@ -271,7 +260,7 @@ def test_limit_cycle_direct_vs_iteration_on_random_specs():
             _, record = limit_cycle(random_spec(rng))
         except NoContractionError:
             continue
-        assert record.solver_agreement <= 1e-10
+        assert cross_check(record)[1] <= 1e-10
         assert record.spectral_radius < 1.0
         checked += 1
 
@@ -301,13 +290,14 @@ def test_thermodynamic_laws_on_random_specs():
 
 
 def test_limit_cycle_iterations_are_powers_of_two():
-    # the cross-check covers 2^j cycles; a slower contraction needs more
+    # the squaring oracle covers 2^j cycles; a slower contraction needs more
     counts = []
     for tau in (80.0, 3.0, 1.0, 0.3, 0.03, 1e-3):
         _, record = limit_cycle(frictionless_spec(tau_c=tau, tau_h=tau))
-        assert record.iterations & (record.iterations - 1) == 0
-        assert record.solver_agreement <= 1e-10
-        counts.append(record.iterations)
+        cycles, agreement = cross_check(record)
+        assert cycles & (cycles - 1) == 0
+        assert agreement <= 1e-10
+        counts.append(cycles)
     assert counts[0] == 1                       # full equilibration
     assert counts == sorted(counts) and counts[-1] > counts[1]
 
@@ -329,40 +319,45 @@ def test_spectral_radius_costs_at_most_one_dgeev_call(monkeypatch):
     assert math.isnan(one.spectral_radius) and len(calls) == 3
 
 
-def test_near_unit_spectral_radius_hits_the_cycle_cap():
-    # 1 - 1e-5 < rho < _RHO_LIMIT: the map contracts too slowly for the
-    # cross-check to converge within _MAX_CYCLES cycles
-    spec = frictionless_spec(tau_c=3e-6, tau_h=3e-6)
-    m, _ = cycle_map(spec)
-    rho = float(np.max(np.abs(np.linalg.eigvals(m))))
-    assert 1.0 - 1e-5 < rho < ottofridge.cycle._RHO_LIMIT
-    with pytest.raises(NoContractionError, match="did not converge"):
-        limit_cycle(spec)
+@pytest.mark.parametrize("tau", [3e-6, 1e-7, 1e-8])
+def test_near_unit_spectral_radius_is_solved_directly(tau):
+    # 1 - rho = 2 tau: far too slow a contraction for the squaring oracle's
+    # cycle cap, yet below _RHO_LIMIT, so limit_cycle solves it; the direct
+    # v_A is the 50-digit solve of the same float (M, k), and R_c the
+    # frictionless closed form
+    spec = frictionless_spec(tau_c=tau, tau_h=tau)
+    state, record = limit_cycle(spec)
+    _, _, m, k, _, _ = record.chain
+    assert 1.0 - record.spectral_radius == pytest.approx(2.0 * tau, rel=1e-2)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        cross_check(record)
+    with mpmath.workdps(50):
+        rows = mpmath.matrix([list(m[0:3]), list(m[3:6]), list(m[6:9])])
+        exact = [float(x) for x in mpmath.lu_solve(mpmath.eye(3) - rows, mpmath.matrix(list(k)))]
+    assert math.dist(state.as_array(), exact) <= 1e-15 * math.hypot(*exact)
+    _, _, _, r_c = frictionless_ledger(spec)
+    assert abs(record.r_c - r_c) <= 1e-7 * abs(r_c)
 
 
-def test_cross_check_runs_when_read_or_when_uncertified(monkeypatch):
-    squarings = count_squarings(monkeypatch)
-    # ||M||_inf = 0.158 certifies contraction: the squaring waits for a read
+def test_spectral_radius_at_the_limit_is_no_contraction():
+    # rho = 1 - 2e-10 >= _RHO_LIMIT = 1 - 1e-9: the one contraction rule
+    with pytest.raises(NoContractionError,
+                       match=r"spectral radius 0\.99999999\d* >= 0\.999999999; no limit cycle"):
+        limit_cycle(frictionless_spec(tau_c=1e-10, tau_h=1e-10))
+
+
+def test_direct_solve_agrees_with_squaring_on_certified_and_uncertified_maps():
+    # ||M||_inf = 0.158 certifies contraction, ||M||_inf = 1.32 does not;
+    # the direct solution is the squaring oracle's fixed point on both
     spec = frictionless_spec(tau_c=1.1, tau_h=0.9)
-    _, record = limit_cycle(spec)
-    assert squarings == []
-    assert record.iterations == 32 and squarings == [record.chain[2]]
-    assert record.solver_agreement <= 1e-10 and record.residual <= 1e-14
-    assert len(squarings) == 1
-    # ||M||_inf = 1.32 does not: limit_cycle runs the squaring itself
+    state, record = limit_cycle(spec)
+    assert cross_check(record) == (32, pytest.approx(0.0, abs=1e-10))
+    assert record.residual <= 1e-14
     _, slow = limit_cycle(frictionless_spec(tau_c=1e-3, tau_h=1e-3))
-    assert len(squarings) == 2
-    assert slow.iterations == 32768 and slow.solver_agreement <= 1e-10
-    assert len(squarings) == 2
-    # and a map too slow for the cycle cap raises from limit_cycle
-    with pytest.raises(NoContractionError, match="did not converge"):
-        limit_cycle(frictionless_spec(tau_c=3e-6, tau_h=3e-6))
-    assert len(squarings) == 3
-    # a run_one_cycle record has no cross-check
-    state, _ = limit_cycle(spec)
+    assert cross_check(slow) == (32768, pytest.approx(0.0, abs=1e-10))
+    # a run_one_cycle record has no LU factors and so no diagnostics
     _, one = run_one_cycle(spec, state)
-    assert one.iterations == 0 and math.isnan(one.solver_agreement)
-    assert math.isnan(one.residual) and len(squarings) == 3
+    assert math.isnan(one.residual) and math.isnan(one.spectral_radius)
 
 
 @st.composite
@@ -588,8 +583,9 @@ def test_limit_cycle_properties_on_all_adiabat_kinds(spec):
     assert sigma >= -1e-12
     assert record.q_c <= spec.cold_bath.temperature * (1 + 1e-12)
     assert record.spectral_radius < 1.0
-    assert record.solver_agreement <= 1e-10
-    assert record.iterations & (record.iterations - 1) == 0
+    cycles, agreement = cross_check(record)
+    assert agreement <= 1e-10
+    assert cycles & (cycles - 1) == 0
     # uncertainty bound X = (e_h^2 - e_l^2 - e_c^2) / omega^2 >= 1/4
     for branch in record.branches:
         for state in (branch.start, branch.end):
@@ -675,20 +671,21 @@ def cooling_spec(draw):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(st.one_of(any_kind_spec(), cooling_spec()))
 def test_deferred_cross_check_is_sound_on_certified_maps(spec):
-    # ||M^n||_inf <= 0.99^n on a certified map, so the squaring that runs
-    # on first read converges far below _MAX_CYCLES, and a rebuilt record
-    # recomputes the same diagnostics from its chain
+    # ||M^n||_inf <= 0.99^n on a certified map, so the squaring oracle
+    # converges far below its cycle cap on the direct solution, and a
+    # rebuilt record recomputes the same diagnostics from its chain
     m, _ = _compose(_branch_maps(spec))
     assume(max(abs(m[i]) + abs(m[i + 1]) + abs(m[i + 2]) for i in (0, 3, 6))
            <= ottofridge.cycle._NORM_CERTIFICATE)
     _, record = limit_cycle(spec)
-    assert record.iterations & (record.iterations - 1) == 0
-    assert 1 <= record.iterations <= 2**13
-    assert record.solver_agreement <= 1e-10
+    cycles, agreement = cross_check(record)
+    assert cycles & (cycles - 1) == 0
+    assert 1 <= cycles <= 2**13
+    assert agreement <= 1e-10
     assert record.residual <= 1e-12
     rebuilt = replace(record)
-    assert (rebuilt.iterations, rebuilt.solver_agreement, rebuilt.residual) == (
-        record.iterations, record.solver_agreement, record.residual)
+    assert (rebuilt.residual, rebuilt.spectral_radius) == (
+        record.residual, record.spectral_radius)
 
 
 def central_difference(f, eps=1e-6):

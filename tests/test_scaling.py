@@ -5,8 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import frictionless_ledger
-from test_cycle import count_squarings, non_float_entries, record_ledgers
+from oracles import cross_check, frictionless_ledger
+from test_cycle import non_float_entries, record_ledgers
 
 from ottofridge.cycle import isochore_time_derivatives, limit_cycle
 from ottofridge.dynamics import BathSpec, equilibrium_state
@@ -241,17 +241,15 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
         assert len(made) == result.evaluations
 
 
-def test_searched_point_runs_no_squaring_until_its_record_is_read(monkeypatch):
-    # every limit_cycle map of an exponential searched point is certified by
-    # its max-norm, so the searches, which read only r_c, run no
-    # cross-check; reading the winner's diagnostics runs it once
-    squarings = count_squarings(monkeypatch)
+def test_searched_point_agrees_with_the_squaring_oracle():
+    # the winner of an exponential searched point is the fixed point that
+    # repeated squaring of its cycle map reaches from the hot thermal state
     spec = SweepSpec("exponential", omega_h=100.0, t_hot=1.0, gamma=1.0,
                      t_max=1e-1, t_min=1e-3, allocation="searched")
     _, record = build_point(spec, 0.01)
-    assert squarings == []
-    assert record.iterations & (record.iterations - 1) == 0 and len(squarings) == 1
-    assert record.solver_agreement <= 1e-10 and len(squarings) == 1
+    cycles, agreement = cross_check(record)
+    assert cycles & (cycles - 1) == 0
+    assert agreement <= 1e-10
 
 
 def test_searched_allocations_are_verified_local_optima(monkeypatch):

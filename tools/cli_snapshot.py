@@ -19,7 +19,8 @@ checkouts and comparing the manifests:
     diff old/manifest.txt new/manifest.txt
 
 The runs cover every command: critical; simulate with each schedule block
-kind; optimize by Newton and by Nelder-Mead, once converging and once
+kind, and once on a map that contracts very slowly (1 - rho = 6e-6, solved
+directly; a solver that iterates the map to convergence fails it); optimize by Newton and by Nelder-Mead, once converging and once
 stopping at the iteration cap (which pins that warning); ga; sweeps of all
 four kinds with z and searched allocation, plus a deep three-jump sweep,
 both kinds of cold-frequency search, a threaded sweep and three ways of
@@ -58,6 +59,7 @@ RUNS = [
     ("simulate-const-mu-explicit", "simulate", {"cycle": {
         **_RAMPS, "expansion": {"kind": "const_mu", "mu": -0.7},
         "compression": {"kind": "const_mu", "mu": 0.7}}}, []),
+    ("simulate-near-unit", "simulate", {"cycle": {"tau_c": 3e-6, "tau_h": 3e-6}}, []),
     ("optimize-newton", "optimize", {}, []),
     ("optimize-nelder-mead", "optimize", {
         "cycle": {**_RAMPS, "expansion": {"kind": "exponential", "duration": 2.0},
