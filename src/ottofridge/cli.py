@@ -8,7 +8,8 @@ Commands:
                  (Newton on the exact gradient and Hessian for tau_c, tau_h;
                  else Nelder-Mead)
     sweep     -- temperature sweep with power-law exponent fit
-    ga        -- genetic search over piecewise schedules
+    ga        -- evolutionary search over piecewise schedules (scipy's
+                 differential evolution)
 
 Every output file starts with the tool version, a hash of the resolved
 configuration and the seed, so identical (config, seed) pairs reproduce
@@ -115,7 +116,7 @@ _POSITIVE = {
 }
 # Lower bounds; SweepSpec and the GA also enforce points_per_decade, segments and population.
 _MINIMUM = {"cycle.tau_c": 0, "cycle.tau_h": 0, "command-defaults.seed": 0, "--seed": 0,
-            "sweep.points_per_decade": 1, "ga.segments": 2, "ga.population": 4,
+            "sweep.points_per_decade": 1, "ga.segments": 2, "ga.population": 5,
             "ga.generations": 1}
 
 
@@ -240,16 +241,19 @@ def parse_config(source: str | None) -> Config:
         except json.JSONDecodeError as exc:
             raise ConfigError("<json>", f"malformed JSON: {exc}") from exc
     resolved = _merge("", DEFAULTS, raw)
-    for name in resolved["optimize"]["free"]:
+    cyc, free = resolved["cycle"], resolved["optimize"]["free"]
+    for name in free:
         if name not in FREE_VARS:
             raise ConfigError("optimize.free", f"unknown free variable {name!r}; "
                                                f"expected one of {', '.join(FREE_VARS)}")
-    cyc = resolved["cycle"]
     for name, branch in (("tau_hc", "expansion"), ("tau_ch", "compression")):
         kind = cyc[branch]["kind"]
-        if name in resolved["optimize"]["free"] and kind in PIECEWISE_KINDS:
+        if name in free and kind in PIECEWISE_KINDS:
             raise ConfigError("optimize.free", f"{name} is derived for {kind} schedules "
                                                f"(cycle.{branch}) and cannot be freed")
+        if "omega_c" in free and kind == "piecewise_const":
+            raise ConfigError("optimize.free", f"omega_c cannot be freed with a piecewise_const "
+                                               f"schedule (cycle.{branch}), whose segments are fixed")
     if cyc["omega_c"] >= cyc["omega_h"]:
         raise ConfigError("cycle.omega_c", "must be smaller than cycle.omega_h")
     if resolved["sweep"]["t_min"] >= resolved["sweep"]["t_max"]:

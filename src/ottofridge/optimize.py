@@ -1,7 +1,8 @@
 """Optimization of the cooling rate: isochore time allocation, cold-frequency
 choice, multi-start searches over branch times (a damped Newton step on the
 exact gradient and Hessian for the two isochore times, Nelder-Mead
-otherwise), and a genetic search over piecewise frequency protocols.
+otherwise), and an evolutionary search (scipy's differential evolution) over
+piecewise frequency protocols.
 
 All stochastic searches draw from a seeded PCG64 generator and reduce results
 in candidate order, so a fixed seed gives bit-identical output.
@@ -29,12 +30,6 @@ _NEWTON_MAX_ITER = 50      # iterations per start; reaching it is warned about
 _NM_XTOL = 1e-7
 _NM_FTOL = 1e-11
 _NM_MAX_ITER = 400         # iterations per start; reaching it is warned about
-
-# Genetic search
-_GA_CROSSOVER = 0.9        # probability of a BLX-0.5 blend of the two parents
-_GA_MUTATION_RATE = 0.35   # probability that a gene mutates
-_GA_MUTATION_STEP = 0.25   # first mutation step, a fraction of each gene's range
-_GA_MUTATION_DECAY = 0.99  # factor on the step per generation
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +181,9 @@ class OptimizationSpec:
         for which, sched in (("tau_hc", self.base.expansion), ("tau_ch", self.base.compression)):
             if which in self.free and sched.kind in ("three_jump", "piecewise_const"):
                 raise ValueError(f"{which} is derived for {sched.kind} schedules and cannot be freed")
+            if "omega_c" in self.free and sched.kind == "piecewise_const":
+                raise ValueError("omega_c cannot be freed with a piecewise_const schedule, "
+                                 "whose segments are fixed")
 
 
 @dataclass(frozen=True)
@@ -395,7 +393,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
             def objective(x):
                 values, record = seen[tuple(x.tolist())] = evaluate(x.tolist())
                 return -record.r_c if record is not None else math.inf
-            from scipy.optimize import minimize     # the one user of scipy.optimize
+            from scipy.optimize import minimize     # not loaded until a search needs it
             res = minimize(objective, x0, method="Nelder-Mead",
                            options={"maxiter": _NM_MAX_ITER, "xatol": _NM_XTOL,
                                     "fatol": _NM_FTOL, "adaptive": True})
@@ -447,7 +445,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
 
 
 # ---------------------------------------------------------------------------
-# Genetic search over piecewise-constant schedules
+# Evolutionary search over piecewise-constant schedules
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -479,69 +477,45 @@ def _ga_candidate_spec(base: CycleSpec, genes: np.ndarray) -> CycleSpec:
 
 def ga_schedule_search(base: CycleSpec, *, segments: int = 2, population: int = 32,
                        generations: int = 200, seed: int = 0) -> GAResult:
-    """Genetic search over ``segments``-segment piecewise frequency protocols.
+    """Evolutionary search over ``segments``-segment piecewise frequency protocols.
 
-    Genes (omega_i, tau_i) lie in [omega_c, omega_h] x [0, pi / omega_c].
-    Tournament selection (size 3), blend crossover, Gaussian mutation with a
-    geometrically decaying step (the _GA_* constants), elitism of one.
-    Fitness is the limit-cycle cooling rate; candidates are always evaluated
-    in index order so a ``seed`` reproduces a run bit for bit.
+    Genes (omega_i, tau_i) lie in [omega_c, omega_h] x [0, pi / omega_c].  One
+    call of scipy's differential evolution (Storn & Price 1997) with its
+    default best1bin strategy, mutation and recombination, deferred updating
+    and no polish evolves ``population`` uniform draws for ``generations``
+    generations (with tol = 0 it stops early only if every cost is equal).
+    Fitness is the limit-cycle cooling rate, -inf for a failed candidate;
+    greedy selection keeps ``history``, the best fitness of the first
+    population and after each generation, from falling.  One seeded PCG64
+    generator draws the first population and drives the evolution, and
+    candidates are evaluated in index order, so a ``seed`` reproduces a run
+    bit for bit.
     """
-    if population < 4:
-        raise ValueError("population must be at least 4")
+    if population < 5:
+        raise ValueError("differential evolution needs a population of at least 5")
     if segments < 2:
         raise ValueError("at least 2 segments are required")
-    n_genes = 2 * segments
-    glo = np.tile([base.omega_c, 0.0], segments)
-    ghi = np.tile([base.omega_h, math.pi / base.omega_c], segments)
+    from scipy.optimize import differential_evolution
+    bounds = [(base.omega_c, base.omega_h), (0.0, math.pi / base.omega_c)] * segments
+    costs = []
 
-    rng = np.random.default_rng(seed)
-    evaluations = 0
-
-    def fitness(genes: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
+    def cost(genes: np.ndarray) -> float:
         try:
             _, record = limit_cycle(_ga_candidate_spec(base, genes))
-            return record.r_c
+            costs.append(-record.r_c)
         except DOMAIN_ERRORS:
-            return -math.inf
+            costs.append(math.inf)
+        return costs[-1]
 
-    pop = rng.uniform(glo, ghi, size=(population, n_genes))
-    fits = np.array([fitness(g) for g in pop])
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(bounds).T
     history = []
-    sigma = _GA_MUTATION_STEP
-    span = ghi - glo
-
-    for _ in range(generations):
-        best_idx = int(np.argmax(fits))
-        history.append(fits[best_idx])
-        new_pop = [pop[best_idx].copy()]                 # elitism of 1
-        while len(new_pop) < population:
-            # tournament selection, size 3
-            parents = []
-            for _ in range(2):
-                idx = rng.integers(0, population, size=3)
-                parents.append(pop[idx[np.argmax(fits[idx])]])
-            p1, p2 = parents
-            if rng.random() < _GA_CROSSOVER:             # BLX-0.5 blend
-                lo_g, hi_g = np.minimum(p1, p2), np.maximum(p1, p2)
-                d = hi_g - lo_g
-                child = rng.uniform(lo_g - 0.5 * d, hi_g + 0.5 * d + 1e-300)
-            else:
-                child = p1.copy()
-            mask = rng.random(n_genes) < _GA_MUTATION_RATE
-            noise = rng.standard_normal(n_genes)
-            child = child + mask * sigma * span * noise
-            new_pop.append(np.clip(child, glo, ghi))
-        pop = np.array(new_pop)
-        fits = np.array([fitness(g) for g in pop])
-        sigma *= _GA_MUTATION_DECAY
-
-    best_idx = int(np.argmax(fits))
-    history.append(fits[best_idx])
-    champion = pop[best_idx]
-    champ_spec = _ga_candidate_spec(base, champion)
+    # a callback with this parameter name gets each generation's OptimizeResult
+    res = differential_evolution(
+        cost, bounds, maxiter=generations, tol=0.0, polish=False, updating="deferred",
+        init=rng.uniform(lo, hi, size=(population, 2 * segments)), rng=rng,
+        callback=lambda intermediate_result: history.append(-intermediate_result.fun))
+    champ_spec = _ga_candidate_spec(base, res.x)
     _, record = limit_cycle(champ_spec)
-    return GAResult(champ_spec.expansion, record, fits[best_idx],
-                    tuple(history), seed, evaluations)
+    return GAResult(champ_spec.expansion, record, -res.fun,
+                    (-min(costs[:population]), *history), seed, len(costs))

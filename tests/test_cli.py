@@ -312,7 +312,7 @@ def test_integer_keys_must_be_whole_and_in_range(config, path):
     ("sweep", {"sweep": {"points_per_decade": 0}}, "sweep.points_per_decade",
      "must be >= 1, got 0"),
     ("ga", {"ga": {"segments": 1}}, "ga.segments", "must be >= 2, got 1"),
-    ("ga", {"ga": {"population": 3}}, "ga.population", "must be >= 4, got 3"),
+    ("ga", {"ga": {"population": 4}}, "ga.population", "must be >= 5, got 4"),
     ("ga", {"ga": {"generations": -1}}, "ga.generations", "must be >= 1, got -1"),
 ])
 def test_integer_keys_below_their_minimum_are_config_errors(command, config, path, message,
@@ -338,25 +338,30 @@ def test_retired_search_settings_are_unknown_keys(path, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("optimize, path, message", [
+@pytest.mark.parametrize("optimize, path, message, cycle", [
     ({"free": ["voltage"]}, "optimize.free",
-     "unknown free variable 'voltage'; expected one of tau_c, tau_h, tau_hc, tau_ch, omega_c"),
-    ({"bounds": {"tau_c": "x"}}, "optimize.bounds.tau_c", "expected a [lo, hi] pair, got 'x'"),
-    ({"bounds": {"tau_c": [1]}}, "optimize.bounds.tau_c", "expected a [lo, hi] pair, got [1]"),
+     "unknown free variable 'voltage'; expected one of tau_c, tau_h, tau_hc, tau_ch, omega_c", {}),
+    ({"bounds": {"tau_c": "x"}}, "optimize.bounds.tau_c", "expected a [lo, hi] pair, got 'x'", {}),
+    ({"bounds": {"tau_c": [1]}}, "optimize.bounds.tau_c", "expected a [lo, hi] pair, got [1]", {}),
     ({"bounds": {"tau_c": [2, 1]}}, "optimize.bounds.tau_c",
-     "must satisfy 0 < lo < hi, got [2, 1]"),
+     "must satisfy 0 < lo < hi, got [2, 1]", {}),
     ({"bounds": {"tau_c": [0, 1]}}, "optimize.bounds.tau_c",
-     "must satisfy 0 < lo < hi, got [0, 1]"),
-    ({"bounds": {"tau_c": [1, "2"]}}, "optimize.bounds.tau_c", "expected a number, got '2'"),
-    ({"bounds": {"voltage": [1, 2]}}, "optimize.bounds.voltage", "unknown free variable"),
+     "must satisfy 0 < lo < hi, got [0, 1]", {}),
+    ({"bounds": {"tau_c": [1, "2"]}}, "optimize.bounds.tau_c", "expected a number, got '2'", {}),
+    ({"bounds": {"voltage": [1, 2]}}, "optimize.bounds.voltage", "unknown free variable", {}),
     ({"free": ["tau_c", "tau_hc"]}, "optimize.free",
-     "tau_hc is derived for three_jump schedules (cycle.expansion) and cannot be freed"),
+     "tau_hc is derived for three_jump schedules (cycle.expansion) and cannot be freed", {}),
+    # a piecewise schedule's segments are fixed, so it has no rebuild at a new omega_c
+    ({"free": ["tau_c", "omega_c"]}, "optimize.free",
+     "omega_c cannot be freed with a piecewise_const schedule (cycle.compression), "
+     "whose segments are fixed",
+     {"compression": {"kind": "piecewise_const", "segments": [[3.0, 0.25]]}}),
 ])
 @pytest.mark.parametrize("command", ["optimize", "ga"])
 def test_free_variables_and_bounds_are_checked_with_the_config(command, optimize, path, message,
-                                                               tmp_path, capsys):
+                                                               cycle, tmp_path, capsys):
     # refused while the config is read, for every command, not later by the search
-    text = json.dumps({"optimize": optimize})
+    text = json.dumps({"cycle": cycle, "optimize": optimize})
     assert main([command, "--config", text, "--out", str(tmp_path)]) == 2
     payload = json.loads(capsys.readouterr().err[len("ERROR "):])
     assert payload["type"] == "ConfigError"

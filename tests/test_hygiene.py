@@ -52,7 +52,8 @@ def loaded_after_cli_import(module: str) -> bool:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only the Nelder-Mead branch, which imports it
+    # scipy.optimize serves only the Nelder-Mead branch and the evolutionary
+    # search, which import it when they run
     assert not loaded_after_cli_import("scipy.optimize")
 
 

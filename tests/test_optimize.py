@@ -268,6 +268,9 @@ def test_optimization_spec_validation():
         OptimizationSpec(base=base, free=("tau_c",), bounds={})
     with pytest.raises(ValueError):
         OptimizationSpec(base=base, free=("tau_hc",), bounds={"tau_hc": (0.1, 1.0)})
+    piecewise = replace(base, compression=Schedule.piecewise(1.0, 10.0, [(3.0, 0.25)]))
+    with pytest.raises(ValueError, match="omega_c cannot be freed"):
+        OptimizationSpec(base=piecewise, free=("omega_c",), bounds={"omega_c": (0.5, 2.0)})
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +293,8 @@ def test_ga_candidate_spec_scores_the_three_jump_genes():
 
 
 def test_ga_deterministic_and_monotone():
-    # elitism keeps the best fitness from falling between generations
+    # differential evolution's greedy selection keeps a trial only when it
+    # is no worse than its target, so the best fitness never falls
     base = make_base(omega_h=10.0, omega_c=1.0, t_h=2.0, t_c=1.0)
     r1 = ga_schedule_search(base, population=12, generations=15, seed=42)
     r2 = ga_schedule_search(base, population=12, generations=15, seed=42)
@@ -298,6 +302,21 @@ def test_ga_deterministic_and_monotone():
     assert r1.fitness == r2.fitness
     diffs = np.diff(r1.history)
     assert np.all(diffs >= -1e-300)
+    assert len(r1.history) == 15 + 1
+    assert r1.evaluations == 12 * (15 + 1)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_ga_finds_the_basin_above_the_three_jump_cycle(seed):
+    # criterion 10's setup: the search reaches the clipped optimum near the
+    # three-jump holds, 1.002523 of the three-jump R_c (120 generations stop
+    # at 0.994-0.997)
+    _, kappa32 = optimal_cold_frequency(1.5, 1.0)
+    base = make_base(omega_h=10.0, omega_c=1.0, t_h=2.0, t_c=1.0 / kappa32)
+    alloc = solve_isochore_z(1.0, 1.0, 2 * base.expansion.duration)
+    reference = limit_cycle(replace(base, tau_c=alloc.tau_c, tau_h=alloc.tau_h))[1].r_c
+    result = ga_schedule_search(base, segments=2, population=32, generations=200, seed=seed)
+    assert result.fitness / reference >= 1.0
 
 
 def test_searches_run_the_kernel_on_python_floats(monkeypatch):
@@ -316,8 +335,8 @@ def test_searches_run_the_kernel_on_python_floats(monkeypatch):
 
 
 def test_ga_rejects_tiny_population():
-    with pytest.raises(ValueError):
-        ga_schedule_search(make_base(), population=3)
+    with pytest.raises(ValueError, match="at least 5"):
+        ga_schedule_search(make_base(), population=4)
 
 
 def test_optimize_reports_failures_in_one_warning(monkeypatch):

@@ -21,7 +21,9 @@ checkouts and comparing the manifests:
 The runs cover every command: critical; simulate with each schedule block
 kind, and once on a map that contracts very slowly (1 - rho = 6e-6, solved
 directly; a solver that iterates the map to convergence fails it); optimize by Newton and by Nelder-Mead, once converging and once
-stopping at the iteration cap (which pins that warning); ga; sweeps of all
+stopping at the iteration cap (which pins that warning), and once with a
+free omega_c refused for a piecewise_const branch (optimize-piecewise-omega-c,
+exit 2 while the config is read); ga; sweeps of all
 four kinds with z and searched allocation, plus a deep three-jump sweep,
 both kinds of cold-frequency search, a threaded sweep and three ways of
 setting the tail window.
@@ -70,6 +72,9 @@ RUNS = [
                   "compression": {"kind": "const_mu", "mu": 0.7}, "tau_c": 1.0, "tau_h": 1.0},
         "optimize": {"free": ["tau_hc", "tau_c"], "restarts": 1,
                      "bounds": {"tau_hc": [0.5, 5.0], "tau_c": [0.2, 5.0]}}}, []),
+    ("optimize-piecewise-omega-c", "optimize", {
+        "cycle": {"expansion": {"kind": "piecewise_const", "segments": [[3.0, 0.25]]}},
+        "optimize": {"free": ["tau_c", "omega_c"]}}, []),
     ("ga", "ga", {"ga": {"generations": 40}}, ["--seed", "3"]),
     *((f"sweep-{kind}-{allocation}", "sweep",
        {"sweep": {"schedule": kind, "allocation": allocation, **_WINDOW}}, [])
