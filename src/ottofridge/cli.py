@@ -242,10 +242,12 @@ def parse_config(source: str | None) -> Config:
             raise ConfigError("<json>", f"malformed JSON: {exc}") from exc
     resolved = _merge("", DEFAULTS, raw)
     cyc, free = resolved["cycle"], resolved["optimize"]["free"]
-    for name in free:
+    for i, name in enumerate(free):
         if name not in FREE_VARS:
             raise ConfigError("optimize.free", f"unknown free variable {name!r}; "
                                                f"expected one of {', '.join(FREE_VARS)}")
+        if name in free[:i]:
+            raise ConfigError("optimize.free", f"{name!r} is listed more than once")
     for name, branch in (("tau_hc", "expansion"), ("tau_ch", "compression")):
         kind = cyc[branch]["kind"]
         if name in free and kind in PIECEWISE_KINDS:

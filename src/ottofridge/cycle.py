@@ -33,7 +33,14 @@ solve is an unrolled partial-pivot LU of I - M, factored once per cycle.
 isochore_time_derivatives differentiates the fixed point twice, and with it
 ln R_c, with respect to the two isochore times: the exact gradient and
 Hessian, from the branch maps, M and the LU factors that the record's
-limit_cycle call built.
+solve built.  It runs in two stages, the gradient and then the Hessian
+from the gradient's parts, so a search can stop after the first.
+
+A search that varies only the isochore times takes its cycles from
+isochore_trials: the adiabat maps, both baths' equilibrium energies and the
+validated spec are built once per search, and a trial computes the two
+isochores and runs the one solve that limit_cycle runs (_solve), with its
+checks and bit for bit its record.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .dynamics import (
     _affine,
     _frozen,
     _iso_affine,
+    _isochore,
     equilibrium_state,
     isochore_scalars,
 )
@@ -216,19 +224,23 @@ def _iso_mul(iso, a):
             ds * a3 + dc * a6, ds * a4 + dc * a7, ds * a5 + dc * a8)
 
 
-def _branch_maps(spec: CycleSpec) -> tuple:
-    """The float branch maps (A_exp, cold isochore, A_comp, hot isochore).
-
-    A failed adiabat build is a BranchError naming its branch.
-    """
+def _adiabat_maps(spec: CycleSpec) -> list:
+    """The float adiabat maps [A_exp, A_comp]; a failed build is a BranchError
+    naming its branch."""
     adiabats = []
     for branch in ("expansion", "compression"):
         try:
             adiabats.append(_adiabat_flat(getattr(spec, branch)))
         except ValueError as exc:
             raise BranchError(branch, exc) from exc
-    return (adiabats[0], isochore_scalars(spec.omega_c, spec.cold_bath, spec.tau_c),
-            adiabats[1], isochore_scalars(spec.omega_h, spec.hot_bath, spec.tau_h))
+    return adiabats
+
+
+def _branch_maps(spec: CycleSpec) -> tuple:
+    """The float branch maps (A_exp, cold isochore, A_comp, hot isochore)."""
+    a_exp, a_comp = _adiabat_maps(spec)
+    return (a_exp, isochore_scalars(spec.omega_c, spec.cold_bath, spec.tau_c),
+            a_comp, isochore_scalars(spec.omega_h, spec.hot_bath, spec.tau_h))
 
 
 def _compose(maps) -> tuple[tuple, tuple]:
@@ -335,25 +347,14 @@ def _spectral_radius(m: tuple) -> float:
     return max(map(math.hypot, wr.tolist(), wi.tolist()))
 
 
-def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
-    """Find the periodic steady state of the cycle map.
-
-    The fixed point of v -> M v + k is the direct solve of (I - M) v = k
-    (the LU factors of _lu, kept in the record's chain).  The spectral
-    radius of M must be < _RHO_LIMIT: ||M||_inf <= _NORM_CERTIFICATE
-    certifies that, and only when it does not are the LAPACK dgeev
-    eigenvalues computed here; a radius at or above the limit, or
-    Gamma tau = 0 on both isochores, raises NoContractionError.  On a
-    certified map the record runs dgeev when its ``spectral_radius`` is
-    read.  A non-finite M raises LinAlgError.  The ledger is one cycle from
-    the direct solution.  M, k and the ledger are computed on plain floats.
-    """
-    g_c = spec.cold_bath.conductance * spec.tau_c
-    g_h = spec.hot_bath.conductance * spec.tau_h
-    if g_c == 0.0 and g_h == 0.0:
+def _check_contraction(gamma_c: float, tau_c: float, gamma_h: float, tau_h: float) -> None:
+    """NoContractionError when both isochores have Gamma tau = 0."""
+    if gamma_c * tau_c == 0.0 and gamma_h * tau_h == 0.0:
         raise NoContractionError("both isochores have Gamma*tau = 0; no contraction")
 
-    maps = _branch_maps(spec)
+
+def _solve(spec: CycleSpec, maps) -> CycleRecord:
+    """The limit-cycle record of ``spec`` on its float branch maps (see limit_cycle)."""
     m, k = _compose(maps)
     if not all(map(math.isfinite, m + k)):
         raise np.linalg.LinAlgError("cycle map must not contain infs or NaNs")
@@ -367,8 +368,61 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
                 f"cycle map spectral radius {rho:.12f} >= {_RHO_LIMIT!r}; no limit cycle")
 
     lu = _lu(m)
-    v_direct = _lu_solve(lu, k)
-    return _state(v_direct, spec.omega_h), _ledger(spec, maps, m, k, lu, v_direct, **diag)
+    return _ledger(spec, maps, m, k, lu, _lu_solve(lu, k), **diag)
+
+
+def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
+    """Find the periodic steady state of the cycle map.
+
+    The fixed point of v -> M v + k is the direct solve of (I - M) v = k
+    (the LU factors of _lu, kept in the record's chain).  The spectral
+    radius of M must be < _RHO_LIMIT: ||M||_inf <= _NORM_CERTIFICATE
+    certifies that, and only when it does not are the LAPACK dgeev
+    eigenvalues computed here; a radius at or above the limit, or
+    Gamma tau = 0 on both isochores, raises NoContractionError.  On a
+    certified map the record runs dgeev when its ``spectral_radius`` is
+    read.  A non-finite M raises LinAlgError.  The ledger is one cycle from
+    the direct solution.  M, k and the ledger are computed on plain floats.
+    """
+    _check_contraction(spec.cold_bath.conductance, spec.tau_c,
+                       spec.hot_bath.conductance, spec.tau_h)
+    record = _solve(spec, _branch_maps(spec))
+    return _state(record.chain[-1][0], spec.omega_h), record
+
+
+def isochore_trials(base: CycleSpec):
+    """The limit-cycle record of ``base`` with its isochore times replaced, as
+    a function ``trial(tau_c, tau_h)`` of two times > 0.
+
+    What does not depend on the times is built once: both adiabat maps, each
+    bath's equilibrium energy and the validated fields of ``base``, which a
+    trial's CycleSpec copies with the two times replaced, so it keeps every
+    property CycleSpec checks.  A trial computes the two isochores and runs
+    limit_cycle's solve on them, with limit_cycle's checks: its record is bit
+    for bit the one limit_cycle returns for that CycleSpec, and it raises
+    what limit_cycle raises, a failed adiabat build included.
+    """
+    fields = vars(base)
+    omega_c, omega_h = base.omega_c, base.omega_h
+    gamma_c, gamma_h = base.cold_bath.conductance, base.hot_bath.conductance
+    _, e_eq_c = equilibrium_state(omega_c, base.cold_bath)
+    _, e_eq_h = equilibrium_state(omega_h, base.hot_bath)
+    try:
+        a_exp, a_comp = _adiabat_maps(base)
+    except BranchError:
+        a_exp = a_comp = None           # each trial raises the failure again
+
+    def trial(tau_c: float, tau_h: float) -> CycleRecord:
+        if not (tau_c > 0.0 and tau_h > 0.0):
+            raise ValueError(f"trial isochore durations must be > 0, got {tau_c!r}, {tau_h!r}")
+        _check_contraction(gamma_c, tau_c, gamma_h, tau_h)
+        if a_exp is None:
+            _adiabat_maps(base)
+        return _solve(_frozen(CycleSpec, {**fields, "tau_c": tau_c, "tau_h": tau_h}),
+                      (a_exp, _isochore(omega_c, gamma_c, tau_c, e_eq_c),
+                       a_comp, _isochore(omega_h, gamma_h, tau_h, e_eq_h)))
+
+    return trial
 
 
 def _generator(omega: float, gamma: float, u: tuple) -> tuple:
@@ -407,19 +461,43 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     For a cycle that heats the cold bath (q_c < 0) these are the derivatives
     of ln |R_c|; q_c = 0 raises ValueError.
     """
+    g, stage = _time_gradient(record)
+    return g, _time_hessian(record, stage)
+
+
+def _time_gradient(record: CycleRecord) -> tuple[tuple, tuple]:
+    """The gradient (g_c, g_h) of isochore_time_derivatives and the parts of
+    it that its Hessian stage, _time_hessian, reads."""
     spec, maps, m, _, lu, (v_a, _, v_c, _, _) = record.chain
     if record.q_c == 0.0:
         raise ValueError("ln |R_c| has no derivatives at q_c = 0")
     a_exp, cold, a_comp, hot = maps
     omega_c, gamma_c = spec.omega_c, spec.cold_bath.conductance
     omega_h, gamma_h = spec.omega_h, spec.hot_bath.conductance
-    # the isochores' linear parts L_c, L_h
-    cold_lin, hot_lin = cold[:3] + (0.0, 0.0), hot[:3] + (0.0, 0.0)
+    hot_lin = hot[:3] + (0.0, 0.0)      # the hot isochore's linear part L_h
     f_c = _generator(omega_c, gamma_c, (v_c[0] - cold[4], v_c[1], v_c[2]))
     f_h = _generator(omega_h, gamma_h, (v_a[0] - hot[4], v_a[1], v_a[2]))
     b_c = _iso_affine(hot_lin, _affine(a_comp, f_c))
     v_tc, v_th = _lu_solve(lu, b_c), _lu_solve(lu, f_h)
     x_tc, x_th = _affine(a_exp, v_tc), _affine(a_exp, v_th)
+
+    d_c_minus_1 = cold[0] - 1.0
+    dq_c = d_c_minus_1 * x_tc[0] + f_c[0]
+    dq_h = d_c_minus_1 * x_th[0]
+    q, r_c = record.q_c, record.r_c
+    g = (spec.tau_c * (dq_c - r_c) / q, spec.tau_h * (dq_h - r_c) / q)
+    return g, (g, f_c, f_h, b_c, v_tc, v_th, x_tc, x_th, dq_c, dq_h)
+
+
+def _time_hessian(record: CycleRecord, stage: tuple) -> tuple:
+    """The Hessian of isochore_time_derivatives from its gradient stage."""
+    spec, maps, m, _, lu, _ = record.chain
+    (g_c, g_h), f_c, f_h, b_c, v_tc, v_th, x_tc, x_th, dq_c, dq_h = stage
+    a_exp, cold, a_comp, hot = maps
+    omega_c, gamma_c = spec.omega_c, spec.cold_bath.conductance
+    omega_h, gamma_h = spec.omega_h, spec.hot_bath.conductance
+    # the isochores' linear parts L_c, L_h
+    cold_lin, hot_lin = cold[:3] + (0.0, 0.0), hot[:3] + (0.0, 0.0)
 
     w0, w1, w2 = _iso_affine(cold_lin, x_tc)
     r_cc = _iso_affine(hot_lin, _affine(a_comp, _generator(
@@ -436,8 +514,6 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     d_c = cold[0]
     d_c_minus_1 = d_c - 1.0
     a_c, a_h = x_tc[0], x_th[0]
-    dq_c = d_c_minus_1 * a_c + f_c[0]
-    dq_h = d_c_minus_1 * a_h
     q_cc = (d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_cc))[0] - 2.0 * gamma_c * d_c * a_c
             - gamma_c * f_c[0])
     q_ch = d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_ch))[0] - gamma_c * d_c * a_h
@@ -446,11 +522,9 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     q, r_c, tau = record.q_c, record.r_c, record.tau_total
     tau_c, tau_h = spec.tau_c, spec.tau_h
     r_tc, r_th = (dq_c - r_c) / tau, (dq_h - r_c) / tau
-    g_c, g_h = tau_c * (dq_c - r_c) / q, tau_h * (dq_h - r_c) / q
     h_ch = tau_c * tau_h * (q_ch - r_tc - r_th) / q - g_c * g_h
-    return (g_c, g_h), (
-        (tau_c * tau_c * (q_cc - 2.0 * r_tc) / q - g_c * g_c + g_c, h_ch),
-        (h_ch, tau_h * tau_h * (q_hh - 2.0 * r_th) / q - g_h * g_h + g_h))
+    return ((tau_c * tau_c * (q_cc - 2.0 * r_tc) / q - g_c * g_c + g_c, h_ch),
+            (h_ch, tau_h * tau_h * (q_hh - 2.0 * r_th) / q - g_h * g_h + g_h))
 
 
 def equilibration_bound(spec: CycleSpec) -> float:

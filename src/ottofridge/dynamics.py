@@ -219,7 +219,13 @@ def isochore_scalars(omega: float, bath: BathSpec, t: float) -> tuple:
     if t < 0:
         raise ValueError("isochore duration must be >= 0")
     _, e_eq = equilibrium_state(omega, bath)
-    decay = math.exp(-bath.conductance * t)
+    return _isochore(omega, bath.conductance, t, e_eq)
+
+
+def _isochore(omega: float, gamma: float, t: float, e_eq: float) -> tuple:
+    """isochore_scalars at rate gamma from a known equilibrium energy e_eq,
+    with no check: a search that varies only t computes e_eq once."""
+    decay = math.exp(-gamma * t)
     ang = 2.0 * omega * t
     return decay, decay * math.cos(ang), decay * math.sin(ang), (1.0 - decay) * e_eq, e_eq
 
@@ -314,20 +320,18 @@ def _piecewise_propagator(schedule: Schedule) -> tuple:
     return _lift(a, b, c, d, schedule.omega_start, schedule.omega_end)
 
 
-def _bessel_propagator(s0: tuple, s1: tuple, wronskian: float,
-                       omega0: float, omega1: float) -> tuple:
-    """Propagator from a classical fundamental pair at the two endpoints.
+def _bessel_fundamental(s0: tuple, s1: tuple, wronskian: float) -> tuple:
+    """Fundamental matrix phi = S1 S0^-1 of a classical fundamental pair.
 
     s0 and s1 hold the same two (Q, P) solutions as the columns of a
     row-major 2x2 (Q_1, Q_2, P_1, P_2), at the start and the end of the
     sweep; their determinant is the constant ``wronskian``, so S0 is inverted
-    exactly and phi = S1 S0^-1 is lifted.
+    exactly.
     """
     a0, b0, c0, d0 = s0
     a1, b1, c1, d1 = s1
-    return _lift((a1 * d0 - b1 * c0) / wronskian, (b1 * a0 - a1 * b0) / wronskian,
-                 (c1 * d0 - d1 * c0) / wronskian, (d1 * a0 - c1 * b0) / wronskian,
-                 omega0, omega1)
+    return ((a1 * d0 - b1 * c0) / wronskian, (b1 * a0 - a1 * b0) / wronskian,
+            (c1 * d0 - d1 * c0) / wronskian, (d1 * a0 - c1 * b0) / wronskian)
 
 
 def _exponential_propagator(schedule: Schedule) -> tuple:
@@ -348,7 +352,8 @@ def _exponential_propagator(schedule: Schedule) -> tuple:
         z, p = w / aa, -sgn * w
         return float(j0(z)), float(y0(z)), p * float(j1(z)), p * float(y1(z))
 
-    return _bessel_propagator(fundamental(w0), fundamental(w1), 2.0 * sgn * aa / math.pi, w0, w1)
+    return _lift(*_bessel_fundamental(fundamental(w0), fundamental(w1), 2.0 * sgn * aa / math.pi),
+                 w0, w1)
 
 
 # Bessel orders of the linear ramp's (Q, Q, P, P) entries, at (start, end, start, end)
@@ -378,6 +383,13 @@ def _linear_ramp_propagator(schedule: Schedule) -> tuple:
     if w0 == w1 or tau == 0.0:
         c, s = math.cos(2.0 * w0 * tau), math.sin(2.0 * w0 * tau)
         return (1.0, 0.0, 0.0, 0.0, c, -s, 0.0, s, c)
+    return _lift(*_linear_ramp_fundamental(w0, w1, tau), w0, w1)
+
+
+def _linear_ramp_fundamental(w0: float, w1: float, tau: float) -> tuple:
+    """The classical fundamental matrix (a, b, c, d) on (Q, P) of the linear
+    ramp w0 -> w1 of duration tau > 0 between distinct frequencies (see
+    _linear_ramp_propagator)."""
     beta = (w0 - w1) / tau           # signed; > 0 for expansion
     sgn = 1.0 if beta > 0 else -1.0
     two_b = 2.0 * abs(beta)
@@ -394,8 +406,31 @@ def _linear_ramp_propagator(schedule: Schedule) -> tuple:
         p = -sgn * w * q
         return q * jq, q * yq, p * jp, p * yp
 
-    return _bessel_propagator(fundamental(w0, jq0, yq0, jp0, yp0),
-                              fundamental(w1, jq1, yq1, jp1, yp1), -4.0 * beta / math.pi, w0, w1)
+    return _bessel_fundamental(fundamental(w0, jq0, yq0, jp0, yp0),
+                               fundamental(w1, jq1, yq1, jp1, yp1), -4.0 * beta / math.pi)
+
+
+def linear_ramp_pair(omega_start: float, omega_end: float,
+                     duration: float) -> tuple[Schedule, Schedule]:
+    """A linear ramp between distinct frequencies and its time reverse, each
+    with its propagator from one jv/yv evaluation.
+
+    The reverse's zeta pair is the ramp's swapped, as (w0 - w1) and (w1 - w0)
+    are exact negatives; its momenta and its Wronskian are the exact
+    negatives, so its fundamental matrix is the ramp's with the diagonal
+    swapped, bit for bit what its own build gives.  Each map is kept on its
+    own Schedule.  A ramp past _ZETA_MAX comes back unbuilt: each schedule
+    raises its ScheduleError when its map is first built.
+    """
+    ramp = Schedule.linear(omega_start, omega_end, duration)
+    reverse = Schedule.linear(omega_end, omega_start, duration)
+    try:
+        a, b, c, d = _linear_ramp_fundamental(omega_start, omega_end, duration)
+    except ScheduleError:
+        return ramp, reverse
+    object.__setattr__(ramp, "_propagator", _lift(a, b, c, d, omega_start, omega_end))
+    object.__setattr__(reverse, "_propagator", _lift(d, b, c, a, omega_end, omega_start))
+    return ramp, reverse
 
 
 def schedule_propagator(schedule: Schedule) -> tuple:

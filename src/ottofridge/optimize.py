@@ -4,6 +4,13 @@ exact gradient and Hessian for the two isochore times, Nelder-Mead
 otherwise), and an evolutionary search (scipy's differential evolution) over
 piecewise frequency protocols.
 
+The Newton search over the isochore times is one function,
+search_isochore_times: optimize_time_allocation runs it once per start, and
+a searched sweep point calls it directly from its z-equation allocation.
+It builds its cycles' fixed parts once (cycle.isochore_trials), and takes
+the Hessian only where it builds a step.  A SearchTally counts what the
+searches of one call meet and raises their one warning.
+
 All stochastic searches draw from a seeded PCG64 generator and reduce results
 in candidate order, so a fixed seed gives bit-identical output.
 """
@@ -16,7 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, isochore_time_derivatives, limit_cycle
+from .cycle import (
+    DOMAIN_ERRORS,
+    CycleRecord,
+    CycleSpec,
+    _time_gradient,
+    _time_hessian,
+    isochore_trials,
+    limit_cycle,
+)
 from .schedules import Schedule, build_three_jump
 
 FREE_VARS = ("tau_c", "tau_h", "tau_hc", "tau_ch", "omega_c")
@@ -170,6 +185,8 @@ class OptimizationSpec:
     restarts: int = 3
 
     def __post_init__(self):
+        if len(set(self.free)) < len(self.free):
+            raise ValueError(f"free variables must not repeat: {list(self.free)}")
         for name in self.free:
             if name not in FREE_VARS:
                 raise ValueError(f"unknown free variable {name!r}")
@@ -195,7 +212,52 @@ class OptimizationResult:
     seed: int
     z_comparison: dict | None = None
     failures: int = 0
-    evaluations: int = 0            # limit_cycle calls of the search itself
+    evaluations: int = 0            # cycles the search itself solved
+
+
+@dataclass
+class SearchTally:
+    """What one or more searches met: their objective evaluations, the failed
+    ones with a note on the first, the Newton searches that stopped short of
+    their gradient tolerance, the Nelder-Mead searches stopped at their
+    iteration cap, and the record of each Newton point solved, by its
+    (tau_c, tau_h)."""
+
+    evaluations: int = 0
+    failures: int = 0
+    first_failure: str = ""
+    unconverged: int = 0
+    capped: int = 0
+    solved: dict = field(default_factory=dict)
+
+    def failed(self, values: dict, exc: Exception) -> None:
+        self.failures += 1
+        if self.failures == 1:
+            self.first_failure = f"{values}: {type(exc).__name__}: {exc}"
+
+    def warn(self) -> None:
+        """One warning for everything that went wrong, if anything did."""
+        notes = []
+        if self.failures:
+            notes.append(f"{self.failures} objective evaluations failed; "
+                         f"the first at {self.first_failure}")
+        if self.unconverged:
+            notes.append(f"{self.unconverged} Newton searches stopped with a projected "
+                         f"|grad ln R_c| above {_NEWTON_GTOL:g}")
+        if self.capped:
+            notes.append(f"{self.capped} Nelder-Mead searches stopped at the "
+                         f"{_NM_MAX_ITER}-iteration cap")
+        if notes:
+            warnings.warn("optimize_time_allocation: " + "; ".join(notes))
+
+
+def _values_at(x: list, box: list, start) -> dict:
+    """The free values at x in the box [(name, lo, hi)] of logs: at the start
+    (x, values) its own values, not exp(log) of them; elsewhere exp of x
+    clamped to the box."""
+    if start is not None and x == start[0]:
+        return dict(start[1])
+    return {n: math.exp(min(max(v, a), b)) for (n, a, b), v in zip(box, x)}
 
 
 def _rebuild_schedule(sched: Schedule, omega_start: float, omega_end: float,
@@ -246,35 +308,84 @@ def _projected(g: list, x: list, lo: list, hi: list) -> list:
     return [g0, g1]
 
 
-def _newton_isochore_times(evaluate, derivatives, x: list, lo: list, hi: list):
-    """Damped Newton ascent of ln R_c over the box lo <= x <= hi of (ln tau, ln tau).
+def _ascent_gradient(record, swapped: bool):
+    """(g, stage): g = grad R_c / |R_c| in (ln tau_c, ln tau_h), in the
+    search's order (tau_h first when ``swapped``), and the stage its Hessian
+    is built from; (None, None) where there are no derivatives.  g is
+    grad ln R_c where the cycle cools and leads a search that starts without
+    cooling uphill."""
+    if record is None or record.q_c == 0.0:
+        return None, None
+    (g0, g1), stage = _time_gradient(record)
+    if record.q_c < 0.0:            # there grad R_c / |R_c| = -grad ln |R_c|
+        g0, g1 = -g0, -g1
+    return ([g1, g0] if swapped else [g0, g1]), stage
 
-    ``evaluate(x)`` returns (values, record), the record None for a failed
-    evaluation; ``derivatives(record)`` returns (g, h) with g = grad R_c /
-    |R_c|, which is grad ln R_c where the cycle cools and leads a search that
-    starts without cooling uphill, and h its exact Jacobian (the Hessian of
-    ln |R_c| with the sign of R_c), or (None, None) where there are none.
-    They are taken only where the step logic reads them: at the start and at
-    trials that fall by at most _NEWTON_RTOL.  Rows and columns of a
+
+def _ascent_hessian(record, stage, swapped: bool) -> tuple:
+    """The Jacobian of _ascent_gradient's g: the Hessian of ln |R_c| with the
+    sign of R_c, in the same order."""
+    (h00, h01), (_, h11) = _time_hessian(record, stage)
+    if record.q_c < 0.0:
+        h00, h01, h11 = -h00, -h01, -h11
+    return ((h11, h01), (h01, h00)) if swapped else ((h00, h01), (h01, h11))
+
+
+def search_isochore_times(base: CycleSpec, x: list, box: list, tally: SearchTally,
+                          start) -> tuple[dict, CycleRecord | None]:
+    """Damped Newton ascent of ln R_c over the isochore times of ``base``.
+
+    ``box`` is [(name, lo, hi)] for the names tau_c and tau_h in the order of
+    the coordinates of x, the logs of the times, and x the first point;
+    ``start`` is None or a point (x, values) whose values are used there as
+    they are (a base's own times rather than exp of their logs).  The cycles
+    come from one :func:`~ottofridge.cycle.isochore_trials` of ``base``, so
+    the adiabat maps and equilibrium energies are built once per search; a
+    domain failure makes a point a failed evaluation.  ``tally`` counts the
+    evaluations and failures, keeps each solved point's record and counts
+    the search as unconverged when it ends short of its tolerance.
+
+    The gradient and exact Hessian of :func:`_ascent_gradient` and
+    :func:`_ascent_hessian` are taken only where the step logic reads them:
+    the gradient at the start and at trials that fall by at most
+    _NEWTON_RTOL, the Hessian where a step is built.  Rows and columns of a
     coordinate held at a face of the box by a gradient pointing out are
     dropped.  R_c ripples in tau_h with period pi/omega_h, so the curvature
     can be positive; a Hessian that is not negative definite is replaced by
     -|diag|.  The step is halved until R_c does not fall or, with the Hessian
     unmodified, the projected gradient falls while R_c falls by at most
     _NEWTON_RTOL: near the optimum R_c changes only by rounding.  Returns
-    (values, record, converged) of the last accepted iterate, which converged
-    when its projected max-norm gradient is at most _NEWTON_GTOL.
+    (values, record) of the last accepted iterate, which converged when its
+    projected max-norm gradient is at most _NEWTON_GTOL; the record is None
+    when the first point failed.
     """
+    trial = isochore_trials(base)
+    swapped = box[0][0] == "tau_h"
+    (_, lo0, hi0), (_, lo1, hi1) = box
+    lo, hi = [lo0, lo1], [hi0, hi1]
+
+    def evaluate(x):
+        tally.evaluations += 1
+        values = _values_at(x, box, start)
+        key = values["tau_c"], values["tau_h"]
+        try:
+            record = tally.solved[key] = trial(*key)
+        except DOMAIN_ERRORS as exc:
+            tally.failed(values, exc)
+            return values, None
+        return values, record
+
     values, record = evaluate(x)
-    g, h = derivatives(record)
+    g, stage = _ascent_gradient(record, swapped)
     if g is None:
-        return values, record, False
-    (lo0, lo1), (hi0, hi1) = lo, hi
+        tally.unconverged += record is not None
+        return values, record
     for _ in range(_NEWTON_MAX_ITER):
         pg = _projected(g, x, lo, hi)
         gnorm = max(abs(pg[0]), abs(pg[1]))
         if gnorm <= _NEWTON_GTOL:
-            return values, record, True
+            return values, record
+        h = _ascent_hessian(record, stage, swapped)
         free0, free1 = pg[0] == g[0], pg[1] == g[1]     # not held at a face
         h00 = h[0][0] if free0 else -1.0
         h11 = h[1][1] if free1 else -1.0
@@ -290,31 +401,33 @@ def _newton_isochore_times(evaluate, derivatives, x: list, lo: list, hi: list):
         while True:
             xt = [min(max(x[0] + alpha * p0, lo0), hi0), min(max(x[1] + alpha * p1, lo1), hi1)]
             if xt == x:                 # no representable step is accepted
-                return values, record, False
+                tally.unconverged += 1
+                return values, record
             values_t, rec_t = evaluate(xt)
             if rec_t is not None and rec_t.r_c >= floor:
-                g_t, h_t = derivatives(rec_t)
+                g_t, stage_t = _ascent_gradient(rec_t, swapped)
                 if g_t is not None and (rec_t.r_c >= record.r_c or max(
                         map(abs, _projected(g_t, xt, lo, hi))) < gnorm):
                     break
             alpha *= 0.5
-        x, values, record, g, h = xt, values_t, rec_t, g_t, h_t
-    return values, record, False
+        x, values, record, g, stage = xt, values_t, rec_t, g_t, stage_t
+    tally.unconverged += 1
+    return values, record
 
 
 def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     """Multi-start maximization of the limit-cycle cooling rate.
 
     The free variables are searched in log space (they span decades near
-    T_c -> 0), from the base spec's values when they lie in the box (and
-    evaluated there at exactly those values), the box midpoint and seeded
-    random points.  When the free set is exactly
-    {tau_c, tau_h}, each start runs a damped Newton ascent on the exact
-    gradient and Hessian of :func:`~ottofridge.cycle.isochore_time_derivatives`
-    (see :func:`_newton_isochore_times`); other free sets run Nelder-Mead.
-    Failed objective evaluations count as -inf fitness; their number is
-    ``failures``, and one warning per call reports it together with any
-    Newton search that stopped short of its gradient tolerance and any
+    T_c -> 0), from the base spec's values when they are positive and lie in
+    the box (and evaluated there at exactly those values), the box midpoint
+    and seeded random points.  When the free set is exactly {tau_c, tau_h},
+    each start runs :func:`search_isochore_times`, a damped Newton ascent on
+    the exact gradient and Hessian of
+    :func:`~ottofridge.cycle.isochore_time_derivatives`; other free sets run
+    Nelder-Mead.  Failed objective evaluations count as -inf fitness; their
+    number is ``failures``, and one warning per call reports it together with
+    any Newton search that stopped short of its gradient tolerance and any
     Nelder-Mead search that stopped at its iteration cap.  When only
     the isochore times are free and the conductances are equal, the result
     is compared against the analytic z-equation allocation (solved again
@@ -331,86 +444,51 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     lo = [math.log(spec.bounds[n][0]) for n in names]
     hi = [math.log(spec.bounds[n][1]) for n in names]
     box = list(zip(names, lo, hi))
-    evaluations = failures = 0
-    first_failure = ""
+    tally = SearchTally()
     newton = set(names) == {"tau_c", "tau_h"}
-    solved = {}             # (tau_c, tau_h) -> record of each Newton evaluation
     base_values = {n: base.expansion.duration if n == "tau_hc" else
                    base.compression.duration if n == "tau_ch" else getattr(base, n)
                    for n in names}
-    current = [math.log(base_values[n]) for n in names]
-    if not all(a <= c <= b for a, c, b in zip(lo, current, hi)):
-        current = None          # not a start
+    start = None            # a zero value lies outside every box: not a start
+    if all(v > 0.0 for v in base_values.values()):
+        current = [math.log(base_values[n]) for n in names]
+        if all(a <= c <= b for a, c, b in zip(lo, current, hi)):
+            start = current, base_values
 
     def evaluate(x):
-        nonlocal evaluations, failures, first_failure
-        evaluations += 1
-        # at the base's start its own values, not exp(log) of them
-        values = dict(base_values) if x == current else {
-            n: math.exp(min(max(v, a), b)) for (n, a, b), v in zip(box, x)}
+        tally.evaluations += 1
+        values = _values_at(x, box, start)
         try:
-            if newton:
-                key = values["tau_c"], values["tau_h"]
-                _, record = limit_cycle(CycleSpec(
-                    base.hot_bath, base.cold_bath, base.omega_h, base.omega_c,
-                    base.expansion, base.compression, *key))
-                solved[key] = record
-            else:
-                _, record = limit_cycle(apply_free_values(base, values))
+            _, record = limit_cycle(apply_free_values(base, values))
         except DOMAIN_ERRORS as exc:
-            failures += 1
-            if failures == 1:
-                first_failure = f"{values}: {type(exc).__name__}: {exc}"
+            tally.failed(values, exc)
             return values, None
         return values, record
 
     starts = [[0.5 * (a + b) for a, b in zip(lo, hi)]]
-    if current is not None:
-        starts.insert(0, current)
+    if start is not None:
+        starts.insert(0, start[0])
     if len(starts) < spec.restarts:
         rng = np.random.default_rng(spec.seed)
         starts += [rng.uniform(lo, hi).tolist() for _ in range(spec.restarts - len(starts))]
 
-    def derivatives(record):
-        if record is None or record.q_c == 0.0:
-            return None, None
-        (g0, g1), ((h00, h01), (_, h11)) = isochore_time_derivatives(record)
-        if record.q_c < 0.0:        # there grad R_c / |R_c| = -grad ln |R_c|
-            g0, g1, h00, h01, h11 = -g0, -g1, -h00, -h01, -h11
-        if names[0] == "tau_c":
-            return [g0, g1], ((h00, h01), (h01, h11))
-        return [g1, g0], ((h11, h01), (h01, h00))
-
-    unconverged = capped = 0
     found = []              # (values, record) of each restart's best point
     for x0 in starts[: spec.restarts]:
         if newton:
-            values, record, converged = _newton_isochore_times(evaluate, derivatives, x0, lo, hi)
-            unconverged += record is not None and not converged
-        else:
-            seen = {}
+            found.append(search_isochore_times(base, x0, box, tally, start))
+            continue
+        seen = {}
 
-            def objective(x):
-                values, record = seen[tuple(x.tolist())] = evaluate(x.tolist())
-                return -record.r_c if record is not None else math.inf
-            from scipy.optimize import minimize     # not loaded until a search needs it
-            res = minimize(objective, x0, method="Nelder-Mead",
-                           options={"maxiter": _NM_MAX_ITER, "xatol": _NM_XTOL,
-                                    "fatol": _NM_FTOL, "adaptive": True})
-            capped += not res.success       # with maxiter alone, its one way to fail
-            values, record = seen[tuple(res.x.tolist())]
-        found.append((values, record))
-    if failures or unconverged or capped:
-        notes = []
-        if failures:
-            notes.append(f"{failures} objective evaluations failed; the first at {first_failure}")
-        if unconverged:
-            notes.append(f"{unconverged} Newton searches stopped with a projected "
-                         f"|grad ln R_c| above {_NEWTON_GTOL:g}")
-        if capped:
-            notes.append(f"{capped} Nelder-Mead searches stopped at the "
-                         f"{_NM_MAX_ITER}-iteration cap")
-        warnings.warn("optimize_time_allocation: " + "; ".join(notes))
+        def objective(x):
+            values, record = seen[tuple(x.tolist())] = evaluate(x.tolist())
+            return -record.r_c if record is not None else math.inf
+        from scipy.optimize import minimize     # not loaded until a search needs it
+        res = minimize(objective, x0, method="Nelder-Mead",
+                       options={"maxiter": _NM_MAX_ITER, "xatol": _NM_XTOL,
+                                "fatol": _NM_FTOL, "adaptive": True})
+        tally.capped += not res.success     # with maxiter alone, its one way to fail
+        found.append(seen[tuple(res.x.tolist())])
+    tally.warn()
 
     results = tuple((values, record.r_c if record is not None else -math.inf)
                     for values, record in found)
@@ -426,7 +504,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         alloc = solve_isochore_z(base.hot_bath.conductance, base.cold_bath.conductance,
                                  base.expansion.duration + base.compression.duration)
         z_values = {"tau_c": alloc.tau_c, "tau_h": alloc.tau_h}
-        z_record = solved.get((alloc.tau_c, alloc.tau_h))
+        z_record = tally.solved.get((alloc.tau_c, alloc.tau_h))
         if z_record is None:        # not a point the search evaluated
             _, z_record = limit_cycle(apply_free_values(base, z_values))
         gap = abs(z_record.r_c - best_record.r_c) / max(abs(z_record.r_c), 1e-300)
@@ -441,7 +519,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
             best_values, best_spec, best_record = z_values, z_record.chain[0], z_record
 
     return OptimizationResult(best_spec, best_record, best_values, results, spec.seed,
-                              z_comparison, failures, evaluations)
+                              z_comparison, tally.failures, tally.evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ kappa * T_c by default), builds the branch schedules for the requested kind,
 allocates the isochore times, solves the limit cycle and records the row.
 Schedules without a frictionless closed form (linear, exponential) get their
 adiabat duration from a per-point golden-section search that maximizes the
-limit-cycle cooling rate; their propagators are exact Bessel-function forms.
+limit-cycle cooling rate; their propagators are exact Bessel-function forms,
+and a linear ramp and its time reverse share one Bessel evaluation
+(dynamics.linear_ramp_pair).  A searched isochore allocation is one
+optimize.search_isochore_times from the z-equation allocation, which it
+keeps when that start beats the search, as optimize_time_allocation does.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, limit_cycle
-from .dynamics import BathSpec
+from .dynamics import BathSpec, linear_ramp_pair
 from .optimize import (
-    OptimizationSpec,
+    SearchTally,
     optimal_cold_frequency,
-    optimize_time_allocation,
+    search_isochore_times,
     solve_isochore_z,
 )
 from .schedules import Schedule, build_three_jump, critical_mu
@@ -203,19 +207,32 @@ def _golden_max(build, lo: float, hi: float) -> tuple[CycleSpec, CycleRecord]:
     return best
 
 
-def _allocate(spec: SweepSpec, cycle: CycleSpec) -> tuple[CycleSpec, CycleRecord]:
-    """The cycle with its isochore times allocated, and its limit-cycle record."""
-    alloc = solve_isochore_z(spec.gamma, spec.gamma,
-                             cycle.expansion.duration + cycle.compression.duration)
+def _allocate(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, omega_c: float,
+              expansion: Schedule, compression: Schedule) -> tuple[CycleSpec, CycleRecord]:
+    """The cycle of these parts with its isochore times allocated, and its
+    limit-cycle record.
+
+    Both times start at the z-equation allocation.  A searched allocation
+    runs one search_isochore_times from exactly there over a box of a decade
+    each way, and keeps that start when its R_c is the higher (the
+    z-equation rule of optimize_time_allocation, whose warnings it shares).
+    """
+    alloc = solve_isochore_z(spec.gamma, spec.gamma, expansion.duration + compression.duration)
     tau = max(alloc.tau_c, 1e-12)
-    cycle = CycleSpec(cycle.hot_bath, cycle.cold_bath, cycle.omega_h, cycle.omega_c,
-                      cycle.expansion, cycle.compression, tau_c=tau, tau_h=tau)
-    if spec.allocation == "searched":
-        bounds = {"tau_c": (tau / 10.0, tau * 10.0), "tau_h": (tau / 10.0, tau * 10.0)}
-        result = optimize_time_allocation(OptimizationSpec(
-            base=cycle, free=("tau_c", "tau_h"), bounds=bounds, restarts=1))
-        return result.best_spec, result.best_record
-    return cycle, limit_cycle(cycle)[1]
+    cycle = CycleSpec(hot, cold, omega_h, omega_c, expansion, compression, tau_c=tau, tau_h=tau)
+    if spec.allocation == "z":
+        return cycle, limit_cycle(cycle)[1]
+    x, lo, hi = math.log(tau), math.log(tau / 10.0), math.log(tau * 10.0)
+    tally = SearchTally()
+    _, record = search_isochore_times(cycle, [x, x], [("tau_c", lo, hi), ("tau_h", lo, hi)],
+                                      tally, ([x, x], {"tau_c": tau, "tau_h": tau}))
+    tally.warn()
+    if record is None:              # the start failed: raises that failure
+        limit_cycle(cycle)
+    first = tally.solved[tau, tau]
+    if first.r_c > record.r_c:
+        record = first
+    return record.chain[0], record
 
 
 def build_point(spec: SweepSpec, t_c: float,
@@ -237,8 +254,7 @@ def build_point(spec: SweepSpec, t_c: float,
         raise ValueError("sweep produced omega_c >= omega_h; shrink the grid")
 
     def assemble(expansion, compression):
-        return _allocate(spec, CycleSpec(hot, cold, w_h, w_c, expansion, compression,
-                                         tau_c=1e-12, tau_h=1e-12))
+        return _allocate(spec, hot, cold, w_h, w_c, expansion, compression)
 
     if spec.kind == "three_jump":
         return assemble(build_three_jump(w_h, w_c), build_three_jump(w_c, w_h))
@@ -253,7 +269,7 @@ def build_point(spec: SweepSpec, t_c: float,
         param = math.exp(log_param)
         if spec.kind == "linear":
             tau = (w_h - w_c) / (param * w_c * w_c)
-            return assemble(Schedule.linear(w_h, w_c, tau), Schedule.linear(w_c, w_h, tau))
+            return assemble(*linear_ramp_pair(w_h, w_c, tau))
         tau = math.log(w_h / w_c) / (param * w_c)
         return assemble(Schedule.exponential(w_h, w_c, tau),
                         Schedule.exponential(w_c, w_h, tau))

@@ -356,6 +356,8 @@ def test_retired_search_settings_are_unknown_keys(path, tmp_path, capsys):
      "omega_c cannot be freed with a piecewise_const schedule (cycle.compression), "
      "whose segments are fixed",
      {"compression": {"kind": "piecewise_const", "segments": [[3.0, 0.25]]}}),
+    # a repeated name would search one variable in two coordinates
+    ({"free": ["tau_h", "tau_h"]}, "optimize.free", "'tau_h' is listed more than once", {}),
 ])
 @pytest.mark.parametrize("command", ["optimize", "ga"])
 def test_free_variables_and_bounds_are_checked_with_the_config(command, optimize, path, message,
@@ -367,6 +369,15 @@ def test_free_variables_and_bounds_are_checked_with_the_config(command, optimize
     assert payload["type"] == "ConfigError"
     assert payload["message"] == f"config error at {path}: {message}"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("free", [["tau_c", "tau_h"], ["tau_c", "omega_c"]])
+def test_optimize_from_a_zero_base_time(free, tmp_path, capsys):
+    # a zero tau_c is no start (its log is undefined); the other starts search
+    text = json.dumps({"cycle": {"tau_c": 0}, "optimize": {"free": free}})
+    assert main(["optimize", "--config", text, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("best R_c = ")
+    assert (tmp_path / "optimize.csv").exists()
 
 
 def test_derived_compression_time_is_refused_with_the_config():

@@ -15,6 +15,7 @@ from oracles import cross_check, frictionless_ledger, propagator_matrix
 import ottofridge.cycle
 import ottofridge.dynamics
 from ottofridge.cycle import (
+    BranchError,
     CycleRecord,
     CycleSpec,
     NoContractionError,
@@ -25,6 +26,7 @@ from ottofridge.cycle import (
     _lu_solve,
     equilibration_bound,
     isochore_time_derivatives,
+    isochore_trials,
     limit_cycle,
     run_one_cycle,
 )
@@ -189,6 +191,32 @@ def leg_specs():
             specs.append(CycleSpec(hot, cold, 10.0, 1.0, build(10.0, 1.0, durations[0]),
                                    build(1.0, 10.0, durations[1]), tau_c=tau_c, tau_h=tau_h))
     return specs
+
+
+def test_isochore_trials_are_limit_cycle_records():
+    # a trial of the search is limit_cycle on the CycleSpec with those
+    # times, bit for bit: the spec, the maps, M, k, the LU factors, the chain
+    # and the ledger; and it fails where limit_cycle fails, with its message
+    for spec in leg_specs():
+        trial = isochore_trials(spec)
+        for tau_c, tau_h in ((spec.tau_c, spec.tau_h), (0.05, 7.0), (4.5, 1e-3)):
+            record = trial(tau_c, tau_h)
+            _, expected = limit_cycle(replace(spec, tau_c=tau_c, tau_h=tau_h))
+            assert record == expected and record.chain == expected.chain
+            assert vars(record.chain[0]) == vars(expected.chain[0])
+    spec = leg_specs()[0]
+    with pytest.raises(ValueError, match="must be > 0"):
+        isochore_trials(spec)(0.0, 1.0)
+    beyond = Schedule.linear(10.0, 1.0, 2.0**53)       # zeta past the Bessel limit
+    spec = CycleSpec(spec.hot_bath, spec.cold_bath, 10.0, 1.0, beyond,
+                     Schedule.linear(1.0, 10.0, 1.0), tau_c=1.0, tau_h=1.0)
+    with pytest.raises(BranchError) as expected:
+        limit_cycle(spec)
+    trial = isochore_trials(spec)
+    for _ in range(2):
+        with pytest.raises(BranchError) as err:
+            trial(1.0, 1.0)
+        assert str(err.value) == str(expected.value)
 
 
 def test_propagate_isochore_is_the_cycle_isochore():

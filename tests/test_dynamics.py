@@ -6,14 +6,19 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from oracles import jump_matrix, propagate_adiabat_numeric, propagator_matrix, rk_matrix
 from ottofridge.dynamics import (
     BathSpec,
+    _ZETA_MAX,
     StateVector,
+    _adiabat_flat,
     adiabat_power,
     equilibrium_state,
+    linear_ramp_pair,
     observables,
     propagate,
     propagate_isochore,
@@ -427,6 +432,31 @@ def test_linear_ramp_past_the_bessel_limit_raises():
         schedule_propagator(linear_ramp_at(2.0**51 * (1.0 - 1e-12), w0, w1))
         with pytest.raises(ScheduleError, match="Bessel argument"):
             schedule_propagator(linear_ramp_at(2.0**51 * (1.0 + 1e-12), w0, w1))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(ratio=st.floats(1.0 + 1e-6, 1e6), omega_h=st.floats(1e-2, 1e3),
+       zeta_h=st.one_of(st.floats(1e-3, 1e15), st.floats(0.999 * _ZETA_MAX, 1.001 * _ZETA_MAX)))
+@example(ratio=1000.0, omega_h=100.0, zeta_h=_ZETA_MAX * (1.0 - 1e-12))
+@example(ratio=1000.0, omega_h=100.0, zeta_h=_ZETA_MAX * (1.0 + 1e-12))
+def test_linear_ramp_pair_is_each_ramps_own_build(ratio, omega_h, zeta_h):
+    # a ramp and its time reverse from one jv/yv evaluation carry, bit for
+    # bit, the maps that each one's own build gives; past the Bessel limit
+    # both come back unbuilt and raise when built
+    omega_c = omega_h / ratio
+    tau = 2.0 * zeta_h * (omega_h - omega_c) / omega_h**2
+    ramp, reverse = linear_ramp_pair(omega_h, omega_c, tau)
+    own = Schedule.linear(omega_h, omega_c, tau), Schedule.linear(omega_c, omega_h, tau)
+    assert (ramp, reverse) == own
+    try:
+        expected = tuple(map(schedule_propagator, own))
+    except ScheduleError:
+        assert ramp._propagator is None and reverse._propagator is None
+        for schedule in (ramp, reverse):
+            with pytest.raises(ScheduleError, match="Bessel argument"):
+                _adiabat_flat(schedule)
+        return
+    assert (ramp._propagator, reverse._propagator) == expected
 
 
 def exponential_oracle(w0, w1, tau):

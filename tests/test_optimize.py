@@ -10,11 +10,14 @@ import pytest
 import scipy.optimize
 from test_cycle import frictionless_spec, non_float_entries, record_ledgers
 
+import ottofridge.cycle
 import ottofridge.optimize
 from ottofridge.cycle import CycleSpec, NoContractionError, isochore_time_derivatives, limit_cycle
 from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.optimize import (
     OptimizationSpec,
+    _ascent_gradient,
+    _ascent_hessian,
     apply_free_values,
     ga_schedule_search,
     lambert_w0,
@@ -271,6 +274,8 @@ def test_optimization_spec_validation():
     piecewise = replace(base, compression=Schedule.piecewise(1.0, 10.0, [(3.0, 0.25)]))
     with pytest.raises(ValueError, match="omega_c cannot be freed"):
         OptimizationSpec(base=piecewise, free=("omega_c",), bounds={"omega_c": (0.5, 2.0)})
+    with pytest.raises(ValueError, match="must not repeat"):
+        OptimizationSpec(base=base, free=("tau_h", "tau_h"), bounds={"tau_h": (0.1, 10.0)})
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +347,14 @@ def test_ga_rejects_tiny_population():
 def test_optimize_reports_failures_in_one_warning(monkeypatch):
     # a search meets many failed evaluations; they are counted and reported
     # once per search, not once per evaluation
-    def fails_above(spec):
+    solve = ottofridge.cycle._solve
+
+    def fails_above(spec, maps):
         if spec.tau_c > 1.3:
             raise NoContractionError("injected")
-        return limit_cycle(spec)
+        return solve(spec, maps)
 
-    monkeypatch.setattr("ottofridge.optimize.limit_cycle", fails_above)
+    monkeypatch.setattr(ottofridge.cycle, "_solve", fails_above)
     spec = OptimizationSpec(
         base=make_base(), free=("tau_c", "tau_h"),
         bounds={"tau_c": (1e-2, 50.0), "tau_h": (1e-2, 50.0)},
@@ -376,16 +383,58 @@ def test_optimize_reports_failures_in_one_warning(monkeypatch):
     assert len(caught) == 1 and "NoContractionError: injected" in str(caught[0].message)
 
 
+def test_on_demand_hessian_is_isochore_time_derivatives():
+    # the search's gradient stage and its later Hessian stage are
+    # isochore_time_derivatives bit for bit, with the sign of R_c and in
+    # either coordinate order, on cooling and heating cycles
+    specs = [make_base(tau_c=tau_c, tau_h=tau_h)
+             for tau_c, tau_h in ((1.0, 1.0), (0.3, 2.5), (4.0, 0.2))]
+    specs.append(frictionless_spec(t_c=0.1, tau_c=0.5, tau_h=2.0))      # q_c < 0
+    signs = []
+    for spec in specs:
+        _, record = limit_cycle(spec)
+        (g0, g1), ((h00, h01), (h10, h11)) = isochore_time_derivatives(record)
+        sign = 1.0 if record.q_c > 0 else -1.0
+        signs.append(sign)
+        for swapped in (False, True):
+            g, stage = _ascent_gradient(record, swapped)
+            h = _ascent_hessian(record, stage, swapped)
+            if swapped:
+                assert g == [sign * g1, sign * g0]
+                assert h == ((sign * h11, sign * h10), (sign * h01, sign * h00))
+            else:
+                assert g == [sign * g0, sign * g1]
+                assert h == ((sign * h00, sign * h01), (sign * h10, sign * h11))
+    assert signs == [1.0, 1.0, 1.0, -1.0]
+    assert _ascent_gradient(None, False) == (None, None)
+
+
+def test_zero_base_time_is_not_a_start():
+    # a zero base value lies outside every positive box: the midpoint and
+    # the random starts search, by Newton and by Nelder-Mead alike
+    bounds = {"tau_c": (1e-2, 50.0), "tau_h": (1e-2, 50.0), "omega_c": (0.3, 3.0)}
+    for free in (("tau_c", "tau_h"), ("tau_c", "omega_c")):
+        spec = OptimizationSpec(base=make_base(tau_c=0.0), free=free, bounds=bounds,
+                                seed=4, restarts=2)
+        result = optimize_time_allocation(spec)
+        # the same two starts as from a base value below the box
+        below = optimize_time_allocation(replace(spec, base=make_base(tau_c=1e-3)))
+        assert len(result.restarts) == 2 and result.restarts == below.restarts
+        assert result.evaluations == below.evaluations
+        assert result.best_record.r_c > 0.0 and result.failures == 0
+
+
 def test_optimize_reuses_each_restarts_best_record(monkeypatch):
-    # no limit_cycle call beyond the search's own evaluations and the
+    # no cycle solved beyond the search's own evaluations and the
     # z-equation comparison: each restart keeps its best record
     calls = []
+    solve = ottofridge.cycle._solve
 
-    def counting(spec):
+    def counting(spec, maps):
         calls.append(spec)
-        return limit_cycle(spec)
+        return solve(spec, maps)
 
-    monkeypatch.setattr(ottofridge.optimize, "limit_cycle", counting)
+    monkeypatch.setattr(ottofridge.cycle, "_solve", counting)
     bounds = {"tau_c": (1e-2, 50.0), "tau_h": (1e-2, 50.0), "omega_c": (0.3, 3.0)}
     newton = optimize_time_allocation(OptimizationSpec(
         base=make_base(), free=("tau_c", "tau_h"), bounds=bounds, seed=11, restarts=3))

@@ -8,12 +8,24 @@ import pytest
 from oracles import cross_check, frictionless_ledger
 from test_cycle import non_float_entries, record_ledgers
 
-from ottofridge.cycle import isochore_time_derivatives, limit_cycle
-from ottofridge.dynamics import BathSpec, equilibrium_state
+import ottofridge.cycle
+import ottofridge.optimize
+import ottofridge.scaling
+from ottofridge.cycle import (
+    DOMAIN_ERRORS,
+    CycleSpec,
+    isochore_time_derivatives,
+    isochore_trials,
+    limit_cycle,
+)
+from ottofridge.dynamics import BathSpec, equilibrium_state, linear_ramp_pair
+from ottofridge.optimize import OptimizationSpec, optimize_time_allocation, solve_isochore_z
+from ottofridge.schedules import Schedule
 from ottofridge.scaling import (
     _GOLDEN_ITERS,
     SWEEP_KINDS,
     SweepSpec,
+    _allocate,
     build_point,
     fit_power_law,
     temperature_sweep,
@@ -122,11 +134,11 @@ def test_sweep_records_failures_and_continues():
 @pytest.mark.parametrize("kind", ["three_jump", "linear"])
 def test_sweep_propagates_non_domain_errors(kind, monkeypatch):
     # only domain failures become flag-0 rows or -inf search scores; a bug
-    # in a propagator must surface
-    def broken(schedule):
+    # in a propagator must surface (every kind here lifts a fundamental matrix)
+    def broken(*args):
         raise TypeError("injected")
 
-    monkeypatch.setattr("ottofridge.dynamics.schedule_propagator", broken)
+    monkeypatch.setattr("ottofridge.dynamics._lift", broken)
     with pytest.raises(TypeError, match="injected"):
         temperature_sweep(small_sweep(kind, t_max=1e-1, t_min=5e-2, points_per_decade=1))
 
@@ -152,14 +164,15 @@ def test_non_finite_cycle_map_is_a_domain_failure(monkeypatch):
 
 def test_failed_golden_section_raises_its_winners_error(monkeypatch):
     # every duration fails: the winner's error surfaces, with no build after
-    # the search's own evaluations
+    # the search's own evaluations (a linear ramp's map is a lifted
+    # fundamental matrix, and its time reverse is lifted from the same one)
     built = []
 
-    def nan_propagator(schedule):
-        built.append(schedule)
+    def nan_propagator(*args):
+        built.append(args)
         return (math.nan,) * 9
 
-    monkeypatch.setattr("ottofridge.dynamics.schedule_propagator", nan_propagator)
+    monkeypatch.setattr("ottofridge.dynamics._lift", nan_propagator)
     spec = small_sweep("linear", t_max=1e-1, t_min=5e-2)
     with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
         build_point(spec, 0.05)
@@ -168,7 +181,6 @@ def test_failed_golden_section_raises_its_winners_error(monkeypatch):
 
 def test_omega_c_search_reuses_its_winner(monkeypatch):
     # one build_point per golden-section evaluation of omega_c, none after it
-    import ottofridge.scaling
     calls = []
     build = ottofridge.scaling.build_point
 
@@ -186,59 +198,134 @@ def test_omega_c_search_reuses_its_winner(monkeypatch):
 
 
 def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
-    # the winner's cycle comes from the search itself: one allocation
-    # search per golden-section evaluation, none after it
-    import ottofridge.optimize
+    # the winner's cycle comes from the searches themselves: one
+    # isochore-time search per golden-section evaluation, none after it
     searches = []
-    search = ottofridge.optimize.optimize_time_allocation
+    search = ottofridge.scaling.search_isochore_times
 
-    def counting(spec):
-        result = search(spec)
-        searches.append(result.best_spec)
+    def counting(base, x, box, tally, start):
+        result = search(base, x, box, tally, start)
+        searches.append([record.chain[0] for record in tally.solved.values()])
         return result
 
-    monkeypatch.setattr(ottofridge.scaling, "optimize_time_allocation", counting)
+    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", counting)
     spec = small_sweep("exponential", t_max=1e-1, t_min=5e-2,
                        allocation="searched")
     cycle, record = build_point(spec, 0.05)
     assert len(searches) == _GOLDEN_ITERS + 2
-    assert any(cycle is found for found in searches)
+    assert any(cycle is found for solved in searches for found in solved)
     assert record.chain[0] is cycle
 
 
 def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
-    # a searched sweep point reuses the record of each allocation search: its
-    # limit_cycle calls are the searches' own evaluations, none in the golden
-    # section or for the row; each search starts at exactly its z-allocation,
-    # which lies in its box, so the z-equation comparison reuses that record
-    import ottofridge.optimize
-    import ottofridge.scaling
+    # a searched sweep point reuses the records of its isochore-time
+    # searches: every cycle it solves is a search's own trial, none in the
+    # golden section or for the row, and each search starts at exactly its
+    # z-allocation
     calls, searches = [], []
-    search = ottofridge.optimize.optimize_time_allocation
+    search, solve = ottofridge.scaling.search_isochore_times, ottofridge.cycle._solve
 
-    def counting(spec):
+    def counting(spec, maps):
         calls.append(spec)
-        return limit_cycle(spec)
+        return solve(spec, maps)
 
-    def recording(spec):
+    def recording(base, x, box, tally, start):
         first = len(calls)
-        result = search(spec)
-        searches.append((result, calls[first:]))
+        result = search(base, x, box, tally, start)
+        searches.append((base, tally, calls[first:]))
         return result
 
-    monkeypatch.setattr(ottofridge.optimize, "limit_cycle", counting)
-    monkeypatch.setattr(ottofridge.scaling, "limit_cycle", counting)
-    monkeypatch.setattr(ottofridge.scaling, "optimize_time_allocation", recording)
+    monkeypatch.setattr(ottofridge.cycle, "_solve", counting)
+    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", recording)
     spec = small_sweep("exponential", t_max=1e-1, t_min=1e-1 * 10**-0.05,
                        allocation="searched")
     (row,) = temperature_sweep(spec).rows
     assert row.flag == 1
     assert len(searches) == _GOLDEN_ITERS + 2
-    assert len(calls) == sum(len(made) for _, made in searches)
-    for result, made in searches:
-        z = result.z_comparison
-        assert (made[0].tau_c, made[0].tau_h) == (z["tau_c"], z["tau_h"])
-        assert len(made) == result.evaluations
+    assert len(calls) == sum(len(made) for *_, made in searches)
+    for base, tally, made in searches:
+        z = solve_isochore_z(spec.gamma, spec.gamma,
+                             base.expansion.duration + base.compression.duration)
+        assert (made[0].tau_c, made[0].tau_h) == (z.tau_c, z.tau_h)
+        assert len(made) == tally.evaluations
+
+
+@pytest.mark.parametrize("kind", ["exponential", "linear"])
+def test_sweep_search_is_optimize_time_allocation(kind):
+    # a searched sweep point's allocation is optimize_time_allocation with
+    # one restart over the same box, bit for bit, warnings and failures too
+    rng = np.random.default_rng(20 + len(kind))
+    outcomes = set()
+    for _ in range(40):
+        w_h = float(rng.uniform(5.0, 100.0))
+        w_c = w_h / float(rng.uniform(1.5, 60.0))
+        gamma, duration = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.05, 5.0))
+        hot = BathSpec(float(rng.uniform(0.5, 3.0)), gamma)
+        cold = BathSpec(float(rng.uniform(0.01, 1.0)), gamma)
+        if kind == "linear":
+            expansion, compression = linear_ramp_pair(w_h, w_c, duration)
+        else:
+            expansion = Schedule.exponential(w_h, w_c, duration)
+            compression = Schedule.exponential(w_c, w_h, duration)
+        spec = SweepSpec(kind, gamma=gamma, allocation="searched")  # its gamma and allocation
+        tau = solve_isochore_z(gamma, gamma, 2.0 * duration).tau_c
+        base = CycleSpec(hot, cold, w_h, w_c, expansion, compression, tau_c=tau, tau_h=tau)
+        bounds = {"tau_c": (tau / 10.0, tau * 10.0), "tau_h": (tau / 10.0, tau * 10.0)}
+        got, expected = [], []
+        for run, out in ((lambda: _allocate(spec, hot, cold, w_h, w_c, expansion, compression),
+                          got),
+                         (lambda: optimize_time_allocation(OptimizationSpec(
+                             base=base, free=("tau_c", "tau_h"), bounds=bounds, restarts=1)),
+                          expected)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    out.append(run())
+                except DOMAIN_ERRORS as exc:
+                    out.append(f"{type(exc).__name__}: {exc}")
+            out.append([str(w.message) for w in caught])
+        if isinstance(expected[0], str):
+            assert got == expected
+            outcomes.add("failed")
+            continue
+        (cycle, record), result = got[0], expected[0]
+        assert record == result.best_record and record.chain == result.best_record.chain
+        assert (cycle.tau_c, cycle.tau_h) == (result.best_spec.tau_c, result.best_spec.tau_h)
+        assert got[1] == expected[1]
+        outcomes.add("cooling" if record.q_c > 0 else "heating")
+    assert {"cooling", "heating"} <= outcomes
+
+
+def test_searched_point_keeps_a_z_start_that_beats_its_search(monkeypatch):
+    # optimize_time_allocation's z-equation rule: a search that ends below
+    # its z-start (here one made to stop at a corner of its box) gives way to
+    # that start, in a sweep point as in optimize_time_allocation
+    search = ottofridge.optimize.search_isochore_times
+
+    def stops_at_a_corner(base, x, box, tally, start):
+        search(base, x, box, tally, start)
+        values = {"tau_c": math.exp(box[0][1]), "tau_h": math.exp(box[1][2])}
+        return values, tally.solved.setdefault(
+            (values["tau_c"], values["tau_h"]),
+            isochore_trials(base)(values["tau_c"], values["tau_h"]))
+
+    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", stops_at_a_corner)
+    monkeypatch.setattr(ottofridge.optimize, "search_isochore_times", stops_at_a_corner)
+    spec = small_sweep("exponential", allocation="searched")
+    hot, cold = BathSpec(spec.t_hot, spec.gamma), BathSpec(0.05, spec.gamma)
+    w_h, w_c = spec.omega_h, spec.kind_kappa() * 0.05
+    duration = math.log(w_h / w_c) / (0.3 * w_c)        # peak rate 0.3 w_c
+    expansion = Schedule.exponential(w_h, w_c, duration)
+    compression = Schedule.exponential(w_c, w_h, duration)
+    cycle, record = _allocate(spec, hot, cold, w_h, w_c, expansion, compression)
+    tau = solve_isochore_z(spec.gamma, spec.gamma, 2.0 * duration).tau_c
+    assert (cycle.tau_c, cycle.tau_h) == (tau, tau)
+    corner = math.exp(math.log(tau / 10.0)), math.exp(math.log(tau * 10.0))
+    assert record.r_c > isochore_trials(cycle)(*corner).r_c
+    result = optimize_time_allocation(OptimizationSpec(
+        base=cycle, free=("tau_c", "tau_h"), restarts=1,
+        bounds={"tau_c": (tau / 10.0, tau * 10.0), "tau_h": (tau / 10.0, tau * 10.0)}))
+    assert result.best_record == record and result.best_values == {"tau_c": tau, "tau_h": tau}
 
 
 def test_searched_point_agrees_with_the_squaring_oracle():
@@ -258,16 +345,15 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
     # with no iteration cap reached (that would warn, here an error), in at
     # most 8 evaluations a search on average (6.1 measured with the exact
     # Hessian, 16 with forward-difference probes)
-    import ottofridge.optimize
     searches = []
-    search = ottofridge.optimize.optimize_time_allocation
+    search = ottofridge.scaling.search_isochore_times
 
-    def recording(spec):
-        result = search(spec)
-        searches.append((spec, result))
-        return result
+    def recording(base, x, box, tally, start):
+        values, record = search(base, x, box, tally, start)
+        searches.append((base, record, tally))
+        return values, record
 
-    monkeypatch.setattr(ottofridge.scaling, "optimize_time_allocation", recording)
+    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", recording)
     spec = SweepSpec(kind="exponential", omega_h=100.0, t_hot=1.0, gamma=1.0, t_max=1e-1,
                      t_min=1e-3, points_per_decade=5, allocation="searched")
     with warnings.catch_warnings():
@@ -275,14 +361,14 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
         rows = temperature_sweep(spec).rows
     assert all(r.flag == 1 for r in rows)
     assert len(searches) == len(rows) * (_GOLDEN_ITERS + 2)
-    for opt, result in searches:
-        for name, g in zip(("tau_c", "tau_h"), isochore_time_derivatives(result.best_record)[0]):
-            lo, hi = opt.bounds[name]
-            tau = getattr(result.best_spec, name)
+    for base, record, _ in searches:
+        for name, g in zip(("tau_c", "tau_h"), isochore_time_derivatives(record)[0]):
+            lo, hi = getattr(base, name) / 10.0, getattr(base, name) * 10.0
+            tau = getattr(record.chain[0], name)
             held = (tau <= lo * (1 + 1e-15) and g < 0) or (tau >= hi * (1 - 1e-15) and g > 0)
             assert held or abs(g) <= 1e-10
-        assert result.best_record.r_c >= limit_cycle(opt.base)[1].r_c
-    assert sum(result.evaluations for _, result in searches) <= 8 * len(searches)
+        assert record.r_c >= limit_cycle(base)[1].r_c
+    assert sum(tally.evaluations for *_, tally in searches) <= 8 * len(searches)
 
 
 @pytest.mark.parametrize("points_per_decade, n_tail", [(1, 2), (2, 3)])

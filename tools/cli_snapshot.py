@@ -21,9 +21,12 @@ checkouts and comparing the manifests:
 The runs cover every command: critical; simulate with each schedule block
 kind, and once on a map that contracts very slowly (1 - rho = 6e-6, solved
 directly; a solver that iterates the map to convergence fails it); optimize by Newton and by Nelder-Mead, once converging and once
-stopping at the iteration cap (which pins that warning), and once with a
-free omega_c refused for a piecewise_const branch (optimize-piecewise-omega-c,
-exit 2 while the config is read); ga; sweeps of all
+stopping at the iteration cap (which pins that warning), once each from a
+zero base tau_c, which is no start (optimize-zero-tau-c and
+optimize-nelder-mead-zero-tau-c, exit 0), and refused while the config is
+read (exit 2) with a free omega_c for a piecewise_const branch
+(optimize-piecewise-omega-c) and with a free name listed twice
+(optimize-repeated-free); ga; sweeps of all
 four kinds with z and searched allocation, plus a deep three-jump sweep,
 both kinds of cold-frequency search, a threaded sweep and three ways of
 setting the tail window.
@@ -75,6 +78,10 @@ RUNS = [
     ("optimize-piecewise-omega-c", "optimize", {
         "cycle": {"expansion": {"kind": "piecewise_const", "segments": [[3.0, 0.25]]}},
         "optimize": {"free": ["tau_c", "omega_c"]}}, []),
+    ("optimize-zero-tau-c", "optimize", {"cycle": {"tau_c": 0.0}}, []),
+    ("optimize-nelder-mead-zero-tau-c", "optimize", {
+        "cycle": {"tau_c": 0.0}, "optimize": {"free": ["tau_c", "omega_c"]}}, []),
+    ("optimize-repeated-free", "optimize", {"optimize": {"free": ["tau_h", "tau_h"]}}, []),
     ("ga", "ga", {"ga": {"generations": 40}}, ["--seed", "3"]),
     *((f"sweep-{kind}-{allocation}", "sweep",
        {"sweep": {"schedule": kind, "allocation": allocation, **_WINDOW}}, [])
