@@ -13,7 +13,10 @@ Commands:
 
 Every output file starts with the tool version, a hash of the resolved
 configuration and the seed, so identical (config, seed) pairs reproduce
-byte-identical files.
+byte-identical files.  An existing output file is rewritten in place and
+then cut to the length of the new text: its bytes are the same as a fresh
+write's, and a reader that holds the old file open sees it overwritten
+rather than first emptied.
 """
 
 from __future__ import annotations
@@ -180,6 +183,15 @@ def _validate_bounds(path: str, bounds):
 _TYPE_NAMES = {bool: "boolean", str: "string", list: "list"}
 
 
+def _copy(value):
+    """A copy of a JSON-like value that shares no dict or list with it."""
+    if isinstance(value, dict):
+        return {key: _copy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy(item) for item in value]
+    return value
+
+
 def _merge(path: str, defaults, user):
     """Defaults overlaid with user values; unknown keys rejected with their path."""
     if not isinstance(user, dict):
@@ -188,7 +200,7 @@ def _merge(path: str, defaults, user):
     for key, dval in defaults.items():
         here = f"{path}.{key}" if path else key
         if key not in user:
-            out[key] = json.loads(json.dumps(dval))
+            out[key] = _copy(dval)
             continue
         uval = user[key]
         if key in ("expansion", "compression"):
@@ -218,7 +230,8 @@ def _merge(path: str, defaults, user):
 @dataclass(frozen=True)
 class Config:
     resolved: dict
-    sha256: str
+    canonical: str      # resolved as sorted, compact JSON: echoed in every output header
+    sha256: str         # hash of canonical
 
     @property
     def defaults(self) -> dict:
@@ -267,9 +280,9 @@ def parse_config(source: str | None) -> Config:
 
 
 def _hashed(resolved: dict) -> Config:
-    """The Config of a resolved config dict, with the hash of its canonical JSON."""
+    """The Config of a resolved config dict, with its canonical JSON and that text's hash."""
     canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return Config(resolved, hashlib.sha256(canon.encode()).hexdigest())
+    return Config(resolved, canon, hashlib.sha256(canon.encode()).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +348,13 @@ def optimization_spec_from_config(config: Config, seed: int) -> OptimizationSpec
         if name == "omega_c":
             bounds[name] = (base.omega_c / 10.0, min(base.omega_c * 10.0, base.omega_h * 0.99))
         else:
-            ref = max(base.expansion.duration if name == "tau_hc" else
-                      base.compression.duration if name == "tau_ch" else getattr(base, name), 1e-9)
+            ref = (base.expansion.duration if name == "tau_hc" else
+                   base.compression.duration if name == "tau_ch" else getattr(base, name))
+            if ref == 0.0:      # a zero isochore time: centre on the z-equation allocation
+                ref = getattr(solve_isochore_z(
+                    base.hot_bath.conductance, base.cold_bath.conductance,
+                    base.expansion.duration + base.compression.duration), name)
+            ref = max(ref, 1e-9)
             bounds[name] = (ref / 20.0, ref * 20.0)
     return OptimizationSpec(base=base, free=free, bounds=bounds, seed=seed,
                             restarts=int(o["restarts"]))
@@ -352,27 +370,33 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _header_lines(config: Config, seed: int) -> list[str]:
-    canon = json.dumps(config.resolved, sort_keys=True, separators=(",", ":"))
-    return [
-        f"# ottofridge {__version__}",
-        f"# config_sha256 {config.sha256}",
-        f"# seed {seed}",
-        f"# config {canon}",
-    ]
+def _rewrite(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` in place, then cut the file at its end.
+
+    A truncating open of a non-empty file makes ext4 (its replace-via-truncate
+    heuristic) flush the file on close, which costs more than the write; a
+    new file gets the mode ``open(path, "w")`` would give it.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
 
 
-def _write_table(path: str, config: Config, seed: int, columns: list[str],
-                 rows: list[tuple], footer: list[str] | None = None,
-                 sep: str = ",") -> None:
-    lines = _header_lines(config, seed)
-    lines.append(sep.join(columns))
-    for row in rows:
-        lines.append(sep.join(_fmt(v) if isinstance(v, (int, float, np.integer, np.floating))
-                              else str(v) for v in row))
-    lines.extend(footer or [])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_table(out: str, files: dict[str, str], config: Config, seed: int,
+                 columns: list[str], rows: list[tuple], footer: list[str] | None = None) -> None:
+    """Write one table to each of ``files`` (name -> column separator) in ``out``.
+
+    The header, the cells and the footer are formatted once; the files
+    differ only in the separator.
+    """
+    head = (f"# ottofridge {__version__}\n# config_sha256 {config.sha256}\n"
+            f"# seed {seed}\n# config {config.canonical}\n")
+    cells = [columns] + [[_fmt(v) if isinstance(v, (int, float, np.integer, np.floating))
+                          else str(v) for v in row] for row in rows]
+    tail = "".join(line + "\n" for line in footer or ())
+    for name, sep in files.items():
+        body = "".join(sep.join(line) + "\n" for line in cells)
+        _rewrite(os.path.join(out, name), head + body + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +419,7 @@ def _cmd_critical(config: Config, out: str, seed: int, threads: int) -> int:
     print(f"three-jump total    = {tau1 + tau2:.9g}")
     print(f"kappa(nu=2)         = {kappa2:.9g}")
     print(f"kappa(nu=3/2)       = {kappa32:.9g}")
-    _write_table(os.path.join(out, "critical.csv"), config, seed,
+    _write_table(out, {"critical.csv": ","}, config, seed,
                  ["C", "mu_star", "tau_star", "tau_1", "tau_2", "tau_three_jump",
                   "kappa_nu2", "kappa_nu32"],
                  [(ratio, mu_star, tau_star, tau1, tau2, tau1 + tau2, kappa2, kappa32)])
@@ -409,7 +433,7 @@ def _cmd_simulate(config: Config, out: str, seed: int, threads: int) -> int:
              b.end.e_h, b.end.e_l, b.end.e_c, b.delta_e) for b in record.branches]
     footer = [f"# {name} {_fmt(getattr(record, name))}" for name in (
         "q_c", "q_h", "w", "tau_total", "r_c", "sigma", "cop", "spectral_radius")]
-    _write_table(os.path.join(out, "cycle.csv"), config, seed,
+    _write_table(out, {"cycle.csv": ","}, config, seed,
                  ["branch", "tau", "e_h_start", "e_l_start", "e_c_start",
                   "e_h_end", "e_l_end", "e_c_end", "delta_e"], rows, footer)
     print(f"limit cycle found: spectral radius {record.spectral_radius:.6g}, "
@@ -426,7 +450,7 @@ def _cmd_optimize(config: Config, out: str, seed: int, threads: int) -> int:
     names = list(spec.free)
     rows = [tuple(values.get(n, float("nan")) for n in names) + (rc,)
             for values, rc in result.restarts]
-    _write_table(os.path.join(out, "optimize.csv"), config, seed,
+    _write_table(out, {"optimize.csv": ","}, config, seed,
                  names + ["r_c"], rows,
                  footer=[f"# best_r_c {_fmt(result.best_record.r_c)}"])
     print(f"best R_c = {result.best_record.r_c:.9g} at "
@@ -457,8 +481,7 @@ def _cmd_sweep(config: Config, out: str, seed: int, threads: int) -> int:
             footer.append(f"# failed T_c {_fmt(r.t_c)} {r.error}")
         elif r.flag == 2:
             footer.append(f"# non_cooling T_c {_fmt(r.t_c)}")
-    _write_table(os.path.join(out, "sweep.csv"), config, seed, columns, rows, footer)
-    _write_table(os.path.join(out, "sweep.dat"), config, seed, columns, rows, footer, sep=" ")
+    _write_table(out, {"sweep.csv": ",", "sweep.dat": " "}, config, seed, columns, rows, footer)
     print(f"sweep {spec.kind}: {len(result.rows)} points, "
           f"{sum(1 for r in result.rows if r.flag == 1)} cooling")
     if result.fit is not None:
@@ -472,7 +495,7 @@ def _cmd_ga(config: Config, out: str, seed: int, threads: int) -> int:
     settings = {key: int(value) for key, value in config.resolved["ga"].items()}
     result = ga_schedule_search(cycle_spec_from_config(config), **settings, seed=seed)
     rows = list(enumerate(result.history))
-    _write_table(os.path.join(out, "ga.csv"), config, seed,
+    _write_table(out, {"ga.csv": ","}, config, seed,
                  ["generation", "best_r_c"], rows,
                  footer=[f"# champion_r_c {_fmt(result.fitness)}",
                          f"# evaluations {result.evaluations}"])
@@ -509,7 +532,8 @@ def run_command(name: str, config: Config, out: str = ".", seed: int | None = No
     if tail_fit is not None:
         config = _hashed({**config.resolved,
                           "sweep": {**config.resolved["sweep"], "tail_decades": tail_fit}})
-    os.makedirs(out, exist_ok=True)
+    if not os.path.isdir(out):
+        os.makedirs(out, exist_ok=True)
     return _HANDLERS[name](config, out, seed, threads)
 
 

@@ -36,6 +36,8 @@ SWEEP_KINDS = ("three_jump", "const_mu", "linear", "exponential")
 # exponent nu of the rate bound omega^nu * n_eq for the frictionless kinds;
 # the searched kinds default to the const-mu value.
 _KIND_NU = {"three_jump": 1.5, "const_mu": 2.0, "linear": 2.0, "exponential": 2.0}
+# each kind's default kappa, solved once rather than on every sweep point
+_KIND_KAPPA = {kind: optimal_cold_frequency(nu, 1.0)[1] for kind, nu in _KIND_NU.items()}
 
 # golden-section bracket of the linear and exponential kinds' duration
 # parameter (see build_point), and the steps of every golden-section search
@@ -87,10 +89,7 @@ class SweepSpec:
         return tuple(np.logspace(math.log10(self.t_max), math.log10(self.t_min), n).tolist())
 
     def kind_kappa(self) -> float:
-        if self.kappa is not None:
-            return self.kappa
-        _, kappa = optimal_cold_frequency(_KIND_NU[self.kind], 1.0)
-        return kappa
+        return self.kappa if self.kappa is not None else _KIND_KAPPA[self.kind]
 
 
 @dataclass(frozen=True)

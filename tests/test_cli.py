@@ -1,5 +1,6 @@
 """Configuration parsing, command dispatch and file emission."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from oracles import cross_check
 from test_cycle import count_dgeev
 
 from ottofridge.cli import (
+    DEFAULTS,
     ConfigError,
     cycle_spec_from_config,
     main,
@@ -30,6 +32,29 @@ def test_minimal_config_gets_defaults():
     # resolved config hashes are stable across parses
     assert parse_config('{"cycle": {"omega_h": 20.0, "omega_c": 2.0, '
                         '"T_h": 1.5, "T_c": 0.4, "Gamma": 0.7}}').sha256 == cfg.sha256
+
+
+def test_config_keeps_one_canonical_text(tmp_path):
+    cfg = parse_config('{"sweep": {"schedule": "three_jump", "t_max": 0.1, "t_min": 0.01}}')
+    assert cfg.canonical == json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
+    assert cfg.sha256 == hashlib.sha256(cfg.canonical.encode()).hexdigest()
+    # --tail-fit hashes a new resolved config; the header echoes its canonical text and hash
+    assert run_command("sweep", cfg, out=str(tmp_path), tail_fit=2.0) == 0
+    sha_line, _, config_line = (tmp_path / "sweep.csv").read_text().splitlines()[1:4]
+    canon = config_line[len("# config "):]
+    assert canon == json.dumps({**cfg.resolved, "sweep": {**cfg.resolved["sweep"],
+                                                          "tail_decades": 2.0}},
+                               sort_keys=True, separators=(",", ":"))
+    assert sha_line == f"# config_sha256 {hashlib.sha256(canon.encode()).hexdigest()}"
+    assert cfg.resolved["sweep"]["tail_decades"] == 1.0
+    # a resolved config shares no list or dict with the defaults
+    cfg.resolved["optimize"]["free"].append("omega_c")
+    cfg.resolved["cycle"]["expansion"]["kind"] = "linear"
+    assert DEFAULTS["optimize"]["free"] == ["tau_c", "tau_h"]
+    assert DEFAULTS["cycle"]["expansion"] == {"kind": "three_jump"}
+    again = parse_config('{"sweep": {"schedule": "three_jump", "t_max": 0.1, "t_min": 0.01}}')
+    assert again.resolved["optimize"]["free"] == ["tau_c", "tau_h"]
+    assert again.canonical != json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
 
 
 def test_negative_quantity_names_the_key():
@@ -229,6 +254,42 @@ def test_sweep_outputs_are_byte_identical(tmp_path):
                for line in lines)
 
 
+@pytest.mark.parametrize("command, config, names", [
+    ("sweep", {"sweep": {"schedule": "linear", "t_max": 0.1, "t_min": 0.01}},
+     ["sweep.csv", "sweep.dat"]),
+    ("simulate", {}, ["cycle.csv"]),
+])
+def test_files_rewritten_over_stale_ones_are_byte_identical(command, config, names, tmp_path):
+    # an existing file is written over in place and cut to the new length
+    text = json.dumps(config)
+
+    def run(name, stale=None):
+        out = tmp_path / name
+        if stale is not None:
+            out.mkdir()
+            for file in names:
+                (out / file).write_bytes(stale)
+        assert main([command, "--config", text, "--out", str(out)]) == 0
+        return [(out / file).read_bytes() for file in names]
+
+    fresh = run("fresh")
+    assert run("longer", b"# stale\n" * max(map(len, fresh))) == fresh
+    assert run("shorter", b"# stale\n") == fresh
+    # a new file gets the mode a plain open() for writing gives it
+    (tmp_path / "probe").write_text("")
+    mode = (tmp_path / "probe").stat().st_mode
+    assert all((tmp_path / "fresh" / file).stat().st_mode == mode for file in names)
+
+
+def test_refused_config_leaves_out_empty(tmp_path, capsys):
+    # refused while the config is read, and by run_command's own checks
+    assert main(["sweep", "--config", '{"sweep": {"t_min": -1}}',
+                 "--out", str(tmp_path / "new")]) == 2
+    assert not (tmp_path / "new").exists()
+    assert main(["sweep", "--out", str(tmp_path), "--seed", "-1"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_coarse_sweep_writes_its_csv_without_a_tail_fit(tmp_path, capsys):
     # one point a decade over eight decades: two points in the tail window
     cfg = json.dumps({"sweep": {"schedule": "three_jump", "t_max": 1e-1, "t_min": 1e-9,
@@ -373,11 +434,18 @@ def test_free_variables_and_bounds_are_checked_with_the_config(command, optimize
 
 @pytest.mark.parametrize("free", [["tau_c", "tau_h"], ["tau_c", "omega_c"]])
 def test_optimize_from_a_zero_base_time(free, tmp_path, capsys):
-    # a zero tau_c is no start (its log is undefined); the other starts search
+    # a zero tau_c is no start (its log is undefined); its box is centred on
+    # the z-equation allocation's tau_c, so the search reaches at least that
+    # allocation's R_c
     text = json.dumps({"cycle": {"tau_c": 0}, "optimize": {"free": free}})
     assert main(["optimize", "--config", text, "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.startswith("best R_c = ")
+    out = capsys.readouterr().out
+    assert out.startswith("best R_c = ")
     assert (tmp_path / "optimize.csv").exists()
+    _, z_record = limit_cycle(cycle_spec_from_config(parse_config(None)))
+    assert float(out.split()[3]) >= z_record.r_c * (1 - 1e-8)
+    if free == ["tau_c", "tau_h"]:
+        assert "(agrees within 1%)" in out
 
 
 def test_derived_compression_time_is_refused_with_the_config():

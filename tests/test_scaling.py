@@ -19,7 +19,12 @@ from ottofridge.cycle import (
     limit_cycle,
 )
 from ottofridge.dynamics import BathSpec, equilibrium_state, linear_ramp_pair
-from ottofridge.optimize import OptimizationSpec, optimize_time_allocation, solve_isochore_z
+from ottofridge.optimize import (
+    OptimizationSpec,
+    optimal_cold_frequency,
+    optimize_time_allocation,
+    solve_isochore_z,
+)
 from ottofridge.schedules import Schedule
 from ottofridge.scaling import (
     _GOLDEN_ITERS,
@@ -80,6 +85,13 @@ def small_sweep(kind, **kw):
 def tau_exponent(rows, tail_decades=None):
     pts = [(r.t_c, r.tau_hc) for r in rows if r.flag == 1]
     return fit_power_law(pts, tail_decades=tail_decades).delta
+
+
+@pytest.mark.parametrize("kind, nu", [("three_jump", 1.5), ("const_mu", 2.0),
+                                      ("linear", 2.0), ("exponential", 2.0)])
+def test_default_kappa_is_the_kinds_optimal_ratio(kind, nu):
+    assert SweepSpec(kind=kind).kind_kappa() == optimal_cold_frequency(nu, 1.0)[1]
+    assert SweepSpec(kind=kind, kappa=0.6).kind_kappa() == 0.6
 
 
 def test_three_jump_sweep_rows_and_tau_scaling():

@@ -29,7 +29,11 @@ read (exit 2) with a free omega_c for a piecewise_const branch
 (optimize-repeated-free); ga; sweeps of all
 four kinds with z and searched allocation, plus a deep three-jump sweep,
 both kinds of cold-frequency search, a threaded sweep and three ways of
-setting the tail window.
+setting the tail window.  Every run writes into a fresh directory except
+sweep-linear-z-over-stale: the linear z sweep again, into a directory first
+seeded with longer stale sweep.csv and sweep.dat (as repeated runs into one
+--out leave them).  Its files must be cut to length, so their lines in the
+manifest equal sweep-linear-z's.
 """
 
 from __future__ import annotations
@@ -87,6 +91,8 @@ RUNS = [
        {"sweep": {"schedule": kind, "allocation": allocation, **_WINDOW}}, [])
       for kind in ("three_jump", "const_mu", "linear", "exponential")
       for allocation in ("z", "searched")),
+    ("sweep-linear-z-over-stale", "sweep",
+     {"sweep": {"schedule": "linear", "allocation": "z", **_WINDOW}}, []),
     ("sweep-three_jump-deep", "sweep",
      {"sweep": {"schedule": "three_jump", "t_max": 1e-1, "t_min": 1e-6}}, []),
     ("sweep-exponential-omega-c", "sweep", {"sweep": {
@@ -104,6 +110,8 @@ RUNS = [
         "schedule": "three_jump", "t_max": 1e-1, "t_min": 1e-4},
         "command-defaults": {"tail_fit": 2.0}}, []),
 ]
+# files each such run's --out holds, longer than what the run writes, before it runs
+STALE = {"sweep-linear-z-over-stale": ("sweep.csv", "sweep.dat")}
 
 
 def sha(data: bytes) -> str:
@@ -138,6 +146,9 @@ def main(argv=None) -> int:
     lines = []
     for name, command, config, flags in RUNS:
         out = outdir / name
+        for stale in STALE.get(name, ()):
+            out.mkdir(parents=True, exist_ok=True)
+            (out / stale).write_bytes(b"# stale line\n" * 4096)
         code, console = run(cli_main, command, config, flags, out)
         (outdir / f"{name}.console").write_bytes(console)
         lines.append(f"run {name} exit {code} console {sha(console)}")
