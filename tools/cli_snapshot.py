@@ -21,7 +21,10 @@ checkouts and comparing the manifests:
 The runs cover every command: critical; simulate with each schedule block
 kind, and once on a map that contracts very slowly (1 - rho = 6e-6, solved
 directly; a solver that iterates the map to convergence fails it); optimize by Newton and by Nelder-Mead, once converging and once
-stopping at the iteration cap (which pins that warning), once each from a
+stopping at the iteration cap (which pins that warning), by Newton from
+isochore times of 3e-6 (optimize-near-unit), whose search sends trials
+through the dgeev branch where the max-norm bound does not certify the
+map, once each from a
 zero base tau_c, which is no start (optimize-zero-tau-c and
 optimize-nelder-mead-zero-tau-c, exit 0), and refused while the config is
 read (exit 2) with a free omega_c for a piecewise_const branch
@@ -70,6 +73,7 @@ RUNS = [
         "compression": {"kind": "const_mu", "mu": 0.7}}}, []),
     ("simulate-near-unit", "simulate", {"cycle": {"tau_c": 3e-6, "tau_h": 3e-6}}, []),
     ("optimize-newton", "optimize", {}, []),
+    ("optimize-near-unit", "optimize", {"cycle": {"tau_c": 3e-6, "tau_h": 3e-6}}, []),
     ("optimize-nelder-mead", "optimize", {
         "cycle": {**_RAMPS, "expansion": {"kind": "exponential", "duration": 2.0},
                   "compression": {"kind": "exponential", "duration": 3.0}},
