@@ -229,13 +229,29 @@ def _merge(path: str, defaults, user):
 
 @dataclass(frozen=True)
 class Config:
+    """A parsed, validated configuration.  ``resolved`` is what a command runs;
+    its canonical text and hash are derived from it when read, so an output
+    header names the config that ran even after a caller changed it."""
+
     resolved: dict
-    canonical: str      # resolved as sorted, compact JSON: echoed in every output header
-    sha256: str         # hash of canonical
+
+    @property
+    def canonical(self) -> str:
+        """``resolved`` as sorted, compact JSON: echoed in every output header."""
+        return json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
+
+    @property
+    def sha256(self) -> str:
+        """The hash of ``canonical``."""
+        return _digest(self.canonical)
 
     @property
     def defaults(self) -> dict:
         return self.resolved["command-defaults"]
+
+
+def _digest(canonical: str) -> str:
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def parse_config(source: str | None) -> Config:
@@ -276,13 +292,7 @@ def parse_config(source: str | None) -> Config:
     if resolved["sweep"]["schedule"] not in SWEEP_KINDS:
         raise ConfigError("sweep.schedule",
                           f"unknown schedule kind {resolved['sweep']['schedule']!r}")
-    return _hashed(resolved)
-
-
-def _hashed(resolved: dict) -> Config:
-    """The Config of a resolved config dict, with its canonical JSON and that text's hash."""
-    canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return Config(resolved, canon, hashlib.sha256(canon.encode()).hexdigest())
+    return Config(resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +397,12 @@ def _write_table(out: str, files: dict[str, str], config: Config, seed: int,
     """Write one table to each of ``files`` (name -> column separator) in ``out``.
 
     The header, the cells and the footer are formatted once; the files
-    differ only in the separator.
+    differ only in the separator.  The header's config echo and hash come
+    from one dump of the resolved config as it is now.
     """
-    head = (f"# ottofridge {__version__}\n# config_sha256 {config.sha256}\n"
-            f"# seed {seed}\n# config {config.canonical}\n")
+    canonical = config.canonical
+    head = (f"# ottofridge {__version__}\n# config_sha256 {_digest(canonical)}\n"
+            f"# seed {seed}\n# config {canonical}\n")
     cells = [columns] + [[_fmt(v) if isinstance(v, (int, float, np.integer, np.floating))
                           else str(v) for v in row] for row in rows]
     tail = "".join(line + "\n" for line in footer or ())
@@ -530,8 +542,8 @@ def run_command(name: str, config: Config, out: str = ".", seed: int | None = No
     seed = int(cd["seed"] if seed is None else seed)
     threads = int(cd["threads"] if threads is None else threads)
     if tail_fit is not None:
-        config = _hashed({**config.resolved,
-                          "sweep": {**config.resolved["sweep"], "tail_decades": tail_fit}})
+        config = Config({**config.resolved,
+                         "sweep": {**config.resolved["sweep"], "tail_decades": tail_fit}})
     if not os.path.isdir(out):
         os.makedirs(out, exist_ok=True)
     return _HANDLERS[name](config, out, seed, threads)

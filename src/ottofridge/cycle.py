@@ -38,9 +38,13 @@ from the gradient's parts, so a search can stop after the first.
 
 A search that varies only the isochore times takes its cycles from
 isochore_trials: the adiabat maps, both baths' equilibrium energies and the
-validated spec are built once per search, and a trial computes the two
-isochores and runs the one solve that limit_cycle runs (_solve), with its
-checks and bit for bit its record.
+constants of the fixed point are built once per search, and a trial
+computes the two isochores and runs the fixed-point solve that limit_cycle
+runs (_fixed_point), with its checks.  A trial returns the solved fixed
+point as a plain tuple and builds no CycleSpec or CycleRecord;
+trial_record builds them for a point a caller reads, bit for bit the record
+limit_cycle returns.  The derivative stages read the tuple as it is, and
+isochore_time_derivatives builds the same tuple from a record.
 """
 
 from __future__ import annotations
@@ -254,34 +258,45 @@ def _compose(maps) -> tuple[tuple, tuple]:
     return m, _iso_affine(hot, _affine(a_comp, (cold[3], 0.0, 0.0)))
 
 
-def _ledger(spec: CycleSpec, maps, m: tuple, k: tuple, lu, v: tuple, **diag) -> CycleRecord:
-    """Heat/work ledger of one cycle started from v at point A; (m, k) is the
-    maps' one-cycle map and lu the LU factors of I - M."""
-    a_exp, cold, a_comp, hot = maps
+def _ledger(spec: CycleSpec, point: tuple) -> CycleRecord:
+    """Heat/work ledger of ``spec``'s cycle started from the point's v_A; the
+    point's q_c, R_c and tau_total are taken as they are."""
+    r_c, q_c, tau, _, _, cold, hot, m, k, lu, v, v_c, rho, consts = point
+    a_exp, a_comp = consts[1], consts[2]
     v_d = _affine(a_exp, v)
-    v_c = _iso_affine(cold, v_d)
     v_b = _affine(a_comp, v_c)
     v_a2 = _iso_affine(hot, v_b)
     e_a, e_d, e_c_pt, e_b, e_a2 = v[0], v_d[0], v_c[0], v_b[0], v_a2[0]
-    q_c = e_c_pt - e_d                      # heat absorbed on the cold isochore
     q_h = e_b - e_a2                        # heat rejected on the hot isochore
     w = (e_d - e_a) + (e_b - e_c_pt)        # work input on the two adiabats
-    tau = spec.tau_total
-    r_c = q_c / tau if tau > 0 else 0.0
     sigma = ((-q_c / spec.cold_bath.temperature + q_h / spec.hot_bath.temperature) / tau
              if tau > 0 else 0.0)
     cop = q_c / w if abs(w) > 1e-300 else float("nan")
-    return _frozen(CycleRecord, {
-        "q_c": q_c, "q_h": q_h, "w": w, "tau_total": tau, "r_c": r_c, "sigma": sigma,
-        "cop": cop, "chain": (spec, maps, m, k, lu, (v, v_d, v_c, v_b, v_a2)), **diag})
+    fields = {"q_c": q_c, "q_h": q_h, "w": w, "tau_total": tau, "r_c": r_c, "sigma": sigma,
+              "cop": cop, "chain": (spec, (a_exp, cold, a_comp, hot), m, k, lu,
+                                    (v, v_d, v_c, v_b, v_a2))}
+    if rho is not None:
+        fields["spectral_radius"] = rho
+    return _frozen(CycleRecord, fields)
+
+
+def _constants(spec: CycleSpec, a_exp: tuple, a_comp: tuple) -> tuple:
+    """The parts of a fixed point that do not depend on the isochore times:
+    (spec, a_exp, a_comp, omega_c, Gamma_c, omega_h, Gamma_h, the expansion's
+    and the compression's duration)."""
+    return (spec, a_exp, a_comp, spec.omega_c, spec.cold_bath.conductance,
+            spec.omega_h, spec.hot_bath.conductance,
+            spec.expansion.duration, spec.compression.duration)
 
 
 def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, CycleRecord]:
     """Run a single cycle from state A; returns the new A state and the ledger."""
     if not math.isclose(state.omega, spec.omega_h, rel_tol=1e-9):
         raise ValueError("input state must sit at omega_h (cycle point A)")
-    maps = _branch_maps(spec)
-    record = _ledger(spec, maps, *_compose(maps), None, (state.e_h, state.e_l, state.e_c))
+    a_exp, cold, a_comp, hot = maps = _branch_maps(spec)
+    record = _ledger(spec, _point(_constants(spec, a_exp, a_comp), cold, hot, spec.tau_c,
+                                  spec.tau_h, *_compose(maps), None,
+                                  (state.e_h, state.e_l, state.e_c), None))
     *_, vs = record.chain
     return _state(vs[-1], spec.omega_h), record
 
@@ -353,22 +368,50 @@ def _check_contraction(gamma_c: float, tau_c: float, gamma_h: float, tau_h: floa
         raise NoContractionError("both isochores have Gamma*tau = 0; no contraction")
 
 
-def _solve(spec: CycleSpec, maps) -> CycleRecord:
-    """The limit-cycle record of ``spec`` on its float branch maps (see limit_cycle)."""
-    m, k = _compose(maps)
+# A solved fixed point, as a search trial returns it: the tuple
+#     (r_c, q_c, tau_total, tau_c, tau_h, cold, hot, m, k, lu, v_a, v_c, rho, consts)
+# with the isochores' scalars cold and hot, the one-cycle map (m, k), the LU
+# factors of I - M, the states at A and C, rho the spectral radius when dgeev
+# ran (the max-norm did not certify M), else None, and consts the parts that
+# do not depend on the isochore times (_constants).  _ledger builds the
+# CycleRecord of one; the derivative stages read one as it is.
+
+def _fixed_point(consts: tuple, cold: tuple, hot: tuple, tau_c: float, tau_h: float) -> tuple:
+    """The fixed point of the cycle with these isochores (see limit_cycle)."""
+    m, k = _compose((consts[1], cold, consts[2], hot))
     if not all(map(math.isfinite, m + k)):
         raise np.linalg.LinAlgError("cycle map must not contain infs or NaNs")
     m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-    diag = {}
+    rho = None
     if max(abs(m0) + abs(m1) + abs(m2), abs(m3) + abs(m4) + abs(m5),
            abs(m6) + abs(m7) + abs(m8)) > _NORM_CERTIFICATE:   # not certified
-        diag["spectral_radius"] = rho = _spectral_radius(m)
+        rho = _spectral_radius(m)
         if rho >= _RHO_LIMIT:
             raise NoContractionError(
                 f"cycle map spectral radius {rho:.12f} >= {_RHO_LIMIT!r}; no limit cycle")
-
     lu = _lu(m)
-    return _ledger(spec, maps, m, k, lu, _lu_solve(lu, k), **diag)
+    return _point(consts, cold, hot, tau_c, tau_h, m, k, lu, _lu_solve(lu, k), rho)
+
+
+def _point(consts: tuple, cold: tuple, hot: tuple, tau_c: float, tau_h: float,
+           m: tuple, k: tuple, lu, v: tuple, rho) -> tuple:
+    """The fixed-point tuple of the cycle started from v at point A, with
+    q_c, R_c and tau_total from one cycle."""
+    v_d = _affine(consts[1], v)
+    v_c = _iso_affine(cold, v_d)
+    q_c = v_c[0] - v_d[0]                   # heat absorbed on the cold isochore
+    tau = consts[7] + tau_c + consts[8] + tau_h
+    return (q_c / tau if tau > 0 else 0.0, q_c, tau, tau_c, tau_h, cold, hot, m, k, lu, v, v_c,
+            rho, consts)
+
+
+def _solve(spec: CycleSpec) -> CycleRecord:
+    """The limit-cycle record of ``spec`` (see limit_cycle)."""
+    _check_contraction(spec.cold_bath.conductance, spec.tau_c,
+                       spec.hot_bath.conductance, spec.tau_h)
+    a_exp, cold, a_comp, hot = _branch_maps(spec)
+    return _ledger(spec, _fixed_point(_constants(spec, a_exp, a_comp), cold, hot,
+                                      spec.tau_c, spec.tau_h))
 
 
 def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
@@ -384,25 +427,22 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     read.  A non-finite M raises LinAlgError.  The ledger is one cycle from
     the direct solution.  M, k and the ledger are computed on plain floats.
     """
-    _check_contraction(spec.cold_bath.conductance, spec.tau_c,
-                       spec.hot_bath.conductance, spec.tau_h)
-    record = _solve(spec, _branch_maps(spec))
+    record = _solve(spec)
     return _state(record.chain[-1][0], spec.omega_h), record
 
 
 def isochore_trials(base: CycleSpec):
-    """The limit-cycle record of ``base`` with its isochore times replaced, as
-    a function ``trial(tau_c, tau_h)`` of two times > 0.
+    """The fixed point of ``base`` with its isochore times replaced, as a
+    function ``trial(tau_c, tau_h)`` of two times > 0.
 
     What does not depend on the times is built once: both adiabat maps, each
-    bath's equilibrium energy and the validated fields of ``base``, which a
-    trial's CycleSpec copies with the two times replaced, so it keeps every
-    property CycleSpec checks.  A trial computes the two isochores and runs
-    limit_cycle's solve on them, with limit_cycle's checks: its record is bit
-    for bit the one limit_cycle returns for that CycleSpec, and it raises
-    what limit_cycle raises, a failed adiabat build included.
+    bath's equilibrium energy and the constants of the fixed-point tuple.  A
+    trial computes the two isochores and runs limit_cycle's fixed-point
+    solve on them, with limit_cycle's checks, and returns the tuple (see
+    _fixed_point); it raises what limit_cycle raises for the CycleSpec with
+    those times, a failed adiabat build included.  :func:`trial_record`
+    builds the record, bit for bit the one limit_cycle returns.
     """
-    fields = vars(base)
     omega_c, omega_h = base.omega_c, base.omega_h
     gamma_c, gamma_h = base.cold_bath.conductance, base.hot_bath.conductance
     _, e_eq_c = equilibrium_state(omega_c, base.cold_bath)
@@ -411,18 +451,26 @@ def isochore_trials(base: CycleSpec):
         a_exp, a_comp = _adiabat_maps(base)
     except BranchError:
         a_exp = a_comp = None           # each trial raises the failure again
+    consts = _constants(base, a_exp, a_comp)
 
-    def trial(tau_c: float, tau_h: float) -> CycleRecord:
+    def trial(tau_c: float, tau_h: float) -> tuple:
         if not (tau_c > 0.0 and tau_h > 0.0):
             raise ValueError(f"trial isochore durations must be > 0, got {tau_c!r}, {tau_h!r}")
         _check_contraction(gamma_c, tau_c, gamma_h, tau_h)
         if a_exp is None:
             _adiabat_maps(base)
-        return _solve(_frozen(CycleSpec, {**fields, "tau_c": tau_c, "tau_h": tau_h}),
-                      (a_exp, _isochore(omega_c, gamma_c, tau_c, e_eq_c),
-                       a_comp, _isochore(omega_h, gamma_h, tau_h, e_eq_h)))
+        return _fixed_point(consts, _isochore(omega_c, gamma_c, tau_c, e_eq_c),
+                            _isochore(omega_h, gamma_h, tau_h, e_eq_h), tau_c, tau_h)
 
     return trial
+
+
+def trial_record(point: tuple) -> CycleRecord:
+    """The limit-cycle record of a fixed point from :func:`isochore_trials`:
+    its CycleSpec is the trial's base with the point's isochore times."""
+    base = point[-1][0]
+    return _ledger(_frozen(CycleSpec, {**vars(base), "tau_c": point[3], "tau_h": point[4]}),
+                   point)
 
 
 def _generator(omega: float, gamma: float, u: tuple) -> tuple:
@@ -461,19 +509,21 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     For a cycle that heats the cold bath (q_c < 0) these are the derivatives
     of ln |R_c|; q_c = 0 raises ValueError.
     """
-    g, stage = _time_gradient(record)
-    return g, _time_hessian(record, stage)
+    spec, (a_exp, cold, a_comp, hot), m, k, lu, (v_a, _, v_c, _, _) = record.chain
+    point = (record.r_c, record.q_c, record.tau_total, spec.tau_c, spec.tau_h, cold, hot,
+             m, k, lu, v_a, v_c, None, _constants(spec, a_exp, a_comp))
+    g, stage = _time_gradient(point)
+    return g, _time_hessian(point, stage)
 
 
-def _time_gradient(record: CycleRecord) -> tuple[tuple, tuple]:
-    """The gradient (g_c, g_h) of isochore_time_derivatives and the parts of
-    it that its Hessian stage, _time_hessian, reads."""
-    spec, maps, m, _, lu, (v_a, _, v_c, _, _) = record.chain
-    if record.q_c == 0.0:
+def _time_gradient(point: tuple) -> tuple[tuple, tuple]:
+    """The gradient (g_c, g_h) of isochore_time_derivatives at a fixed point
+    (see _fixed_point) and the parts of it that its Hessian stage,
+    _time_hessian, reads."""
+    r_c, q, _, tau_c, tau_h, cold, hot, _, _, lu, v_a, v_c, _, consts = point
+    if q == 0.0:
         raise ValueError("ln |R_c| has no derivatives at q_c = 0")
-    a_exp, cold, a_comp, hot = maps
-    omega_c, gamma_c = spec.omega_c, spec.cold_bath.conductance
-    omega_h, gamma_h = spec.omega_h, spec.hot_bath.conductance
+    _, a_exp, a_comp, omega_c, gamma_c, omega_h, gamma_h, _, _ = consts
     hot_lin = hot[:3] + (0.0, 0.0)      # the hot isochore's linear part L_h
     f_c = _generator(omega_c, gamma_c, (v_c[0] - cold[4], v_c[1], v_c[2]))
     f_h = _generator(omega_h, gamma_h, (v_a[0] - hot[4], v_a[1], v_a[2]))
@@ -484,18 +534,15 @@ def _time_gradient(record: CycleRecord) -> tuple[tuple, tuple]:
     d_c_minus_1 = cold[0] - 1.0
     dq_c = d_c_minus_1 * x_tc[0] + f_c[0]
     dq_h = d_c_minus_1 * x_th[0]
-    q, r_c = record.q_c, record.r_c
-    g = (spec.tau_c * (dq_c - r_c) / q, spec.tau_h * (dq_h - r_c) / q)
+    g = (tau_c * (dq_c - r_c) / q, tau_h * (dq_h - r_c) / q)
     return g, (g, f_c, f_h, b_c, v_tc, v_th, x_tc, x_th, dq_c, dq_h)
 
 
-def _time_hessian(record: CycleRecord, stage: tuple) -> tuple:
+def _time_hessian(point: tuple, stage: tuple) -> tuple:
     """The Hessian of isochore_time_derivatives from its gradient stage."""
-    spec, maps, m, _, lu, _ = record.chain
+    r_c, q, tau, tau_c, tau_h, cold, hot, m, _, lu, _, _, _, consts = point
     (g_c, g_h), f_c, f_h, b_c, v_tc, v_th, x_tc, x_th, dq_c, dq_h = stage
-    a_exp, cold, a_comp, hot = maps
-    omega_c, gamma_c = spec.omega_c, spec.cold_bath.conductance
-    omega_h, gamma_h = spec.omega_h, spec.hot_bath.conductance
+    _, a_exp, a_comp, omega_c, gamma_c, omega_h, gamma_h, _, _ = consts
     # the isochores' linear parts L_c, L_h
     cold_lin, hot_lin = cold[:3] + (0.0, 0.0), hot[:3] + (0.0, 0.0)
 
@@ -519,8 +566,6 @@ def _time_hessian(record: CycleRecord, stage: tuple) -> tuple:
     q_ch = d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_ch))[0] - gamma_c * d_c * a_h
     q_hh = d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_hh))[0]
 
-    q, r_c, tau = record.q_c, record.r_c, record.tau_total
-    tau_c, tau_h = spec.tau_c, spec.tau_h
     r_tc, r_th = (dq_c - r_c) / tau, (dq_h - r_c) / tau
     h_ch = tau_c * tau_h * (q_ch - r_tc - r_th) / q - g_c * g_h
     return ((tau_c * tau_c * (q_cc - 2.0 * r_tc) / q - g_c * g_c + g_c, h_ch),

@@ -8,8 +8,11 @@ The Newton search over the isochore times is one function,
 search_isochore_times: optimize_time_allocation runs it once per start, and
 a searched sweep point calls it directly from its z-equation allocation.
 It builds its cycles' fixed parts once (cycle.isochore_trials), and takes
-the Hessian only where it builds a step.  A SearchTally counts what the
-searches of one call meet and raises their one warning.
+the Hessian only where it builds a step.  Its trials are bare fixed-point
+tuples: a CycleRecord is built (cycle.trial_record) only for a point a
+caller reads, a restart's winner or the z-equation comparison.  A
+SearchTally counts what the searches of one call meet, keeps the fixed
+point of each Newton trial and raises their one warning.
 
 All stochastic searches draw from a seeded PCG64 generator and reduce results
 in candidate order, so a fixed seed gives bit-identical output.
@@ -31,6 +34,7 @@ from .cycle import (
     _time_hessian,
     isochore_trials,
     limit_cycle,
+    trial_record,
 )
 from .schedules import Schedule, build_three_jump
 
@@ -220,8 +224,8 @@ class SearchTally:
     """What one or more searches met: their objective evaluations, the failed
     ones with a note on the first, the Newton searches that stopped short of
     their gradient tolerance, the Nelder-Mead searches stopped at their
-    iteration cap, and the record of each Newton point solved, by its
-    (tau_c, tau_h)."""
+    iteration cap, and the fixed point of each Newton point solved (a tuple
+    from cycle.isochore_trials), by its (tau_c, tau_h)."""
 
     evaluations: int = 0
     failures: int = 0
@@ -229,6 +233,12 @@ class SearchTally:
     unconverged: int = 0
     capped: int = 0
     solved: dict = field(default_factory=dict)
+
+    def record(self, tau_c: float, tau_h: float) -> CycleRecord | None:
+        """The record of the Newton point solved at (tau_c, tau_h), built now;
+        None when no search solved that point."""
+        point = self.solved.get((tau_c, tau_h))
+        return None if point is None else trial_record(point)
 
     def failed(self, values: dict, exc: Exception) -> None:
         self.failures += 1
@@ -308,31 +318,31 @@ def _projected(g: list, x: list, lo: list, hi: list) -> list:
     return [g0, g1]
 
 
-def _ascent_gradient(record, swapped: bool):
-    """(g, stage): g = grad R_c / |R_c| in (ln tau_c, ln tau_h), in the
-    search's order (tau_h first when ``swapped``), and the stage its Hessian
-    is built from; (None, None) where there are no derivatives.  g is
-    grad ln R_c where the cycle cools and leads a search that starts without
-    cooling uphill."""
-    if record is None or record.q_c == 0.0:
+def _ascent_gradient(point, swapped: bool):
+    """(g, stage): g = grad R_c / |R_c| in (ln tau_c, ln tau_h) at a fixed
+    point from cycle.isochore_trials, in the search's order (tau_h first
+    when ``swapped``), and the stage its Hessian is built from; (None, None)
+    where there are no derivatives.  g is grad ln R_c where the cycle cools
+    and leads a search that starts without cooling uphill."""
+    if point is None or point[1] == 0.0:
         return None, None
-    (g0, g1), stage = _time_gradient(record)
-    if record.q_c < 0.0:            # there grad R_c / |R_c| = -grad ln |R_c|
+    (g0, g1), stage = _time_gradient(point)
+    if point[1] < 0.0:              # q_c < 0: grad R_c / |R_c| = -grad ln |R_c|
         g0, g1 = -g0, -g1
     return ([g1, g0] if swapped else [g0, g1]), stage
 
 
-def _ascent_hessian(record, stage, swapped: bool) -> tuple:
+def _ascent_hessian(point, stage, swapped: bool) -> tuple:
     """The Jacobian of _ascent_gradient's g: the Hessian of ln |R_c| with the
     sign of R_c, in the same order."""
-    (h00, h01), (_, h11) = _time_hessian(record, stage)
-    if record.q_c < 0.0:
+    (h00, h01), (_, h11) = _time_hessian(point, stage)
+    if point[1] < 0.0:
         h00, h01, h11 = -h00, -h01, -h11
     return ((h11, h01), (h01, h00)) if swapped else ((h00, h01), (h01, h11))
 
 
 def search_isochore_times(base: CycleSpec, x: list, box: list, tally: SearchTally,
-                          start) -> tuple[dict, CycleRecord | None]:
+                          start) -> tuple[dict, tuple | None]:
     """Damped Newton ascent of ln R_c over the isochore times of ``base``.
 
     ``box`` is [(name, lo, hi)] for the names tau_c and tau_h in the order of
@@ -340,10 +350,11 @@ def search_isochore_times(base: CycleSpec, x: list, box: list, tally: SearchTall
     ``start`` is None or a point (x, values) whose values are used there as
     they are (a base's own times rather than exp of their logs).  The cycles
     come from one :func:`~ottofridge.cycle.isochore_trials` of ``base``, so
-    the adiabat maps and equilibrium energies are built once per search; a
-    domain failure makes a point a failed evaluation.  ``tally`` counts the
-    evaluations and failures, keeps each solved point's record and counts
-    the search as unconverged when it ends short of its tolerance.
+    the adiabat maps and equilibrium energies are built once per search, and
+    each point solved is a fixed-point tuple whose R_c is its first entry;
+    a domain failure makes a point a failed evaluation.  ``tally`` counts the
+    evaluations and failures, keeps each solved point's tuple and counts the
+    search as unconverged when it ends short of its tolerance.
 
     The gradient and exact Hessian of :func:`_ascent_gradient` and
     :func:`_ascent_hessian` are taken only where the step logic reads them:
@@ -355,9 +366,9 @@ def search_isochore_times(base: CycleSpec, x: list, box: list, tally: SearchTall
     -|diag|.  The step is halved until R_c does not fall or, with the Hessian
     unmodified, the projected gradient falls while R_c falls by at most
     _NEWTON_RTOL: near the optimum R_c changes only by rounding.  Returns
-    (values, record) of the last accepted iterate, which converged when its
-    projected max-norm gradient is at most _NEWTON_GTOL; the record is None
-    when the first point failed.
+    (values, point) of the last accepted iterate, which converged when its
+    projected max-norm gradient is at most _NEWTON_GTOL; the point is None
+    when the first point failed (cycle.trial_record builds its record).
     """
     trial = isochore_trials(base)
     swapped = box[0][0] == "tau_h"
@@ -369,23 +380,23 @@ def search_isochore_times(base: CycleSpec, x: list, box: list, tally: SearchTall
         values = _values_at(x, box, start)
         key = values["tau_c"], values["tau_h"]
         try:
-            record = tally.solved[key] = trial(*key)
+            point = tally.solved[key] = trial(*key)
         except DOMAIN_ERRORS as exc:
             tally.failed(values, exc)
             return values, None
-        return values, record
+        return values, point
 
-    values, record = evaluate(x)
-    g, stage = _ascent_gradient(record, swapped)
+    values, point = evaluate(x)
+    g, stage = _ascent_gradient(point, swapped)
     if g is None:
-        tally.unconverged += record is not None
-        return values, record
+        tally.unconverged += point is not None
+        return values, point
     for _ in range(_NEWTON_MAX_ITER):
         pg = _projected(g, x, lo, hi)
         gnorm = max(abs(pg[0]), abs(pg[1]))
         if gnorm <= _NEWTON_GTOL:
-            return values, record
-        h = _ascent_hessian(record, stage, swapped)
+            return values, point
+        h = _ascent_hessian(point, stage, swapped)
         free0, free1 = pg[0] == g[0], pg[1] == g[1]     # not held at a face
         h00 = h[0][0] if free0 else -1.0
         h11 = h[1][1] if free1 else -1.0
@@ -396,23 +407,24 @@ def search_isochore_times(base: CycleSpec, x: list, box: list, tally: SearchTall
         det = h00 * h11 - h01 * h01
         p0, p1 = (h01 * pg[1] - h11 * pg[0]) / det, (h01 * pg[0] - h00 * pg[1]) / det
         # the lowest R_c a trial may have and still be accepted
-        floor = record.r_c if modified else record.r_c - _NEWTON_RTOL * abs(record.r_c)
+        r_c = point[0]
+        floor = r_c if modified else r_c - _NEWTON_RTOL * abs(r_c)
         alpha = 1.0
         while True:
             xt = [min(max(x[0] + alpha * p0, lo0), hi0), min(max(x[1] + alpha * p1, lo1), hi1)]
             if xt == x:                 # no representable step is accepted
                 tally.unconverged += 1
-                return values, record
-            values_t, rec_t = evaluate(xt)
-            if rec_t is not None and rec_t.r_c >= floor:
-                g_t, stage_t = _ascent_gradient(rec_t, swapped)
-                if g_t is not None and (rec_t.r_c >= record.r_c or max(
+                return values, point
+            values_t, point_t = evaluate(xt)
+            if point_t is not None and point_t[0] >= floor:
+                g_t, stage_t = _ascent_gradient(point_t, swapped)
+                if g_t is not None and (point_t[0] >= r_c or max(
                         map(abs, _projected(g_t, xt, lo, hi))) < gnorm):
                     break
             alpha *= 0.5
-        x, values, record, g, stage = xt, values_t, rec_t, g_t, stage_t
+        x, values, point, g, stage = xt, values_t, point_t, g_t, stage_t
     tally.unconverged += 1
-    return values, record
+    return values, point
 
 
 def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
@@ -472,10 +484,13 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         rng = np.random.default_rng(spec.seed)
         starts += [rng.uniform(lo, hi).tolist() for _ in range(spec.restarts - len(starts))]
 
-    found = []              # (values, record) of each restart's best point
+    # (values, R_c, fixed point of a Newton search or Nelder-Mead record) of
+    # each restart's best point
+    found = []
     for x0 in starts[: spec.restarts]:
         if newton:
-            found.append(search_isochore_times(base, x0, box, tally, start))
+            values, point = search_isochore_times(base, x0, box, tally, start)
+            found.append((values, -math.inf if point is None else point[0], point))
             continue
         seen = {}
 
@@ -487,15 +502,17 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
                        options={"maxiter": _NM_MAX_ITER, "xatol": _NM_XTOL,
                                 "fatol": _NM_FTOL, "adaptive": True})
         tally.capped += not res.success     # with maxiter alone, its one way to fail
-        found.append(seen[tuple(res.x.tolist())])
+        values, record = seen[tuple(res.x.tolist())]
+        found.append((values, -math.inf if record is None else record.r_c, record))
     tally.warn()
 
-    results = tuple((values, record.r_c if record is not None else -math.inf)
-                    for values, record in found)
+    results = tuple((values, r_c) for values, r_c, _ in found)
     best = max(range(len(results)), key=lambda i: (results[i][1], -i))
-    best_values, best_record = found[best]
+    best_values, _, best_record = found[best]
     if best_record is None:         # every restart failed: raises that failure
         limit_cycle(apply_free_values(base, best_values))
+    if newton:                      # the record of the winner's fixed point
+        best_record = trial_record(best_record)
     best_spec = best_record.chain[0]
 
     z_comparison = None
@@ -504,7 +521,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         alloc = solve_isochore_z(base.hot_bath.conductance, base.cold_bath.conductance,
                                  base.expansion.duration + base.compression.duration)
         z_values = {"tau_c": alloc.tau_c, "tau_h": alloc.tau_h}
-        z_record = tally.solved.get((alloc.tau_c, alloc.tau_h))
+        z_record = tally.record(alloc.tau_c, alloc.tau_h)
         if z_record is None:        # not a point the search evaluated
             _, z_record = limit_cycle(apply_free_values(base, z_values))
         gap = abs(z_record.r_c - best_record.r_c) / max(abs(z_record.r_c), 1e-300)

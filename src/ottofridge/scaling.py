@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, limit_cycle
+from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, _solve, limit_cycle, trial_record
 from .dynamics import BathSpec, linear_ramp_pair
 from .optimize import (
     SearchTally,
@@ -220,17 +220,18 @@ def _allocate(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, om
     tau = max(alloc.tau_c, 1e-12)
     cycle = CycleSpec(hot, cold, omega_h, omega_c, expansion, compression, tau_c=tau, tau_h=tau)
     if spec.allocation == "z":
-        return cycle, limit_cycle(cycle)[1]
+        return cycle, _solve(cycle)
     x, lo, hi = math.log(tau), math.log(tau / 10.0), math.log(tau * 10.0)
     tally = SearchTally()
-    _, record = search_isochore_times(cycle, [x, x], [("tau_c", lo, hi), ("tau_h", lo, hi)],
-                                      tally, ([x, x], {"tau_c": tau, "tau_h": tau}))
+    _, point = search_isochore_times(cycle, [x, x], [("tau_c", lo, hi), ("tau_h", lo, hi)],
+                                     tally, ([x, x], {"tau_c": tau, "tau_h": tau}))
     tally.warn()
-    if record is None:              # the start failed: raises that failure
+    if point is None:               # the start failed: raises that failure
         limit_cycle(cycle)
     first = tally.solved[tau, tau]
-    if first.r_c > record.r_c:
-        record = first
+    if first[0] > point[0]:         # compare R_c
+        point = first
+    record = trial_record(point)
     return record.chain[0], record
 
 

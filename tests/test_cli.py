@@ -57,6 +57,22 @@ def test_config_keeps_one_canonical_text(tmp_path):
     assert again.canonical != json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
 
 
+def test_header_names_the_config_that_ran(tmp_path, capsys):
+    # a caller that changes a parsed config runs the changed values, and
+    # every header echoes and hashes them
+    cfg = parse_config('{"sweep": {"t_max": 0.1, "t_min": 0.05}}')
+    cfg.resolved["sweep"]["schedule"] = "const_mu"
+    assert run_command("sweep", cfg, out=str(tmp_path)) == 0
+    assert "sweep const_mu" in capsys.readouterr().out
+    canon = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
+    assert '"schedule":"const_mu"' in canon
+    for name in ("sweep.csv", "sweep.dat"):
+        sha_line, _, config_line = (tmp_path / name).read_text().splitlines()[1:4]
+        assert config_line == f"# config {canon}"
+        assert sha_line == f"# config_sha256 {hashlib.sha256(canon.encode()).hexdigest()}"
+    assert cfg.canonical == canon
+
+
 def test_negative_quantity_names_the_key():
     with pytest.raises(ConfigError, match="cycle.omega_c"):
         parse_config('{"cycle": {"omega_c": -1}}')

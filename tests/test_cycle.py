@@ -8,13 +8,14 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import cross_check, frictionless_ledger, propagator_matrix
 
 import ottofridge.cycle
 import ottofridge.dynamics
 from ottofridge.cycle import (
+    DOMAIN_ERRORS,
     BranchError,
     CycleRecord,
     CycleSpec,
@@ -24,11 +25,14 @@ from ottofridge.cycle import (
     _compose,
     _lu,
     _lu_solve,
+    _time_gradient,
+    _time_hessian,
     equilibration_bound,
     isochore_time_derivatives,
     isochore_trials,
     limit_cycle,
     run_one_cycle,
+    trial_record,
 )
 from ottofridge.dynamics import (
     BathSpec,
@@ -194,13 +198,14 @@ def leg_specs():
 
 
 def test_isochore_trials_are_limit_cycle_records():
-    # a trial of the search is limit_cycle on the CycleSpec with those
-    # times, bit for bit: the spec, the maps, M, k, the LU factors, the chain
-    # and the ledger; and it fails where limit_cycle fails, with its message
+    # the record of a search trial's fixed point is limit_cycle's on the
+    # CycleSpec with those times, bit for bit: the spec, the maps, M, k, the
+    # LU factors, the chain and the ledger; and a trial fails where
+    # limit_cycle fails, with its message
     for spec in leg_specs():
         trial = isochore_trials(spec)
         for tau_c, tau_h in ((spec.tau_c, spec.tau_h), (0.05, 7.0), (4.5, 1e-3)):
-            record = trial(tau_c, tau_h)
+            record = trial_record(trial(tau_c, tau_h))
             _, expected = limit_cycle(replace(spec, tau_c=tau_c, tau_h=tau_h))
             assert record == expected and record.chain == expected.chain
             assert vars(record.chain[0]) == vars(expected.chain[0])
@@ -217,6 +222,95 @@ def test_isochore_trials_are_limit_cycle_records():
         with pytest.raises(BranchError) as err:
             trial(1.0, 1.0)
         assert str(err.value) == str(expected.value)
+
+
+def trial_examples():
+    """One cycle for each way a trial can end: a map the max-norm does not
+    certify (dgeev runs), a cycle that heats the cold bath, a radius at the
+    contraction limit and an adiabat past the Bessel limit."""
+    beyond = Schedule.linear(10.0, 1.0, 2.0**53)
+    return {"uncertified": frictionless_spec(tau_c=3e-6, tau_h=3e-6),
+            "heating": frictionless_spec(t_c=0.1, tau_c=0.5, tau_h=2.0),
+            "no_contraction": frictionless_spec(tau_c=1e-11, tau_h=1e-11),
+            "branch": replace(frictionless_spec(tau_c=1.0, tau_h=1.0), expansion=beyond,
+                              compression=Schedule.linear(1.0, 10.0, 1.0))}
+
+
+@st.composite
+def trial_spec(draw):
+    """A cycle of any of the four sweep kinds with isochore times from 1e-11
+    to 10 over its bath's conductance: cooling and heating cycles, certified
+    and uncertified maps, and maps at the contraction limit."""
+    omega_h = draw(st.floats(2.0, 60.0))
+    omega_c = omega_h / draw(st.floats(1.2, 30.0))
+    t_h = draw(st.floats(0.5, 2.0))
+    hot = BathSpec(t_h, draw(st.floats(0.3, 3.0)))
+    cold = BathSpec(draw(st.floats(0.02, 0.9)) * t_h, draw(st.floats(0.3, 3.0)))
+    kind = draw(st.sampled_from(["three_jump", "const_mu", "linear", "exponential"]))
+    if kind == "three_jump":
+        expansion = build_three_jump(omega_h, omega_c)
+        compression = build_three_jump(omega_c, omega_h)
+    elif kind == "const_mu":
+        mu = -draw(st.floats(0.2, 3.0))
+        expansion = Schedule.const_mu(omega_h, omega_c, mu)
+        compression = Schedule.const_mu(omega_c, omega_h, -mu)
+    else:
+        build = getattr(Schedule, kind)
+        expansion = build(omega_h, omega_c, draw(st.floats(0.05, 3.0)))
+        compression = build(omega_c, omega_h, draw(st.floats(0.05, 3.0)))
+    tau_c, tau_h = (10.0 ** draw(st.floats(-11.0, 1.0)) / bath.conductance
+                    for bath in (cold, hot))
+    return CycleSpec(hot, cold, omega_h, omega_c, expansion, compression,
+                     tau_c=tau_c, tau_h=tau_h)
+
+
+def test_trial_examples_take_each_branch():
+    cases = trial_examples()
+    record = limit_cycle(cases["uncertified"])[1]
+    m = record.chain[2]
+    assert max(abs(m[i]) + abs(m[i + 1]) + abs(m[i + 2]) for i in (0, 3, 6)) \
+        > ottofridge.cycle._NORM_CERTIFICATE
+    assert "spectral_radius" in vars(record)           # dgeev ran in the solve
+    assert limit_cycle(cases["heating"])[1].q_c < 0.0
+    with pytest.raises(NoContractionError):
+        limit_cycle(cases["no_contraction"])
+    with pytest.raises(BranchError):
+        limit_cycle(cases["branch"])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trial_spec())
+@example(trial_examples()["uncertified"])
+@example(trial_examples()["heating"])
+@example(trial_examples()["no_contraction"])
+@example(trial_examples()["branch"])
+def test_trial_fixed_points_are_limit_cycle_records(spec):
+    # a search trial's fixed point, from a base with other isochore times,
+    # gives limit_cycle's record bit for bit, the radius dgeev computed in
+    # the solve included; the search's derivative stages on it are
+    # isochore_time_derivatives of that record bit for bit; and a trial
+    # raises what limit_cycle raises, with its message
+    trial = isochore_trials(replace(spec, tau_c=1.0, tau_h=1.0))
+    with pytest.raises(ValueError, match="must be > 0"):
+        trial(0.0, spec.tau_h)
+    try:
+        _, expected = limit_cycle(spec)
+    except DOMAIN_ERRORS as exc:
+        with pytest.raises(type(exc)) as err:
+            trial(spec.tau_c, spec.tau_h)
+        assert str(err.value) == str(exc)
+        return
+    point = trial(spec.tau_c, spec.tau_h)
+    record = trial_record(point)
+    assert repr(record) == repr(expected)       # bit for bit, a nan cop included
+    assert record.chain == expected.chain
+    assert vars(record.chain[0]) == vars(expected.chain[0])
+    assert vars(record).get("spectral_radius") == vars(expected).get("spectral_radius")
+    assert point[:3] == (expected.r_c, expected.q_c, expected.tau_total)
+    if expected.q_c != 0.0:
+        g, stage = _time_gradient(point)
+        assert (g, _time_hessian(point, stage)) == isochore_time_derivatives(expected)
 
 
 def test_propagate_isochore_is_the_cycle_isochore():

@@ -12,7 +12,13 @@ from test_cycle import frictionless_spec, non_float_entries, record_ledgers
 
 import ottofridge.cycle
 import ottofridge.optimize
-from ottofridge.cycle import CycleSpec, NoContractionError, isochore_time_derivatives, limit_cycle
+from ottofridge.cycle import (
+    CycleSpec,
+    NoContractionError,
+    isochore_time_derivatives,
+    isochore_trials,
+    limit_cycle,
+)
 from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.optimize import (
     OptimizationSpec,
@@ -347,14 +353,14 @@ def test_ga_rejects_tiny_population():
 def test_optimize_reports_failures_in_one_warning(monkeypatch):
     # a search meets many failed evaluations; they are counted and reported
     # once per search, not once per evaluation
-    solve = ottofridge.cycle._solve
+    solve = ottofridge.cycle._fixed_point
 
-    def fails_above(spec, maps):
-        if spec.tau_c > 1.3:
+    def fails_above(consts, cold, hot, tau_c, tau_h):
+        if tau_c > 1.3:
             raise NoContractionError("injected")
-        return solve(spec, maps)
+        return solve(consts, cold, hot, tau_c, tau_h)
 
-    monkeypatch.setattr(ottofridge.cycle, "_solve", fails_above)
+    monkeypatch.setattr(ottofridge.cycle, "_fixed_point", fails_above)
     spec = OptimizationSpec(
         base=make_base(), free=("tau_c", "tau_h"),
         bounds={"tau_c": (1e-2, 50.0), "tau_h": (1e-2, 50.0)},
@@ -396,9 +402,10 @@ def test_on_demand_hessian_is_isochore_time_derivatives():
         (g0, g1), ((h00, h01), (h10, h11)) = isochore_time_derivatives(record)
         sign = 1.0 if record.q_c > 0 else -1.0
         signs.append(sign)
+        point = isochore_trials(spec)(spec.tau_c, spec.tau_h)
         for swapped in (False, True):
-            g, stage = _ascent_gradient(record, swapped)
-            h = _ascent_hessian(record, stage, swapped)
+            g, stage = _ascent_gradient(point, swapped)
+            h = _ascent_hessian(point, stage, swapped)
             if swapped:
                 assert g == [sign * g1, sign * g0]
                 assert h == ((sign * h11, sign * h10), (sign * h01, sign * h00))
@@ -428,13 +435,13 @@ def test_optimize_reuses_each_restarts_best_record(monkeypatch):
     # no cycle solved beyond the search's own evaluations and the
     # z-equation comparison: each restart keeps its best record
     calls = []
-    solve = ottofridge.cycle._solve
+    solve = ottofridge.cycle._fixed_point
 
-    def counting(spec, maps):
-        calls.append(spec)
-        return solve(spec, maps)
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
 
-    monkeypatch.setattr(ottofridge.cycle, "_solve", counting)
+    monkeypatch.setattr(ottofridge.cycle, "_fixed_point", counting)
     bounds = {"tau_c": (1e-2, 50.0), "tau_h": (1e-2, 50.0), "omega_c": (0.3, 3.0)}
     newton = optimize_time_allocation(OptimizationSpec(
         base=make_base(), free=("tau_c", "tau_h"), bounds=bounds, seed=11, restarts=3))

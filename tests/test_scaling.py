@@ -17,6 +17,7 @@ from ottofridge.cycle import (
     isochore_time_derivatives,
     isochore_trials,
     limit_cycle,
+    trial_record,
 )
 from ottofridge.dynamics import BathSpec, equilibrium_state, linear_ramp_pair
 from ottofridge.optimize import (
@@ -210,14 +211,15 @@ def test_omega_c_search_reuses_its_winner(monkeypatch):
 
 
 def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
-    # the winner's cycle comes from the searches themselves: one
-    # isochore-time search per golden-section evaluation, none after it
+    # the winner's record is built from a fixed point the searches
+    # themselves solved: one isochore-time search per golden-section
+    # evaluation, none after it
     searches = []
     search = ottofridge.scaling.search_isochore_times
 
     def counting(base, x, box, tally, start):
         result = search(base, x, box, tally, start)
-        searches.append([record.chain[0] for record in tally.solved.values()])
+        searches.append(dict(tally.solved))
         return result
 
     monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", counting)
@@ -225,21 +227,24 @@ def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
                        allocation="searched")
     cycle, record = build_point(spec, 0.05)
     assert len(searches) == _GOLDEN_ITERS + 2
-    assert any(cycle is found for solved in searches for found in solved)
+    assert any(record.chain[4] is point[9] and (cycle.tau_c, cycle.tau_h) == times
+               for solved in searches for times, point in solved.items())
     assert record.chain[0] is cycle
 
 
 def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
-    # a searched sweep point reuses the records of its isochore-time
+    # a searched sweep point reuses the fixed points of its isochore-time
     # searches: every cycle it solves is a search's own trial, none in the
-    # golden section or for the row, and each search starts at exactly its
-    # z-allocation
+    # golden section or for the row, each search starts at exactly its
+    # z-allocation, and a search builds at most two CycleRecords (it builds
+    # one, its winner's), not one per trial
+    records = record_ledgers(monkeypatch)
     calls, searches = [], []
-    search, solve = ottofridge.scaling.search_isochore_times, ottofridge.cycle._solve
+    search, solve = ottofridge.scaling.search_isochore_times, ottofridge.cycle._fixed_point
 
-    def counting(spec, maps):
-        calls.append(spec)
-        return solve(spec, maps)
+    def counting(consts, cold, hot, tau_c, tau_h):
+        calls.append((tau_c, tau_h))
+        return solve(consts, cold, hot, tau_c, tau_h)
 
     def recording(base, x, box, tally, start):
         first = len(calls)
@@ -247,7 +252,7 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
         searches.append((base, tally, calls[first:]))
         return result
 
-    monkeypatch.setattr(ottofridge.cycle, "_solve", counting)
+    monkeypatch.setattr(ottofridge.cycle, "_fixed_point", counting)
     monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", recording)
     spec = small_sweep("exponential", t_max=1e-1, t_min=1e-1 * 10**-0.05,
                        allocation="searched")
@@ -258,8 +263,9 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
     for base, tally, made in searches:
         z = solve_isochore_z(spec.gamma, spec.gamma,
                              base.expansion.duration + base.compression.duration)
-        assert (made[0].tau_c, made[0].tau_h) == (z.tau_c, z.tau_h)
+        assert made[0] == (z.tau_c, z.tau_h)
         assert len(made) == tally.evaluations
+    assert len(records) <= 2 * len(searches) < len(calls)
 
 
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
@@ -333,7 +339,7 @@ def test_searched_point_keeps_a_z_start_that_beats_its_search(monkeypatch):
     tau = solve_isochore_z(spec.gamma, spec.gamma, 2.0 * duration).tau_c
     assert (cycle.tau_c, cycle.tau_h) == (tau, tau)
     corner = math.exp(math.log(tau / 10.0)), math.exp(math.log(tau * 10.0))
-    assert record.r_c > isochore_trials(cycle)(*corner).r_c
+    assert record.r_c > trial_record(isochore_trials(cycle)(*corner)).r_c
     result = optimize_time_allocation(OptimizationSpec(
         base=cycle, free=("tau_c", "tau_h"), restarts=1,
         bounds={"tau_c": (tau / 10.0, tau * 10.0), "tau_h": (tau / 10.0, tau * 10.0)}))
@@ -361,9 +367,9 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
     search = ottofridge.scaling.search_isochore_times
 
     def recording(base, x, box, tally, start):
-        values, record = search(base, x, box, tally, start)
-        searches.append((base, record, tally))
-        return values, record
+        values, point = search(base, x, box, tally, start)
+        searches.append((base, trial_record(point), tally))
+        return values, point
 
     monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", recording)
     spec = SweepSpec(kind="exponential", omega_h=100.0, t_hot=1.0, gamma=1.0, t_max=1e-1,
