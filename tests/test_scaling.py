@@ -496,14 +496,23 @@ def test_linear_sweep_past_the_bessel_limit_is_a_failed_point():
 ], ids=lambda options: "-".join(v if isinstance(v, str) else k for k, v in options.items()))
 def test_sweep_kernel_runs_on_python_floats(monkeypatch, options):
     # the grid's T_c, and with it omega_c, every branch map, M, the LU
-    # factors and the ledger, are Python floats, never numpy scalars
-    records = record_ledgers(monkeypatch)
+    # factors and the ledger, are Python floats, never numpy scalars: in
+    # every record built and in every fixed point solved, a search trial's
+    # included
+    records, points = record_ledgers(monkeypatch), []
+    solve = ottofridge.cycle._fixed_point
+
+    def recording(*args):
+        points.append(solve(*args))
+        return points[-1]
+
+    monkeypatch.setattr(ottofridge.cycle, "_fixed_point", recording)
     spec = small_sweep(t_max=1e-1, t_min=1e-2, points_per_decade=1, **options)
     assert all(type(t) is float for t in spec.grid)
     rows = temperature_sweep(spec).rows
     assert len(rows) == 2 and all(r.flag == 1 for r in rows)
-    assert records
-    for record in records:
+    assert records and len(points) >= len(records)
+    for record in records + [trial_record(point) for point in points]:
         assert non_float_entries(record) == []
 
 
