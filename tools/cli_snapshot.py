@@ -20,18 +20,23 @@ checkouts and comparing the manifests:
 
 The runs cover every command: critical; simulate with each schedule block
 kind, and once on a map that contracts very slowly (1 - rho = 6e-6, solved
-directly; a solver that iterates the map to convergence fails it); optimize by Newton and by Nelder-Mead, once converging and once
-stopping at the iteration cap (which pins that warning), by Newton from
+directly; a solver that iterates the map to convergence fails it); optimize
+by Newton and by Nelder-Mead, once converging and once stopping at the
+iteration cap (which pins that warning), by Newton with the free times
+listed tau_h first (optimize-newton-swapped: the search's swapped
+coordinate order, which does not reach the same digits), by Newton from
 isochore times of 3e-6 (optimize-near-unit), whose search sends trials
 through the dgeev branch where the max-norm bound does not certify the
-map, once each from a
+map and whose restarts stop at a corner of the box, once each from a
 zero base tau_c, which is no start (optimize-zero-tau-c and
 optimize-nelder-mead-zero-tau-c, exit 0), and refused while the config is
 read (exit 2) with a free omega_c for a piecewise_const branch
 (optimize-piecewise-omega-c) and with a free name listed twice
 (optimize-repeated-free); ga; sweeps of all
 four kinds with z and searched allocation, plus a deep three-jump sweep,
-both kinds of cold-frequency search, a threaded sweep and three ways of
+both kinds of cold-frequency search and, on a two-point linear window,
+the cold-frequency search over searched points (two nested golden
+sections), a threaded sweep and three ways of
 setting the tail window.  Every run writes into a fresh directory except
 sweep-linear-z-over-stale: the linear z sweep again, into a directory first
 seeded with longer stale sweep.csv and sweep.dat (as repeated runs into one
@@ -73,6 +78,7 @@ RUNS = [
         "compression": {"kind": "const_mu", "mu": 0.7}}}, []),
     ("simulate-near-unit", "simulate", {"cycle": {"tau_c": 3e-6, "tau_h": 3e-6}}, []),
     ("optimize-newton", "optimize", {}, []),
+    ("optimize-newton-swapped", "optimize", {"optimize": {"free": ["tau_h", "tau_c"]}}, []),
     ("optimize-near-unit", "optimize", {"cycle": {"tau_c": 3e-6, "tau_h": 3e-6}}, []),
     ("optimize-nelder-mead", "optimize", {
         "cycle": {**_RAMPS, "expansion": {"kind": "exponential", "duration": 2.0},
@@ -104,6 +110,9 @@ RUNS = [
     ("sweep-const_mu-searched-omega-c", "sweep", {"sweep": {
         "schedule": "const_mu", "allocation": "searched", "optimize_omega_c": True,
         **_WINDOW}}, []),
+    ("sweep-linear-searched-omega-c", "sweep", {"sweep": {
+        "schedule": "linear", "allocation": "searched", "optimize_omega_c": True,
+        "t_max": 1e-1, "t_min": 1e-1 * 10**-0.2}}, []),
     ("sweep-linear-threads", "sweep", {"sweep": {"schedule": "linear", **_WINDOW}},
      ["--threads", "2"]),
     ("sweep-tail-decades-2", "sweep", {"sweep": {
