@@ -43,8 +43,10 @@ computes the two isochores and runs the fixed-point solve that limit_cycle
 runs (_fixed_point), with its checks.  A trial returns the solved fixed
 point as a plain tuple and builds no CycleSpec or CycleRecord;
 trial_record builds them for a point a caller reads, bit for bit the record
-limit_cycle returns.  The derivative stages read the tuple as it is, and
-isochore_time_derivatives builds the same tuple from a record.
+limit_cycle returns: a search's winner, and one record per sweep point,
+whose golden sections compare tuples.  The derivative stages read the
+tuple as it is, and isochore_time_derivatives builds the same tuple from a
+record.
 """
 
 from __future__ import annotations

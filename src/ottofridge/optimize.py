@@ -8,11 +8,14 @@ The Newton search over the isochore times is one function,
 search_isochore_times: optimize_time_allocation runs it once per start, and
 a searched sweep point calls it directly from its z-equation allocation.
 It builds its cycles' fixed parts once (cycle.isochore_trials), and takes
-the Hessian only where it builds a step.  Its trials are bare fixed-point
-tuples: a CycleRecord is built (cycle.trial_record) only for a point a
-caller reads, a restart's winner or the z-equation comparison.  A
-SearchTally counts what the searches of one call meet, keeps the fixed
-point of each Newton trial and raises their one warning.
+the Hessian only where it builds a step.  Its loop runs on floats, and its
+trials are bare fixed-point tuples keyed by their (tau_c, tau_h): a dict of
+free values is built only for the point a search returns, and a
+CycleRecord (cycle.trial_record) only for a point a caller reads, a
+restart's winner, the z-equation comparison or a sweep point's winner.  A
+SearchTally counts what the searches of one call meet, searches that end
+held at a face of their box included, keeps the fixed point of each Newton
+trial and raises their one warning.
 
 All stochastic searches draw from a seeded PCG64 generator and reduce results
 in candidate order, so a fixed seed gives bit-identical output.
@@ -223,14 +226,17 @@ class OptimizationResult:
 class SearchTally:
     """What one or more searches met: their objective evaluations, the failed
     ones with a note on the first, the Newton searches that stopped short of
-    their gradient tolerance, the Nelder-Mead searches stopped at their
-    iteration cap, and the fixed point of each Newton point solved (a tuple
-    from cycle.isochore_trials), by its (tau_c, tau_h)."""
+    their gradient tolerance, the Newton searches that ended with a time
+    held at a face of the box by a gradient pointing out, the Nelder-Mead
+    searches stopped at their iteration cap, and the fixed point of each
+    Newton point solved (a tuple from cycle.isochore_trials), by its
+    (tau_c, tau_h)."""
 
     evaluations: int = 0
     failures: int = 0
     first_failure: str = ""
     unconverged: int = 0
+    held: int = 0
     capped: int = 0
     solved: dict = field(default_factory=dict)
 
@@ -254,6 +260,9 @@ class SearchTally:
         if self.unconverged:
             notes.append(f"{self.unconverged} Newton searches stopped with a projected "
                          f"|grad ln R_c| above {_NEWTON_GTOL:g}")
+        if self.held:
+            notes.append(f"{self.held} Newton searches ended with a time held at a face "
+                         f"of the box by a gradient pointing out")
         if self.capped:
             notes.append(f"{self.capped} Nelder-Mead searches stopped at the "
                          f"{_NM_MAX_ITER}-iteration cap")
@@ -306,18 +315,6 @@ def apply_free_values(base: CycleSpec, values: dict) -> CycleSpec:
                      compression, tau_c=tau_c, tau_h=tau_h)
 
 
-def _projected(g: list, x: list, lo: list, hi: list) -> list:
-    """The two-coordinate g with the components that point out of the box at
-    its faces set to 0."""
-    g0, g1 = g
-    x0, x1 = x
-    if (x0 <= lo[0] and g0 < 0.0) or (x0 >= hi[0] and g0 > 0.0):
-        g0 = 0.0
-    if (x1 <= lo[1] and g1 < 0.0) or (x1 >= hi[1] and g1 > 0.0):
-        g1 = 0.0
-    return [g0, g1]
-
-
 def _ascent_gradient(point, swapped: bool):
     """(g, stage): g = grad R_c / |R_c| in (ln tau_c, ln tau_h) at a fixed
     point from cycle.isochore_trials, in the search's order (tau_h first
@@ -341,7 +338,7 @@ def _ascent_hessian(point, stage, swapped: bool) -> tuple:
     return ((h11, h01), (h01, h00)) if swapped else ((h00, h01), (h01, h11))
 
 
-def search_isochore_times(base: CycleSpec, x: list, box: list, tally: SearchTally,
+def search_isochore_times(base: CycleSpec, x: tuple | list, box: list, tally: SearchTally,
                           start) -> tuple[dict, tuple | None]:
     """Damped Newton ascent of ln R_c over the isochore times of ``base``.
 
@@ -351,80 +348,104 @@ def search_isochore_times(base: CycleSpec, x: list, box: list, tally: SearchTall
     they are (a base's own times rather than exp of their logs).  The cycles
     come from one :func:`~ottofridge.cycle.isochore_trials` of ``base``, so
     the adiabat maps and equilibrium energies are built once per search, and
-    each point solved is a fixed-point tuple whose R_c is its first entry;
-    a domain failure makes a point a failed evaluation.  ``tally`` counts the
-    evaluations and failures, keeps each solved point's tuple and counts the
-    search as unconverged when it ends short of its tolerance.
+    each point solved is a fixed-point tuple whose R_c is its first entry; a
+    domain failure makes a point a failed evaluation.  ``tally`` counts the
+    evaluations and failures, keeps each solved point's tuple by its
+    (tau_c, tau_h), and counts the search as unconverged when it ends short
+    of its tolerance and as held when it ends with a time held at a face.
 
-    The gradient and exact Hessian of :func:`_ascent_gradient` and
-    :func:`_ascent_hessian` are taken only where the step logic reads them:
-    the gradient at the start and at trials that fall by at most
-    _NEWTON_RTOL, the Hessian where a step is built.  Rows and columns of a
-    coordinate held at a face of the box by a gradient pointing out are
-    dropped.  R_c ripples in tau_h with period pi/omega_h, so the curvature
-    can be positive; a Hessian that is not negative definite is replaced by
-    -|diag|.  The step is halved until R_c does not fall or, with the Hessian
-    unmodified, the projected gradient falls while R_c falls by at most
-    _NEWTON_RTOL: near the optimum R_c changes only by rounding.  Returns
-    (values, point) of the last accepted iterate, which converged when its
-    projected max-norm gradient is at most _NEWTON_GTOL; the point is None
-    when the first point failed (cycle.trial_record builds its record).
+    The loop runs on floats: the two coordinates, the projected gradient
+    and the step are plain locals, a trial is keyed by its (tau_c, tau_h),
+    and the dict of free values is built only for the point returned and
+    for a failure note.  The gradient and exact Hessian of
+    :func:`_ascent_gradient` and :func:`_ascent_hessian` are taken only
+    where the step logic reads them: the gradient at the start and at
+    trials that fall by at most _NEWTON_RTOL, the Hessian where a step is
+    built.  Rows and columns of a coordinate held at a face of the box by a
+    gradient pointing out are dropped.  R_c ripples in tau_h with period
+    pi/omega_h, so the curvature can be positive; a Hessian that is not
+    negative definite is replaced by -|diag|.  The step is halved until R_c
+    does not fall or, with the Hessian unmodified, the projected gradient
+    falls while R_c falls by at most _NEWTON_RTOL: near the optimum R_c
+    changes only by rounding.  Returns (values, point) of the last accepted
+    iterate, which converged when its projected max-norm gradient is at
+    most _NEWTON_GTOL; the point is None when the first point failed
+    (cycle.trial_record builds its record).
     """
     trial = isochore_trials(base)
-    swapped = box[0][0] == "tau_h"
-    (_, lo0, hi0), (_, lo1, hi1) = box
-    lo, hi = [lo0, lo1], [hi0, hi1]
+    (name0, lo0, hi0), (name1, lo1, hi1) = box
+    swapped = name0 == "tau_h"
+    if start is not None:
+        (s0, s1), start_values = start
+        start_key = start_values["tau_c"], start_values["tau_h"]
 
-    def evaluate(x):
+    def values(key):
+        """The free values of the trial key (tau_c, tau_h), in the box's order."""
+        return {name0: key[1], name1: key[0]} if swapped else {name0: key[0], name1: key[1]}
+
+    def evaluate(x0, x1):
         tally.evaluations += 1
-        values = _values_at(x, box, start)
-        key = values["tau_c"], values["tau_h"]
+        if start is not None and x0 == s0 and x1 == s1:
+            key = start_key
+        else:
+            t0, t1 = math.exp(min(max(x0, lo0), hi0)), math.exp(min(max(x1, lo1), hi1))
+            key = (t1, t0) if swapped else (t0, t1)
         try:
             point = tally.solved[key] = trial(*key)
         except DOMAIN_ERRORS as exc:
-            tally.failed(values, exc)
-            return values, None
-        return values, point
+            tally.failed(values(key), exc)
+            return key, None
+        return key, point
 
-    values, point = evaluate(x)
+    x0, x1 = x
+    key, point = evaluate(x0, x1)
     g, stage = _ascent_gradient(point, swapped)
     if g is None:
         tally.unconverged += point is not None
-        return values, point
-    for _ in range(_NEWTON_MAX_ITER):
-        pg = _projected(g, x, lo, hi)
-        gnorm = max(abs(pg[0]), abs(pg[1]))
-        if gnorm <= _NEWTON_GTOL:
-            return values, point
-        h = _ascent_hessian(point, stage, swapped)
-        free0, free1 = pg[0] == g[0], pg[1] == g[1]     # not held at a face
-        h00 = h[0][0] if free0 else -1.0
-        h11 = h[1][1] if free1 else -1.0
-        h01 = h[0][1] if free0 and free1 else 0.0
+        return values(key), point
+    g0, g1 = g
+    for iteration in range(_NEWTON_MAX_ITER + 1):
+        held0 = (x0 <= lo0 and g0 < 0.0) or (x0 >= hi0 and g0 > 0.0)
+        held1 = (x1 <= lo1 and g1 < 0.0) or (x1 >= hi1 and g1 > 0.0)
+        pg0, pg1 = 0.0 if held0 else g0, 0.0 if held1 else g1
+        gnorm = max(abs(pg0), abs(pg1))
+        if gnorm <= _NEWTON_GTOL or iteration == _NEWTON_MAX_ITER:
+            tally.unconverged += iteration == _NEWTON_MAX_ITER
+            tally.held += held0 or held1
+            return values(key), point
+        (h00, h01), (_, h11) = _ascent_hessian(point, stage, swapped)
+        if held0:
+            h00, h01 = -1.0, 0.0
+        if held1:
+            h11, h01 = -1.0, 0.0
         modified = not (h00 < 0.0 and h00 * h11 > h01 * h01)
         if modified:
             h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
         det = h00 * h11 - h01 * h01
-        p0, p1 = (h01 * pg[1] - h11 * pg[0]) / det, (h01 * pg[0] - h00 * pg[1]) / det
+        p0, p1 = (h01 * pg1 - h11 * pg0) / det, (h01 * pg0 - h00 * pg1) / det
         # the lowest R_c a trial may have and still be accepted
         r_c = point[0]
         floor = r_c if modified else r_c - _NEWTON_RTOL * abs(r_c)
         alpha = 1.0
         while True:
-            xt = [min(max(x[0] + alpha * p0, lo0), hi0), min(max(x[1] + alpha * p1, lo1), hi1)]
-            if xt == x:                 # no representable step is accepted
+            xt0, xt1 = min(max(x0 + alpha * p0, lo0), hi0), min(max(x1 + alpha * p1, lo1), hi1)
+            if xt0 == x0 and xt1 == x1:     # no representable step is accepted
                 tally.unconverged += 1
-                return values, point
-            values_t, point_t = evaluate(xt)
+                tally.held += held0 or held1
+                return values(key), point
+            key_t, point_t = evaluate(xt0, xt1)
             if point_t is not None and point_t[0] >= floor:
                 g_t, stage_t = _ascent_gradient(point_t, swapped)
-                if g_t is not None and (point_t[0] >= r_c or max(
-                        map(abs, _projected(g_t, xt, lo, hi))) < gnorm):
-                    break
+                if g_t is not None:
+                    gt0, gt1 = g_t
+                    if point_t[0] >= r_c or max(
+                            0.0 if (xt0 <= lo0 and gt0 < 0.0) or (xt0 >= hi0 and gt0 > 0.0)
+                            else abs(gt0),
+                            0.0 if (xt1 <= lo1 and gt1 < 0.0) or (xt1 >= hi1 and gt1 > 0.0)
+                            else abs(gt1)) < gnorm:
+                        break
             alpha *= 0.5
-        x, values, point, g, stage = xt, values_t, point_t, g_t, stage_t
-    tally.unconverged += 1
-    return values, point
+        x0, x1, key, point, g0, g1, stage = xt0, xt1, key_t, point_t, gt0, gt1, stage_t
 
 
 def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:

@@ -10,6 +10,11 @@ and a linear ramp and its time reverse share one Bessel evaluation
 (dynamics.linear_ramp_pair).  A searched isochore allocation is one
 optimize.search_isochore_times from the z-equation allocation, which it
 keeps when that start beats the search, as optimize_time_allocation does.
+
+The golden sections and the searches pass bare fixed-point tuples
+(cycle._fixed_point, whose first entry is R_c), not CycleRecords: a sweep
+point builds one record, its winner's (cycle.trial_record), however many
+cycles its searches solved.
 """
 
 from __future__ import annotations
@@ -21,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle import DOMAIN_ERRORS, CycleRecord, CycleSpec, _solve, limit_cycle, trial_record
+from .cycle import (
+    DOMAIN_ERRORS,
+    CycleRecord,
+    CycleSpec,
+    isochore_trials,
+    limit_cycle,
+    trial_record,
+)
 from .dynamics import BathSpec, linear_ramp_pair
 from .optimize import (
     SearchTally,
@@ -167,24 +179,24 @@ def fit_power_law(points, tail_decades: float | None = None) -> PowerLawFit:
 # Per-point cycle assembly
 # ---------------------------------------------------------------------------
 
-def _golden_max(build, lo: float, hi: float) -> tuple[CycleSpec, CycleRecord]:
+def _golden_max(build, lo: float, hi: float) -> tuple:
     """Deterministic golden-section search on [lo, hi] for the highest R_c,
     in _GOLDEN_ITERS steps after its first two evaluations.
 
-    ``build(x)`` returns a (cycle, record) pair and a domain failure scores
-    -inf.  Every pair is kept, so the winner is returned as built, not built
-    (or searched) a second time; when the winner's build failed, its error is
-    raised.
+    ``build(x)`` returns a fixed-point tuple (cycle._fixed_point), whose
+    first entry is R_c, and a domain failure scores -inf.  Every tuple is
+    kept, so the winner is returned as solved, not solved (or searched) a
+    second time; when the winner's build failed, its error is raised.
     """
     built = {}
 
     def score(x: float) -> float:
         try:
-            built[x] = cycle, record = build(x)
+            built[x] = point = build(x)
         except DOMAIN_ERRORS as exc:
             built[x] = exc
             return -math.inf
-        return record.r_c
+        return point[0]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -207,9 +219,9 @@ def _golden_max(build, lo: float, hi: float) -> tuple[CycleSpec, CycleRecord]:
 
 
 def _allocate(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, omega_c: float,
-              expansion: Schedule, compression: Schedule) -> tuple[CycleSpec, CycleRecord]:
-    """The cycle of these parts with its isochore times allocated, and its
-    limit-cycle record.
+              expansion: Schedule, compression: Schedule) -> tuple:
+    """The fixed point (cycle._fixed_point) of the cycle of these parts with
+    its isochore times allocated; cycle.trial_record builds its record.
 
     Both times start at the z-equation allocation.  A searched allocation
     runs one search_isochore_times from exactly there over a box of a decade
@@ -220,31 +232,21 @@ def _allocate(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, om
     tau = max(alloc.tau_c, 1e-12)
     cycle = CycleSpec(hot, cold, omega_h, omega_c, expansion, compression, tau_c=tau, tau_h=tau)
     if spec.allocation == "z":
-        return cycle, _solve(cycle)
+        return isochore_trials(cycle)(tau, tau)
     x, lo, hi = math.log(tau), math.log(tau / 10.0), math.log(tau * 10.0)
     tally = SearchTally()
-    _, point = search_isochore_times(cycle, [x, x], [("tau_c", lo, hi), ("tau_h", lo, hi)],
-                                     tally, ([x, x], {"tau_c": tau, "tau_h": tau}))
+    _, point = search_isochore_times(cycle, (x, x), [("tau_c", lo, hi), ("tau_h", lo, hi)],
+                                     tally, ((x, x), {"tau_c": tau, "tau_h": tau}))
     tally.warn()
     if point is None:               # the start failed: raises that failure
         limit_cycle(cycle)
     first = tally.solved[tau, tau]
-    if first[0] > point[0]:         # compare R_c
-        point = first
-    record = trial_record(point)
-    return record.chain[0], record
+    return first if first[0] > point[0] else point      # compare R_c
 
 
-def build_point(spec: SweepSpec, t_c: float,
-                omega_c: float | None = None) -> tuple[CycleSpec, CycleRecord]:
-    """The cycle for one sweep temperature (duration search included) and its record.
-
-    ``t_c`` and ``omega_c`` are taken as Python floats, so a numpy scalar
-    from a caller's grid does not spread into the limit-cycle core.
-    """
-    t_c = float(t_c)
-    if omega_c is not None:
-        omega_c = float(omega_c)
+def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
+    """The fixed point of the cycle for one sweep temperature, duration
+    search included (see build_point); t_c and omega_c are Python floats."""
     hot = BathSpec(spec.t_hot, spec.gamma)
     cold = BathSpec(t_c, spec.gamma)
     if omega_c is None:
@@ -265,7 +267,7 @@ def build_point(spec: SweepSpec, t_c: float,
 
     # searched adiabat duration for the generic kinds; the parameter is the
     # log of the peak adiabatic rate |mu| at the cold end of the ramp.
-    def cycle_for(log_param: float) -> tuple[CycleSpec, CycleRecord]:
+    def cycle_for(log_param: float) -> tuple:
         param = math.exp(log_param)
         if spec.kind == "linear":
             tau = (w_h - w_c) / (param * w_c * w_c)
@@ -278,12 +280,27 @@ def build_point(spec: SweepSpec, t_c: float,
     return _golden_max(cycle_for, math.log(lo), math.log(hi))
 
 
+def build_point(spec: SweepSpec, t_c: float,
+                omega_c: float | None = None) -> tuple[CycleSpec, CycleRecord]:
+    """The cycle for one sweep temperature (duration search included) and its
+    record, the one record the point builds.
+
+    ``t_c`` and ``omega_c`` are taken as Python floats, so a numpy scalar
+    from a caller's grid does not spread into the limit-cycle core.
+    """
+    record = trial_record(_point_at(spec, float(t_c),
+                                    None if omega_c is None else float(omega_c)))
+    return record.chain[0], record
+
+
 def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
     nan = float("nan")
     try:
         if spec.optimize_omega_c:
-            cycle, record = _golden_max(lambda log_y: build_point(spec, t_c, math.exp(log_y) * t_c),
-                                        math.log(0.05), math.log(3.0))
+            record = trial_record(_golden_max(
+                lambda log_y: _point_at(spec, t_c, math.exp(log_y) * t_c),
+                math.log(0.05), math.log(3.0)))
+            cycle = record.chain[0]
         else:
             cycle, record = build_point(spec, t_c)
     except DOMAIN_ERRORS as exc:

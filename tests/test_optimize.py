@@ -13,22 +13,27 @@ from test_cycle import frictionless_spec, non_float_entries, record_ledgers
 import ottofridge.cycle
 import ottofridge.optimize
 from ottofridge.cycle import (
+    DOMAIN_ERRORS,
     CycleSpec,
     NoContractionError,
     isochore_time_derivatives,
     isochore_trials,
     limit_cycle,
+    trial_record,
 )
 from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.optimize import (
     OptimizationSpec,
+    SearchTally,
     _ascent_gradient,
     _ascent_hessian,
+    _values_at,
     apply_free_values,
     ga_schedule_search,
     lambert_w0,
     optimal_cold_frequency,
     optimize_time_allocation,
+    search_isochore_times,
     solve_isochore_z,
 )
 from ottofridge.schedules import Schedule, build_three_jump, three_jump_times
@@ -416,6 +421,137 @@ def test_on_demand_hessian_is_isochore_time_derivatives():
     assert _ascent_gradient(None, False) == (None, None)
 
 
+def list_search(base, x, box, tally, start):
+    """search_isochore_times as it ran on a list x, a values dict per
+    evaluation and a list per projection and step: the reference that the
+    float loop must match bit for bit (it counts no searches held at a face)."""
+    trial = isochore_trials(base)
+    swapped = box[0][0] == "tau_h"
+    (_, lo0, hi0), (_, lo1, hi1) = box
+
+    def projected(g, x):
+        g0, g1 = g
+        if (x[0] <= lo0 and g0 < 0.0) or (x[0] >= hi0 and g0 > 0.0):
+            g0 = 0.0
+        if (x[1] <= lo1 and g1 < 0.0) or (x[1] >= hi1 and g1 > 0.0):
+            g1 = 0.0
+        return [g0, g1]
+
+    def evaluate(x):
+        tally.evaluations += 1
+        values = _values_at(x, box, start)
+        key = values["tau_c"], values["tau_h"]
+        try:
+            point = tally.solved[key] = trial(*key)
+        except DOMAIN_ERRORS as exc:
+            tally.failed(values, exc)
+            return values, None
+        return values, point
+
+    values, point = evaluate(x)
+    g, stage = _ascent_gradient(point, swapped)
+    if g is None:
+        tally.unconverged += point is not None
+        return values, point
+    for _ in range(ottofridge.optimize._NEWTON_MAX_ITER):
+        pg = projected(g, x)
+        gnorm = max(abs(pg[0]), abs(pg[1]))
+        if gnorm <= ottofridge.optimize._NEWTON_GTOL:
+            return values, point
+        h = _ascent_hessian(point, stage, swapped)
+        free0, free1 = pg[0] == g[0], pg[1] == g[1]
+        h00 = h[0][0] if free0 else -1.0
+        h11 = h[1][1] if free1 else -1.0
+        h01 = h[0][1] if free0 and free1 else 0.0
+        modified = not (h00 < 0.0 and h00 * h11 > h01 * h01)
+        if modified:
+            h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
+        det = h00 * h11 - h01 * h01
+        p0, p1 = (h01 * pg[1] - h11 * pg[0]) / det, (h01 * pg[0] - h00 * pg[1]) / det
+        r_c = point[0]
+        floor = r_c if modified else r_c - ottofridge.optimize._NEWTON_RTOL * abs(r_c)
+        alpha = 1.0
+        while True:
+            xt = [min(max(x[0] + alpha * p0, lo0), hi0), min(max(x[1] + alpha * p1, lo1), hi1)]
+            if xt == x:
+                tally.unconverged += 1
+                return values, point
+            values_t, point_t = evaluate(xt)
+            if point_t is not None and point_t[0] >= floor:
+                g_t, stage_t = _ascent_gradient(point_t, swapped)
+                if g_t is not None and (point_t[0] >= r_c or max(
+                        map(abs, projected(g_t, xt))) < gnorm):
+                    break
+            alpha *= 0.5
+        x, values, point, g, stage = xt, values_t, point_t, g_t, stage_t
+    tally.unconverged += 1
+    return values, point
+
+
+@pytest.mark.parametrize("max_iter", [50, 2])
+def test_float_search_is_the_list_search(monkeypatch, max_iter):
+    # 80 random searches (three-jump and exponential-ramp cycles, boxes of
+    # 0.05 to 3 in each log, either coordinate order, with a start or none,
+    # first or later, some trials failing; also with the iteration cap at 2):
+    # the float loop returns the list loop's values (in the same order) and
+    # fixed point, solves the same trials in the same order and counts the
+    # same; it counts a search held when it ends at a face with the
+    # gradient pointing out
+    monkeypatch.setattr(ottofridge.optimize, "_NEWTON_MAX_ITER", max_iter)
+    solve, limit = ottofridge.cycle._fixed_point, []
+
+    def fails_above(consts, cold, hot, tau_c, tau_h):
+        if limit and tau_c > limit[0]:
+            raise NoContractionError("injected")
+        return solve(consts, cold, hot, tau_c, tau_h)
+
+    monkeypatch.setattr(ottofridge.cycle, "_fixed_point", fails_above)
+    rng = np.random.default_rng(23 + max_iter)
+    outcomes = set()
+    for case in range(80):
+        omega_c = float(rng.uniform(0.5, 2.0))
+        base = make_base(omega_h=float(rng.uniform(5.0, 30.0)), omega_c=omega_c,
+                         t_c=float(rng.uniform(0.1, 1.0)))
+        if case % 2:
+            duration = float(rng.uniform(0.5, 5.0))
+            base = replace(base, expansion=Schedule.exponential(base.omega_h, omega_c, duration),
+                           compression=Schedule.exponential(omega_c, base.omega_h, duration))
+        names = ("tau_h", "tau_c") if rng.uniform() < 0.5 else ("tau_c", "tau_h")
+        centre, width = rng.uniform(-1.5, 1.5, 2), rng.uniform(0.05, 3.0, 2)
+        box = [(name, float(c - w), float(c + w)) for name, c, w in zip(names, centre, width)]
+        x = [float(rng.uniform(a, b)) for _, a, b in box]
+        start = None
+        if rng.uniform() < 0.6:     # a start: its values are not exp of its logs
+            values = {name: math.exp(v) * (1.0 + 1e-15) for (name, _, _), v in zip(box, x)}
+            start = x, values
+            if rng.uniform() < 0.3:     # a start that is not the first point
+                x = [0.5 * (a + b) for _, a, b in box]
+        limit[:] = [float(np.exp(rng.uniform(-1.0, 1.0)))] if case % 5 == 0 else []
+        ref, new = SearchTally(), SearchTally()
+        expected = list_search(base, x, box, ref, start)
+        got = search_isochore_times(base, tuple(x), box, new, start)
+        assert list(got[0].items()) == list(expected[0].items())
+        assert (got[1] is None) == (expected[1] is None)
+        if got[1] is not None:
+            assert got[1] is new.solved[got[0]["tau_c"], got[0]["tau_h"]]
+            assert trial_record(got[1]) == trial_record(expected[1])
+        assert list(new.solved) == list(ref.solved)
+        assert [p[0].hex() for p in new.solved.values()] == [
+            p[0].hex() for p in ref.solved.values()]
+        assert (new.evaluations, new.failures, new.first_failure, new.unconverged) == (
+            ref.evaluations, ref.failures, ref.first_failure, ref.unconverged)
+        held = False
+        if got[1] is not None and got[1][1] != 0.0:
+            g, _ = _ascent_gradient(got[1], names[0] == "tau_h")
+            held = any((got[0][name] == math.exp(lo) and gi < 0.0)
+                       or (got[0][name] == math.exp(hi) and gi > 0.0)
+                       for (name, lo, hi), gi in zip(box, g))
+        assert new.held == held
+        outcomes.update({"held" if held else "free", "unconverged" * bool(new.unconverged),
+                         "failed" * bool(new.failures), " ".join(names)})
+    assert {"held", "free", "unconverged", "failed", "tau_h tau_c", "tau_c tau_h"} <= outcomes
+
+
 def test_zero_base_time_is_not_a_start():
     # a zero base value lies outside every positive box: the midpoint and
     # the random starts search, by Newton and by Nelder-Mead alike
@@ -509,16 +645,21 @@ def test_newton_iteration_cap_is_warned_about(monkeypatch):
 
 def test_newton_stops_on_a_face_of_the_box():
     # the z-optimal tau_h lies above the box: the search ends on the face
-    # tau_h = hi with the gradient pointing out, and stationary in tau_c; the
-    # z-allocation beats it but lies outside the box, so it is reported only
+    # tau_h = hi with the gradient pointing out, and stationary in tau_c; its
+    # one warning counts the three searches held there and says nothing
+    # else; the z-allocation beats it but lies outside the box, so it is
+    # reported only
     base = frictionless_spec(30.0, 2.0, 1.0, 0.3)
     hi = 0.5 * base.tau_h
     spec = OptimizationSpec(base=base, free=("tau_c", "tau_h"),
                             bounds={"tau_c": (1e-2, 50.0), "tau_h": (1e-2, hi)},
                             seed=5, restarts=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         result = optimize_time_allocation(spec)
+    assert [str(w.message) for w in caught] == [
+        "optimize_time_allocation: 3 Newton searches ended with a time held at a face "
+        "of the box by a gradient pointing out"]
     for values, _ in result.restarts:
         assert values["tau_h"] == pytest.approx(hi, rel=1e-15)
         _, record = limit_cycle(replace(base, **values))

@@ -193,15 +193,16 @@ def test_failed_golden_section_raises_its_winners_error(monkeypatch):
 
 
 def test_omega_c_search_reuses_its_winner(monkeypatch):
-    # one build_point per golden-section evaluation of omega_c, none after it
+    # one sweep point solved per golden-section evaluation of omega_c, none
+    # after it
     calls = []
-    build = ottofridge.scaling.build_point
+    build, solve = ottofridge.scaling.build_point, ottofridge.scaling._point_at
 
     def counting(*args):
         calls.append(args)
-        return build(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(ottofridge.scaling, "build_point", counting)
+    monkeypatch.setattr(ottofridge.scaling, "_point_at", counting)
     spec = small_sweep("three_jump", t_max=1e-1, t_min=1e-1 * 10**-0.05, points_per_decade=5,
                        optimize_omega_c=True)
     (row,) = temperature_sweep(spec).rows
@@ -268,6 +269,38 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
     assert len(records) <= 2 * len(searches) < len(calls)
 
 
+def chain_bits(record):
+    """The numbers of a record's chain, bit for bit: its branch maps, M, k,
+    the LU factors and the chain vectors as float.hex strings, and the
+    pivot order."""
+    _, maps, m, k, lu, vs = record.chain
+    numbers = (*(x for branch in maps for x in branch), *m, *k, *lu[1:],
+               *(x for v in vs for x in v))
+    return [x.hex() for x in numbers] + [lu[0]]
+
+
+@pytest.mark.parametrize("options", [
+    *(dict(kind=kind, allocation=allocation)
+      for kind in ("linear", "exponential") for allocation in ("z", "searched")),
+    dict(kind="linear", allocation="searched", optimize_omega_c=True),
+], ids=lambda options: "-".join(v if isinstance(v, str) else k for k, v in options.items()))
+def test_one_record_per_sweep_row(monkeypatch, options):
+    # a sweep point builds one CycleRecord, its winner's, however many
+    # cycles its golden sections and isochore-time searches solved; that
+    # record is limit_cycle's for the row's cycle, float for float
+    records = record_ledgers(monkeypatch)
+    spec = small_sweep(t_max=1e-1, t_min=1e-2, points_per_decade=1, **options)
+    rows = temperature_sweep(spec).rows
+    assert len(records) == len(rows) == 2 and all(r.flag == 1 for r in rows)
+    for row, record in zip(rows, list(records)):
+        cycle = record.chain[0]
+        _, expected = limit_cycle(cycle)
+        assert record == expected and cycle == expected.chain[0]
+        assert chain_bits(record) == chain_bits(expected)
+        assert (row.omega_c, row.tau_c, row.tau_h, row.r_c) == (
+            cycle.omega_c, cycle.tau_c, cycle.tau_h, record.r_c)
+
+
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
 def test_sweep_search_is_optimize_time_allocation(kind):
     # a searched sweep point's allocation is optimize_time_allocation with
@@ -290,7 +323,8 @@ def test_sweep_search_is_optimize_time_allocation(kind):
         base = CycleSpec(hot, cold, w_h, w_c, expansion, compression, tau_c=tau, tau_h=tau)
         bounds = {"tau_c": (tau / 10.0, tau * 10.0), "tau_h": (tau / 10.0, tau * 10.0)}
         got, expected = [], []
-        for run, out in ((lambda: _allocate(spec, hot, cold, w_h, w_c, expansion, compression),
+        for run, out in ((lambda: trial_record(_allocate(spec, hot, cold, w_h, w_c, expansion,
+                                                         compression)),
                           got),
                          (lambda: optimize_time_allocation(OptimizationSpec(
                              base=base, free=("tau_c", "tau_h"), bounds=bounds, restarts=1)),
@@ -306,7 +340,8 @@ def test_sweep_search_is_optimize_time_allocation(kind):
             assert got == expected
             outcomes.add("failed")
             continue
-        (cycle, record), result = got[0], expected[0]
+        record, result = got[0], expected[0]
+        cycle = record.chain[0]
         assert record == result.best_record and record.chain == result.best_record.chain
         assert (cycle.tau_c, cycle.tau_h) == (result.best_spec.tau_c, result.best_spec.tau_h)
         assert got[1] == expected[1]
@@ -335,7 +370,8 @@ def test_searched_point_keeps_a_z_start_that_beats_its_search(monkeypatch):
     duration = math.log(w_h / w_c) / (0.3 * w_c)        # peak rate 0.3 w_c
     expansion = Schedule.exponential(w_h, w_c, duration)
     compression = Schedule.exponential(w_c, w_h, duration)
-    cycle, record = _allocate(spec, hot, cold, w_h, w_c, expansion, compression)
+    record = trial_record(_allocate(spec, hot, cold, w_h, w_c, expansion, compression))
+    cycle = record.chain[0]
     tau = solve_isochore_z(spec.gamma, spec.gamma, 2.0 * duration).tau_c
     assert (cycle.tau_c, cycle.tau_h) == (tau, tau)
     corner = math.exp(math.log(tau / 10.0)), math.exp(math.log(tau * 10.0))
