@@ -18,30 +18,34 @@ checkouts and comparing the manifests:
 
     diff old/manifest.txt new/manifest.txt
 
-The runs cover every command: critical; simulate with each schedule block
-kind, and once on a map that contracts very slowly (1 - rho = 6e-6, solved
-directly; a solver that iterates the map to convergence fails it); optimize
-by Newton and by Nelder-Mead, once converging and once stopping at the
-iteration cap (which pins that warning), by Newton with the free times
-listed tau_h first (optimize-newton-swapped: the search's swapped
-coordinate order, which does not reach the same digits), by Newton from
-isochore times of 3e-6 (optimize-near-unit), whose search sends trials
-through the dgeev branch where the max-norm bound does not certify the
-map and whose restarts stop at a corner of the box, once each from a
-zero base tau_c, which is no start (optimize-zero-tau-c and
-optimize-nelder-mead-zero-tau-c, exit 0), and refused while the config is
-read (exit 2) with a free omega_c for a piecewise_const branch
-(optimize-piecewise-omega-c) and with a free name listed twice
-(optimize-repeated-free); ga; sweeps of all
-four kinds with z and searched allocation, plus a deep three-jump sweep,
-both kinds of cold-frequency search and, on a two-point linear window,
-the cold-frequency search over searched points (two nested golden
-sections), a threaded sweep and three ways of
-setting the tail window.  Every run writes into a fresh directory except
-sweep-linear-z-over-stale: the linear z sweep again, into a directory first
-seeded with longer stale sweep.csv and sweep.dat (as repeated runs into one
---out leave them).  Its files must be cut to length, so their lines in the
-manifest equal sweep-linear-z's.
+The runs cover every command: critical; simulate with each schedule
+block kind, and once on a map that contracts very slowly (1 - rho =
+6e-6, solved directly; a solver that iterates the map to convergence
+fails it); optimize by Newton and by Nelder-Mead, once converging and
+once stopping at the iteration cap (which pins that warning), by Newton
+with the free times listed tau_h first (optimize-newton-swapped: the
+search's swapped coordinate order, which does not reach the same
+digits), by Newton from isochore times of 3e-6 (optimize-near-unit),
+whose search sends trials through the dgeev branch where the max-norm
+bound does not certify the map and whose restarts stop at a corner of
+the box, once each from a zero base tau_c, which is no start
+(optimize-zero-tau-c and optimize-nelder-mead-zero-tau-c, exit 0), and
+refused while the config is read (exit 2) with a free omega_c for a
+piecewise_const branch (optimize-piecewise-omega-c) and with a free name
+listed twice (optimize-repeated-free); ga; sweeps of all four kinds with
+z and searched allocation, plus a deep three-jump sweep, both kinds of
+cold-frequency search and, on a two-point linear window, the
+cold-frequency search over searched points (two nested golden sections),
+linear sweeps with z and searched allocation past the Bessel limit
+(sweep-linear-past-zeta-max and its searched twin: the rows below T_c =
+1e-6 fail with the BranchError of a ramp whose Bessel argument passes
+2^51, and the searched twin warns of each failed search start), a
+threaded sweep and three ways of setting the tail window. Every run
+writes into a fresh directory except sweep-linear-z-over-stale: the
+linear z sweep again, into a directory first seeded with longer stale
+sweep.csv and sweep.dat (as repeated runs into one --out leave them).
+Its files must be cut to length, so their lines in the manifest equal
+sweep-linear-z's.
 """
 
 from __future__ import annotations
@@ -113,6 +117,10 @@ RUNS = [
     ("sweep-linear-searched-omega-c", "sweep", {"sweep": {
         "schedule": "linear", "allocation": "searched", "optimize_omega_c": True,
         "t_max": 1e-1, "t_min": 1e-1 * 10**-0.2}}, []),
+    *((f"sweep-linear{suffix}-past-zeta-max", "sweep", {"sweep": {
+        "schedule": "linear", "allocation": allocation, "t_max": 1e-6, "t_min": 1e-8,
+        "points_per_decade": 2}}, [])
+      for suffix, allocation in (("", "z"), ("-searched", "searched"))),
     ("sweep-linear-threads", "sweep", {"sweep": {"schedule": "linear", **_WINDOW}},
      ["--threads", "2"]),
     ("sweep-tail-decades-2", "sweep", {"sweep": {
