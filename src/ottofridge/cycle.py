@@ -230,13 +230,13 @@ def _iso_mul(iso, a):
             ds * a3 + dc * a6, ds * a4 + dc * a7, ds * a5 + dc * a8)
 
 
-def _adiabat_maps(spec: CycleSpec) -> list:
+def _adiabat_maps(expansion: Schedule, compression: Schedule) -> list:
     """The float adiabat maps [A_exp, A_comp]; a failed build is a BranchError
     naming its branch."""
     adiabats = []
-    for branch in ("expansion", "compression"):
+    for branch, schedule in (("expansion", expansion), ("compression", compression)):
         try:
-            adiabats.append(_adiabat_flat(getattr(spec, branch)))
+            adiabats.append(_adiabat_flat(schedule))
         except ValueError as exc:
             raise BranchError(branch, exc) from exc
     return adiabats
@@ -244,7 +244,7 @@ def _adiabat_maps(spec: CycleSpec) -> list:
 
 def _branch_maps(spec: CycleSpec) -> tuple:
     """The float branch maps (A_exp, cold isochore, A_comp, hot isochore)."""
-    a_exp, a_comp = _adiabat_maps(spec)
+    a_exp, a_comp = _adiabat_maps(spec.expansion, spec.compression)
     return (a_exp, isochore_scalars(spec.omega_c, spec.cold_bath, spec.tau_c),
             a_comp, isochore_scalars(spec.omega_h, spec.hot_bath, spec.tau_h))
 
@@ -283,12 +283,18 @@ def _ledger(spec: CycleSpec, point: tuple) -> CycleRecord:
 
 
 def _constants(spec: CycleSpec, a_exp: tuple, a_comp: tuple) -> tuple:
-    """The parts of a fixed point that do not depend on the isochore times:
-    (spec, a_exp, a_comp, omega_c, Gamma_c, omega_h, Gamma_h, the expansion's
-    and the compression's duration)."""
-    return (spec, a_exp, a_comp, spec.omega_c, spec.cold_bath.conductance,
+    """The parts of a fixed point of ``spec``'s cycle that do not depend on
+    the isochore times (see _fixed_point)."""
+    return (_retimed(spec), a_exp, a_comp, spec.omega_c, spec.cold_bath.conductance,
             spec.omega_h, spec.hot_bath.conductance,
             spec.expansion.duration, spec.compression.duration)
+
+
+def _retimed(base: CycleSpec):
+    """The spec builder (see _fixed_point) of ``base``'s cycle: base with a
+    point's isochore times."""
+    return lambda point: _frozen(CycleSpec, {**vars(base), "tau_c": point[3],
+                                             "tau_h": point[4]})
 
 
 def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, CycleRecord]:
@@ -375,8 +381,11 @@ def _check_contraction(gamma_c: float, tau_c: float, gamma_h: float, tau_h: floa
 # with the isochores' scalars cold and hot, the one-cycle map (m, k), the LU
 # factors of I - M, the states at A and C, rho the spectral radius when dgeev
 # ran (the max-norm did not certify M), else None, and consts the parts that
-# do not depend on the isochore times (_constants).  _ledger builds the
-# CycleRecord of one; the derivative stages read one as it is.
+# do not depend on the isochore times:
+#     (spec_at, a_exp, a_comp, omega_c, Gamma_c, omega_h, Gamma_h,
+#      the expansion's and the compression's duration)
+# where spec_at(point) builds the point's CycleSpec.  trial_record builds
+# the CycleRecord of one; the derivative stages read one as it is.
 
 def _fixed_point(consts: tuple, cold: tuple, hot: tuple, tau_c: float, tau_h: float) -> tuple:
     """The fixed point of the cycle with these isochores (see limit_cycle)."""
@@ -435,32 +444,65 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
 
 def isochore_trials(base: CycleSpec):
     """The fixed point of ``base`` with its isochore times replaced, as a
-    function ``trial(tau_c, tau_h)`` of two times > 0.
+    function ``trial(tau_c, tau_h)`` of two times > 0 (see _trials).
 
-    What does not depend on the times is built once: both adiabat maps, each
-    bath's equilibrium energy and the constants of the fixed-point tuple.  A
-    trial computes the two isochores and runs limit_cycle's fixed-point
-    solve on them, with limit_cycle's checks, and returns the tuple (see
-    _fixed_point); it raises what limit_cycle raises for the CycleSpec with
-    those times, a failed adiabat build included.  :func:`trial_record`
-    builds the record, bit for bit the one limit_cycle returns.
+    It raises what limit_cycle raises for the CycleSpec with those times, a
+    failed adiabat build included.  :func:`trial_record` builds the record,
+    bit for bit the one limit_cycle returns.
     """
-    omega_c, omega_h = base.omega_c, base.omega_h
-    gamma_c, gamma_h = base.cold_bath.conductance, base.hot_bath.conductance
-    _, e_eq_c = equilibrium_state(omega_c, base.cold_bath)
-    _, e_eq_h = equilibrium_state(omega_h, base.hot_bath)
+    return _trials(_trial_parts(_retimed(base), base.omega_c, base.cold_bath,
+                                base.omega_h, base.hot_bath),
+                   _adiabats(_adiabat_maps, base.expansion, base.compression),
+                   base.expansion.duration, base.compression.duration)
+
+
+def _trial_parts(spec_at, omega_c: float, cold: BathSpec, omega_h: float,
+                 hot: BathSpec) -> tuple:
+    """What the trials of a cycle share whatever its adiabats:
+    (spec_at, omega_c, Gamma_c, omega_h, Gamma_h, each bath's equilibrium
+    energy); spec_at(point) builds a point's CycleSpec (see _fixed_point)."""
+    _, e_eq_c = equilibrium_state(omega_c, cold)
+    _, e_eq_h = equilibrium_state(omega_h, hot)
+    return spec_at, omega_c, cold.conductance, omega_h, hot.conductance, e_eq_c, e_eq_h
+
+
+def _adiabats(build, *args):
+    """The adiabat maps (A_exp, A_comp) of ``build(*args)``, or the
+    BranchError of its failure, which each trial raises again (see _trials).
+
+    ``build`` raises a BranchError naming its branch (_adiabat_maps) or, as
+    a ramp pair builder of dynamics does, the ValueError of the ramp built
+    first, the expansion.
+    """
     try:
-        a_exp, a_comp = _adiabat_maps(base)
-    except BranchError:
-        a_exp = a_comp = None           # each trial raises the failure again
-    consts = _constants(base, a_exp, a_comp)
+        return build(*args)
+    except BranchError as exc:
+        return exc
+    except ValueError as exc:
+        return BranchError("expansion", exc)
+
+
+def _trials(parts: tuple, adiabats, tau_exp: float, tau_comp: float):
+    """The function ``trial(tau_c, tau_h)`` of two times > 0 that solves the
+    fixed point of a cycle from its parts: _trial_parts, the adiabat maps
+    or their failure from _adiabats, and the adiabats' durations.
+
+    A trial computes the two isochores and runs limit_cycle's fixed-point
+    solve on them (_fixed_point), with limit_cycle's checks in its order:
+    the times, the contraction, the adiabats, the map.  It returns the
+    solved tuple and builds no CycleSpec or CycleRecord.
+    """
+    spec_at, omega_c, gamma_c, omega_h, gamma_h, e_eq_c, e_eq_h = parts
+    failure = adiabats if isinstance(adiabats, BranchError) else None
+    a_exp, a_comp = (None, None) if failure else adiabats
+    consts = (spec_at, a_exp, a_comp, omega_c, gamma_c, omega_h, gamma_h, tau_exp, tau_comp)
 
     def trial(tau_c: float, tau_h: float) -> tuple:
         if not (tau_c > 0.0 and tau_h > 0.0):
             raise ValueError(f"trial isochore durations must be > 0, got {tau_c!r}, {tau_h!r}")
         _check_contraction(gamma_c, tau_c, gamma_h, tau_h)
-        if a_exp is None:
-            _adiabat_maps(base)
+        if failure:
+            raise BranchError(failure.branch, failure.cause) from failure.cause
         return _fixed_point(consts, _isochore(omega_c, gamma_c, tau_c, e_eq_c),
                             _isochore(omega_h, gamma_h, tau_h, e_eq_h), tau_c, tau_h)
 
@@ -468,11 +510,10 @@ def isochore_trials(base: CycleSpec):
 
 
 def trial_record(point: tuple) -> CycleRecord:
-    """The limit-cycle record of a fixed point from :func:`isochore_trials`:
-    its CycleSpec is the trial's base with the point's isochore times."""
-    base = point[-1][0]
-    return _ledger(_frozen(CycleSpec, {**vars(base), "tau_c": point[3], "tau_h": point[4]}),
-                   point)
+    """The limit-cycle record of a trial's fixed point (see _trials), bit for
+    bit the one limit_cycle returns: its CycleSpec is the one the point's
+    spec builder makes."""
+    return _ledger(point[-1][0](point), point)
 
 
 def _generator(omega: float, gamma: float, u: tuple) -> tuple:

@@ -335,7 +335,12 @@ def _bessel_fundamental(s0: tuple, s1: tuple, wronskian: float) -> tuple:
 
 
 def _exponential_propagator(schedule: Schedule) -> tuple:
-    """Exact propagator of an exponential sweep omega(t) = omega0 exp(alpha t).
+    """Exact propagator of an exponential sweep (see _exponential_map)."""
+    return _exponential_map(schedule.omega_start, schedule.omega_end, schedule.alpha)
+
+
+def _exponential_map(w0: float, w1: float, alpha: float) -> tuple:
+    """Exact propagator of an exponential sweep omega(t) = w0 exp(alpha t) to w1.
 
     The classical oscillator equation x'' + omega(t)^2 x = 0 reduces to the
     order-0 Bessel equation in z = omega/|alpha|, so the fundamental matrix is
@@ -343,10 +348,8 @@ def _exponential_propagator(schedule: Schedule) -> tuple:
     constant Wronskian 2 sign(alpha) |alpha| / pi.  Machine-precision accurate
     for sweeps of any duration.
     """
-    alpha = schedule.alpha
     sgn = 1.0 if alpha > 0 else -1.0
     aa = abs(alpha)
-    w0, w1 = schedule.omega_start, schedule.omega_end
 
     def fundamental(w):
         z, p = w / aa, -sgn * w
@@ -354,6 +357,21 @@ def _exponential_propagator(schedule: Schedule) -> tuple:
 
     return _lift(*_bessel_fundamental(fundamental(w0), fundamental(w1), 2.0 * sgn * aa / math.pi),
                  w0, w1)
+
+
+def exponential_ramp_pair(omega_start: float, omega_end: float,
+                          duration: float) -> tuple[tuple, tuple]:
+    """The propagators of an exponential ramp between distinct frequencies,
+    of finite duration > 0, and of its time reverse.
+
+    Each rate is computed as Schedule.exponential computes it, so each map
+    is bit for bit its ramp's own build.  The two rates are not always exact
+    negatives, so each map makes its own Bessel evaluation.
+    """
+    return (_exponential_map(omega_start, omega_end,
+                             math.log(omega_end / omega_start) / duration),
+            _exponential_map(omega_end, omega_start,
+                             math.log(omega_start / omega_end) / duration))
 
 
 # Bessel orders of the linear ramp's (Q, Q, P, P) entries, at (start, end, start, end)
@@ -411,26 +429,18 @@ def _linear_ramp_fundamental(w0: float, w1: float, tau: float) -> tuple:
 
 
 def linear_ramp_pair(omega_start: float, omega_end: float,
-                     duration: float) -> tuple[Schedule, Schedule]:
-    """A linear ramp between distinct frequencies and its time reverse, each
-    with its propagator from one jv/yv evaluation.
+                     duration: float) -> tuple[tuple, tuple]:
+    """The propagators of a linear ramp between distinct frequencies, of
+    finite duration > 0, and of its time reverse, from one jv/yv evaluation.
 
     The reverse's zeta pair is the ramp's swapped, as (w0 - w1) and (w1 - w0)
     are exact negatives; its momenta and its Wronskian are the exact
     negatives, so its fundamental matrix is the ramp's with the diagonal
-    swapped, bit for bit what its own build gives.  Each map is kept on its
-    own Schedule.  A ramp past _ZETA_MAX comes back unbuilt: each schedule
-    raises its ScheduleError when its map is first built.
+    swapped, bit for bit what its own build gives.  A ramp past _ZETA_MAX
+    raises its ScheduleError.
     """
-    ramp = Schedule.linear(omega_start, omega_end, duration)
-    reverse = Schedule.linear(omega_end, omega_start, duration)
-    try:
-        a, b, c, d = _linear_ramp_fundamental(omega_start, omega_end, duration)
-    except ScheduleError:
-        return ramp, reverse
-    object.__setattr__(ramp, "_propagator", _lift(a, b, c, d, omega_start, omega_end))
-    object.__setattr__(reverse, "_propagator", _lift(d, b, c, a, omega_end, omega_start))
-    return ramp, reverse
+    a, b, c, d = _linear_ramp_fundamental(omega_start, omega_end, duration)
+    return _lift(a, b, c, d, omega_start, omega_end), _lift(d, b, c, a, omega_end, omega_start)
 
 
 def schedule_propagator(schedule: Schedule) -> tuple:

@@ -338,18 +338,19 @@ def _ascent_hessian(point, stage, swapped: bool) -> tuple:
     return ((h11, h01), (h01, h00)) if swapped else ((h00, h01), (h01, h11))
 
 
-def search_isochore_times(base: CycleSpec, x: tuple | list, box: list, tally: SearchTally,
+def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
                           start) -> tuple[dict, tuple | None]:
-    """Damped Newton ascent of ln R_c over the isochore times of ``base``.
+    """Damped Newton ascent of ln R_c over the isochore times of a cycle.
 
+    ``trial(tau_c, tau_h)`` solves the cycle's fixed point at two times
+    (:func:`~ottofridge.cycle.isochore_trials`, or a sweep point's trials),
+    so its adiabat maps and equilibrium energies are built before the
+    search; each point solved is a fixed-point tuple whose R_c is its first
+    entry, and a domain failure makes a point a failed evaluation.
     ``box`` is [(name, lo, hi)] for the names tau_c and tau_h in the order of
     the coordinates of x, the logs of the times, and x the first point;
     ``start`` is None or a point (x, values) whose values are used there as
-    they are (a base's own times rather than exp of their logs).  The cycles
-    come from one :func:`~ottofridge.cycle.isochore_trials` of ``base``, so
-    the adiabat maps and equilibrium energies are built once per search, and
-    each point solved is a fixed-point tuple whose R_c is its first entry; a
-    domain failure makes a point a failed evaluation.  ``tally`` counts the
+    they are (a base's own times rather than exp of their logs).  ``tally`` counts the
     evaluations and failures, keeps each solved point's tuple by its
     (tau_c, tau_h), and counts the search as unconverged when it ends short
     of its tolerance and as held when it ends with a time held at a face.
@@ -372,7 +373,6 @@ def search_isochore_times(base: CycleSpec, x: tuple | list, box: list, tally: Se
     most _NEWTON_GTOL; the point is None when the first point failed
     (cycle.trial_record builds its record).
     """
-    trial = isochore_trials(base)
     (name0, lo0, hi0), (name1, lo1, hi1) = box
     swapped = name0 == "tau_h"
     if start is not None:
@@ -508,9 +508,10 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     # (values, R_c, fixed point of a Newton search or Nelder-Mead record) of
     # each restart's best point
     found = []
+    trial = isochore_trials(base) if newton else None
     for x0 in starts[: spec.restarts]:
         if newton:
-            values, point = search_isochore_times(base, x0, box, tally, start)
+            values, point = search_isochore_times(trial, x0, box, tally, start)
             found.append((values, -math.inf if point is None else point[0], point))
             continue
         seen = {}

@@ -30,18 +30,20 @@ from .cycle import (
     DOMAIN_ERRORS,
     CycleRecord,
     CycleSpec,
-    isochore_trials,
-    limit_cycle,
+    _adiabat_maps,
+    _adiabats,
+    _trial_parts,
+    _trials,
     trial_record,
 )
-from .dynamics import BathSpec, linear_ramp_pair
+from .dynamics import BathSpec, exponential_ramp_pair, linear_ramp_pair
 from .optimize import (
     SearchTally,
     optimal_cold_frequency,
     search_isochore_times,
     solve_isochore_z,
 )
-from .schedules import Schedule, build_three_jump, critical_mu
+from .schedules import Schedule, ScheduleError, build_three_jump, critical_mu
 
 SWEEP_KINDS = ("three_jump", "const_mu", "linear", "exponential")
 
@@ -84,6 +86,10 @@ class SweepSpec:
             raise ValueError("allocation must be 'z' or 'searched'")
         if self.omega_h <= 0 or self.t_hot <= 0 or self.gamma <= 0:
             raise ValueError("omega_h, t_hot and gamma must be positive")
+        for name in ("kappa", "tail_decades"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.omega_h / self.t_hot < 30:
             warnings.warn("omega_h / T_h < 30: hot-bath occupation is not negligible")
 
@@ -218,35 +224,57 @@ def _golden_max(build, lo: float, hi: float) -> tuple:
     return best
 
 
-def _allocate(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, omega_c: float,
-              expansion: Schedule, compression: Schedule) -> tuple:
-    """The fixed point (cycle._fixed_point) of the cycle of these parts with
-    its isochore times allocated; cycle.trial_record builds its record.
+def _allocator(spec: SweepSpec, spec_at, hot: BathSpec, cold: BathSpec, omega_h: float,
+               omega_c: float):
+    """The function ``allocate(adiabats, tau_exp, tau_comp)`` that returns
+    the fixed point (cycle._fixed_point) of the point's cycle with these
+    adiabats (maps or their failure, cycle._adiabats) and durations and its
+    isochore times allocated; cycle.trial_record builds its record with
+    ``spec_at``.  Both baths' equilibrium energies are computed once.
 
     Both times start at the z-equation allocation.  A searched allocation
     runs one search_isochore_times from exactly there over a box of a decade
     each way, and keeps that start when its R_c is the higher (the
     z-equation rule of optimize_time_allocation, whose warnings it shares).
     """
-    alloc = solve_isochore_z(spec.gamma, spec.gamma, expansion.duration + compression.duration)
-    tau = max(alloc.tau_c, 1e-12)
-    cycle = CycleSpec(hot, cold, omega_h, omega_c, expansion, compression, tau_c=tau, tau_h=tau)
-    if spec.allocation == "z":
-        return isochore_trials(cycle)(tau, tau)
-    x, lo, hi = math.log(tau), math.log(tau / 10.0), math.log(tau * 10.0)
-    tally = SearchTally()
-    _, point = search_isochore_times(cycle, (x, x), [("tau_c", lo, hi), ("tau_h", lo, hi)],
-                                     tally, ((x, x), {"tau_c": tau, "tau_h": tau}))
-    tally.warn()
-    if point is None:               # the start failed: raises that failure
-        limit_cycle(cycle)
-    first = tally.solved[tau, tau]
-    return first if first[0] > point[0] else point      # compare R_c
+    parts = _trial_parts(spec_at, omega_c, cold, omega_h, hot)
+
+    def allocate(adiabats, tau_exp: float, tau_comp: float) -> tuple:
+        alloc = solve_isochore_z(spec.gamma, spec.gamma, tau_exp + tau_comp)
+        tau = max(alloc.tau_c, 1e-12)
+        trial = _trials(parts, adiabats, tau_exp, tau_comp)
+        if spec.allocation == "z":
+            return trial(tau, tau)
+        x, lo, hi = math.log(tau), math.log(tau / 10.0), math.log(tau * 10.0)
+        tally = SearchTally()
+        _, point = search_isochore_times(trial, (x, x), [("tau_c", lo, hi), ("tau_h", lo, hi)],
+                                         tally, ((x, x), {"tau_c": tau, "tau_h": tau}))
+        tally.warn()
+        if point is None:               # the start failed: raises that failure
+            trial(tau, tau)
+        first = tally.solved[tau, tau]
+        return first if first[0] > point[0] else point      # compare R_c
+
+    return allocate
+
+
+# The searched kinds: each one's Schedule builder and the maps of a ramp and
+# its reverse from dynamics.
+_RAMPS = {"linear": (Schedule.linear, linear_ramp_pair),
+          "exponential": (Schedule.exponential, exponential_ramp_pair)}
 
 
 def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
     """The fixed point of the cycle for one sweep temperature, duration
-    search included (see build_point); t_c and omega_c are Python floats."""
+    search included (see build_point); t_c and omega_c are Python floats.
+
+    What does not depend on the adiabat duration is checked and built once:
+    the baths, omega_c < omega_h, the schedules of the frictionless kinds and
+    both equilibrium energies.  A duration step of the searched kinds checks
+    its duration as the kind's Schedule builder does and builds both ramp
+    maps; it builds no Schedule or CycleSpec.  The winner's record builds
+    them once (cycle.trial_record).
+    """
     hot = BathSpec(spec.t_hot, spec.gamma)
     cold = BathSpec(t_c, spec.gamma)
     if omega_c is None:
@@ -255,29 +283,72 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
     if w_c >= w_h:
         raise ValueError("sweep produced omega_c >= omega_h; shrink the grid")
 
-    def assemble(expansion, compression):
-        return _allocate(spec, hot, cold, w_h, w_c, expansion, compression)
+    if spec.kind in ("three_jump", "const_mu"):
+        if spec.kind == "three_jump":
+            expansion, compression = build_three_jump(w_h, w_c), build_three_jump(w_c, w_h)
+        else:
+            mu_star, _ = critical_mu(w_h / w_c, omega_h=w_h)
+            expansion = Schedule.const_mu(w_h, w_c, mu_star)
+            compression = Schedule.const_mu(w_c, w_h, -mu_star)
 
-    if spec.kind == "three_jump":
-        return assemble(build_three_jump(w_h, w_c), build_three_jump(w_c, w_h))
-    if spec.kind == "const_mu":
-        mu_star, _ = critical_mu(w_h / w_c, omega_h=w_h)
-        return assemble(Schedule.const_mu(w_h, w_c, mu_star),
-                        Schedule.const_mu(w_c, w_h, -mu_star))
+        def spec_at(point):
+            return CycleSpec(hot, cold, w_h, w_c, expansion, compression,
+                             tau_c=point[3], tau_h=point[4])
+
+        return _allocator(spec, spec_at, hot, cold, w_h, w_c)(
+            _adiabats(_adiabat_maps, expansion, compression),
+            expansion.duration, compression.duration)
 
     # searched adiabat duration for the generic kinds; the parameter is the
     # log of the peak adiabatic rate |mu| at the cold end of the ramp.
-    def cycle_for(log_param: float) -> tuple:
-        param = math.exp(log_param)
-        if spec.kind == "linear":
-            tau = (w_h - w_c) / (param * w_c * w_c)
-            return assemble(*linear_ramp_pair(w_h, w_c, tau))
-        tau = math.log(w_h / w_c) / (param * w_c)
-        return assemble(Schedule.exponential(w_h, w_c, tau),
-                        Schedule.exponential(w_c, w_h, tau))
+    if spec.kind == "linear":
+        if w_c <= 0.0:                  # refused by Schedule.linear at any duration
+            raise ScheduleError("schedule frequencies must be positive")
 
+        def duration(param: float) -> float:
+            return (w_h - w_c) / (param * w_c * w_c)
+    else:
+        rise = math.log(w_h / w_c)      # a domain error unless omega_c > 0
+
+        def duration(param: float) -> float:
+            return rise / (param * w_c)
+
+    step = _ramp_step(spec, hot, cold, w_h, w_c)
     lo, hi = _DURATION_BRACKET
-    return _golden_max(cycle_for, math.log(lo), math.log(hi))
+    return _golden_max(lambda log_param: step(duration(math.exp(log_param))),
+                       math.log(lo), math.log(hi))
+
+
+def _ramp_step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float,
+               omega_c: float):
+    """The duration step ``step(tau)`` of a searched kind's sweep point: the
+    fixed point (see _allocator) of its cycle with a ramp of duration tau
+    and its reverse as the adiabats.
+
+    A step refuses a tau that the kind's Schedule builder refuses, with that
+    builder's error, and builds both ramp maps with the kind's pair builder
+    (a failed build fails the step's trials, see cycle._adiabats); the
+    winner's record builds its two Schedules, with these maps attached, and
+    its CycleSpec.
+    """
+    make, pair = _RAMPS[spec.kind]
+
+    def spec_at(point):
+        _, a_exp, a_comp, _, _, _, _, tau, _ = point[-1]
+        expansion, compression = make(omega_h, omega_c, tau), make(omega_c, omega_h, tau)
+        object.__setattr__(expansion, "_propagator", a_exp)
+        object.__setattr__(compression, "_propagator", a_comp)
+        return CycleSpec(hot, cold, omega_h, omega_c, expansion, compression,
+                         tau_c=point[3], tau_h=point[4])
+
+    allocate = _allocator(spec, spec_at, hot, cold, omega_h, omega_c)
+
+    def step(tau: float) -> tuple:
+        if not 0.0 < tau < math.inf:    # refused: the builder raises its error
+            make(omega_h, omega_c, tau)
+        return allocate(_adiabats(pair, omega_h, omega_c, tau), tau, tau)
+
+    return step
 
 
 def build_point(spec: SweepSpec, t_c: float,

@@ -15,9 +15,9 @@ from ottofridge.dynamics import (
     BathSpec,
     _ZETA_MAX,
     StateVector,
-    _adiabat_flat,
     adiabat_power,
     equilibrium_state,
+    exponential_ramp_pair,
     linear_ramp_pair,
     observables,
     propagate,
@@ -440,23 +440,48 @@ def test_linear_ramp_past_the_bessel_limit_raises():
 @example(ratio=1000.0, omega_h=100.0, zeta_h=_ZETA_MAX * (1.0 - 1e-12))
 @example(ratio=1000.0, omega_h=100.0, zeta_h=_ZETA_MAX * (1.0 + 1e-12))
 def test_linear_ramp_pair_is_each_ramps_own_build(ratio, omega_h, zeta_h):
-    # a ramp and its time reverse from one jv/yv evaluation carry, bit for
-    # bit, the maps that each one's own build gives; past the Bessel limit
-    # both come back unbuilt and raise when built
+    # the maps of a ramp and its time reverse from one jv/yv evaluation are,
+    # bit for bit, the maps that each one's own build gives; past the Bessel
+    # limit the pair raises what each own build raises
     omega_c = omega_h / ratio
     tau = 2.0 * zeta_h * (omega_h - omega_c) / omega_h**2
-    ramp, reverse = linear_ramp_pair(omega_h, omega_c, tau)
     own = Schedule.linear(omega_h, omega_c, tau), Schedule.linear(omega_c, omega_h, tau)
-    assert (ramp, reverse) == own
     try:
         expected = tuple(map(schedule_propagator, own))
-    except ScheduleError:
-        assert ramp._propagator is None and reverse._propagator is None
-        for schedule in (ramp, reverse):
+    except ScheduleError as exc:
+        with pytest.raises(ScheduleError, match="Bessel argument") as err:
+            linear_ramp_pair(omega_h, omega_c, tau)
+        assert str(err.value) == str(exc)
+        for schedule in own:
             with pytest.raises(ScheduleError, match="Bessel argument"):
-                _adiabat_flat(schedule)
+                schedule_propagator(schedule)
         return
-    assert (ramp._propagator, reverse._propagator) == expected
+    assert linear_ramp_pair(omega_h, omega_c, tau) == expected
+
+
+def _alphas_are_negatives(omega_h, omega_c, tau):
+    return (math.log(omega_c / omega_h) / tau) == -(math.log(omega_h / omega_c) / tau)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(omega_h=st.floats(1.0, 1e3), ratio=st.floats(1e-7, 0.98), tau=st.floats(1e-3, 1e4))
+@example(omega_h=100.0, ratio=0.01, tau=2.0)
+@example(omega_h=100.0, ratio=0.3, tau=0.7)
+def test_exponential_ramp_pair_is_each_ramps_own_build(omega_h, ratio, tau):
+    # the maps of an exponential ramp and its time reverse are, bit for bit,
+    # the propagators of freshly built Schedule.exponential ramps, also where
+    # the two rates are not exact negatives (the first example)
+    omega_c = omega_h * ratio
+    own = (Schedule.exponential(omega_h, omega_c, tau),
+           Schedule.exponential(omega_c, omega_h, tau))
+    assert exponential_ramp_pair(omega_h, omega_c, tau) == tuple(map(schedule_propagator, own))
+
+
+def test_exponential_ramp_pair_examples_include_unequal_rates():
+    # the examples above hold a ramp whose two rates are not exact negatives
+    # and one whose rates are; a pair that negated one rate would fail there
+    assert not _alphas_are_negatives(100.0, 100.0 * 0.01, 2.0)
+    assert _alphas_are_negatives(100.0, 100.0 * 0.3, 0.7)
 
 
 def exponential_oracle(w0, w1, tau):

@@ -529,7 +529,7 @@ def test_float_search_is_the_list_search(monkeypatch, max_iter):
         limit[:] = [float(np.exp(rng.uniform(-1.0, 1.0)))] if case % 5 == 0 else []
         ref, new = SearchTally(), SearchTally()
         expected = list_search(base, x, box, ref, start)
-        got = search_isochore_times(base, tuple(x), box, new, start)
+        got = search_isochore_times(isochore_trials(base), tuple(x), box, new, start)
         assert list(got[0].items()) == list(expected[0].items())
         assert (got[1] is None) == (expected[1] is None)
         if got[1] is not None:

@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from ottofridge.cycle import (
     limit_cycle,
     trial_record,
 )
-from ottofridge.dynamics import BathSpec, equilibrium_state, linear_ramp_pair
+from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.optimize import (
     OptimizationSpec,
     optimal_cold_frequency,
@@ -31,7 +33,7 @@ from ottofridge.scaling import (
     _GOLDEN_ITERS,
     SWEEP_KINDS,
     SweepSpec,
-    _allocate,
+    _ramp_step,
     build_point,
     fit_power_law,
     temperature_sweep,
@@ -218,8 +220,8 @@ def test_searched_point_reuses_the_golden_section_winner(monkeypatch):
     searches = []
     search = ottofridge.scaling.search_isochore_times
 
-    def counting(base, x, box, tally, start):
-        result = search(base, x, box, tally, start)
+    def counting(trial, x, box, tally, start):
+        result = search(trial, x, box, tally, start)
         searches.append(dict(tally.solved))
         return result
 
@@ -240,17 +242,18 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
     # z-allocation, and a search builds at most two CycleRecords (it builds
     # one, its winner's), not one per trial
     records = record_ledgers(monkeypatch)
-    calls, searches = [], []
+    calls, durations, searches = [], [], []
     search, solve = ottofridge.scaling.search_isochore_times, ottofridge.cycle._fixed_point
 
     def counting(consts, cold, hot, tau_c, tau_h):
         calls.append((tau_c, tau_h))
+        durations.append(consts[7] + consts[8])
         return solve(consts, cold, hot, tau_c, tau_h)
 
-    def recording(base, x, box, tally, start):
+    def recording(trial, x, box, tally, start):
         first = len(calls)
-        result = search(base, x, box, tally, start)
-        searches.append((base, tally, calls[first:]))
+        result = search(trial, x, box, tally, start)
+        searches.append((durations[first], tally, calls[first:]))
         return result
 
     monkeypatch.setattr(ottofridge.cycle, "_fixed_point", counting)
@@ -261,9 +264,8 @@ def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
     assert row.flag == 1
     assert len(searches) == _GOLDEN_ITERS + 2
     assert len(calls) == sum(len(made) for *_, made in searches)
-    for base, tally, made in searches:
-        z = solve_isochore_z(spec.gamma, spec.gamma,
-                             base.expansion.duration + base.compression.duration)
+    for adiabats, tally, made in searches:
+        z = solve_isochore_z(spec.gamma, spec.gamma, adiabats)
         assert made[0] == (z.tau_c, z.tau_h)
         assert len(made) == tally.evaluations
     assert len(records) <= 2 * len(searches) < len(calls)
@@ -279,15 +281,29 @@ def chain_bits(record):
     return [x.hex() for x in numbers] + [lu[0]]
 
 
-@pytest.mark.parametrize("options", [
+# the searched kinds with each allocation, and with the omega_c search
+ROW_OPTIONS = pytest.mark.parametrize("options", [
     *(dict(kind=kind, allocation=allocation)
       for kind in ("linear", "exponential") for allocation in ("z", "searched")),
     dict(kind="linear", allocation="searched", optimize_omega_c=True),
 ], ids=lambda options: "-".join(v if isinstance(v, str) else k for k, v in options.items()))
+
+
+def fresh(cycle):
+    """``cycle`` with its two ramps built again, as new Schedules that carry
+    no map."""
+    build = getattr(Schedule, cycle.expansion.kind)
+    return replace(cycle, expansion=build(cycle.omega_h, cycle.omega_c, cycle.expansion.duration),
+                   compression=build(cycle.omega_c, cycle.omega_h, cycle.compression.duration))
+
+
+@ROW_OPTIONS
 def test_one_record_per_sweep_row(monkeypatch, options):
     # a sweep point builds one CycleRecord, its winner's, however many
     # cycles its golden sections and isochore-time searches solved; that
-    # record is limit_cycle's for the row's cycle, float for float
+    # record is limit_cycle's for the row's cycle, float for float, also
+    # with the ramps built again (their maps of their own builds, not the
+    # maps the sweep attached)
     records = record_ledgers(monkeypatch)
     spec = small_sweep(t_max=1e-1, t_min=1e-2, points_per_decade=1, **options)
     rows = temperature_sweep(spec).rows
@@ -297,8 +313,28 @@ def test_one_record_per_sweep_row(monkeypatch, options):
         _, expected = limit_cycle(cycle)
         assert record == expected and cycle == expected.chain[0]
         assert chain_bits(record) == chain_bits(expected)
+        _, own = limit_cycle(fresh(cycle))
+        assert own.chain[0].expansion._propagator is not cycle.expansion._propagator
+        assert record == own and chain_bits(record) == chain_bits(own)
         assert (row.omega_c, row.tau_c, row.tau_h, row.r_c) == (
             cycle.omega_c, cycle.tau_c, cycle.tau_h, record.r_c)
+
+
+@ROW_OPTIONS
+def test_one_spec_and_two_schedules_per_sweep_row(monkeypatch, options):
+    # a duration step builds no Schedule or CycleSpec: a row builds two
+    # Schedules and one validated CycleSpec, its winner's, however many
+    # steps its golden sections took
+    built = []
+    for cls in (CycleSpec, Schedule):
+        def counting(self, check=cls.__post_init__):
+            built.append(type(self).__name__)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    spec = small_sweep(t_max=1e-1, t_min=1e-2, points_per_decade=1, **options)
+    rows = temperature_sweep(spec).rows
+    assert len(rows) == 2 and all(r.flag == 1 for r in rows)
+    assert Counter(built) == {"CycleSpec": len(rows), "Schedule": 2 * len(rows)}
 
 
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
@@ -313,18 +349,14 @@ def test_sweep_search_is_optimize_time_allocation(kind):
         gamma, duration = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.05, 5.0))
         hot = BathSpec(float(rng.uniform(0.5, 3.0)), gamma)
         cold = BathSpec(float(rng.uniform(0.01, 1.0)), gamma)
-        if kind == "linear":
-            expansion, compression = linear_ramp_pair(w_h, w_c, duration)
-        else:
-            expansion = Schedule.exponential(w_h, w_c, duration)
-            compression = Schedule.exponential(w_c, w_h, duration)
+        build = getattr(Schedule, kind)
+        expansion, compression = build(w_h, w_c, duration), build(w_c, w_h, duration)
         spec = SweepSpec(kind, gamma=gamma, allocation="searched")  # its gamma and allocation
         tau = solve_isochore_z(gamma, gamma, 2.0 * duration).tau_c
         base = CycleSpec(hot, cold, w_h, w_c, expansion, compression, tau_c=tau, tau_h=tau)
         bounds = {"tau_c": (tau / 10.0, tau * 10.0), "tau_h": (tau / 10.0, tau * 10.0)}
         got, expected = [], []
-        for run, out in ((lambda: trial_record(_allocate(spec, hot, cold, w_h, w_c, expansion,
-                                                         compression)),
+        for run, out in ((lambda: trial_record(_ramp_step(spec, hot, cold, w_h, w_c)(duration)),
                           got),
                          (lambda: optimize_time_allocation(OptimizationSpec(
                              base=base, free=("tau_c", "tau_h"), bounds=bounds, restarts=1)),
@@ -349,18 +381,41 @@ def test_sweep_search_is_optimize_time_allocation(kind):
     assert {"cooling", "heating"} <= outcomes
 
 
+@pytest.mark.parametrize("kind", ["linear", "exponential"])
+def test_duration_step_refuses_what_its_schedule_builder_refuses(kind):
+    # a duration step builds no Schedule, but refuses a duration that is not
+    # finite and > 0 with the error the kind's Schedule builder raises for
+    # it; at omega_h = inf the exponential builder's error is its rate's
+    # domain error, and a sweep row keeps it
+    spec = small_sweep(kind)
+    hot, cold = BathSpec(spec.t_hot, spec.gamma), BathSpec(0.05, spec.gamma)
+    for w_h, w_c, tau in ((50.0, 0.1, 0.0), (50.0, 0.1, -1.0), (50.0, 0.1, math.inf),
+                          (50.0, 0.1, math.nan), (math.inf, 0.1, math.inf)):
+        with pytest.raises(ValueError) as expected:
+            getattr(Schedule, kind)(w_h, w_c, tau)
+        with pytest.raises(type(expected.value)) as err:
+            _ramp_step(spec, hot, cold, w_h, w_c)(tau)
+        assert str(err.value) == str(expected.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (row,) = temperature_sweep(small_sweep(kind, omega_h=math.inf, t_max=1e-1,
+                                               t_min=1e-1 * 10**-0.05, points_per_decade=5)).rows
+    assert row.flag == 0
+    assert row.error == ("ValueError: math domain error" if kind == "exponential" else
+                         "ScheduleError: schedule duration must be finite and >= 0")
+
+
 def test_searched_point_keeps_a_z_start_that_beats_its_search(monkeypatch):
     # optimize_time_allocation's z-equation rule: a search that ends below
     # its z-start (here one made to stop at a corner of its box) gives way to
     # that start, in a sweep point as in optimize_time_allocation
     search = ottofridge.optimize.search_isochore_times
 
-    def stops_at_a_corner(base, x, box, tally, start):
-        search(base, x, box, tally, start)
+    def stops_at_a_corner(trial, x, box, tally, start):
+        search(trial, x, box, tally, start)
         values = {"tau_c": math.exp(box[0][1]), "tau_h": math.exp(box[1][2])}
         return values, tally.solved.setdefault(
-            (values["tau_c"], values["tau_h"]),
-            isochore_trials(base)(values["tau_c"], values["tau_h"]))
+            (values["tau_c"], values["tau_h"]), trial(values["tau_c"], values["tau_h"]))
 
     monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", stops_at_a_corner)
     monkeypatch.setattr(ottofridge.optimize, "search_isochore_times", stops_at_a_corner)
@@ -368,9 +423,7 @@ def test_searched_point_keeps_a_z_start_that_beats_its_search(monkeypatch):
     hot, cold = BathSpec(spec.t_hot, spec.gamma), BathSpec(0.05, spec.gamma)
     w_h, w_c = spec.omega_h, spec.kind_kappa() * 0.05
     duration = math.log(w_h / w_c) / (0.3 * w_c)        # peak rate 0.3 w_c
-    expansion = Schedule.exponential(w_h, w_c, duration)
-    compression = Schedule.exponential(w_c, w_h, duration)
-    record = trial_record(_allocate(spec, hot, cold, w_h, w_c, expansion, compression))
+    record = trial_record(_ramp_step(spec, hot, cold, w_h, w_c)(duration))
     cycle = record.chain[0]
     tau = solve_isochore_z(spec.gamma, spec.gamma, 2.0 * duration).tau_c
     assert (cycle.tau_c, cycle.tau_h) == (tau, tau)
@@ -402,9 +455,9 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
     searches = []
     search = ottofridge.scaling.search_isochore_times
 
-    def recording(base, x, box, tally, start):
-        values, point = search(base, x, box, tally, start)
-        searches.append((base, trial_record(point), tally))
+    def recording(trial, x, box, tally, start):
+        values, point = search(trial, x, box, tally, start)
+        searches.append((start[1], trial_record(point), tally))
         return values, point
 
     monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", recording)
@@ -415,13 +468,13 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
         rows = temperature_sweep(spec).rows
     assert all(r.flag == 1 for r in rows)
     assert len(searches) == len(rows) * (_GOLDEN_ITERS + 2)
-    for base, record, _ in searches:
+    for z_times, record, _ in searches:
         for name, g in zip(("tau_c", "tau_h"), isochore_time_derivatives(record)[0]):
-            lo, hi = getattr(base, name) / 10.0, getattr(base, name) * 10.0
+            lo, hi = z_times[name] / 10.0, z_times[name] * 10.0
             tau = getattr(record.chain[0], name)
             held = (tau <= lo * (1 + 1e-15) and g < 0) or (tau >= hi * (1 - 1e-15) and g > 0)
             assert held or abs(g) <= 1e-10
-        assert record.r_c >= limit_cycle(base)[1].r_c
+        assert record.r_c >= limit_cycle(replace(record.chain[0], **z_times))[1].r_c
     assert sum(tally.evaluations for *_, tally in searches) <= 8 * len(searches)
 
 
@@ -525,6 +578,30 @@ def test_linear_sweep_past_the_bessel_limit_is_a_failed_point():
     assert third.flag == 0 and "Bessel argument" in third.error
 
 
+@pytest.mark.parametrize("allocation", ["z", "searched"])
+def test_linear_point_past_the_bessel_limit_keeps_its_error(allocation):
+    # at T_c = 1e-8 every duration step's ramp passes zeta = 2^51: the row
+    # fails with the BranchError its expansion's build raises, in z and in
+    # searched allocation (where each failed search start is also warned of)
+    spec = SweepSpec(kind="linear", omega_h=100.0, t_max=1e-6, t_min=1e-8,
+                     points_per_decade=1, allocation=allocation)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = temperature_sweep(spec).rows
+    assert [r.t_c for r in rows] == list(spec.grid) and rows[0].flag == 1
+    last = rows[-1]
+    assert last.t_c == 1e-8 and last.flag == 0 and math.isnan(last.r_c)
+    assert last.error.startswith("BranchError: propagation failed on branch 'expansion': "
+                                 "linear ramp Bessel argument ")
+    failed_starts = [w for w in caught if "objective evaluations failed" in str(w.message)]
+    if allocation == "z":
+        assert failed_starts == []
+    else:
+        assert len(failed_starts) >= _GOLDEN_ITERS + 2      # every step of the last point
+        assert all("BranchError: propagation failed on branch 'expansion'" in str(w.message)
+                   for w in failed_starts)
+
+
 @pytest.mark.parametrize("options", [
     *(dict(kind=kind, allocation=allocation)
       for kind in SWEEP_KINDS for allocation in ("z", "searched")),
@@ -573,6 +650,15 @@ def test_sweep_spec_validation():
         SweepSpec(kind="linear", t_max=0.1, t_min=0.2)
     with pytest.raises(ValueError):
         SweepSpec(kind="linear", gamma=-1.0)
+    # what the CLI refuses while reading a config, the library refuses too:
+    # these used to run, to all-failed rows or a tail window of -1 decades
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^kappa must be finite and > 0"):
+            SweepSpec(kind="three_jump", kappa=bad)
+        with pytest.raises(ValueError, match=r"^tail_decades must be finite and > 0"):
+            SweepSpec(kind="three_jump", tail_decades=bad)
+    assert SweepSpec(kind="three_jump", kappa=None).kind_kappa() == \
+        SweepSpec(kind="three_jump").kind_kappa()
     grid = SweepSpec(kind="three_jump", t_max=1.0, t_min=1e-2,
                      points_per_decade=5, omega_h=100.0).grid
     assert len(grid) == 11
