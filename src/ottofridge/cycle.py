@@ -36,17 +36,19 @@ Hessian, from the branch maps, M and the LU factors that the record's
 solve built.  It runs in two stages, the gradient and then the Hessian
 from the gradient's parts, so a search can stop after the first.
 
-A search that varies only the isochore times takes its cycles from
-isochore_trials: the adiabat maps, both baths' equilibrium energies and the
-constants of the fixed point are built once per search, and a trial
+A search that varies only the isochore times takes its cycles from trials
+(_trials): both baths' equilibrium energies (_trial_parts), the adiabat
+maps and the constants of the fixed point are built once, and a trial
 computes the two isochores and runs the fixed-point solve that limit_cycle
-runs (_fixed_point), with its checks.  A trial returns the solved fixed
+runs (_fixed_point), with its checks.  isochore_trials builds them from a
+CycleSpec; a sweep point builds its parts once and a duration step its
+maps, with no Schedule or CycleSpec.  A trial returns the solved fixed
 point as a plain tuple and builds no CycleSpec or CycleRecord;
-trial_record builds them for a point a caller reads, bit for bit the record
-limit_cycle returns: a search's winner, and one record per sweep point,
-whose golden sections compare tuples.  The derivative stages read the
-tuple as it is, and isochore_time_derivatives builds the same tuple from a
-record.
+trial_record builds them, through the spec builder in the tuple's
+constants, for a point a caller reads, bit for bit the record limit_cycle
+returns: a search's winner, and one record per sweep point, whose golden
+sections compare tuples.  The derivative stages read the tuple as it is,
+and isochore_time_derivatives builds the same tuple from a record.
 """
 
 from __future__ import annotations
@@ -458,9 +460,8 @@ def isochore_trials(base: CycleSpec):
 
 def _trial_parts(spec_at, omega_c: float, cold: BathSpec, omega_h: float,
                  hot: BathSpec) -> tuple:
-    """What the trials of a cycle share whatever its adiabats:
-    (spec_at, omega_c, Gamma_c, omega_h, Gamma_h, each bath's equilibrium
-    energy); spec_at(point) builds a point's CycleSpec (see _fixed_point)."""
+    """The parts of a cycle's trials that do not depend on its adiabats:
+    (spec_at, omega_c, Gamma_c, omega_h, Gamma_h, e_eq_c, e_eq_h)."""
     _, e_eq_c = equilibrium_state(omega_c, cold)
     _, e_eq_h = equilibrium_state(omega_h, hot)
     return spec_at, omega_c, cold.conductance, omega_h, hot.conductance, e_eq_c, e_eq_h
@@ -468,12 +469,8 @@ def _trial_parts(spec_at, omega_c: float, cold: BathSpec, omega_h: float,
 
 def _adiabats(build, *args):
     """The adiabat maps (A_exp, A_comp) of ``build(*args)``, or the
-    BranchError of its failure, which each trial raises again (see _trials).
-
-    ``build`` raises a BranchError naming its branch (_adiabat_maps) or, as
-    a ramp pair builder of dynamics does, the ValueError of the ramp built
-    first, the expansion.
-    """
+    BranchError of its failure, for each trial to raise (see _trials).  A
+    ValueError of a ramp pair builder is the expansion's, built first."""
     try:
         return build(*args)
     except BranchError as exc:
@@ -483,14 +480,12 @@ def _adiabats(build, *args):
 
 
 def _trials(parts: tuple, adiabats, tau_exp: float, tau_comp: float):
-    """The function ``trial(tau_c, tau_h)`` of two times > 0 that solves the
-    fixed point of a cycle from its parts: _trial_parts, the adiabat maps
-    or their failure from _adiabats, and the adiabats' durations.
+    """``trial(tau_c, tau_h)``, for two times > 0, from a cycle's parts
+    (_trial_parts), its adiabats (_adiabats) and their durations.
 
     A trial computes the two isochores and runs limit_cycle's fixed-point
-    solve on them (_fixed_point), with limit_cycle's checks in its order:
-    the times, the contraction, the adiabats, the map.  It returns the
-    solved tuple and builds no CycleSpec or CycleRecord.
+    solve (_fixed_point) with limit_cycle's checks, in its order, and
+    returns the tuple; it builds no CycleSpec or CycleRecord.
     """
     spec_at, omega_c, gamma_c, omega_h, gamma_h, e_eq_c, e_eq_h = parts
     failure = adiabats if isinstance(adiabats, BranchError) else None

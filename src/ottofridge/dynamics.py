@@ -21,8 +21,11 @@ Every branch map here is affine in (e_h, e_l, e_c) and is built on plain
 floats, in the form the limit-cycle solver composes: an adiabat as a
 row-major 9-tuple, from the classical (Q, P) fundamental matrix of its
 schedule lifted once to second moments (const-mu has its own closed form),
-and an isochore as its four scalars.  Natural units hbar = k_B = m = 1
-throughout.
+and an isochore as its four scalars.  The maps of a linear or exponential
+ramp and of its time reverse are also built from their endpoints and
+duration alone, without a Schedule (linear_ramp_pair,
+exponential_ramp_pair), bit for bit each ramp's own build.  Natural units
+hbar = k_B = m = 1 throughout.
 """
 
 from __future__ import annotations

@@ -347,13 +347,14 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
     so its adiabat maps and equilibrium energies are built before the
     search; each point solved is a fixed-point tuple whose R_c is its first
     entry, and a domain failure makes a point a failed evaluation.
-    ``box`` is [(name, lo, hi)] for the names tau_c and tau_h in the order of
-    the coordinates of x, the logs of the times, and x the first point;
+    ``box`` is [(name, lo, hi)] for the names tau_c and tau_h in the order
+    of the coordinates of x, the logs of the times, and x the first point;
     ``start`` is None or a point (x, values) whose values are used there as
-    they are (a base's own times rather than exp of their logs).  ``tally`` counts the
-    evaluations and failures, keeps each solved point's tuple by its
-    (tau_c, tau_h), and counts the search as unconverged when it ends short
-    of its tolerance and as held when it ends with a time held at a face.
+    they are (a base's own times rather than exp of their logs). ``tally``
+    counts the evaluations and failures, keeps each solved point's tuple by
+    its (tau_c, tau_h), and counts the search as unconverged when it ends
+    short of its tolerance and as held when it ends with a time held at a
+    face.
 
     The loop runs on floats: the two coordinates, the projected gradient
     and the step are plain locals, a trial is keyed by its (tau_c, tau_h),

@@ -11,10 +11,15 @@ and a linear ramp and its time reverse share one Bessel evaluation
 optimize.search_isochore_times from the z-equation allocation, which it
 keeps when that start beats the search, as optimize_time_allocation does.
 
-The golden sections and the searches pass bare fixed-point tuples
-(cycle._fixed_point, whose first entry is R_c), not CycleRecords: a sweep
-point builds one record, its winner's (cycle.trial_record), however many
-cycles its searches solved.
+A point is assembled from parts: what does not depend on the adiabat
+duration (the baths, omega_c < omega_h, both equilibrium energies) is
+checked and built once per point, and a duration step checks its
+duration, builds the two ramp maps (dynamics.linear_ramp_pair,
+exponential_ramp_pair) and solves its trials (cycle._trials).  The golden
+sections and the searches pass bare fixed-point tuples (cycle._fixed_point,
+whose first entry is R_c): no step builds a Schedule, CycleSpec or
+CycleRecord, and a sweep point builds one record, its winner's
+(cycle.trial_record), with its two Schedules and one validated CycleSpec.
 """
 
 from __future__ import annotations
@@ -226,11 +231,11 @@ def _golden_max(build, lo: float, hi: float) -> tuple:
 
 def _allocator(spec: SweepSpec, spec_at, hot: BathSpec, cold: BathSpec, omega_h: float,
                omega_c: float):
-    """The function ``allocate(adiabats, tau_exp, tau_comp)`` that returns
-    the fixed point (cycle._fixed_point) of the point's cycle with these
-    adiabats (maps or their failure, cycle._adiabats) and durations and its
-    isochore times allocated; cycle.trial_record builds its record with
-    ``spec_at``.  Both baths' equilibrium energies are computed once.
+    """``allocate(adiabats, tau_exp, tau_comp)``: the fixed point
+    (cycle._fixed_point) of the point's cycle with these adiabats (see
+    cycle._adiabats) and its isochore times allocated.  The trials' parts
+    are built once (cycle._trial_parts); trial_record builds a point's
+    record with ``spec_at``.
 
     Both times start at the z-equation allocation.  A searched allocation
     runs one search_isochore_times from exactly there over a box of a decade
@@ -267,13 +272,8 @@ _RAMPS = {"linear": (Schedule.linear, linear_ramp_pair),
 def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
     """The fixed point of the cycle for one sweep temperature, duration
     search included (see build_point); t_c and omega_c are Python floats.
-
-    What does not depend on the adiabat duration is checked and built once:
-    the baths, omega_c < omega_h, the schedules of the frictionless kinds and
-    both equilibrium energies.  A duration step of the searched kinds checks
-    its duration as the kind's Schedule builder does and builds both ramp
-    maps; it builds no Schedule or CycleSpec.  The winner's record builds
-    them once (cycle.trial_record).
+    What does not depend on the adiabat duration is checked and built once
+    per point; a duration step builds no Schedule or CycleSpec (_ramp_step).
     """
     hot = BathSpec(spec.t_hot, spec.gamma)
     cold = BathSpec(t_c, spec.gamma)
@@ -321,15 +321,13 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
 
 def _ramp_step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float,
                omega_c: float):
-    """The duration step ``step(tau)`` of a searched kind's sweep point: the
-    fixed point (see _allocator) of its cycle with a ramp of duration tau
-    and its reverse as the adiabats.
+    """``step(tau)``: the fixed point (see _allocator) of a searched kind's
+    point with a ramp of duration tau and its reverse as the adiabats.
 
     A step refuses a tau that the kind's Schedule builder refuses, with that
-    builder's error, and builds both ramp maps with the kind's pair builder
-    (a failed build fails the step's trials, see cycle._adiabats); the
-    winner's record builds its two Schedules, with these maps attached, and
-    its CycleSpec.
+    builder's error, and builds both maps with the kind's pair builder; the
+    record of a point builds its two Schedules, with these maps attached,
+    and its CycleSpec.
     """
     make, pair = _RAMPS[spec.kind]
 
