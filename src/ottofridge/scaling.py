@@ -263,12 +263,6 @@ def _allocator(spec: SweepSpec, spec_at, hot: BathSpec, cold: BathSpec, omega_h:
     return allocate
 
 
-# The searched kinds: each one's Schedule builder and the maps of a ramp and
-# its reverse from dynamics.
-_RAMPS = {"linear": (Schedule.linear, linear_ramp_pair),
-          "exponential": (Schedule.exponential, exponential_ramp_pair)}
-
-
 def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
     """The fixed point of the cycle for one sweep temperature, duration
     search included (see build_point); t_c and omega_c are Python floats.
@@ -329,7 +323,8 @@ def _ramp_step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float,
     record of a point builds its two Schedules, with these maps attached,
     and its CycleSpec.
     """
-    make, pair = _RAMPS[spec.kind]
+    make = getattr(Schedule, spec.kind)
+    pair = linear_ramp_pair if spec.kind == "linear" else exponential_ramp_pair
 
     def spec_at(point):
         _, a_exp, a_comp, _, _, _, _, tau, _ = point[-1]
@@ -342,7 +337,7 @@ def _ramp_step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float,
     allocate = _allocator(spec, spec_at, hot, cold, omega_h, omega_c)
 
     def step(tau: float) -> tuple:
-        if not 0.0 < tau < math.inf:    # refused: the builder raises its error
+        if not 0.0 < tau < math.inf:    # the builder refuses it, with its error
             make(omega_h, omega_c, tau)
         return allocate(_adiabats(pair, omega_h, omega_c, tau), tau, tau)
 
