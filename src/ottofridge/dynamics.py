@@ -31,6 +31,7 @@ hbar = k_B = m = 1 throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -377,13 +378,24 @@ def exponential_ramp_pair(omega_start: float, omega_end: float,
                              math.log(omega_start / omega_end) / duration))
 
 
-# Bessel orders of the linear ramp's (Q, Q, P, P) entries, at (start, end, start, end)
-_LINEAR_ORDERS = (0.25, 0.25, -0.75, -0.75)
+# Bessel orders of the linear ramp's jv and yv calls, at (start, end, start,
+# end): 1/4 for the positions, and 3/4, from which the momenta's order -3/4
+# is formed by DLMF 10.4.7-8 (J_-v = cos(v pi) J_v - sin(v pi) Y_v, Y_-v =
+# sin(v pi) J_v + cos(v pi) Y_v), the rotation scipy itself applies to a
+# negative order.  These are the cospi(3/4) and sinpi(3/4) that scipy
+# rotates with, bit for bit (math.sin(3 * math.pi / 4) is one ulp off).
+_LINEAR_ORDERS = (0.25, 0.25, 0.75, 0.75)
+_COS_3PI_4 = -math.sin(math.pi * 0.25)
+_SIN_3PI_4 = math.sin(math.pi * 0.25)
 
-# Largest argument at which scipy's jv and yv keep their accuracy: 0.5/eps =
-# 2^51.  Against 50-digit mpmath their error is <= 4e-16 of the envelope
-# sqrt(2/(pi zeta)) up to 2^51 and 2e-2 to 1e-1 of it one ulp above.
+# Arguments at which scipy's jv and yv keep their accuracy.  Above 0.5/eps =
+# 2^51: against 50-digit mpmath their error is <= 4e-16 of the envelope
+# sqrt(2/(pi zeta)) up to 2^51 and 2e-2 to 1e-1 of it one ulp above.  Below
+# 1000 times the smallest normal float (about 2.2e-305), AMOS's underflow
+# guard, they return 0 and -inf at orders 1/4 and 3/4; from there up to
+# 1e-290 their relative error against 40-digit mpmath is <= 1.2e-13.
 _ZETA_MAX = 2.0 ** 51
+_ZETA_MIN = 1e3 * sys.float_info.min
 
 
 def _linear_ramp_propagator(schedule: Schedule) -> tuple:
@@ -395,9 +407,9 @@ def _linear_ramp_propagator(schedule: Schedule) -> tuple:
     -sign(beta) omega^(3/2) C_{-3/4}(zeta) (DLMF 10.6.2).  With C = J, Y the
     columns have the exact constant Wronskian -4 beta / pi.  The phase
     carries the rounding of zeta, about 1e-16 zeta radians; it turns
-    (e_l, e_c) and leaves the energy entry at machine precision.  Past
-    zeta = _ZETA_MAX the Bessel functions lose every digit, so such a ramp
-    raises ScheduleError.  A ramp of zero duration or between equal
+    (e_l, e_c) and leaves the energy entry at machine precision.  Outside
+    [_ZETA_MIN, _ZETA_MAX] the Bessel functions lose every digit, so such a
+    ramp raises ScheduleError.  A ramp of zero duration or between equal
     frequencies is a hold: it turns (e_l, e_c) by the angle 2 omega t.
     """
     w0, w1, tau = schedule.omega_start, schedule.omega_end, schedule.duration
@@ -410,22 +422,31 @@ def _linear_ramp_propagator(schedule: Schedule) -> tuple:
 def _linear_ramp_fundamental(w0: float, w1: float, tau: float) -> tuple:
     """The classical fundamental matrix (a, b, c, d) on (Q, P) of the linear
     ramp w0 -> w1 of duration tau > 0 between distinct frequencies (see
-    _linear_ramp_propagator)."""
+    _linear_ramp_propagator).
+
+    Two calls, jv and yv at orders 1/4 and 3/4 for both ends; the order -3/4
+    by DLMF 10.4.7-8, bit for bit scipy's own jv(-0.75, zeta) and
+    yv(-0.75, zeta), which evaluate the order-3/4 pair and rotate it.
+    """
     beta = (w0 - w1) / tau           # signed; > 0 for expansion
     sgn = 1.0 if beta > 0 else -1.0
     two_b = 2.0 * abs(beta)
-    zeta = (w0 * w0 / two_b, w1 * w1 / two_b)
-    if max(zeta) > _ZETA_MAX:
-        raise ScheduleError(f"linear ramp Bessel argument {max(zeta):.6g} exceeds "
-                            f"{_ZETA_MAX:.6g}, where jv and yv lose their accuracy")
-    # both orders at both ends in one call per Bessel kind
-    jq0, jq1, jp0, jp1 = jv(_LINEAR_ORDERS, zeta + zeta).tolist()
-    yq0, yq1, yp0, yp1 = yv(_LINEAR_ORDERS, zeta + zeta).tolist()
+    z0, z1 = w0 * w0 / two_b, w1 * w1 / two_b
+    if not (_ZETA_MIN <= z0 <= _ZETA_MAX and _ZETA_MIN <= z1 <= _ZETA_MAX):
+        if max(z0, z1) > _ZETA_MAX:
+            raise ScheduleError(f"linear ramp Bessel argument {max(z0, z1):.6g} exceeds "
+                                f"{_ZETA_MAX:.6g}, where jv and yv lose their accuracy")
+        raise ScheduleError(f"linear ramp Bessel argument {min(z0, z1):.6g} is below "
+                            f"{_ZETA_MIN:.6g}, where jv and yv underflow")
+    zeta = (z0, z1, z0, z1)
+    jq0, jq1, jp0, jp1 = jv(_LINEAR_ORDERS, zeta).tolist()
+    yq0, yq1, yp0, yp1 = yv(_LINEAR_ORDERS, zeta).tolist()
+    c, s = _COS_3PI_4, _SIN_3PI_4
 
     def fundamental(w, jq, yq, jp, yp):
         q = math.sqrt(w)
         p = -sgn * w * q
-        return q * jq, q * yq, p * jp, p * yp
+        return q * jq, q * yq, p * (c * jp - s * yp), p * (c * yp + s * jp)
 
     return _bessel_fundamental(fundamental(w0, jq0, yq0, jp0, yp0),
                                fundamental(w1, jq1, yq1, jp1, yp1), -4.0 * beta / math.pi)
