@@ -276,6 +276,8 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
     w_h, w_c = spec.omega_h, omega_c
     if w_c >= w_h:
         raise ValueError("sweep produced omega_c >= omega_h; shrink the grid")
+    if not w_c > 0.0 and spec.kind != "three_jump":   # build_three_jump refuses it itself
+        raise ScheduleError("schedule frequencies must be positive")
 
     if spec.kind in ("three_jump", "const_mu"):
         if spec.kind == "three_jump":
@@ -293,23 +295,26 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
             _adiabats(_adiabat_maps, expansion, compression),
             expansion.duration, compression.duration)
 
-    # searched adiabat duration for the generic kinds; the parameter is the
-    # log of the peak adiabatic rate |mu| at the cold end of the ramp.
+    # searched adiabat duration for the generic kinds: rise / rate(param), the
+    # parameter the log of the peak adiabatic rate |mu| at the cold end of
+    # the ramp.
     if spec.kind == "linear":
-        if w_c <= 0.0:                  # refused by Schedule.linear at any duration
-            raise ScheduleError("schedule frequencies must be positive")
+        rise = w_h - w_c
 
-        def duration(param: float) -> float:
-            return (w_h - w_c) / (param * w_c * w_c)
+        def rate(param: float) -> float:
+            return param * w_c * w_c
     else:
-        rise = math.log(w_h / w_c)      # a domain error unless omega_c > 0
+        rise = math.log(w_h / w_c)
 
-        def duration(param: float) -> float:
-            return rise / (param * w_c)
+        def rate(param: float) -> float:
+            return param * w_c
 
-    step = _ramp_step(spec, hot, cold, w_h, w_c)
     lo, hi = _DURATION_BRACKET
-    return _golden_max(lambda log_param: step(duration(math.exp(log_param))),
+    if rate(lo) == 0.0:                 # the duration would divide by zero in the bracket
+        raise ScheduleError(f"omega_c = {w_c:.6g} is too small: the {spec.kind} ramp's "
+                            "rate underflows to 0")
+    step = _ramp_step(spec, hot, cold, w_h, w_c)
+    return _golden_max(lambda log_param: step(rise / rate(math.exp(log_param))),
                        math.log(lo), math.log(hi))
 
 
