@@ -24,8 +24,11 @@ schedule lifted once to second moments (const-mu has its own closed form),
 and an isochore as its four scalars.  The maps of a linear or exponential
 ramp and of its time reverse are also built from their endpoints and
 duration alone, without a Schedule (linear_ramp_pair,
-exponential_ramp_pair), bit for bit each ramp's own build.  Natural units
-hbar = k_B = m = 1 throughout.
+exponential_ramp_pair), bit for bit each ramp's own build.  A linear
+ramp's Bessel functions take two calls, jv and yv at orders 1/4 and 3/4 for
+both ends; the momenta's order -3/4 is formed from the 3/4 pair by DLMF
+10.4.7-8, bit for bit scipy's own.  Natural units hbar = k_B = m = 1
+throughout.
 """
 
 from __future__ import annotations
@@ -455,13 +458,14 @@ def _linear_ramp_fundamental(w0: float, w1: float, tau: float) -> tuple:
 def linear_ramp_pair(omega_start: float, omega_end: float,
                      duration: float) -> tuple[tuple, tuple]:
     """The propagators of a linear ramp between distinct frequencies, of
-    finite duration > 0, and of its time reverse, from one jv/yv evaluation.
+    finite duration > 0, and of its time reverse, from one Bessel evaluation:
+    two calls, orders 1/4 and 3/4; -3/4 by DLMF 10.4.7-8.
 
     The reverse's zeta pair is the ramp's swapped, as (w0 - w1) and (w1 - w0)
     are exact negatives; its momenta and its Wronskian are the exact
     negatives, so its fundamental matrix is the ramp's with the diagonal
-    swapped, bit for bit what its own build gives.  A ramp past _ZETA_MAX
-    raises its ScheduleError.
+    swapped, bit for bit what its own build gives.  A ramp whose Bessel
+    arguments leave [_ZETA_MIN, _ZETA_MAX] raises its ScheduleError.
     """
     a, b, c, d = _linear_ramp_fundamental(omega_start, omega_end, duration)
     return _lift(a, b, c, d, omega_start, omega_end), _lift(d, b, c, a, omega_end, omega_start)
