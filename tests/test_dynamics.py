@@ -9,12 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
+from scipy.special import jv, yv
 
 from oracles import jump_matrix, propagate_adiabat_numeric, propagator_matrix, rk_matrix
+import ottofridge.dynamics
 from ottofridge.dynamics import (
     BathSpec,
     _ZETA_MAX,
+    _ZETA_MIN,
     StateVector,
+    _bessel_fundamental,
+    _linear_ramp_fundamental,
     adiabat_power,
     equilibrium_state,
     exponential_ramp_pair,
@@ -432,6 +437,68 @@ def test_linear_ramp_past_the_bessel_limit_raises():
         schedule_propagator(linear_ramp_at(2.0**51 * (1.0 - 1e-12), w0, w1))
         with pytest.raises(ScheduleError, match="Bessel argument"):
             schedule_propagator(linear_ramp_at(2.0**51 * (1.0 + 1e-12), w0, w1))
+
+
+def test_linear_ramp_below_the_bessel_floor_raises():
+    # a ramp of rate 1 whose cold end sits at zeta: below 1000 times the
+    # smallest normal float jv and yv return 0 and -inf; just above it the
+    # ramp, 1e-152 long, is the sudden jump
+    for sign in (1.0, -1.0):
+        w = math.sqrt(2.0 * _ZETA_MIN * (1.0 + sign * 1e-12))
+        for w0, w1 in ((2.0 * w, w), (w, 2.0 * w)):
+            if sign < 0:
+                with pytest.raises(ScheduleError, match="Bessel argument .* is below"):
+                    schedule_propagator(Schedule.linear(w0, w1, w))
+                continue
+            got = propagator_matrix(Schedule.linear(w0, w1, w))
+            expected = jump_matrix(w0, w1)
+            assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) <= 1e-10
+
+
+def negative_order_fundamental(w0, w1, tau):
+    """The linear ramp's fundamental matrix with its momenta from scipy's own
+    jv and yv at order -3/4 (see _linear_ramp_fundamental)."""
+    beta = (w0 - w1) / tau
+    sgn = 1.0 if beta > 0 else -1.0
+    two_b = 2.0 * abs(beta)
+
+    def fundamental(w):
+        z, q = w * w / two_b, math.sqrt(w)
+        p = -sgn * w * q
+        return (q * float(jv(0.25, z)), q * float(yv(0.25, z)),
+                p * float(jv(-0.75, z)), p * float(yv(-0.75, z)))
+
+    return _bessel_fundamental(fundamental(w0), fundamental(w1), -4.0 * beta / math.pi)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(zeta_c=st.floats(math.log(_ZETA_MIN) + 1e-9, math.log(_ZETA_MAX / 4) - 1e-9).map(math.exp))
+@example(zeta_c=_ZETA_MIN * (1.0 + 1e-12))
+@example(zeta_c=_ZETA_MAX / 4 * (1.0 - 1e-12))
+def test_linear_ramp_momenta_are_scipys_own_negative_order(zeta_c):
+    # the momenta's order -3/4 is formed from the order-3/4 pair by DLMF
+    # 10.4.7-8, bit for bit what scipy's jv and yv return at order -3/4, in
+    # both directions up to both Bessel limits: the ramp has rate 1, so its
+    # ends sit at zeta_c and 4 zeta_c
+    w = math.sqrt(2.0 * zeta_c)
+    for w0, w1 in ((2.0 * w, w), (w, 2.0 * w)):
+        assert _ZETA_MIN <= min(w0, w1) ** 2 / 2.0 and max(w0, w1) ** 2 / 2.0 <= _ZETA_MAX
+        assert _linear_ramp_fundamental(w0, w1, w) == negative_order_fundamental(w0, w1, w)
+
+
+def test_linear_ramp_calls_jv_and_yv_once_at_positive_orders(monkeypatch):
+    calls = []
+
+    def recording(name, f):
+        def call(orders, zeta):
+            calls.append((name, tuple(orders)))
+            return f(orders, zeta)
+        return call
+
+    monkeypatch.setattr(ottofridge.dynamics, "jv", recording("jv", jv))
+    monkeypatch.setattr(ottofridge.dynamics, "yv", recording("yv", yv))
+    linear_ramp_pair(100.0, 0.1, 40.0)
+    assert calls == [("jv", (0.25, 0.25, 0.75, 0.75)), ("yv", (0.25, 0.25, 0.75, 0.75))]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

@@ -28,7 +28,7 @@ from ottofridge.optimize import (
     optimize_time_allocation,
     solve_isochore_z,
 )
-from ottofridge.schedules import Schedule
+from ottofridge.schedules import Schedule, ScheduleError
 from ottofridge.scaling import (
     _GOLDEN_ITERS,
     SWEEP_KINDS,
@@ -600,6 +600,34 @@ def test_linear_point_past_the_bessel_limit_keeps_its_error(allocation):
         assert len(failed_starts) >= _GOLDEN_ITERS + 2      # every step of the last point
         assert all("BranchError: propagation failed on branch 'expansion'" in str(w.message)
                    for w in failed_starts)
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_point_refuses_a_cold_frequency_its_duration_cannot_use(kind):
+    # omega_c = 0 is refused once per point, before any duration is formed
+    # (three-jump with its own error); so is a ramp whose rate, param omega_c
+    # or param omega_c^2 at the low end of the duration bracket, underflows
+    # to 0.  Just above that the steps' durations overflow, and each step
+    # refuses its own.
+    spec = SweepSpec(kind=kind)
+    error = ValueError if kind == "three_jump" else ScheduleError
+    with pytest.raises(error, match="^(schedule )?frequencies must be positive$"):
+        build_point(spec, 0.05, omega_c=0.0)
+    if kind in ("three_jump", "const_mu"):
+        return
+    underflow, above = {"linear": (1e-161, 2e-161), "exponential": (5e-324, 1.5e-322)}[kind]
+    with pytest.raises(ScheduleError, match=f"the {kind} ramp's rate underflows to 0"):
+        build_point(spec, 0.05, omega_c=underflow)
+    with pytest.raises(ValueError) as err:
+        build_point(spec, 0.05, omega_c=above)
+    assert "underflows" not in str(err.value)
+    if kind == "linear":
+        rows = temperature_sweep(SweepSpec(kind="linear", t_max=1e-164, t_min=1e-165,
+                                           points_per_decade=1)).rows
+        assert [r.flag for r in rows] == [0, 0]
+        assert all(r.error.startswith("ScheduleError: omega_c = ") and
+                   r.error.endswith("is too small: the linear ramp's rate underflows to 0")
+                   for r in rows)
 
 
 @pytest.mark.parametrize("options", [
