@@ -381,12 +381,12 @@ def exponential_ramp_pair(omega_start: float, omega_end: float,
                              math.log(omega_start / omega_end) / duration))
 
 
-# Bessel orders of the linear ramp's jv and yv calls, at (start, end, start,
-# end): 1/4 for the positions, and 3/4, from which the momenta's order -3/4
-# is formed by DLMF 10.4.7-8 (J_-v = cos(v pi) J_v - sin(v pi) Y_v, Y_-v =
-# sin(v pi) J_v + cos(v pi) Y_v), the rotation scipy itself applies to a
-# negative order.  These are the cospi(3/4) and sinpi(3/4) that scipy
-# rotates with, bit for bit (math.sin(3 * math.pi / 4) is one ulp off).
+# Bessel orders of the linear ramp's jv and yv calls at (start, end, start,
+# end): 1/4 for the positions and 3/4 for the momenta, whose order -3/4 is
+# formed by DLMF 10.4.7-8, J_-v = cos(v pi) J_v - sin(v pi) Y_v and
+# Y_-v = sin(v pi) J_v + cos(v pi) Y_v, as scipy forms a negative order.
+# The two constants are scipy's cospi(3/4) and sinpi(3/4) bit for bit;
+# math.sin(3 * math.pi / 4) is one ulp off.
 _LINEAR_ORDERS = (0.25, 0.25, 0.75, 0.75)
 _COS_3PI_4 = -math.sin(math.pi * 0.25)
 _SIN_3PI_4 = math.sin(math.pi * 0.25)

@@ -12,7 +12,8 @@ optimize.search_isochore_times from the z-equation allocation, which it
 keeps when that start beats the search, as optimize_time_allocation does.
 
 A point is assembled from parts: what does not depend on the adiabat
-duration (the baths, omega_c < omega_h, both equilibrium energies) is
+duration (the baths, 0 < omega_c < omega_h, a ramp rate that does not
+underflow to 0 in the duration bracket, both equilibrium energies) is
 checked and built once per point, and a duration step checks its
 duration, builds the two ramp maps (dynamics.linear_ramp_pair,
 exponential_ramp_pair) and solves its trials (cycle._trials).  The golden
