@@ -387,7 +387,7 @@ def exponential_ramp_pair(omega_start: float, omega_end: float,
 # Y_-v = sin(v pi) J_v + cos(v pi) Y_v, as scipy forms a negative order.
 # The two constants are scipy's cospi(3/4) and sinpi(3/4) bit for bit;
 # math.sin(3 * math.pi / 4) is one ulp off.
-_LINEAR_ORDERS = (0.25, 0.25, 0.75, 0.75)
+_LINEAR_ORDERS = np.array((0.25, 0.25, 0.75, 0.75))
 _COS_3PI_4 = -math.sin(math.pi * 0.25)
 _SIN_3PI_4 = math.sin(math.pi * 0.25)
 
@@ -441,7 +441,7 @@ def _linear_ramp_fundamental(w0: float, w1: float, tau: float) -> tuple:
                                 f"{_ZETA_MAX:.6g}, where jv and yv lose their accuracy")
         raise ScheduleError(f"linear ramp Bessel argument {min(z0, z1):.6g} is below "
                             f"{_ZETA_MIN:.6g}, where jv and yv underflow")
-    zeta = (z0, z1, z0, z1)
+    zeta = np.array((z0, z1, z0, z1))    # an array, as _LINEAR_ORDERS: no call converts a tuple
     jq0, jq1, jp0, jp1 = jv(_LINEAR_ORDERS, zeta).tolist()
     yq0, yq1, yp0, yp1 = yv(_LINEAR_ORDERS, zeta).tolist()
     c, s = _COS_3PI_4, _SIN_3PI_4
