@@ -296,9 +296,9 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
             _adiabats(_adiabat_maps, expansion, compression),
             expansion.duration, compression.duration)
 
-    # searched adiabat duration for the generic kinds: rise / rate(param), the
-    # parameter the log of the peak adiabatic rate |mu| at the cold end of
-    # the ramp.
+    # searched adiabat duration for the generic kinds, rise / rate(param);
+    # the search runs over the log of param, the peak adiabatic rate |mu| at
+    # the cold end of the ramp.
     if spec.kind == "linear":
         rise = w_h - w_c
 
@@ -311,7 +311,7 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
             return param * w_c
 
     lo, hi = _DURATION_BRACKET
-    if rate(lo) == 0.0:                 # the duration would divide by zero in the bracket
+    if rate(lo) == 0.0:                 # the smallest rate the search tries
         raise ScheduleError(f"omega_c = {w_c:.6g} is too small: the {spec.kind} ramp's "
                             "rate underflows to 0")
     step = _ramp_step(spec, hot, cold, w_h, w_c)
