@@ -46,9 +46,10 @@ maps, with no Schedule or CycleSpec.  A trial returns the solved fixed
 point as a plain tuple and builds no CycleSpec or CycleRecord;
 trial_record builds them, through the spec builder in the tuple's
 constants, for a point a caller reads, bit for bit the record limit_cycle
-returns: a search's winner, and one record per sweep point, whose golden
-sections compare tuples.  The derivative stages read the tuple as it is,
-and isochore_time_derivatives builds the same tuple from a record.
+returns: a search's winner, and one record per sweep point, whose
+duration and cold-frequency searches compare tuples.  The derivative
+stages read the tuple as it is, and isochore_time_derivatives builds the
+same tuple from a record.
 """
 
 from __future__ import annotations

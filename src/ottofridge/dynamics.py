@@ -429,7 +429,9 @@ def _linear_ramp_fundamental(w0: float, w1: float, tau: float) -> tuple:
 
     Two calls, jv and yv at orders 1/4 and 3/4 for both ends; the order -3/4
     by DLMF 10.4.7-8, bit for bit scipy's own jv(-0.75, zeta) and
-    yv(-0.75, zeta), which evaluate the order-3/4 pair and rotate it.
+    yv(-0.75, zeta), which evaluate the order-3/4 pair and rotate it.  A
+    ramp whose matrix is not finite raises ScheduleError: at a rate above
+    about 1e205 the momentum products, each about (2|beta|)^(3/2), overflow.
     """
     beta = (w0 - w1) / tau           # signed; > 0 for expansion
     sgn = 1.0 if beta > 0 else -1.0
@@ -451,8 +453,12 @@ def _linear_ramp_fundamental(w0: float, w1: float, tau: float) -> tuple:
         p = -sgn * w * q
         return q * jq, q * yq, p * (c * jp - s * yp), p * (c * yp + s * jp)
 
-    return _bessel_fundamental(fundamental(w0, jq0, yq0, jp0, yp0),
-                               fundamental(w1, jq1, yq1, jp1, yp1), -4.0 * beta / math.pi)
+    phi = _bessel_fundamental(fundamental(w0, jq0, yq0, jp0, yp0),
+                              fundamental(w1, jq1, yq1, jp1, yp1), -4.0 * beta / math.pi)
+    if not all(map(math.isfinite, phi)):
+        raise ScheduleError(f"linear ramp {w0:.6g} -> {w1:.6g} of duration {tau:.6g} (rate "
+                            f"{abs(beta):.6g}): its fundamental matrix is not finite")
+    return phi
 
 
 def linear_ramp_pair(omega_start: float, omega_end: float,

@@ -4,9 +4,10 @@ For each grid temperature the sweep chooses the cold frequency (fixed
 kappa * T_c by default), builds the branch schedules for the requested kind,
 allocates the isochore times, solves the limit cycle and records the row.
 Schedules without a frictionless closed form (linear, exponential) get their
-adiabat duration from a per-point golden-section search that maximizes the
-limit-cycle cooling rate; their propagators are exact Bessel-function forms,
-and a linear ramp and its time reverse share one Bessel evaluation
+adiabat duration from a per-point search by Brent's method (_brent_max) that
+maximizes the limit-cycle cooling rate, as does the cold frequency under
+optimize_omega_c; their propagators are exact Bessel-function forms, and a
+linear ramp and its time reverse share one Bessel evaluation
 (dynamics.linear_ramp_pair).  A searched isochore allocation is one
 optimize.search_isochore_times from the z-equation allocation, which it
 keeps when that start beats the search, as optimize_time_allocation does.
@@ -16,11 +17,11 @@ duration (the baths, 0 < omega_c < omega_h, a ramp rate that does not
 underflow to 0 in the duration bracket, both equilibrium energies) is
 checked and built once per point, and a duration step checks its
 duration, builds the two ramp maps (dynamics.linear_ramp_pair,
-exponential_ramp_pair) and solves its trials (cycle._trials).  The golden
-sections and the searches pass bare fixed-point tuples (cycle._fixed_point,
-whose first entry is R_c): no step builds a Schedule, CycleSpec or
-CycleRecord, and a sweep point builds one record, its winner's
-(cycle.trial_record), with its two Schedules and one validated CycleSpec.
+exponential_ramp_pair) and solves its trials (cycle._trials).  Every
+search passes bare fixed-point tuples (cycle._fixed_point, whose first
+entry is R_c): no step builds a Schedule, CycleSpec or CycleRecord, and a
+sweep point builds one record, its winner's (cycle.trial_record), with its
+two Schedules and one validated CycleSpec.
 """
 
 from __future__ import annotations
@@ -59,10 +60,14 @@ _KIND_NU = {"three_jump": 1.5, "const_mu": 2.0, "linear": 2.0, "exponential": 2.
 # each kind's default kappa, solved once rather than on every sweep point
 _KIND_KAPPA = {kind: optimal_cold_frequency(nu, 1.0)[1] for kind, nu in _KIND_NU.items()}
 
-# golden-section bracket of the linear and exponential kinds' duration
-# parameter (see build_point), and the steps of every golden-section search
+# bracket of the linear and exponential kinds' duration parameter (see
+# _point_at), and the tolerance of every _brent_max search on its log
+# parameter: an offset of 1e-3 in ln tau costs about 2e-6 of R_c at the
+# curvature of ln R_c in ln tau (about -2.4 linear, -3.7 exponential), far
+# below R_c's ripple in the duration, 2e-4 (linear) to 6e-3 (exponential)
+# within +-0.01 in ln tau
 _DURATION_BRACKET = (0.02, 10.0)
-_GOLDEN_ITERS = 20
+_XTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -191,40 +196,72 @@ def fit_power_law(points, tail_decades: float | None = None) -> PowerLawFit:
 # Per-point cycle assembly
 # ---------------------------------------------------------------------------
 
-def _golden_max(build, lo: float, hi: float) -> tuple:
-    """Deterministic golden-section search on [lo, hi] for the highest R_c,
-    in _GOLDEN_ITERS steps after its first two evaluations.
+def _brent_max(build, lo: float, hi: float) -> tuple:
+    """Brent's method on [lo, hi] for the highest R_c (Brent, Algorithms for
+    Minimization without Derivatives, 1973: the fmin of Forsythe, Malcolm and
+    Moler), deterministic and on plain floats.
+
+    Each step is a parabolic step through the best three points when all
+    three scores are finite and the parabola's vertex lies inside the
+    bracket, nearer than half the step before last, and a golden-section
+    step into the larger part of the bracket otherwise.  With fmin's
+    tolerance _XTOL, no step is shorter than _XTOL / 3 and the search stops
+    once the best point lies within 2 _XTOL / 3 of both ends of the bracket.
 
     ``build(x)`` returns a fixed-point tuple (cycle._fixed_point), whose
-    first entry is R_c, and a domain failure scores -inf.  Every tuple is
-    kept, so the winner is returned as solved, not solved (or searched) a
-    second time; when the winner's build failed, its error is raised.
+    first entry is R_c, and a domain failure scores -inf.  The best point's
+    tuple is kept, so the winner is returned as solved, not solved (or
+    searched) a second time; when the winner's build failed, its error is
+    raised.
     """
-    built = {}
-
-    def score(x: float) -> float:
+    def score(x: float) -> tuple:
         try:
-            built[x] = point = build(x)
+            point = build(x)
         except DOMAIN_ERRORS as exc:
-            built[x] = exc
-            return -math.inf
-        return point[0]
+            return -math.inf, exc
+        return point[0], point
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    golden, tol = (3.0 - math.sqrt(5.0)) / 2.0, _XTOL / 3.0
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = score(c), score(d)
-    for _ in range(_GOLDEN_ITERS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = score(c)
+    x = w = v = a + golden * (b - a)
+    fx, best = score(x)
+    fw = fv = fx
+    d = e = 0.0                         # the last step and the one before it
+    while abs(x - 0.5 * (a + b)) > 2.0 * tol - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol and math.isfinite(fx) and math.isfinite(fw) and math.isfinite(fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                e, d = d, p / q
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = math.copysign(tol, 0.5 * (a + b) - x)
+        if not parabolic:
+            e = (a if x >= 0.5 * (a + b) else b) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu, point = score(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx, best = w, fw, x, fx, u, fu, point
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = score(d)
-    best = built[c if fc >= fd else d]
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
     if isinstance(best, Exception):
         raise best
     return best
@@ -315,8 +352,8 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
         raise ScheduleError(f"omega_c = {w_c:.6g} is too small: the {spec.kind} ramp's "
                             "rate underflows to 0")
     step = _ramp_step(spec, hot, cold, w_h, w_c)
-    return _golden_max(lambda log_param: step(rise / rate(math.exp(log_param))),
-                       math.log(lo), math.log(hi))
+    return _brent_max(lambda log_param: step(rise / rate(math.exp(log_param))),
+                      math.log(lo), math.log(hi))
 
 
 def _ramp_step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float,
@@ -367,7 +404,7 @@ def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
     nan = float("nan")
     try:
         if spec.optimize_omega_c:
-            record = trial_record(_golden_max(
+            record = trial_record(_brent_max(
                 lambda log_y: _point_at(spec, t_c, math.exp(log_y) * t_c),
                 math.log(0.05), math.log(3.0)))
             cycle = record.chain[0]

@@ -499,8 +499,8 @@ def test_whole_number_floats_run_as_their_integers(tmp_path):
                                                   ("linear", "z")])
 def test_sweep_points_make_no_eigenvalue_calls(schedule, allocation, monkeypatch, tmp_path):
     # every cycle map of a sweep point is certified contracting by its
-    # max-norm, so the searches (22 golden-section durations, each with its
-    # isochore search) never call dgeev
+    # max-norm, so the searches (the duration steps, each with its isochore
+    # search) never call dgeev
     calls = count_dgeev(monkeypatch)
     config = parse_config(json.dumps({"sweep": {
         "schedule": schedule, "allocation": allocation, "t_max": 0.1, "t_min": 0.1 * 10 ** -0.05,

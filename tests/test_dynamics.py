@@ -453,6 +453,27 @@ def test_linear_ramp_below_the_bessel_floor_raises():
             schedule_propagator(Schedule.linear(w0, w1, below))
 
 
+def test_linear_ramp_whose_matrix_overflows_raises():
+    # past a rate of about 1e205 the momentum products overflow and the
+    # fundamental matrix holds NaNs, with both Bessel arguments in range: the
+    # ramp is refused by name, and a cycle on it is a domain failure; at rate
+    # 1e200 the map is still finite
+    from ottofridge.cycle import DOMAIN_ERRORS, BranchError, CycleSpec, limit_cycle
+
+    assert all(map(math.isfinite, schedule_propagator(Schedule.linear(1.0, 0.5, 0.5e-200))))
+    with pytest.raises(ScheduleError, match=r"^linear ramp 1 -> 0.5 of duration 5e-211 "
+                                            r"\(rate 1e\+210\): its fundamental matrix is not"):
+        schedule_propagator(Schedule.linear(1.0, 0.5, 0.5e-210))
+    with pytest.raises(ScheduleError, match="fundamental matrix is not finite"):
+        linear_ramp_pair(0.5, 1.0, 0.5e-210)
+    cycle = CycleSpec(BathSpec(1.0, 1.0), BathSpec(0.1, 1.0), 1.0, 0.5,
+                      Schedule.linear(1.0, 0.5, 0.5e-210), Schedule.linear(0.5, 1.0, 0.5e-210),
+                      tau_c=1.0, tau_h=1.0)
+    with pytest.raises(BranchError, match="branch 'expansion': linear ramp 1 -> 0.5") as err:
+        limit_cycle(cycle)
+    assert isinstance(err.value, DOMAIN_ERRORS)
+
+
 def negative_order_fundamental(w0, w1, tau):
     """The linear ramp's fundamental matrix with its momenta from scipy's own
     jv and yv at order -3/4 (see _linear_ramp_fundamental)."""

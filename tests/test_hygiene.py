@@ -42,10 +42,11 @@ def test_unused_imports_are_found():
     assert unused_imports(tree) == ["math (line 1)", "path (line 2)"]
 
 
-def loaded_after_cli_import(module: str) -> bool:
-    """Whether a fresh interpreter holds ``module`` after importing ottofridge.cli."""
-    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import ottofridge.cli; "
-            f"print({module!r} in sys.modules)")
+def loaded_after_cli_import(module: str, then: str = "") -> bool:
+    """Whether a fresh interpreter holds ``module`` after importing
+    ottofridge.cli and running the statements ``then``."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import ottofridge.cli\n"
+            f"{then}\nprint({module!r} in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     return done.stdout.strip() == "True"
@@ -55,6 +56,15 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize serves only the Nelder-Mead branch and the evolutionary
     # search, which import it when they run
     assert not loaded_after_cli_import("scipy.optimize")
+
+
+def test_searched_sweep_leaves_scipy_optimize_unloaded():
+    # the duration and cold-frequency searches (scaling._brent_max) and the
+    # isochore-time search are the package's own
+    sweep = ("from ottofridge.scaling import SweepSpec, temperature_sweep; "
+             "temperature_sweep(SweepSpec('linear', t_max=1e-1, t_min=1e-1 * 10**-0.05, "
+             "allocation='searched', optimize_omega_c=True))")
+    assert not loaded_after_cli_import("scipy.optimize", sweep)
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

@@ -1,0 +1,59 @@
+"""tools/sweep_diff.py on hand-made tools/cli_snapshot.py output directories."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("sweep_diff", ROOT / "tools" / "sweep_diff.py")
+sweep_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(sweep_diff)
+
+COLUMNS = ("T_c,omega_c,tau_hc,tau_c,tau_ch,tau_h,tau_total,Q_c,Q_h,W,R_c,sigma,"
+           "converged_flag")
+
+
+def write_sweep(path: Path, rows, footer=()):
+    """A sweep.csv with the 4-line header, ``rows`` of (T_c, R_c) strings
+    (the other columns filled in) and ``footer`` lines."""
+    path.parent.mkdir(parents=True)
+    lines = ["# ottofridge 0.1.0", "# config_sha256 0", "# seed 1", "# config {}", COLUMNS]
+    for t_c, r_c in rows:
+        flag = "0" if r_c == "nan" else "1"
+        lines.append(",".join((t_c, *("1.5",) * 9, r_c, "0.5", flag)))
+    path.write_text("\n".join([*lines, *footer]) + "\n", encoding="utf-8")
+
+
+def test_sweep_diff_reports_rows_fits_and_falls(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    write_sweep(old / "sweep-a" / "sweep.csv",
+                [("0.1", "0.001"), ("0.01", "2e-05"), ("0.001", "nan"), ("0.0001", "3e-07")],
+                ["# fit delta 2.0 prefactor 1 rms 0 n 3",
+                 "# tail_fit delta 2.5 prefactor 1 rms 0 n 3",
+                 "# failed T_c 0.001 ValueError: no"])
+    write_sweep(new / "sweep-a" / "sweep.csv",
+                [("0.1", "0.0010001"), ("0.01", "1.99e-05"), ("0.001", "4e-06"),
+                 ("0.0001", "nan")],
+                ["# fit delta 2.25 prefactor 1 rms 0 n 3"])
+    write_sweep(new / "sweep-b" / "sweep.csv", [("0.1", "0.001")])
+    (old / "critical").mkdir()
+    (old / "critical" / "critical.csv").write_text("# not a sweep\n", encoding="utf-8")
+
+    assert sweep_diff.main([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "== sweep-a",
+        "   rows 4 -> 4",
+        "   largest relative R_c change 0.005",
+        "   fell: T_c 0.01 R_c 2e-05 -> 1.99e-05 (-0.005)",
+        "   solved: T_c 0.001 R_c nan -> 4e-06 (failed before)",
+        "   fell: T_c 0.0001 R_c 3e-07 -> nan (failed)",
+        "   fit delta 2.0 -> 2.25 (+0.25)",
+        "   tail_fit delta 2.5 -> nan (+nan)",
+        "== sweep-b",
+        "   rows 0 -> 1",
+        "   largest relative R_c change 0",
+    ]
+
+
+def test_sweep_diff_needs_two_directories(capsys):
+    assert sweep_diff.main(["only-one"]) == 2
+    assert "OLD NEW" in capsys.readouterr().err

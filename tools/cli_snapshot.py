@@ -35,12 +35,15 @@ piecewise_const branch (optimize-piecewise-omega-c) and with a free name
 listed twice (optimize-repeated-free); ga; sweeps of all four kinds with
 z and searched allocation, plus a deep three-jump sweep, both kinds of
 cold-frequency search and, on a two-point linear window, the
-cold-frequency search over searched points (two nested golden sections),
-linear sweeps with z and searched allocation past the Bessel limit
-(sweep-linear-past-zeta-max and its searched twin: the rows below T_c =
-1e-6 fail with the BranchError of a ramp whose Bessel argument passes
-2^51, and the searched twin warns of each failed search start), a
-threaded sweep and three ways of setting the tail window. Every run
+cold-frequency search over searched points (a search over omega_c whose
+every step runs a duration search, each step of which runs an
+isochore-time search), linear sweeps with z and searched allocation past
+the Bessel limit (sweep-linear-past-zeta-max and its searched twin: at
+T_c = 3.2e-7 only the shortest ramps of the duration bracket keep their
+Bessel argument below 2^51, and they heat (flag 2); the rows from 1e-7 on
+fail with the BranchError of a ramp whose Bessel argument passes 2^51, and
+the searched twin warns of each failed search start), a threaded sweep
+and three ways of setting the tail window. Every run
 writes into a fresh directory except sweep-linear-z-over-stale: the
 linear z sweep again, into a directory first seeded with longer stale
 sweep.csv and sweep.dat (as repeated runs into one --out leave them).
