@@ -15,7 +15,11 @@ CycleRecord (cycle.trial_record) only for a point a caller reads, a
 restart's winner, the z-equation comparison or a sweep point's winner.  A
 SearchTally counts what the searches of one call meet, searches that end
 held at a face of their box included, keeps the fixed point of each Newton
-trial and raises their one warning.
+trial and raises their one warning.  A sweep's duration step only ranks
+its duration, so its search pauses once the Newton decrement bounds the
+gain left by _SCORE_GAIN and keeps its loop state in its SearchTally; only
+the winning duration's search is resumed, by the same loop, to the full
+tolerance.
 
 All stochastic searches draw from a seeded PCG64 generator and reduce results
 in candidate order, so a fixed seed gives bit-identical output.
@@ -47,6 +51,13 @@ FREE_VARS = ("tau_c", "tau_h", "tau_hc", "tau_ch", "omega_c")
 _NEWTON_GTOL = 1e-10       # stop at a projected max |d ln R_c / d ln tau| below this
 _NEWTON_RTOL = 1e-12       # fall in R_c a smaller gradient may excuse: rounding level
 _NEWTON_MAX_ITER = 50      # iterations per start; reaching it is warned about
+# gain in ln R_c left below which a search run with ``pause`` pauses: the Newton
+# decrement 1/2 g^T (-H)^-1 g with the last iteration's Hessian.  A paused
+# search's R_c was within 9.0e-10 relative of its finished search's (the
+# exponential and linear searched sweeps, T_c 1e-1 -> 1e-3, on the grid and
+# shifted half a step); a gradient-norm rule, max |g| <= 1e-3 alone, was off
+# by up to 3.6e-5 where some direction is flat
+_SCORE_GAIN = 1e-9
 
 # Nelder-Mead stopping tolerances on x and on -R_c, for the other free sets
 _NM_XTOL = 1e-7
@@ -105,14 +116,21 @@ def solve_isochore_z(gamma_h: float, gamma_c: float,
         raise ValueError("tau_adiabats must be >= 0")
     if tau_adiabats == 0.0:
         return IsochoreAllocation(0.0, 0.0, 0.0, degenerate=True)
-    a = gamma_h * tau_adiabats
+    z = _z_root(gamma_h * tau_adiabats)
+    return IsochoreAllocation(z, z / gamma_h, z / gamma_c)
+
+
+def _z_root(a: float) -> float:
+    """The root z > 0 of 2 (sinh z - z) = a for a > 0, by the Newton
+    iteration of solve_isochore_z, which checks its inputs; a sweep point's
+    z-allocation calls it directly.  A non-finite a raises ValueError."""
     if not math.isfinite(a):
         raise ValueError("gamma_h * tau_adiabats must be finite")
     z = min((3.0 * a) ** (1.0 / 3.0), math.asinh(0.5 * a + math.asinh(0.5 * a) + 1.0))
     while True:
         z_new = z - (_sinh_excess(z) - a) / (4.0 * math.sinh(0.5 * z) ** 2)
         if not z_new < z:
-            return IsochoreAllocation(z, z / gamma_h, z / gamma_c)
+            return z
         z = z_new
 
 
@@ -230,7 +248,8 @@ class SearchTally:
     held at a face of the box by a gradient pointing out, the Nelder-Mead
     searches stopped at their iteration cap, and the fixed point of each
     Newton point solved (a tuple from cycle.isochore_trials), by its
-    (tau_c, tau_h)."""
+    (tau_c, tau_h).  ``paused`` holds the loop state of a Newton search
+    that paused (see search_isochore_times), else None."""
 
     evaluations: int = 0
     failures: int = 0
@@ -239,6 +258,7 @@ class SearchTally:
     held: int = 0
     capped: int = 0
     solved: dict = field(default_factory=dict)
+    paused: tuple | None = None
 
     def record(self, tau_c: float, tau_h: float) -> CycleRecord | None:
         """The record of the Newton point solved at (tau_c, tau_h), built now;
@@ -339,7 +359,7 @@ def _ascent_hessian(point, stage, swapped: bool) -> tuple:
 
 
 def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
-                          start) -> tuple[dict, tuple | None]:
+                          start, *, pause: bool = False) -> tuple[dict, tuple | None]:
     """Damped Newton ascent of ln R_c over the isochore times of a cycle.
 
     ``trial(tau_c, tau_h)`` solves the cycle's fixed point at two times
@@ -373,6 +393,18 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
     iterate, which converged when its projected max-norm gradient is at
     most _NEWTON_GTOL; the point is None when the first point failed
     (cycle.trial_record builds its record).
+
+    With ``pause``, a search that only scores a cycle stops early: at the
+    top of an iteration where no time is held at a face, none was in the
+    last iteration, whose Hessian H was not modified, and the Newton
+    decrement 1/2 g^T (-H)^-1 g bounds the gain in ln R_c left by at most
+    _SCORE_GAIN (Boyd and Vandenberghe, Convex Optimization, 2004, 9.5.1).
+    It returns that iterate, keeps its loop state in ``tally.paused`` and
+    counts the search neither unconverged nor held.  Called again with a
+    tally holding a paused search (and the same trial, box and start), the
+    search resumes from that state, x unread: the paused search and its
+    resumption are the uninterrupted search, iterate for iterate and trial
+    for trial.
     """
     (name0, lo0, hi0), (name1, lo1, hi1) = box
     swapped = name0 == "tau_h"
@@ -398,14 +430,19 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
             return key, None
         return key, point
 
-    x0, x1 = x
-    key, point = evaluate(x0, x1)
-    g, stage = _ascent_gradient(point, swapped)
-    if g is None:
-        tally.unconverged += point is not None
-        return values(key), point
-    g0, g1 = g
-    for iteration in range(_NEWTON_MAX_ITER + 1):
+    if tally.paused is None:
+        x0, x1 = x
+        key, point = evaluate(x0, x1)
+        g, stage = _ascent_gradient(point, swapped)
+        if g is None:
+            tally.unconverged += point is not None
+            return values(key), point
+        (g0, g1), first = g, 0
+    else:
+        x0, x1, key, point, g0, g1, stage, first = tally.paused
+        tally.paused = None
+    last = None         # the last iteration's (h00, h01, h11, det), unmodified and free
+    for iteration in range(first, _NEWTON_MAX_ITER + 1):
         held0 = (x0 <= lo0 and g0 < 0.0) or (x0 >= hi0 and g0 > 0.0)
         held1 = (x1 <= lo1 and g1 < 0.0) or (x1 >= hi1 and g1 > 0.0)
         pg0, pg1 = 0.0 if held0 else g0, 0.0 if held1 else g1
@@ -414,6 +451,12 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
             tally.unconverged += iteration == _NEWTON_MAX_ITER
             tally.held += held0 or held1
             return values(key), point
+        if pause and last is not None and not (held0 or held1):
+            h00, h01, h11, det = last
+            if 0.5 * (g0 * (h01 * g1 - h11 * g0) + g1 * (h01 * g0 - h00 * g1)) / det \
+                    <= _SCORE_GAIN:
+                tally.paused = x0, x1, key, point, g0, g1, stage, iteration
+                return values(key), point
         (h00, h01), (_, h11) = _ascent_hessian(point, stage, swapped)
         if held0:
             h00, h01 = -1.0, 0.0
@@ -423,6 +466,7 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
         if modified:
             h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
         det = h00 * h11 - h01 * h01
+        last = None if modified or held0 or held1 else (h00, h01, h11, det)
         p0, p1 = (h01 * pg1 - h11 * pg0) / det, (h01 * pg0 - h00 * pg1) / det
         # the lowest R_c a trial may have and still be accepted
         r_c = point[0]

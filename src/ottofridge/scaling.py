@@ -11,17 +11,22 @@ linear ramp and its time reverse share one Bessel evaluation
 (dynamics.linear_ramp_pair).  A searched isochore allocation is one
 optimize.search_isochore_times from the z-equation allocation, which it
 keeps when that start beats the search, as optimize_time_allocation does.
+A duration step only ranks its duration, so its search pauses once the
+gain left is below optimize._SCORE_GAIN, and only the winning step's
+search is resumed to the full tolerance: a row is bit for bit the
+full-tolerance search at its duration.
 
 A point is assembled from parts: what does not depend on the adiabat
 duration (the baths, 0 < omega_c < omega_h, a ramp rate that does not
 underflow to 0 in the duration bracket, both equilibrium energies) is
 checked and built once per point, and a duration step checks its
 duration, builds the two ramp maps (dynamics.linear_ramp_pair,
-exponential_ramp_pair) and solves its trials (cycle._trials).  Every
-search passes bare fixed-point tuples (cycle._fixed_point, whose first
-entry is R_c): no step builds a Schedule, CycleSpec or CycleRecord, and a
-sweep point builds one record, its winner's (cycle.trial_record), with its
-two Schedules and one validated CycleSpec.
+exponential_ramp_pair), allocates its isochore times from the bare
+z-equation root (optimize._z_root) and solves its trials (cycle._trials).
+Every search passes bare fixed-point tuples (cycle._fixed_point, whose
+first entry is R_c): no step builds a Schedule, CycleSpec or CycleRecord,
+and a sweep point builds one record, its winner's (cycle.trial_record),
+with its two Schedules and one validated CycleSpec.
 """
 
 from __future__ import annotations
@@ -44,12 +49,7 @@ from .cycle import (
     trial_record,
 )
 from .dynamics import BathSpec, exponential_ramp_pair, linear_ramp_pair
-from .optimize import (
-    SearchTally,
-    optimal_cold_frequency,
-    search_isochore_times,
-    solve_isochore_z,
-)
+from .optimize import SearchTally, _z_root, optimal_cold_frequency, search_isochore_times
 from .schedules import Schedule, ScheduleError, build_three_jump, critical_mu
 
 SWEEP_KINDS = ("three_jump", "const_mu", "linear", "exponential")
@@ -268,34 +268,52 @@ def _brent_max(build, lo: float, hi: float) -> tuple:
 
 
 def _allocator(spec: SweepSpec, spec_at, hot: BathSpec, cold: BathSpec, omega_h: float,
-               omega_c: float):
+               omega_c: float, paused: dict | None = None):
     """``allocate(adiabats, tau_exp, tau_comp)``: the fixed point
     (cycle._fixed_point) of the point's cycle with these adiabats (see
     cycle._adiabats) and its isochore times allocated.  The trials' parts
     are built once (cycle._trial_parts); trial_record builds a point's
     record with ``spec_at``.
 
-    Both times start at the z-equation allocation.  A searched allocation
-    runs one search_isochore_times from exactly there over a box of a decade
-    each way, and keeps that start when its R_c is the higher (the
-    z-equation rule of optimize_time_allocation, whose warnings it shares).
+    Both times start at the z-equation allocation (optimize._z_root, the
+    root of solve_isochore_z with gamma_h = gamma_c = spec.gamma).  A
+    searched allocation runs one search_isochore_times from exactly there
+    over a box of a decade each way, and keeps that start when its R_c is
+    the higher (the z-equation rule of optimize_time_allocation, whose
+    warnings it shares).
+
+    With a dict ``paused``, a searched allocation only scores its
+    adiabats: its search pauses at a gain of _SCORE_GAIN left, and then
+    ``paused[tau_exp]`` is ``finish()``, which resumes the search to its
+    full tolerance, warns of what the resumption met and applies the
+    z-equation rule to its end: the fixed point allocate returns without
+    ``paused``, bit for bit.
     """
     parts = _trial_parts(spec_at, omega_c, cold, omega_h, hot)
 
     def allocate(adiabats, tau_exp: float, tau_comp: float) -> tuple:
-        alloc = solve_isochore_z(spec.gamma, spec.gamma, tau_exp + tau_comp)
-        tau = max(alloc.tau_c, 1e-12)
+        tau_ad = tau_exp + tau_comp
+        tau = max(_z_root(spec.gamma * tau_ad) / spec.gamma, 1e-12) if tau_ad else 1e-12
         trial = _trials(parts, adiabats, tau_exp, tau_comp)
         if spec.allocation == "z":
             return trial(tau, tau)
         x, lo, hi = math.log(tau), math.log(tau / 10.0), math.log(tau * 10.0)
-        tally = SearchTally()
-        _, point = search_isochore_times(trial, (x, x), [("tau_c", lo, hi), ("tau_h", lo, hi)],
-                                         tally, ((x, x), {"tau_c": tau, "tau_h": tau}))
+        box = [("tau_c", lo, hi), ("tau_h", lo, hi)]
+        start, tally = ((x, x), {"tau_c": tau, "tau_h": tau}), SearchTally()
+        _, point = search_isochore_times(trial, (x, x), box, tally, start,
+                                         pause=paused is not None)
         tally.warn()
         if point is None:               # the start failed: raises that failure
             trial(tau, tau)
-        first = tally.solved[tau, tau]
+        first, state = tally.solved[tau, tau], tally.paused
+        if state is not None:
+            def finish() -> tuple:
+                rest = SearchTally(paused=state)
+                _, end = search_isochore_times(trial, (x, x), box, rest, start)
+                rest.warn()
+                return first if first[0] > end[0] else end
+
+            paused[tau_exp] = finish
         return first if first[0] > point[0] else point      # compare R_c
 
     return allocate
@@ -351,15 +369,25 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
     if rate(lo) == 0.0:                 # the smallest rate the search tries
         raise ScheduleError(f"omega_c = {w_c:.6g} is too small: the {spec.kind} ramp's "
                             "rate underflows to 0")
-    step = _ramp_step(spec, hot, cold, w_h, w_c)
-    return _brent_max(lambda log_param: step(rise / rate(math.exp(log_param))),
-                      math.log(lo), math.log(hi))
+    # a searched allocation's steps only score their durations: the
+    # winner's isochore-time search is finished after the duration search
+    paused = {} if spec.allocation == "searched" else None
+    step = _ramp_step(spec, hot, cold, w_h, w_c, paused)
+    point = _brent_max(lambda log_param: step(rise / rate(math.exp(log_param))),
+                       math.log(lo), math.log(hi))
+    if paused:
+        finish = paused.get(point[-1][7])           # by the winner's duration
+        if finish is not None:
+            point = finish()
+    return point
 
 
 def _ramp_step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float,
-               omega_c: float):
+               omega_c: float, paused: dict | None = None):
     """``step(tau)``: the fixed point (see _allocator) of a searched kind's
-    point with a ramp of duration tau and its reverse as the adiabats.
+    point with a ramp of duration tau and its reverse as the adiabats; with
+    a dict ``paused``, a searched allocation's score, its search paused and
+    filed there by tau (see _allocator).
 
     A step refuses a tau that the kind's Schedule builder refuses, with that
     builder's error, and builds both maps with the kind's pair builder; the
@@ -377,7 +405,7 @@ def _ramp_step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float,
         return CycleSpec(hot, cold, omega_h, omega_c, expansion, compression,
                          tau_c=point[3], tau_h=point[4])
 
-    allocate = _allocator(spec, spec_at, hot, cold, omega_h, omega_c)
+    allocate = _allocator(spec, spec_at, hot, cold, omega_h, omega_c, paused)
 
     def step(tau: float) -> tuple:
         if not 0.0 < tau < math.inf:    # the builder refuses it, with its error

@@ -1,12 +1,21 @@
-"""tools/sweep_diff.py on hand-made tools/cli_snapshot.py output directories."""
+"""tools/sweep_diff.py on hand-made tools/cli_snapshot.py output directories,
+and the usage lines of both tools."""
 
 import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-_SPEC = importlib.util.spec_from_file_location("sweep_diff", ROOT / "tools" / "sweep_diff.py")
-sweep_diff = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(sweep_diff)
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+sweep_diff = load_tool("sweep_diff")
+cli_snapshot = load_tool("cli_snapshot")
 
 COLUMNS = ("T_c,omega_c,tau_hc,tau_c,tau_ch,tau_h,tau_total,Q_c,Q_h,W,R_c,sigma,"
            "converged_flag")
@@ -57,3 +66,13 @@ def test_sweep_diff_reports_rows_fits_and_falls(tmp_path, capsys):
 def test_sweep_diff_needs_two_directories(capsys):
     assert sweep_diff.main(["only-one"]) == 2
     assert "OLD NEW" in capsys.readouterr().err
+
+
+def test_cli_snapshot_prints_its_command_line_when_misused(tmp_path, capsys):
+    # with no output directory, or two, it writes nothing and prints how to
+    # run it: the "Usage" paragraph and the command line under it
+    for args in ([], [str(tmp_path / "a"), str(tmp_path / "b")]):
+        assert cli_snapshot.main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "Usage (from any directory):", "", "    python3 tools/cli_snapshot.py OUTDIR"]
+    assert not any(tmp_path.iterdir())

@@ -158,7 +158,7 @@ def run(cli_main, command: str, config: dict, flags: list[str], out: Path) -> tu
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 2
     outdir = Path(args[0]).resolve()
     sys.path.insert(0, str(SRC))
