@@ -25,10 +25,12 @@ and an isochore as its four scalars.  The maps of a linear or exponential
 ramp and of its time reverse are also built from their endpoints and
 duration alone, without a Schedule (linear_ramp_pair,
 exponential_ramp_pair), bit for bit each ramp's own build.  A linear
-ramp's Bessel functions take two calls, jv and yv at orders 1/4 and 3/4 for
-both ends; the momenta's order -3/4 is formed from the 3/4 pair by DLMF
-10.4.7-8, bit for bit scipy's own.  Natural units hbar = k_B = m = 1
-throughout.
+ramp's Bessel functions take two calls, jv and hankel1 at orders 1/4 and 3/4
+for both ends (Y is hankel1's imaginary part, bit for bit yv); the momenta's
+order -3/4 is formed from the 3/4 pair by DLMF 10.4.7-8, bit for bit
+scipy's own.  scipy.special is imported by the first exponential or linear
+ramp built, not with this module: it loads most of scipy, which no other
+branch map needs.  Natural units hbar = k_B = m = 1 throughout.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, j1, jv, y0, y1, yv
 
 from .schedules import PIECEWISE_KINDS, Schedule, ScheduleError
 
@@ -341,6 +342,21 @@ def _bessel_fundamental(s0: tuple, s1: tuple, wronskian: float) -> tuple:
             (c1 * d0 - d1 * c0) / wronskian, (d1 * a0 - c1 * b0) / wronskian)
 
 
+# scipy.special's ufuncs for the Bessel ramps, (j0, y0, j1, y1) for the
+# exponential and (jv, hankel1) for the linear, bound by _bind_bessel when the
+# first such ramp is built.  Each is one tuple stored in one assignment, so a
+# thread that finds it bound finds it whole.
+_EXPONENTIAL_BESSEL = None
+_LINEAR_BESSEL = None
+
+
+def _bind_bessel() -> None:
+    global _EXPONENTIAL_BESSEL, _LINEAR_BESSEL
+    from scipy.special import hankel1, j0, j1, jv, y0, y1
+    _EXPONENTIAL_BESSEL = j0, y0, j1, y1
+    _LINEAR_BESSEL = jv, hankel1
+
+
 def _exponential_propagator(schedule: Schedule) -> tuple:
     """Exact propagator of an exponential sweep (see _exponential_map)."""
     return _exponential_map(schedule.omega_start, schedule.omega_end, schedule.alpha)
@@ -355,15 +371,16 @@ def _exponential_map(w0: float, w1: float, alpha: float) -> tuple:
     constant Wronskian 2 sign(alpha) |alpha| / pi.  Machine-precision accurate
     for sweeps of any duration.
     """
+    if _EXPONENTIAL_BESSEL is None:
+        _bind_bessel()
+    j0, y0, j1, y1 = _EXPONENTIAL_BESSEL
     sgn = 1.0 if alpha > 0 else -1.0
     aa = abs(alpha)
-
-    def fundamental(w):
-        z, p = w / aa, -sgn * w
-        return float(j0(z)), float(y0(z)), p * float(j1(z)), p * float(y1(z))
-
-    return _lift(*_bessel_fundamental(fundamental(w0), fundamental(w1), 2.0 * sgn * aa / math.pi),
-                 w0, w1)
+    z0, p0, z1, p1 = w0 / aa, -sgn * w0, w1 / aa, -sgn * w1
+    return _lift(*_bessel_fundamental(
+        (float(j0(z0)), float(y0(z0)), p0 * float(j1(z0)), p0 * float(y1(z0))),
+        (float(j0(z1)), float(y0(z1)), p1 * float(j1(z1)), p1 * float(y1(z1))),
+        2.0 * sgn * aa / math.pi), w0, w1)
 
 
 def exponential_ramp_pair(omega_start: float, omega_end: float,
@@ -381,7 +398,7 @@ def exponential_ramp_pair(omega_start: float, omega_end: float,
                              math.log(omega_start / omega_end) / duration))
 
 
-# Bessel orders of the linear ramp's jv and yv calls at (start, end, start,
+# Bessel orders of the linear ramp's jv and hankel1 calls at (start, end, start,
 # end): 1/4 for the positions and 3/4 for the momenta, whose order -3/4 is
 # formed by DLMF 10.4.7-8, J_-v = cos(v pi) J_v - sin(v pi) Y_v and
 # Y_-v = sin(v pi) J_v + cos(v pi) Y_v, as scipy forms a negative order.
@@ -427,11 +444,14 @@ def _linear_ramp_fundamental(w0: float, w1: float, tau: float) -> tuple:
     ramp w0 -> w1 of duration tau > 0 between distinct frequencies (see
     _linear_ramp_propagator).
 
-    Two calls, jv and yv at orders 1/4 and 3/4 for both ends; the order -3/4
-    by DLMF 10.4.7-8, bit for bit scipy's own jv(-0.75, zeta) and
-    yv(-0.75, zeta), which evaluate the order-3/4 pair and rotate it.  A
-    ramp whose matrix is not finite raises ScheduleError: at a rate above
-    about 1e205 the momentum products, each about (2|beta|)^(3/2), overflow.
+    Two calls, jv and hankel1 at orders 1/4 and 3/4 for both ends: Y is
+    hankel1's imaginary part, bit for bit yv, which evaluates both Hankel
+    functions; J stays on jv, as hankel1's real part loses digits at small
+    zeta.  The order -3/4 by DLMF 10.4.7-8, bit for bit scipy's own
+    jv(-0.75, zeta) and yv(-0.75, zeta), which evaluate the order-3/4 pair
+    and rotate it.  A ramp whose matrix is not finite raises ScheduleError:
+    at a rate above about 1e205 the momentum products, each about
+    (2|beta|)^(3/2), overflow.
     """
     beta = (w0 - w1) / tau           # signed; > 0 for expansion
     sgn = 1.0 if beta > 0 else -1.0
@@ -443,9 +463,12 @@ def _linear_ramp_fundamental(w0: float, w1: float, tau: float) -> tuple:
                                 f"{_ZETA_MAX:.6g}, where jv and yv lose their accuracy")
         raise ScheduleError(f"linear ramp Bessel argument {min(z0, z1):.6g} is below "
                             f"{_ZETA_MIN:.6g}, where jv and yv underflow")
+    if _LINEAR_BESSEL is None:
+        _bind_bessel()
+    jv, hankel1 = _LINEAR_BESSEL
     zeta = np.array((z0, z1, z0, z1))    # an array, as _LINEAR_ORDERS: no call converts a tuple
     jq0, jq1, jp0, jp1 = jv(_LINEAR_ORDERS, zeta).tolist()
-    yq0, yq1, yp0, yp1 = yv(_LINEAR_ORDERS, zeta).tolist()
+    yq0, yq1, yp0, yp1 = hankel1(_LINEAR_ORDERS, zeta).imag.tolist()
     c, s = _COS_3PI_4, _SIN_3PI_4
 
     def fundamental(w, jq, yq, jp, yp):

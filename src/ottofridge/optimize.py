@@ -123,9 +123,13 @@ def solve_isochore_z(gamma_h: float, gamma_c: float,
 def _z_root(a: float) -> float:
     """The root z > 0 of 2 (sinh z - z) = a for a > 0, by the Newton
     iteration of solve_isochore_z, which checks its inputs; a sweep point's
-    z-allocation calls it directly.  A non-finite a raises ValueError."""
+    z-allocation calls it directly.  Both call it only for tau_adiabats > 0,
+    so a = 0 is a product that underflowed, whose Newton start z = 0 has
+    slope 0; it raises ValueError, as does a non-finite a."""
     if not math.isfinite(a):
         raise ValueError("gamma_h * tau_adiabats must be finite")
+    if a == 0.0:
+        raise ValueError("gamma_h * tau_adiabats underflows to 0 with tau_adiabats > 0")
     z = min((3.0 * a) ** (1.0 / 3.0), math.asinh(0.5 * a + math.asinh(0.5 * a) + 1.0))
     while True:
         z_new = z - (_sinh_excess(z) - a) / (4.0 * math.sinh(0.5 * z) ** 2)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -463,6 +462,7 @@ def temperature_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """
     grid = spec.grid
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor   # loaded only for a pool
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda t: _evaluate_point(spec, t), grid))
     else:

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
-from scipy.special import jv, yv
+from scipy.special import hankel1, jv, yv
 
 from oracles import jump_matrix, propagate_adiabat_numeric, propagator_matrix, rk_matrix
 import ottofridge.dynamics
 from ottofridge.dynamics import (
     BathSpec,
+    _LINEAR_ORDERS,
     _ZETA_MAX,
     _ZETA_MIN,
     StateVector,
@@ -505,9 +506,10 @@ def test_linear_ramp_momenta_are_scipys_own_negative_order(zeta_c):
         assert _linear_ramp_fundamental(w0, w1, w) == negative_order_fundamental(w0, w1, w)
 
 
-def test_linear_ramp_calls_jv_and_yv_once_at_positive_orders(monkeypatch):
+def test_linear_ramp_calls_jv_and_hankel1_once_at_positive_orders(monkeypatch):
     # one call per Bessel kind for both ends and no negative order, which
-    # scipy would evaluate at 3/4 a second time: 8 AMOS evaluations a pair
+    # scipy would evaluate at 3/4 a second time; Y from hankel1, one Hankel
+    # evaluation where yv makes two: 4 AMOS J and 4 Hankel evaluations a pair
     calls = []
 
     def recording(name, f):
@@ -516,10 +518,27 @@ def test_linear_ramp_calls_jv_and_yv_once_at_positive_orders(monkeypatch):
             return f(orders, zeta)
         return call
 
-    monkeypatch.setattr(ottofridge.dynamics, "jv", recording("jv", jv))
-    monkeypatch.setattr(ottofridge.dynamics, "yv", recording("yv", yv))
+    monkeypatch.setattr(ottofridge.dynamics, "_LINEAR_BESSEL",
+                        (recording("jv", jv), recording("hankel1", hankel1)))
     linear_ramp_pair(100.0, 0.1, 40.0)
-    assert calls == [("jv", (0.25, 0.25, 0.75, 0.75)), ("yv", (0.25, 0.25, 0.75, 0.75))]
+    assert calls == [("jv", (0.25, 0.25, 0.75, 0.75)), ("hankel1", (0.25, 0.25, 0.75, 0.75))]
+
+
+# log-uniform Bessel arguments in [_ZETA_MIN, _ZETA_MAX]
+ZETAS = st.floats(math.log(_ZETA_MIN), math.log(_ZETA_MAX)).map(
+    lambda x: min(max(math.exp(x), _ZETA_MIN), _ZETA_MAX))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(z0=ZETAS, z1=ZETAS)
+@example(z0=_ZETA_MIN, z1=_ZETA_MAX)
+@example(z0=_ZETA_MAX, z1=_ZETA_MIN)
+def test_hankel1_imaginary_part_is_yv_over_the_linear_ramps_range(z0, z1):
+    # the linear ramp's Y values are hankel1's imaginary parts: bit for bit
+    # yv at orders 1/4 and 3/4 over [_ZETA_MIN, _ZETA_MAX], both limits
+    # included, in the ramp's own call (orders and arguments as arrays)
+    args = np.array((z0, z1, z0, z1))
+    assert hankel1(_LINEAR_ORDERS, args).imag.tolist() == yv(_LINEAR_ORDERS, args).tolist()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -528,7 +547,7 @@ def test_linear_ramp_calls_jv_and_yv_once_at_positive_orders(monkeypatch):
 @example(ratio=1000.0, omega_h=100.0, zeta_h=_ZETA_MAX * (1.0 - 1e-12))
 @example(ratio=1000.0, omega_h=100.0, zeta_h=_ZETA_MAX * (1.0 + 1e-12))
 def test_linear_ramp_pair_is_each_ramps_own_build(ratio, omega_h, zeta_h):
-    # the maps of a ramp and its time reverse from one jv/yv evaluation are,
+    # the maps of a ramp and its time reverse from one jv/hankel1 evaluation are,
     # bit for bit, the maps that each one's own build gives; past the Bessel
     # limit the pair raises what each own build raises
     omega_c = omega_h / ratio

@@ -96,6 +96,17 @@ def test_z_equation_conductance_scaling_and_degenerate():
         solve_isochore_z(1.0, 1.0, -0.5)
 
 
+def test_z_equation_refuses_a_product_that_underflows():
+    # gamma_h * tau_adiabats rounds to 0 with tau_adiabats > 0: the Newton
+    # start would be z = 0, where the slope is 0; a product that is tiny but
+    # not 0 still has its root, z ~ (3 a)^(1/3)
+    with pytest.raises(ValueError, match=r"^gamma_h \* tau_adiabats underflows to 0 with "
+                                         r"tau_adiabats > 0$"):
+        solve_isochore_z(1e-200, 1e-200, 1e-200)
+    assert solve_isochore_z(1e-150, 1e-150, 1e-150).z == pytest.approx(3e-100 ** (1 / 3),
+                                                                       rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Lambert W
 # ---------------------------------------------------------------------------

@@ -605,6 +605,18 @@ def test_z_allocation_is_solve_isochore_z_bit_for_bit(monkeypatch, kind):
     assert not called
 
 
+def test_point_whose_z_product_underflows_is_a_failed_row():
+    # Gamma = 5e-324 times the three-jump adiabat time at omega_h = 1e4 (both
+    # ramps together about 7e-3) rounds to 0: the point's z-allocation
+    # refuses it by name, and the sweep records a failed row
+    spec = SweepSpec("three_jump", omega_h=1e4, t_hot=100.0, gamma=5e-324,
+                     t_max=10.0, t_min=10.0 * 10**-0.05)
+    (row,) = temperature_sweep(spec).rows
+    assert row.flag == 0 and math.isnan(row.r_c)
+    assert row.error == ("ValueError: gamma_h * tau_adiabats underflows to 0 with "
+                         "tau_adiabats > 0")
+
+
 @pytest.mark.parametrize("kind", ["linear", "exponential"])
 def test_duration_step_refuses_what_its_schedule_builder_refuses(kind):
     # a duration step builds no Schedule, but refuses a duration that is not

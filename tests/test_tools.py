@@ -1,7 +1,8 @@
 """tools/sweep_diff.py on hand-made tools/cli_snapshot.py output directories,
-and the usage lines of both tools."""
+tools/setup_ab.py on this checkout against itself, and the tools' usage lines."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -16,6 +17,7 @@ def load_tool(name: str):
 
 sweep_diff = load_tool("sweep_diff")
 cli_snapshot = load_tool("cli_snapshot")
+setup_ab = load_tool("setup_ab")
 
 COLUMNS = ("T_c,omega_c,tau_hc,tau_c,tau_ch,tau_h,tau_total,Q_c,Q_h,W,R_c,sigma,"
            "converged_flag")
@@ -76,3 +78,22 @@ def test_cli_snapshot_prints_its_command_line_when_misused(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines() == [
             "Usage (from any directory):", "", "    python3 tools/cli_snapshot.py OUTDIR"]
     assert not any(tmp_path.iterdir())
+
+
+def test_setup_ab_prints_medians_quartiles_and_wins(capsys):
+    # two alternating pairs of fresh set-up processes, this checkout against itself
+    assert setup_ab.main([str(ROOT), str(ROOT), "2"]) == 0
+    timing = r"median \d+\.\d{4} s, quartiles \d+\.\d{4}-\d+\.\d{4}"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("set-up (import ottofridge.cli, parse_config): 2 alternating fresh "
+                        "processes per checkout")
+    assert re.fullmatch(f"OLD {re.escape(str(ROOT))}: {timing}", lines[1])
+    assert re.fullmatch(f"NEW {re.escape(str(ROOT))}: {timing}", lines[2])
+    assert re.fullmatch(r"median change [+-]\d+\.\d%; NEW faster in [0-2] of 2 pairs", lines[3])
+    assert len(lines) == 4
+
+
+def test_setup_ab_prints_its_usage_when_misused(capsys):
+    for args in ([], [str(ROOT)], [str(ROOT), str(ROOT), "1"], [str(ROOT), str(ROOT), "x"]):
+        assert setup_ab.main(args) == 2
+        assert "python3 tools/setup_ab.py OLD NEW [N [CONFIG]]" in capsys.readouterr().err
