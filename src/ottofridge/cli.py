@@ -198,10 +198,10 @@ def _merge(path: str, defaults, user):
         raise ConfigError(path or "<root>", "expected an object")
     out = {}
     for key, dval in defaults.items():
-        here = f"{path}.{key}" if path else key
         if key not in user:
             out[key] = _copy(dval)
             continue
+        here = f"{path}.{key}" if path else key
         uval = user[key]
         if key in ("expansion", "compression"):
             _validate_schedule_block(here, uval)
@@ -222,9 +222,13 @@ def _merge(path: str, defaults, user):
             out[key] = uval
     for key in user:
         if key not in defaults:
-            here = f"{path}.{key}" if path else key
-            raise ConfigError(here, "unknown key")
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
     return out
+
+
+# json.dumps(value, sort_keys=True, separators=(",", ":")) without building
+# its encoder on every call.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -238,7 +242,7 @@ class Config:
     @property
     def canonical(self) -> str:
         """``resolved`` as sorted, compact JSON: echoed in every output header."""
-        return json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
+        return _CANONICAL_JSON(self.resolved)
 
     @property
     def sha256(self) -> str:
@@ -250,8 +254,15 @@ class Config:
         return self.resolved["command-defaults"]
 
 
+# An empty sha256 to copy: in a sweep point timed cold (after other work),
+# copying it took about 7 us less than hashlib.sha256().
+_SHA256 = hashlib.sha256()
+
+
 def _digest(canonical: str) -> str:
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    digest = _SHA256.copy()
+    digest.update(canonical.encode())
+    return digest.hexdigest()
 
 
 def parse_config(source: str | None) -> Config:
@@ -263,8 +274,11 @@ def parse_config(source: str | None) -> Config:
         if not source.lstrip().startswith("{"):
             if not os.path.exists(source):
                 raise ConfigError("<file>", f"config file not found: {source}")
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError("<file>", f"cannot read config file {source}: {exc}") from exc
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -385,26 +399,37 @@ def _rewrite(path: str, text: str) -> None:
 
     A truncating open of a non-empty file makes ext4 (its replace-via-truncate
     heuristic) flush the file on close, which costs more than the write; a
-    new file gets the mode ``open(path, "w")`` would give it.
+    new file gets the mode ``open(path, "w")`` would give it.  The bytes go
+    straight to the descriptor, written again from where a short write
+    stopped: a file object would add a buffer, an isatty check and a tell.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        fh.truncate()
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _write_table(out: str, files: dict[str, str], config: Config, seed: int,
-                 columns: list[str], rows: list[tuple], footer: list[str] | None = None) -> None:
+                 columns: list[str] | tuple[str, ...], rows: list[tuple],
+                 footer: list[str] | None = None) -> None:
     """Write one table to each of ``files`` (name -> column separator) in ``out``.
 
     The header, the cells and the footer are formatted once; the files
-    differ only in the separator.  The header's config echo and hash come
+    differ only in the separator.  A float cell is formatted as _fmt would,
+    without the call.  The header's config echo and hash come
     from one dump of the resolved config as it is now.
     """
     canonical = config.canonical
     head = (f"# ottofridge {__version__}\n# config_sha256 {_digest(canonical)}\n"
             f"# seed {seed}\n# config {canonical}\n")
-    cells = [columns] + [[_fmt(v) if isinstance(v, (int, float, np.integer, np.floating))
-                          else str(v) for v in row] for row in rows]
+    cells = [columns] + [[f"{v:.17g}" if type(v) is float else _fmt(v)
+                          if isinstance(v, (int, float, np.integer, np.floating)) else str(v)
+                          for v in row] for row in rows]
     tail = "".join(line + "\n" for line in footer or ())
     for name, sep in files.items():
         body = "".join(sep.join(line) + "\n" for line in cells)
@@ -477,25 +502,29 @@ def _cmd_optimize(config: Config, out: str, seed: int, threads: int) -> int:
     return 0
 
 
+_SWEEP_COLUMNS = ("T_c", "omega_c", "tau_hc", "tau_c", "tau_ch", "tau_h",
+                  "tau_total", "Q_c", "Q_h", "W", "R_c", "sigma", "converged_flag")
+_SWEEP_FILES = {"sweep.csv": ",", "sweep.dat": " "}
+
+
 def _cmd_sweep(config: Config, out: str, seed: int, threads: int) -> int:
     spec = sweep_spec_from_config(config)
     result = temperature_sweep(spec, threads=threads)
-    columns = ["T_c", "omega_c", "tau_hc", "tau_c", "tau_ch", "tau_h",
-               "tau_total", "Q_c", "Q_h", "W", "R_c", "sigma", "converged_flag"]
-    rows = [r.csv_fields() for r in result.rows]
-    footer = []
-    for label, fit in (("fit", result.fit), ("tail_fit", result.tail_fit)):
-        if fit is not None:
-            footer.append(f"# {label} delta {_fmt(fit.delta)} prefactor {_fmt(fit.prefactor)} "
-                          f"rms {_fmt(fit.rms_residual)} n {fit.n_used}")
+    rows, notes, cooling = [], [], 0
     for r in result.rows:
-        if r.flag == 0:
-            footer.append(f"# failed T_c {_fmt(r.t_c)} {r.error}")
+        rows.append(r.csv_fields())
+        if r.flag == 1:
+            cooling += 1
+        elif r.flag == 0:
+            notes.append(f"# failed T_c {_fmt(r.t_c)} {r.error}")
         elif r.flag == 2:
-            footer.append(f"# non_cooling T_c {_fmt(r.t_c)}")
-    _write_table(out, {"sweep.csv": ",", "sweep.dat": " "}, config, seed, columns, rows, footer)
-    print(f"sweep {spec.kind}: {len(result.rows)} points, "
-          f"{sum(1 for r in result.rows if r.flag == 1)} cooling")
+            notes.append(f"# non_cooling T_c {_fmt(r.t_c)}")
+    footer = [f"# {label} delta {_fmt(fit.delta)} prefactor {_fmt(fit.prefactor)} "
+              f"rms {_fmt(fit.rms_residual)} n {fit.n_used}"
+              for label, fit in (("fit", result.fit), ("tail_fit", result.tail_fit))
+              if fit is not None] + notes
+    _write_table(out, _SWEEP_FILES, config, seed, _SWEEP_COLUMNS, rows, footer)
+    print(f"sweep {spec.kind}: {len(rows)} points, {cooling} cooling")
     if result.fit is not None:
         print(f"fit: delta = {result.fit.delta:.4f} (rms {result.fit.rms_residual:.3g})")
     if result.tail_fit is not None:
@@ -533,11 +562,15 @@ def run_command(name: str, config: Config, out: str = ".", seed: int | None = No
     ``tail_fit`` replaces ``sweep.tail_decades`` in the resolved config, so
     the output header and its hash record it.
     """
-    if name not in _HANDLERS:
+    handler = _HANDLERS.get(name)
+    if handler is None:
         raise ConfigError("<command>", f"unknown command {name!r}")
-    for flag, value in (("--seed", seed), ("--threads", threads), ("--tail-fit", tail_fit)):
-        if value is not None:
-            _check_number(flag, value, whole=flag != "--tail-fit")
+    if seed is not None:
+        _check_number("--seed", seed, whole=True)
+    if threads is not None:
+        _check_number("--threads", threads, whole=True)
+    if tail_fit is not None:
+        _check_number("--tail-fit", tail_fit)
     cd = config.defaults
     seed = int(cd["seed"] if seed is None else seed)
     threads = int(cd["threads"] if threads is None else threads)
@@ -546,7 +579,7 @@ def run_command(name: str, config: Config, out: str = ".", seed: int | None = No
                          "sweep": {**config.resolved["sweep"], "tail_decades": tail_fit}})
     if not os.path.isdir(out):
         os.makedirs(out, exist_ok=True)
-    return _HANDLERS[name](config, out, seed, threads)
+    return handler(config, out, seed, threads)
 
 
 def main(argv=None) -> int:

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 from oracles import cross_check
 from test_cycle import count_dgeev
 
+import ottofridge.cli
 from ottofridge.cli import (
     DEFAULTS,
     ConfigError,
@@ -542,6 +544,58 @@ def test_runtime_error_exit_code(tmp_path, capsys):
 def test_missing_config_file():
     rc = main(["simulate", "--config", "/does/not/exist.json"])
     assert rc == 2
+
+
+def refuse_to_open(monkeypatch):
+    """Make the config reader's open() fail as on a file its user may not read
+    (a chmod would not: the tests may run as root, who reads every file)."""
+    def refused(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(ottofridge.cli, "open", refused, raising=False)
+
+
+@pytest.mark.parametrize("case, cause", [
+    ("directory", "Is a directory"),
+    ("unreadable", "Permission denied"),
+    ("not-utf-8", "can't decode byte 0xff"),
+])
+def test_unreadable_config_file_is_a_config_error(case, cause, tmp_path, capsys, monkeypatch):
+    # a path that exists but cannot be read as UTF-8 text is refused like a
+    # missing one, with the path and the cause, and exit status 2
+    path = tmp_path / "config.json"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"cycle": {"T_c": "\xff"}}')
+    if case == "unreadable":
+        refuse_to_open(monkeypatch)
+    assert main(["critical", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().err[len("ERROR "):])
+    assert payload["type"] == "ConfigError"
+    assert payload["message"].startswith(f"config error at <file>: cannot read config file "
+                                         f"{path}: ")
+    assert cause in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_rewrite_writes_again_after_short_writes(tmp_path, monkeypatch):
+    # os.write may write fewer bytes than asked: the rest is written from
+    # where it stopped, and a longer stale file is cut to the new length
+    write, sizes = os.write, []
+
+    def short(fd, data):
+        sizes.append(write(fd, bytes(data[:7])))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short)
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"# stale line\n" * 40)
+    text = "# header\nT_c,R_c\n0.10000000000000001,2.5e-05\né\n"
+    ottofridge.cli._rewrite(str(path), text)
+    data = text.encode("utf-8")
+    assert path.read_bytes() == data
+    assert sum(sizes) == len(data) and len(sizes) == -(-len(data) // 7) > 1
 
 
 def test_ga_command_smoke(tmp_path, capsys):

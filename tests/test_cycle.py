@@ -73,15 +73,16 @@ def cycle_map(spec):
 
 
 def count_dgeev(monkeypatch):
-    """A list that collects the matrix of every LAPACK dgeev call."""
+    """A list that collects the matrix of every LAPACK dgeev call, which the
+    package makes through numpy.linalg.eigvals."""
     calls = []
-    dgeev = scipy.linalg.lapack.dgeev
+    eigvals = np.linalg.eigvals
 
     def counting(*args, **kwargs):
         calls.append(args[0])
-        return dgeev(*args, **kwargs)
+        return eigvals(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgeev", counting)
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
     return calls
 
 
@@ -439,6 +440,29 @@ def test_spectral_radius_costs_at_most_one_dgeev_call(monkeypatch):
     # a run_one_cycle record has no LU factors and no radius
     _, one = run_one_cycle(spec, state)
     assert math.isnan(one.spectral_radius) and len(calls) == 3
+
+
+def scipy_dgeev_radius(m: tuple) -> float:
+    """The spectral radius of the 3x3 map m from scipy's LAPACK dgeev."""
+    wr, wi, _, _, info = scipy.linalg.lapack.dgeev(np.reshape(m, (3, 3)),
+                                                   compute_vl=0, compute_vr=0)
+    assert info == 0
+    return max(map(math.hypot, wr.tolist(), wi.tolist()))
+
+
+entries = st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                    st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(st.tuples(*[entries] * 9))
+@example((0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.5))       # +-i and 0.5
+@example((0.3, -0.9, 0.1, 0.9, 0.3, 0.2, 0.0, 0.1, -0.4))      # a complex pair
+@example((0.99, 1e-3, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1e-3))     # real, near 1
+def test_spectral_radius_is_scipy_dgeev_bit_for_bit(m):
+    # numpy.linalg.eigvals runs the same LAPACK dgeev as scipy.linalg.lapack,
+    # so the radius keeps every digit, for real eigenvalues and complex pairs
+    assert ottofridge.cycle._spectral_radius(m) == scipy_dgeev_radius(m)
 
 
 @pytest.mark.parametrize("tau", [3e-6, 1e-7, 1e-8])

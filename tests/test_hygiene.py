@@ -82,15 +82,21 @@ def test_searched_sweep_leaves_scipy_optimize_unloaded():
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg serves only dgeev, for a map the max-norm does not certify
-    # or a spectral radius that is read; the one helper that calls it imports it
+    # the package uses no scipy.linalg: dgeev, for a map the max-norm does
+    # not certify or a spectral radius that is read, runs through numpy
     assert not loaded_after_cli_import("scipy.linalg")
+
+
+def test_simulate_on_defaults_loads_no_scipy_module(tmp_path):
+    # simulate reads the record's spectral radius for its footer, and runs
+    # dgeev through numpy.linalg.eigvals
+    assert not loaded_after_cli_import("scipy", run_on("simulate", tmp_path))
 
 
 def test_cli_import_and_config_leave_scipy_unloaded():
     # every scipy module the package uses is imported by the first call that
-    # needs it: scipy.special by the first Bessel ramp, scipy.linalg by dgeev
-    # and scipy.optimize by Nelder-Mead and the evolutionary search
+    # needs it: scipy.special by the first Bessel ramp and scipy.optimize by
+    # Nelder-Mead and the evolutionary search
     assert not loaded_after_cli_import("scipy", "ottofridge.cli.parse_config(None)")
 
 

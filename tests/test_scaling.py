@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import cross_check, frictionless_ledger
 from test_cycle import non_float_entries, record_ledgers
 
@@ -957,3 +959,21 @@ def test_sweep_spec_validation():
                      points_per_decade=5, omega_h=100.0).grid
     assert len(grid) == 11
     assert np.all(np.diff(grid) < 0)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(st.floats(-8.0, 2.0), st.floats(0.01, 12.0), st.integers(1, 40))
+@example(-1.0, 0.05, 5)               # the benchmark's one-point sweep
+@example(0.0, 2.0, 5)                 # t_max = 1: the first exponent is 0.0
+@example(math.log10(5e-300), 23.7, 40)   # down to subnormal temperatures
+def test_grid_is_logspace_bit_for_bit(log_t_max, decades, points_per_decade):
+    # the grid's floats are np.logspace's, bit for bit (float.hex tells the
+    # sign of a zero apart), for one point and up to 40 points per decade
+    t_max = 10.0 ** log_t_max
+    t_min = t_max * 10.0 ** -decades
+    spec = SweepSpec(kind="three_jump", t_max=t_max, t_min=t_min,
+                     points_per_decade=points_per_decade)
+    n = int(round(math.log10(t_max / t_min) * points_per_decade)) + 1
+    logspace = np.logspace(math.log10(t_max), math.log10(t_min), n).tolist()
+    assert [t.hex() for t in spec.grid] == [t.hex() for t in logspace]
+    assert all(type(t) is float for t in spec.grid)

@@ -1,5 +1,6 @@
 """tools/sweep_diff.py on hand-made tools/cli_snapshot.py output directories,
-tools/setup_ab.py on this checkout against itself, and the tools' usage lines."""
+tools/setup_ab.py and tools/point_ab.py on this checkout against itself, and
+the tools' usage lines."""
 
 import importlib.util
 import re
@@ -18,6 +19,7 @@ def load_tool(name: str):
 sweep_diff = load_tool("sweep_diff")
 cli_snapshot = load_tool("cli_snapshot")
 setup_ab = load_tool("setup_ab")
+point_ab = load_tool("point_ab")
 
 COLUMNS = ("T_c,omega_c,tau_hc,tau_c,tau_ch,tau_h,tau_total,Q_c,Q_h,W,R_c,sigma,"
            "converged_flag")
@@ -97,3 +99,30 @@ def test_setup_ab_prints_its_usage_when_misused(capsys):
     for args in ([], [str(ROOT)], [str(ROOT), str(ROOT), "1"], [str(ROOT), str(ROOT), "x"]):
         assert setup_ab.main(args) == 2
         assert "python3 tools/setup_ab.py OLD NEW [N [CONFIG]]" in capsys.readouterr().err
+
+
+def test_point_ab_prints_the_split_the_wins_and_the_file_check(monkeypatch, capsys):
+    # one round of one pass: a fresh process per side runs both windows
+    monkeypatch.setattr(point_ab, "PASSES", 1)
+    assert point_ab.main([str(ROOT), str(ROOT), "1"]) == 0
+    root = re.escape(str(ROOT))
+    split = (r"wall \d+\.\d{3} ms, wall/kernel \d+\.\d{5}, _evaluate_point \d+\.\d{3} ms, "
+             r"rest \d+\.\d{3} ms")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("point_ab: 1 alternating fresh processes per checkout, each 1 passes "
+                        "of both windows with time_kernel(2) before every point")
+    for first, (workload, points) in zip((1, 5), (("sweep-exp-searched", 11),
+                                                  ("sweep-linear", 6))):
+        assert lines[first] == f"{workload}: {points} points a window, medians over {points} points"
+        assert re.fullmatch(f"  OLD {root}: {split}", lines[first + 1])
+        assert re.fullmatch(f"  NEW {root}: {split}", lines[first + 2])
+        assert re.fullmatch(r"  wall/kernel median change [+-]\d+\.\d%; NEW faster in [01] of 1 "
+                            r"rounds", lines[first + 3])
+    assert lines[9:] == ["sweep.csv and sweep.dat: identical in both checkouts"]
+
+
+def test_point_ab_prints_its_usage_when_misused(capsys):
+    for args in ([], [str(ROOT)], [str(ROOT), str(ROOT), "0"], [str(ROOT), str(ROOT), "x"],
+                 [str(ROOT), str(ROOT), "1", "2"]):
+        assert point_ab.main(args) == 2
+        assert "python3 tools/point_ab.py OLD NEW [ROUNDS]" in capsys.readouterr().err
