@@ -16,7 +16,6 @@ from .cycle import (
     NoContractionError,
     isochore_time_derivatives,
     limit_cycle,
-    run_one_cycle,
 )
 from .dynamics import (
     BathSpec,
@@ -61,7 +60,7 @@ __all__ = [
     "propagate_isochore", "propagate",
     "Schedule", "ScheduleError", "critical_mu", "three_jump_times", "build_three_jump",
     "CycleSpec", "CycleRecord", "BranchRecord", "NoContractionError",
-    "run_one_cycle", "limit_cycle", "isochore_time_derivatives",
+    "limit_cycle", "isochore_time_derivatives",
     "OptimizationSpec", "OptimizationResult", "GAResult",
     "solve_isochore_z", "lambert_w0", "optimal_cold_frequency",
     "optimize_time_allocation", "ga_schedule_search",

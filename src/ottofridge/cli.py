@@ -578,7 +578,10 @@ def run_command(name: str, config: Config, out: str = ".", seed: int | None = No
         config = Config({**config.resolved,
                          "sweep": {**config.resolved["sweep"], "tail_decades": tail_fit}})
     if not os.path.isdir(out):
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot make output directory {out!r}: {exc}") from exc
     return handler(config, out, seed, threads)
 
 

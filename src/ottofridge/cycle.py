@@ -39,20 +39,20 @@ Hessian, from the branch maps, M and the LU factors that the record's
 solve built.  It runs in two stages, the gradient and then the Hessian
 from the gradient's parts, so a search can stop after the first.
 
-A search that varies only the isochore times takes its cycles from trials
-(_trials): both baths' equilibrium energies (_trial_parts), the adiabat
-maps and the constants of the fixed point are built once, and a trial
-computes the two isochores and runs the fixed-point solve that limit_cycle
-runs (_fixed_point), with its checks.  isochore_trials builds them from a
-CycleSpec; a sweep point builds its parts once and a duration step its
-maps, with no Schedule or CycleSpec.  A trial returns the solved fixed
-point as a plain tuple and builds no CycleSpec or CycleRecord;
-trial_record builds them, through the spec builder in the tuple's
-constants, for a point a caller reads, bit for bit the record limit_cycle
-returns: a search's winner, and one record per sweep point, whose
-duration and cold-frequency searches compare tuples.  The derivative
-stages read the tuple as it is, and isochore_time_derivatives builds the
-same tuple from a record.
+Every cycle is solved by a trial (_trials), the one solve path: both
+baths' equilibrium energies (_trial_parts), the adiabat maps and the
+constants of the fixed point are built once, and a trial of two isochore
+times >= 0, not both of them 0, computes the two isochores and runs the
+fixed-point solve (_fixed_point).  isochore_trials builds the trials of a
+CycleSpec, and limit_cycle is its trial at the spec's own times; a sweep
+point builds its parts once and a duration step its maps, with no
+Schedule or CycleSpec.  A trial returns the solved fixed point as a plain
+tuple and builds no CycleSpec or CycleRecord; trial_record builds them,
+through the spec builder in the tuple's constants, for a point a caller
+reads, bit for bit the record limit_cycle returns: a search's winner, and
+one record per sweep point, whose duration and cold-frequency searches
+compare tuples.  The derivative stages read the tuple as it is, and
+isochore_time_derivatives builds the same tuple from a record.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from .dynamics import (
     _iso_affine,
     _isochore,
     equilibrium_state,
-    isochore_scalars,
 )
 from .schedules import Schedule
 
@@ -158,8 +157,7 @@ class CycleRecord:
     The diagnostics are computed from the chain when first read, and are
     not part of the record's repr or equality: ``residual`` is the relative
     residual |M v + k - v| / |v| of the direct solution and
-    ``spectral_radius`` the spectral radius of M, from dgeev.  A record of
-    :func:`run_one_cycle` has nan for both.
+    ``spectral_radius`` the spectral radius of M, from dgeev.
     """
 
     q_c: float
@@ -170,24 +168,20 @@ class CycleRecord:
     sigma: float
     cop: float
     # (the CycleSpec, its float branch maps, the one-cycle map M and k, the
-    # LU factors of I - M (None from run_one_cycle), the chain vectors at A,
-    # D, C, B, A'); read by the diagnostics, ``branches`` and
-    # :func:`isochore_time_derivatives`
+    # LU factors of I - M, the chain vectors at A, D, C, B, A'); read by the
+    # diagnostics, ``branches`` and :func:`isochore_time_derivatives`
     chain: tuple = field(repr=False, compare=False)
 
     @cached_property
     def spectral_radius(self) -> float:
         """Spectral radius of the cycle map M, computed on first read (a
         limit_cycle that ran dgeev itself stores its value in the record)."""
-        _, _, m, _, lu, _ = self.chain
-        return float("nan") if lu is None else _spectral_radius(m)
+        return _spectral_radius(self.chain[2])
 
     @cached_property
     def residual(self) -> float:
         """|M v_A + k - v_A| / |v_A| of the direct solution, computed on first read."""
-        _, _, m, (k0, k1, k2), lu, (v, *_) = self.chain
-        if lu is None:
-            return float("nan")
+        _, _, m, (k0, k1, k2), _, (v, *_) = self.chain
         x, y, z = _affine(m, v)
         return math.dist((x + k0, y + k1, z + k2), v) / max(math.hypot(*v), 1e-300)
 
@@ -248,13 +242,6 @@ def _adiabat_maps(expansion: Schedule, compression: Schedule) -> list:
     return adiabats
 
 
-def _branch_maps(spec: CycleSpec) -> tuple:
-    """The float branch maps (A_exp, cold isochore, A_comp, hot isochore)."""
-    a_exp, a_comp = _adiabat_maps(spec.expansion, spec.compression)
-    return (a_exp, isochore_scalars(spec.omega_c, spec.cold_bath, spec.tau_c),
-            a_comp, isochore_scalars(spec.omega_h, spec.hot_bath, spec.tau_h))
-
-
 def _compose(maps) -> tuple[tuple, tuple]:
     """The one-cycle map (M, k) of the float branch maps.
 
@@ -288,31 +275,11 @@ def _ledger(spec: CycleSpec, point: tuple) -> CycleRecord:
     return _frozen(CycleRecord, fields)
 
 
-def _constants(spec: CycleSpec, a_exp: tuple, a_comp: tuple) -> tuple:
-    """The parts of a fixed point of ``spec``'s cycle that do not depend on
-    the isochore times (see _fixed_point)."""
-    return (_retimed(spec), a_exp, a_comp, spec.omega_c, spec.cold_bath.conductance,
-            spec.omega_h, spec.hot_bath.conductance,
-            spec.expansion.duration, spec.compression.duration)
-
-
 def _retimed(base: CycleSpec):
     """The spec builder (see _fixed_point) of ``base``'s cycle: base with a
     point's isochore times."""
     return lambda point: _frozen(CycleSpec, {**vars(base), "tau_c": point[3],
                                              "tau_h": point[4]})
-
-
-def run_one_cycle(spec: CycleSpec, state: StateVector) -> tuple[StateVector, CycleRecord]:
-    """Run a single cycle from state A; returns the new A state and the ledger."""
-    if not math.isclose(state.omega, spec.omega_h, rel_tol=1e-9):
-        raise ValueError("input state must sit at omega_h (cycle point A)")
-    a_exp, cold, a_comp, hot = maps = _branch_maps(spec)
-    record = _ledger(spec, _point(_constants(spec, a_exp, a_comp), cold, hot, spec.tau_c,
-                                  spec.tau_h, *_compose(maps), None,
-                                  (state.e_h, state.e_l, state.e_c), None))
-    *_, vs = record.chain
-    return _state(vs[-1], spec.omega_h), record
 
 
 def _state(v: tuple, omega: float) -> StateVector:
@@ -371,12 +338,6 @@ def _spectral_radius(m: tuple) -> float:
     return max(map(math.hypot, w.real.tolist(), w.imag.tolist()))
 
 
-def _check_contraction(gamma_c: float, tau_c: float, gamma_h: float, tau_h: float) -> None:
-    """NoContractionError when both isochores have Gamma tau = 0."""
-    if gamma_c * tau_c == 0.0 and gamma_h * tau_h == 0.0:
-        raise NoContractionError("both isochores have Gamma*tau = 0; no contraction")
-
-
 # A solved fixed point, as a search trial returns it: the tuple
 #     (r_c, q_c, tau_total, tau_c, tau_h, cold, hot, m, k, lu, v_a, v_c, rho, consts)
 # with the isochores' scalars cold and hot, the one-cycle map (m, k), the LU
@@ -402,28 +363,13 @@ def _fixed_point(consts: tuple, cold: tuple, hot: tuple, tau_c: float, tau_h: fl
             raise NoContractionError(
                 f"cycle map spectral radius {rho:.12f} >= {_RHO_LIMIT!r}; no limit cycle")
     lu = _lu(m)
-    return _point(consts, cold, hot, tau_c, tau_h, m, k, lu, _lu_solve(lu, k), rho)
-
-
-def _point(consts: tuple, cold: tuple, hot: tuple, tau_c: float, tau_h: float,
-           m: tuple, k: tuple, lu, v: tuple, rho) -> tuple:
-    """The fixed-point tuple of the cycle started from v at point A, with
-    q_c, R_c and tau_total from one cycle."""
+    v = _lu_solve(lu, k)
     v_d = _affine(consts[1], v)
     v_c = _iso_affine(cold, v_d)
     q_c = v_c[0] - v_d[0]                   # heat absorbed on the cold isochore
     tau = consts[7] + tau_c + consts[8] + tau_h
     return (q_c / tau if tau > 0 else 0.0, q_c, tau, tau_c, tau_h, cold, hot, m, k, lu, v, v_c,
             rho, consts)
-
-
-def _solve(spec: CycleSpec) -> CycleRecord:
-    """The limit-cycle record of ``spec`` (see limit_cycle)."""
-    _check_contraction(spec.cold_bath.conductance, spec.tau_c,
-                       spec.hot_bath.conductance, spec.tau_h)
-    a_exp, cold, a_comp, hot = _branch_maps(spec)
-    return _ledger(spec, _fixed_point(_constants(spec, a_exp, a_comp), cold, hot,
-                                      spec.tau_c, spec.tau_h))
 
 
 def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
@@ -438,14 +384,15 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     certified map the record runs dgeev when its ``spectral_radius`` is
     read.  A non-finite M raises LinAlgError.  The ledger is one cycle from
     the direct solution.  M, k and the ledger are computed on plain floats.
+    The solve is the search trial (isochore_trials) at the spec's own times.
     """
-    record = _solve(spec)
+    record = _ledger(spec, isochore_trials(spec)(spec.tau_c, spec.tau_h))
     return _state(record.chain[-1][0], spec.omega_h), record
 
 
 def isochore_trials(base: CycleSpec):
     """The fixed point of ``base`` with its isochore times replaced, as a
-    function ``trial(tau_c, tau_h)`` of two times > 0 (see _trials).
+    function ``trial(tau_c, tau_h)`` of two times >= 0 (see _trials).
 
     It raises what limit_cycle raises for the CycleSpec with those times, a
     failed adiabat build included.  :func:`trial_record` builds the record,
@@ -479,12 +426,14 @@ def _adiabats(build, *args):
 
 
 def _trials(parts: tuple, adiabats, tau_exp: float, tau_comp: float):
-    """``trial(tau_c, tau_h)``, for two times > 0, from a cycle's parts
+    """``trial(tau_c, tau_h)``, for two times >= 0, from a cycle's parts
     (_trial_parts), its adiabats (_adiabats) and their durations.
 
-    A trial computes the two isochores and runs limit_cycle's fixed-point
-    solve (_fixed_point) with limit_cycle's checks, in its order, and
-    returns the tuple; it builds no CycleSpec or CycleRecord.
+    A trial raises NoContractionError when Gamma tau = 0 on both isochores,
+    then ValueError for a negative or NaN time and then its adiabats'
+    BranchError; otherwise it computes the two isochores, runs the
+    fixed-point solve (_fixed_point) and returns the tuple.  It builds no
+    CycleSpec or CycleRecord.
     """
     spec_at, omega_c, gamma_c, omega_h, gamma_h, e_eq_c, e_eq_h = parts
     failure = adiabats if isinstance(adiabats, BranchError) else None
@@ -492,9 +441,10 @@ def _trials(parts: tuple, adiabats, tau_exp: float, tau_comp: float):
     consts = (spec_at, a_exp, a_comp, omega_c, gamma_c, omega_h, gamma_h, tau_exp, tau_comp)
 
     def trial(tau_c: float, tau_h: float) -> tuple:
-        if not (tau_c > 0.0 and tau_h > 0.0):
-            raise ValueError(f"trial isochore durations must be > 0, got {tau_c!r}, {tau_h!r}")
-        _check_contraction(gamma_c, tau_c, gamma_h, tau_h)
+        if gamma_c * tau_c == 0.0 and gamma_h * tau_h == 0.0:
+            raise NoContractionError("both isochores have Gamma*tau = 0; no contraction")
+        if not (tau_c >= 0.0 and tau_h >= 0.0):
+            raise ValueError(f"trial isochore durations must be >= 0, got {tau_c!r}, {tau_h!r}")
         if failure:
             raise BranchError(failure.branch, failure.cause) from failure.cause
         return _fixed_point(consts, _isochore(omega_c, gamma_c, tau_c, e_eq_c),
@@ -547,8 +497,11 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     of ln |R_c|; q_c = 0 raises ValueError.
     """
     spec, (a_exp, cold, a_comp, hot), m, k, lu, (v_a, _, v_c, _, _) = record.chain
+    consts = (_retimed(spec), a_exp, a_comp, spec.omega_c, spec.cold_bath.conductance,
+              spec.omega_h, spec.hot_bath.conductance, spec.expansion.duration,
+              spec.compression.duration)
     point = (record.r_c, record.q_c, record.tau_total, spec.tau_c, spec.tau_h, cold, hot,
-             m, k, lu, v_a, v_c, None, _constants(spec, a_exp, a_comp))
+             m, k, lu, v_a, v_c, None, consts)
     g, stage = _time_gradient(point)
     return g, _time_hessian(point, stage)
 

@@ -357,11 +357,6 @@ def _bind_bessel() -> None:
     _LINEAR_BESSEL = jv, hankel1
 
 
-def _exponential_propagator(schedule: Schedule) -> tuple:
-    """Exact propagator of an exponential sweep (see _exponential_map)."""
-    return _exponential_map(schedule.omega_start, schedule.omega_end, schedule.alpha)
-
-
 def _exponential_map(w0: float, w1: float, alpha: float) -> tuple:
     """Exact propagator of an exponential sweep omega(t) = w0 exp(alpha t) to w1.
 
@@ -513,7 +508,7 @@ def schedule_propagator(schedule: Schedule) -> tuple:
     if schedule.kind in PIECEWISE_KINDS:
         return _piecewise_propagator(schedule)
     if schedule.kind == "exponential":
-        return _exponential_propagator(schedule)
+        return _exponential_map(schedule.omega_start, schedule.omega_end, schedule.alpha)
     if schedule.kind == "linear":
         return _linear_ramp_propagator(schedule)
     raise ScheduleError(f"no propagator for schedule kind {schedule.kind!r}")

@@ -4,11 +4,13 @@ The adiabat equations of motion d/dt (e_h, e_l, e_c) = omega(t) M(mu(t)) v
 integrated by an adaptive embedded Runge-Kutta stepper (DOP853), the
 direct 3x3 map of an instantaneous frequency jump, the jump points of a
 piecewise-constant schedule, the closed-form heat ledger of a frictionless
-cycle, and the limit cycle by repeated squaring of the cycle map, the
-cross-check of ``limit_cycle``'s direct solve.  The propagators here do not
-go through the closed-form smooth propagators or the (Q, P) lift of
+cycle, one cycle run leg by leg through the state-level propagators, and
+the limit cycle by repeated squaring of the cycle map, the cross-check of
+``limit_cycle``'s direct solve.  The propagators here do not go through
+the closed-form smooth propagators or the (Q, P) lift of
 ``ottofridge.dynamics``; only the piecewise-constant kinds of
-``propagate_adiabat_numeric`` reuse ``schedule_propagator``.
+``propagate_adiabat_numeric`` reuse ``schedule_propagator``, and
+``one_cycle`` runs the package's state-level propagators.
 """
 
 import math
@@ -16,7 +18,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ottofridge.dynamics import StateVector, schedule_propagator
+from ottofridge.dynamics import StateVector, propagate, propagate_isochore, schedule_propagator
 from ottofridge.schedules import PIECEWISE_KINDS, Schedule
 
 # Convergence tolerance and cycle cap of the repeated-squaring fixed point.
@@ -118,6 +120,20 @@ def frictionless_ledger(spec) -> tuple[float, float, float, float]:
     q_c = spec.omega_c * dn * math.expm1(-g_c) * math.expm1(-g_h) / -math.expm1(-g_c - g_h)
     q_h = spec.omega_h / spec.omega_c * q_c
     return q_c, q_h, q_h - q_c, q_c / spec.tau_total
+
+
+def one_cycle(spec, state: StateVector) -> tuple[StateVector, tuple[float, float, float]]:
+    """The state at A one cycle on from ``state`` at A, and that cycle's
+    (Q_c, Q_h, W), run leg by leg through ``propagate`` and
+    ``propagate_isochore``: Q_c is the energy the cold isochore takes in,
+    Q_h the energy the hot one gives out and W the energy the two adiabats
+    take in.  It composes the package's maps state by state, not through the
+    cycle map M, k of ``ottofridge.cycle``."""
+    d = propagate(state, spec.expansion)
+    c = propagate_isochore(d, spec.cold_bath, spec.tau_c)
+    b = propagate(c, spec.compression)
+    a = propagate_isochore(b, spec.hot_bath, spec.tau_h)
+    return a, (c.e_h - d.e_h, b.e_h - a.e_h, (d.e_h - state.e_h) + (b.e_h - c.e_h))
 
 
 def squaring_fixed_point(m, k, v0) -> tuple[np.ndarray, int]:

@@ -546,6 +546,25 @@ def test_missing_config_file():
     assert rc == 2
 
 
+@pytest.mark.parametrize("case, cause", [("empty", "No such file or directory"),
+                                         ("file", "File exists")])
+def test_output_directory_that_cannot_be_made_is_a_config_error(case, cause, tmp_path,
+                                                                 capsys):
+    # an --out that cannot be made a directory exits 2 like a bad config
+    # path, its message naming the directory and the cause
+    out = ""
+    if case == "file":
+        out = str(tmp_path / "taken")
+        (tmp_path / "taken").write_text("not a directory\n")
+    assert main(["critical", "--out", out]) == 2
+    payload = json.loads(capsys.readouterr().err[len("ERROR "):])
+    assert payload["type"] == "ConfigError"
+    assert f"--out: cannot make output directory {out!r}" in payload["message"]
+    assert cause in payload["message"]
+    if case == "file":
+        assert (tmp_path / "taken").read_text() == "not a directory\n"
+
+
 def refuse_to_open(monkeypatch):
     """Make the config reader's open() fail as on a file its user may not read
     (a chmod would not: the tests may run as root, who reads every file)."""

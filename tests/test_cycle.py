@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg.lapack
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import cross_check, frictionless_ledger, propagator_matrix
+from oracles import cross_check, frictionless_ledger, one_cycle, propagator_matrix
 
 import ottofridge.cycle
 import ottofridge.dynamics
@@ -21,7 +21,6 @@ from ottofridge.cycle import (
     CycleSpec,
     NoContractionError,
     _adiabat_flat,
-    _branch_maps,
     _compose,
     _lu,
     _lu_solve,
@@ -31,7 +30,6 @@ from ottofridge.cycle import (
     isochore_time_derivatives,
     isochore_trials,
     limit_cycle,
-    run_one_cycle,
     trial_record,
 )
 from ottofridge.dynamics import (
@@ -66,9 +64,18 @@ def frictionless_spec(omega_h=10.0, omega_c=1.0, t_h=2.0, t_c=0.5, gamma=1.0,
                      tau_c=tau_c, tau_h=tau_h)
 
 
-def cycle_map(spec):
-    """The one-cycle map (M, k) of limit_cycle's float core, as numpy arrays."""
-    m, k = _compose(_branch_maps(spec))
+def branch_maps(spec):
+    """The float branch maps (A_exp, cold isochore, A_comp, hot isochore) of
+    ``spec``, which limit_cycle's solve composes (cycle._compose)."""
+    return (_adiabat_flat(spec.expansion),
+            isochore_scalars(spec.omega_c, spec.cold_bath, spec.tau_c),
+            _adiabat_flat(spec.compression),
+            isochore_scalars(spec.omega_h, spec.hot_bath, spec.tau_h))
+
+
+def cycle_map(record):
+    """The one-cycle map (M, k) of a limit_cycle record, as numpy arrays."""
+    _, _, m, k, _, _ = record.chain
     return np.array(m).reshape(3, 3), np.array(k)
 
 
@@ -105,7 +112,7 @@ def non_float_entries(record):
     chain vectors, q_c and r_c."""
     _, maps, m, k, lu, vs = record.chain
     parts = {"maps": [x for branch in maps for x in branch], "m": m, "k": k,
-             "lu": lu[1:] if lu is not None else (), "chain": [x for v in vs for x in v],
+             "lu": lu[1:], "chain": [x for v in vs for x in v],
              "q_c": (record.q_c,), "r_c": (record.r_c,)}
     return sorted(name for name, xs in parts.items() if any(type(x) is not float for x in xs))
 
@@ -139,7 +146,7 @@ def random_spec(rng):
 
 
 # ---------------------------------------------------------------------------
-# run_one_cycle
+# one cycle
 # ---------------------------------------------------------------------------
 
 def test_zero_time_cycle_is_identity():
@@ -148,9 +155,9 @@ def test_zero_time_cycle_is_identity():
     spec = CycleSpec(BathSpec(2.0, 1.0), BathSpec(0.5, 1.0), w, w, idle, idle,
                      tau_c=0.0, tau_h=0.0)
     st = StateVector(3.0, 0.4, -0.2, w)
-    out, record = run_one_cycle(spec, st)
+    out, ledger = one_cycle(spec, st)
     np.testing.assert_allclose(out.as_array(), st.as_array(), rtol=0, atol=0)
-    assert record.q_c == 0.0 and record.q_h == 0.0 and record.w == 0.0
+    assert ledger == (0.0, 0.0, 0.0)
 
 
 def test_full_equilibration_heat_matches_bound():
@@ -174,14 +181,14 @@ def test_one_cycle_matches_affine_composition():
     for a, b in maps:
         m_tot = a @ m_tot
         k_tot = a @ k_tot + b
-    m_ext, k_ext = cycle_map(spec)
+    m_ext, k_ext = cycle_map(limit_cycle(spec)[1])
     np.testing.assert_allclose(m_ext, m_tot, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(k_ext, k_tot, rtol=1e-12, atol=1e-14)
 
     rng = np.random.default_rng(0)
     for _ in range(5):
         st = StateVector.from_occupation(spec.omega_h, rng.uniform(0, 3))
-        out, _ = run_one_cycle(spec, st)
+        out, _ = one_cycle(spec, st)
         np.testing.assert_allclose(out.as_array(), m_ext @ st.as_array() + k_ext,
                                    rtol=1e-12, atol=1e-13)
 
@@ -211,8 +218,8 @@ def test_isochore_trials_are_limit_cycle_records():
             assert record == expected and record.chain == expected.chain
             assert vars(record.chain[0]) == vars(expected.chain[0])
     spec = leg_specs()[0]
-    with pytest.raises(ValueError, match="must be > 0"):
-        isochore_trials(spec)(0.0, 1.0)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        isochore_trials(spec)(-1.0, 1.0)
     beyond = Schedule.linear(10.0, 1.0, 2.0**53)       # zeta past the Bessel limit
     spec = CycleSpec(spec.hot_bath, spec.cold_bath, 10.0, 1.0, beyond,
                      Schedule.linear(1.0, 10.0, 1.0), tau_c=1.0, tau_h=1.0)
@@ -223,6 +230,37 @@ def test_isochore_trials_are_limit_cycle_records():
         with pytest.raises(BranchError) as err:
             trial(1.0, 1.0)
         assert str(err.value) == str(expected.value)
+
+
+def test_trial_takes_a_zero_time_on_one_isochore():
+    # a trial accepts tau = 0 on one isochore, as CycleSpec does, and gives
+    # limit_cycle's record there bit for bit, a fixed point of one cycle run
+    # leg by leg; both times 0 is no contraction, and a negative or NaN time
+    # is refused
+    hot, cold = BathSpec(2.0, 1.0), BathSpec(0.5, 1.0)
+    bases = (frictionless_spec(tau_c=1.3, tau_h=0.7),
+             CycleSpec(hot, cold, 10.0, 1.0, Schedule.exponential(10.0, 1.0, 2.0),
+                       Schedule.exponential(1.0, 10.0, 3.0), tau_c=1.3, tau_h=0.7))
+    for base in bases:
+        trial = isochore_trials(base)
+        for tau_c, tau_h in ((0.0, base.tau_h), (base.tau_c, 0.0)):
+            spec = replace(base, tau_c=tau_c, tau_h=tau_h)
+            record = trial_record(trial(tau_c, tau_h))
+            state, expected = limit_cycle(spec)
+            assert repr(record) == repr(expected)       # bit for bit, a nan cop included
+            assert record.chain == expected.chain
+            assert vars(record.chain[0]) == vars(expected.chain[0])
+            again, ledger = one_cycle(spec, state)
+            np.testing.assert_allclose(again.as_array(), state.as_array(), rtol=1e-12)
+            np.testing.assert_allclose(ledger, (record.q_c, record.q_h, record.w),
+                                       rtol=1e-12, atol=1e-14)
+        with pytest.raises(NoContractionError, match=r"Gamma\*tau = 0"):
+            trial(0.0, 0.0)
+        for tau_c, tau_h in ((-1.0, 1.0), (1.0, -1e-300), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                trial(tau_c, tau_h)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            limit_cycle(replace(base, tau_c=math.nan))
 
 
 def trial_examples():
@@ -293,8 +331,8 @@ def test_trial_fixed_points_are_limit_cycle_records(spec):
     # isochore_time_derivatives of that record bit for bit; and a trial
     # raises what limit_cycle raises, with its message
     trial = isochore_trials(replace(spec, tau_c=1.0, tau_h=1.0))
-    with pytest.raises(ValueError, match="must be > 0"):
-        trial(0.0, spec.tau_h)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        trial(-spec.tau_c, spec.tau_h)
     try:
         _, expected = limit_cycle(spec)
     except DOMAIN_ERRORS as exc:
@@ -344,12 +382,6 @@ def test_propagate_is_the_cycle_adiabat():
     assert legs == 24
 
 
-def test_run_one_cycle_requires_hot_frequency():
-    spec = frictionless_spec()
-    with pytest.raises(ValueError):
-        run_one_cycle(spec, StateVector.ground(spec.omega_c))
-
-
 def test_cycle_spec_validation():
     hot, cold = BathSpec(2.0, 1.0), BathSpec(0.5, 1.0)
     exp, comp = build_three_jump(10.0, 1.0), build_three_jump(1.0, 10.0)
@@ -390,10 +422,11 @@ def test_limit_cycle_direct_vs_iteration_on_random_specs():
 
 def test_limit_cycle_fixed_point_is_stationary():
     spec = frictionless_spec(tau_c=1.1, tau_h=0.9)
-    state, _ = limit_cycle(spec)
-    again, _ = run_one_cycle(spec, state)
+    state, record = limit_cycle(spec)
+    again, ledger = one_cycle(spec, state)
     gap = np.linalg.norm(again.as_array() - state.as_array())
     assert gap <= 1e-10 * np.linalg.norm(state.as_array())
+    np.testing.assert_allclose(ledger, (record.q_c, record.q_h, record.w), rtol=1e-12)
 
 
 def test_thermodynamic_laws_on_random_specs():
@@ -428,8 +461,7 @@ def test_limit_cycle_iterations_are_powers_of_two():
 def test_spectral_radius_costs_at_most_one_dgeev_call(monkeypatch):
     calls = count_dgeev(monkeypatch)
     # ||M||_inf = 0.158 certifies contraction: dgeev runs when the radius is read
-    spec = frictionless_spec(tau_c=1.1, tau_h=0.9)
-    state, record = limit_cycle(spec)
+    _, record = limit_cycle(frictionless_spec(tau_c=1.1, tau_h=0.9))
     assert calls == []
     assert 0.0 < record.spectral_radius < 0.158 and len(calls) == 1
     assert replace(record).spectral_radius == record.spectral_radius and len(calls) == 2
@@ -437,9 +469,6 @@ def test_spectral_radius_costs_at_most_one_dgeev_call(monkeypatch):
     _, slow = limit_cycle(frictionless_spec(tau_c=1e-3, tau_h=1e-3))
     assert len(calls) == 3
     assert 0.99 < slow.spectral_radius < 1.0 and len(calls) == 3
-    # a run_one_cycle record has no LU factors and no radius
-    _, one = run_one_cycle(spec, state)
-    assert math.isnan(one.spectral_radius) and len(calls) == 3
 
 
 def scipy_dgeev_radius(m: tuple) -> float:
@@ -495,15 +524,11 @@ def test_spectral_radius_at_the_limit_is_no_contraction():
 def test_direct_solve_agrees_with_squaring_on_certified_and_uncertified_maps():
     # ||M||_inf = 0.158 certifies contraction, ||M||_inf = 1.32 does not;
     # the direct solution is the squaring oracle's fixed point on both
-    spec = frictionless_spec(tau_c=1.1, tau_h=0.9)
-    state, record = limit_cycle(spec)
+    _, record = limit_cycle(frictionless_spec(tau_c=1.1, tau_h=0.9))
     assert cross_check(record) == (32, pytest.approx(0.0, abs=1e-10))
     assert record.residual <= 1e-14
     _, slow = limit_cycle(frictionless_spec(tau_c=1e-3, tau_h=1e-3))
     assert cross_check(slow) == (32768, pytest.approx(0.0, abs=1e-10))
-    # a run_one_cycle record has no LU factors and so no diagnostics
-    _, one = run_one_cycle(spec, state)
-    assert math.isnan(one.residual) and math.isnan(one.spectral_radius)
 
 
 @st.composite
@@ -575,8 +600,8 @@ def test_solver_states_equal_the_validated_states_of_their_numbers():
     # and hashes like the StateVector built from its numbers
     spec = frictionless_spec(tau_c=1.3, tau_h=0.7)
     state, record = limit_cycle(spec)
-    one_cycle, _ = run_one_cycle(spec, state)
-    states = [state, one_cycle] + [s for b in record.branches for s in (b.start, b.end)]
+    again, _ = one_cycle(spec, state)
+    states = [state, again] + [s for b in record.branches for s in (b.start, b.end)]
     for solved in states:
         checked = StateVector(solved.e_h, solved.e_l, solved.e_c, solved.omega)
         assert solved == checked and hash(solved) == hash(checked)
@@ -719,7 +744,7 @@ def test_limit_cycle_properties_on_all_adiabat_kinds(spec):
     except NoContractionError:
         assume(False)
     # numpy oracles for the LAPACK-direct spectral radius and solve
-    m, k = cycle_map(spec)
+    m, k = cycle_map(record)
     rho = float(np.max(np.abs(np.linalg.eigvals(m))))
     assert abs(record.spectral_radius - rho) <= 1e-12 * rho
     v = np.linalg.solve(np.eye(3) - m, k)
@@ -761,7 +786,7 @@ def test_max_norm_certifies_what_dgeev_would(spec):
     # rho(M) <= ||M||_inf, so a map within the certificate is one on which
     # dgeev's radius stays below _RHO_LIMIT; the record's lazy radius is
     # dgeev's on its M, bit for bit
-    m, _ = _compose(_branch_maps(spec))
+    m, _ = _compose(branch_maps(spec))
     norm = max(abs(m[i]) + abs(m[i + 1]) + abs(m[i + 2]) for i in (0, 3, 6))
     wr, wi, _, _, info = scipy.linalg.lapack.dgeev(np.reshape(m, (3, 3)))
     assert info == 0
@@ -820,7 +845,7 @@ def test_deferred_cross_check_is_sound_on_certified_maps(spec):
     # ||M^n||_inf <= 0.99^n on a certified map, so the squaring oracle
     # converges far below its cycle cap on the direct solution, and a
     # rebuilt record recomputes the same diagnostics from its chain
-    m, _ = _compose(_branch_maps(spec))
+    m, _ = _compose(branch_maps(spec))
     assume(max(abs(m[i]) + abs(m[i + 1]) + abs(m[i + 2]) for i in (0, 3, 6))
            <= ottofridge.cycle._NORM_CERTIFICATE)
     _, record = limit_cycle(spec)

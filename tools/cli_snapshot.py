@@ -19,31 +19,33 @@ checkouts and comparing the manifests:
     diff old/manifest.txt new/manifest.txt
 
 The runs cover every command: critical; simulate with each schedule
-block kind, and once on a map that contracts very slowly (1 - rho =
-6e-6, solved directly; a solver that iterates the map to convergence
-fails it); optimize by Newton and by Nelder-Mead, once converging and
-once stopping at the iteration cap (which pins that warning), by Newton
-with the free times listed tau_h first (optimize-newton-swapped: the
-search's swapped coordinate order, which does not reach the same
-digits), by Newton from isochore times of 3e-6 (optimize-near-unit),
-whose search sends trials through the dgeev branch where the max-norm
-bound does not certify the map and whose restarts stop at a corner of
-the box, once each from a zero base tau_c, which is no start
-(optimize-zero-tau-c and optimize-nelder-mead-zero-tau-c, exit 0), and
-refused while the config is read (exit 2) with a free omega_c for a
-piecewise_const branch (optimize-piecewise-omega-c) and with a free name
-listed twice (optimize-repeated-free); ga; sweeps of all four kinds with
-z and searched allocation, plus a deep three-jump sweep, both kinds of
+block kind, once on a map that contracts very slowly (1 - rho = 6e-6,
+solved directly; a solver that iterates the map to convergence fails
+it), and once each with one isochore decoupled, tau_c = 0
+(simulate-zero-tau-c) and tau_h = 0 (simulate-zero-tau-h); optimize by
+Newton and by Nelder-Mead, once converging and once stopping at the
+iteration cap (which pins that warning), by Newton with the free times
+listed tau_h first (optimize-newton-swapped: the search's swapped
+coordinate order, which does not reach the same digits), by Newton from
+isochore times of 3e-6 (optimize-near-unit), whose search sends trials
+through the dgeev branch where the max-norm bound does not certify the
+map and whose restarts stop at a corner of the box, once each from a
+zero base tau_c, which is no start (optimize-zero-tau-c and
+optimize-nelder-mead-zero-tau-c, exit 0), and refused while the config
+is read (exit 2) with a free omega_c for a piecewise_const branch
+(optimize-piecewise-omega-c) and with a free name listed twice
+(optimize-repeated-free); ga; sweeps of all four kinds with z and
+searched allocation, plus a deep three-jump sweep, both kinds of
 cold-frequency search and, on a two-point linear window, the
 cold-frequency search over searched points (a search over omega_c whose
 every step runs a duration search, each step of which runs an
 isochore-time search), linear sweeps with z and searched allocation past
 the Bessel limit (sweep-linear-past-zeta-max and its searched twin: at
 T_c = 3.2e-7 only the shortest ramps of the duration bracket keep their
-Bessel argument below 2^51, and they heat (flag 2); the rows from 1e-7 on
-fail with the BranchError of a ramp whose Bessel argument passes 2^51, and
-the searched twin warns of each failed search start), a threaded sweep
-and three ways of setting the tail window. Every run
+Bessel argument below 2^51, and they heat (flag 2); the rows from 1e-7
+on fail with the BranchError of a ramp whose Bessel argument passes
+2^51, and the searched twin warns of each failed search start), a
+threaded sweep and three ways of setting the tail window. Every run
 writes into a fresh directory except sweep-linear-z-over-stale: the
 linear z sweep again, into a directory first seeded with longer stale
 sweep.csv and sweep.dat (as repeated runs into one --out leave them).
@@ -84,6 +86,8 @@ RUNS = [
         **_RAMPS, "expansion": {"kind": "const_mu", "mu": -0.7},
         "compression": {"kind": "const_mu", "mu": 0.7}}}, []),
     ("simulate-near-unit", "simulate", {"cycle": {"tau_c": 3e-6, "tau_h": 3e-6}}, []),
+    ("simulate-zero-tau-c", "simulate", {"cycle": {"tau_c": 0.0}}, []),
+    ("simulate-zero-tau-h", "simulate", {"cycle": {"tau_h": 0.0}}, []),
     ("optimize-newton", "optimize", {}, []),
     ("optimize-newton-swapped", "optimize", {"optimize": {"free": ["tau_h", "tau_c"]}}, []),
     ("optimize-near-unit", "optimize", {"cycle": {"tau_c": 3e-6, "tau_h": 3e-6}}, []),
