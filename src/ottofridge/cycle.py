@@ -122,7 +122,7 @@ class CycleSpec:
         # Equality is tolerated only for degenerate (do-nothing) cycles.
         if self.omega_h < self.omega_c:
             raise ValueError("omega_h must be >= omega_c")
-        if self.tau_c < 0 or self.tau_h < 0:
+        if not (self.tau_c >= 0 and self.tau_h >= 0):     # NaN too
             raise ValueError("isochore durations must be >= 0")
         if not (math.isclose(self.expansion.omega_start, self.omega_h, rel_tol=1e-9)
                 and math.isclose(self.expansion.omega_end, self.omega_c, rel_tol=1e-9)):

@@ -7,6 +7,8 @@ piecewise frequency protocols.
 The Newton search over the isochore times is one function,
 search_isochore_times: optimize_time_allocation runs it once per start, and
 a searched sweep point calls it directly from its z-equation allocation.
+R_c ripples in tau_h, so where the Hessian is not negative definite its
+step along ln tau_h goes to the peak of that ripple.
 It builds its cycles' fixed parts once (cycle.isochore_trials), and takes
 the Hessian only where it builds a step.  Its loop runs on floats, and its
 trials are bare fixed-point tuples keyed by their (tau_c, tau_h): a dict of
@@ -389,14 +391,22 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
     trials that fall by at most _NEWTON_RTOL, the Hessian where a step is
     built.  Rows and columns of a coordinate held at a face of the box by a
     gradient pointing out are dropped.  R_c ripples in tau_h with period
-    pi/omega_h, so the curvature can be positive; a Hessian that is not
-    negative definite is replaced by -|diag|.  The step is halved until R_c
-    does not fall or, with the Hessian unmodified, the projected gradient
-    falls while R_c falls by at most _NEWTON_RTOL: near the optimum R_c
-    changes only by rounding.  Returns (values, point) of the last accepted
-    iterate, which converged when its projected max-norm gradient is at
-    most _NEWTON_GTOL; the point is None when the first point failed
-    (cycle.trial_record builds its record).
+    pi/omega_h: the hot isochore turns (e_l, e_c) by the angle
+    2 omega_h tau_h, whose rate in ln tau_h is k = 2 omega_h tau_h, so the
+    curvature can be positive.  A Hessian that is not negative definite is
+    replaced by -|diag|, except along ln tau_h where the box is wider than
+    one period 2 pi/k: there the step goes to the peak of a sinusoid of
+    angular frequency k with the projected gradient g_h and the unmodified
+    curvature h_hh, atan2(k g_h, -h_hh)/k.  Near a peak that is the Newton
+    step g_h/|h_hh|; from a trough, where a -|diag| step would only double
+    its distance from the trough, it moves about half a period uphill (a
+    modified Newton step; Nocedal and Wright, Numerical Optimization, 2006,
+    3.4).  The step is halved until R_c does not fall or, with the Hessian
+    unmodified, the projected gradient falls while R_c falls by at most
+    _NEWTON_RTOL: near the optimum R_c changes only by rounding.  Returns
+    (values, point) of the last accepted iterate, which converged when its
+    projected max-norm gradient is at most _NEWTON_GTOL; the point is None
+    when the first point failed (cycle.trial_record builds its record).
 
     With ``pause``, a search that only scores a cycle stops early: at the
     top of an iteration where no time is held at a face, none was in the
@@ -412,6 +422,7 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
     """
     (name0, lo0, hi0), (name1, lo1, hi1) = box
     swapped = name0 == "tau_h"
+    width = hi0 - lo0 if swapped else hi1 - lo1     # of the box in ln tau_h
     if start is not None:
         (s0, s1), start_values = start
         start_key = start_values["tau_c"], start_values["tau_h"]
@@ -468,10 +479,17 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
             h11, h01 = -1.0, 0.0
         modified = not (h00 < 0.0 and h00 * h11 > h01 * h01)
         if modified:
+            k = 2.0 * point[-1][5] * key[1]     # the ripple's angular frequency in ln tau_h
+            h_h, g_h = (h00, pg0) if swapped else (h11, pg1)
             h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
         det = h00 * h11 - h01 * h01
         last = None if modified or held0 or held1 else (h00, h01, h11, det)
         p0, p1 = (h01 * pg1 - h11 * pg0) / det, (h01 * pg0 - h00 * pg1) / det
+        if modified and k * width > 2.0 * math.pi:
+            # along ln tau_h: the step to the peak of a sinusoid of angular
+            # frequency k with this slope and curvature
+            p_h = math.atan2(k * g_h, -h_h) / k
+            p0, p1 = (p_h, p1) if swapped else (p0, p_h)
         # the lowest R_c a trial may have and still be accepted
         r_c = point[0]
         floor = r_c if modified else r_c - _NEWTON_RTOL * abs(r_c)

@@ -13,8 +13,9 @@ optimize.search_isochore_times from the z-equation allocation, which it
 keeps when that start beats the search, as optimize_time_allocation does.
 A duration step only ranks its duration, so its search pauses once the
 gain left is below optimize._SCORE_GAIN, and only the winning step's
-search is resumed to the full tolerance: a row is bit for bit the
-full-tolerance search at its duration.
+search is resumed to the full tolerance (under optimize_omega_c, only the
+cold-frequency winner's): a row is bit for bit the full-tolerance search at
+its duration.
 
 A point is assembled from parts: what does not depend on the adiabat
 duration (the baths, 0 < omega_c < omega_h, a ramp rate that does not
@@ -329,11 +330,18 @@ def _allocator(spec: SweepSpec, spec_at, hot: BathSpec, cold: BathSpec, omega_h:
     return allocate
 
 
-def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
+def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None,
+              paused: dict | None = None) -> tuple:
     """The fixed point of the cycle for one sweep temperature, duration
     search included (see build_point); t_c and omega_c are Python floats.
     What does not depend on the adiabat duration is checked and built once
     per point; a duration step builds no Schedule or CycleSpec (_ramp_step).
+
+    A searched allocation's duration winner has its isochore-time search
+    paused (see _allocator).  Without a dict ``paused`` it is finished
+    here; with one the point returned is only the winner's score, and
+    ``paused[omega_c]`` finishes it: the cold-frequency search finishes
+    only its own winner's.
     """
     hot = BathSpec(spec.t_hot, spec.gamma)
     cold = BathSpec(t_c, spec.gamma)
@@ -381,14 +389,16 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None) -> tuple:
                             "rate underflows to 0")
     # a searched allocation's steps only score their durations: the
     # winner's isochore-time search is finished after the duration search
-    paused = {} if spec.allocation == "searched" else None
-    step = _ramp_step(spec, hot, cold, w_h, w_c, paused)
+    by_duration = {} if spec.allocation == "searched" else None
+    step = _ramp_step(spec, hot, cold, w_h, w_c, by_duration)
     point = _brent_max(lambda log_param: step(rise / rate(math.exp(log_param))),
                        math.log(lo), math.log(hi))
-    if paused:
-        finish = paused.get(point[-1][7])           # by the winner's duration
-        if finish is not None:
-            point = finish()
+    finish = by_duration.get(point[-1][7]) if by_duration else None     # the winner's
+    if finish is None:
+        return point
+    if paused is None:
+        return finish()
+    paused[w_c] = finish
     return point
 
 
@@ -442,9 +452,11 @@ def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
     nan = float("nan")
     try:
         if spec.optimize_omega_c:
-            record = trial_record(_brent_max(
-                lambda log_y: _point_at(spec, t_c, math.exp(log_y) * t_c),
-                math.log(0.05), math.log(3.0)))
+            paused = {}
+            point = _brent_max(lambda log_y: _point_at(spec, t_c, math.exp(log_y) * t_c, paused),
+                               math.log(0.05), math.log(3.0))
+            finish = paused.get(point[-1][3])       # by the winner's omega_c
+            record = trial_record(point if finish is None else finish())
             cycle = record.chain[0]
         else:
             cycle, record = build_point(spec, t_c)

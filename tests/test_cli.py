@@ -80,6 +80,20 @@ def test_negative_quantity_names_the_key():
         parse_config('{"cycle": {"omega_c": -1}}')
 
 
+@pytest.mark.parametrize("key", ["tau_c", "tau_h"])
+def test_nan_isochore_time_is_a_config_error(key, tmp_path, capsys):
+    # the config layer refuses a NaN time by its key, before a CycleSpec
+    # (which refuses it too) is built
+    text = '{"cycle": {"%s": NaN}}' % key
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    message = f"config error at cycle.{key}: must be finite"
+    assert (exc.value.path, str(exc.value)) == (f"cycle.{key}", message)
+    assert main(["simulate", "--config", text, "--out", str(tmp_path)]) == 2
+    payload = json.loads(capsys.readouterr().err[len("ERROR "):])
+    assert payload == {"command": "simulate", "type": "ConfigError", "message": message}
+
+
 def test_unknown_key_rejected_with_path():
     with pytest.raises(ConfigError, match="cycle.flux_capacitor"):
         parse_config('{"cycle": {"flux_capacitor": 1.21}}')

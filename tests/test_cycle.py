@@ -387,8 +387,9 @@ def test_cycle_spec_validation():
     exp, comp = build_three_jump(10.0, 1.0), build_three_jump(1.0, 10.0)
     with pytest.raises(ValueError):
         CycleSpec(hot, cold, 1.0, 10.0, exp, comp, 1.0, 1.0)      # inverted frequencies
-    with pytest.raises(ValueError):
-        CycleSpec(hot, cold, 10.0, 1.0, exp, comp, -1.0, 1.0)
+    for tau_c, tau_h in ((-1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match=r"^isochore durations must be >= 0$"):
+            CycleSpec(hot, cold, 10.0, 1.0, exp, comp, tau_c, tau_h)
     with pytest.raises(ValueError):
         CycleSpec(hot, cold, 10.0, 2.0, exp, comp, 1.0, 1.0)      # endpoint mismatch
 

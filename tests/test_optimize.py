@@ -438,6 +438,7 @@ def list_search(base, x, box, tally, start):
     float loop must match bit for bit (it counts no searches held at a face)."""
     trial = isochore_trials(base)
     swapped = box[0][0] == "tau_h"
+    i_h = 0 if swapped else 1
     (_, lo0, hi0), (_, lo1, hi1) = box
 
     def projected(g, x):
@@ -475,10 +476,17 @@ def list_search(base, x, box, tally, start):
         h11 = h[1][1] if free1 else -1.0
         h01 = h[0][1] if free0 and free1 else 0.0
         modified = not (h00 < 0.0 and h00 * h11 > h01 * h01)
+        diag = [h00, h11]
         if modified:
             h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
         det = h00 * h11 - h01 * h01
-        p0, p1 = (h01 * pg[1] - h11 * pg[0]) / det, (h01 * pg[0] - h00 * pg[1]) / det
+        p = [(h01 * pg[1] - h11 * pg[0]) / det, (h01 * pg[0] - h00 * pg[1]) / det]
+        k = 2.0 * point[-1][5] * values["tau_h"]
+        if modified and k * (box[i_h][2] - box[i_h][1]) > 2.0 * math.pi:
+            # a Hessian that is not negative definite: along ln tau_h, where
+            # R_c ripples with angular frequency k, step to the sinusoid's peak
+            p[i_h] = math.atan2(k * pg[i_h], -diag[i_h]) / k
+        p0, p1 = p
         r_c = point[0]
         floor = r_c if modified else r_c - ottofridge.optimize._NEWTON_RTOL * abs(r_c)
         alpha = 1.0

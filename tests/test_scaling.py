@@ -28,6 +28,8 @@ from ottofridge.optimize import (
     _SCORE_GAIN,
     OptimizationSpec,
     SearchTally,
+    _ascent_gradient,
+    _ascent_hessian,
     optimal_cold_frequency,
     optimize_time_allocation,
     search_isochore_times,
@@ -316,6 +318,34 @@ def test_omega_c_search_reuses_its_winner(monkeypatch):
     assert row.omega_c == build(spec, spec.t_max, row.omega_c)[0].omega_c
 
 
+def test_omega_c_search_resumes_only_its_winners_search(monkeypatch):
+    # each step of the omega_c search ranks its omega_c by its duration
+    # winner's paused isochore-time search, and only the omega_c winner's
+    # is resumed, one resumption a row (27 for these 2 rows when every step
+    # resumed its own): each row is still, bit for bit, the full-tolerance
+    # search at its (omega_c, duration)
+    records = record_ledgers(monkeypatch)
+    resumed = []
+    search = ottofridge.scaling.search_isochore_times
+
+    def counting(trial, x, box, tally, start, **options):
+        resumed.append(tally.paused is not None)
+        return search(trial, x, box, tally, start, **options)
+
+    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", counting)
+    spec = small_sweep("linear", t_max=1e-1, t_min=1e-1 * 10**-0.2, points_per_decade=5,
+                       allocation="searched", optimize_omega_c=True)
+    rows = temperature_sweep(spec).rows
+    assert len(rows) == 2 and all(r.flag == 1 for r in rows)
+    assert sum(resumed) == len(rows) and len(resumed) > 20 * len(rows)
+    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", search)
+    hot = BathSpec(spec.t_hot, spec.gamma)
+    for row, record in zip(rows, list(records)):
+        step = _ramp_step(spec, hot, BathSpec(row.t_c, spec.gamma), spec.omega_h, row.omega_c)
+        full = trial_record(step(row.tau_hc))
+        assert record == full and chain_bits(record) == chain_bits(full)
+
+
 def test_searched_point_reuses_the_duration_search_winner(monkeypatch):
     # the winner's record is built from a fixed point the searches
     # themselves solved: one isochore-time search per evaluation of the
@@ -480,6 +510,24 @@ def random_ramp_cycles(kind: str):
         yield spec, hot, cold, w_h, w_c, duration, base, bounds
 
 
+def trough_starts(kind: str):
+    """The cycles of random_ramp_cycles whose z-start solves and has a
+    positive curvature of ln |R_c| in ln tau_h (R_c ripples in tau_h with
+    period pi/omega_h), each as (base, trial, point, g, h) with the
+    start's fixed point and ascent gradient and Hessian in (ln tau_c,
+    ln tau_h)."""
+    for *_, base, _ in random_ramp_cycles(kind):
+        trial = isochore_trials(base)
+        try:
+            point = trial(base.tau_c, base.tau_h)
+        except DOMAIN_ERRORS:
+            continue
+        g, stage = _ascent_gradient(point, False)
+        h = _ascent_hessian(point, stage, False)
+        if h[1][1] > 0.0:
+            yield base, trial, point, g, h
+
+
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
 def test_sweep_search_is_optimize_time_allocation(kind):
     # a searched sweep point's allocation is optimize_time_allocation with
@@ -522,10 +570,13 @@ def test_paused_search_resumes_to_the_uninterrupted_search(kind):
     # is the search run through: the same values and point, bit for bit,
     # the same trials in the same order and the same counts.  A paused
     # search is counted neither unconverged nor held, and its R_c is within
-    # 2 _SCORE_GAIN of the end's (9.0e-10 the worst of the searched sweeps)
-    outcomes = set()
+    # 2 _SCORE_GAIN of the end's (9.0e-10 the worst of the searched sweeps),
+    # also where the search starts in a trough of the tau_h ripple
+    outcomes, troughs = set(), {base.tau_c for base, *_ in trough_starts(kind)}
     for *_, base, bounds in random_ramp_cycles(kind):
         trial, tau = isochore_trials(base), base.tau_c
+        if tau in troughs:
+            outcomes.add("from a trough")
         x = math.log(tau)
         box = [(name, math.log(lo), math.log(hi)) for name, (lo, hi) in bounds.items()]
         start = ((x, x), {"tau_c": tau, "tau_h": tau})
@@ -547,7 +598,7 @@ def test_paused_search_resumes_to_the_uninterrupted_search(kind):
         assert list(split.solved) == list(whole.solved)
         assert [getattr(split, name) for name in SEARCH_COUNTS] == [
             getattr(whole, name) for name in SEARCH_COUNTS]
-    assert {"paused", "ran through"} <= outcomes
+    assert {"paused", "ran through", "from a trough"} <= outcomes
 
 
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
@@ -690,10 +741,11 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
     # worse than its z-start, with no iteration cap reached (that would
     # warn, here an error); a search paused to score its duration stopped
     # within 2 _SCORE_GAIN of that end.  At most one resumption a row, and
-    # at most 8 evaluations a search on average, resumptions included (5.3
-    # measured; 6.3 before the pause, 16 with forward-difference probes);
-    # one search per duration step, at most 16 steps a point on average
-    # (15.2 measured; the golden section took 22)
+    # at most 8 evaluations a search on average, resumptions included (3.4
+    # measured; 5.3 with a -|diag| step out of a ripple trough, 6.3 before
+    # the pause, 16 with forward-difference probes); one search per
+    # duration step, at most 16 steps a point on average (14.7 measured;
+    # the golden section took 22)
     scoring, resumed = [], []
     search = ottofridge.scaling.search_isochore_times
 
@@ -723,13 +775,72 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
         if state is not None:
             _, end = search(trial, x, box, SearchTally(paused=state), start)
             assert abs(point[0] - end[0]) <= 2 * _SCORE_GAIN * abs(end[0])
-        record, z_times = trial_record(end), start[1]
-        for name, g in zip(("tau_c", "tau_h"), isochore_time_derivatives(record)[0]):
-            lo, hi = z_times[name] / 10.0, z_times[name] * 10.0
-            tau = getattr(record.chain[0], name)
-            held = (tau <= lo * (1 + 1e-15) and g < 0) or (tau >= hi * (1 - 1e-15) and g > 0)
-            assert held or abs(g) <= 1e-10
-        assert record.r_c >= limit_cycle(replace(record.chain[0], **z_times))[1].r_c
+        assert_searched_optimum(end, start[1])
+
+
+def assert_searched_optimum(end, z_times):
+    """The end point of a finished isochore-time search from the z-start
+    ``z_times`` over a box of a decade each way: a stationary point of
+    ln |R_c|, or held at a face of the box by an ascent gradient pointing
+    out, and no lower than the z-start."""
+    record = trial_record(end)
+    sign = 1.0 if record.q_c > 0 else -1.0      # the ascent gradient's, as the search's
+    for name, g in zip(("tau_c", "tau_h"), isochore_time_derivatives(record)[0]):
+        lo, hi = z_times[name] / 10.0, z_times[name] * 10.0
+        tau, g = getattr(record.chain[0], name), sign * g
+        held = (tau <= lo * (1 + 1e-15) and g < 0) or (tau >= hi * (1 - 1e-15) and g > 0)
+        assert held or abs(g) <= 1e-10
+    assert record.r_c >= limit_cycle(replace(record.chain[0], **z_times))[1].r_c
+
+
+@pytest.mark.parametrize("kind", ["exponential", "linear"])
+def test_trough_started_search_ends_within_a_ripple_period(kind):
+    # from a z-start in a trough of the tau_h ripple the search steps to a
+    # nearby ripple peak: the finished search ends within one period
+    # pi/omega_h of its start in tau_h, at a verified local optimum (the
+    # -|diag| step, which only doubles its distance from the trough, took 1
+    # exponential and 3 linear searches of these 24 and 22 further)
+    starts = list(trough_starts(kind))
+    assert len(starts) >= 20
+    for base, trial, _, _, _ in starts:
+        tau = base.tau_c
+        x = math.log(tau)
+        box = [(name, math.log(tau / 10.0), math.log(tau * 10.0)) for name in ("tau_c", "tau_h")]
+        values, end = search_isochore_times(trial, (x, x), box, SearchTally(),
+                                            ((x, x), {"tau_c": tau, "tau_h": tau}))
+        assert abs(values["tau_h"] - tau) <= math.pi / base.omega_h
+        assert_searched_optimum(end, {"tau_c": tau, "tau_h": tau})
+
+
+def test_ripple_step_needs_a_box_that_holds_half_a_period():
+    # at a trough-started iteration the step along ln tau_h is the step to
+    # the peak of a sinusoid of angular frequency k = 2 omega_h tau_h,
+    # atan2(k g_h, -h_hh) / k, in a box whose width in ln tau_h exceeds one
+    # period 2 pi / k; in a box no wider the first trial takes the -|diag|
+    # step, g_h / |h_hh|.  The tau_c step is -|diag| in both.  Each first
+    # trial is clamped to its box
+    seen = set()
+    for base, trial, _, (g_c, g_h), ((h_cc, _), (_, h_hh)) in trough_starts("exponential"):
+        tau = base.tau_c
+        x, k = math.log(tau), 2.0 * base.omega_h * tau
+        for half_width in (math.log(10.0), 0.45 * 2.0 * math.pi / k):
+            box = [("tau_c", x - math.log(10.0), x + math.log(10.0)),
+                   ("tau_h", x - half_width, x + half_width)]
+            calls = []
+
+            def recording(tau_c, tau_h):
+                calls.append((tau_c, tau_h))
+                return trial(tau_c, tau_h)
+
+            search_isochore_times(recording, (x, x), box, SearchTally(),
+                                  ((x, x), {"tau_c": tau, "tau_h": tau}))
+            ripple = 2.0 * half_width > 2.0 * math.pi / k
+            step_c = g_c / (abs(h_cc) or 1.0)
+            step_h = math.atan2(k * g_h, -h_hh) / k if ripple else g_h / h_hh
+            for (_, lo, hi), step, got in zip(box, (step_c, step_h), calls[1]):
+                assert math.log(got) == pytest.approx(min(max(x + step, lo), hi), abs=1e-12)
+            seen.add((ripple, box[1][1] < x + step_h < box[1][2]))    # (ripple, unclamped)
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("points_per_decade, n_tail", [(1, 2), (2, 3)])

@@ -1,10 +1,12 @@
 """tools/sweep_diff.py on hand-made tools/cli_snapshot.py output directories,
-tools/setup_ab.py and tools/point_ab.py on this checkout against itself, and
-the tools' usage lines."""
+tools/setup_ab.py and tools/point_ab.py on this checkout against itself,
+tools/search_counts.py on one window, and the tools' usage lines."""
 
 import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,6 +22,7 @@ sweep_diff = load_tool("sweep_diff")
 cli_snapshot = load_tool("cli_snapshot")
 setup_ab = load_tool("setup_ab")
 point_ab = load_tool("point_ab")
+search_counts = load_tool("search_counts")
 
 COLUMNS = ("T_c,omega_c,tau_hc,tau_c,tau_ch,tau_h,tau_total,Q_c,Q_h,W,R_c,sigma,"
            "converged_flag")
@@ -126,3 +129,43 @@ def test_point_ab_prints_its_usage_when_misused(capsys):
                  [str(ROOT), str(ROOT), "1", "2"]):
         assert point_ab.main(args) == 2
         assert "python3 tools/point_ab.py OLD NEW [ROUNDS]" in capsys.readouterr().err
+
+
+def test_search_counts_prints_each_rows_counts_and_their_total(capsys):
+    # the linear searched window: 11 rows, each with its searches paused,
+    # one resumption a row, and more trials than gradients than Hessians;
+    # the wrapped attributes are restored afterwards
+    import ottofridge.optimize
+    import ottofridge.scaling
+    before = (ottofridge.scaling._evaluate_point, ottofridge.scaling.search_isochore_times,
+              ottofridge.optimize._ascent_gradient, ottofridge.optimize._ascent_hessian)
+    assert search_counts.main(["linear"]) == 0
+    after = (ottofridge.scaling._evaluate_point, ottofridge.scaling.search_isochore_times,
+             ottofridge.optimize._ascent_gradient, ottofridge.optimize._ascent_hessian)
+    assert after == before
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "linear searched: 11 rows, T_c 0.1 -> 0.001"
+    assert lines[1].split() == ["T_c", "searches", "paused", "resumed", "trials", "gradients",
+                                "hessians", "modified"]
+    rows = [[float(line.split()[0]), *map(int, line.split()[1:])] for line in lines[2:-1]]
+    assert [row[0] for row in rows] == pytest.approx([10 ** (-0.2 * i - 1) for i in range(11)],
+                                                   rel=1e-5)
+    total = lines[-1].split()
+    assert total[0] == "total" and list(map(int, total[1:])) == [
+        sum(row[i] for row in rows) for i in range(1, 8)]
+    for _, searches, paused, resumed, trials, gradients, hessians, modified in rows:
+        assert 0 < paused <= searches and resumed == 1
+        assert trials >= gradients > hessians >= modified > 0
+
+
+def test_search_counts_of_a_z_window_are_zero(capsys):
+    assert search_counts.main(["three_jump", "z"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["total", *"0" * 7]
+
+
+def test_search_counts_prints_its_usage_when_misused(capsys):
+    for args in (["warp"], ["linear", "both"], ["linear", "searched", "x"]):
+        assert search_counts.main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "Usage (from any directory):", "",
+            "    python3 tools/search_counts.py [KIND [ALLOCATION]]"]
