@@ -394,14 +394,14 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
     pi/omega_h: the hot isochore turns (e_l, e_c) by the angle
     2 omega_h tau_h, whose rate in ln tau_h is k = 2 omega_h tau_h, so the
     curvature can be positive.  A Hessian that is not negative definite is
-    replaced by -|diag|, except along ln tau_h where the box is wider than
-    one period 2 pi/k: there the step goes to the peak of a sinusoid of
-    angular frequency k with the projected gradient g_h and the unmodified
-    curvature h_hh, atan2(k g_h, -h_hh)/k.  Near a peak that is the Newton
-    step g_h/|h_hh|; from a trough, where a -|diag| step would only double
-    its distance from the trough, it moves about half a period uphill (a
-    modified Newton step; Nocedal and Wright, Numerical Optimization, 2006,
-    3.4).  The step is halved until R_c does not fall or, with the Hessian
+    replaced by -|diag|, except along ln tau_h: there the step goes to the
+    peak of a sinusoid of angular frequency k with the projected gradient
+    g_h and the unmodified curvature h_hh, atan2(k g_h, -h_hh)/k.  Near a
+    peak that is the Newton step g_h/|h_hh|; from a trough, where a -|diag|
+    step would only double its distance from the trough, it moves about
+    half a period uphill (a modified Newton step; Nocedal and Wright,
+    Numerical Optimization, 2006, 3.4).  In a box narrower than a period
+    that step is clamped to a face, like any other.  The step is halved until R_c does not fall or, with the Hessian
     unmodified, the projected gradient falls while R_c falls by at most
     _NEWTON_RTOL: near the optimum R_c changes only by rounding.  Returns
     (values, point) of the last accepted iterate, which converged when its
@@ -422,7 +422,6 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
     """
     (name0, lo0, hi0), (name1, lo1, hi1) = box
     swapped = name0 == "tau_h"
-    width = hi0 - lo0 if swapped else hi1 - lo1     # of the box in ln tau_h
     if start is not None:
         (s0, s1), start_values = start
         start_key = start_values["tau_c"], start_values["tau_h"]
@@ -485,7 +484,7 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
         det = h00 * h11 - h01 * h01
         last = None if modified or held0 or held1 else (h00, h01, h11, det)
         p0, p1 = (h01 * pg1 - h11 * pg0) / det, (h01 * pg0 - h00 * pg1) / det
-        if modified and k * width > 2.0 * math.pi:
+        if modified:
             # along ln tau_h: the step to the peak of a sinusoid of angular
             # frequency k with this slope and curvature
             p_h = math.atan2(k * g_h, -h_h) / k

@@ -481,10 +481,10 @@ def list_search(base, x, box, tally, start):
             h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
         det = h00 * h11 - h01 * h01
         p = [(h01 * pg[1] - h11 * pg[0]) / det, (h01 * pg[0] - h00 * pg[1]) / det]
-        k = 2.0 * point[-1][5] * values["tau_h"]
-        if modified and k * (box[i_h][2] - box[i_h][1]) > 2.0 * math.pi:
+        if modified:
             # a Hessian that is not negative definite: along ln tau_h, where
             # R_c ripples with angular frequency k, step to the sinusoid's peak
+            k = 2.0 * point[-1][5] * values["tau_h"]
             p[i_h] = math.atan2(k * pg[i_h], -diag[i_h]) / k
         p0, p1 = p
         r_c = point[0]

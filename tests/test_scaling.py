@@ -321,9 +321,9 @@ def test_omega_c_search_reuses_its_winner(monkeypatch):
 def test_omega_c_search_resumes_only_its_winners_search(monkeypatch):
     # each step of the omega_c search ranks its omega_c by its duration
     # winner's paused isochore-time search, and only the omega_c winner's
-    # is resumed, one resumption a row (27 for these 2 rows when every step
-    # resumed its own): each row is still, bit for bit, the full-tolerance
-    # search at its (omega_c, duration)
+    # is resumed, one resumption a row (27 for these 2 rows at omega_h = 50
+    # when every step resumed its own): each row is still, bit for bit, the
+    # full-tolerance search at its (omega_c, duration)
     records = record_ledgers(monkeypatch)
     resumed = []
     search = ottofridge.scaling.search_isochore_times
@@ -812,13 +812,12 @@ def test_trough_started_search_ends_within_a_ripple_period(kind):
         assert_searched_optimum(end, {"tau_c": tau, "tau_h": tau})
 
 
-def test_ripple_step_needs_a_box_that_holds_half_a_period():
+def test_trough_started_iteration_steps_to_the_ripple_peak():
     # at a trough-started iteration the step along ln tau_h is the step to
     # the peak of a sinusoid of angular frequency k = 2 omega_h tau_h,
-    # atan2(k g_h, -h_hh) / k, in a box whose width in ln tau_h exceeds one
-    # period 2 pi / k; in a box no wider the first trial takes the -|diag|
-    # step, g_h / |h_hh|.  The tau_c step is -|diag| in both.  Each first
-    # trial is clamped to its box
+    # atan2(k g_h, -h_hh) / k, and the tau_c step is -|diag|, g_c / |h_cc|,
+    # in a box wider than a period 2 pi / k and in one narrower, where the
+    # first trial is clamped to a face like any other
     seen = set()
     for base, trial, _, (g_c, g_h), ((h_cc, _), (_, h_hh)) in trough_starts("exponential"):
         tau = base.tau_c
@@ -834,12 +833,11 @@ def test_ripple_step_needs_a_box_that_holds_half_a_period():
 
             search_isochore_times(recording, (x, x), box, SearchTally(),
                                   ((x, x), {"tau_c": tau, "tau_h": tau}))
-            ripple = 2.0 * half_width > 2.0 * math.pi / k
-            step_c = g_c / (abs(h_cc) or 1.0)
-            step_h = math.atan2(k * g_h, -h_hh) / k if ripple else g_h / h_hh
+            step_c, step_h = g_c / (abs(h_cc) or 1.0), math.atan2(k * g_h, -h_hh) / k
             for (_, lo, hi), step, got in zip(box, (step_c, step_h), calls[1]):
                 assert math.log(got) == pytest.approx(min(max(x + step, lo), hi), abs=1e-12)
-            seen.add((ripple, box[1][1] < x + step_h < box[1][2]))    # (ripple, unclamped)
+            # (wider than a period, unclamped)
+            seen.add((2.0 * half_width > 2.0 * math.pi / k, box[1][1] < x + step_h < box[1][2]))
     assert seen == {(True, True), (False, True), (False, False)}
 
 

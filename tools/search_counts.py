@@ -2,13 +2,12 @@
 
 Usage (from any directory):
 
-    python3 tools/search_counts.py [KIND [ALLOCATION]]
+    python3 tools/search_counts.py [KIND]
 
-runs the sweep of the acceptance window (T_c 1e-1 -> 1e-3, 5 points a
-decade, omega_h = 100, T_h = 1, Gamma = 1) of schedule kind KIND (default
-exponential) with isochore allocation ALLOCATION (default searched) on the
-sources of the checkout this script sits in (its ``src/``), and prints per
-row and in total:
+runs the searched sweep of the acceptance window (T_c 1e-1 -> 1e-3, 5
+points a decade, omega_h = 100, T_h = 1, Gamma = 1) of schedule kind KIND
+(default exponential) on the sources of the checkout this script sits in
+(its ``src/``), and prints per row and in total:
 
 - searches: isochore-time searches started, one per duration step (a
   scoring search) or one per point for the frictionless kinds;
@@ -21,8 +20,7 @@ row and in total:
   modifies (unless a face of the box holds the coordinate of the failing
   row, which replaces that row anyway).
 
-A z allocation runs no search, so its counts are 0.  The counts come from
-wrapping module attributes for the length of the run
+The counts come from wrapping module attributes for the length of the run
 (scaling._evaluate_point, scaling.search_isochore_times,
 optimize._ascent_gradient and optimize._ascent_hessian); nothing in
 ``src/`` is changed, and the attributes are restored afterwards.
@@ -38,10 +36,10 @@ SRC = ROOT / "src"
 
 COUNTS = ("searches", "paused", "resumed", "trials", "gradients", "hessians", "modified")
 WINDOW = {"omega_h": 100.0, "t_hot": 1.0, "gamma": 1.0, "t_max": 1e-1, "t_min": 1e-3,
-          "points_per_decade": 5}
+          "points_per_decade": 5, "allocation": "searched"}
 
 
-def count_window(kind: str, allocation: str) -> list[tuple[float, dict]]:
+def count_window(kind: str) -> list[tuple[float, dict]]:
     """(T_c, {count: n}) for each row of the window's sweep, in grid order."""
     from ottofridge import optimize, scaling
     rows = []
@@ -91,7 +89,7 @@ def count_window(kind: str, allocation: str) -> list[tuple[float, dict]]:
                counted(optimize, "_ascent_gradient", per_gradient),
                counted(optimize, "_ascent_hessian", per_hessian)]
     try:
-        scaling.temperature_sweep(scaling.SweepSpec(kind=kind, allocation=allocation, **WINDOW))
+        scaling.temperature_sweep(scaling.SweepSpec(kind=kind, **WINDOW))
     finally:
         for module, name, original in wrapped:
             setattr(module, name, original)
@@ -103,13 +101,12 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
     from ottofridge.scaling import SWEEP_KINDS
     kind = args[0] if args else "exponential"
-    allocation = args[1] if len(args) > 1 else "searched"
-    if len(args) > 2 or kind not in SWEEP_KINDS or allocation not in ("z", "searched"):
+    if len(args) > 1 or kind not in SWEEP_KINDS:
         print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)
         return 2
-    rows = count_window(kind, allocation)
+    rows = count_window(kind)
     total = {name: sum(counts[name] for _, counts in rows) for name in COUNTS}
-    print(f"{kind} {allocation}: {len(rows)} rows, T_c {WINDOW['t_max']:g} -> "
+    print(f"{kind} searched: {len(rows)} rows, T_c {WINDOW['t_max']:g} -> "
           f"{WINDOW['t_min']:g}")
     print(f"{'T_c':>12}" + "".join(f"{name:>10}" for name in COUNTS))
     for t_c, counts in [*rows, ("total", total)]:
