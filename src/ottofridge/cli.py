@@ -45,9 +45,6 @@ from .optimize import (
 from .scaling import SWEEP_KINDS, SweepSpec, temperature_sweep
 from .schedules import PIECEWISE_KINDS, Schedule, build_three_jump, critical_mu, three_jump_times
 
-COMMANDS = ("critical", "simulate", "optimize", "sweep", "ga")
-
-
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"config error at {path}: {message}")
@@ -115,7 +112,7 @@ _POSITIVE = {
     "cycle.Gamma_h", "cycle.Gamma_c",
     "sweep.omega_h", "sweep.T_h", "sweep.Gamma", "sweep.t_max", "sweep.t_min",
     "sweep.kappa", "sweep.tail_decades",
-    "optimize.restarts", "command-defaults.threads", "--threads", "--tail-fit",
+    "optimize.restarts", "command-defaults.threads", "--threads",
 }
 # Lower bounds; SweepSpec and the GA also enforce points_per_decade, segments and population.
 _MINIMUM = {"cycle.tau_c": 0, "cycle.tau_h": 0, "command-defaults.seed": 0, "--seed": 0,
@@ -552,15 +549,14 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
     "ga": _cmd_ga,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run_command(name: str, config: Config, out: str = ".", seed: int | None = None,
-                threads: int | None = None, tail_fit: float | None = None) -> int:
+                threads: int | None = None) -> int:
     """Run one command against a parsed config; returns the exit status.
 
-    ``seed`` and ``threads`` given here override ``command-defaults``; a
-    ``tail_fit`` replaces ``sweep.tail_decades`` in the resolved config, so
-    the output header and its hash record it.
+    ``seed`` and ``threads`` given here override ``command-defaults``.
     """
     handler = _HANDLERS.get(name)
     if handler is None:
@@ -569,14 +565,9 @@ def run_command(name: str, config: Config, out: str = ".", seed: int | None = No
         _check_number("--seed", seed, whole=True)
     if threads is not None:
         _check_number("--threads", threads, whole=True)
-    if tail_fit is not None:
-        _check_number("--tail-fit", tail_fit)
     cd = config.defaults
     seed = int(cd["seed"] if seed is None else seed)
     threads = int(cd["threads"] if threads is None else threads)
-    if tail_fit is not None:
-        config = Config({**config.resolved,
-                         "sweep": {**config.resolved["sweep"], "tail_decades": tail_fit}})
     if not os.path.isdir(out):
         try:
             os.makedirs(out, exist_ok=True)
@@ -597,24 +588,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for sweep evaluation")
-    parser.add_argument("--tail-fit", type=float, default=None, dest="tail_fit",
-                        help="decades included in the tail-window exponent fit")
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.config)
         out = args.out if args.out is not None else config.defaults["out"]
         return run_command(args.command, config, out=out, seed=args.seed,
-                           threads=args.threads, tail_fit=args.tail_fit)
-    except ConfigError as exc:
-        print("ERROR " + json.dumps({"command": args.command,
-                                     "type": "ConfigError", "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+                           threads=args.threads)
     except Exception as exc:
         print("ERROR " + json.dumps({"command": args.command,
                                      "type": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -20,14 +20,17 @@ its duration.
 A point is assembled from parts: what does not depend on the adiabat
 duration (the baths, 0 < omega_c < omega_h, a ramp rate that does not
 underflow to 0 in the duration bracket, both equilibrium energies) is
-checked and built once per point, and a duration step checks its
-duration, builds the two ramp maps (dynamics.linear_ramp_pair,
+checked and built once per point, and one step builder (_step) serves all
+four kinds.  A step builds the two adiabat maps (a frictionless kind's from
+its Schedules, a ramp's with dynamics.linear_ramp_pair or
 exponential_ramp_pair), allocates its isochore times from the bare
 z-equation root (optimize._z_root) and solves its trials (cycle._trials).
-Every search passes bare fixed-point tuples (cycle._fixed_point, whose
-first entry is R_c): no step builds a Schedule, CycleSpec or CycleRecord,
-and a sweep point builds one record, its winner's (cycle.trial_record),
-with its two Schedules and one validated CycleSpec.
+It returns its point with its own finish, None unless its search paused,
+and a search over steps returns its winner's pair.  Every search passes
+bare fixed-point tuples (cycle._fixed_point, whose first entry is R_c): no
+ramp step builds a Schedule, CycleSpec or CycleRecord, and a sweep point
+builds one record, its winner's (cycle.trial_record), with its two
+Schedules and one validated CycleSpec.
 """
 
 from __future__ import annotations
@@ -219,18 +222,18 @@ def _brent_max(build, lo: float, hi: float) -> tuple:
     tolerance _XTOL, no step is shorter than _XTOL / 3 and the search stops
     once the best point lies within 2 _XTOL / 3 of both ends of the bracket.
 
-    ``build(x)`` returns a fixed-point tuple (cycle._fixed_point), whose
-    first entry is R_c, and a domain failure scores -inf.  The best point's
-    tuple is kept, so the winner is returned as solved, not solved (or
-    searched) a second time; when the winner's build failed, its error is
-    raised.
+    ``build(x)`` returns a pair (point, finish) (see _step), ranked by the
+    point's first entry, R_c, and a domain failure scores -inf.  The best
+    pair is kept, so the winner is returned as solved, not solved (or
+    searched) a second time, with its own finish; when the winner's build
+    failed, its error is raised.
     """
     def score(x: float) -> tuple:
         try:
-            point = build(x)
+            pair = build(x)
         except DOMAIN_ERRORS as exc:
             return -math.inf, exc
-        return point[0], point
+        return pair[0][0], pair
 
     golden, tol = (3.0 - math.sqrt(5.0)) / 2.0, _XTOL / 3.0
     a, b = lo, hi
@@ -257,13 +260,13 @@ def _brent_max(build, lo: float, hi: float) -> tuple:
             e = (a if x >= 0.5 * (a + b) else b) - x
             d = golden * e
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu, point = score(u)
+        fu, pair = score(u)
         if fu >= fx:
             if u >= x:
                 a = x
             else:
                 b = x
-            v, fv, w, fw, x, fx, best = w, fw, x, fx, u, fu, point
+            v, fv, w, fw, x, fx, best = w, fw, x, fx, u, fu, pair
         else:
             if u < x:
                 a = u
@@ -278,70 +281,103 @@ def _brent_max(build, lo: float, hi: float) -> tuple:
     return best
 
 
-def _allocator(spec: SweepSpec, spec_at, hot: BathSpec, cold: BathSpec, omega_h: float,
-               omega_c: float, paused: dict | None = None):
-    """``allocate(adiabats, tau_exp, tau_comp)``: the fixed point
-    (cycle._fixed_point) of the point's cycle with these adiabats (see
-    cycle._adiabats) and its isochore times allocated.  The trials' parts
-    are built once (cycle._trial_parts); trial_record builds a point's
-    record with ``spec_at``.
+def _step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, omega_c: float,
+          score: bool = False):
+    """``step(tau)``: the pair (point, finish) of the point's cycle with
+    adiabats of duration tau and its isochore times allocated.  ``point`` is
+    the fixed point (cycle._fixed_point) and ``finish`` is None unless the
+    step's search paused.
 
-    Both times start at the z-equation allocation (optimize._z_root, the
-    root of solve_isochore_z with gamma_h = gamma_c = spec.gamma).  A
+    The kind's Schedules are chosen here, and the trials' parts are built
+    once (cycle._trial_parts).  A frictionless kind's two Schedules (the
+    three-jump, or const-mu at the critical mu*) are built once: its step
+    takes their own maps and durations (its tau is not read), and its
+    record's CycleSpec holds them.  A ramp step refuses a tau that the
+    kind's builder (Schedule.linear, exponential) refuses, with the
+    builder's error, and builds both maps with the kind's pair builder
+    (dynamics.linear_ramp_pair, exponential_ramp_pair) and no Schedule; the
+    record of a point (cycle.trial_record) builds its two Schedules, with
+    the point's maps attached, and its CycleSpec.
+
+    Both isochore times start at the z-equation allocation (optimize._z_root,
+    the root of solve_isochore_z with gamma_h = gamma_c = spec.gamma).  A
     searched allocation runs one search_isochore_times from exactly there
     over a box of a decade each way, and keeps that start when its R_c is
     the higher (the z-equation rule of optimize_time_allocation, whose
-    warnings it shares).
-
-    With a dict ``paused``, a searched allocation only scores its
-    adiabats: its search pauses at a gain of _SCORE_GAIN left, and then
-    ``paused[tau_exp]`` is ``finish()``, which resumes the search to its
+    warnings it shares).  With ``score`` the search only scores the step: it
+    pauses at a gain of _SCORE_GAIN left, and ``finish()`` resumes it to its
     full tolerance, warns of what the resumption met and applies the
-    z-equation rule to its end: the fixed point allocate returns without
-    ``paused``, bit for bit.
+    z-equation rule to its end: the point of the step without ``score``,
+    bit for bit.
     """
+    if spec.kind == "three_jump":
+        fixed = build_three_jump(omega_h, omega_c), build_three_jump(omega_c, omega_h)
+    elif spec.kind == "const_mu":
+        mu_star, _ = critical_mu(omega_h / omega_c, omega_h=omega_h)
+        fixed = Schedule.const_mu(omega_h, omega_c, mu_star), Schedule.const_mu(
+            omega_c, omega_h, -mu_star)
+    else:
+        fixed, make = None, getattr(Schedule, spec.kind)
+        pair = linear_ramp_pair if spec.kind == "linear" else exponential_ramp_pair
+
+    def spec_at(point):
+        _, a_exp, a_comp, _, _, _, _, tau, _ = point[-1]
+        expansion, compression = fixed or (make(omega_h, omega_c, tau),
+                                           make(omega_c, omega_h, tau))
+        object.__setattr__(expansion, "_propagator", a_exp)
+        object.__setattr__(compression, "_propagator", a_comp)
+        return CycleSpec(hot, cold, omega_h, omega_c, expansion, compression,
+                         tau_c=point[3], tau_h=point[4])
+
     parts = _trial_parts(spec_at, omega_c, cold, omega_h, hot)
 
-    def allocate(adiabats, tau_exp: float, tau_comp: float) -> tuple:
+    def step(tau: float | None) -> tuple:
+        if fixed:
+            adiabats = _adiabats(_adiabat_maps, *fixed)
+            tau_exp, tau_comp = fixed[0].duration, fixed[1].duration
+        else:
+            if not 0.0 < tau < math.inf:    # the builder refuses it, with its error
+                make(omega_h, omega_c, tau)
+            adiabats, tau_exp, tau_comp = _adiabats(pair, omega_h, omega_c, tau), tau, tau
         tau_ad = tau_exp + tau_comp
-        tau = max(_z_root(spec.gamma * tau_ad) / spec.gamma, 1e-12) if tau_ad else 1e-12
+        tau_z = max(_z_root(spec.gamma * tau_ad) / spec.gamma, 1e-12) if tau_ad else 1e-12
         trial = _trials(parts, adiabats, tau_exp, tau_comp)
         if spec.allocation == "z":
-            return trial(tau, tau)
-        x, lo, hi = math.log(tau), math.log(tau / 10.0), math.log(tau * 10.0)
+            return trial(tau_z, tau_z), None
+        x, lo, hi = math.log(tau_z), math.log(tau_z / 10.0), math.log(tau_z * 10.0)
         box = [("tau_c", lo, hi), ("tau_h", lo, hi)]
-        start, tally = ((x, x), {"tau_c": tau, "tau_h": tau}), SearchTally()
-        _, point = search_isochore_times(trial, (x, x), box, tally, start,
-                                         pause=paused is not None)
+        start, tally = ((x, x), {"tau_c": tau_z, "tau_h": tau_z}), SearchTally()
+        _, point = search_isochore_times(trial, (x, x), box, tally, start, pause=score)
         tally.warn()
         if point is None:               # the start failed: raises that failure
-            trial(tau, tau)
-        first, state = tally.solved[tau, tau], tally.paused
-        if state is not None:
-            def finish() -> tuple:
-                rest = SearchTally(paused=state)
-                _, end = search_isochore_times(trial, (x, x), box, rest, start)
-                rest.warn()
-                return first if first[0] > end[0] else end
+            trial(tau_z, tau_z)
+        first, state = tally.solved[tau_z, tau_z], tally.paused
+        point = first if first[0] > point[0] else point     # compare R_c
+        if state is None:
+            return point, None
 
-            paused[tau_exp] = finish
-        return first if first[0] > point[0] else point      # compare R_c
+        def finish() -> tuple:
+            rest = SearchTally(paused=state)
+            _, end = search_isochore_times(trial, (x, x), box, rest, start)
+            rest.warn()
+            return first if first[0] > end[0] else end
 
-    return allocate
+        return point, finish
+
+    return step
 
 
-def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None,
-              paused: dict | None = None) -> tuple:
-    """The fixed point of the cycle for one sweep temperature, duration
-    search included (see build_point); t_c and omega_c are Python floats.
-    What does not depend on the adiabat duration is checked and built once
-    per point; a duration step builds no Schedule or CycleSpec (_ramp_step).
+def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None, score: bool = False) -> tuple:
+    """The pair (point, finish) (see _step) of the cycle for one sweep
+    temperature, duration search included (see build_point); t_c and
+    omega_c are Python floats.  What does not depend on the adiabat
+    duration is checked and built once per point.
 
-    A searched allocation's duration winner has its isochore-time search
-    paused (see _allocator).  Without a dict ``paused`` it is finished
-    here; with one the point returned is only the winner's score, and
-    ``paused[omega_c]`` finishes it: the cold-frequency search finishes
-    only its own winner's.
+    A frictionless point is one step that does not pause.  A ramp point is
+    the winner of the duration search over steps, which only score under a
+    searched allocation.  Without ``score`` the winner's search is finished
+    here; with it the winner's finish is returned: the cold-frequency search
+    finishes only its own winner's.
     """
     hot = BathSpec(spec.t_hot, spec.gamma)
     cold = BathSpec(t_c, spec.gamma)
@@ -352,26 +388,12 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None,
         raise ValueError("sweep produced omega_c >= omega_h; shrink the grid")
     if not w_c > 0.0 and spec.kind != "three_jump":   # build_three_jump refuses it itself
         raise ScheduleError("schedule frequencies must be positive")
-
     if spec.kind in ("three_jump", "const_mu"):
-        if spec.kind == "three_jump":
-            expansion, compression = build_three_jump(w_h, w_c), build_three_jump(w_c, w_h)
-        else:
-            mu_star, _ = critical_mu(w_h / w_c, omega_h=w_h)
-            expansion = Schedule.const_mu(w_h, w_c, mu_star)
-            compression = Schedule.const_mu(w_c, w_h, -mu_star)
+        return _step(spec, hot, cold, w_h, w_c)(None)   # the schedules fix the duration
 
-        def spec_at(point):
-            return CycleSpec(hot, cold, w_h, w_c, expansion, compression,
-                             tau_c=point[3], tau_h=point[4])
-
-        return _allocator(spec, spec_at, hot, cold, w_h, w_c)(
-            _adiabats(_adiabat_maps, expansion, compression),
-            expansion.duration, compression.duration)
-
-    # searched adiabat duration for the generic kinds, rise / rate(param);
-    # the search runs over the log of param, the peak adiabatic rate |mu| at
-    # the cold end of the ramp.
+    # searched adiabat duration for the ramps, rise / rate(param); the search
+    # runs over the log of param, the peak adiabatic rate |mu| at the cold
+    # end of the ramp.
     if spec.kind == "linear":
         rise = w_h - w_c
 
@@ -387,52 +409,12 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None,
     if rate(lo) == 0.0:                 # the smallest rate the search tries
         raise ScheduleError(f"omega_c = {w_c:.6g} is too small: the {spec.kind} ramp's "
                             "rate underflows to 0")
-    # a searched allocation's steps only score their durations: the
-    # winner's isochore-time search is finished after the duration search
-    by_duration = {} if spec.allocation == "searched" else None
-    step = _ramp_step(spec, hot, cold, w_h, w_c, by_duration)
-    point = _brent_max(lambda log_param: step(rise / rate(math.exp(log_param))),
-                       math.log(lo), math.log(hi))
-    finish = by_duration.get(point[-1][7]) if by_duration else None     # the winner's
-    if finish is None:
-        return point
-    if paused is None:
-        return finish()
-    paused[w_c] = finish
-    return point
-
-
-def _ramp_step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float,
-               omega_c: float, paused: dict | None = None):
-    """``step(tau)``: the fixed point (see _allocator) of a searched kind's
-    point with a ramp of duration tau and its reverse as the adiabats; with
-    a dict ``paused``, a searched allocation's score, its search paused and
-    filed there by tau (see _allocator).
-
-    A step refuses a tau that the kind's Schedule builder refuses, with that
-    builder's error, and builds both maps with the kind's pair builder; the
-    record of a point builds its two Schedules, with these maps attached,
-    and its CycleSpec.
-    """
-    make = getattr(Schedule, spec.kind)
-    pair = linear_ramp_pair if spec.kind == "linear" else exponential_ramp_pair
-
-    def spec_at(point):
-        _, a_exp, a_comp, _, _, _, _, tau, _ = point[-1]
-        expansion, compression = make(omega_h, omega_c, tau), make(omega_c, omega_h, tau)
-        object.__setattr__(expansion, "_propagator", a_exp)
-        object.__setattr__(compression, "_propagator", a_comp)
-        return CycleSpec(hot, cold, omega_h, omega_c, expansion, compression,
-                         tau_c=point[3], tau_h=point[4])
-
-    allocate = _allocator(spec, spec_at, hot, cold, omega_h, omega_c, paused)
-
-    def step(tau: float) -> tuple:
-        if not 0.0 < tau < math.inf:    # the builder refuses it, with its error
-            make(omega_h, omega_c, tau)
-        return allocate(_adiabats(pair, omega_h, omega_c, tau), tau, tau)
-
-    return step
+    step = _step(spec, hot, cold, w_h, w_c, score=spec.allocation == "searched")
+    point, finish = _brent_max(lambda log_param: step(rise / rate(math.exp(log_param))),
+                               math.log(lo), math.log(hi))
+    if finish is None or score:
+        return point, finish
+    return finish(), None
 
 
 def build_point(spec: SweepSpec, t_c: float,
@@ -443,8 +425,8 @@ def build_point(spec: SweepSpec, t_c: float,
     ``t_c`` and ``omega_c`` are taken as Python floats, so a numpy scalar
     from a caller's grid does not spread into the limit-cycle core.
     """
-    record = trial_record(_point_at(spec, float(t_c),
-                                    None if omega_c is None else float(omega_c)))
+    point, _ = _point_at(spec, float(t_c), None if omega_c is None else float(omega_c))
+    record = trial_record(point)
     return record.chain[0], record
 
 
@@ -452,10 +434,9 @@ def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
     nan = float("nan")
     try:
         if spec.optimize_omega_c:
-            paused = {}
-            point = _brent_max(lambda log_y: _point_at(spec, t_c, math.exp(log_y) * t_c, paused),
-                               math.log(0.05), math.log(3.0))
-            finish = paused.get(point[-1][3])       # by the winner's omega_c
+            point, finish = _brent_max(
+                lambda log_y: _point_at(spec, t_c, math.exp(log_y) * t_c, score=True),
+                math.log(0.05), math.log(3.0))
             record = trial_record(point if finish is None else finish())
             cycle = record.chain[0]
         else:

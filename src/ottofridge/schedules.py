@@ -59,6 +59,10 @@ class Schedule:
             raise ScheduleError("schedule frequencies must be positive")
         if self.duration < 0 or not math.isfinite(self.duration):
             raise ScheduleError("schedule duration must be finite and >= 0")
+        # after the duration, which an infinite ramp's refusal names
+        if not all(map(math.isfinite, (self.omega_start, self.omega_end,
+                                       *(w for w, _ in self.segments)))):
+            raise ScheduleError("schedule frequencies must be finite and > 0")
         for i, (w, t) in enumerate(self.segments):
             if w <= 0:
                 raise ScheduleError(f"segment {i}: frequency must be positive")

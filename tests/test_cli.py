@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -40,15 +41,11 @@ def test_config_keeps_one_canonical_text(tmp_path):
     cfg = parse_config('{"sweep": {"schedule": "three_jump", "t_max": 0.1, "t_min": 0.01}}')
     assert cfg.canonical == json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
     assert cfg.sha256 == hashlib.sha256(cfg.canonical.encode()).hexdigest()
-    # --tail-fit hashes a new resolved config; the header echoes its canonical text and hash
-    assert run_command("sweep", cfg, out=str(tmp_path), tail_fit=2.0) == 0
+    # the header echoes the canonical text and its hash
+    assert run_command("sweep", cfg, out=str(tmp_path)) == 0
     sha_line, _, config_line = (tmp_path / "sweep.csv").read_text().splitlines()[1:4]
-    canon = config_line[len("# config "):]
-    assert canon == json.dumps({**cfg.resolved, "sweep": {**cfg.resolved["sweep"],
-                                                          "tail_decades": 2.0}},
-                               sort_keys=True, separators=(",", ":"))
-    assert sha_line == f"# config_sha256 {hashlib.sha256(canon.encode()).hexdigest()}"
-    assert cfg.resolved["sweep"]["tail_decades"] == 1.0
+    assert config_line == f"# config {cfg.canonical}"
+    assert sha_line == f"# config_sha256 {cfg.sha256}"
     # a resolved config shares no list or dict with the defaults
     cfg.resolved["optimize"]["free"].append("omega_c")
     cfg.resolved["cycle"]["expansion"]["kind"] = "linear"
@@ -343,38 +340,36 @@ def test_seed_flag_overrides_header(tmp_path):
     assert "# seed 777" in (tmp_path / "sweep.csv").read_text()
 
 
-@pytest.mark.parametrize("flag, config, path", [
-    ("-1", {}, "--tail-fit"),
-    ("nan", {}, "--tail-fit"),
-    (None, {"command-defaults": {"tail_fit": -1}}, "command-defaults.tail_fit"),
+@pytest.mark.parametrize("config, path", [
+    ({"sweep": {"tail_decades": -1}}, "sweep.tail_decades"),
+    ({"sweep": {"tail_decades": math.nan}}, "sweep.tail_decades"),
+    ({"command-defaults": {"tail_fit": -1}}, "command-defaults.tail_fit"),
 ])
-def test_non_positive_tail_fit_is_a_config_error(flag, config, path, tmp_path, capsys):
-    text = json.dumps({"sweep": {"schedule": "three_jump", "t_max": 0.1, "t_min": 0.01},
-                       **config})
-    argv = ["sweep", "--config", text, "--out", str(tmp_path)]
-    assert main(argv + (["--tail-fit", flag] if flag else [])) == 2
+def test_non_positive_tail_fit_is_a_config_error(config, path, tmp_path, capsys):
+    window = {"schedule": "three_jump", "t_max": 0.1, "t_min": 0.01}
+    text = json.dumps({**config, "sweep": {**window, **config.get("sweep", {})}})
+    assert main(["sweep", "--config", text, "--out", str(tmp_path)]) == 2
     payload = json.loads(capsys.readouterr().err[len("ERROR "):])
     assert payload["type"] == "ConfigError" and path in payload["message"]
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_tail_fit_flag_is_in_the_header(tmp_path):
-    # the flag moves the tail_fit footer, so it moves the config echo and hash
-    # too, to what the same value in sweep.tail_decades gives; without it the
-    # header is the config's own
-    text = json.dumps({"sweep": {"schedule": "three_jump", "t_max": 0.1, "t_min": 1e-4}})
+def test_tail_decades_is_in_the_header(tmp_path):
+    # sweep.tail_decades moves the tail_fit footer, so it moves the config
+    # echo and hash too; the default is echoed as 1.0
+    window = {"schedule": "three_jump", "t_max": 0.1, "t_min": 1e-4}
 
-    def header(name, *flag, config=text):
-        assert main(["sweep", "--config", config, "--out", str(tmp_path / name), *flag]) == 0
-        return (tmp_path / name / "sweep.csv").read_text().splitlines()[1:4]
+    def header(name, **tail):
+        text = json.dumps({"sweep": {**window, **tail}})
+        assert main(["sweep", "--config", text, "--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / name / "sweep.csv").read_text().splitlines()
+        assert lines[1] == f"# config_sha256 {parse_config(text).sha256}"
+        return lines[1:4]
 
-    plain, two, three = header("plain"), header("two", "--tail-fit", "2"), header(
-        "three", "--tail-fit", "3")
-    assert plain[0] == f"# config_sha256 {parse_config(text).sha256}"
+    plain, two, three = header("plain"), header("two", tail_decades=2.0), header(
+        "three", tail_decades=3.0)
     assert len({plain[0], two[0], three[0]}) == 3
     assert '"tail_decades":2.0' in two[2] and '"tail_decades":1.0' in plain[2]
-    in_config = json.dumps({"sweep": {**json.loads(text)["sweep"], "tail_decades": 2.0}})
-    assert header("config", config=in_config) == two
 
 
 def test_command_defaults_tail_fit_is_an_unknown_key(tmp_path, capsys):

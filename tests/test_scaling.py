@@ -35,13 +35,14 @@ from ottofridge.optimize import (
     search_isochore_times,
     solve_isochore_z,
 )
-from ottofridge.schedules import Schedule, ScheduleError
+from ottofridge.schedules import Schedule, ScheduleError, build_three_jump, critical_mu
 from ottofridge.scaling import (
     _XTOL,
     SWEEP_KINDS,
     SweepSpec,
     _brent_max,
-    _ramp_step,
+    _point_at,
+    _step,
     build_point,
     fit_power_law,
     temperature_sweep,
@@ -230,7 +231,8 @@ def test_failed_duration_search_raises_its_winners_error(monkeypatch):
 def test_duration_search_keeps_the_best_finite_point(cut):
     # a build that fails above ``cut`` (score -inf), which lies above the
     # first point (x = -1.54, 0.382 of the way up the bracket): the search
-    # returns the tuple of the best point it built, never builds at NaN or
+    # returns the pair of the best point it built, its own finish with it
+    # (each build tags its finish with its x), never builds at NaN or
     # outside its bracket, and ends within its tolerance of the best point
     # that does not fail, at the cut when the peak at x = 1 fails
     lo, hi = math.log(0.02), math.log(10.0)
@@ -241,26 +243,31 @@ def test_duration_search_keeps_the_best_finite_point(cut):
         calls.append(x)
         if x > cut:
             raise ScheduleError(f"x = {x!r} fails")
-        return (-(x - 1.0) ** 2, x)
+        return (-(x - 1.0) ** 2, x), ("finish", x)
 
-    point = _brent_max(build, lo, hi)
+    point, finish = _brent_max(build, lo, hi)
     built = [(-(x - 1.0) ** 2, x) for x in calls if x <= cut]
-    assert point == max(built)
+    assert point == max(built) and finish == ("finish", point[1])
     assert abs(point[1] - min(cut, 1.0)) <= _XTOL
 
 
 def test_duration_search_takes_parabolic_steps_on_a_smooth_peak():
     # on a smooth peak the parabolic steps take over: 9 evaluations reach
     # it within the tolerance, where golden-section steps alone would need
-    # about 18 to shrink the bracket that far
-    calls = []
+    # about 18 to shrink the bracket that far, also when the first point
+    # fails; the winner comes with its own finish
+    for first_fails in (False, True):
+        calls = []
 
-    def build(x):
-        calls.append(x)
-        return (math.exp(-(x - 0.7) ** 2), x)
+        def build(x):
+            calls.append(x)
+            if first_fails and len(calls) == 1:
+                raise ScheduleError(f"x = {x!r} fails")
+            return (math.exp(-(x - 0.7) ** 2), x), ("finish", x)
 
-    point = _brent_max(build, math.log(0.02), math.log(10.0))
-    assert abs(point[1] - 0.7) <= _XTOL and len(calls) <= 10
+        point, finish = _brent_max(build, math.log(0.02), math.log(10.0))
+        assert abs(point[1] - 0.7) <= _XTOL and len(calls) <= 10
+        assert finish == ("finish", point[1]) and point[1] != calls[0]
 
 
 def test_duration_search_with_every_point_failing_raises_the_winners_error():
@@ -293,8 +300,8 @@ def test_duration_search_is_near_the_best_of_a_dense_scan(kind, allocation, tol)
                      points_per_decade=5, allocation=allocation)
     hot = BathSpec(spec.t_hot, spec.gamma)
     for row in temperature_sweep(spec).rows:
-        step = _ramp_step(spec, hot, BathSpec(row.t_c, spec.gamma), spec.omega_h, row.omega_c)
-        best = max(step(row.tau_hc * math.exp(0.0005 * i))[0] for i in range(-40, 41))
+        step = _step(spec, hot, BathSpec(row.t_c, spec.gamma), spec.omega_h, row.omega_c)
+        best = max(step(row.tau_hc * math.exp(0.0005 * i))[0][0] for i in range(-40, 41))
         assert row.flag == 1 and row.r_c >= best * (1.0 - tol)
 
 
@@ -304,9 +311,9 @@ def test_omega_c_search_reuses_its_winner(monkeypatch):
     calls = []
     build, solve = ottofridge.scaling.build_point, ottofridge.scaling._point_at
 
-    def counting(*args):
+    def counting(*args, **options):
         calls.append(args)
-        return solve(*args)
+        return solve(*args, **options)
 
     monkeypatch.setattr(ottofridge.scaling, "_point_at", counting)
     evaluations = count_evaluations(monkeypatch)
@@ -341,9 +348,10 @@ def test_omega_c_search_resumes_only_its_winners_search(monkeypatch):
     monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", search)
     hot = BathSpec(spec.t_hot, spec.gamma)
     for row, record in zip(rows, list(records)):
-        step = _ramp_step(spec, hot, BathSpec(row.t_c, spec.gamma), spec.omega_h, row.omega_c)
-        full = trial_record(step(row.tau_hc))
-        assert record == full and chain_bits(record) == chain_bits(full)
+        point, finish = _step(spec, hot, BathSpec(row.t_c, spec.gamma), spec.omega_h,
+                              row.omega_c)(row.tau_hc)
+        full = trial_record(point)
+        assert finish is None and record == full and chain_bits(record) == chain_bits(full)
 
 
 def test_searched_point_reuses_the_duration_search_winner(monkeypatch):
@@ -489,6 +497,29 @@ def test_one_spec_and_two_schedules_per_sweep_row(monkeypatch, options):
     assert Counter(built) == {"CycleSpec": len(rows), "Schedule": 2 * len(rows)}
 
 
+@pytest.mark.parametrize("kind", ["three_jump", "const_mu"])
+@pytest.mark.parametrize("allocation", ["z", "searched"])
+def test_frictionless_point_is_one_step_at_its_schedules_duration(kind, allocation):
+    # a frictionless point is one step at the duration of its kind's own
+    # schedule (not critical_mu's tau*, which differs in the last bits), bit
+    # for bit, and its search does not pause, under the omega_c search too
+    spec = small_sweep(kind, allocation=allocation)
+    t_c = 0.05
+    w_h, w_c = spec.omega_h, spec.kind_kappa() * t_c
+    if kind == "three_jump":
+        duration = build_three_jump(w_h, w_c).duration
+    else:
+        duration = Schedule.const_mu(w_h, w_c, critical_mu(w_h / w_c, omega_h=w_h)[0]).duration
+    point, finish = _step(spec, BathSpec(spec.t_hot, spec.gamma), BathSpec(t_c, spec.gamma),
+                          w_h, w_c)(duration)
+    full = trial_record(point)
+    cycle, record = build_point(spec, t_c)
+    assert finish is None and record == full and chain_bits(record) == chain_bits(full)
+    assert cycle.expansion.duration == cycle.compression.duration == duration
+    scored, finish = _point_at(spec, t_c, w_c, score=True)
+    assert finish is None and chain_bits(trial_record(scored)) == chain_bits(full)
+
+
 def random_ramp_cycles(kind: str):
     """40 random cycles on a ``kind`` ramp and its reverse, each as (spec,
     hot, cold, omega_h, omega_c, duration, base, bounds): a searched
@@ -535,7 +566,7 @@ def test_sweep_search_is_optimize_time_allocation(kind):
     outcomes = set()
     for spec, hot, cold, w_h, w_c, duration, base, bounds in random_ramp_cycles(kind):
         got, expected = [], []
-        for run, out in ((lambda: trial_record(_ramp_step(spec, hot, cold, w_h, w_c)(duration)),
+        for run, out in ((lambda: trial_record(_step(spec, hot, cold, w_h, w_c)(duration)[0]),
                           got),
                          (lambda: optimize_time_allocation(OptimizationSpec(
                              base=base, free=("tau_c", "tau_h"), bounds=bounds, restarts=1)),
@@ -613,9 +644,10 @@ def test_searched_rows_are_the_full_tolerance_step(monkeypatch, kind):
     assert len(records) == len(rows) and all(r.flag == 1 for r in rows)
     hot = BathSpec(spec.t_hot, spec.gamma)
     for row, record in zip(rows, list(records)):
-        step = _ramp_step(spec, hot, BathSpec(row.t_c, spec.gamma), spec.omega_h, row.omega_c)
-        full = trial_record(step(row.tau_hc))
-        assert record == full and chain_bits(record) == chain_bits(full)
+        point, finish = _step(spec, hot, BathSpec(row.t_c, spec.gamma), spec.omega_h,
+                              row.omega_c)(row.tau_hc)
+        full = trial_record(point)
+        assert finish is None and record == full and chain_bits(record) == chain_bits(full)
 
 
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
@@ -643,7 +675,7 @@ def test_z_allocation_is_solve_isochore_z_bit_for_bit(monkeypatch, kind):
         gamma, tau = math.exp(rng.uniform(-25.0, 25.0)), math.exp(rng.uniform(-25.0, 25.0))
         hot, cold = BathSpec(1.0, gamma), BathSpec(0.1, gamma)
         try:
-            _ramp_step(small_sweep(kind, gamma=gamma), hot, cold, w_h, w_c)(tau)
+            _step(small_sweep(kind, gamma=gamma), hot, cold, w_h, w_c)(tau)
         except DOMAIN_ERRORS:
             pass
         alloc = solve_isochore_z(gamma, gamma, 2.0 * tau)
@@ -653,7 +685,7 @@ def test_z_allocation_is_solve_isochore_z_bit_for_bit(monkeypatch, kind):
         with pytest.raises(ValueError) as expected:
             solve_isochore_z(gamma, gamma, 2.0 * tau)
         with pytest.raises(ValueError) as err:
-            _ramp_step(small_sweep(kind, gamma=gamma), hot, cold, w_h, w_c)(tau)
+            _step(small_sweep(kind, gamma=gamma), hot, cold, w_h, w_c)(tau)
         assert str(err.value) == str(expected.value) == "gamma_h * tau_adiabats must be finite"
     assert not called
 
@@ -683,7 +715,7 @@ def test_duration_step_refuses_what_its_schedule_builder_refuses(kind):
         with pytest.raises(ValueError) as expected:
             getattr(Schedule, kind)(w_h, w_c, tau)
         with pytest.raises(type(expected.value)) as err:
-            _ramp_step(spec, hot, cold, w_h, w_c)(tau)
+            _step(spec, hot, cold, w_h, w_c)(tau)
         assert str(err.value) == str(expected.value)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -712,7 +744,7 @@ def test_searched_point_keeps_a_z_start_that_beats_its_search(monkeypatch):
     hot, cold = BathSpec(spec.t_hot, spec.gamma), BathSpec(0.05, spec.gamma)
     w_h, w_c = spec.omega_h, spec.kind_kappa() * 0.05
     duration = math.log(w_h / w_c) / (0.3 * w_c)        # peak rate 0.3 w_c
-    record = trial_record(_ramp_step(spec, hot, cold, w_h, w_c)(duration))
+    record = trial_record(_step(spec, hot, cold, w_h, w_c)(duration)[0])
     cycle = record.chain[0]
     tau = solve_isochore_z(spec.gamma, spec.gamma, 2.0 * duration).tau_c
     assert (cycle.tau_c, cycle.tau_h) == (tau, tau)

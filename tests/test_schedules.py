@@ -76,6 +76,16 @@ def test_schedule_validation_errors():
         Schedule("warp", 1.0, 2.0, 1.0)
     with pytest.raises(ScheduleError):
         Schedule.exponential(2.0, 2.0, 1.0)
+    # a NaN or infinite frequency is refused as the schedule is built, not
+    # left for its map to fail on (a NaN Bessel argument, a NaN cycle map)
+    for build, args in ((Schedule.linear, (math.nan, 1.0, 1.0)),
+                        (Schedule.linear, (math.inf, 1.0, 1.0)),
+                        (Schedule.linear, (10.0, math.inf, 1.0)),
+                        (Schedule.exponential, (10.0, math.nan, 1.0)),
+                        (Schedule.piecewise, (10.0, 1.0, [(math.nan, 0.5)])),
+                        (Schedule.piecewise, (10.0, 1.0, [(math.inf, 0.5)]))):
+        with pytest.raises(ScheduleError, match="^schedule frequencies must be finite and > 0$"):
+            build(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ T_c = 3.2e-7 only the shortest ramps of the duration bracket keep their
 Bessel argument below 2^51, and they heat (flag 2); the rows from 1e-7
 on fail with the BranchError of a ramp whose Bessel argument passes
 2^51, and the searched twin warns of each failed search start), a
-threaded sweep and three ways of setting the tail window. Every run
+threaded sweep and two ways of setting the tail window. Every run
 writes into a fresh directory except sweep-linear-z-over-stale: the
 linear z sweep again, into a directory first seeded with longer stale
 sweep.csv and sweep.dat (as repeated runs into one --out leave them).
@@ -132,8 +132,6 @@ RUNS = [
      ["--threads", "2"]),
     ("sweep-tail-decades-2", "sweep", {"sweep": {
         "schedule": "three_jump", "t_max": 1e-1, "t_min": 1e-4, "tail_decades": 2.0}}, []),
-    ("sweep-tail-fit-flag-2", "sweep", {"sweep": {
-        "schedule": "three_jump", "t_max": 1e-1, "t_min": 1e-4}}, ["--tail-fit", "2"]),
     ("sweep-tail-fit-key-2", "sweep", {"sweep": {
         "schedule": "three_jump", "t_max": 1e-1, "t_min": 1e-4},
         "command-defaults": {"tail_fit": 2.0}}, []),
