@@ -37,7 +37,10 @@ isochore_time_derivatives differentiates the fixed point twice, and with it
 ln R_c, with respect to the two isochore times: the exact gradient and
 Hessian, from the branch maps, M and the LU factors that the record's
 solve built.  It runs in two stages, the gradient and then the Hessian
-from the gradient's parts, so a search can stop after the first.
+from the gradient's parts, so a search can stop after the first.  Each
+stage takes its tau_h entry from a tau_h stage of one solve
+(_tau_h_gradient, _tau_h_hessian), which a search over tau_h alone runs
+without the rest: one solve per stage instead of two and three.
 
 Every cycle is solved by a trial (_trials), the one solve path: both
 baths' equilibrium energies (_trial_parts), the adiabat maps and the
@@ -509,29 +512,26 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
 def _time_gradient(point: tuple) -> tuple[tuple, tuple]:
     """The gradient (g_c, g_h) of isochore_time_derivatives at a fixed point
     (see _fixed_point) and the parts of it that its Hessian stage,
-    _time_hessian, reads."""
-    r_c, q, _, tau_c, tau_h, cold, hot, _, _, lu, v_a, v_c, _, consts = point
-    if q == 0.0:
-        raise ValueError("ln |R_c| has no derivatives at q_c = 0")
-    _, a_exp, a_comp, omega_c, gamma_c, omega_h, gamma_h, _, _ = consts
+    _time_hessian, reads; g_h and its parts are _tau_h_gradient's."""
+    r_c, q, _, tau_c, _, cold, hot, _, _, lu, _, v_c, _, consts = point
+    g_h, h_stage = _tau_h_gradient(point)
+    _, a_exp, a_comp, omega_c, gamma_c, _, _, _, _ = consts
     hot_lin = hot[:3] + (0.0, 0.0)      # the hot isochore's linear part L_h
     f_c = _generator(omega_c, gamma_c, (v_c[0] - cold[4], v_c[1], v_c[2]))
-    f_h = _generator(omega_h, gamma_h, (v_a[0] - hot[4], v_a[1], v_a[2]))
     b_c = _iso_affine(hot_lin, _affine(a_comp, f_c))
-    v_tc, v_th = _lu_solve(lu, b_c), _lu_solve(lu, f_h)
-    x_tc, x_th = _affine(a_exp, v_tc), _affine(a_exp, v_th)
-
-    d_c_minus_1 = cold[0] - 1.0
-    dq_c = d_c_minus_1 * x_tc[0] + f_c[0]
-    dq_h = d_c_minus_1 * x_th[0]
-    g = (tau_c * (dq_c - r_c) / q, tau_h * (dq_h - r_c) / q)
-    return g, (g, f_c, f_h, b_c, v_tc, v_th, x_tc, x_th, dq_c, dq_h)
+    v_tc = _lu_solve(lu, b_c)
+    x_tc = _affine(a_exp, v_tc)
+    dq_c = (cold[0] - 1.0) * x_tc[0] + f_c[0]
+    g = (tau_c * (dq_c - r_c) / q, g_h)
+    return g, (g, f_c, b_c, v_tc, x_tc, dq_c, h_stage)
 
 
 def _time_hessian(point: tuple, stage: tuple) -> tuple:
-    """The Hessian of isochore_time_derivatives from its gradient stage."""
+    """The Hessian of isochore_time_derivatives from its gradient stage;
+    h_hh is _tau_h_hessian's."""
     r_c, q, tau, tau_c, tau_h, cold, hot, m, _, lu, _, _, _, consts = point
-    (g_c, g_h), f_c, f_h, b_c, v_tc, v_th, x_tc, x_th, dq_c, dq_h = stage
+    (g_c, g_h), f_c, b_c, v_tc, x_tc, dq_c, h_stage = stage
+    _, _, v_th, x_th, r_th = h_stage
     _, a_exp, a_comp, omega_c, gamma_c, omega_h, gamma_h, _, _ = consts
     # the isochores' linear parts L_c, L_h
     cold_lin, hot_lin = cold[:3] + (0.0, 0.0), hot[:3] + (0.0, 0.0)
@@ -544,22 +544,45 @@ def _time_hessian(point: tuple, stage: tuple) -> tuple:
     w0, w1, w2 = _iso_affine(hot_lin, _affine(a_comp, _generator(
         omega_c, gamma_c, _iso_affine(cold_lin, x_th))))
     r_ch = (u0 + w0, u1 + w1, u2 + w2)
-    w0, w1, w2 = _affine(m, v_th)
-    r_hh = _generator(omega_h, gamma_h, (f_h[0] + 2.0 * w0, f_h[1] + 2.0 * w1,
-                                         f_h[2] + 2.0 * w2))
 
     d_c = cold[0]
     d_c_minus_1 = d_c - 1.0
-    a_c, a_h = x_tc[0], x_th[0]
-    q_cc = (d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_cc))[0] - 2.0 * gamma_c * d_c * a_c
+    q_cc = (d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_cc))[0] - 2.0 * gamma_c * d_c * x_tc[0]
             - gamma_c * f_c[0])
-    q_ch = d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_ch))[0] - gamma_c * d_c * a_h
-    q_hh = d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_hh))[0]
+    q_ch = d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_ch))[0] - gamma_c * d_c * x_th[0]
 
-    r_tc, r_th = (dq_c - r_c) / tau, (dq_h - r_c) / tau
+    r_tc = (dq_c - r_c) / tau
     h_ch = tau_c * tau_h * (q_ch - r_tc - r_th) / q - g_c * g_h
     return ((tau_c * tau_c * (q_cc - 2.0 * r_tc) / q - g_c * g_c + g_c, h_ch),
-            (h_ch, tau_h * tau_h * (q_hh - 2.0 * r_th) / q - g_h * g_h + g_h))
+            (h_ch, _tau_h_hessian(point, h_stage)))
+
+
+def _tau_h_gradient(point: tuple) -> tuple[float, tuple]:
+    """The tau_h entry g_h of isochore_time_derivatives' gradient at a fixed
+    point, and the parts of it that _tau_h_hessian reads: one solve,
+    v_th = (I - M)^-1 f_h(v_A).  A search over tau_h alone takes it without
+    the tau_c entry's solve."""
+    r_c, q, tau, _, tau_h, cold, hot, _, _, lu, v_a, _, _, consts = point
+    if q == 0.0:
+        raise ValueError("ln |R_c| has no derivatives at q_c = 0")
+    f_h = _generator(consts[5], consts[6], (v_a[0] - hot[4], v_a[1], v_a[2]))
+    v_th = _lu_solve(lu, f_h)
+    x_th = _affine(consts[1], v_th)
+    dq_h = (cold[0] - 1.0) * x_th[0]
+    g_h = tau_h * (dq_h - r_c) / q
+    return g_h, (g_h, f_h, v_th, x_th, (dq_h - r_c) / tau)
+
+
+def _tau_h_hessian(point: tuple, stage: tuple) -> float:
+    """The tau_h entry h_hh of isochore_time_derivatives' Hessian from
+    _tau_h_gradient's stage: one more solve, of d_hh F + 2 (d_v d_h F) v_th."""
+    _, q, _, _, tau_h, cold, _, m, _, lu, _, _, _, consts = point
+    g_h, f_h, v_th, _, r_th = stage
+    w0, w1, w2 = _affine(m, v_th)
+    r_hh = _generator(consts[5], consts[6], (f_h[0] + 2.0 * w0, f_h[1] + 2.0 * w1,
+                                             f_h[2] + 2.0 * w2))
+    q_hh = (cold[0] - 1.0) * _affine(consts[1], _lu_solve(lu, r_hh))[0]
+    return tau_h * tau_h * (q_hh - 2.0 * r_th) / q - g_h * g_h + g_h
 
 
 def equilibration_bound(spec: CycleSpec) -> float:

@@ -18,10 +18,10 @@ restart's winner, the z-equation comparison or a sweep point's winner.  A
 SearchTally counts what the searches of one call meet, searches that end
 held at a face of their box included, keeps the fixed point of each Newton
 trial and raises their one warning.  A sweep's duration step only ranks
-its duration, so its search pauses once the Newton decrement bounds the
-gain left by _SCORE_GAIN and keeps its loop state in its SearchTally; only
-the winning duration's search is resumed, by the same loop, to the full
-tolerance.
+its duration: score_tau_h runs the same Newton rules over ln tau_h alone,
+with tau_c held at the z-equation's value, and stops once the Newton
+decrement bounds the gain left by _SCORE_GAIN; only the winning duration
+runs search_isochore_times over both times.
 
 All stochastic searches draw from a seeded PCG64 generator and reduce results
 in candidate order, so a fixed seed gives bit-identical output.
@@ -39,6 +39,8 @@ from .cycle import (
     DOMAIN_ERRORS,
     CycleRecord,
     CycleSpec,
+    _tau_h_gradient,
+    _tau_h_hessian,
     _time_gradient,
     _time_hessian,
     isochore_trials,
@@ -53,9 +55,9 @@ FREE_VARS = ("tau_c", "tau_h", "tau_hc", "tau_ch", "omega_c")
 _NEWTON_GTOL = 1e-10       # stop at a projected max |d ln R_c / d ln tau| below this
 _NEWTON_RTOL = 1e-12       # fall in R_c a smaller gradient may excuse: rounding level
 _NEWTON_MAX_ITER = 50      # iterations per start; reaching it is warned about
-# gain in ln R_c left below which a search run with ``pause`` pauses: the Newton
-# decrement 1/2 g^T (-H)^-1 g with the last iteration's Hessian.  A paused
-# search's R_c was within 9.0e-10 relative of its finished search's (the
+# gain in ln R_c left below which score_tau_h stops: the Newton decrement
+# 1/2 g^2 / (-h) with the last iteration's curvature.  A 2-D search paused by
+# the same rule was within 9.0e-10 relative of its finished search (the
 # exponential and linear searched sweeps, T_c 1e-1 -> 1e-3, on the grid and
 # shifted half a step); a gradient-norm rule, max |g| <= 1e-3 alone, was off
 # by up to 3.6e-5 where some direction is flat
@@ -253,9 +255,8 @@ class SearchTally:
     their gradient tolerance, the Newton searches that ended with a time
     held at a face of the box by a gradient pointing out, the Nelder-Mead
     searches stopped at their iteration cap, and the fixed point of each
-    Newton point solved (a tuple from cycle.isochore_trials), by its
-    (tau_c, tau_h).  ``paused`` holds the loop state of a Newton search
-    that paused (see search_isochore_times), else None."""
+    point search_isochore_times solved (a tuple from
+    cycle.isochore_trials), by its (tau_c, tau_h)."""
 
     evaluations: int = 0
     failures: int = 0
@@ -264,7 +265,6 @@ class SearchTally:
     held: int = 0
     capped: int = 0
     solved: dict = field(default_factory=dict)
-    paused: tuple | None = None
 
     def record(self, tau_c: float, tau_h: float) -> CycleRecord | None:
         """The record of the Newton point solved at (tau_c, tau_h), built now;
@@ -365,7 +365,7 @@ def _ascent_hessian(point, stage, swapped: bool) -> tuple:
 
 
 def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
-                          start, *, pause: bool = False) -> tuple[dict, tuple | None]:
+                          start) -> tuple[dict, tuple | None]:
     """Damped Newton ascent of ln R_c over the isochore times of a cycle.
 
     ``trial(tau_c, tau_h)`` solves the cycle's fixed point at two times
@@ -401,24 +401,13 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
     step would only double its distance from the trough, it moves about
     half a period uphill (a modified Newton step; Nocedal and Wright,
     Numerical Optimization, 2006, 3.4).  In a box narrower than a period
-    that step is clamped to a face, like any other.  The step is halved until R_c does not fall or, with the Hessian
-    unmodified, the projected gradient falls while R_c falls by at most
-    _NEWTON_RTOL: near the optimum R_c changes only by rounding.  Returns
-    (values, point) of the last accepted iterate, which converged when its
-    projected max-norm gradient is at most _NEWTON_GTOL; the point is None
-    when the first point failed (cycle.trial_record builds its record).
-
-    With ``pause``, a search that only scores a cycle stops early: at the
-    top of an iteration where no time is held at a face, none was in the
-    last iteration, whose Hessian H was not modified, and the Newton
-    decrement 1/2 g^T (-H)^-1 g bounds the gain in ln R_c left by at most
-    _SCORE_GAIN (Boyd and Vandenberghe, Convex Optimization, 2004, 9.5.1).
-    It returns that iterate, keeps its loop state in ``tally.paused`` and
-    counts the search neither unconverged nor held.  Called again with a
-    tally holding a paused search (and the same trial, box and start), the
-    search resumes from that state, x unread: the paused search and its
-    resumption are the uninterrupted search, iterate for iterate and trial
-    for trial.
+    that step is clamped to a face, like any other.  The step is halved
+    until R_c does not fall or, with the Hessian unmodified, the projected
+    gradient falls while R_c falls by at most _NEWTON_RTOL: near the
+    optimum R_c changes only by rounding.  Returns (values, point) of the
+    last accepted iterate, which converged when its projected max-norm
+    gradient is at most _NEWTON_GTOL; the point is None when the first
+    point failed (cycle.trial_record builds its record).
     """
     (name0, lo0, hi0), (name1, lo1, hi1) = box
     swapped = name0 == "tau_h"
@@ -444,19 +433,14 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
             return key, None
         return key, point
 
-    if tally.paused is None:
-        x0, x1 = x
-        key, point = evaluate(x0, x1)
-        g, stage = _ascent_gradient(point, swapped)
-        if g is None:
-            tally.unconverged += point is not None
-            return values(key), point
-        (g0, g1), first = g, 0
-    else:
-        x0, x1, key, point, g0, g1, stage, first = tally.paused
-        tally.paused = None
-    last = None         # the last iteration's (h00, h01, h11, det), unmodified and free
-    for iteration in range(first, _NEWTON_MAX_ITER + 1):
+    x0, x1 = x
+    key, point = evaluate(x0, x1)
+    g, stage = _ascent_gradient(point, swapped)
+    if g is None:
+        tally.unconverged += point is not None
+        return values(key), point
+    g0, g1 = g
+    for iteration in range(_NEWTON_MAX_ITER + 1):
         held0 = (x0 <= lo0 and g0 < 0.0) or (x0 >= hi0 and g0 > 0.0)
         held1 = (x1 <= lo1 and g1 < 0.0) or (x1 >= hi1 and g1 > 0.0)
         pg0, pg1 = 0.0 if held0 else g0, 0.0 if held1 else g1
@@ -465,12 +449,6 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
             tally.unconverged += iteration == _NEWTON_MAX_ITER
             tally.held += held0 or held1
             return values(key), point
-        if pause and last is not None and not (held0 or held1):
-            h00, h01, h11, det = last
-            if 0.5 * (g0 * (h01 * g1 - h11 * g0) + g1 * (h01 * g0 - h00 * g1)) / det \
-                    <= _SCORE_GAIN:
-                tally.paused = x0, x1, key, point, g0, g1, stage, iteration
-                return values(key), point
         (h00, h01), (_, h11) = _ascent_hessian(point, stage, swapped)
         if held0:
             h00, h01 = -1.0, 0.0
@@ -482,7 +460,6 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
             h_h, g_h = (h00, pg0) if swapped else (h11, pg1)
             h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
         det = h00 * h11 - h01 * h01
-        last = None if modified or held0 or held1 else (h00, h01, h11, det)
         p0, p1 = (h01 * pg1 - h11 * pg0) / det, (h01 * pg0 - h00 * pg1) / det
         if modified:
             # along ln tau_h: the step to the peak of a sinusoid of angular
@@ -512,6 +489,89 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
                         break
             alpha *= 0.5
         x0, x1, key, point, g0, g1, stage = xt0, xt1, key_t, point_t, gt0, gt1, stage_t
+
+
+def _ascent_slope(point):
+    """(g, stage): _ascent_gradient's tau_h entry alone, from
+    cycle._tau_h_gradient; (None, None) where there are no derivatives."""
+    if point is None or point[1] == 0.0:
+        return None, None
+    g, stage = _tau_h_gradient(point)
+    return (-g if point[1] < 0.0 else g), stage
+
+
+def _ascent_curvature(point, stage) -> float:
+    """The derivative of _ascent_slope's g: _ascent_hessian's tau_h entry."""
+    h = _tau_h_hessian(point, stage)
+    return -h if point[1] < 0.0 else h
+
+
+def score_tau_h(trial, tau_c: float, tau_h: float, lo: float, hi: float,
+                tally: SearchTally) -> tuple | None:
+    """The score of a sweep step's duration: the higher of the fixed points
+    at (tau_c, tau_h) and at the end of a damped Newton ascent of ln R_c
+    over ln tau_h alone, in [lo, hi], with tau_c held; None when the start
+    failed.  A sweep step holds tau_c at its z-equation time, which on the
+    ramps is close to stationary, so the gain over the z allocation is the
+    tau_h ripple's, and a derivative stage is one solve (cycle._tau_h_gradient,
+    _tau_h_hessian) instead of two and three.
+
+    The rules are search_isochore_times's on one coordinate, and so are the
+    counts in ``tally`` (evaluations, failures, unconverged and held ends;
+    it keeps no fixed point): the Newton step -g/h where h < 0, else the
+    step to the ripple's peak, atan2(k g, -h)/k with k = 2 omega_h tau_h;
+    the same line search, whose floor excuses a fall of _NEWTON_RTOL only
+    after an unmodified step; and an end at |g| <= _NEWTON_GTOL, at a face
+    that holds tau_h or at _NEWTON_MAX_ITER.  Since it only ranks a
+    duration, it also stops once the Newton decrement 1/2 g^2/(-h) of the
+    last iteration, with its curvature unmodified, bounds the gain in
+    ln R_c left by at most _SCORE_GAIN (Boyd and Vandenberghe, Convex
+    Optimization, 2004, 9.5.1).
+    """
+    def evaluate(t: float):
+        tally.evaluations += 1
+        try:
+            return trial(tau_c, t)
+        except DOMAIN_ERRORS as exc:
+            tally.failed({"tau_c": tau_c, "tau_h": t}, exc)
+            return None
+
+    first = point = evaluate(tau_h)
+    g, stage = _ascent_slope(point)
+    if g is None:
+        tally.unconverged += point is not None
+        return point
+    x, last = math.log(tau_h), None     # last: the last iteration's unmodified curvature
+    for iteration in range(_NEWTON_MAX_ITER + 1):
+        held = (x <= lo and g < 0.0) or (x >= hi and g > 0.0)
+        if held or abs(g) <= _NEWTON_GTOL or iteration == _NEWTON_MAX_ITER:
+            tally.unconverged += iteration == _NEWTON_MAX_ITER
+            tally.held += held
+            break
+        if last is not None and 0.5 * g * g / -last <= _SCORE_GAIN:
+            break
+        h, r_c = _ascent_curvature(point, stage), point[0]
+        if h < 0.0:
+            p, last, floor = -g / h, h, r_c - _NEWTON_RTOL * abs(r_c)
+        else:
+            k = 2.0 * point[-1][5] * point[4]     # the ripple's angular frequency in ln tau_h
+            p, last, floor = math.atan2(k * g, -h) / k, None, r_c
+        alpha = 1.0
+        while True:
+            xt = min(max(x + alpha * p, lo), hi)
+            if xt == x:                 # no representable step is accepted
+                tally.unconverged += 1
+                return first if first[0] > point[0] else point
+            point_t = evaluate(math.exp(xt))
+            if point_t is not None and point_t[0] >= floor:
+                gt, stage_t = _ascent_slope(point_t)
+                if gt is not None and (point_t[0] >= r_c or (
+                        0.0 if (xt <= lo and gt < 0.0) or (xt >= hi and gt > 0.0)
+                        else abs(gt)) < abs(g)):
+                    break
+            alpha *= 0.5
+        x, point, g, stage = xt, point_t, gt, stage_t
+    return first if first[0] > point[0] else point
 
 
 def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:

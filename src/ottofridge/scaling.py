@@ -11,11 +11,13 @@ linear ramp and its time reverse share one Bessel evaluation
 (dynamics.linear_ramp_pair).  A searched isochore allocation is one
 optimize.search_isochore_times from the z-equation allocation, which it
 keeps when that start beats the search, as optimize_time_allocation does.
-A duration step only ranks its duration, so its search pauses once the
-gain left is below optimize._SCORE_GAIN, and only the winning step's
-search is resumed to the full tolerance (under optimize_omega_c, only the
-cold-frequency winner's): a row is bit for bit the full-tolerance search at
-its duration.
+A duration step only ranks its duration: optimize.score_tau_h searches
+ln tau_h alone, with tau_c held at the z-equation time, until the gain left
+is below optimize._SCORE_GAIN, and only the winning duration (under
+optimize_omega_c, only the cold-frequency winner's) runs the search over
+both times: a row is bit for bit that search at its duration.  A point's
+scoring searches share one SearchTally, which warns once, when the point's
+search ends.
 
 A point is assembled from parts: what does not depend on the adiabat
 duration (the baths, 0 < omega_c < omega_h, a ramp rate that does not
@@ -25,7 +27,7 @@ four kinds.  A step builds the two adiabat maps (a frictionless kind's from
 its Schedules, a ramp's with dynamics.linear_ramp_pair or
 exponential_ramp_pair), allocates its isochore times from the bare
 z-equation root (optimize._z_root) and solves its trials (cycle._trials).
-It returns its point with its own finish, None unless its search paused,
+It returns its point with its own finish, None unless it only scored,
 and a search over steps returns its winner's pair.  Every search passes
 bare fixed-point tuples (cycle._fixed_point, whose first entry is R_c): no
 ramp step builds a Schedule, CycleSpec or CycleRecord, and a sweep point
@@ -52,7 +54,13 @@ from .cycle import (
     trial_record,
 )
 from .dynamics import BathSpec, exponential_ramp_pair, linear_ramp_pair
-from .optimize import SearchTally, _z_root, optimal_cold_frequency, search_isochore_times
+from .optimize import (
+    SearchTally,
+    _z_root,
+    optimal_cold_frequency,
+    score_tau_h,
+    search_isochore_times,
+)
 from .schedules import Schedule, ScheduleError, build_three_jump, critical_mu
 
 SWEEP_KINDS = ("three_jump", "const_mu", "linear", "exponential")
@@ -282,11 +290,11 @@ def _brent_max(build, lo: float, hi: float) -> tuple:
 
 
 def _step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, omega_c: float,
-          score: bool = False):
+          tally: SearchTally | None = None):
     """``step(tau)``: the pair (point, finish) of the point's cycle with
     adiabats of duration tau and its isochore times allocated.  ``point`` is
     the fixed point (cycle._fixed_point) and ``finish`` is None unless the
-    step's search paused.
+    step only scored its duration.
 
     The kind's Schedules are chosen here, and the trials' parts are built
     once (cycle._trial_parts).  A frictionless kind's two Schedules (the
@@ -304,10 +312,10 @@ def _step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, omega_
     searched allocation runs one search_isochore_times from exactly there
     over a box of a decade each way, and keeps that start when its R_c is
     the higher (the z-equation rule of optimize_time_allocation, whose
-    warnings it shares).  With ``score`` the search only scores the step: it
-    pauses at a gain of _SCORE_GAIN left, and ``finish()`` resumes it to its
-    full tolerance, warns of what the resumption met and applies the
-    z-equation rule to its end: the point of the step without ``score``,
+    warnings it shares).  With ``tally`` a searched step only scores its
+    duration: its point is optimize.score_tau_h's over the same tau_h box,
+    which counts into ``tally`` and warns of nothing, and ``finish()`` is
+    the search over both times: the point of the step without ``tally``,
     bit for bit.
     """
     if spec.kind == "three_jump":
@@ -345,39 +353,38 @@ def _step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, omega_
         if spec.allocation == "z":
             return trial(tau_z, tau_z), None
         x, lo, hi = math.log(tau_z), math.log(tau_z / 10.0), math.log(tau_z * 10.0)
-        box = [("tau_c", lo, hi), ("tau_h", lo, hi)]
-        start, tally = ((x, x), {"tau_c": tau_z, "tau_h": tau_z}), SearchTally()
-        _, point = search_isochore_times(trial, (x, x), box, tally, start, pause=score)
-        tally.warn()
-        if point is None:               # the start failed: raises that failure
-            trial(tau_z, tau_z)
-        first, state = tally.solved[tau_z, tau_z], tally.paused
-        point = first if first[0] > point[0] else point     # compare R_c
-        if state is None:
-            return point, None
 
         def finish() -> tuple:
-            rest = SearchTally(paused=state)
-            _, end = search_isochore_times(trial, (x, x), box, rest, start)
-            rest.warn()
-            return first if first[0] > end[0] else end
+            own = SearchTally()
+            _, end = search_isochore_times(trial, (x, x), [("tau_c", lo, hi), ("tau_h", lo, hi)],
+                                           own, ((x, x), {"tau_c": tau_z, "tau_h": tau_z}))
+            own.warn()
+            if end is None:             # the start failed: raises that failure
+                trial(tau_z, tau_z)
+            first = own.solved[tau_z, tau_z]
+            return first if first[0] > end[0] else end     # compare R_c
 
+        if tally is None:
+            return finish(), None
+        point = score_tau_h(trial, tau_z, tau_z, lo, hi, tally)
+        if point is None:               # the start failed: raises that failure
+            trial(tau_z, tau_z)
         return point, finish
 
     return step
 
 
-def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None, score: bool = False) -> tuple:
+def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None, tally: SearchTally) -> tuple:
     """The pair (point, finish) (see _step) of the cycle for one sweep
     temperature, duration search included (see build_point); t_c and
     omega_c are Python floats.  What does not depend on the adiabat
     duration is checked and built once per point.
 
-    A frictionless point is one step that does not pause.  A ramp point is
-    the winner of the duration search over steps, which only score under a
-    searched allocation.  Without ``score`` the winner's search is finished
-    here; with it the winner's finish is returned: the cold-frequency search
-    finishes only its own winner's.
+    A frictionless point is one step that does not score.  A ramp point is
+    the winner of the duration search over steps, which under a searched
+    allocation only score, into ``tally``; the caller finishes the winner
+    (_finished), so the cold-frequency search finishes only its own
+    winner's.
     """
     hot = BathSpec(spec.t_hot, spec.gamma)
     cold = BathSpec(t_c, spec.gamma)
@@ -409,12 +416,22 @@ def _point_at(spec: SweepSpec, t_c: float, omega_c: float | None, score: bool = 
     if rate(lo) == 0.0:                 # the smallest rate the search tries
         raise ScheduleError(f"omega_c = {w_c:.6g} is too small: the {spec.kind} ramp's "
                             "rate underflows to 0")
-    step = _step(spec, hot, cold, w_h, w_c, score=spec.allocation == "searched")
-    point, finish = _brent_max(lambda log_param: step(rise / rate(math.exp(log_param))),
-                               math.log(lo), math.log(hi))
-    if finish is None or score:
-        return point, finish
-    return finish(), None
+    step = _step(spec, hot, cold, w_h, w_c, tally)
+    return _brent_max(lambda log_param: step(rise / rate(math.exp(log_param))),
+                      math.log(lo), math.log(hi))
+
+
+def _finished(search) -> CycleRecord:
+    """The record of the winner of ``search(tally)``, a pair (point, finish)
+    (see _step) from a search whose steps score into ``tally``, with its
+    finish run.  The tally warns once, when the search ends, also when it
+    raises."""
+    tally = SearchTally()
+    try:
+        point, finish = search(tally)
+    finally:
+        tally.warn()
+    return trial_record(point if finish is None else finish())
 
 
 def build_point(spec: SweepSpec, t_c: float,
@@ -425,8 +442,8 @@ def build_point(spec: SweepSpec, t_c: float,
     ``t_c`` and ``omega_c`` are taken as Python floats, so a numpy scalar
     from a caller's grid does not spread into the limit-cycle core.
     """
-    point, _ = _point_at(spec, float(t_c), None if omega_c is None else float(omega_c))
-    record = trial_record(point)
+    omega_c = None if omega_c is None else float(omega_c)
+    record = _finished(lambda tally: _point_at(spec, float(t_c), omega_c, tally))
     return record.chain[0], record
 
 
@@ -434,10 +451,9 @@ def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
     nan = float("nan")
     try:
         if spec.optimize_omega_c:
-            point, finish = _brent_max(
-                lambda log_y: _point_at(spec, t_c, math.exp(log_y) * t_c, score=True),
-                math.log(0.05), math.log(3.0))
-            record = trial_record(point if finish is None else finish())
+            record = _finished(lambda tally: _brent_max(
+                lambda log_y: _point_at(spec, t_c, math.exp(log_y) * t_c, tally),
+                math.log(0.05), math.log(3.0)))
             cycle = record.chain[0]
         else:
             cycle, record = build_point(spec, t_c)

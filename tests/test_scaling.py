@@ -1,5 +1,6 @@
 """Temperature sweeps and power-law fitting."""
 
+import functools
 import math
 import warnings
 from collections import Counter
@@ -18,6 +19,10 @@ import ottofridge.scaling
 from ottofridge.cycle import (
     DOMAIN_ERRORS,
     CycleSpec,
+    _tau_h_gradient,
+    _tau_h_hessian,
+    _time_gradient,
+    _time_hessian,
     isochore_time_derivatives,
     isochore_trials,
     limit_cycle,
@@ -25,11 +30,12 @@ from ottofridge.cycle import (
 )
 from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.optimize import (
-    _SCORE_GAIN,
     OptimizationSpec,
     SearchTally,
+    _ascent_curvature,
     _ascent_gradient,
     _ascent_hessian,
+    _ascent_slope,
     optimal_cold_frequency,
     optimize_time_allocation,
     search_isochore_times,
@@ -325,110 +331,117 @@ def test_omega_c_search_reuses_its_winner(monkeypatch):
     assert row.omega_c == build(spec, spec.t_max, row.omega_c)[0].omega_c
 
 
-def test_omega_c_search_resumes_only_its_winners_search(monkeypatch):
+def test_omega_c_search_runs_only_its_winners_row_search(monkeypatch):
     # each step of the omega_c search ranks its omega_c by its duration
-    # winner's paused isochore-time search, and only the omega_c winner's
-    # is resumed, one resumption a row (27 for these 2 rows at omega_h = 50
-    # when every step resumed its own): each row is still, bit for bit, the
-    # full-tolerance search at its (omega_c, duration)
+    # winner's tau_h score, and only the omega_c winner runs the search over
+    # both isochore times, one a row: each row is still, bit for bit, that
+    # full-tolerance search from the z start at its (omega_c, duration)
     records = record_ledgers(monkeypatch)
-    resumed = []
-    search = ottofridge.scaling.search_isochore_times
-
-    def counting(trial, x, box, tally, start, **options):
-        resumed.append(tally.paused is not None)
-        return search(trial, x, box, tally, start, **options)
-
-    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", counting)
+    searches, scores, _ = spy_searches(monkeypatch)
     spec = small_sweep("linear", t_max=1e-1, t_min=1e-1 * 10**-0.2, points_per_decade=5,
                        allocation="searched", optimize_omega_c=True)
     rows = temperature_sweep(spec).rows
     assert len(rows) == 2 and all(r.flag == 1 for r in rows)
-    assert sum(resumed) == len(rows) and len(resumed) > 20 * len(rows)
-    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", search)
-    hot = BathSpec(spec.t_hot, spec.gamma)
+    assert len(searches) == len(rows) and len(scores) > 20 * len(rows)
+    monkeypatch.undo()
     for row, record in zip(rows, list(records)):
-        point, finish = _step(spec, hot, BathSpec(row.t_c, spec.gamma), spec.omega_h,
-                              row.omega_c)(row.tau_hc)
-        full = trial_record(point)
-        assert finish is None and record == full and chain_bits(record) == chain_bits(full)
+        assert chain_bits(record) == chain_bits(row_search(spec, row))
+
+
+def spy_searches(monkeypatch) -> tuple[list, list, list]:
+    """Lists of the calls, from here on, of the searches over both isochore
+    times and of the tau_h scores that sweep steps run, each as (its
+    arguments, the cycles the call solved, its result), and of every cycle
+    solved, as (adiabat time, tau_c, tau_h)."""
+    searches, scores, made = [], [], []
+    solve = ottofridge.cycle._fixed_point
+
+    def solving(consts, cold, hot, tau_c, tau_h):
+        made.append((consts[7] + consts[8], tau_c, tau_h))
+        return solve(consts, cold, hot, tau_c, tau_h)
+
+    def spying(search, calls):
+        def spied(*args):
+            first = len(made)
+            result = search(*args)
+            calls.append((args, made[first:], result))
+            return result
+        return spied
+
+    monkeypatch.setattr(ottofridge.cycle, "_fixed_point", solving)
+    for name, calls in (("search_isochore_times", searches), ("score_tau_h", scores)):
+        monkeypatch.setattr(ottofridge.scaling, name,
+                            spying(getattr(ottofridge.scaling, name), calls))
+    return searches, scores, made
+
+
+def row_search(spec: SweepSpec, row):
+    """The record of search_isochore_times from the z-equation start over a
+    decade each way, on the row's cycle built again at its duration and
+    omega_c, with the z-equation rule (the start wins when it has the higher
+    R_c); the search's warnings are errors."""
+    build, tau = getattr(Schedule, spec.kind), row.tau_hc
+    tau_z = solve_isochore_z(spec.gamma, spec.gamma, 2.0 * tau).tau_c
+    trial = isochore_trials(CycleSpec(
+        BathSpec(spec.t_hot, spec.gamma), BathSpec(row.t_c, spec.gamma), spec.omega_h,
+        row.omega_c, build(spec.omega_h, row.omega_c, tau), build(row.omega_c, spec.omega_h, tau),
+        tau_c=tau_z, tau_h=tau_z))
+    x, lo, hi = math.log(tau_z), math.log(tau_z / 10.0), math.log(tau_z * 10.0)
+    tally = SearchTally()
+    _, end = search_isochore_times(trial, (x, x), [("tau_c", lo, hi), ("tau_h", lo, hi)], tally,
+                                   ((x, x), {"tau_c": tau_z, "tau_h": tau_z}))
+    assert (tally.failures, tally.unconverged, tally.held) == (0, 0, 0)
+    start = tally.solved[tau_z, tau_z]
+    return trial_record(start if start[0] > end[0] else end)
 
 
 def test_searched_point_reuses_the_duration_search_winner(monkeypatch):
-    # the winner's record is built from a fixed point the searches
-    # themselves solved: one isochore-time search per evaluation of the
-    # duration search, paused once it only scores, and after them only the
-    # resumption of the winner's own paused search
-    searches, resumed = [], []
-    search = ottofridge.scaling.search_isochore_times
-
-    def counting(trial, x, box, tally, start, **options):
-        state = tally.paused
-        result = search(trial, x, box, tally, start, **options)
-        if state is None:
-            assert options == {"pause": True}
-            searches.append((tally.paused, dict(tally.solved)))
-        else:
-            resumed.append((state, dict(tally.solved)))
-        return result
-
-    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", counting)
+    # the winner's record is built from a fixed point its own row search
+    # solved: one tau_h score per evaluation of the duration search, and
+    # after them one search over both isochore times, on the trials of the
+    # winning score's step
+    searches, scores, _ = spy_searches(monkeypatch)
     evaluations = count_evaluations(monkeypatch)
     spec = small_sweep("exponential", t_max=1e-1, t_min=5e-2,
                        allocation="searched")
     cycle, record = build_point(spec, 0.05)
-    assert evaluations == [len(searches)]
-    ((state, finished),) = resumed
-    (scored,) = [solved for paused, solved in searches if paused is state]
-    assert any(point is state[3] for point in scored.values())
-    assert state[3][-1][7] == cycle.expansion.duration
-    assert any(record.chain[4] is point[9] and (cycle.tau_c, cycle.tau_h) == times
-               for solved in (scored, finished) for times, point in solved.items())
+    assert evaluations == [len(scores)]
+    (((trial, _, _, tally, _), _, _),) = searches
+    assert trial in [args[0] for args, _, _ in scores]
+    point = tally.solved[cycle.tau_c, cycle.tau_h]
+    assert record.chain[4] is point[9] and point[-1][7] == cycle.expansion.duration
     assert record.chain[0] is cycle
 
 
 def test_searched_point_solves_no_cycle_beyond_its_searches(monkeypatch):
     # a searched sweep point reuses the fixed points of its isochore-time
-    # searches: every cycle it solves is a search's own trial, none in the
-    # duration search or for the row, and none twice; each search starts at
-    # exactly its z-allocation, the one resumption continues the winner's
-    # paused search at the winner's duration, and the point builds at most
-    # two CycleRecords a search (it builds one, its winner's), not one per
-    # trial
+    # searches: every cycle it solves is a trial of a tau_h score or of the
+    # row's search, none in the duration search or for the row.  Each score
+    # starts at exactly its z-allocation and holds tau_c there, and the
+    # scores solve no cycle twice; the row's search starts at the winner's
+    # z-allocation, solves only at the winner's duration and no cycle twice,
+    # and the point builds one CycleRecord, its winner's
     records = record_ledgers(monkeypatch)
-    calls, searches, resumed = [], [], []
-    search, solve = ottofridge.scaling.search_isochore_times, ottofridge.cycle._fixed_point
-
-    def counting(consts, cold, hot, tau_c, tau_h):
-        calls.append((consts[7] + consts[8], tau_c, tau_h))
-        return solve(consts, cold, hot, tau_c, tau_h)
-
-    def recording(trial, x, box, tally, start, **options):
-        first, counted, state = len(calls), tally.evaluations, tally.paused
-        result = search(trial, x, box, tally, start, **options)
-        made = calls[first:]
-        assert len(made) == tally.evaluations - counted
-        (searches if state is None else resumed).append((state, tally.paused, made))
-        return result
-
-    monkeypatch.setattr(ottofridge.cycle, "_fixed_point", counting)
-    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", recording)
+    searches, scores, solved = spy_searches(monkeypatch)
     evaluations = count_evaluations(monkeypatch)
     spec = small_sweep("exponential", t_max=1e-1, t_min=1e-1 * 10**-0.05,
                        allocation="searched")
     (row,) = temperature_sweep(spec).rows
     assert row.flag == 1
-    assert evaluations == [len(searches)]
-    assert len(calls) == len(set(calls)) == sum(
-        len(made) for *_, made in searches + resumed)
-    for _, _, made in searches:
+    assert evaluations == [len(scores)]
+    scored = [call for _, made, _ in scores for call in made]
+    assert len(scored) == len(set(scored))
+    for _, made, _ in scores:
         adiabats = made[0][0]
         z = solve_isochore_z(spec.gamma, spec.gamma, adiabats)
         assert made[0] == (adiabats, z.tau_c, z.tau_h)
-    ((state, paused, made),) = resumed
-    assert paused is None and sum(s is state for _, s, _ in searches) == 1
+        assert {(a, tau_c) for a, tau_c, _ in made} == {(adiabats, z.tau_c)}
+    ((_, made, _),) = searches
+    z = solve_isochore_z(spec.gamma, spec.gamma, 2.0 * row.tau_hc)
+    assert made[0] == (2.0 * row.tau_hc, z.tau_c, z.tau_h)
     assert {adiabats for adiabats, *_ in made} == {2.0 * row.tau_hc}
-    assert len(records) <= 2 * len(searches) < len(calls)
+    assert len(made) == len(set(made))
+    assert len(solved) == len(scored) + len(made) and len(records) == 1
 
 
 def chain_bits(record):
@@ -502,7 +515,7 @@ def test_one_spec_and_two_schedules_per_sweep_row(monkeypatch, options):
 def test_frictionless_point_is_one_step_at_its_schedules_duration(kind, allocation):
     # a frictionless point is one step at the duration of its kind's own
     # schedule (not critical_mu's tau*, which differs in the last bits), bit
-    # for bit, and its search does not pause, under the omega_c search too
+    # for bit, and it does not only score, under the omega_c search too
     spec = small_sweep(kind, allocation=allocation)
     t_c = 0.05
     w_h, w_c = spec.omega_h, spec.kind_kappa() * t_c
@@ -516,8 +529,10 @@ def test_frictionless_point_is_one_step_at_its_schedules_duration(kind, allocati
     cycle, record = build_point(spec, t_c)
     assert finish is None and record == full and chain_bits(record) == chain_bits(full)
     assert cycle.expansion.duration == cycle.compression.duration == duration
-    scored, finish = _point_at(spec, t_c, w_c, score=True)
+    tally = SearchTally()
+    scored, finish = _point_at(spec, t_c, w_c, tally)
     assert finish is None and chain_bits(trial_record(scored)) == chain_bits(full)
+    assert tally == SearchTally()
 
 
 def random_ramp_cycles(kind: str):
@@ -591,52 +606,86 @@ def test_sweep_search_is_optimize_time_allocation(kind):
     assert {"cooling", "heating"} <= outcomes
 
 
-SEARCH_COUNTS = ("evaluations", "failures", "first_failure", "unconverged", "held")
+@functools.cache
+def ramp_cycles(kind: str) -> list:
+    """The cycles of random_ramp_cycles(kind), built once."""
+    return list(random_ramp_cycles(kind))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(("exponential", "linear")), st.integers(0, 39), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0), st.none())
+@example("exponential", 1, 0.0, 0.0, 1.0)           # a z-start that cools
+@example("exponential", 0, 0.0, 0.0, -1.0)          # one that heats
+def test_tau_h_stage_is_the_tau_h_entries_of_the_time_derivatives(kind, index, s_c, s_h,
+                                                                   sign):
+    # at isochore times within the box of a decade each way around a random
+    # ramp cycle's z-start, the tau_h stage (one solve for g_h, one more for
+    # h_hh) is the tau_h entries of the gradient and Hessian stages, bit for
+    # bit, and so are its ascent slope and curvature those of the ascent
+    # gradient and Hessian, on cycles that cool and cycles that heat
+    base = ramp_cycles(kind)[index][-2]
+    try:
+        point = isochore_trials(base)(base.tau_c * 10.0 ** s_c, base.tau_h * 10.0 ** s_h)
+    except DOMAIN_ERRORS:
+        return
+    if sign is not None:
+        assert math.copysign(1.0, point[1]) == sign
+    g, stage = _time_gradient(point)
+    g_h, h_stage = _tau_h_gradient(point)
+    assert g_h.hex() == g[1].hex()
+    assert _tau_h_hessian(point, h_stage).hex() == _time_hessian(point, stage)[1][1].hex()
+    (_, a_g), a_stage = _ascent_gradient(point, False)
+    a_g_h, a_h_stage = _ascent_slope(point)
+    assert a_g_h.hex() == a_g.hex()
+    assert (_ascent_curvature(point, a_h_stage).hex()
+            == _ascent_hessian(point, a_stage, False)[1][1].hex())
 
 
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
-def test_paused_search_resumes_to_the_uninterrupted_search(kind):
-    # on the cycles of test_sweep_search_is_optimize_time_allocation, a
-    # search paused at a gain of _SCORE_GAIN left and resumed with its tally
-    # is the search run through: the same values and point, bit for bit,
-    # the same trials in the same order and the same counts.  A paused
-    # search is counted neither unconverged nor held, and its R_c is within
-    # 2 _SCORE_GAIN of the end's (9.0e-10 the worst of the searched sweeps),
-    # also where the search starts in a trough of the tau_h ripple
-    outcomes, troughs = set(), {base.tau_c for base, *_ in trough_starts(kind)}
-    for *_, base, bounds in random_ramp_cycles(kind):
-        trial, tau = isochore_trials(base), base.tau_c
-        if tau in troughs:
-            outcomes.add("from a trough")
-        x = math.log(tau)
-        box = [(name, math.log(lo), math.log(hi)) for name, (lo, hi) in bounds.items()]
-        start = ((x, x), {"tau_c": tau, "tau_h": tau})
-        whole, split = SearchTally(), SearchTally()
-        expected = search_isochore_times(trial, (x, x), box, whole, start)
-        got = score = search_isochore_times(trial, (x, x), box, split, start, pause=True)
-        if split.paused is not None:
-            assert (split.unconverged, split.held) == (0, 0)
-            got = search_isochore_times(trial, (x, x), box, split, start)
-            assert split.paused is None
-            assert abs(score[1][0] - got[1][0]) <= 2 * _SCORE_GAIN * abs(got[1][0])
-            outcomes.add("paused")
-        else:
-            outcomes.add("failed" if got[1] is None else "ran through")
-        assert list(got[0].items()) == list(expected[0].items())
-        assert (got[1] is None) == (expected[1] is None)
-        if got[1] is not None:
-            assert chain_bits(trial_record(got[1])) == chain_bits(trial_record(expected[1]))
-        assert list(split.solved) == list(whole.solved)
-        assert [getattr(split, name) for name in SEARCH_COUNTS] == [
-            getattr(whole, name) for name in SEARCH_COUNTS]
-    assert {"paused", "ran through", "from a trough"} <= outcomes
+def test_tau_h_score_is_near_the_row_search_on_cooling_durations(monkeypatch, kind):
+    # at every duration step of the searched acceptance window whose search
+    # over both isochore times cools, the tau_h score with tau_c held at the
+    # z-equation time is within 1e-6 relative of that search's R_c (2.4e-9
+    # exponential and 8.4e-10 linear measured): the z-equation's tau_c is
+    # close to stationary on the ramps.  (Off the window's path a score can
+    # end on another tau_h ripple peak than the search: 1.2e-3 lower at 1 of
+    # 264 cooling durations of a fixed-duration scan of the exponential
+    # window.)
+    steps = []
+    make = ottofridge.scaling._step
+
+    def recording(*args):
+        step = make(*args)
+
+        def recorded(tau):
+            steps.append(step(tau))
+            return steps[-1]
+        return recorded
+
+    monkeypatch.setattr(ottofridge.scaling, "_step", recording)
+    spec = SweepSpec(kind=kind, omega_h=100.0, t_hot=1.0, gamma=1.0, t_max=1e-1, t_min=1e-3,
+                     points_per_decade=5, allocation="searched")
+    rows = temperature_sweep(spec).rows
+    assert all(r.flag == 1 for r in rows) and len(steps) > 10 * len(rows)
+    assert all(finish is not None for _, finish in steps)
+    monkeypatch.undo()
+    cooling = 0
+    for point, finish in steps:
+        full = finish()
+        if full[1] > 0.0:
+            cooling += 1
+            assert abs(point[0] - full[0]) <= 1e-6 * full[0]
+    assert cooling == len(steps)
 
 
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
 def test_searched_rows_are_the_full_tolerance_step(monkeypatch, kind):
-    # the duration search ranks its steps by paused isochore-time searches
-    # and then finishes the winner's: every row of the acceptance window is
-    # the step at its duration searched to the full tolerance, bit for bit
+    # the duration search ranks its steps by tau_h scores and then runs the
+    # winner's search over both isochore times: every row of the acceptance
+    # window is the step at its duration without a scoring tally, and
+    # search_isochore_times from the z start on the row's own cycle, bit for
+    # bit
     records = record_ledgers(monkeypatch)
     spec = SweepSpec(kind=kind, omega_h=100.0, t_hot=1.0, gamma=1.0, t_max=1e-1, t_min=1e-3,
                      points_per_decade=5, allocation="searched")
@@ -648,6 +697,7 @@ def test_searched_rows_are_the_full_tolerance_step(monkeypatch, kind):
                               row.omega_c)(row.tau_hc)
         full = trial_record(point)
         assert finish is None and record == full and chain_bits(record) == chain_bits(full)
+        assert chain_bits(record) == chain_bits(row_search(spec, row))
 
 
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
@@ -768,30 +818,17 @@ def test_searched_point_agrees_with_the_squaring_oracle():
 
 
 def test_searched_allocations_are_verified_local_optima(monkeypatch):
-    # every isochore-time search of the exponential acceptance window ends,
-    # or once resumed ends, at a stationary point of ln R_c in the box, no
-    # worse than its z-start, with no iteration cap reached (that would
-    # warn, here an error); a search paused to score its duration stopped
-    # within 2 _SCORE_GAIN of that end.  At most one resumption a row, and
-    # at most 8 evaluations a search on average, resumptions included (3.4
-    # measured; 5.3 with a -|diag| step out of a ripple trough, 6.3 before
-    # the pause, 16 with forward-difference probes); one search per
-    # duration step, at most 16 steps a point on average (14.7 measured;
-    # the golden section took 22)
-    scoring, resumed = [], []
-    search = ottofridge.scaling.search_isochore_times
-
-    def recording(trial, x, box, tally, start, **options):
-        state, counted = tally.paused, tally.evaluations
-        values, point = search(trial, x, box, tally, start, **options)
-        made = tally.evaluations - counted
-        if state is None:
-            scoring.append((start, point, tally.paused, made, (trial, x, box)))
-        else:
-            resumed.append(made)
-        return values, point
-
-    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", recording)
+    # every row's isochore-time search of the exponential acceptance window
+    # ends at a stationary point of ln R_c in the box, no worse than its
+    # z-start, with no iteration cap reached (that would warn, here an
+    # error), and every tau_h score holds tau_c at its z-start and ends no
+    # lower than it.  One row search a row, and at most 8 evaluations a
+    # score on average, the row searches included (3.6 measured; 3.4 with
+    # paused scores over both times, 5.3 with a -|diag| step out of a ripple
+    # trough, 6.3 before the pause, 16 with forward-difference probes); one
+    # score per duration step, at most 16 steps a point on average (14.7
+    # measured; the golden section took 22)
+    searches, scores, _ = spy_searches(monkeypatch)
     evaluations = count_evaluations(monkeypatch)
     spec = SweepSpec(kind="exponential", omega_h=100.0, t_hot=1.0, gamma=1.0, t_max=1e-1,
                      t_min=1e-3, points_per_decade=5, allocation="searched")
@@ -799,14 +836,12 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
         warnings.simplefilter("error")
         rows = temperature_sweep(spec).rows
     assert all(r.flag == 1 for r in rows)
-    assert len(evaluations) == len(rows) and sum(evaluations) == len(scoring)
-    assert len(scoring) <= 16 * len(rows) and len(resumed) <= len(rows)
-    assert sum(resumed) + sum(entry[3] for entry in scoring) <= 8 * len(scoring)
-    for start, point, state, _, (trial, x, box) in scoring:
-        end = point
-        if state is not None:
-            _, end = search(trial, x, box, SearchTally(paused=state), start)
-            assert abs(point[0] - end[0]) <= 2 * _SCORE_GAIN * abs(end[0])
+    assert len(evaluations) == len(rows) and sum(evaluations) == len(scores)
+    assert len(scores) <= 16 * len(rows) and len(searches) == len(rows)
+    assert sum(len(made) for _, made, _ in searches + scores) <= 8 * len(scores)
+    for (trial, tau_c, tau_h, _, _, _), _, point in scores:
+        assert point[3] == tau_c and point[0] >= trial(tau_c, tau_h)[0]
+    for (_, _, _, _, start), _, (_, end) in searches:
         assert_searched_optimum(end, start[1])
 
 
@@ -990,25 +1025,32 @@ def test_linear_sweep_past_the_bessel_limit_is_a_failed_point():
 def test_linear_point_past_the_bessel_limit_keeps_its_error(allocation, monkeypatch):
     # at T_c = 1e-8 every duration step's ramp passes zeta = 2^51: the row
     # fails with the BranchError its expansion's build raises, in z and in
-    # searched allocation (where each failed search start is also warned of)
+    # searched allocation, where the point's scores warn once of all their
+    # failed starts, one a step, when its duration search ends
     spec = SweepSpec(kind="linear", omega_h=100.0, t_max=1e-6, t_min=1e-8,
                      points_per_decade=1, allocation=allocation)
     evaluations = count_evaluations(monkeypatch)
+    evaluate, starts = ottofridge.scaling._evaluate_point, []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        monkeypatch.setattr(ottofridge.scaling, "_evaluate_point",
+                            lambda spec, t_c: starts.append(len(caught)) or evaluate(spec, t_c))
         rows = temperature_sweep(spec).rows
     assert [r.t_c for r in rows] == list(spec.grid) and rows[0].flag == 1
     last = rows[-1]
     assert last.t_c == 1e-8 and last.flag == 0 and math.isnan(last.r_c)
     assert last.error.startswith("BranchError: propagation failed on branch 'expansion': "
                                  "linear ramp Bessel argument ")
-    failed_starts = [w for w in caught if "objective evaluations failed" in str(w.message)]
+    failed = [str(w.message) for w in caught if "objective evaluations failed" in str(w.message)]
     if allocation == "z":
-        assert failed_starts == []
-    else:
-        assert len(failed_starts) >= evaluations[-1]      # every step of the last point
-        assert all("BranchError: propagation failed on branch 'expansion'" in str(w.message)
-                   for w in failed_starts)
+        assert failed == []
+        return
+    # at most one a point, and exactly one for the last, counting its steps
+    assert len(failed) <= len(rows)
+    (message,) = [str(w.message) for w in caught[starts[-1]:]]
+    assert message.startswith(f"optimize_time_allocation: {evaluations[-1]} objective "
+                              "evaluations failed; the first at ")
+    assert "BranchError: propagation failed on branch 'expansion'" in message
 
 
 @pytest.mark.parametrize("kind", SWEEP_KINDS)

@@ -132,30 +132,40 @@ def test_point_ab_prints_its_usage_when_misused(capsys):
 
 
 def test_search_counts_prints_each_rows_counts_and_their_total(capsys):
-    # the linear searched window: 11 rows, each with its searches paused,
-    # one resumption a row, and more trials than gradients than Hessians;
-    # the wrapped attributes are restored afterwards
+    # the linear searched window: 11 rows, each with its tau_h scores, most
+    # of them paused, one row search, and more trials than slopes or
+    # gradients than curvatures or Hessians; the wrapped attributes are
+    # restored afterwards
     import ottofridge.optimize
     import ottofridge.scaling
-    before = (ottofridge.scaling._evaluate_point, ottofridge.scaling.search_isochore_times,
-              ottofridge.optimize._ascent_gradient, ottofridge.optimize._ascent_hessian)
+    names = ((ottofridge.scaling, "_evaluate_point"), (ottofridge.scaling, "score_tau_h"),
+             (ottofridge.scaling, "search_isochore_times"),
+             *((ottofridge.optimize, f"_ascent_{name}")
+               for name in ("slope", "curvature", "gradient", "hessian")))
+    before = [getattr(module, name) for module, name in names]
     assert search_counts.main(["linear"]) == 0
-    after = (ottofridge.scaling._evaluate_point, ottofridge.scaling.search_isochore_times,
-             ottofridge.optimize._ascent_gradient, ottofridge.optimize._ascent_hessian)
-    assert after == before
+    assert [getattr(module, name) for module, name in names] == before
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "linear searched: 11 rows, T_c 0.1 -> 0.001"
-    assert lines[1].split() == ["T_c", "searches", "paused", "resumed", "trials", "gradients",
-                                "hessians", "modified"]
+    assert lines[1].split() == ["T_c", "scores", "paused", "searches", "s_trials", "s_grads",
+                                "s_hess", "r_trials", "r_grads", "r_hess", "modified"]
     rows = [[float(line.split()[0]), *map(int, line.split()[1:])] for line in lines[2:-1]]
     assert [row[0] for row in rows] == pytest.approx([10 ** (-0.2 * i - 1) for i in range(11)],
                                                    rel=1e-5)
     total = lines[-1].split()
     assert total[0] == "total" and list(map(int, total[1:])) == [
-        sum(row[i] for row in rows) for i in range(1, 8)]
-    for _, searches, paused, resumed, trials, gradients, hessians, modified in rows:
-        assert 0 < paused <= searches and resumed == 1
-        assert trials >= gradients > hessians >= modified > 0
+        sum(row[i] for row in rows) for i in range(1, 11)]
+    for (_, scores, paused, searches, s_trials, s_grads, s_hess, r_trials, r_grads, r_hess,
+         modified) in rows:
+        assert 0 < paused <= scores and searches == 1
+        assert s_trials >= s_grads > s_hess > 0 and r_trials >= r_grads > r_hess > 0
+        assert s_hess + r_hess >= modified > 0
+    assert sum(row[1] - row[2] for row in rows) > 0       # some scores converged
+    # a frictionless row is one search over both times from its z start,
+    # which is stationary there (one trial and gradient), and no score
+    assert search_counts.main(["three_jump"]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert list(map(int, total[1:])) == [0, 0, 11, 0, 0, 0, 11, 11, 0, 0]
 
 
 def test_search_counts_prints_its_usage_when_misused(capsys):

@@ -9,21 +9,28 @@ points a decade, omega_h = 100, T_h = 1, Gamma = 1) of schedule kind KIND
 (default exponential) on the sources of the checkout this script sits in
 (its ``src/``), and prints per row and in total:
 
-- searches: isochore-time searches started, one per duration step (a
-  scoring search) or one per point for the frictionless kinds;
-- paused: those that paused once they only scored their step;
-- resumed: paused searches resumed to the full tolerance;
-- trials: cycles the searches solved (their evaluations, failed ones too);
-- gradients: ascent gradients taken;
-- hessians: ascent Hessians taken;
-- modified: Hessians that were not negative definite, the ones the search
-  modifies (unless a face of the box holds the coordinate of the failing
-  row, which replaces that row anyway).
+- scores: scoring searches over tau_h alone (optimize.score_tau_h), one
+  per duration step of a ramp kind;
+- paused: those that stopped once the Newton decrement bounded the gain
+  left, not at the gradient tolerance, a face, the iteration cap or a
+  failed start;
+- searches: searches over both isochore times
+  (optimize.search_isochore_times), one a row: the duration winner's, or a
+  frictionless kind's one step;
+- s_trials, s_grads, s_hess: the scores' trials (cycles solved, failed ones
+  too), tau_h slopes and tau_h curvatures;
+- r_trials, r_grads, r_hess: the same for the searches over both times,
+  with their ascent gradients and Hessians;
+- modified: curvatures and Hessians, of both, that were not negative
+  (definite), the ones the searches modify (unless a face of the box holds
+  the coordinate of a failing row, which replaces that row anyway).
 
 The counts come from wrapping module attributes for the length of the run
-(scaling._evaluate_point, scaling.search_isochore_times,
-optimize._ascent_gradient and optimize._ascent_hessian); nothing in
-``src/`` is changed, and the attributes are restored afterwards.
+(scaling._evaluate_point, scaling.score_tau_h,
+scaling.search_isochore_times, optimize._ascent_slope,
+optimize._ascent_curvature, optimize._ascent_gradient and
+optimize._ascent_hessian); nothing in ``src/`` is changed, and the
+attributes are restored afterwards.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-COUNTS = ("searches", "paused", "resumed", "trials", "gradients", "hessians", "modified")
+COUNTS = ("scores", "paused", "searches", "s_trials", "s_grads", "s_hess",
+          "r_trials", "r_grads", "r_hess", "modified")
 WINDOW = {"omega_h": 100.0, "t_hot": 1.0, "gamma": 1.0, "t_max": 1e-1, "t_min": 1e-3,
           "points_per_decade": 5, "allocation": "searched"}
 
@@ -43,6 +51,7 @@ def count_window(kind: str) -> list[tuple[float, dict]]:
     """(T_c, {count: n}) for each row of the window's sweep, in grid order."""
     from ottofridge import optimize, scaling
     rows = []
+    slopes = []         # the last tau_h slope a score took
 
     def counted(module, name, wrap):
         original = getattr(module, name)
@@ -55,23 +64,50 @@ def count_window(kind: str) -> list[tuple[float, dict]]:
             return evaluate(spec, t_c)
         return wrapped
 
+    def per_score(score):
+        def wrapped(trial, tau_c, tau_h, lo, hi, tally):
+            counts, before = rows[-1][1], (tally.evaluations, tally.unconverged, tally.held)
+            slopes.clear()
+            point = score(trial, tau_c, tau_h, lo, hi, tally)
+            counts["scores"] += 1
+            counts["s_trials"] += tally.evaluations - before[0]
+            # an end the loop counts not, with a slope above the tolerance
+            counts["paused"] += (point is not None and bool(slopes) and slopes[-1] is not None
+                                 and abs(slopes[-1]) > optimize._NEWTON_GTOL
+                                 and (tally.unconverged, tally.held) == before[1:])
+            return point
+        return wrapped
+
     def per_search(search):
-        def wrapped(trial, x, box, tally, start, **options):
-            counts, state, before = rows[-1][1], tally.paused, tally.evaluations
-            result = search(trial, x, box, tally, start, **options)
-            counts["trials"] += tally.evaluations - before
-            if state is None:
-                counts["searches"] += 1
-                counts["paused"] += tally.paused is not None
-            else:
-                counts["resumed"] += 1
+        def wrapped(trial, x, box, tally, start):
+            counts, before = rows[-1][1], tally.evaluations
+            result = search(trial, x, box, tally, start)
+            counts["searches"] += 1
+            counts["r_trials"] += tally.evaluations - before
             return result
+        return wrapped
+
+    def per_slope(slope):
+        def wrapped(point):
+            g, stage = slope(point)
+            slopes.append(g)
+            rows[-1][1]["s_grads"] += g is not None
+            return g, stage
+        return wrapped
+
+    def per_curvature(curvature):
+        def wrapped(point, stage):
+            h = curvature(point, stage)
+            counts = rows[-1][1]
+            counts["s_hess"] += 1
+            counts["modified"] += not h < 0.0
+            return h
         return wrapped
 
     def per_gradient(gradient):
         def wrapped(point, swapped):
             g, stage = gradient(point, swapped)
-            rows[-1][1]["gradients"] += g is not None
+            rows[-1][1]["r_grads"] += g is not None
             return g, stage
         return wrapped
 
@@ -79,13 +115,16 @@ def count_window(kind: str) -> list[tuple[float, dict]]:
         def wrapped(point, stage, swapped):
             h = (h00, h01), (_, h11) = hessian(point, stage, swapped)
             counts = rows[-1][1]
-            counts["hessians"] += 1
+            counts["r_hess"] += 1
             counts["modified"] += not (h00 < 0.0 and h00 * h11 > h01 * h01)
             return h
         return wrapped
 
     wrapped = [counted(scaling, "_evaluate_point", per_row),
+               counted(scaling, "score_tau_h", per_score),
                counted(scaling, "search_isochore_times", per_search),
+               counted(optimize, "_ascent_slope", per_slope),
+               counted(optimize, "_ascent_curvature", per_curvature),
                counted(optimize, "_ascent_gradient", per_gradient),
                counted(optimize, "_ascent_hessian", per_hessian)]
     try:
