@@ -5,23 +5,23 @@ otherwise), and an evolutionary search (scipy's differential evolution) over
 piecewise frequency protocols.
 
 The Newton search over the isochore times is one function,
-search_isochore_times: optimize_time_allocation runs it once per start, and
-a searched sweep point calls it directly from its z-equation allocation.
+search_isochore_times, in (tau_c, tau_h) order: optimize_time_allocation
+runs it once per start, whatever the order of its free names, and a
+searched sweep point calls it directly from its z-equation allocation.
 R_c ripples in tau_h, so where the Hessian is not negative definite its
 step along ln tau_h goes to the peak of that ripple.
 It builds its cycles' fixed parts once (cycle.isochore_trials), and takes
-the Hessian only where it builds a step.  Its loop runs on floats, and its
-trials are bare fixed-point tuples keyed by their (tau_c, tau_h): a dict of
-free values is built only for the point a search returns, and a
-CycleRecord (cycle.trial_record) only for a point a caller reads, a
-restart's winner, the z-equation comparison or a sweep point's winner.  A
-SearchTally counts what the searches of one call meet, searches that end
-held at a face of their box included, keeps the fixed point of each Newton
-trial and raises their one warning.  A sweep's duration step only ranks
-its duration: score_tau_h runs the same Newton rules over ln tau_h alone,
-with tau_c held at the z-equation's value, and stops once the Newton
-decrement bounds the gain left by _SCORE_GAIN; only the winning duration
-runs search_isochore_times over both times.
+the Hessian only where it builds a step.  Its loop runs on floats, its
+trials are bare fixed-point tuples, with their (tau_c, tau_h) at entries 3
+and 4, and it returns the higher of its start and its end; a CycleRecord
+(cycle.trial_record) is built only for a point a caller reads, a
+restart's winner or a sweep point's winner.  A SearchTally counts what the
+searches of one call meet, searches that end held at a face of their box
+included, and raises their one warning.  A sweep's duration step only
+ranks its duration: score_tau_h runs the same Newton rules, under the same
+contract, over ln tau_h alone, with tau_c held at the z-equation's value,
+and stops once the Newton decrement bounds the gain left by _SCORE_GAIN;
+only the winning duration runs search_isochore_times over both times.
 
 All stochastic searches draw from a seeded PCG64 generator and reduce results
 in candidate order, so a fixed seed gives bit-identical output.
@@ -253,10 +253,8 @@ class SearchTally:
     """What one or more searches met: their objective evaluations, the failed
     ones with a note on the first, the Newton searches that stopped short of
     their gradient tolerance, the Newton searches that ended with a time
-    held at a face of the box by a gradient pointing out, the Nelder-Mead
-    searches stopped at their iteration cap, and the fixed point of each
-    point search_isochore_times solved (a tuple from
-    cycle.isochore_trials), by its (tau_c, tau_h)."""
+    held at a face of the box by a gradient pointing out, and the Nelder-Mead
+    searches stopped at their iteration cap."""
 
     evaluations: int = 0
     failures: int = 0
@@ -264,13 +262,6 @@ class SearchTally:
     unconverged: int = 0
     held: int = 0
     capped: int = 0
-    solved: dict = field(default_factory=dict)
-
-    def record(self, tau_c: float, tau_h: float) -> CycleRecord | None:
-        """The record of the Newton point solved at (tau_c, tau_h), built now;
-        None when no search solved that point."""
-        point = self.solved.get((tau_c, tau_h))
-        return None if point is None else trial_record(point)
 
     def failed(self, values: dict, exc: Exception) -> None:
         self.failures += 1
@@ -341,51 +332,62 @@ def apply_free_values(base: CycleSpec, values: dict) -> CycleSpec:
                      compression, tau_c=tau_c, tau_h=tau_h)
 
 
-def _ascent_gradient(point, swapped: bool):
+def _evaluator(trial, tally: SearchTally):
+    """``evaluate(tau_c, tau_h)``: the fixed point ``trial(tau_c, tau_h)``,
+    counted in ``tally``; None for a domain failure, noted in ``tally``."""
+    def evaluate(tau_c: float, tau_h: float):
+        tally.evaluations += 1
+        try:
+            return trial(tau_c, tau_h)
+        except DOMAIN_ERRORS as exc:
+            tally.failed({"tau_c": tau_c, "tau_h": tau_h}, exc)
+            return None
+    return evaluate
+
+
+def _ascent_gradient(point):
     """(g, stage): g = grad R_c / |R_c| in (ln tau_c, ln tau_h) at a fixed
-    point from cycle.isochore_trials, in the search's order (tau_h first
-    when ``swapped``), and the stage its Hessian is built from; (None, None)
-    where there are no derivatives.  g is grad ln R_c where the cycle cools
-    and leads a search that starts without cooling uphill."""
+    point from cycle.isochore_trials, and the stage its Hessian is built
+    from; (None, None) where there are no derivatives.  g is grad ln R_c
+    where the cycle cools and leads a search that starts without cooling
+    uphill."""
     if point is None or point[1] == 0.0:
         return None, None
     (g0, g1), stage = _time_gradient(point)
     if point[1] < 0.0:              # q_c < 0: grad R_c / |R_c| = -grad ln |R_c|
         g0, g1 = -g0, -g1
-    return ([g1, g0] if swapped else [g0, g1]), stage
+    return (g0, g1), stage
 
 
-def _ascent_hessian(point, stage, swapped: bool) -> tuple:
+def _ascent_hessian(point, stage) -> tuple:
     """The Jacobian of _ascent_gradient's g: the Hessian of ln |R_c| with the
-    sign of R_c, in the same order."""
+    sign of R_c."""
     (h00, h01), (_, h11) = _time_hessian(point, stage)
     if point[1] < 0.0:
         h00, h01, h11 = -h00, -h01, -h11
-    return ((h11, h01), (h01, h00)) if swapped else ((h00, h01), (h01, h11))
+    return (h00, h01), (h01, h11)
 
 
-def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
-                          start) -> tuple[dict, tuple | None]:
-    """Damped Newton ascent of ln R_c over the isochore times of a cycle.
+def search_isochore_times(trial, x: tuple, key: tuple, lo: tuple, hi: tuple,
+                          tally: SearchTally) -> tuple | None:
+    """Damped Newton ascent of ln R_c over the isochore times of a cycle:
+    the higher of the fixed points at its start and at its end; None when
+    the start failed.  A caller reads the times from point[3] and point[4].
 
     ``trial(tau_c, tau_h)`` solves the cycle's fixed point at two times
     (:func:`~ottofridge.cycle.isochore_trials`, or a sweep point's trials),
     so its adiabat maps and equilibrium energies are built before the
     search; each point solved is a fixed-point tuple whose R_c is its first
-    entry, and a domain failure makes a point a failed evaluation.
-    ``box`` is [(name, lo, hi)] for the names tau_c and tau_h in the order
-    of the coordinates of x, the logs of the times, and x the first point;
-    ``start`` is None or a point (x, values) whose values are used there as
-    they are (a base's own times rather than exp of their logs). ``tally``
-    counts the evaluations and failures, keeps each solved point's tuple by
-    its (tau_c, tau_h), and counts the search as unconverged when it ends
-    short of its tolerance and as held when it ends with a time held at a
-    face.
+    entry, and a domain failure makes a point a failed evaluation.  ``x``
+    is the start (ln tau_c, ln tau_h) and ``key`` the (tau_c, tau_h) solved
+    there, as they are (a base's own times rather than exp of their logs);
+    ``lo`` and ``hi`` are the bounds of the logs, in the same order.
+    ``tally`` counts the evaluations and failures, and counts the search as
+    unconverged when it ends short of its tolerance and as held when it
+    ends with a time held at a face.
 
     The loop runs on floats: the two coordinates, the projected gradient
-    and the step are plain locals, a trial is keyed by its (tau_c, tau_h),
-    and the dict of free values is built only for the point returned and
-    for a failure note.  The gradient and exact Hessian of
+    and the step are plain locals.  The gradient and exact Hessian of
     :func:`_ascent_gradient` and :func:`_ascent_hessian` are taken only
     where the step logic reads them: the gradient at the start and at
     trials that fall by at most _NEWTON_RTOL, the Hessian where a step is
@@ -404,41 +406,17 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
     that step is clamped to a face, like any other.  The step is halved
     until R_c does not fall or, with the Hessian unmodified, the projected
     gradient falls while R_c falls by at most _NEWTON_RTOL: near the
-    optimum R_c changes only by rounding.  Returns (values, point) of the
-    last accepted iterate, which converged when its projected max-norm
-    gradient is at most _NEWTON_GTOL; the point is None when the first
-    point failed (cycle.trial_record builds its record).
+    optimum R_c changes only by rounding.  The end is the last accepted
+    iterate, which converged when its projected max-norm gradient is at
+    most _NEWTON_GTOL (cycle.trial_record builds a point's record).
     """
-    (name0, lo0, hi0), (name1, lo1, hi1) = box
-    swapped = name0 == "tau_h"
-    if start is not None:
-        (s0, s1), start_values = start
-        start_key = start_values["tau_c"], start_values["tau_h"]
-
-    def values(key):
-        """The free values of the trial key (tau_c, tau_h), in the box's order."""
-        return {name0: key[1], name1: key[0]} if swapped else {name0: key[0], name1: key[1]}
-
-    def evaluate(x0, x1):
-        tally.evaluations += 1
-        if start is not None and x0 == s0 and x1 == s1:
-            key = start_key
-        else:
-            t0, t1 = math.exp(min(max(x0, lo0), hi0)), math.exp(min(max(x1, lo1), hi1))
-            key = (t1, t0) if swapped else (t0, t1)
-        try:
-            point = tally.solved[key] = trial(*key)
-        except DOMAIN_ERRORS as exc:
-            tally.failed(values(key), exc)
-            return key, None
-        return key, point
-
-    x0, x1 = x
-    key, point = evaluate(x0, x1)
-    g, stage = _ascent_gradient(point, swapped)
+    evaluate = _evaluator(trial, tally)
+    (x0, x1), (lo0, lo1), (hi0, hi1) = x, lo, hi
+    first = point = evaluate(*key)
+    g, stage = _ascent_gradient(point)
     if g is None:
         tally.unconverged += point is not None
-        return values(key), point
+        return point
     g0, g1 = g
     for iteration in range(_NEWTON_MAX_ITER + 1):
         held0 = (x0 <= lo0 and g0 < 0.0) or (x0 >= hi0 and g0 > 0.0)
@@ -448,24 +426,23 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
         if gnorm <= _NEWTON_GTOL or iteration == _NEWTON_MAX_ITER:
             tally.unconverged += iteration == _NEWTON_MAX_ITER
             tally.held += held0 or held1
-            return values(key), point
-        (h00, h01), (_, h11) = _ascent_hessian(point, stage, swapped)
+            break
+        (h00, h01), (_, h11) = _ascent_hessian(point, stage)
         if held0:
             h00, h01 = -1.0, 0.0
         if held1:
             h11, h01 = -1.0, 0.0
         modified = not (h00 < 0.0 and h00 * h11 > h01 * h01)
         if modified:
-            k = 2.0 * point[-1][5] * key[1]     # the ripple's angular frequency in ln tau_h
-            h_h, g_h = (h00, pg0) if swapped else (h11, pg1)
+            # along ln tau_h: the step to the peak of a sinusoid of angular
+            # frequency k with this slope and curvature
+            k = 2.0 * point[-1][5] * point[4]     # the ripple's angular frequency in ln tau_h
+            p_h = math.atan2(k * pg1, -h11) / k
             h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
         det = h00 * h11 - h01 * h01
         p0, p1 = (h01 * pg1 - h11 * pg0) / det, (h01 * pg0 - h00 * pg1) / det
         if modified:
-            # along ln tau_h: the step to the peak of a sinusoid of angular
-            # frequency k with this slope and curvature
-            p_h = math.atan2(k * g_h, -h_h) / k
-            p0, p1 = (p_h, p1) if swapped else (p0, p_h)
+            p1 = p_h
         # the lowest R_c a trial may have and still be accepted
         r_c = point[0]
         floor = r_c if modified else r_c - _NEWTON_RTOL * abs(r_c)
@@ -475,10 +452,10 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
             if xt0 == x0 and xt1 == x1:     # no representable step is accepted
                 tally.unconverged += 1
                 tally.held += held0 or held1
-                return values(key), point
-            key_t, point_t = evaluate(xt0, xt1)
+                return first if first[0] > point[0] else point
+            point_t = evaluate(math.exp(xt0), math.exp(xt1))
             if point_t is not None and point_t[0] >= floor:
-                g_t, stage_t = _ascent_gradient(point_t, swapped)
+                g_t, stage_t = _ascent_gradient(point_t)
                 if g_t is not None:
                     gt0, gt1 = g_t
                     if point_t[0] >= r_c or max(
@@ -488,7 +465,8 @@ def search_isochore_times(trial, x: tuple | list, box: list, tally: SearchTally,
                             else abs(gt1)) < gnorm:
                         break
             alpha *= 0.5
-        x0, x1, key, point, g0, g1, stage = xt0, xt1, key_t, point_t, gt0, gt1, stage_t
+        x0, x1, point, g0, g1, stage = xt0, xt1, point_t, gt0, gt1, stage_t
+    return first if first[0] > point[0] else point
 
 
 def _ascent_slope(point):
@@ -516,27 +494,20 @@ def score_tau_h(trial, tau_c: float, tau_h: float, lo: float, hi: float,
     tau_h ripple's, and a derivative stage is one solve (cycle._tau_h_gradient,
     _tau_h_hessian) instead of two and three.
 
-    The rules are search_isochore_times's on one coordinate, and so are the
-    counts in ``tally`` (evaluations, failures, unconverged and held ends;
-    it keeps no fixed point): the Newton step -g/h where h < 0, else the
-    step to the ripple's peak, atan2(k g, -h)/k with k = 2 omega_h tau_h;
-    the same line search, whose floor excuses a fall of _NEWTON_RTOL only
-    after an unmodified step; and an end at |g| <= _NEWTON_GTOL, at a face
-    that holds tau_h or at _NEWTON_MAX_ITER.  Since it only ranks a
-    duration, it also stops once the Newton decrement 1/2 g^2/(-h) of the
-    last iteration, with its curvature unmodified, bounds the gain in
-    ln R_c left by at most _SCORE_GAIN (Boyd and Vandenberghe, Convex
-    Optimization, 2004, 9.5.1).
+    The rules are search_isochore_times's on one coordinate, and so are its
+    evaluation (_evaluator) and the counts in ``tally`` (evaluations,
+    failures, unconverged and held ends): the Newton step -g/h where h < 0,
+    else the step to the ripple's peak, atan2(k g, -h)/k with
+    k = 2 omega_h tau_h; the same line search, whose floor excuses a fall of
+    _NEWTON_RTOL only after an unmodified step; and an end at
+    |g| <= _NEWTON_GTOL, at a face that holds tau_h or at _NEWTON_MAX_ITER.
+    Since it only ranks a duration, it also stops once the Newton decrement
+    1/2 g^2/(-h) of the last iteration, with its curvature unmodified,
+    bounds the gain in ln R_c left by at most _SCORE_GAIN (Boyd and
+    Vandenberghe, Convex Optimization, 2004, 9.5.1).
     """
-    def evaluate(t: float):
-        tally.evaluations += 1
-        try:
-            return trial(tau_c, t)
-        except DOMAIN_ERRORS as exc:
-            tally.failed({"tau_c": tau_c, "tau_h": t}, exc)
-            return None
-
-    first = point = evaluate(tau_h)
+    evaluate = _evaluator(trial, tally)
+    first = point = evaluate(tau_c, tau_h)
     g, stage = _ascent_slope(point)
     if g is None:
         tally.unconverged += point is not None
@@ -562,7 +533,7 @@ def score_tau_h(trial, tau_c: float, tau_h: float, lo: float, hi: float,
             if xt == x:                 # no representable step is accepted
                 tally.unconverged += 1
                 return first if first[0] > point[0] else point
-            point_t = evaluate(math.exp(xt))
+            point_t = evaluate(tau_c, math.exp(xt))
             if point_t is not None and point_t[0] >= floor:
                 gt, stage_t = _ascent_slope(point_t)
                 if gt is not None and (point_t[0] >= r_c or (
@@ -581,7 +552,8 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     T_c -> 0), from the base spec's values when they are positive and lie in
     the box (and evaluated there at exactly those values), the box midpoint
     and seeded random points.  When the free set is exactly {tau_c, tau_h},
-    each start runs :func:`search_isochore_times`, a damped Newton ascent on
+    each start runs :func:`search_isochore_times` in (tau_c, tau_h) order,
+    whichever order ``free`` lists them in, a damped Newton ascent on
     the exact gradient and Hessian of
     :func:`~ottofridge.cycle.isochore_time_derivatives`; other free sets run
     Nelder-Mead.  Failed objective evaluations count as -inf fitness; their
@@ -589,10 +561,10 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     any Newton search that stopped short of its gradient tolerance and any
     Nelder-Mead search that stopped at its iteration cap.  When only
     the isochore times are free and the conductances are equal, the result
-    is compared against the analytic z-equation allocation (solved again
-    only when the search did not evaluate it) and the comparison is attached
-    to the result; the analytic allocation replaces the searched one when it
-    lies inside the box and has the higher R_c.
+    is compared against the analytic z-equation allocation (solved once
+    more, by limit_cycle) and the comparison is attached to the result; the
+    analytic allocation replaces the searched one when it lies inside the
+    box and has the higher R_c.
     """
     base = spec.base
     if not spec.free:
@@ -634,10 +606,16 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     # (values, R_c, fixed point of a Newton search or Nelder-Mead record) of
     # each restart's best point
     found = []
-    trial = isochore_trials(base) if newton else None
+    if newton:              # the search's order, (tau_c, tau_h)
+        trial, order = isochore_trials(base), (names.index("tau_c"), names.index("tau_h"))
     for x0 in starts[: spec.restarts]:
         if newton:
-            values, point = search_isochore_times(trial, x0, box, tally, start)
+            values = _values_at(x0, box, start)
+            point = search_isochore_times(
+                trial, [x0[i] for i in order], (values["tau_c"], values["tau_h"]),
+                [lo[i] for i in order], [hi[i] for i in order], tally)
+            if point is not None:
+                values = {n: point[3 if n == "tau_c" else 4] for n in names}
             found.append((values, -math.inf if point is None else point[0], point))
             continue
         seen = {}
@@ -669,9 +647,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         alloc = solve_isochore_z(base.hot_bath.conductance, base.cold_bath.conductance,
                                  base.expansion.duration + base.compression.duration)
         z_values = {"tau_c": alloc.tau_c, "tau_h": alloc.tau_h}
-        z_record = tally.record(alloc.tau_c, alloc.tau_h)
-        if z_record is None:        # not a point the search evaluated
-            _, z_record = limit_cycle(apply_free_values(base, z_values))
+        _, z_record = limit_cycle(apply_free_values(base, z_values))
         gap = abs(z_record.r_c - best_record.r_c) / max(abs(z_record.r_c), 1e-300)
         z_comparison = {
             "z": alloc.z, "tau_c": alloc.tau_c, "tau_h": alloc.tau_h,

@@ -9,8 +9,9 @@ maximizes the limit-cycle cooling rate, as does the cold frequency under
 optimize_omega_c; their propagators are exact Bessel-function forms, and a
 linear ramp and its time reverse share one Bessel evaluation
 (dynamics.linear_ramp_pair).  A searched isochore allocation is one
-optimize.search_isochore_times from the z-equation allocation, which it
-keeps when that start beats the search, as optimize_time_allocation does.
+optimize.search_isochore_times from the z-equation allocation, which
+returns that start when it beats the search's end, as it does in
+optimize_time_allocation.
 A duration step only ranks its duration: optimize.score_tau_h searches
 ln tau_h alone, with tau_c held at the z-equation time, until the gain left
 is below optimize._SCORE_GAIN, and only the winning duration (under
@@ -310,13 +311,12 @@ def _step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, omega_
     Both isochore times start at the z-equation allocation (optimize._z_root,
     the root of solve_isochore_z with gamma_h = gamma_c = spec.gamma).  A
     searched allocation runs one search_isochore_times from exactly there
-    over a box of a decade each way, and keeps that start when its R_c is
-    the higher (the z-equation rule of optimize_time_allocation, whose
-    warnings it shares).  With ``tally`` a searched step only scores its
-    duration: its point is optimize.score_tau_h's over the same tau_h box,
-    which counts into ``tally`` and warns of nothing, and ``finish()`` is
-    the search over both times: the point of the step without ``tally``,
-    bit for bit.
+    over a box of a decade each way, whose point, the higher of its start
+    and its end, is the step's; it warns as optimize_time_allocation does.
+    With ``tally`` a searched step only scores its duration: its point is
+    optimize.score_tau_h's over the same tau_h box, which counts into
+    ``tally`` and warns of nothing, and ``finish()`` is that one search
+    over both times: the point of the step without ``tally``, bit for bit.
     """
     if spec.kind == "three_jump":
         fixed = build_three_jump(omega_h, omega_c), build_three_jump(omega_c, omega_h)
@@ -356,13 +356,11 @@ def _step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, omega_
 
         def finish() -> tuple:
             own = SearchTally()
-            _, end = search_isochore_times(trial, (x, x), [("tau_c", lo, hi), ("tau_h", lo, hi)],
-                                           own, ((x, x), {"tau_c": tau_z, "tau_h": tau_z}))
+            point = search_isochore_times(trial, (x, x), (tau_z, tau_z), (lo, lo), (hi, hi), own)
             own.warn()
-            if end is None:             # the start failed: raises that failure
+            if point is None:           # the start failed: raises that failure
                 trial(tau_z, tau_z)
-            first = own.solved[tau_z, tau_z]
-            return first if first[0] > end[0] else end     # compare R_c
+            return point
 
         if tally is None:
             return finish(), None

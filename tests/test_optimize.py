@@ -27,12 +27,12 @@ from ottofridge.optimize import (
     SearchTally,
     _ascent_gradient,
     _ascent_hessian,
-    _values_at,
     apply_free_values,
     ga_schedule_search,
     lambert_w0,
     optimal_cold_frequency,
     optimize_time_allocation,
+    score_tau_h,
     search_isochore_times,
     solve_isochore_z,
 )
@@ -407,8 +407,8 @@ def test_optimize_reports_failures_in_one_warning(monkeypatch):
 
 def test_on_demand_hessian_is_isochore_time_derivatives():
     # the search's gradient stage and its later Hessian stage are
-    # isochore_time_derivatives bit for bit, with the sign of R_c and in
-    # either coordinate order, on cooling and heating cycles
+    # isochore_time_derivatives bit for bit, with the sign of R_c, in
+    # (ln tau_c, ln tau_h), on cooling and heating cycles
     specs = [make_base(tau_c=tau_c, tau_h=tau_h)
              for tau_c, tau_h in ((1.0, 1.0), (0.3, 2.5), (4.0, 0.2))]
     specs.append(frictionless_spec(t_c=0.1, tau_c=0.5, tau_h=2.0))      # q_c < 0
@@ -419,64 +419,55 @@ def test_on_demand_hessian_is_isochore_time_derivatives():
         sign = 1.0 if record.q_c > 0 else -1.0
         signs.append(sign)
         point = isochore_trials(spec)(spec.tau_c, spec.tau_h)
-        for swapped in (False, True):
-            g, stage = _ascent_gradient(point, swapped)
-            h = _ascent_hessian(point, stage, swapped)
-            if swapped:
-                assert g == [sign * g1, sign * g0]
-                assert h == ((sign * h11, sign * h10), (sign * h01, sign * h00))
-            else:
-                assert g == [sign * g0, sign * g1]
-                assert h == ((sign * h00, sign * h01), (sign * h10, sign * h11))
+        g, stage = _ascent_gradient(point)
+        assert g == (sign * g0, sign * g1)
+        assert _ascent_hessian(point, stage) == ((sign * h00, sign * h01),
+                                                 (sign * h10, sign * h11))
     assert signs == [1.0, 1.0, 1.0, -1.0]
-    assert _ascent_gradient(None, False) == (None, None)
+    assert _ascent_gradient(None) == (None, None)
 
 
-def list_search(base, x, box, tally, start):
+def list_search(trial, x, key, lo, hi, tally):
     """search_isochore_times as it ran on a list x, a values dict per
     evaluation and a list per projection and step: the reference that the
-    float loop must match bit for bit (it counts no searches held at a face)."""
-    trial = isochore_trials(base)
-    swapped = box[0][0] == "tau_h"
-    i_h = 0 if swapped else 1
-    (_, lo0, hi0), (_, lo1, hi1) = box
+    float loop must match bit for bit (it counts no searches held at a
+    face).  Returns the point the search returns, the higher of its start
+    and its end, and the end, the last accepted iterate."""
+    x, lo, hi = list(x), list(lo), list(hi)
 
     def projected(g, x):
-        g0, g1 = g
-        if (x[0] <= lo0 and g0 < 0.0) or (x[0] >= hi0 and g0 > 0.0):
-            g0 = 0.0
-        if (x[1] <= lo1 and g1 < 0.0) or (x[1] >= hi1 and g1 > 0.0):
-            g1 = 0.0
-        return [g0, g1]
+        return [0.0 if (xi <= a and gi < 0.0) or (xi >= b and gi > 0.0) else gi
+                for gi, xi, a, b in zip(g, x, lo, hi)]
 
-    def evaluate(x):
+    def evaluate(values):
         tally.evaluations += 1
-        values = _values_at(x, box, start)
-        key = values["tau_c"], values["tau_h"]
         try:
-            point = tally.solved[key] = trial(*key)
+            return values, trial(values["tau_c"], values["tau_h"])
         except DOMAIN_ERRORS as exc:
             tally.failed(values, exc)
             return values, None
-        return values, point
 
-    values, point = evaluate(x)
-    g, stage = _ascent_gradient(point, swapped)
+    def ended(point):
+        return (first if first[0] > point[0] else point), point
+
+    values, first = evaluate({"tau_c": key[0], "tau_h": key[1]})
+    point = first
+    g, stage = _ascent_gradient(point)
     if g is None:
         tally.unconverged += point is not None
-        return values, point
+        return point, point
     for _ in range(ottofridge.optimize._NEWTON_MAX_ITER):
         pg = projected(g, x)
         gnorm = max(abs(pg[0]), abs(pg[1]))
         if gnorm <= ottofridge.optimize._NEWTON_GTOL:
-            return values, point
-        h = _ascent_hessian(point, stage, swapped)
+            return ended(point)
+        h = _ascent_hessian(point, stage)
         free0, free1 = pg[0] == g[0], pg[1] == g[1]
         h00 = h[0][0] if free0 else -1.0
         h11 = h[1][1] if free1 else -1.0
         h01 = h[0][1] if free0 and free1 else 0.0
         modified = not (h00 < 0.0 and h00 * h11 > h01 * h01)
-        diag = [h00, h11]
+        h_hh = h11
         if modified:
             h00, h11, h01 = -(abs(h00) or 1.0), -(abs(h11) or 1.0), 0.0
         det = h00 * h11 - h01 * h01
@@ -485,37 +476,35 @@ def list_search(base, x, box, tally, start):
             # a Hessian that is not negative definite: along ln tau_h, where
             # R_c ripples with angular frequency k, step to the sinusoid's peak
             k = 2.0 * point[-1][5] * values["tau_h"]
-            p[i_h] = math.atan2(k * pg[i_h], -diag[i_h]) / k
-        p0, p1 = p
+            p[1] = math.atan2(k * pg[1], -h_hh) / k
         r_c = point[0]
         floor = r_c if modified else r_c - ottofridge.optimize._NEWTON_RTOL * abs(r_c)
         alpha = 1.0
         while True:
-            xt = [min(max(x[0] + alpha * p0, lo0), hi0), min(max(x[1] + alpha * p1, lo1), hi1)]
+            xt = [min(max(xi + alpha * pi, a), b) for xi, pi, a, b in zip(x, p, lo, hi)]
             if xt == x:
                 tally.unconverged += 1
-                return values, point
-            values_t, point_t = evaluate(xt)
+                return ended(point)
+            values_t, point_t = evaluate({"tau_c": math.exp(xt[0]), "tau_h": math.exp(xt[1])})
             if point_t is not None and point_t[0] >= floor:
-                g_t, stage_t = _ascent_gradient(point_t, swapped)
+                g_t, stage_t = _ascent_gradient(point_t)
                 if g_t is not None and (point_t[0] >= r_c or max(
                         map(abs, projected(g_t, xt))) < gnorm):
                     break
             alpha *= 0.5
         x, values, point, g, stage = xt, values_t, point_t, g_t, stage_t
     tally.unconverged += 1
-    return values, point
+    return ended(point)
 
 
 @pytest.mark.parametrize("max_iter", [50, 2])
 def test_float_search_is_the_list_search(monkeypatch, max_iter):
     # 80 random searches (three-jump and exponential-ramp cycles, boxes of
-    # 0.05 to 3 in each log, either coordinate order, with a start or none,
-    # first or later, some trials failing; also with the iteration cap at 2):
-    # the float loop returns the list loop's values (in the same order) and
-    # fixed point, solves the same trials in the same order and counts the
-    # same; it counts a search held when it ends at a face with the
-    # gradient pointing out
+    # 0.05 to 3 in each log, starting at exp of x or at times that are not,
+    # some trials failing; also with the iteration cap at 2): the float loop
+    # returns the list loop's fixed point, solves the same trials in the
+    # same order and counts the same; it counts a search held when it ends
+    # at a face with the gradient pointing out
     monkeypatch.setattr(ottofridge.optimize, "_NEWTON_MAX_ITER", max_iter)
     solve, limit = ottofridge.cycle._fixed_point, []
 
@@ -523,6 +512,14 @@ def test_float_search_is_the_list_search(monkeypatch, max_iter):
         if limit and tau_c > limit[0]:
             raise NoContractionError("injected")
         return solve(consts, cold, hot, tau_c, tau_h)
+
+    def recording(trial, solved):
+        def recorded(tau_c, tau_h):
+            solved.append((tau_c, tau_h))
+            point = trial(tau_c, tau_h)
+            solved.append(point[0].hex())
+            return point
+        return recorded
 
     monkeypatch.setattr(ottofridge.cycle, "_fixed_point", fails_above)
     rng = np.random.default_rng(23 + max_iter)
@@ -535,40 +532,82 @@ def test_float_search_is_the_list_search(monkeypatch, max_iter):
             duration = float(rng.uniform(0.5, 5.0))
             base = replace(base, expansion=Schedule.exponential(base.omega_h, omega_c, duration),
                            compression=Schedule.exponential(omega_c, base.omega_h, duration))
-        names = ("tau_h", "tau_c") if rng.uniform() < 0.5 else ("tau_c", "tau_h")
         centre, width = rng.uniform(-1.5, 1.5, 2), rng.uniform(0.05, 3.0, 2)
-        box = [(name, float(c - w), float(c + w)) for name, c, w in zip(names, centre, width)]
-        x = [float(rng.uniform(a, b)) for _, a, b in box]
-        start = None
-        if rng.uniform() < 0.6:     # a start: its values are not exp of its logs
-            values = {name: math.exp(v) * (1.0 + 1e-15) for (name, _, _), v in zip(box, x)}
-            start = x, values
-            if rng.uniform() < 0.3:     # a start that is not the first point
-                x = [0.5 * (a + b) for _, a, b in box]
+        lo, hi = tuple((centre - width).tolist()), tuple((centre + width).tolist())
+        x = tuple(float(rng.uniform(a, b)) for a, b in zip(lo, hi))
+        key = tuple(math.exp(v) for v in x)
+        if rng.uniform() < 0.6:     # times that are not exp of their logs
+            key = tuple(t * (1.0 + 1e-15) for t in key)
         limit[:] = [float(np.exp(rng.uniform(-1.0, 1.0)))] if case % 5 == 0 else []
-        ref, new = SearchTally(), SearchTally()
-        expected = list_search(base, x, box, ref, start)
-        got = search_isochore_times(isochore_trials(base), tuple(x), box, new, start)
-        assert list(got[0].items()) == list(expected[0].items())
-        assert (got[1] is None) == (expected[1] is None)
-        if got[1] is not None:
-            assert got[1] is new.solved[got[0]["tau_c"], got[0]["tau_h"]]
-            assert trial_record(got[1]) == trial_record(expected[1])
-        assert list(new.solved) == list(ref.solved)
-        assert [p[0].hex() for p in new.solved.values()] == [
-            p[0].hex() for p in ref.solved.values()]
+        ref, new, ref_solved, new_solved = SearchTally(), SearchTally(), [], []
+        expected, end = list_search(recording(isochore_trials(base), ref_solved), x, key, lo, hi,
+                                    ref)
+        got = search_isochore_times(recording(isochore_trials(base), new_solved), x, key, lo, hi,
+                                    new)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert (got[3], got[4]) == (expected[3], expected[4])
+            assert trial_record(got) == trial_record(expected)
+        assert new_solved == ref_solved and new_solved[0] == key
         assert (new.evaluations, new.failures, new.first_failure, new.unconverged) == (
             ref.evaluations, ref.failures, ref.first_failure, ref.unconverged)
         held = False
-        if got[1] is not None and got[1][1] != 0.0:
-            g, _ = _ascent_gradient(got[1], names[0] == "tau_h")
-            held = any((got[0][name] == math.exp(lo) and gi < 0.0)
-                       or (got[0][name] == math.exp(hi) and gi > 0.0)
-                       for (name, lo, hi), gi in zip(box, g))
+        if end is not None and end[1] != 0.0:
+            g, _ = _ascent_gradient(end)
+            held = any((t == math.exp(a) and gi < 0.0) or (t == math.exp(b) and gi > 0.0)
+                       for t, a, b, gi in zip(end[3:5], lo, hi, g))
         assert new.held == held
         outcomes.update({"held" if held else "free", "unconverged" * bool(new.unconverged),
-                         "failed" * bool(new.failures), " ".join(names)})
-    assert {"held", "free", "unconverged", "failed", "tau_h tau_c", "tau_c tau_h"} <= outcomes
+                         "failed" * bool(new.failures)})
+    assert {"held", "free", "unconverged", "failed"} <= outcomes
+
+
+def test_searches_end_no_lower_than_their_start():
+    # over random cycles, boxes and starts, the search over both isochore
+    # times and the tau_h score return a point no lower than their start,
+    # which each solves first at exactly the times it is given
+    rng = np.random.default_rng(41)
+    for case in range(40):
+        omega_c = float(rng.uniform(0.5, 2.0))
+        base = make_base(omega_h=float(rng.uniform(5.0, 30.0)), omega_c=omega_c,
+                         t_c=float(rng.uniform(0.1, 1.0)))
+        if case % 2:
+            duration = float(rng.uniform(0.5, 5.0))
+            base = replace(base, expansion=Schedule.exponential(base.omega_h, omega_c, duration),
+                           compression=Schedule.exponential(omega_c, base.omega_h, duration))
+        trial = isochore_trials(base)
+        centre, width = rng.uniform(-1.5, 1.5, 2), rng.uniform(0.05, 3.0, 2)
+        lo, hi = (centre - width).tolist(), (centre + width).tolist()
+        x = [float(rng.uniform(a, b)) for a, b in zip(lo, hi)]
+        key = tuple(math.exp(v) for v in x)
+        start = trial(*key)
+        point = search_isochore_times(trial, x, key, lo, hi, SearchTally())
+        assert point[0] >= start[0]
+        score = score_tau_h(trial, *key, lo[1], hi[1], SearchTally())
+        assert score[0] >= start[0] and score[3] == key[0]
+
+
+@pytest.mark.parametrize("base_times", [(0.7, 2.5), (3.0, 0.4)])
+def test_newton_restarts_agree_in_either_free_order(base_times):
+    # the Newton search runs in (tau_c, tau_h) whatever the order of
+    # ``free``: from a base inside a box of unequal bounds, the base and
+    # midpoint restarts reach the same fixed points bit for bit, with the
+    # same evaluations, and each restart's values are keyed in its own order
+    tau_c, tau_h = base_times
+    base = replace(make_base(), tau_c=tau_c, tau_h=tau_h)
+    bounds = {"tau_c": (0.05, 20.0), "tau_h": (0.2, 8.0)}
+    results = [optimize_time_allocation(OptimizationSpec(
+        base=base, free=free, bounds=bounds, restarts=2)) for free in
+        (("tau_c", "tau_h"), ("tau_h", "tau_c"))]
+    for result, free in zip(results, (("tau_c", "tau_h"), ("tau_h", "tau_c"))):
+        assert all(tuple(values) == free for values, _ in result.restarts)
+        assert tuple(result.best_values) in (free, ("tau_c", "tau_h"))
+    ours, theirs = results
+    assert [r_c.hex() for _, r_c in ours.restarts] == [r_c.hex() for _, r_c in theirs.restarts]
+    assert [dict(values) for values, _ in ours.restarts] == [
+        dict(values) for values, _ in theirs.restarts]
+    assert ours.evaluations == theirs.evaluations
+    assert ours.best_record == theirs.best_record
 
 
 def test_zero_base_time_is_not_a_start():

@@ -388,11 +388,9 @@ def row_search(spec: SweepSpec, row):
         tau_c=tau_z, tau_h=tau_z))
     x, lo, hi = math.log(tau_z), math.log(tau_z / 10.0), math.log(tau_z * 10.0)
     tally = SearchTally()
-    _, end = search_isochore_times(trial, (x, x), [("tau_c", lo, hi), ("tau_h", lo, hi)], tally,
-                                   ((x, x), {"tau_c": tau_z, "tau_h": tau_z}))
+    point = search_isochore_times(trial, (x, x), (tau_z, tau_z), (lo, lo), (hi, hi), tally)
     assert (tally.failures, tally.unconverged, tally.held) == (0, 0, 0)
-    start = tally.solved[tau_z, tau_z]
-    return trial_record(start if start[0] > end[0] else end)
+    return trial_record(point)
 
 
 def test_searched_point_reuses_the_duration_search_winner(monkeypatch):
@@ -406,9 +404,10 @@ def test_searched_point_reuses_the_duration_search_winner(monkeypatch):
                        allocation="searched")
     cycle, record = build_point(spec, 0.05)
     assert evaluations == [len(scores)]
-    (((trial, _, _, tally, _), _, _),) = searches
+    (((trial, *_), made, point),) = searches
     assert trial in [args[0] for args, _, _ in scores]
-    point = tally.solved[cycle.tau_c, cycle.tau_h]
+    assert (point[-1][7] + point[-1][8], point[3], point[4]) in made
+    assert (cycle.tau_c, cycle.tau_h) == (point[3], point[4])
     assert record.chain[4] is point[9] and point[-1][7] == cycle.expansion.duration
     assert record.chain[0] is cycle
 
@@ -568,8 +567,8 @@ def trough_starts(kind: str):
             point = trial(base.tau_c, base.tau_h)
         except DOMAIN_ERRORS:
             continue
-        g, stage = _ascent_gradient(point, False)
-        h = _ascent_hessian(point, stage, False)
+        g, stage = _ascent_gradient(point)
+        h = _ascent_hessian(point, stage)
         if h[1][1] > 0.0:
             yield base, trial, point, g, h
 
@@ -635,11 +634,11 @@ def test_tau_h_stage_is_the_tau_h_entries_of_the_time_derivatives(kind, index, s
     g_h, h_stage = _tau_h_gradient(point)
     assert g_h.hex() == g[1].hex()
     assert _tau_h_hessian(point, h_stage).hex() == _time_hessian(point, stage)[1][1].hex()
-    (_, a_g), a_stage = _ascent_gradient(point, False)
+    (_, a_g), a_stage = _ascent_gradient(point)
     a_g_h, a_h_stage = _ascent_slope(point)
     assert a_g_h.hex() == a_g.hex()
     assert (_ascent_curvature(point, a_h_stage).hex()
-            == _ascent_hessian(point, a_stage, False)[1][1].hex())
+            == _ascent_hessian(point, a_stage)[1][1].hex())
 
 
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
@@ -777,33 +776,31 @@ def test_duration_step_refuses_what_its_schedule_builder_refuses(kind):
 
 
 def test_searched_point_keeps_a_z_start_that_beats_its_search(monkeypatch):
-    # optimize_time_allocation's z-equation rule: a search that ends below
-    # its z-start (here one made to stop at a corner of its box) gives way to
-    # that start, in a sweep point as in optimize_time_allocation
-    search = ottofridge.optimize.search_isochore_times
+    # a search that ends below its z-start returns that start, in a sweep
+    # point as in optimize_time_allocation.  Here a real search ends there: with
+    # _NEWTON_RTOL = 1 a trial whose projected gradient falls is accepted
+    # however far R_c falls, and with one iteration the search ends at that
+    # first accepted trial
+    monkeypatch.setattr(ottofridge.optimize, "_NEWTON_RTOL", 1.0)
+    monkeypatch.setattr(ottofridge.optimize, "_NEWTON_MAX_ITER", 1)
+    solve, solved = ottofridge.cycle._fixed_point, []
 
-    def stops_at_a_corner(trial, x, box, tally, start, **options):
-        search(trial, x, box, tally, start, **options)
-        values = {"tau_c": math.exp(box[0][1]), "tau_h": math.exp(box[1][2])}
-        return values, tally.solved.setdefault(
-            (values["tau_c"], values["tau_h"]), trial(values["tau_c"], values["tau_h"]))
+    def recording(*args):
+        solved.append(solve(*args))
+        return solved[-1]
 
-    monkeypatch.setattr(ottofridge.scaling, "search_isochore_times", stops_at_a_corner)
-    monkeypatch.setattr(ottofridge.optimize, "search_isochore_times", stops_at_a_corner)
-    spec = small_sweep("exponential", allocation="searched")
-    hot, cold = BathSpec(spec.t_hot, spec.gamma), BathSpec(0.05, spec.gamma)
-    w_h, w_c = spec.omega_h, spec.kind_kappa() * 0.05
-    duration = math.log(w_h / w_c) / (0.3 * w_c)        # peak rate 0.3 w_c
-    record = trial_record(_step(spec, hot, cold, w_h, w_c)(duration)[0])
-    cycle = record.chain[0]
-    tau = solve_isochore_z(spec.gamma, spec.gamma, 2.0 * duration).tau_c
-    assert (cycle.tau_c, cycle.tau_h) == (tau, tau)
-    corner = math.exp(math.log(tau / 10.0)), math.exp(math.log(tau * 10.0))
-    assert record.r_c > trial_record(isochore_trials(cycle)(*corner)).r_c
-    result = optimize_time_allocation(OptimizationSpec(
-        base=cycle, free=("tau_c", "tau_h"), restarts=1,
-        bounds={"tau_c": (tau / 10.0, tau * 10.0), "tau_h": (tau / 10.0, tau * 10.0)}))
-    assert result.best_record == record and result.best_values == {"tau_c": tau, "tau_h": tau}
+    monkeypatch.setattr(ottofridge.cycle, "_fixed_point", recording)
+    spec, hot, cold, w_h, w_c, duration, base, bounds = ramp_cycles("exponential")[10]
+    with pytest.warns(UserWarning, match="1 Newton searches stopped"):
+        point = _step(spec, hot, cold, w_h, w_c)(duration)[0]
+    start, end = solved
+    assert 0.0 < end[0] < start[0] and (end[3], end[4]) != (start[3], start[4])
+    assert point is start and (point[3], point[4]) == (base.tau_c, base.tau_h)
+    with pytest.warns(UserWarning, match="1 Newton searches stopped"):
+        result = optimize_time_allocation(OptimizationSpec(
+            base=base, free=("tau_c", "tau_h"), bounds=bounds, restarts=1))
+    assert result.best_record == trial_record(point)
+    assert result.best_values == {"tau_c": base.tau_c, "tau_h": base.tau_h}
 
 
 def test_searched_point_agrees_with_the_squaring_oracle():
@@ -841,8 +838,8 @@ def test_searched_allocations_are_verified_local_optima(monkeypatch):
     assert sum(len(made) for _, made, _ in searches + scores) <= 8 * len(scores)
     for (trial, tau_c, tau_h, _, _, _), _, point in scores:
         assert point[3] == tau_c and point[0] >= trial(tau_c, tau_h)[0]
-    for (_, _, _, _, start), _, (_, end) in searches:
-        assert_searched_optimum(end, start[1])
+    for (_, _, (tau_c, tau_h), _, _, _), _, point in searches:
+        assert_searched_optimum(point, {"tau_c": tau_c, "tau_h": tau_h})
 
 
 def assert_searched_optimum(end, z_times):
@@ -871,11 +868,9 @@ def test_trough_started_search_ends_within_a_ripple_period(kind):
     assert len(starts) >= 20
     for base, trial, _, _, _ in starts:
         tau = base.tau_c
-        x = math.log(tau)
-        box = [(name, math.log(tau / 10.0), math.log(tau * 10.0)) for name in ("tau_c", "tau_h")]
-        values, end = search_isochore_times(trial, (x, x), box, SearchTally(),
-                                            ((x, x), {"tau_c": tau, "tau_h": tau}))
-        assert abs(values["tau_h"] - tau) <= math.pi / base.omega_h
+        x, lo, hi = math.log(tau), math.log(tau / 10.0), math.log(tau * 10.0)
+        end = search_isochore_times(trial, (x, x), (tau, tau), (lo, lo), (hi, hi), SearchTally())
+        assert abs(end[4] - tau) <= math.pi / base.omega_h
         assert_searched_optimum(end, {"tau_c": tau, "tau_h": tau})
 
 
@@ -890,21 +885,19 @@ def test_trough_started_iteration_steps_to_the_ripple_peak():
         tau = base.tau_c
         x, k = math.log(tau), 2.0 * base.omega_h * tau
         for half_width in (math.log(10.0), 0.45 * 2.0 * math.pi / k):
-            box = [("tau_c", x - math.log(10.0), x + math.log(10.0)),
-                   ("tau_h", x - half_width, x + half_width)]
+            lo, hi = (x - math.log(10.0), x - half_width), (x + math.log(10.0), x + half_width)
             calls = []
 
             def recording(tau_c, tau_h):
                 calls.append((tau_c, tau_h))
                 return trial(tau_c, tau_h)
 
-            search_isochore_times(recording, (x, x), box, SearchTally(),
-                                  ((x, x), {"tau_c": tau, "tau_h": tau}))
+            search_isochore_times(recording, (x, x), (tau, tau), lo, hi, SearchTally())
             step_c, step_h = g_c / (abs(h_cc) or 1.0), math.atan2(k * g_h, -h_hh) / k
-            for (_, lo, hi), step, got in zip(box, (step_c, step_h), calls[1]):
-                assert math.log(got) == pytest.approx(min(max(x + step, lo), hi), abs=1e-12)
+            for a, b, step, got in zip(lo, hi, (step_c, step_h), calls[1]):
+                assert math.log(got) == pytest.approx(min(max(x + step, a), b), abs=1e-12)
             # (wider than a period, unclamped)
-            seen.add((2.0 * half_width > 2.0 * math.pi / k, box[1][1] < x + step_h < box[1][2]))
+            seen.add((2.0 * half_width > 2.0 * math.pi / k, lo[1] < x + step_h < hi[1]))
     assert seen == {(True, True), (False, True), (False, False)}
 
 

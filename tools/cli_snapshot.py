@@ -25,8 +25,10 @@ it), and once each with one isochore decoupled, tau_c = 0
 (simulate-zero-tau-c) and tau_h = 0 (simulate-zero-tau-h); optimize by
 Newton and by Nelder-Mead, once converging and once stopping at the
 iteration cap (which pins that warning), by Newton with the free times
-listed tau_h first (optimize-newton-swapped: the search's swapped
-coordinate order, which does not reach the same digits), by Newton from
+listed tau_h first (optimize-newton-swapped: the search runs in (tau_c,
+tau_h) order either way, but its random restart, drawn in the listed
+order, starts elsewhere and ends in other last digits, and the file and
+console list the times in that order), by Newton from
 isochore times of 3e-6 (optimize-near-unit), whose search sends trials
 through the dgeev branch where the max-norm bound does not certify the
 map and whose restarts stop at a corner of the box, once each from a

@@ -79,12 +79,12 @@ def count_window(kind: str) -> list[tuple[float, dict]]:
         return wrapped
 
     def per_search(search):
-        def wrapped(trial, x, box, tally, start):
+        def wrapped(trial, x, key, lo, hi, tally):
             counts, before = rows[-1][1], tally.evaluations
-            result = search(trial, x, box, tally, start)
+            point = search(trial, x, key, lo, hi, tally)
             counts["searches"] += 1
             counts["r_trials"] += tally.evaluations - before
-            return result
+            return point
         return wrapped
 
     def per_slope(slope):
@@ -105,15 +105,15 @@ def count_window(kind: str) -> list[tuple[float, dict]]:
         return wrapped
 
     def per_gradient(gradient):
-        def wrapped(point, swapped):
-            g, stage = gradient(point, swapped)
+        def wrapped(point):
+            g, stage = gradient(point)
             rows[-1][1]["r_grads"] += g is not None
             return g, stage
         return wrapped
 
     def per_hessian(hessian):
-        def wrapped(point, stage, swapped):
-            h = (h00, h01), (_, h11) = hessian(point, stage, swapped)
+        def wrapped(point, stage):
+            h = (h00, h01), (_, h11) = hessian(point, stage)
             counts = rows[-1][1]
             counts["r_hess"] += 1
             counts["modified"] += not (h00 < 0.0 and h00 * h11 > h01 * h01)
