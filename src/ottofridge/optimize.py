@@ -608,12 +608,13 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     found = []
     if newton:              # the search's order, (tau_c, tau_h)
         trial, order = isochore_trials(base), (names.index("tau_c"), names.index("tau_h"))
+        s_lo, s_hi = [lo[i] for i in order], [hi[i] for i in order]
     for x0 in starts[: spec.restarts]:
         if newton:
             values = _values_at(x0, box, start)
             point = search_isochore_times(
                 trial, [x0[i] for i in order], (values["tau_c"], values["tau_h"]),
-                [lo[i] for i in order], [hi[i] for i in order], tally)
+                s_lo, s_hi, tally)
             if point is not None:
                 values = {n: point[3 if n == "tau_c" else 4] for n in names}
             found.append((values, -math.inf if point is None else point[0], point))

@@ -592,7 +592,8 @@ def test_newton_restarts_agree_in_either_free_order(base_times):
     # the Newton search runs in (tau_c, tau_h) whatever the order of
     # ``free``: from a base inside a box of unequal bounds, the base and
     # midpoint restarts reach the same fixed points bit for bit, with the
-    # same evaluations, and each restart's values are keyed in its own order
+    # same evaluations, and each restart's values are keyed in its own order,
+    # as is the best point when a restart is it
     tau_c, tau_h = base_times
     base = replace(make_base(), tau_c=tau_c, tau_h=tau_h)
     bounds = {"tau_c": (0.05, 20.0), "tau_h": (0.2, 8.0)}
@@ -601,7 +602,8 @@ def test_newton_restarts_agree_in_either_free_order(base_times):
         (("tau_c", "tau_h"), ("tau_h", "tau_c"))]
     for result, free in zip(results, (("tau_c", "tau_h"), ("tau_h", "tau_c"))):
         assert all(tuple(values) == free for values, _ in result.restarts)
-        assert tuple(result.best_values) in (free, ("tau_c", "tau_h"))
+        if any(result.best_values is values for values, _ in result.restarts):
+            assert tuple(result.best_values) == free
     ours, theirs = results
     assert [r_c.hex() for _, r_c in ours.restarts] == [r_c.hex() for _, r_c in theirs.restarts]
     assert [dict(values) for values, _ in ours.restarts] == [

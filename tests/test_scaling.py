@@ -801,6 +801,17 @@ def test_searched_point_keeps_a_z_start_that_beats_its_search(monkeypatch):
             base=base, free=("tau_c", "tau_h"), bounds=bounds, restarts=1))
     assert result.best_record == trial_record(point)
     assert result.best_values == {"tau_c": base.tau_c, "tau_h": base.tau_h}
+    # from a base off the z allocation (tau_c halved, tau_h doubled, inside
+    # the box) the restart neither starts nor ends at z and stays below it:
+    # optimize_time_allocation's z comparison puts the z allocation in its place
+    off = replace(base, tau_c=0.5 * base.tau_c, tau_h=2.0 * base.tau_h)
+    with pytest.warns(UserWarning, match="1 Newton searches stopped"):
+        result = optimize_time_allocation(OptimizationSpec(
+            base=off, free=("tau_c", "tau_h"), bounds=bounds, restarts=1))
+    ((values, r_c),) = result.restarts
+    assert values != result.best_values and r_c < point[0]
+    assert result.best_record == trial_record(point)
+    assert result.best_values == {"tau_c": base.tau_c, "tau_h": base.tau_h}
 
 
 def test_searched_point_agrees_with_the_squaring_oracle():
