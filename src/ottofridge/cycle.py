@@ -34,13 +34,16 @@ pairs, without the 0.2 s import of scipy.linalg; it costs about 14 us a
 call against scipy's 5, paid only by those maps and reads.  The direct
 solve is an unrolled partial-pivot LU of I - M, factored once per cycle.
 isochore_time_derivatives differentiates the fixed point twice, and with it
-ln R_c, with respect to the two isochore times: the exact gradient and
+ln |R_c|, with respect to the two isochore times: the exact gradient and
 Hessian, from the branch maps, M and the LU factors that the record's
-solve built.  It runs in two stages, the gradient and then the Hessian
-from the gradient's parts, so a search can stop after the first.  Each
-stage takes its tau_h entry from a tau_h stage of one solve
-(_tau_h_gradient, _tau_h_hessian), which a search over tau_h alone runs
-without the rest: one solve per stage instead of two and three.
+solve built.  It runs two stages, the gradient and then the Hessian from
+the gradient's parts, so a search can stop after the first.  The stages
+return what the searches climb, grad R_c / |R_c| and its Jacobian: the
+derivatives of ln |R_c| where the cycle cools and their negations where it
+heats (q_c < 0), which isochore_time_derivatives undoes.  Each stage takes
+its tau_h entry from a tau_h stage of one solve (_tau_h_gradient,
+_tau_h_hessian), which a search over tau_h alone runs without the rest:
+one solve per stage instead of two and three.
 
 Every cycle is solved by a trial (_trials), the one solve path: both
 baths' equilibrium energies (_trial_parts), the adiabat maps and the
@@ -497,7 +500,8 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     R_i = (Q_i - R_c) / tau and R_ij = (Q_ij - R_i - R_j) / tau; then g_i =
     tau_i R_i / R_c and h_ij = tau_i tau_j R_ij / R_c - g_i g_j + [i = j] g_i.
     For a cycle that heats the cold bath (q_c < 0) these are the derivatives
-    of ln |R_c|; q_c = 0 raises ValueError.
+    of ln |R_c|, the negations of the stages' (see _time_gradient); q_c = 0
+    raises ValueError.
     """
     spec, (a_exp, cold, a_comp, hot), m, k, lu, (v_a, _, v_c, _, _) = record.chain
     consts = (_retimed(spec), a_exp, a_comp, spec.omega_c, spec.cold_bath.conductance,
@@ -505,14 +509,17 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
               spec.compression.duration)
     point = (record.r_c, record.q_c, record.tau_total, spec.tau_c, spec.tau_h, cold, hot,
              m, k, lu, v_a, v_c, None, consts)
-    g, stage = _time_gradient(point)
-    return g, _time_hessian(point, stage)
+    (g_c, g_h), stage = _time_gradient(point)
+    (h_cc, h_ch), (_, h_hh) = _time_hessian(point, stage)
+    s = 1.0 if record.q_c > 0.0 else -1.0
+    return (s * g_c, s * g_h), ((s * h_cc, s * h_ch), (s * h_ch, s * h_hh))
 
 
 def _time_gradient(point: tuple) -> tuple[tuple, tuple]:
-    """The gradient (g_c, g_h) of isochore_time_derivatives at a fixed point
-    (see _fixed_point) and the parts of it that its Hessian stage,
-    _time_hessian, reads; g_h and its parts are _tau_h_gradient's."""
+    """The ascent gradient (g_c, g_h) at a fixed point (see _fixed_point) and
+    the parts of it that its Hessian stage, _time_hessian, reads; g_h and
+    its parts are _tau_h_gradient's.  The stages use isochore_time_derivatives'
+    formulas with |q_c| for q_c and s g_i g_j for g_i g_j, s the sign of q_c."""
     r_c, q, _, tau_c, _, cold, hot, _, _, lu, _, v_c, _, consts = point
     g_h, h_stage = _tau_h_gradient(point)
     _, a_exp, a_comp, omega_c, gamma_c, _, _, _, _ = consts
@@ -522,12 +529,12 @@ def _time_gradient(point: tuple) -> tuple[tuple, tuple]:
     v_tc = _lu_solve(lu, b_c)
     x_tc = _affine(a_exp, v_tc)
     dq_c = (cold[0] - 1.0) * x_tc[0] + f_c[0]
-    g = (tau_c * (dq_c - r_c) / q, g_h)
+    g = (tau_c * (dq_c - r_c) / abs(q), g_h)
     return g, (g, f_c, b_c, v_tc, x_tc, dq_c, h_stage)
 
 
 def _time_hessian(point: tuple, stage: tuple) -> tuple:
-    """The Hessian of isochore_time_derivatives from its gradient stage;
+    """The Jacobian of the ascent gradient from _time_gradient's stage;
     h_hh is _tau_h_hessian's."""
     r_c, q, tau, tau_c, tau_h, cold, hot, m, _, lu, _, _, _, consts = point
     (g_c, g_h), f_c, b_c, v_tc, x_tc, dq_c, h_stage = stage
@@ -552,14 +559,15 @@ def _time_hessian(point: tuple, stage: tuple) -> tuple:
     q_ch = d_c_minus_1 * _affine(a_exp, _lu_solve(lu, r_ch))[0] - gamma_c * d_c * x_th[0]
 
     r_tc = (dq_c - r_c) / tau
-    h_ch = tau_c * tau_h * (q_ch - r_tc - r_th) / q - g_c * g_h
-    return ((tau_c * tau_c * (q_cc - 2.0 * r_tc) / q - g_c * g_c + g_c, h_ch),
+    s = 1.0 if q > 0.0 else -1.0
+    h_ch = tau_c * tau_h * (q_ch - r_tc - r_th) / abs(q) - s * (g_c * g_h)
+    return ((tau_c * tau_c * (q_cc - 2.0 * r_tc) / abs(q) - s * (g_c * g_c) + g_c, h_ch),
             (h_ch, _tau_h_hessian(point, h_stage)))
 
 
 def _tau_h_gradient(point: tuple) -> tuple[float, tuple]:
-    """The tau_h entry g_h of isochore_time_derivatives' gradient at a fixed
-    point, and the parts of it that _tau_h_hessian reads: one solve,
+    """The tau_h entry g_h of the ascent gradient at a fixed point, and the
+    parts of it that _tau_h_hessian reads: one solve,
     v_th = (I - M)^-1 f_h(v_A).  A search over tau_h alone takes it without
     the tau_c entry's solve."""
     r_c, q, tau, _, tau_h, cold, hot, _, _, lu, v_a, _, _, consts = point
@@ -569,12 +577,12 @@ def _tau_h_gradient(point: tuple) -> tuple[float, tuple]:
     v_th = _lu_solve(lu, f_h)
     x_th = _affine(consts[1], v_th)
     dq_h = (cold[0] - 1.0) * x_th[0]
-    g_h = tau_h * (dq_h - r_c) / q
+    g_h = tau_h * (dq_h - r_c) / abs(q)
     return g_h, (g_h, f_h, v_th, x_th, (dq_h - r_c) / tau)
 
 
 def _tau_h_hessian(point: tuple, stage: tuple) -> float:
-    """The tau_h entry h_hh of isochore_time_derivatives' Hessian from
+    """The tau_h entry h_hh of the ascent gradient's Jacobian from
     _tau_h_gradient's stage: one more solve, of d_hh F + 2 (d_v d_h F) v_th."""
     _, q, _, _, tau_h, cold, _, m, _, lu, _, _, _, consts = point
     g_h, f_h, v_th, _, r_th = stage
@@ -582,7 +590,8 @@ def _tau_h_hessian(point: tuple, stage: tuple) -> float:
     r_hh = _generator(consts[5], consts[6], (f_h[0] + 2.0 * w0, f_h[1] + 2.0 * w1,
                                              f_h[2] + 2.0 * w2))
     q_hh = (cold[0] - 1.0) * _affine(consts[1], _lu_solve(lu, r_hh))[0]
-    return tau_h * tau_h * (q_hh - 2.0 * r_th) / q - g_h * g_h + g_h
+    s = 1.0 if q > 0.0 else -1.0
+    return tau_h * tau_h * (q_hh - 2.0 * r_th) / abs(q) - s * (g_h * g_h) + g_h
 
 
 def equilibration_bound(spec: CycleSpec) -> float:

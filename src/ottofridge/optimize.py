@@ -22,6 +22,9 @@ ranks its duration: score_tau_h runs the same Newton rules, under the same
 contract, over ln tau_h alone, with tau_c held at the z-equation's value,
 and stops once the Newton decrement bounds the gain left by _SCORE_GAIN;
 only the winning duration runs search_isochore_times over both times.
+Both searches climb grad R_c / |R_c| as cycle's derivative stages return
+it: grad ln R_c where a cycle cools, so a search that starts without
+cooling goes uphill.
 
 All stochastic searches draw from a seeded PCG64 generator and reduce results
 in candidate order, so a fixed seed gives bit-identical output.
@@ -208,7 +211,7 @@ class OptimizationSpec:
 
     ``free`` names the variables searched (a subset of FREE_VARS) and
     ``bounds`` maps each to a positive (lo, hi) interval; ``seed`` draws the
-    random starts among the ``restarts`` starts.
+    random starts among the ``restarts`` starts, an integer >= 1.
     """
 
     base: CycleSpec
@@ -218,6 +221,8 @@ class OptimizationSpec:
     restarts: int = 3
 
     def __post_init__(self):
+        if not (isinstance(self.restarts, (int, np.integer)) and self.restarts >= 1):
+            raise ValueError(f"restarts must be an integer >= 1, got {self.restarts!r}")
         if len(set(self.free)) < len(self.free):
             raise ValueError(f"free variables must not repeat: {list(self.free)}")
         for name in self.free:
@@ -345,29 +350,6 @@ def _evaluator(trial, tally: SearchTally):
     return evaluate
 
 
-def _ascent_gradient(point):
-    """(g, stage): g = grad R_c / |R_c| in (ln tau_c, ln tau_h) at a fixed
-    point from cycle.isochore_trials, and the stage its Hessian is built
-    from; (None, None) where there are no derivatives.  g is grad ln R_c
-    where the cycle cools and leads a search that starts without cooling
-    uphill."""
-    if point is None or point[1] == 0.0:
-        return None, None
-    (g0, g1), stage = _time_gradient(point)
-    if point[1] < 0.0:              # q_c < 0: grad R_c / |R_c| = -grad ln |R_c|
-        g0, g1 = -g0, -g1
-    return (g0, g1), stage
-
-
-def _ascent_hessian(point, stage) -> tuple:
-    """The Jacobian of _ascent_gradient's g: the Hessian of ln |R_c| with the
-    sign of R_c."""
-    (h00, h01), (_, h11) = _time_hessian(point, stage)
-    if point[1] < 0.0:
-        h00, h01, h11 = -h00, -h01, -h11
-    return (h00, h01), (h01, h11)
-
-
 def search_isochore_times(trial, x: tuple, key: tuple, lo: tuple, hi: tuple,
                           tally: SearchTally) -> tuple | None:
     """Damped Newton ascent of ln R_c over the isochore times of a cycle:
@@ -387,12 +369,13 @@ def search_isochore_times(trial, x: tuple, key: tuple, lo: tuple, hi: tuple,
     ends with a time held at a face.
 
     The loop runs on floats: the two coordinates, the projected gradient
-    and the step are plain locals.  The gradient and exact Hessian of
-    :func:`_ascent_gradient` and :func:`_ascent_hessian` are taken only
-    where the step logic reads them: the gradient at the start and at
-    trials that fall by at most _NEWTON_RTOL, the Hessian where a step is
-    built.  Rows and columns of a coordinate held at a face of the box by a
-    gradient pointing out are dropped.  R_c ripples in tau_h with period
+    and the step are plain locals.  The gradient grad R_c / |R_c| and its
+    exact Jacobian, the derivative stages cycle._time_gradient and
+    cycle._time_hessian, are taken only where the step logic reads them and
+    q_c != 0: the gradient at the start and at trials that fall by at most
+    _NEWTON_RTOL, the Hessian where a step is built.  Rows and columns of a
+    coordinate held at a face of the box by a gradient pointing out are
+    dropped.  R_c ripples in tau_h with period
     pi/omega_h: the hot isochore turns (e_l, e_c) by the angle
     2 omega_h tau_h, whose rate in ln tau_h is k = 2 omega_h tau_h, so the
     curvature can be positive.  A Hessian that is not negative definite is
@@ -413,11 +396,10 @@ def search_isochore_times(trial, x: tuple, key: tuple, lo: tuple, hi: tuple,
     evaluate = _evaluator(trial, tally)
     (x0, x1), (lo0, lo1), (hi0, hi1) = x, lo, hi
     first = point = evaluate(*key)
-    g, stage = _ascent_gradient(point)
-    if g is None:
+    if point is None or point[1] == 0.0:    # no derivatives where q_c = 0
         tally.unconverged += point is not None
         return point
-    g0, g1 = g
+    (g0, g1), stage = _time_gradient(point)
     for iteration in range(_NEWTON_MAX_ITER + 1):
         held0 = (x0 <= lo0 and g0 < 0.0) or (x0 >= hi0 and g0 > 0.0)
         held1 = (x1 <= lo1 and g1 < 0.0) or (x1 >= hi1 and g1 > 0.0)
@@ -427,7 +409,7 @@ def search_isochore_times(trial, x: tuple, key: tuple, lo: tuple, hi: tuple,
             tally.unconverged += iteration == _NEWTON_MAX_ITER
             tally.held += held0 or held1
             break
-        (h00, h01), (_, h11) = _ascent_hessian(point, stage)
+        (h00, h01), (_, h11) = _time_hessian(point, stage)
         if held0:
             h00, h01 = -1.0, 0.0
         if held1:
@@ -454,34 +436,17 @@ def search_isochore_times(trial, x: tuple, key: tuple, lo: tuple, hi: tuple,
                 tally.held += held0 or held1
                 return first if first[0] > point[0] else point
             point_t = evaluate(math.exp(xt0), math.exp(xt1))
-            if point_t is not None and point_t[0] >= floor:
-                g_t, stage_t = _ascent_gradient(point_t)
-                if g_t is not None:
-                    gt0, gt1 = g_t
-                    if point_t[0] >= r_c or max(
-                            0.0 if (xt0 <= lo0 and gt0 < 0.0) or (xt0 >= hi0 and gt0 > 0.0)
-                            else abs(gt0),
-                            0.0 if (xt1 <= lo1 and gt1 < 0.0) or (xt1 >= hi1 and gt1 > 0.0)
-                            else abs(gt1)) < gnorm:
-                        break
+            if point_t is not None and point_t[0] >= floor and point_t[1] != 0.0:
+                (gt0, gt1), stage_t = _time_gradient(point_t)
+                if point_t[0] >= r_c or max(
+                        0.0 if (xt0 <= lo0 and gt0 < 0.0) or (xt0 >= hi0 and gt0 > 0.0)
+                        else abs(gt0),
+                        0.0 if (xt1 <= lo1 and gt1 < 0.0) or (xt1 >= hi1 and gt1 > 0.0)
+                        else abs(gt1)) < gnorm:
+                    break
             alpha *= 0.5
         x0, x1, point, g0, g1, stage = xt0, xt1, point_t, gt0, gt1, stage_t
     return first if first[0] > point[0] else point
-
-
-def _ascent_slope(point):
-    """(g, stage): _ascent_gradient's tau_h entry alone, from
-    cycle._tau_h_gradient; (None, None) where there are no derivatives."""
-    if point is None or point[1] == 0.0:
-        return None, None
-    g, stage = _tau_h_gradient(point)
-    return (-g if point[1] < 0.0 else g), stage
-
-
-def _ascent_curvature(point, stage) -> float:
-    """The derivative of _ascent_slope's g: _ascent_hessian's tau_h entry."""
-    h = _tau_h_hessian(point, stage)
-    return -h if point[1] < 0.0 else h
 
 
 def score_tau_h(trial, tau_c: float, tau_h: float, lo: float, hi: float,
@@ -492,7 +457,8 @@ def score_tau_h(trial, tau_c: float, tau_h: float, lo: float, hi: float,
     failed.  A sweep step holds tau_c at its z-equation time, which on the
     ramps is close to stationary, so the gain over the z allocation is the
     tau_h ripple's, and a derivative stage is one solve (cycle._tau_h_gradient,
-    _tau_h_hessian) instead of two and three.
+    _tau_h_hessian, the tau_h entries of search_isochore_times's stages)
+    instead of two and three.
 
     The rules are search_isochore_times's on one coordinate, and so are its
     evaluation (_evaluator) and the counts in ``tally`` (evaluations,
@@ -508,10 +474,10 @@ def score_tau_h(trial, tau_c: float, tau_h: float, lo: float, hi: float,
     """
     evaluate = _evaluator(trial, tally)
     first = point = evaluate(tau_c, tau_h)
-    g, stage = _ascent_slope(point)
-    if g is None:
+    if point is None or point[1] == 0.0:    # no derivatives where q_c = 0
         tally.unconverged += point is not None
         return point
+    g, stage = _tau_h_gradient(point)
     x, last = math.log(tau_h), None     # last: the last iteration's unmodified curvature
     for iteration in range(_NEWTON_MAX_ITER + 1):
         held = (x <= lo and g < 0.0) or (x >= hi and g > 0.0)
@@ -521,7 +487,7 @@ def score_tau_h(trial, tau_c: float, tau_h: float, lo: float, hi: float,
             break
         if last is not None and 0.5 * g * g / -last <= _SCORE_GAIN:
             break
-        h, r_c = _ascent_curvature(point, stage), point[0]
+        h, r_c = _tau_h_hessian(point, stage), point[0]
         if h < 0.0:
             p, last, floor = -g / h, h, r_c - _NEWTON_RTOL * abs(r_c)
         else:
@@ -534,11 +500,11 @@ def score_tau_h(trial, tau_c: float, tau_h: float, lo: float, hi: float,
                 tally.unconverged += 1
                 return first if first[0] > point[0] else point
             point_t = evaluate(tau_c, math.exp(xt))
-            if point_t is not None and point_t[0] >= floor:
-                gt, stage_t = _ascent_slope(point_t)
-                if gt is not None and (point_t[0] >= r_c or (
+            if point_t is not None and point_t[0] >= floor and point_t[1] != 0.0:
+                gt, stage_t = _tau_h_gradient(point_t)
+                if point_t[0] >= r_c or (
                         0.0 if (xt <= lo and gt < 0.0) or (xt >= hi and gt > 0.0)
-                        else abs(gt)) < abs(g)):
+                        else abs(gt)) < abs(g):
                     break
             alpha *= 0.5
         x, point, g, stage = xt, point_t, gt, stage_t
@@ -647,7 +613,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
             base.hot_bath.conductance, base.cold_bath.conductance, rel_tol=1e-12):
         alloc = solve_isochore_z(base.hot_bath.conductance, base.cold_bath.conductance,
                                  base.expansion.duration + base.compression.duration)
-        z_values = {"tau_c": alloc.tau_c, "tau_h": alloc.tau_h}
+        z_values = {n: getattr(alloc, n) for n in names}     # in free's order
         _, z_record = limit_cycle(apply_free_values(base, z_values))
         gap = abs(z_record.r_c - best_record.r_c) / max(abs(z_record.r_c), 1e-300)
         z_comparison = {

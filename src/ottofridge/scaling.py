@@ -101,6 +101,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep schedule kind {self.kind!r}")
+        for name in ("omega_h", "t_hot", "gamma", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
         if self.points_per_decade < 1:

@@ -328,8 +328,8 @@ def test_trial_fixed_points_are_limit_cycle_records(spec):
     # a search trial's fixed point, from a base with other isochore times,
     # gives limit_cycle's record bit for bit, the radius dgeev computed in
     # the solve included; the search's derivative stages on it are
-    # isochore_time_derivatives of that record bit for bit; and a trial
-    # raises what limit_cycle raises, with its message
+    # isochore_time_derivatives of that record bit for bit, with the sign of
+    # R_c; and a trial raises what limit_cycle raises, with its message
     trial = isochore_trials(replace(spec, tau_c=1.0, tau_h=1.0))
     with pytest.raises(ValueError, match="must be >= 0"):
         trial(-spec.tau_c, spec.tau_h)
@@ -348,8 +348,11 @@ def test_trial_fixed_points_are_limit_cycle_records(spec):
     assert vars(record).get("spectral_radius") == vars(expected).get("spectral_radius")
     assert point[:3] == (expected.r_c, expected.q_c, expected.tau_total)
     if expected.q_c != 0.0:
-        g, stage = _time_gradient(point)
-        assert (g, _time_hessian(point, stage)) == isochore_time_derivatives(expected)
+        (g_c, g_h), stage = _time_gradient(point)
+        (h_cc, h_ch), (h_hc, h_hh) = _time_hessian(point, stage)
+        s = 1.0 if expected.q_c > 0.0 else -1.0
+        assert isochore_time_derivatives(expected) == (
+            (s * g_c, s * g_h), ((s * h_cc, s * h_ch), (s * h_hc, s * h_hh)))
 
 
 def test_propagate_isochore_is_the_cycle_isochore():

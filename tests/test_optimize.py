@@ -16,6 +16,8 @@ from ottofridge.cycle import (
     DOMAIN_ERRORS,
     CycleSpec,
     NoContractionError,
+    _time_gradient,
+    _time_hessian,
     isochore_time_derivatives,
     isochore_trials,
     limit_cycle,
@@ -25,8 +27,6 @@ from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.optimize import (
     OptimizationSpec,
     SearchTally,
-    _ascent_gradient,
-    _ascent_hessian,
     apply_free_values,
     ga_schedule_search,
     lambert_w0,
@@ -300,6 +300,18 @@ def test_optimization_spec_validation():
         OptimizationSpec(base=base, free=("tau_h", "tau_h"), bounds={"tau_h": (0.1, 10.0)})
 
 
+@pytest.mark.parametrize("restarts", [0, -1, 1.5, 2.0, "3", None])
+def test_optimization_spec_refuses_restarts_below_1_or_not_an_integer(restarts):
+    # these used to fail in the search (0: max() of an empty sequence;
+    # 1.5: a TypeError) or run one restart (-1), as the config layer
+    # refuses them
+    with pytest.raises(ValueError, match=r"^restarts must be an integer >= 1, got "):
+        OptimizationSpec(base=make_base(), free=("tau_c", "tau_h"),
+                         bounds={"tau_c": (0.1, 10.0), "tau_h": (0.1, 10.0)},
+                         restarts=restarts)
+    assert OptimizationSpec(base=make_base(), restarts=np.int64(1)).restarts == 1
+
+
 # ---------------------------------------------------------------------------
 # genetic schedule search
 # ---------------------------------------------------------------------------
@@ -419,12 +431,13 @@ def test_on_demand_hessian_is_isochore_time_derivatives():
         sign = 1.0 if record.q_c > 0 else -1.0
         signs.append(sign)
         point = isochore_trials(spec)(spec.tau_c, spec.tau_h)
-        g, stage = _ascent_gradient(point)
+        g, stage = _time_gradient(point)
         assert g == (sign * g0, sign * g1)
-        assert _ascent_hessian(point, stage) == ((sign * h00, sign * h01),
-                                                 (sign * h10, sign * h11))
+        assert _time_hessian(point, stage) == ((sign * h00, sign * h01),
+                                               (sign * h10, sign * h11))
     assert signs == [1.0, 1.0, 1.0, -1.0]
-    assert _ascent_gradient(None) == (None, None)
+    with pytest.raises(ValueError, match="q_c = 0"):      # no derivatives
+        _time_gradient(point[:1] + (0.0,) + point[2:])
 
 
 def list_search(trial, x, key, lo, hi, tally):
@@ -452,16 +465,16 @@ def list_search(trial, x, key, lo, hi, tally):
 
     values, first = evaluate({"tau_c": key[0], "tau_h": key[1]})
     point = first
-    g, stage = _ascent_gradient(point)
-    if g is None:
+    if point is None or point[1] == 0.0:
         tally.unconverged += point is not None
         return point, point
+    g, stage = _time_gradient(point)
     for _ in range(ottofridge.optimize._NEWTON_MAX_ITER):
         pg = projected(g, x)
         gnorm = max(abs(pg[0]), abs(pg[1]))
         if gnorm <= ottofridge.optimize._NEWTON_GTOL:
             return ended(point)
-        h = _ascent_hessian(point, stage)
+        h = _time_hessian(point, stage)
         free0, free1 = pg[0] == g[0], pg[1] == g[1]
         h00 = h[0][0] if free0 else -1.0
         h11 = h[1][1] if free1 else -1.0
@@ -486,10 +499,9 @@ def list_search(trial, x, key, lo, hi, tally):
                 tally.unconverged += 1
                 return ended(point)
             values_t, point_t = evaluate({"tau_c": math.exp(xt[0]), "tau_h": math.exp(xt[1])})
-            if point_t is not None and point_t[0] >= floor:
-                g_t, stage_t = _ascent_gradient(point_t)
-                if g_t is not None and (point_t[0] >= r_c or max(
-                        map(abs, projected(g_t, xt))) < gnorm):
+            if point_t is not None and point_t[0] >= floor and point_t[1] != 0.0:
+                g_t, stage_t = _time_gradient(point_t)
+                if point_t[0] >= r_c or max(map(abs, projected(g_t, xt))) < gnorm:
                     break
             alpha *= 0.5
         x, values, point, g, stage = xt, values_t, point_t, g_t, stage_t
@@ -553,7 +565,7 @@ def test_float_search_is_the_list_search(monkeypatch, max_iter):
             ref.evaluations, ref.failures, ref.first_failure, ref.unconverged)
         held = False
         if end is not None and end[1] != 0.0:
-            g, _ = _ascent_gradient(end)
+            g, _ = _time_gradient(end)
             held = any((t == math.exp(a) and gi < 0.0) or (t == math.exp(b) and gi > 0.0)
                        for t, a, b, gi in zip(end[3:5], lo, hi, g))
         assert new.held == held
@@ -587,29 +599,37 @@ def test_searches_end_no_lower_than_their_start():
         assert score[0] >= start[0] and score[3] == key[0]
 
 
-@pytest.mark.parametrize("base_times", [(0.7, 2.5), (3.0, 0.4)])
-def test_newton_restarts_agree_in_either_free_order(base_times):
+@pytest.mark.parametrize("base, bounds, seed, restarts, z_wins", [
+    (make_base(tau_c=0.7, tau_h=2.5), {"tau_c": (0.05, 20.0), "tau_h": (0.2, 8.0)}, 0, 2,
+     False),
+    # in these two the z allocation beats every restart and replaces it
+    (make_base(tau_c=3.0, tau_h=0.4), {"tau_c": (0.05, 20.0), "tau_h": (0.2, 8.0)}, 0, 2,
+     True),
+    (make_base(omega_h=30.0, omega_c=0.5, t_h=2.0, t_c=0.2, tau_c=0.3, tau_h=2.0),
+     {"tau_c": (1e-2, 50.0), "tau_h": (1e-2, 50.0)}, 5, 3, True),
+], ids=["base-0.7-2.5", "base-3.0-0.4", "three-restarts"])
+def test_newton_restarts_agree_in_either_free_order(base, bounds, seed, restarts, z_wins):
     # the Newton search runs in (tau_c, tau_h) whatever the order of
     # ``free``: from a base inside a box of unequal bounds, the base and
-    # midpoint restarts reach the same fixed points bit for bit, with the
-    # same evaluations, and each restart's values are keyed in its own order,
-    # as is the best point when a restart is it
-    tau_c, tau_h = base_times
-    base = replace(make_base(), tau_c=tau_c, tau_h=tau_h)
-    bounds = {"tau_c": (0.05, 20.0), "tau_h": (0.2, 8.0)}
+    # midpoint restarts reach the same fixed points bit for bit (a random
+    # restart, drawn in the listed order, starts elsewhere), with the same
+    # evaluations, and each restart's values are keyed in its own order, as
+    # is the best point, whether a restart or the z allocation won
     results = [optimize_time_allocation(OptimizationSpec(
-        base=base, free=free, bounds=bounds, restarts=2)) for free in
+        base=base, free=free, bounds=bounds, seed=seed, restarts=restarts)) for free in
         (("tau_c", "tau_h"), ("tau_h", "tau_c"))]
     for result, free in zip(results, (("tau_c", "tau_h"), ("tau_h", "tau_c"))):
         assert all(tuple(values) == free for values, _ in result.restarts)
-        if any(result.best_values is values for values, _ in result.restarts):
-            assert tuple(result.best_values) == free
+        assert tuple(result.best_values) == free
     ours, theirs = results
-    assert [r_c.hex() for _, r_c in ours.restarts] == [r_c.hex() for _, r_c in theirs.restarts]
-    assert [dict(values) for values, _ in ours.restarts] == [
-        dict(values) for values, _ in theirs.restarts]
+    assert [r_c.hex() for _, r_c in ours.restarts[:2]] == [
+        r_c.hex() for _, r_c in theirs.restarts[:2]]
+    assert [dict(values) for values, _ in ours.restarts[:2]] == [
+        dict(values) for values, _ in theirs.restarts[:2]]
     assert ours.evaluations == theirs.evaluations
     assert ours.best_record == theirs.best_record
+    assert [not any(r.best_values is values for values, _ in r.restarts)
+            for r in results] == [z_wins, z_wins]
 
 
 def test_zero_base_time_is_not_a_start():

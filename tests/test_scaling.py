@@ -32,10 +32,6 @@ from ottofridge.dynamics import BathSpec, equilibrium_state
 from ottofridge.optimize import (
     OptimizationSpec,
     SearchTally,
-    _ascent_curvature,
-    _ascent_gradient,
-    _ascent_hessian,
-    _ascent_slope,
     optimal_cold_frequency,
     optimize_time_allocation,
     search_isochore_times,
@@ -557,18 +553,18 @@ def random_ramp_cycles(kind: str):
 
 def trough_starts(kind: str):
     """The cycles of random_ramp_cycles whose z-start solves and has a
-    positive curvature of ln |R_c| in ln tau_h (R_c ripples in tau_h with
+    positive ascent curvature in ln tau_h (R_c ripples in tau_h with
     period pi/omega_h), each as (base, trial, point, g, h) with the
     start's fixed point and ascent gradient and Hessian in (ln tau_c,
-    ln tau_h)."""
+    ln tau_h), the derivative stages'."""
     for *_, base, _ in random_ramp_cycles(kind):
         trial = isochore_trials(base)
         try:
             point = trial(base.tau_c, base.tau_h)
         except DOMAIN_ERRORS:
             continue
-        g, stage = _ascent_gradient(point)
-        h = _ascent_hessian(point, stage)
+        g, stage = _time_gradient(point)
+        h = _time_hessian(point, stage)
         if h[1][1] > 0.0:
             yield base, trial, point, g, h
 
@@ -621,8 +617,7 @@ def test_tau_h_stage_is_the_tau_h_entries_of_the_time_derivatives(kind, index, s
     # at isochore times within the box of a decade each way around a random
     # ramp cycle's z-start, the tau_h stage (one solve for g_h, one more for
     # h_hh) is the tau_h entries of the gradient and Hessian stages, bit for
-    # bit, and so are its ascent slope and curvature those of the ascent
-    # gradient and Hessian, on cycles that cool and cycles that heat
+    # bit, on cycles that cool and cycles that heat
     base = ramp_cycles(kind)[index][-2]
     try:
         point = isochore_trials(base)(base.tau_c * 10.0 ** s_c, base.tau_h * 10.0 ** s_h)
@@ -634,11 +629,6 @@ def test_tau_h_stage_is_the_tau_h_entries_of_the_time_derivatives(kind, index, s
     g_h, h_stage = _tau_h_gradient(point)
     assert g_h.hex() == g[1].hex()
     assert _tau_h_hessian(point, h_stage).hex() == _time_hessian(point, stage)[1][1].hex()
-    (_, a_g), a_stage = _ascent_gradient(point)
-    a_g_h, a_h_stage = _ascent_slope(point)
-    assert a_g_h.hex() == a_g.hex()
-    assert (_ascent_curvature(point, a_h_stage).hex()
-            == _ascent_hessian(point, a_stage)[1][1].hex())
 
 
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
@@ -756,7 +746,8 @@ def test_duration_step_refuses_what_its_schedule_builder_refuses(kind):
     # a duration step builds no Schedule, but refuses a duration that is not
     # finite and > 0 with the error the kind's Schedule builder raises for
     # it; at omega_h = inf the exponential builder's error is its rate's
-    # domain error, and a sweep row keeps it
+    # domain error (a SweepSpec refuses that omega_h: see
+    # test_sweep_spec_validation)
     spec = small_sweep(kind)
     hot, cold = BathSpec(spec.t_hot, spec.gamma), BathSpec(0.05, spec.gamma)
     for w_h, w_c, tau in ((50.0, 0.1, 0.0), (50.0, 0.1, -1.0), (50.0, 0.1, math.inf),
@@ -766,13 +757,6 @@ def test_duration_step_refuses_what_its_schedule_builder_refuses(kind):
         with pytest.raises(type(expected.value)) as err:
             _step(spec, hot, cold, w_h, w_c)(tau)
         assert str(err.value) == str(expected.value)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        (row,) = temperature_sweep(small_sweep(kind, omega_h=math.inf, t_max=1e-1,
-                                               t_min=1e-1 * 10**-0.05, points_per_decade=5)).rows
-    assert row.flag == 0
-    assert row.error == ("ValueError: math domain error" if kind == "exponential" else
-                         "ScheduleError: schedule duration must be finite and >= 0")
 
 
 def test_searched_point_keeps_a_z_start_that_beats_its_search(monkeypatch):
@@ -1129,10 +1113,16 @@ def test_build_point_takes_numpy_scalars_as_floats(monkeypatch, kind):
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(kind="warp")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 0 < t_min < t_max$"):
         SweepSpec(kind="linear", t_max=0.1, t_min=0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^omega_h, t_hot and gamma must be positive$"):
         SweepSpec(kind="linear", gamma=-1.0)
+    # a non-finite omega_h, t_hot, gamma or t_max is refused when the spec is
+    # built: these used to fail every row, or the grid with an OverflowError
+    for name in ("omega_h", "t_hot", "gamma", "t_max"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+                SweepSpec(kind="linear", **{name: bad})
     # what the CLI refuses while reading a config, the library refuses too:
     # these used to run, to all-failed rows or a tail window of -1 decades
     for bad in (-1.0, 0.0, math.nan, math.inf):

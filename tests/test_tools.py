@@ -140,8 +140,8 @@ def test_search_counts_prints_each_rows_counts_and_their_total(capsys):
     import ottofridge.scaling
     names = ((ottofridge.scaling, "_evaluate_point"), (ottofridge.scaling, "score_tau_h"),
              (ottofridge.scaling, "search_isochore_times"),
-             *((ottofridge.optimize, f"_ascent_{name}")
-               for name in ("slope", "curvature", "gradient", "hessian")))
+             *((ottofridge.optimize, f"_{name}")
+               for name in ("tau_h_gradient", "tau_h_hessian", "time_gradient", "time_hessian")))
     before = [getattr(module, name) for module, name in names]
     assert search_counts.main(["linear"]) == 0
     assert [getattr(module, name) for module, name in names] == before

@@ -47,12 +47,14 @@ T_c = 3.2e-7 only the shortest ramps of the duration bracket keep their
 Bessel argument below 2^51, and they heat (flag 2); the rows from 1e-7
 on fail with the BranchError of a ramp whose Bessel argument passes
 2^51, and the searched twin warns of each failed search start), a
-threaded sweep and two ways of setting the tail window. Every run
-writes into a fresh directory except sweep-linear-z-over-stale: the
-linear z sweep again, into a directory first seeded with longer stale
-sweep.csv and sweep.dat (as repeated runs into one --out leave them).
-Its files must be cut to length, so their lines in the manifest equal
-sweep-linear-z's.
+threaded sweep, the one way left of setting the tail window,
+sweep.tail_decades (sweep-tail-decades-2), and the refusal of the
+retired command-defaults.tail_fit key (sweep-tail-fit-key-2, exit 2).
+Every run writes into a fresh directory except
+sweep-linear-z-over-stale: the linear z sweep again, into a directory
+first seeded with longer stale sweep.csv and sweep.dat (as repeated runs
+into one --out leave them).  Its files must be cut to length, so their
+lines in the manifest equal sweep-linear-z's.
 """
 
 from __future__ import annotations

@@ -20,17 +20,17 @@ points a decade, omega_h = 100, T_h = 1, Gamma = 1) of schedule kind KIND
 - s_trials, s_grads, s_hess: the scores' trials (cycles solved, failed ones
   too), tau_h slopes and tau_h curvatures;
 - r_trials, r_grads, r_hess: the same for the searches over both times,
-  with their ascent gradients and Hessians;
+  with their gradients and Hessians;
 - modified: curvatures and Hessians, of both, that were not negative
   (definite), the ones the searches modify (unless a face of the box holds
   the coordinate of a failing row, which replaces that row anyway).
 
 The counts come from wrapping module attributes for the length of the run
 (scaling._evaluate_point, scaling.score_tau_h,
-scaling.search_isochore_times, optimize._ascent_slope,
-optimize._ascent_curvature, optimize._ascent_gradient and
-optimize._ascent_hessian); nothing in ``src/`` is changed, and the
-attributes are restored afterwards.
+scaling.search_isochore_times, and the derivative stages the searches
+call, optimize._tau_h_gradient, optimize._tau_h_hessian,
+optimize._time_gradient and optimize._time_hessian); nothing in ``src/``
+is changed, and the attributes are restored afterwards.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def count_window(kind: str) -> list[tuple[float, dict]]:
             counts["scores"] += 1
             counts["s_trials"] += tally.evaluations - before[0]
             # an end the loop counts not, with a slope above the tolerance
-            counts["paused"] += (point is not None and bool(slopes) and slopes[-1] is not None
+            counts["paused"] += (point is not None and bool(slopes)
                                  and abs(slopes[-1]) > optimize._NEWTON_GTOL
                                  and (tally.unconverged, tally.held) == before[1:])
             return point
@@ -91,7 +91,7 @@ def count_window(kind: str) -> list[tuple[float, dict]]:
         def wrapped(point):
             g, stage = slope(point)
             slopes.append(g)
-            rows[-1][1]["s_grads"] += g is not None
+            rows[-1][1]["s_grads"] += 1
             return g, stage
         return wrapped
 
@@ -106,9 +106,8 @@ def count_window(kind: str) -> list[tuple[float, dict]]:
 
     def per_gradient(gradient):
         def wrapped(point):
-            g, stage = gradient(point)
-            rows[-1][1]["r_grads"] += g is not None
-            return g, stage
+            rows[-1][1]["r_grads"] += 1
+            return gradient(point)
         return wrapped
 
     def per_hessian(hessian):
@@ -123,10 +122,10 @@ def count_window(kind: str) -> list[tuple[float, dict]]:
     wrapped = [counted(scaling, "_evaluate_point", per_row),
                counted(scaling, "score_tau_h", per_score),
                counted(scaling, "search_isochore_times", per_search),
-               counted(optimize, "_ascent_slope", per_slope),
-               counted(optimize, "_ascent_curvature", per_curvature),
-               counted(optimize, "_ascent_gradient", per_gradient),
-               counted(optimize, "_ascent_hessian", per_hessian)]
+               counted(optimize, "_tau_h_gradient", per_slope),
+               counted(optimize, "_tau_h_hessian", per_curvature),
+               counted(optimize, "_time_gradient", per_gradient),
+               counted(optimize, "_time_hessian", per_hessian)]
     try:
         scaling.temperature_sweep(scaling.SweepSpec(kind=kind, **WINDOW))
     finally:
