@@ -48,10 +48,12 @@ one solve per stage instead of two and three.
 Every cycle is solved by a trial (_trials), the one solve path: both
 baths' equilibrium energies (_trial_parts), the adiabat maps and the
 constants of the fixed point are built once, and a trial of two isochore
-times >= 0, not both of them 0, computes the two isochores and runs the
-fixed-point solve (_fixed_point).  isochore_trials builds the trials of a
-CycleSpec, and limit_cycle is its trial at the spec's own times; a sweep
-point builds its parts once and a duration step its maps, with no
+times >= 0, not both of them 0, runs the fixed-point solve (_fixed_point).
+The cold isochore and the cold half of the map (_cold_half) depend on
+tau_c alone: a trial reuses its closure's last ones while tau_c is the
+same float object, as in a tau_h score.  isochore_trials builds the trials
+of a CycleSpec, and limit_cycle is its trial at the spec's own times; a
+sweep point builds its parts once and a duration step its maps, with no
 Schedule or CycleSpec.  A trial returns the solved fixed point as a plain
 tuple and builds no CycleSpec or CycleRecord; trial_record builds them,
 through the spec builder in the tuple's constants, for a point a caller
@@ -248,15 +250,11 @@ def _adiabat_maps(expansion: Schedule, compression: Schedule) -> list:
     return adiabats
 
 
-def _compose(maps) -> tuple[tuple, tuple]:
-    """The one-cycle map (M, k) of the float branch maps.
-
-    The adiabats are linear (b = 0), so the composition of the four branch
-    maps is M = A_hot A_comp A_cold A_exp and k = A_hot (A_comp b_cold) + b_hot.
-    """
-    a_exp, cold, a_comp, hot = maps
-    m = _iso_mul(hot, _mul(a_comp, _iso_mul(cold, a_exp)))
-    return m, _iso_affine(hot, _affine(a_comp, (cold[3], 0.0, 0.0)))
+def _cold_half(a_exp: tuple, cold: tuple, a_comp: tuple) -> tuple[tuple, tuple]:
+    """The cold half (A_comp L_c A_exp, A_comp b_c) of the one-cycle map: the
+    adiabats are linear (b = 0), so the composition of the four branch maps
+    is M = L_h (A_comp L_c A_exp) and k = L_h (A_comp b_c) + b_h."""
+    return _mul(a_comp, _iso_mul(cold, a_exp)), _affine(a_comp, (cold[3], 0.0, 0.0))
 
 
 def _ledger(spec: CycleSpec, point: tuple) -> CycleRecord:
@@ -344,7 +342,8 @@ def _spectral_radius(m: tuple) -> float:
     return max(map(math.hypot, w.real.tolist(), w.imag.tolist()))
 
 
-# A solved fixed point, as a search trial returns it: the tuple
+# A solved fixed point, as a search trial returns it from its isochores and
+# the cold half of its map (_cold_half, shared along a tau_c): the tuple
 #     (r_c, q_c, tau_total, tau_c, tau_h, cold, hot, m, k, lu, v_a, v_c, rho, consts)
 # with the isochores' scalars cold and hot, the one-cycle map (m, k), the LU
 # factors of I - M, the states at A and C, rho the spectral radius when dgeev
@@ -355,9 +354,11 @@ def _spectral_radius(m: tuple) -> float:
 # where spec_at(point) builds the point's CycleSpec.  trial_record builds
 # the CycleRecord of one; the derivative stages read one as it is.
 
-def _fixed_point(consts: tuple, cold: tuple, hot: tuple, tau_c: float, tau_h: float) -> tuple:
-    """The fixed point of the cycle with these isochores (see limit_cycle)."""
-    m, k = _compose((consts[1], cold, consts[2], hot))
+def _fixed_point(consts: tuple, cold: tuple, half: tuple, hot: tuple, tau_c: float,
+                 tau_h: float) -> tuple:
+    """The fixed point of the cycle with these isochores and the cold
+    isochore's half of the cycle map, _cold_half (see limit_cycle)."""
+    m, k = _iso_mul(hot, half[0]), _iso_affine(hot, half[1])
     if not all(map(math.isfinite, m + k)):
         raise np.linalg.LinAlgError("cycle map must not contain infs or NaNs")
     m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
@@ -437,23 +438,32 @@ def _trials(parts: tuple, adiabats, tau_exp: float, tau_comp: float):
 
     A trial raises NoContractionError when Gamma tau = 0 on both isochores,
     then ValueError for a negative or NaN time and then its adiabats'
-    BranchError; otherwise it computes the two isochores, runs the
-    fixed-point solve (_fixed_point) and returns the tuple.  It builds no
-    CycleSpec or CycleRecord.
+    BranchError; otherwise it runs the fixed-point solve (_fixed_point) and
+    returns the tuple.  It builds no CycleSpec or CycleRecord.  It computes
+    the hot isochore and reuses the last trial's cold isochore and cold half
+    when tau_c is the same float object (the same bits: 0.0 and -0.0 share
+    nothing); that entry is read once and replaced in one assignment, so
+    threads sharing a closure never mix two entries.
     """
     spec_at, omega_c, gamma_c, omega_h, gamma_h, e_eq_c, e_eq_h = parts
     failure = adiabats if isinstance(adiabats, BranchError) else None
     a_exp, a_comp = (None, None) if failure else adiabats
     consts = (spec_at, a_exp, a_comp, omega_c, gamma_c, omega_h, gamma_h, tau_exp, tau_comp)
+    last = (None, None, None)       # (tau_c, its cold isochore, its cold half)
 
     def trial(tau_c: float, tau_h: float) -> tuple:
+        nonlocal last
         if gamma_c * tau_c == 0.0 and gamma_h * tau_h == 0.0:
             raise NoContractionError("both isochores have Gamma*tau = 0; no contraction")
         if not (tau_c >= 0.0 and tau_h >= 0.0):
             raise ValueError(f"trial isochore durations must be >= 0, got {tau_c!r}, {tau_h!r}")
         if failure:
             raise BranchError(failure.branch, failure.cause) from failure.cause
-        return _fixed_point(consts, _isochore(omega_c, gamma_c, tau_c, e_eq_c),
+        entry = last
+        if entry[0] is not tau_c:
+            cold = _isochore(omega_c, gamma_c, tau_c, e_eq_c)
+            entry = last = tau_c, cold, _cold_half(a_exp, cold, a_comp)
+        return _fixed_point(consts, entry[1], entry[2],
                             _isochore(omega_h, gamma_h, tau_h, e_eq_h), tau_c, tau_h)
 
     return trial

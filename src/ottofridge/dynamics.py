@@ -23,14 +23,16 @@ row-major 9-tuple, from the classical (Q, P) fundamental matrix of its
 schedule lifted once to second moments (const-mu has its own closed form),
 and an isochore as its four scalars.  The maps of a linear or exponential
 ramp and of its time reverse are also built from their endpoints and
-duration alone, without a Schedule (linear_ramp_pair,
-exponential_ramp_pair), bit for bit each ramp's own build.  A linear
-ramp's Bessel functions take two calls, jv and hankel1 at orders 1/4 and 3/4
-for both ends (Y is hankel1's imaginary part, bit for bit yv); the momenta's
-order -3/4 is formed from the 3/4 pair by DLMF 10.4.7-8, bit for bit
-scipy's own.  scipy.special is imported by the first exponential or linear
-ramp built, not with this module: it loads most of scipy, which no other
-branch map needs.  Natural units hbar = k_B = m = 1 throughout.
+duration alone, without a Schedule (linear_ramp_pair, exponential_ramp_pair),
+bit for bit each ramp's own build.  An exponential pair evaluates J0, Y0, J1
+and Y1 once per distinct endpoint argument: at two where its rates are exact
+negatives.  A linear ramp's Bessel functions take two calls, jv and hankel1
+at orders 1/4 and 3/4 for both ends (Y is hankel1's imaginary part, bit for
+bit yv); the momenta's order -3/4 is formed from the 3/4 pair by DLMF
+10.4.7-8, bit for bit scipy's own.  scipy.special is imported by the first
+exponential or linear ramp built, not with this module: it loads most of
+scipy, which no other branch map needs.  Natural units hbar = k_B = m = 1
+throughout.
 """
 
 from __future__ import annotations
@@ -357,8 +359,17 @@ def _bind_bessel() -> None:
     _LINEAR_BESSEL = jv, hankel1
 
 
-def _exponential_map(w0: float, w1: float, alpha: float) -> tuple:
-    """Exact propagator of an exponential sweep omega(t) = w0 exp(alpha t) to w1.
+def _bessel_at(z: float) -> tuple:
+    """(J0, Y0, J1, Y1) at the exponential ramp argument z, as floats."""
+    if _EXPONENTIAL_BESSEL is None:
+        _bind_bessel()
+    j0, y0, j1, y1 = _EXPONENTIAL_BESSEL
+    return float(j0(z)), float(y0(z)), float(j1(z)), float(y1(z))
+
+
+def _exponential_map(w0: float, w1: float, alpha: float, start: tuple, end: tuple) -> tuple:
+    """Exact propagator of an exponential sweep omega(t) = w0 exp(alpha t) to
+    w1, from _bessel_at of its endpoint arguments w0/|alpha| and w1/|alpha|.
 
     The classical oscillator equation x'' + omega(t)^2 x = 0 reduces to the
     order-0 Bessel equation in z = omega/|alpha|, so the fundamental matrix is
@@ -366,16 +377,11 @@ def _exponential_map(w0: float, w1: float, alpha: float) -> tuple:
     constant Wronskian 2 sign(alpha) |alpha| / pi.  Machine-precision accurate
     for sweeps of any duration.
     """
-    if _EXPONENTIAL_BESSEL is None:
-        _bind_bessel()
-    j0, y0, j1, y1 = _EXPONENTIAL_BESSEL
     sgn = 1.0 if alpha > 0 else -1.0
-    aa = abs(alpha)
-    z0, p0, z1, p1 = w0 / aa, -sgn * w0, w1 / aa, -sgn * w1
+    p0, p1 = -sgn * w0, -sgn * w1
     return _lift(*_bessel_fundamental(
-        (float(j0(z0)), float(y0(z0)), p0 * float(j1(z0)), p0 * float(y1(z0))),
-        (float(j0(z1)), float(y0(z1)), p1 * float(j1(z1)), p1 * float(y1(z1))),
-        2.0 * sgn * aa / math.pi), w0, w1)
+        (start[0], start[1], p0 * start[2], p0 * start[3]),
+        (end[0], end[1], p1 * end[2], p1 * end[3]), 2.0 * sgn * abs(alpha) / math.pi), w0, w1)
 
 
 def exponential_ramp_pair(omega_start: float, omega_end: float,
@@ -384,13 +390,21 @@ def exponential_ramp_pair(omega_start: float, omega_end: float,
     of finite duration > 0, and of its time reverse.
 
     Each rate is computed as Schedule.exponential computes it, so each map
-    is bit for bit its ramp's own build.  The two rates are not always exact
-    negatives, so each map makes its own Bessel evaluation.
+    is bit for bit its ramp's own build.  The rates are not always exact
+    negatives, so the reverse's arguments are not always the ramp's two: of
+    the four, each that compares equal to one before it takes its Bessel
+    values (_bessel_at), and each other one evaluates its own.
     """
-    return (_exponential_map(omega_start, omega_end,
-                             math.log(omega_end / omega_start) / duration),
-            _exponential_map(omega_end, omega_start,
-                             math.log(omega_start / omega_end) / duration))
+    alpha = math.log(omega_end / omega_start) / duration
+    beta = math.log(omega_start / omega_end) / duration
+    a, b = abs(alpha), abs(beta)
+    za0, za1, zb0, zb1 = omega_start / a, omega_end / a, omega_end / b, omega_start / b
+    q0 = _bessel_at(za0)
+    q1 = q0 if za1 == za0 else _bessel_at(za1)
+    r0 = q1 if zb0 == za1 else q0 if zb0 == za0 else _bessel_at(zb0)
+    r1 = q0 if zb1 == za0 else q1 if zb1 == za1 else r0 if zb1 == zb0 else _bessel_at(zb1)
+    return (_exponential_map(omega_start, omega_end, alpha, q0, q1),
+            _exponential_map(omega_end, omega_start, beta, r0, r1))
 
 
 # Bessel orders of the linear ramp's jv and hankel1 calls at (start, end, start,
@@ -508,7 +522,9 @@ def schedule_propagator(schedule: Schedule) -> tuple:
     if schedule.kind in PIECEWISE_KINDS:
         return _piecewise_propagator(schedule)
     if schedule.kind == "exponential":
-        return _exponential_map(schedule.omega_start, schedule.omega_end, schedule.alpha)
+        w0, w1, alpha = schedule.omega_start, schedule.omega_end, schedule.alpha
+        return _exponential_map(w0, w1, alpha, _bessel_at(w0 / abs(alpha)),
+                                _bessel_at(w1 / abs(alpha)))
     if schedule.kind == "linear":
         return _linear_ramp_propagator(schedule)
     raise ScheduleError(f"no propagator for schedule kind {schedule.kind!r}")

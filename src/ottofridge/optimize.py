@@ -221,7 +221,8 @@ class OptimizationSpec:
     restarts: int = 3
 
     def __post_init__(self):
-        if not (isinstance(self.restarts, (int, np.integer)) and self.restarts >= 1):
+        if not (isinstance(self.restarts, (int, np.integer))
+                and not isinstance(self.restarts, bool) and self.restarts >= 1):
             raise ValueError(f"restarts must be an integer >= 1, got {self.restarts!r}")
         if len(set(self.free)) < len(self.free):
             raise ValueError(f"free variables must not repeat: {list(self.free)}")

@@ -6,15 +6,17 @@ allocates the isochore times, solves the limit cycle and records the row.
 Schedules without a frictionless closed form (linear, exponential) get their
 adiabat duration from a per-point search by Brent's method (_brent_max) that
 maximizes the limit-cycle cooling rate, as does the cold frequency under
-optimize_omega_c; their propagators are exact Bessel-function forms, and a
+optimize_omega_c; their propagators are exact Bessel-function forms.  A
 linear ramp and its time reverse share one Bessel evaluation
-(dynamics.linear_ramp_pair).  A searched isochore allocation is one
+(dynamics.linear_ramp_pair), and an exponential pair one per distinct
+argument (exponential_ramp_pair).  A searched isochore allocation is one
 optimize.search_isochore_times from the z-equation allocation, which
 returns that start when it beats the search's end, as it does in
 optimize_time_allocation.
 A duration step only ranks its duration: optimize.score_tau_h searches
-ln tau_h alone, with tau_c held at the z-equation time, until the gain left
-is below optimize._SCORE_GAIN, and only the winning duration (under
+ln tau_h alone, with tau_c held at the z-equation time (one object, so its
+trials share one cold half of the cycle map, cycle._cold_half), until the
+gain left is below optimize._SCORE_GAIN, and only the winning duration (under
 optimize_omega_c, only the cold-frequency winner's) runs the search over
 both times: a row is bit for bit that search at its duration.  A point's
 scoring searches share one SearchTally, which warns once, when the point's
@@ -106,8 +108,9 @@ class SweepSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
-        if self.points_per_decade < 1:
-            raise ValueError("points_per_decade must be >= 1")
+        n = self.points_per_decade
+        if isinstance(n, bool) or not (n >= 1 and math.isfinite(n) and n == math.floor(n)):
+            raise ValueError(f"points_per_decade must be a whole number >= 1, got {n!r}")
         if self.allocation not in ("z", "searched"):
             raise ValueError("allocation must be 'z' or 'searched'")
         if self.omega_h <= 0 or self.t_hot <= 0 or self.gamma <= 0:

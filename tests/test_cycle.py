@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import mpmath
@@ -21,7 +23,8 @@ from ottofridge.cycle import (
     CycleSpec,
     NoContractionError,
     _adiabat_flat,
-    _compose,
+    _cold_half,
+    _iso_mul,
     _lu,
     _lu_solve,
     _time_gradient,
@@ -66,11 +69,18 @@ def frictionless_spec(omega_h=10.0, omega_c=1.0, t_h=2.0, t_c=0.5, gamma=1.0,
 
 def branch_maps(spec):
     """The float branch maps (A_exp, cold isochore, A_comp, hot isochore) of
-    ``spec``, which limit_cycle's solve composes (cycle._compose)."""
+    ``spec``, which limit_cycle's solve composes."""
     return (_adiabat_flat(spec.expansion),
             isochore_scalars(spec.omega_c, spec.cold_bath, spec.tau_c),
             _adiabat_flat(spec.compression),
             isochore_scalars(spec.omega_h, spec.hot_bath, spec.tau_h))
+
+
+def composed_map(spec):
+    """The one-cycle map M of ``spec`` as limit_cycle's solve composes it: the
+    hot isochore's linear part times the cold half (cycle._cold_half)."""
+    a_exp, cold, a_comp, hot = branch_maps(spec)
+    return _iso_mul(hot, _cold_half(a_exp, cold, a_comp)[0])
 
 
 def cycle_map(record):
@@ -353,6 +363,96 @@ def test_trial_fixed_points_are_limit_cycle_records(spec):
         s = 1.0 if expected.q_c > 0.0 else -1.0
         assert isochore_time_derivatives(expected) == (
             (s * g_c, s * g_h), ((s * h_cc, s * h_ch), (s * h_hc, s * h_hh)))
+
+
+def point_bits(point):
+    """A trial's fixed point without its constants, each float as its hex:
+    0.0 and -0.0 differ, and a NaN equals itself."""
+    bits = []
+
+    def walk(x):
+        if isinstance(x, tuple):
+            for y in x:
+                walk(y)
+        else:
+            bits.append(x.hex() if isinstance(x, float) else x)
+
+    walk(point[:-1])
+    return bits
+
+
+def trial_outcome(trial, tau_c, tau_h):
+    """point_bits of ``trial(tau_c, tau_h)``, or the type and message of the
+    domain failure it raises."""
+    try:
+        return point_bits(trial(tau_c, tau_h))
+    except DOMAIN_ERRORS as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def trial_calls(draw):
+    """A cycle and a sequence of (tau_c, tau_h) calls: each tau_c is the last
+    call's object ("same"), a new object with its bits ("copy") or one of
+    a, b, 0.0, -0.0 and the failing -a and NaN; a tau_h of -1.0 fails, and
+    one of 0.0 fails with a zero tau_c."""
+    spec = draw(trial_spec())
+    a, b = (draw(st.floats(1e-3, 10.0)) for _ in range(2))
+    source = st.sampled_from(["same", "copy", 0, 1, 2, 3, 4, 5])
+    tau_h = st.one_of(st.floats(1e-3, 10.0), st.sampled_from([0.0, -1.0]))
+    return spec, a, b, draw(st.lists(st.tuples(source, tau_h), min_size=1, max_size=12))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trial_calls())
+@example((frictionless_spec(), 0.5, 2.0,
+          [(0, 1.0), ("same", 1.5), ("copy", 1.5), (1, 1.0), (0, 2.0), (4, 1.0), ("same", 1.0),
+           (2, 1.0), (3, 1.0), ("same", 0.0), (2, 1.0), (5, 1.0), (0, 1.0), ("same", 2.0)]))
+def test_trials_reusing_a_cold_half_are_fresh_trials(case):
+    # one closure, called with tau_c repeated as the same object, equal as a
+    # new object, alternating, 0.0 then -0.0 and failing between them, gives
+    # float for float a fresh closure's point, or its failure, at each call:
+    # it reuses its last cold half only for the same tau_c object
+    spec, a, b, calls = case
+    pool = (a, b, 0.0, -0.0, -a, math.nan)
+    trial, tau_c = isochore_trials(spec), a
+    for source, tau_h in calls:
+        if source == "copy":
+            tau_c = float.fromhex(tau_c.hex())
+        elif source != "same":
+            tau_c = pool[source]
+        assert trial_outcome(trial, tau_c, tau_h) == trial_outcome(
+            isochore_trials(spec), tau_c, tau_h)
+
+
+def test_threads_sharing_a_trial_closure_get_the_serial_points():
+    # more threads than cores, with a short switch interval, call one
+    # closure at once, each alternating between its own two tau_c objects,
+    # three calls each, and each gets the points a fresh closure gives
+    spec = frictionless_spec(kind="const_mu")
+    trial = isochore_trials(spec)
+    calls = [[(own[j // 3 % 2], 1.0 + 0.01 * j) for j in range(60)]
+             for own in ((0.3 + 0.1 * i, 0.35 + 0.1 * i) for i in range(4))]
+    expected = [[trial_outcome(isochore_trials(spec), *call) for call in own] for own in calls]
+    barrier, got = threading.Barrier(len(calls)), [None] * len(calls)
+
+    def run(i):
+        barrier.wait(timeout=30)
+        got[i] = [trial_outcome(trial, *call) for call in calls[i]]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
 
 
 def test_propagate_isochore_is_the_cycle_isochore():
@@ -790,7 +890,7 @@ def test_max_norm_certifies_what_dgeev_would(spec):
     # rho(M) <= ||M||_inf, so a map within the certificate is one on which
     # dgeev's radius stays below _RHO_LIMIT; the record's lazy radius is
     # dgeev's on its M, bit for bit
-    m, _ = _compose(branch_maps(spec))
+    m = composed_map(spec)
     norm = max(abs(m[i]) + abs(m[i + 1]) + abs(m[i + 2]) for i in (0, 3, 6))
     wr, wi, _, _, info = scipy.linalg.lapack.dgeev(np.reshape(m, (3, 3)))
     assert info == 0
@@ -849,7 +949,7 @@ def test_deferred_cross_check_is_sound_on_certified_maps(spec):
     # ||M^n||_inf <= 0.99^n on a certified map, so the squaring oracle
     # converges far below its cycle cap on the direct solution, and a
     # rebuilt record recomputes the same diagnostics from its chain
-    m, _ = _compose(branch_maps(spec))
+    m = composed_map(spec)
     assume(max(abs(m[i]) + abs(m[i + 1]) + abs(m[i + 2]) for i in (0, 3, 6))
            <= ottofridge.cycle._NORM_CERTIFICATE)
     _, record = limit_cycle(spec)

@@ -1,6 +1,7 @@
 """Unit tests of the state propagators against independent oracles."""
 
 import cmath
+import contextlib
 import math
 
 import mpmath
@@ -570,6 +571,25 @@ def _alphas_are_negatives(omega_h, omega_c, tau):
     return (math.log(omega_c / omega_h) / tau) == -(math.log(omega_h / omega_c) / tau)
 
 
+@contextlib.contextmanager
+def counted_endpoints():
+    """A list of the arguments at which the exponential ramps built inside
+    the block evaluate (J0, Y0, J1, Y1), one entry per evaluation."""
+    ottofridge.dynamics._bind_bessel()
+    bound = ottofridge.dynamics._EXPONENTIAL_BESSEL
+    arguments = []
+
+    def counting(z):
+        arguments.append(z)
+        return bound[0](z)
+
+    ottofridge.dynamics._EXPONENTIAL_BESSEL = (counting, *bound[1:])
+    try:
+        yield arguments
+    finally:
+        ottofridge.dynamics._EXPONENTIAL_BESSEL = bound
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(omega_h=st.floats(1.0, 1e3), ratio=st.floats(1e-7, 0.98), tau=st.floats(1e-3, 1e4))
 @example(omega_h=100.0, ratio=0.01, tau=2.0)
@@ -577,18 +597,32 @@ def _alphas_are_negatives(omega_h, omega_c, tau):
 def test_exponential_ramp_pair_is_each_ramps_own_build(omega_h, ratio, tau):
     # the maps of an exponential ramp and its time reverse are, bit for bit,
     # the propagators of freshly built Schedule.exponential ramps, also where
-    # the two rates are not exact negatives (the first example)
+    # the two rates are not exact negatives (the first example); the pair
+    # evaluates the Bessel functions once per distinct argument: at two
+    # where the rates are exact negatives, else at up to four
     omega_c = omega_h * ratio
     own = (Schedule.exponential(omega_h, omega_c, tau),
            Schedule.exponential(omega_c, omega_h, tau))
-    assert exponential_ramp_pair(omega_h, omega_c, tau) == tuple(map(schedule_propagator, own))
+    expected = tuple(map(schedule_propagator, own))
+    a, b = (abs(schedule.alpha) for schedule in own)
+    distinct = {omega_h / a, omega_c / a, omega_c / b, omega_h / b}
+    with counted_endpoints() as evaluated:
+        assert exponential_ramp_pair(omega_h, omega_c, tau) == expected
+    assert len(evaluated) == len(distinct) and set(evaluated) == distinct
+    if _alphas_are_negatives(omega_h, omega_c, tau):
+        assert len(evaluated) == 2
 
 
 def test_exponential_ramp_pair_examples_include_unequal_rates():
-    # the examples above hold a ramp whose two rates are not exact negatives
-    # and one whose rates are; a pair that negated one rate would fail there
+    # the examples above hold a ramp whose two rates are not exact negatives,
+    # so that its pair evaluates at four arguments, and one whose rates are,
+    # at two; a pair that negated one rate would fail at the first
     assert not _alphas_are_negatives(100.0, 100.0 * 0.01, 2.0)
     assert _alphas_are_negatives(100.0, 100.0 * 0.3, 0.7)
+    for ratio, tau, evaluations in ((0.01, 2.0, 4), (0.3, 0.7, 2)):
+        with counted_endpoints() as evaluated:
+            exponential_ramp_pair(100.0, 100.0 * ratio, tau)
+        assert len(evaluated) == evaluations
 
 
 def exponential_oracle(w0, w1, tau):

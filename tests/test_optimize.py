@@ -300,10 +300,10 @@ def test_optimization_spec_validation():
         OptimizationSpec(base=base, free=("tau_h", "tau_h"), bounds={"tau_h": (0.1, 10.0)})
 
 
-@pytest.mark.parametrize("restarts", [0, -1, 1.5, 2.0, "3", None])
+@pytest.mark.parametrize("restarts", [0, -1, 1.5, 2.0, "3", None, True])
 def test_optimization_spec_refuses_restarts_below_1_or_not_an_integer(restarts):
     # these used to fail in the search (0: max() of an empty sequence;
-    # 1.5: a TypeError) or run one restart (-1), as the config layer
+    # 1.5: a TypeError) or run one restart (-1, True), as the config layer
     # refuses them
     with pytest.raises(ValueError, match=r"^restarts must be an integer >= 1, got "):
         OptimizationSpec(base=make_base(), free=("tau_c", "tau_h"),
@@ -383,10 +383,10 @@ def test_optimize_reports_failures_in_one_warning(monkeypatch):
     # once per search, not once per evaluation
     solve = ottofridge.cycle._fixed_point
 
-    def fails_above(consts, cold, hot, tau_c, tau_h):
+    def fails_above(consts, cold, half, hot, tau_c, tau_h):
         if tau_c > 1.3:
             raise NoContractionError("injected")
-        return solve(consts, cold, hot, tau_c, tau_h)
+        return solve(consts, cold, half, hot, tau_c, tau_h)
 
     monkeypatch.setattr(ottofridge.cycle, "_fixed_point", fails_above)
     spec = OptimizationSpec(
@@ -520,10 +520,10 @@ def test_float_search_is_the_list_search(monkeypatch, max_iter):
     monkeypatch.setattr(ottofridge.optimize, "_NEWTON_MAX_ITER", max_iter)
     solve, limit = ottofridge.cycle._fixed_point, []
 
-    def fails_above(consts, cold, hot, tau_c, tau_h):
+    def fails_above(consts, cold, half, hot, tau_c, tau_h):
         if limit and tau_c > limit[0]:
             raise NoContractionError("injected")
-        return solve(consts, cold, hot, tau_c, tau_h)
+        return solve(consts, cold, half, hot, tau_c, tau_h)
 
     def recording(trial, solved):
         def recorded(tau_c, tau_h):

@@ -352,9 +352,9 @@ def spy_searches(monkeypatch) -> tuple[list, list, list]:
     searches, scores, made = [], [], []
     solve = ottofridge.cycle._fixed_point
 
-    def solving(consts, cold, hot, tau_c, tau_h):
+    def solving(consts, cold, half, hot, tau_c, tau_h):
         made.append((consts[7] + consts[8], tau_c, tau_h))
-        return solve(consts, cold, hot, tau_c, tau_h)
+        return solve(consts, cold, half, hot, tau_c, tau_h)
 
     def spying(search, calls):
         def spied(*args):
@@ -666,6 +666,38 @@ def test_tau_h_score_is_near_the_row_search_on_cooling_durations(monkeypatch, ki
             cooling += 1
             assert abs(point[0] - full[0]) <= 1e-6 * full[0]
     assert cooling == len(steps)
+
+
+def test_scored_step_builds_one_cold_half_per_tau_c_object(monkeypatch):
+    # a tau_h score passes one tau_c object to all its trials, so they build
+    # one cold half of the cycle map (cycle._cold_half); the winner's
+    # finish() starts from that object, and its search builds one more half
+    # for each trial whose tau_c is not the previous trial's object
+    half, solve, halves, taus = ottofridge.cycle._cold_half, ottofridge.cycle._fixed_point, [], []
+
+    def building(*args):
+        halves.append(args)
+        return half(*args)
+
+    def solving(consts, cold, half, hot, tau_c, tau_h):
+        taus.append(tau_c)
+        return solve(consts, cold, half, hot, tau_c, tau_h)
+
+    monkeypatch.setattr(ottofridge.cycle, "_cold_half", building)
+    monkeypatch.setattr(ottofridge.cycle, "_fixed_point", solving)
+    reused = 0
+    for spec, hot, cold, w_h, w_c, duration, _, _ in ramp_cycles("exponential")[:10]:
+        del halves[:], taus[:]
+        point, finish = _step(spec, hot, cold, w_h, w_c, SearchTally())(duration)
+        scored = len(taus)
+        assert scored >= 2 and len(halves) == 1 and all(t is taus[0] for t in taus)
+        with warnings.catch_warnings():     # a search held at a face warns
+            warnings.simplefilter("ignore")
+            finish()
+        new = sum(t is not u for t, u in zip(taus[scored - 1:], taus[scored:]))
+        assert taus[scored] is taus[0] and len(halves) == 1 + new
+        reused += len(taus) - len(halves)
+    assert reused > 20
 
 
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
@@ -1136,6 +1168,18 @@ def test_sweep_spec_validation():
                      points_per_decade=5, omega_h=100.0).grid
     assert len(grid) == 11
     assert np.all(np.diff(grid) < 0)
+
+
+@pytest.mark.parametrize("points_per_decade", [math.nan, math.inf, 2.5, 0, -1.0, True])
+def test_sweep_spec_refuses_points_per_decade_not_whole_from_1(points_per_decade):
+    # these used to build, and fail later in the grid (nan, inf) or build a
+    # grid (2.5; True, a 3-point grid over two decades); a whole float or
+    # numpy integer builds the int's grid
+    with pytest.raises(ValueError, match=r"^points_per_decade must be a whole number >= 1, got "):
+        SweepSpec(kind="three_jump", t_max=1.0, t_min=1e-2, points_per_decade=points_per_decade)
+    for whole in (5.0, np.int64(5)):
+        assert SweepSpec(kind="three_jump", points_per_decade=whole).grid == \
+            SweepSpec(kind="three_jump", points_per_decade=5).grid
 
 
 @settings(max_examples=500, derandomize=True, deadline=None, database=None)

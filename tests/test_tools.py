@@ -133,13 +133,15 @@ def test_point_ab_prints_its_usage_when_misused(capsys):
 
 def test_search_counts_prints_each_rows_counts_and_their_total(capsys):
     # the linear searched window: 11 rows, each with its tau_h scores, most
-    # of them paused, one row search, and more trials than slopes or
-    # gradients than curvatures or Hessians; the wrapped attributes are
-    # restored afterwards
+    # of them paused, one row search, more trials than slopes or gradients
+    # than curvatures or Hessians, and fewer cold halves than trials (a
+    # score holds tau_c) but one at least per score; the wrapped attributes
+    # are restored afterwards
+    import ottofridge.cycle
     import ottofridge.optimize
     import ottofridge.scaling
     names = ((ottofridge.scaling, "_evaluate_point"), (ottofridge.scaling, "score_tau_h"),
-             (ottofridge.scaling, "search_isochore_times"),
+             (ottofridge.scaling, "search_isochore_times"), (ottofridge.cycle, "_cold_half"),
              *((ottofridge.optimize, f"_{name}")
                for name in ("tau_h_gradient", "tau_h_hessian", "time_gradient", "time_hessian")))
     before = [getattr(module, name) for module, name in names]
@@ -148,24 +150,27 @@ def test_search_counts_prints_each_rows_counts_and_their_total(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "linear searched: 11 rows, T_c 0.1 -> 0.001"
     assert lines[1].split() == ["T_c", "scores", "paused", "searches", "s_trials", "s_grads",
-                                "s_hess", "r_trials", "r_grads", "r_hess", "modified"]
+                                "s_hess", "r_trials", "r_grads", "r_hess", "modified",
+                                "halves"]
     rows = [[float(line.split()[0]), *map(int, line.split()[1:])] for line in lines[2:-1]]
     assert [row[0] for row in rows] == pytest.approx([10 ** (-0.2 * i - 1) for i in range(11)],
                                                    rel=1e-5)
     total = lines[-1].split()
     assert total[0] == "total" and list(map(int, total[1:])) == [
-        sum(row[i] for row in rows) for i in range(1, 11)]
+        sum(row[i] for row in rows) for i in range(1, 12)]
     for (_, scores, paused, searches, s_trials, s_grads, s_hess, r_trials, r_grads, r_hess,
-         modified) in rows:
+         modified, halves) in rows:
         assert 0 < paused <= scores and searches == 1
         assert s_trials >= s_grads > s_hess > 0 and r_trials >= r_grads > r_hess > 0
         assert s_hess + r_hess >= modified > 0
+        assert scores <= halves < s_trials + r_trials
     assert sum(row[1] - row[2] for row in rows) > 0       # some scores converged
     # a frictionless row is one search over both times from its z start,
-    # which is stationary there (one trial and gradient), and no score
+    # which is stationary there (one trial, gradient and cold half), and no
+    # score
     assert search_counts.main(["three_jump"]) == 0
     total = capsys.readouterr().out.splitlines()[-1].split()
-    assert list(map(int, total[1:])) == [0, 0, 11, 0, 0, 0, 11, 11, 0, 0]
+    assert list(map(int, total[1:])) == [0, 0, 11, 0, 0, 0, 11, 11, 0, 0, 11]
 
 
 def test_search_counts_prints_its_usage_when_misused(capsys):

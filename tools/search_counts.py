@@ -23,14 +23,18 @@ points a decade, omega_h = 100, T_h = 1, Gamma = 1) of schedule kind KIND
   with their gradients and Hessians;
 - modified: curvatures and Hessians, of both, that were not negative
   (definite), the ones the searches modify (unless a face of the box holds
-  the coordinate of a failing row, which replaces that row anyway).
+  the coordinate of a failing row, which replaces that row anyway);
+- halves: the cold halves of the cycle map built (cycle._cold_half), one
+  per trial whose tau_c is not the same object as its closure's last
+  one, so fewer than the trials of both kinds.
 
 The counts come from wrapping module attributes for the length of the run
 (scaling._evaluate_point, scaling.score_tau_h,
-scaling.search_isochore_times, and the derivative stages the searches
+scaling.search_isochore_times, the derivative stages the searches
 call, optimize._tau_h_gradient, optimize._tau_h_hessian,
-optimize._time_gradient and optimize._time_hessian); nothing in ``src/``
-is changed, and the attributes are restored afterwards.
+optimize._time_gradient and optimize._time_hessian, and
+cycle._cold_half); nothing in ``src/`` is changed, and the attributes are
+restored afterwards.
 """
 
 from __future__ import annotations
@@ -42,14 +46,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 COUNTS = ("scores", "paused", "searches", "s_trials", "s_grads", "s_hess",
-          "r_trials", "r_grads", "r_hess", "modified")
+          "r_trials", "r_grads", "r_hess", "modified", "halves")
 WINDOW = {"omega_h": 100.0, "t_hot": 1.0, "gamma": 1.0, "t_max": 1e-1, "t_min": 1e-3,
           "points_per_decade": 5, "allocation": "searched"}
 
 
 def count_window(kind: str) -> list[tuple[float, dict]]:
     """(T_c, {count: n}) for each row of the window's sweep, in grid order."""
-    from ottofridge import optimize, scaling
+    from ottofridge import cycle, optimize, scaling
     rows = []
     slopes = []         # the last tau_h slope a score took
 
@@ -119,13 +123,20 @@ def count_window(kind: str) -> list[tuple[float, dict]]:
             return h
         return wrapped
 
+    def per_half(half):
+        def wrapped(a_exp, cold, a_comp):
+            rows[-1][1]["halves"] += 1
+            return half(a_exp, cold, a_comp)
+        return wrapped
+
     wrapped = [counted(scaling, "_evaluate_point", per_row),
                counted(scaling, "score_tau_h", per_score),
                counted(scaling, "search_isochore_times", per_search),
                counted(optimize, "_tau_h_gradient", per_slope),
                counted(optimize, "_tau_h_hessian", per_curvature),
                counted(optimize, "_time_gradient", per_gradient),
-               counted(optimize, "_time_hessian", per_hessian)]
+               counted(optimize, "_time_hessian", per_hessian),
+               counted(cycle, "_cold_half", per_half)]
     try:
         scaling.temperature_sweep(scaling.SweepSpec(kind=kind, **WINDOW))
     finally:
