@@ -491,9 +491,10 @@ def _cmd_optimize(config: Config, out: str, seed: int, threads: int) -> int:
           + ", ".join(f"{n} = {v:.9g}" for n, v in result.best_values.items()))
     if result.z_comparison is not None:
         zc = result.z_comparison
-        print(f"z-equation allocation: z = {zc['z']:.9g}, R_c = {zc['r_c_z']:.9g}, "
-              f"relative gap {zc['relative_gap']:.3g} "
-              f"({'agrees' if zc['agree_1pct'] else 'DISAGREES'} within 1%)")
+        found = (f"no limit cycle ({zc['error']})" if "error" in zc else
+                 f"R_c = {zc['r_c_z']:.9g}, relative gap {zc['relative_gap']:.3g} "
+                 f"({'agrees' if zc['agree_1pct'] else 'DISAGREES'} within 1%)")
+        print(f"z-equation allocation: z = {zc['z']:.9g}, {found}")
     if result.failures:
         print(f"note: {result.failures} objective evaluations failed")
     return 0

@@ -59,8 +59,9 @@ tuple and builds no CycleSpec or CycleRecord; trial_record builds them,
 through the spec builder in the tuple's constants, for a point a caller
 reads, bit for bit the record limit_cycle returns: a search's winner, and
 one record per sweep point, whose duration and cold-frequency searches
-compare tuples.  The derivative stages read the tuple as it is, and
-isochore_time_derivatives builds the same tuple from a record.
+compare tuples.  A record keeps the tuple it was built from (record.point),
+the one layout of a solved cycle: its diagnostics, its branches and
+isochore_time_derivatives read it, as the derivative stages read a trial's.
 """
 
 from __future__ import annotations
@@ -162,10 +163,12 @@ class CycleRecord:
     limit cycle q_c + w - q_h = 0 and the entropy production rate
     sigma = (-q_c/T_c + q_h/T_h) / tau_total is nonnegative.
 
-    The diagnostics are computed from the chain when first read, and are
-    not part of the record's repr or equality: ``residual`` is the relative
-    residual |M v + k - v| / |v| of the direct solution and
-    ``spectral_radius`` the spectral radius of M, from dgeev.
+    ``spec`` and ``point`` are the CycleSpec and the fixed point (see
+    _fixed_point) the record was built from, and are not part of its repr
+    or equality.  The diagnostics are computed from the point when first
+    read: ``residual`` is the relative residual |M v + k - v| / |v| of the
+    direct solution and ``spectral_radius`` the spectral radius of M, from
+    dgeev.
     """
 
     q_c: float
@@ -175,28 +178,27 @@ class CycleRecord:
     r_c: float
     sigma: float
     cop: float
-    # (the CycleSpec, its float branch maps, the one-cycle map M and k, the
-    # LU factors of I - M, the chain vectors at A, D, C, B, A'); read by the
-    # diagnostics, ``branches`` and :func:`isochore_time_derivatives`
-    chain: tuple = field(repr=False, compare=False)
+    spec: CycleSpec = field(repr=False, compare=False)
+    point: tuple = field(repr=False, compare=False)
 
     @cached_property
     def spectral_radius(self) -> float:
-        """Spectral radius of the cycle map M, computed on first read (a
-        limit_cycle that ran dgeev itself stores its value in the record)."""
-        return _spectral_radius(self.chain[2])
+        """Spectral radius of the cycle map M: the point's when its solve ran
+        dgeev, else dgeev's, computed on first read."""
+        rho = self.point[12]
+        return _spectral_radius(self.point[7]) if rho is None else rho
 
     @cached_property
     def residual(self) -> float:
         """|M v_A + k - v_A| / |v_A| of the direct solution, computed on first read."""
-        _, _, m, (k0, k1, k2), _, (v, *_) = self.chain
+        m, (k0, k1, k2), _, v = self.point[7:11]
         x, y, z = _affine(m, v)
         return math.dist((x + k0, y + k1, z + k2), v) / max(math.hypot(*v), 1e-300)
 
     @cached_property
     def branches(self) -> tuple[BranchRecord, ...]:
         """Start and end state of each branch, built on first read."""
-        spec, *_, vs = self.chain
+        spec, vs = self.spec, _states(self.point)
         legs = (("expansion", spec.expansion.duration, spec.omega_c),
                 ("cold_isochore", spec.tau_c, spec.omega_c),
                 ("compression", spec.compression.duration, spec.omega_h),
@@ -257,37 +259,30 @@ def _cold_half(a_exp: tuple, cold: tuple, a_comp: tuple) -> tuple[tuple, tuple]:
     return _mul(a_comp, _iso_mul(cold, a_exp)), _affine(a_comp, (cold[3], 0.0, 0.0))
 
 
+def _states(point: tuple) -> tuple:
+    """The states (v_A, v_D, v_C, v_B, v_A') of a fixed point's cycle, one
+    branch map after another from its v_A."""
+    v_a, v_c, consts = point[10], point[11], point[13]
+    v_b = _affine(consts[2], v_c)
+    return v_a, _affine(consts[1], v_a), v_c, v_b, _iso_affine(point[6], v_b)
+
+
 def _ledger(spec: CycleSpec, point: tuple) -> CycleRecord:
     """Heat/work ledger of ``spec``'s cycle started from the point's v_A; the
     point's q_c, R_c and tau_total are taken as they are."""
-    r_c, q_c, tau, _, _, cold, hot, m, k, lu, v, v_c, rho, consts = point
-    a_exp, a_comp = consts[1], consts[2]
-    v_d = _affine(a_exp, v)
-    v_b = _affine(a_comp, v_c)
-    v_a2 = _iso_affine(hot, v_b)
-    e_a, e_d, e_c_pt, e_b, e_a2 = v[0], v_d[0], v_c[0], v_b[0], v_a2[0]
+    r_c, q_c, tau = point[:3]
+    e_a, e_d, e_c_pt, e_b, e_a2 = (v[0] for v in _states(point))
     q_h = e_b - e_a2                        # heat rejected on the hot isochore
     w = (e_d - e_a) + (e_b - e_c_pt)        # work input on the two adiabats
     sigma = ((-q_c / spec.cold_bath.temperature + q_h / spec.hot_bath.temperature) / tau
              if tau > 0 else 0.0)
     cop = q_c / w if abs(w) > 1e-300 else float("nan")
-    fields = {"q_c": q_c, "q_h": q_h, "w": w, "tau_total": tau, "r_c": r_c, "sigma": sigma,
-              "cop": cop, "chain": (spec, (a_exp, cold, a_comp, hot), m, k, lu,
-                                    (v, v_d, v_c, v_b, v_a2))}
-    if rho is not None:
-        fields["spectral_radius"] = rho
-    return _frozen(CycleRecord, fields)
-
-
-def _retimed(base: CycleSpec):
-    """The spec builder (see _fixed_point) of ``base``'s cycle: base with a
-    point's isochore times."""
-    return lambda point: _frozen(CycleSpec, {**vars(base), "tau_c": point[3],
-                                             "tau_h": point[4]})
+    return _frozen(CycleRecord, {"q_c": q_c, "q_h": q_h, "w": w, "tau_total": tau, "r_c": r_c,
+                                 "sigma": sigma, "cop": cop, "spec": spec, "point": point})
 
 
 def _state(v: tuple, omega: float) -> StateVector:
-    """The unchecked StateVector of a chain vector at frequency omega."""
+    """The unchecked StateVector of a cycle's state vector at frequency omega."""
     return _frozen(StateVector, {"e_h": v[0], "e_l": v[1], "e_c": v[2], "omega": omega})
 
 
@@ -351,8 +346,9 @@ def _spectral_radius(m: tuple) -> float:
 # do not depend on the isochore times:
 #     (spec_at, a_exp, a_comp, omega_c, Gamma_c, omega_h, Gamma_h,
 #      the expansion's and the compression's duration)
-# where spec_at(point) builds the point's CycleSpec.  trial_record builds
-# the CycleRecord of one; the derivative stages read one as it is.
+# where spec_at(point) builds the point's CycleSpec.  A CycleRecord keeps
+# the one it was built from (trial_record, limit_cycle) as its ``point``;
+# the derivative stages read one as it is.
 
 def _fixed_point(consts: tuple, cold: tuple, half: tuple, hot: tuple, tau_c: float,
                  tau_h: float) -> tuple:
@@ -383,7 +379,7 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     """Find the periodic steady state of the cycle map.
 
     The fixed point of v -> M v + k is the direct solve of (I - M) v = k
-    (the LU factors of _lu, kept in the record's chain).  The spectral
+    (the LU factors of _lu, kept in the record's point).  The spectral
     radius of M must be < _RHO_LIMIT: ||M||_inf <= _NORM_CERTIFICATE
     certifies that, and only when it does not are the LAPACK dgeev
     eigenvalues computed here; a radius at or above the limit, or
@@ -393,8 +389,8 @@ def limit_cycle(spec: CycleSpec) -> tuple[StateVector, CycleRecord]:
     the direct solution.  M, k and the ledger are computed on plain floats.
     The solve is the search trial (isochore_trials) at the spec's own times.
     """
-    record = _ledger(spec, isochore_trials(spec)(spec.tau_c, spec.tau_h))
-    return _state(record.chain[-1][0], spec.omega_h), record
+    point = isochore_trials(spec)(spec.tau_c, spec.tau_h)
+    return _state(point[10], spec.omega_h), _ledger(spec, point)
 
 
 def isochore_trials(base: CycleSpec):
@@ -405,7 +401,10 @@ def isochore_trials(base: CycleSpec):
     failed adiabat build included.  :func:`trial_record` builds the record,
     bit for bit the one limit_cycle returns.
     """
-    return _trials(_trial_parts(_retimed(base), base.omega_c, base.cold_bath,
+    def spec_at(point):                 # base with the point's isochore times
+        return _frozen(CycleSpec, {**vars(base), "tau_c": point[3], "tau_h": point[4]})
+
+    return _trials(_trial_parts(spec_at, base.omega_c, base.cold_bath,
                                 base.omega_h, base.hot_bath),
                    _adiabats(_adiabat_maps, base.expansion, base.compression),
                    base.expansion.duration, base.compression.duration)
@@ -485,9 +484,9 @@ def _generator(omega: float, gamma: float, u: tuple) -> tuple:
 def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     """Exact gradient and Hessian of ln |R_c| in (ln tau_c, ln tau_h) at a limit cycle.
 
-    ``record`` is a :func:`limit_cycle` record; its chain holds the spec, the
-    branch maps, M, k, the LU factors of I - M and the fixed point v_A with
-    the states v_D, v_C after it.
+    ``record`` is a :func:`limit_cycle` record; the stages run on its
+    ``point``, which holds the branch maps, M, k, the LU factors of I - M,
+    the fixed point v_A and the state v_C (see _fixed_point).
     Returns ((g_c, g_h), ((h_cc, h_ch), (h_ch, h_hh))).
 
     The isochore flow has the field f(v) = J (v - v_eq), with J its linear
@@ -513,15 +512,10 @@ def isochore_time_derivatives(record: CycleRecord) -> tuple[tuple, tuple]:
     of ln |R_c|, the negations of the stages' (see _time_gradient); q_c = 0
     raises ValueError.
     """
-    spec, (a_exp, cold, a_comp, hot), m, k, lu, (v_a, _, v_c, _, _) = record.chain
-    consts = (_retimed(spec), a_exp, a_comp, spec.omega_c, spec.cold_bath.conductance,
-              spec.omega_h, spec.hot_bath.conductance, spec.expansion.duration,
-              spec.compression.duration)
-    point = (record.r_c, record.q_c, record.tau_total, spec.tau_c, spec.tau_h, cold, hot,
-             m, k, lu, v_a, v_c, None, consts)
+    point = record.point
     (g_c, g_h), stage = _time_gradient(point)
     (h_cc, h_ch), (_, h_hh) = _time_hessian(point, stage)
-    s = 1.0 if record.q_c > 0.0 else -1.0
+    s = 1.0 if point[1] > 0.0 else -1.0
     return (s * g_c, s * g_h), ((s * h_cc, s * h_ch), (s * h_ch, s * h_hh))
 
 

@@ -14,8 +14,8 @@ It builds its cycles' fixed parts once (cycle.isochore_trials), and takes
 the Hessian only where it builds a step.  Its loop runs on floats, its
 trials are bare fixed-point tuples, with their (tau_c, tau_h) at entries 3
 and 4, and it returns the higher of its start and its end; a CycleRecord
-(cycle.trial_record) is built only for a point a caller reads, a
-restart's winner or a sweep point's winner.  A SearchTally counts what the
+(cycle.trial_record) is built only for a point a caller reads, the
+winner of the restarts or of a sweep point.  A SearchTally counts what the
 searches of one call meet, searches that end held at a face of their box
 included, and raises their one warning.  A sweep's duration step only
 ranks its duration: score_tau_h runs the same Newton rules, under the same
@@ -529,9 +529,11 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
     Nelder-Mead search that stopped at its iteration cap.  When only
     the isochore times are free and the conductances are equal, the result
     is compared against the analytic z-equation allocation (solved once
-    more, by limit_cycle) and the comparison is attached to the result; the
-    analytic allocation replaces the searched one when it lies inside the
-    box and has the higher R_c.
+    more, by the searches' trials) and the comparison is attached to the
+    result; the analytic allocation replaces the searched one when it lies
+    inside the box and has the higher R_c.  Where it has no limit cycle, the
+    comparison holds the error, "<type>: <message>", in place of its R_c
+    entries, and the searched point stands.
     """
     base = spec.base
     if not spec.free:
@@ -557,11 +559,11 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         tally.evaluations += 1
         values = _values_at(x, box, start)
         try:
-            _, record = limit_cycle(apply_free_values(base, values))
+            cycle = apply_free_values(base, values)
+            return values, isochore_trials(cycle)(cycle.tau_c, cycle.tau_h)
         except DOMAIN_ERRORS as exc:
             tally.failed(values, exc)
             return values, None
-        return values, record
 
     starts = [[0.5 * (a + b) for a, b in zip(lo, hi)]]
     if start is not None:
@@ -570,8 +572,7 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
         rng = np.random.default_rng(spec.seed)
         starts += [rng.uniform(lo, hi).tolist() for _ in range(spec.restarts - len(starts))]
 
-    # (values, R_c, fixed point of a Newton search or Nelder-Mead record) of
-    # each restart's best point
+    # (values, R_c, fixed point) of each restart's best point
     found = []
     if newton:              # the search's order, (tau_c, tau_h)
         trial, order = isochore_trials(base), (names.index("tau_c"), names.index("tau_h"))
@@ -584,50 +585,49 @@ def optimize_time_allocation(spec: OptimizationSpec) -> OptimizationResult:
                 s_lo, s_hi, tally)
             if point is not None:
                 values = {n: point[3 if n == "tau_c" else 4] for n in names}
-            found.append((values, -math.inf if point is None else point[0], point))
-            continue
-        seen = {}
+        else:
+            seen = {}
 
-        def objective(x):
-            values, record = seen[tuple(x.tolist())] = evaluate(x.tolist())
-            return -record.r_c if record is not None else math.inf
-        from scipy.optimize import minimize     # not loaded until a search needs it
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": _NM_MAX_ITER, "xatol": _NM_XTOL,
-                                "fatol": _NM_FTOL, "adaptive": True})
-        tally.capped += not res.success     # with maxiter alone, its one way to fail
-        values, record = seen[tuple(res.x.tolist())]
-        found.append((values, -math.inf if record is None else record.r_c, record))
+            def objective(x):
+                values, point = seen[tuple(x.tolist())] = evaluate(x.tolist())
+                return math.inf if point is None else -point[0]
+            from scipy.optimize import minimize     # not loaded until a search needs it
+            res = minimize(objective, x0, method="Nelder-Mead",
+                           options={"maxiter": _NM_MAX_ITER, "xatol": _NM_XTOL,
+                                    "fatol": _NM_FTOL, "adaptive": True})
+            tally.capped += not res.success     # with maxiter alone, its one way to fail
+            values, point = seen[tuple(res.x.tolist())]
+        found.append((values, -math.inf if point is None else point[0], point))
     tally.warn()
 
     results = tuple((values, r_c) for values, r_c, _ in found)
     best = max(range(len(results)), key=lambda i: (results[i][1], -i))
-    best_values, _, best_record = found[best]
-    if best_record is None:         # every restart failed: raises that failure
+    best_values, _, point = found[best]
+    if point is None:               # every restart failed: raises that failure
         limit_cycle(apply_free_values(base, best_values))
-    if newton:                      # the record of the winner's fixed point
-        best_record = trial_record(best_record)
-    best_spec = best_record.chain[0]
 
     z_comparison = None
     if newton and math.isclose(
             base.hot_bath.conductance, base.cold_bath.conductance, rel_tol=1e-12):
         alloc = solve_isochore_z(base.hot_bath.conductance, base.cold_bath.conductance,
                                  base.expansion.duration + base.compression.duration)
-        z_values = {n: getattr(alloc, n) for n in names}     # in free's order
-        _, z_record = limit_cycle(apply_free_values(base, z_values))
-        gap = abs(z_record.r_c - best_record.r_c) / max(abs(z_record.r_c), 1e-300)
-        z_comparison = {
-            "z": alloc.z, "tau_c": alloc.tau_c, "tau_h": alloc.tau_h,
-            "r_c_z": z_record.r_c, "r_c_searched": best_record.r_c,
-            "relative_gap": gap, "agree_1pct": gap <= 0.01,
-        }
-        if z_record.r_c > best_record.r_c and all(
-                spec.bounds[n][0] <= z_values[n] <= spec.bounds[n][1] for n in names):
-            # analytic allocation inside the box beat the search; keep it
-            best_values, best_spec, best_record = z_values, z_record.chain[0], z_record
+        z_comparison = {"z": alloc.z, "tau_c": alloc.tau_c, "tau_h": alloc.tau_h}
+        try:
+            z_point = trial(alloc.tau_c, alloc.tau_h)
+        except DOMAIN_ERRORS as exc:    # no limit cycle: reported, the search's point kept
+            z_comparison["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            gap = abs(z_point[0] - point[0]) / max(abs(z_point[0]), 1e-300)
+            z_comparison.update(r_c_z=z_point[0], r_c_searched=point[0], relative_gap=gap,
+                                agree_1pct=gap <= 0.01)
+            z_values = {n: getattr(alloc, n) for n in names}     # in free's order
+            if z_point[0] > point[0] and all(
+                    spec.bounds[n][0] <= z_values[n] <= spec.bounds[n][1] for n in names):
+                # analytic allocation inside the box beat the search; keep it
+                best_values, point = z_values, z_point
 
-    return OptimizationResult(best_spec, best_record, best_values, results, spec.seed,
+    best_record = trial_record(point)
+    return OptimizationResult(best_record.spec, best_record, best_values, results, spec.seed,
                               z_comparison, tally.failures, tally.evaluations)
 
 

@@ -311,8 +311,8 @@ def _step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, omega_
     kind's builder (Schedule.linear, exponential) refuses, with the
     builder's error, and builds both maps with the kind's pair builder
     (dynamics.linear_ramp_pair, exponential_ramp_pair) and no Schedule; the
-    record of a point (cycle.trial_record) builds its two Schedules, with
-    the point's maps attached, and its CycleSpec.
+    record of a point (cycle.trial_record) builds its two Schedules, which
+    hold no map (the record's point holds them), and its CycleSpec.
 
     Both isochore times start at the z-equation allocation (optimize._z_root,
     the root of solve_isochore_z with gamma_h = gamma_c = spec.gamma).  A
@@ -335,11 +335,9 @@ def _step(spec: SweepSpec, hot: BathSpec, cold: BathSpec, omega_h: float, omega_
         pair = linear_ramp_pair if spec.kind == "linear" else exponential_ramp_pair
 
     def spec_at(point):
-        _, a_exp, a_comp, _, _, _, _, tau, _ = point[-1]
+        tau = point[-1][7]
         expansion, compression = fixed or (make(omega_h, omega_c, tau),
                                            make(omega_c, omega_h, tau))
-        object.__setattr__(expansion, "_propagator", a_exp)
-        object.__setattr__(compression, "_propagator", a_comp)
         return CycleSpec(hot, cold, omega_h, omega_c, expansion, compression,
                          tau_c=point[3], tau_h=point[4])
 
@@ -448,7 +446,7 @@ def build_point(spec: SweepSpec, t_c: float,
     """
     omega_c = None if omega_c is None else float(omega_c)
     record = _finished(lambda tally: _point_at(spec, float(t_c), omega_c, tally))
-    return record.chain[0], record
+    return record.spec, record
 
 
 def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
@@ -458,13 +456,12 @@ def _evaluate_point(spec: SweepSpec, t_c: float) -> SweepRow:
             record = _finished(lambda tally: _brent_max(
                 lambda log_y: _point_at(spec, t_c, math.exp(log_y) * t_c, tally),
                 math.log(0.05), math.log(3.0)))
-            cycle = record.chain[0]
         else:
-            cycle, record = build_point(spec, t_c)
+            record = build_point(spec, t_c)[1]
     except DOMAIN_ERRORS as exc:
         return SweepRow(t_c, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan,
                         flag=0, error=f"{type(exc).__name__}: {exc}")
-    flag = 1 if record.q_c > 0 else 2
+    flag, cycle = 1 if record.q_c > 0 else 2, record.spec
     return SweepRow(
         t_c=t_c, omega_c=cycle.omega_c, tau_hc=cycle.expansion.duration,
         tau_c=cycle.tau_c, tau_ch=cycle.compression.duration, tau_h=cycle.tau_h,

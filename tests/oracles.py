@@ -165,8 +165,8 @@ def cross_check(record) -> tuple[int, float]:
     repeated squaring of its map (M, k) covers from the hot thermal state,
     and the relative distance of that fixed point from the record's direct
     solution v_A."""
-    spec, _, m, k, _, (v, *_) = record.chain
-    start = StateVector.thermal(spec.omega_h, spec.hot_bath).as_array()
+    m, k, _, v = record.point[7:11]
+    start = StateVector.thermal(record.spec.omega_h, record.spec.hot_bath).as_array()
     v_squared, cycles = squaring_fixed_point(m, k, start)
     v = np.asarray(v)
     return cycles, float(np.linalg.norm(v_squared - v) / max(np.linalg.norm(v), 1e-300))

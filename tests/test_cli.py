@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 
 import pytest
 from oracles import cross_check
@@ -15,12 +16,13 @@ from ottofridge.cli import (
     ConfigError,
     cycle_spec_from_config,
     main,
+    optimization_spec_from_config,
     parse_config,
     run_command,
 )
 from ottofridge.cycle import CycleSpec, equilibration_bound, limit_cycle
 from ottofridge.dynamics import BathSpec
-from ottofridge.optimize import optimal_cold_frequency
+from ottofridge.optimize import optimal_cold_frequency, optimize_time_allocation
 from ottofridge.schedules import Schedule
 
 
@@ -647,3 +649,39 @@ def test_optimize_command_smoke(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "best R_c" in out and "z-equation allocation" in out
+
+
+@pytest.mark.parametrize("segments, z, error", [
+    ([[5.0, 0.001]], 0.181612201,
+     "NoContractionError: cycle map spectral radius 1.939631087942 >= 0.999999999; "
+     "no limit cycle"),
+    ([], 0.0, "NoContractionError: both isochores have Gamma*tau = 0; no contraction"),
+], ids=["no-contraction", "zero-adiabat-time"])
+def test_optimize_reports_a_z_allocation_without_a_limit_cycle(tmp_path, capsys, segments, z,
+                                                               error):
+    # the z-equation allocation of a 1 ms jump to omega = 5 and back has a
+    # cycle map of spectral radius 1.94, and with no adiabat time at all it
+    # is z = 0 on both isochores: neither has a limit cycle.  The command
+    # exits 0 and prints the failure; the comparison keeps z and its times,
+    # holds the error in place of its R_c entries, and the searched best
+    # point stands
+    text = json.dumps({"cycle": {
+        "expansion": {"kind": "piecewise_const", "segments": segments},
+        "compression": {"kind": "piecewise_const", "segments": segments},
+        "tau_c": 1.0, "tau_h": 1.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the search's failed evaluations
+        rc = main(["optimize", "--config", text, "--out", str(tmp_path)])
+        config = parse_config(text)
+        result = optimize_time_allocation(optimization_spec_from_config(
+            config, config.resolved["command-defaults"]["seed"]))
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert f"z-equation allocation: z = {z:.9g}, no limit cycle ({error})\n" in out
+    zc = result.z_comparison
+    assert zc == {"z": zc["z"], "tau_c": zc["tau_c"], "tau_h": zc["tau_h"], "error": error}
+    assert f"{zc['z']:.9g}" == f"{z:.9g}" and zc["tau_c"] == zc["tau_h"] == zc["z"]
+    values, r_c = max(result.restarts, key=lambda restart: restart[1])
+    assert result.best_values == values and result.best_record.r_c == r_c > -math.inf
+    assert (result.best_spec.tau_c, result.best_spec.tau_h) == (values["tau_c"], values["tau_h"])
+    assert f"best R_c = {r_c:.9g} at " in out

@@ -85,7 +85,7 @@ def composed_map(spec):
 
 def cycle_map(record):
     """The one-cycle map (M, k) of a limit_cycle record, as numpy arrays."""
-    _, _, m, k, _, _ = record.chain
+    m, k = record.point[7:9]
     return np.array(m).reshape(3, 3), np.array(k)
 
 
@@ -118,12 +118,11 @@ def record_ledgers(monkeypatch):
 
 def non_float_entries(record):
     """The parts of a record's kernel numbers that hold anything but a Python
-    float: its branch maps, M, k, the LU factors (the pivot order aside), the
-    chain vectors, q_c and r_c."""
-    _, maps, m, k, lu, vs = record.chain
-    parts = {"maps": [x for branch in maps for x in branch], "m": m, "k": k,
-             "lu": lu[1:], "chain": [x for v in vs for x in v],
-             "q_c": (record.q_c,), "r_c": (record.r_c,)}
+    float: the branch maps, M, k, the LU factors (the pivot order aside) and
+    the states v_A and v_C of its point, q_c and r_c."""
+    _, _, _, _, _, cold, hot, m, k, lu, v_a, v_c, _, consts = record.point
+    parts = {"maps": consts[1] + cold + consts[2] + hot, "m": m, "k": k, "lu": lu[1:],
+             "states": v_a + v_c, "q_c": (record.q_c,), "r_c": (record.r_c,)}
     return sorted(name for name, xs in parts.items() if any(type(x) is not float for x in xs))
 
 
@@ -218,15 +217,15 @@ def leg_specs():
 def test_isochore_trials_are_limit_cycle_records():
     # the record of a search trial's fixed point is limit_cycle's on the
     # CycleSpec with those times, bit for bit: the spec, the maps, M, k, the
-    # LU factors, the chain and the ledger; and a trial fails where
+    # LU factors, the states and the ledger; and a trial fails where
     # limit_cycle fails, with its message
     for spec in leg_specs():
         trial = isochore_trials(spec)
         for tau_c, tau_h in ((spec.tau_c, spec.tau_h), (0.05, 7.0), (4.5, 1e-3)):
             record = trial_record(trial(tau_c, tau_h))
             _, expected = limit_cycle(replace(spec, tau_c=tau_c, tau_h=tau_h))
-            assert record == expected and record.chain == expected.chain
-            assert vars(record.chain[0]) == vars(expected.chain[0])
+            assert record == expected and record_bits(record) == record_bits(expected)
+            assert vars(record.spec) == vars(expected.spec)
     spec = leg_specs()[0]
     with pytest.raises(ValueError, match="must be >= 0"):
         isochore_trials(spec)(-1.0, 1.0)
@@ -258,8 +257,8 @@ def test_trial_takes_a_zero_time_on_one_isochore():
             record = trial_record(trial(tau_c, tau_h))
             state, expected = limit_cycle(spec)
             assert repr(record) == repr(expected)       # bit for bit, a nan cop included
-            assert record.chain == expected.chain
-            assert vars(record.chain[0]) == vars(expected.chain[0])
+            assert record_bits(record) == record_bits(expected)
+            assert vars(record.spec) == vars(expected.spec)
             again, ledger = one_cycle(spec, state)
             np.testing.assert_allclose(again.as_array(), state.as_array(), rtol=1e-12)
             np.testing.assert_allclose(ledger, (record.q_c, record.q_h, record.w),
@@ -316,10 +315,10 @@ def trial_spec(draw):
 def test_trial_examples_take_each_branch():
     cases = trial_examples()
     record = limit_cycle(cases["uncertified"])[1]
-    m = record.chain[2]
+    m = record.point[7]
     assert max(abs(m[i]) + abs(m[i + 1]) + abs(m[i + 2]) for i in (0, 3, 6)) \
         > ottofridge.cycle._NORM_CERTIFICATE
-    assert "spectral_radius" in vars(record)           # dgeev ran in the solve
+    assert record.point[12] is not None                # dgeev ran in the solve
     assert limit_cycle(cases["heating"])[1].q_c < 0.0
     with pytest.raises(NoContractionError):
         limit_cycle(cases["no_contraction"])
@@ -353,9 +352,9 @@ def test_trial_fixed_points_are_limit_cycle_records(spec):
     point = trial(spec.tau_c, spec.tau_h)
     record = trial_record(point)
     assert repr(record) == repr(expected)       # bit for bit, a nan cop included
-    assert record.chain == expected.chain
-    assert vars(record.chain[0]) == vars(expected.chain[0])
-    assert vars(record).get("spectral_radius") == vars(expected).get("spectral_radius")
+    assert record_bits(record) == record_bits(expected)
+    assert vars(record.spec) == vars(expected.spec)
+    assert record.point[12] == expected.point[12]
     assert point[:3] == (expected.r_c, expected.q_c, expected.tau_total)
     if expected.q_c != 0.0:
         (g_c, g_h), stage = _time_gradient(point)
@@ -379,6 +378,13 @@ def point_bits(point):
 
     walk(point[:-1])
     return bits
+
+
+def record_bits(record):
+    """point_bits of a record's point and its two adiabat maps: every number
+    of the solved cycle, bit for bit."""
+    _, a_exp, a_comp, *_ = record.point[-1]
+    return point_bits(record.point) + [x.hex() for x in a_exp + a_comp]
 
 
 def trial_outcome(trial, tau_c, tau_h):
@@ -606,7 +612,7 @@ def test_near_unit_spectral_radius_is_solved_directly(tau):
     # frictionless closed form
     spec = frictionless_spec(tau_c=tau, tau_h=tau)
     state, record = limit_cycle(spec)
-    _, _, m, k, _, _ = record.chain
+    m, k = record.point[7:9]
     assert 1.0 - record.spectral_radius == pytest.approx(2.0 * tau, rel=1e-2)
     with pytest.raises(RuntimeError, match="did not converge"):
         cross_check(record)
@@ -685,7 +691,7 @@ def test_records_are_frozen_comparable_and_printable():
     rebuilt = replace(record)                     # through CycleRecord.__init__
     assert twin == record == rebuilt and twin is not record
     assert repr(rebuilt) == repr(record) and repr(record).startswith("CycleRecord(q_c=")
-    assert "chain" not in repr(record)
+    assert "spec" not in repr(record) and "point" not in repr(record)
     assert replace(record, q_c=0.0) != record
     assert state == twin_state == StateVector(state.e_h, state.e_l, state.e_c, spec.omega_h)
     assert repr(state) == repr(replace(state))
@@ -739,7 +745,7 @@ def test_numpy_scalar_inputs_show_in_the_kernel_records(monkeypatch):
     records = record_ledgers(monkeypatch)
     _, record = limit_cycle(frictionless_spec(omega_c=np.float64(1.0), t_c=np.float64(0.5)))
     assert records == [record]
-    assert non_float_entries(record) == ["chain", "k", "lu", "m", "maps", "q_c", "r_c"]
+    assert non_float_entries(record) == ["k", "lu", "m", "maps", "q_c", "r_c", "states"]
     _, record = limit_cycle(frictionless_spec(t_c=0.5))
     assert non_float_entries(record) == []
 
@@ -903,7 +909,7 @@ def test_max_norm_certifies_what_dgeev_would(spec):
     except NoContractionError:
         assert norm > ottofridge.cycle._NORM_CERTIFICATE
         return
-    assert record.chain[2] == m
+    assert record.point[7] == m
     assert record.spectral_radius == rho
 
 
@@ -948,7 +954,7 @@ def cooling_spec(draw):
 def test_deferred_cross_check_is_sound_on_certified_maps(spec):
     # ||M^n||_inf <= 0.99^n on a certified map, so the squaring oracle
     # converges far below its cycle cap on the direct solution, and a
-    # rebuilt record recomputes the same diagnostics from its chain
+    # rebuilt record recomputes the same diagnostics from its point
     m = composed_map(spec)
     assume(max(abs(m[i]) + abs(m[i + 1]) + abs(m[i + 2]) for i in (0, 3, 6))
            <= ottofridge.cycle._NORM_CERTIFICATE)
@@ -1027,8 +1033,9 @@ def test_isochore_time_gradient_without_cooling():
         central = (ln_abs_r_c(name, eps) - ln_abs_r_c(name, -eps)) / (2.0 * eps)
         assert abs(exact - central) <= 1e-6 * max(map(abs, grad))
     assert_hessian_matches_gradient_differences(spec, hessian)
+    zero = replace(record, q_c=0.0, point=(record.r_c, 0.0) + record.point[2:])
     with pytest.raises(ValueError, match="q_c = 0"):
-        isochore_time_derivatives(replace(record, q_c=0.0))
+        isochore_time_derivatives(zero)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None,

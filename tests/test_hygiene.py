@@ -47,6 +47,52 @@ def test_unused_imports_are_found():
     assert unused_imports(tree) == ["math (line 1)", "path (line 2)"]
 
 
+def attribute_writers(tree: ast.Module, attribute: str) -> list[str]:
+    """The functions (dotted from the module level) that write ``attribute``
+    of an object: by assignment, augmented assignment or deletion, or by
+    setattr or object.__setattr__ with the name as a string constant."""
+    writers = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        writes = any(isinstance(t, ast.Attribute) and t.attr == attribute
+                     for target in targets for t in ast.walk(target))
+        if isinstance(node, ast.Call) and len(node.args) >= 2:
+            func, name = node.func, node.args[1]
+            setter = (isinstance(func, ast.Name) and func.id == "setattr") or (
+                isinstance(func, ast.Attribute) and func.attr == "__setattr__")
+            writes |= setter and isinstance(name, ast.Constant) and name.value == attribute
+        if writes:
+            writers.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return writers
+
+
+def test_only_adiabat_flat_attaches_a_propagator():
+    # a Schedule's adiabat map is built and kept by dynamics._adiabat_flat
+    # alone: no other code attaches a map to a Schedule
+    writers = [f"{path.stem}.{writer}" for path in sorted((ROOT / "src").rglob("*.py"))
+               for writer in attribute_writers(ast.parse(path.read_text(), str(path)),
+                                               "_propagator")]
+    assert writers == ["dynamics._adiabat_flat"]
+
+
+def test_attribute_writers_are_found():
+    tree = ast.parse("def f(s):\n    object.__setattr__(s, 'x', 1)\n"
+                     "class C:\n    x: int = 0\n    def g(self):\n        self.x += 1\n"
+                     "def h(s):\n    setattr(s, 'x', 2)\n    s.y = 3\n    del s.x\n")
+    assert attribute_writers(tree, "x") == ["f", "C.g", "h", "h"]
+
+
 def loaded_after_cli_import(module: str, then: str = "") -> bool:
     """Whether a fresh interpreter holds ``module`` after importing
     ottofridge.cli and running the statements ``then``."""

@@ -360,16 +360,24 @@ def test_ga_finds_the_basin_above_the_three_jump_cycle(seed):
 
 def test_searches_run_the_kernel_on_python_floats(monkeypatch):
     # Nelder-Mead's numpy vectors and the GA's genes reach the limit-cycle
-    # core as Python floats
-    records = record_ledgers(monkeypatch)
+    # core as Python floats: in every record built and in every fixed point
+    # solved, a Nelder-Mead trial's included
+    records, points = record_ledgers(monkeypatch), []
+    solve = ottofridge.cycle._fixed_point
+
+    def recording(*args):
+        points.append(solve(*args))
+        return points[-1]
+
+    monkeypatch.setattr(ottofridge.cycle, "_fixed_point", recording)
     base = make_base()
     optimize_time_allocation(OptimizationSpec(
         base=base, free=("tau_c", "omega_c"),
         bounds={"tau_c": (0.1, 10.0), "omega_c": (0.5, 2.0)}, seed=2, restarts=1))
-    n_nelder_mead = len(records)
+    built, solved = len(records), len(points)     # Nelder-Mead's: one record, its winner's
     ga_schedule_search(base, population=8, generations=3, seed=2)
-    assert 0 < n_nelder_mead < len(records)
-    for record in records:
+    assert built == 1 < solved < len(points) and built < len(records)
+    for record in records + [trial_record(point) for point in points]:
         assert non_float_entries(record) == []
 
 
@@ -664,7 +672,7 @@ def test_optimize_reuses_each_restarts_best_record(monkeypatch):
     assert newton.z_comparison is not None
     assert len(calls) == newton.evaluations + 1
     assert newton.best_record.r_c == max(r_c for _, r_c in newton.restarts)
-    assert newton.best_spec is newton.best_record.chain[0]
+    assert newton.best_spec is newton.best_record.spec
 
     # Nelder-Mead: its evaluations are the ones scipy counts
     nfev = []
